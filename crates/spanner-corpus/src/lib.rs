@@ -303,6 +303,66 @@ fn collect_result(
     Ok(CorpusResult { results, stats })
 }
 
+/// Intersection of two sorted, duplicate-free id lists — candidate sets and
+/// deltas, the currency between the index and the evaluators.
+pub fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let mut b = b.iter().peekable();
+    a.iter()
+        .copied()
+        .filter(|&id| {
+            while b.next_if(|&&other| other < id).is_some() {}
+            b.peek() == Some(&&id)
+        })
+        .collect()
+}
+
+/// One evaluated document of a selection: its id, its relation, and what
+/// the fast path did with it.
+type Evaluated = (u32, MappingSet, DocOutcome);
+
+/// The fewest documents a spawned worker must receive before a selection
+/// is sharded across scoped threads: spawning and joining one costs about
+/// 100 µs on the reference box — some eight document evaluations — so a
+/// smaller share costs more to start than it saves (DESIGN.md §11). A
+/// constant, not an option: it follows the machine, not the query.
+const MIN_DOCS_PER_WORKER: usize = 32;
+
+/// Assembles the dense [`CorpusResult`] from sparse relations: every slot
+/// starts as the empty relation (which does not allocate), only the
+/// non-empty `hits` (served without evaluation) and `evaluated` relations
+/// are placed, and the tallies follow the placements — beyond the one fill,
+/// the cost tracks the matches, not the corpus. `unread` documents were
+/// proven empty without being visited and count as skipped.
+fn assemble(
+    docs: &[Document],
+    threads: usize,
+    unread: usize,
+    hits: impl Iterator<Item = (u32, MappingSet)>,
+    evaluated: Vec<Evaluated>,
+    start: Instant,
+) -> CorpusResult {
+    let mut results: Vec<MappingSet> = std::iter::repeat_with(MappingSet::new)
+        .take(docs.len())
+        .collect();
+    let outcomes = |which| evaluated.iter().filter(|e| e.2 == which).count();
+    let mut stats = CorpusStats {
+        documents: docs.len(),
+        bytes: docs.iter().map(Document::len).sum(),
+        threads,
+        docs_skipped: unread + outcomes(DocOutcome::Skipped),
+        docs_rejected: outcomes(DocOutcome::Rejected),
+        ..CorpusStats::default()
+    };
+    let evaluated = evaluated.into_iter().map(|(id, set, _)| (id, set));
+    for (id, set) in hits.chain(evaluated).filter(|(_, set)| !set.is_empty()) {
+        stats.mappings += set.len();
+        stats.matched_documents += 1;
+        results[id as usize] = set;
+    }
+    stats.elapsed = start.elapsed();
+    CorpusResult { results, stats }
+}
+
 /// `CompiledPlan` is read-only after compilation; the engine shares it with
 /// every worker thread by reference.
 const _: fn() = || {
@@ -453,77 +513,56 @@ impl CorpusEngine {
         threads: usize,
     ) -> SpannerResult<CorpusResult> {
         let start = Instant::now();
-        // The result is assembled directly, not through the per-document
-        // slot machinery of the full scan: the whole point of the index is
-        // that per-query cost tracks the candidate count, so the
-        // non-candidate majority must cost one empty relation each and
-        // nothing more (an empty `MappingSet` does not allocate).
-        let mut results: Vec<MappingSet> = std::iter::repeat_with(MappingSet::new)
-            .take(docs.len())
-            .collect();
-        let threads = effective_threads(threads, candidates.len());
-        // One evaluated candidate: (document index, (result, outcome)).
-        type Evaluated = Vec<(u32, (SpannerResult<MappingSet>, DocOutcome))>;
-        let mut evaluated: Evaluated;
-        let workers = if threads <= 1 {
-            evaluated = candidates
+        let (evaluated, workers) = self.evaluate_selection(docs, candidates, threads)?;
+        let (unread, hits) = (docs.len() - candidates.len(), std::iter::empty());
+        Ok(assemble(docs, workers, unread, hits, evaluated, start))
+    }
+
+    /// The one selection evaluator behind the indexed
+    /// ([`CorpusEngine::evaluate_candidates_with_threads`]) and the
+    /// incremental ([`CorpusEngine::evaluate_delta`]) paths: evaluates the
+    /// documents `ids` (sorted, in bounds) and returns their relations in
+    /// id order — or the first error in id order — plus the number of
+    /// workers that ran. The id list is what gets sharded (not the corpus):
+    /// the work is proportional to the selection.
+    fn evaluate_selection(
+        &self,
+        docs: &[Document],
+        ids: &[u32],
+        threads: usize,
+    ) -> SpannerResult<(Vec<Evaluated>, usize)> {
+        let eval = |chunk: &[u32]| -> SpannerResult<Vec<Evaluated>> {
+            chunk
                 .iter()
-                .map(|&i| (i, eval_doc(&self.plan, &docs[i as usize])))
-                .collect();
-            1
-        } else {
-            // Shard the candidate list (not the corpus): the work is
-            // proportional to candidates, so that is what balances.
-            let ranges = shard_ranges(candidates.len(), threads);
-            let outcomes: Vec<Evaluated> = std::thread::scope(|scope| {
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .map(|range| {
-                        let chunk = &candidates[range.clone()];
-                        scope.spawn(move || {
-                            chunk
-                                .iter()
-                                .map(|&i| (i, eval_doc(&self.plan, &docs[i as usize])))
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("corpus worker panicked"))
-                    .collect()
-            });
-            let workers = outcomes.len();
-            evaluated = outcomes.into_iter().flatten().collect();
-            workers
+                .map(|&id| {
+                    let (result, outcome) = eval_doc(&self.plan, &docs[id as usize]);
+                    Ok((id, result?, outcome))
+                })
+                .collect()
         };
-        // Non-candidates are skipped by construction — without being read.
-        let mut docs_skipped = docs.len() - candidates.len();
-        let mut docs_rejected = 0;
-        for (i, (result, outcome)) in evaluated.drain(..) {
-            match outcome {
-                DocOutcome::Skipped => docs_skipped += 1,
-                DocOutcome::Rejected => docs_rejected += 1,
-                DocOutcome::Evaluated => {}
-            }
-            results[i as usize] = result?;
+        // Too few documents for a second worker is decided before the
+        // thread count is resolved: resolving asks the OS for the CPU count
+        // (tens of microseconds), more than a small selection costs.
+        let workers = match ids.len() / MIN_DOCS_PER_WORKER {
+            0 | 1 => 1,
+            share => effective_threads(threads, share),
+        };
+        if workers == 1 {
+            return Ok((eval(ids)?, 1));
         }
-        let stats = CorpusStats {
-            documents: docs.len(),
-            bytes: docs.iter().map(Document::len).sum(),
-            // Only candidate slots can be non-empty, so the tallies walk
-            // the candidate list, not the corpus.
-            mappings: candidates.iter().map(|&i| results[i as usize].len()).sum(),
-            matched_documents: candidates
-                .iter()
-                .filter(|&&i| !results[i as usize].is_empty())
-                .count(),
-            threads: workers,
-            docs_skipped,
-            docs_rejected,
-            elapsed: start.elapsed(),
-        };
-        Ok(CorpusResult { results, stats })
+        let chunk = ids.len().div_ceil(workers);
+        let shards: SpannerResult<Vec<Vec<Evaluated>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = ids
+                .chunks(chunk)
+                .map(|chunk| scope.spawn(move || eval(chunk)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("corpus worker panicked"))
+                .collect()
+        });
+        let evaluated = shards?.into_iter().flatten().collect();
+        Ok((evaluated, ids.len().div_ceil(chunk)))
     }
 
     /// Evaluates the corpus by sharding it across a persistent
@@ -855,6 +894,51 @@ mod tests {
         assert!(out.results.iter().all(MappingSet::is_empty));
         assert_eq!(out.stats.docs_skipped, docs.len());
         assert_eq!(out.stats.threads, 1);
+    }
+
+    #[test]
+    fn small_selections_run_inline_and_large_ones_shard() {
+        let e = engine("{x:a+}");
+        let mut docs: Vec<Document> = (0..8 * MIN_DOCS_PER_WORKER)
+            .map(|i| Document::new("a".repeat(i % 3)))
+            .collect();
+        let full = e.evaluate_with_threads(&docs, 1).unwrap();
+        let all: Vec<u32> = (0..docs.len() as u32).collect();
+        // One document short of two full workers: not worth a spawn.
+        for len in [1, MIN_DOCS_PER_WORKER - 1, 2 * MIN_DOCS_PER_WORKER - 1] {
+            let out = e
+                .evaluate_candidates_with_threads(&docs, &all[..len], 8)
+                .unwrap();
+            assert_eq!(out.stats.threads, 1, "{len} candidates");
+            assert_eq!(out.results[..len], full.results[..len]);
+        }
+        // Enough for every requested worker: the selection shards.
+        for (len, workers) in [(2 * MIN_DOCS_PER_WORKER, 2), (all.len(), 8)] {
+            let out = e
+                .evaluate_candidates_with_threads(&docs, &all[..len], 8)
+                .unwrap();
+            assert_eq!(out.stats.threads, workers, "{len} candidates");
+            assert_eq!(out.results[..len], full.results[..len]);
+        }
+        // The delta path goes through the same gate: a cold view shards,
+        // the re-query after a handful of changes does not.
+        let mut hashes: Vec<u64> = (0..docs.len() as u64).collect();
+        let mut view = QueryView::unbounded();
+        let cold = e
+            .evaluate_delta(&docs, &hashes, None, &mut view, 8)
+            .unwrap();
+        assert_eq!(cold.output.stats.threads, 8);
+        assert_eq!(cold.output.results, full.results);
+        for i in [3, 77, 200] {
+            docs[i] = Document::new("aaaa");
+            hashes[i] += 1 << 32;
+        }
+        let hot = e
+            .evaluate_delta(&docs, &hashes, None, &mut view, 8)
+            .unwrap();
+        assert_eq!((hot.delta_docs, hot.output.stats.threads), (3, 1));
+        let full = e.evaluate_with_threads(&docs, 1).unwrap();
+        assert_eq!(hot.output.results, full.results);
     }
 
     #[test]

@@ -1,49 +1,66 @@
 //! Maintained per-query result views with delta propagation.
 //!
-//! A [`QueryView`] memoizes one prepared query's per-document relations,
-//! keyed by each document's content hash. Re-running the query through
-//! [`CorpusEngine::evaluate_delta`] then touches only the documents whose
-//! hash differs from the retained entry (appended, updated, deleted, or
-//! evicted ones) and merges the retained relations for everything else —
-//! the semi-naive shape: after `k` mutations a repeat query costs `O(k)`
-//! document evaluations, not `O(n)`.
+//! A [`QueryView`] memoizes one prepared query's per-document relations as
+//! struct-of-arrays: a dense snapshot of the content hash each document had
+//! when the view last evaluated it, plus a *sparse*, id-sorted table of the
+//! non-empty relations only — an empty relation (the overwhelming majority
+//! for a selective query) is retained by its hash alone.
+//! [`CorpusEngine::evaluate_delta`] compares the snapshot with the current
+//! hashes, re-evaluates the documents that differ (appended, updated,
+//! deleted, or refused by the budget) and merges the retained relations for
+//! everything else — the semi-naive shape.
 //!
-//! **Soundness.** An entry is reused only when the stored hash equals the
+//! **Cost of a repeat query** after `k` mutations, over `n` documents of
+//! which `m` match: one compare of two `u64` slices (`memcmp` speed;
+//! microseconds at 10k documents), `k` document evaluations, `m` relation
+//! clones into the answer, and the `n`-slot fill of the dense
+//! [`CorpusResult`] the API returns. A fresh view costs one copy of the
+//! hash slice on top of the candidate evaluations — what the indexed query
+//! costs.
+//!
+//! **Soundness.** An entry is reused only when the snapshot hash equals the
 //! document's current content hash, and a spanner's result is a pure
 //! function of document content — so every reused relation is exactly what
 //! re-evaluation would produce (up to hash collisions, which the store's
-//! 64-bit FNV-1a makes vanishingly unlikely; see DESIGN.md §11). Every
-//! other document — absent entry, hash mismatch, or budget-evicted — is
-//! re-evaluated from scratch. No generation bookkeeping or changed-list is
-//! needed for correctness; the hash comparison alone decides.
+//! 64-bit FNV-1a makes vanishingly unlikely; see DESIGN.md §11). The
+//! compare is kept, in place of a change list pushed by the store, because
+//! it keeps that argument local: the view needs no store identity and no
+//! log to stay in step with, and its hit/miss counts are a function of the
+//! documents alone.
 //!
-//! The view is bounded: retained relations are charged `mappings + 1`
-//! against a byte-free cost budget, entries that would exceed it are simply
-//! not retained (and re-evaluated next time). Budget `0` therefore retains
-//! nothing — every evaluation is cold — which the differential oracle uses
+//! The view is bounded: each retained mapping costs one unit of the
+//! budget, and a relation that does not fit is *refused* — listed by id and
+//! re-evaluated on every pass. Budget `0` retains nothing, not even the
+//! snapshot — every evaluation is cold — which the differential oracle uses
 //! to pin the delta path against the full scan.
 
-use crate::{
-    effective_threads, eval_doc, shard_ranges, CorpusEngine, CorpusResult, CorpusStats, DocOutcome,
-};
+use crate::{assemble, intersect_sorted, CorpusEngine, CorpusResult};
 use spanner_core::{Document, MappingSet, SpannerResult};
 use std::time::Instant;
 
-/// One retained entry: the document's content hash at evaluation time and
-/// the relation it produced.
-type ViewEntry = Option<(u64, MappingSet)>;
+/// Hashes compared per `memcmp` when looking for changed documents: a
+/// block that compares equal (the common case) is not inspected further.
+const COMPARE_BLOCK: usize = 64;
 
 /// A maintained result view for one prepared query over one corpus:
 /// per-document memoized relations keyed by content hash, behind a bounded
 /// retention budget.
+///
+/// Document `i` has a *retained entry* when `i < hashes.len()` and `i` is
+/// not in `refused`; its relation is `matches`' row for `i`, or empty.
 #[derive(Debug, Clone, Default)]
 pub struct QueryView {
-    /// Indexed like the corpus; `None` = not retained (never evaluated,
-    /// or evicted by the budget).
-    entries: Vec<ViewEntry>,
-    /// Retention budget in cost units ([`QueryView::cost`] per entry).
+    /// Content hash of each document when the view last evaluated it,
+    /// indexed like the corpus.
+    hashes: Vec<u64>,
+    /// The non-empty retained relations, sorted by document id.
+    matches: Vec<(u32, MappingSet)>,
+    /// Sorted ids whose (non-empty) relation the budget refused: their
+    /// snapshot hash vouches for nothing.
+    refused: Vec<u32>,
+    /// Retention budget, in retained mappings.
     budget: usize,
-    /// Cost of the currently retained entries.
+    /// Mappings currently retained in `matches`.
     retained_cost: usize,
     /// Store generation the view was last synchronized against — advisory
     /// (freshness is decided per document by hash), surfaced for
@@ -56,10 +73,8 @@ impl QueryView {
     /// nothing (every evaluation is cold).
     pub fn new(budget: usize) -> QueryView {
         QueryView {
-            entries: Vec::new(),
             budget,
-            retained_cost: 0,
-            generation: 0,
+            ..QueryView::default()
         }
     }
 
@@ -73,14 +88,9 @@ impl QueryView {
         self.budget
     }
 
-    /// Cost of the currently retained entries (≤ budget).
+    /// Number of retained mappings (≤ budget).
     pub fn retained_cost(&self) -> usize {
         self.retained_cost
-    }
-
-    /// Number of retained (hash, relation) entries.
-    pub fn retained_entries(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
     }
 
     /// The store generation recorded at the last synchronization
@@ -96,43 +106,88 @@ impl QueryView {
 
     /// Drops every retained entry (the budget is kept).
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.hashes.clear();
+        self.matches.clear();
+        self.refused.clear();
         self.retained_cost = 0;
     }
 
-    /// Retention cost of one relation. `+1` so even empty relations have
-    /// non-zero cost: a zero budget retains nothing at all.
-    fn cost(set: &MappingSet) -> usize {
-        set.len() + 1
-    }
-
-    /// Resizes the entry table to the corpus: new slots start unretained,
-    /// entries past the end (the corpus shrank) are released.
-    fn resize(&mut self, len: usize) {
-        while self.entries.len() > len {
-            if let Some(Some((_, set))) = self.entries.pop() {
-                self.retained_cost -= Self::cost(&set);
+    /// The delta against the corpus's `current` hashes (at least as long
+    /// as the snapshot): the sorted ids of every document without a valid
+    /// retained entry — changed, refused, or new — and how many of them
+    /// invalidate an entry that was retained.
+    fn delta(&self, current: &[u64]) -> (Vec<u32>, usize) {
+        let known = self.hashes.len();
+        let mut misses: Vec<u32> = Vec::new();
+        let blocks = self
+            .hashes
+            .chunks(COMPARE_BLOCK)
+            .zip(current[..known].chunks(COMPARE_BLOCK));
+        for (block, (old, new)) in blocks.enumerate() {
+            if old != new {
+                let base = block * COMPARE_BLOCK;
+                let differing = old.iter().zip(new).enumerate().filter(|(_, (o, n))| o != n);
+                misses.extend(differing.map(|(i, _)| (base + i) as u32));
             }
         }
-        if self.entries.len() < len {
-            self.entries.resize_with(len, || None);
-        }
+        // Two sorted runs: the stable sort merges them; a refused document
+        // that also changed is one miss and invalidates nothing.
+        misses.extend_from_slice(&self.refused);
+        misses.sort();
+        misses.dedup();
+        let invalidated = misses.len() - self.refused.len();
+        misses.extend(known as u32..current.len() as u32);
+        (misses, invalidated)
     }
 
-    /// Retains `set` for document `idx` under `hash` if the budget allows;
-    /// a previously retained entry for the slot is released either way.
-    fn store(&mut self, idx: usize, hash: u64, set: &MappingSet) {
-        let slot = &mut self.entries[idx];
-        if let Some((_, old)) = slot.take() {
-            self.retained_cost -= Self::cost(&old);
+    /// Drops the retained relations of `misses` ahead of their
+    /// replacement, leaving exactly the hits.
+    fn release(&mut self, misses: &[u32]) {
+        let mut missed = misses.iter().peekable();
+        self.matches.retain(|(id, set)| {
+            while missed.next_if(|&&m| m < *id).is_some() {}
+            let hit = missed.peek() != Some(&id);
+            if !hit {
+                self.retained_cost -= set.len();
+            }
+            hit
+        });
+        // Every refused id is a miss; `admit` lists the ones refused again.
+        self.refused.clear();
+    }
+
+    /// Records the delta's outcome: snapshots the `current` hash of every
+    /// miss and retains, in id order, the non-empty relations among the
+    /// `evaluated` documents' `results` the budget allows. (Any other miss
+    /// was pruned by the index or evaluated to nothing: it is retained as
+    /// empty, by hash alone.)
+    fn admit(
+        &mut self,
+        current: &[u64],
+        misses: &[u32],
+        evaluated: &[u32],
+        results: &[MappingSet],
+    ) {
+        if self.budget == 0 {
+            return;
         }
-        let cost = Self::cost(set);
-        // Subtraction form: `retained_cost + cost` could overflow near a
-        // `usize::MAX` budget; `retained_cost <= budget` is an invariant.
-        if cost <= self.budget - self.retained_cost {
-            *slot = Some((hash, set.clone()));
-            self.retained_cost += cost;
+        let known = self.hashes.len();
+        for &id in misses.iter().take_while(|&&id| (id as usize) < known) {
+            self.hashes[id as usize] = current[id as usize];
         }
+        self.hashes.extend_from_slice(&current[known..]);
+        for &id in evaluated {
+            let set = &results[id as usize];
+            // `retained_cost <= budget` always holds.
+            if set.len() > self.budget - self.retained_cost {
+                self.refused.push(id);
+            } else if !set.is_empty() {
+                self.retained_cost += set.len();
+                self.matches.push((id, set.clone()));
+            }
+        }
+        // At most two sorted runs: the stable sort merges them in one pass.
+        self.matches.sort_by_key(|&(id, _)| id);
     }
 }
 
@@ -145,7 +200,7 @@ pub struct DeltaOutcome {
     /// [`CorpusEngine::evaluate_with_threads`].
     pub output: CorpusResult,
     /// Documents *not* served from the view (absent, hash-changed, or
-    /// evicted entries) — the documents the delta pass had to look at.
+    /// refused entries) — the documents the delta pass had to look at.
     pub delta_docs: usize,
     /// Documents whose retained relation was reused.
     pub view_hits: usize,
@@ -154,33 +209,14 @@ pub struct DeltaOutcome {
     pub invalidated: usize,
 }
 
-/// Splits the sorted id list `items` by membership in the sorted id list
-/// `set`: `(members, non_members)`.
-fn split_by_membership(items: &[u32], set: &[u32]) -> (Vec<u32>, Vec<u32>) {
-    let mut members = Vec::new();
-    let mut non_members = Vec::new();
-    let mut j = 0;
-    for &i in items {
-        while j < set.len() && set[j] < i {
-            j += 1;
-        }
-        if j < set.len() && set[j] == i {
-            members.push(i);
-        } else {
-            non_members.push(i);
-        }
-    }
-    (members, non_members)
-}
-
 impl CorpusEngine {
     /// Evaluates the corpus *incrementally* against a maintained
-    /// [`QueryView`]: documents whose content hash matches their retained
-    /// entry reuse the memoized relation; every other document (the
+    /// [`QueryView`]: documents whose content hash matches the view's
+    /// snapshot reuse the memoized relation; every other document (the
     /// *delta*) is re-evaluated and its entry refreshed. Results cover the
     /// whole corpus in order and are bit-identical to
     /// [`CorpusEngine::evaluate_with_threads`] for every thread count and
-    /// budget.
+    /// budget. An evaluation error leaves the view as it was.
     ///
     /// `hashes` must hold one content hash per document (the store
     /// maintains them; `spanner_store::fnv1a64` is the reference
@@ -189,7 +225,8 @@ impl CorpusEngine {
     /// document with a non-empty result is in it — the shape
     /// `spanner_store::Store::candidates` produces): delta documents
     /// outside it are recorded as empty without being read, so a cold view
-    /// over an indexed store stays as cheap as the indexed scan.
+    /// over an indexed store stays as cheap as the indexed scan. Ids are
+    /// positions: a corpus shorter than the view's snapshot resets the view.
     pub fn evaluate_delta(
         &self,
         docs: &[Document],
@@ -200,102 +237,26 @@ impl CorpusEngine {
     ) -> SpannerResult<DeltaOutcome> {
         let start = Instant::now();
         assert_eq!(docs.len(), hashes.len(), "one content hash per document");
-        view.resize(docs.len());
-        let mut slots: Vec<Option<MappingSet>> = vec![None; docs.len()];
-        let mut view_hits = 0;
-        let mut invalidated = 0;
-        let mut misses: Vec<u32> = Vec::new();
-        for (i, slot) in slots.iter_mut().enumerate() {
-            match &view.entries[i] {
-                Some((hash, set)) if *hash == hashes[i] => {
-                    *slot = Some(set.clone());
-                    view_hits += 1;
-                }
-                Some(_) => {
-                    invalidated += 1;
-                    misses.push(i as u32);
-                }
-                None => misses.push(i as u32),
-            }
+        if hashes.len() < view.hashes.len() {
+            view.clear();
         }
-        let delta_docs = misses.len();
+        let (misses, invalidated) = view.delta(hashes);
         // Index pruning applies to the delta only: a missed document
         // outside a sound candidate set is provably result-free.
-        let (to_eval, pruned) = match candidates {
-            Some(set) => split_by_membership(&misses, set),
-            None => (misses, Vec::new()),
+        let selection = match candidates {
+            Some(set) => intersect_sorted(&misses, set),
+            None => misses.clone(),
         };
-        for &i in &pruned {
-            let empty = MappingSet::new();
-            view.store(i as usize, hashes[i as usize], &empty);
-            slots[i as usize] = Some(empty);
-        }
-        // Evaluate the remaining delta, sharding the miss list (not the
-        // corpus): the work is proportional to the delta, so that is what
-        // balances.
-        let threads = effective_threads(threads, to_eval.len());
-        type Evaluated = Vec<(u32, (SpannerResult<MappingSet>, DocOutcome))>;
-        let evaluated: Evaluated;
-        let workers = if threads <= 1 {
-            evaluated = to_eval
-                .iter()
-                .map(|&i| (i, eval_doc(self.plan(), &docs[i as usize])))
-                .collect();
-            1
-        } else {
-            let ranges = shard_ranges(to_eval.len(), threads);
-            let outcomes: Vec<Evaluated> = std::thread::scope(|scope| {
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .map(|range| {
-                        let chunk = &to_eval[range.clone()];
-                        scope.spawn(move || {
-                            chunk
-                                .iter()
-                                .map(|&i| (i, eval_doc(self.plan(), &docs[i as usize])))
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("corpus worker panicked"))
-                    .collect()
-            });
-            let workers = outcomes.len();
-            evaluated = outcomes.into_iter().flatten().collect();
-            workers
-        };
-        let mut docs_skipped = pruned.len();
-        let mut docs_rejected = 0;
-        for (i, (result, outcome)) in evaluated {
-            match outcome {
-                DocOutcome::Skipped => docs_skipped += 1,
-                DocOutcome::Rejected => docs_rejected += 1,
-                DocOutcome::Evaluated => {}
-            }
-            let set = result?;
-            view.store(i as usize, hashes[i as usize], &set);
-            slots[i as usize] = Some(set);
-        }
-        let results: Vec<MappingSet> = slots
-            .into_iter()
-            .map(|s| s.expect("every document was filled"))
-            .collect();
-        let stats = CorpusStats {
-            documents: docs.len(),
-            bytes: docs.iter().map(Document::len).sum(),
-            mappings: results.iter().map(MappingSet::len).sum(),
-            matched_documents: results.iter().filter(|r| !r.is_empty()).count(),
-            threads: workers,
-            docs_skipped,
-            docs_rejected,
-            elapsed: start.elapsed(),
-        };
+        let (evaluated, workers) = self.evaluate_selection(docs, &selection, threads)?;
+        view.release(&misses);
+        let unread = misses.len() - selection.len();
+        let hits = view.matches.iter().map(|(id, set)| (*id, set.clone()));
+        let output = assemble(docs, workers, unread, hits, evaluated, start);
+        view.admit(hashes, &misses, &selection, &output.results);
         Ok(DeltaOutcome {
-            output: CorpusResult { results, stats },
-            delta_docs,
-            view_hits,
+            output,
+            delta_docs: misses.len(),
+            view_hits: docs.len() - misses.len(),
             invalidated,
         })
     }
@@ -340,7 +301,7 @@ mod tests {
         assert_eq!(cold.output.results, full.results);
         assert_eq!(cold.delta_docs, docs.len());
         assert_eq!(cold.view_hits, 0);
-        assert_eq!(view.retained_entries(), docs.len());
+        assert_eq!(view.retained_cost(), full.stats.mappings);
         let warm = e.evaluate_delta(&docs, &h, None, &mut view, 2).unwrap();
         assert_eq!(warm.output.results, full.results);
         assert_eq!(warm.delta_docs, 0);
@@ -377,7 +338,7 @@ mod tests {
             let out = e.evaluate_delta(&docs, &h, None, &mut view, 1).unwrap();
             assert_eq!(out.view_hits, 0);
             assert_eq!(out.delta_docs, docs.len());
-            assert_eq!(view.retained_entries(), 0);
+            assert!(view.hashes.is_empty() && view.matches.is_empty());
             assert_eq!(view.retained_cost(), 0);
         }
     }
@@ -385,36 +346,84 @@ mod tests {
     #[test]
     fn budget_bounds_retained_cost() {
         let e = engine("{x:a+}");
-        let docs: Vec<Document> = (0..10).map(|_| Document::new("aa")).collect();
+        let docs: Vec<Document> = ["aa", "b", "aa", "aa", "", "aa"]
+            .iter()
+            .map(|t| Document::new(*t))
+            .collect();
         let h = hashes(&docs);
-        // Each entry costs 1 mapping + 1 = 2; a budget of 5 retains 2.
-        let mut view = QueryView::new(5);
+        // One mapping per matching document; a budget of 2 retains the
+        // first two of them and every empty relation (those are free).
+        let mut view = QueryView::new(2);
         e.evaluate_delta(&docs, &h, None, &mut view, 1).unwrap();
-        assert!(view.retained_cost() <= 5);
-        assert_eq!(view.retained_entries(), 2);
+        assert_eq!(view.retained_cost(), 2);
+        assert_eq!(view.refused, vec![3, 5]);
         let out = e.evaluate_delta(&docs, &h, None, &mut view, 1).unwrap();
-        assert_eq!(out.view_hits, 2);
-        assert_eq!(out.delta_docs, 8);
+        assert_eq!((out.view_hits, out.delta_docs, out.invalidated), (4, 2, 0));
         let full = e.evaluate_with_threads(&docs, 1).unwrap();
         assert_eq!(out.output.results, full.results);
     }
 
     #[test]
-    fn shrinking_corpus_releases_tail_entries() {
+    fn shrinking_corpus_resets_the_view() {
         let e = engine("{x:a+}");
         let docs: Vec<Document> = (0..5).map(|_| Document::new("a")).collect();
         let h = hashes(&docs);
         let mut view = QueryView::unbounded();
         e.evaluate_delta(&docs, &h, None, &mut view, 1).unwrap();
-        let cost_before = view.retained_cost();
-        let short = &docs[..2];
+        // Ids are positions: a shorter corpus is a different corpus.
         let out = e
-            .evaluate_delta(short, &h[..2], None, &mut view, 1)
+            .evaluate_delta(&docs[..2], &h[..2], None, &mut view, 1)
             .unwrap();
-        assert_eq!(out.view_hits, 2);
+        assert_eq!((out.view_hits, out.delta_docs, out.invalidated), (0, 2, 0));
         assert_eq!(out.output.results.len(), 2);
-        assert_eq!(view.retained_entries(), 2);
-        assert!(view.retained_cost() < cost_before);
+        assert_eq!((view.hashes.len(), view.retained_cost()), (2, 2));
+    }
+
+    #[test]
+    fn tight_budget_refuses_in_id_order_and_releases_on_change() {
+        let e = engine(".*{x:needle}.*");
+        let mut docs: Vec<Document> = (0..12)
+            .map(|i| match i % 4 {
+                0 => Document::new(format!("needle {i}")),
+                _ => Document::new(format!("hay {i}")),
+            })
+            .collect();
+        let candidates = [0u32, 4, 8];
+        let check = |docs: &[Document], view: &mut QueryView, threads| {
+            let out = e
+                .evaluate_delta(docs, &hashes(docs), Some(&candidates), view, threads)
+                .unwrap();
+            let full = e.evaluate_with_threads(docs, 1).unwrap();
+            assert_eq!(out.output.results, full.results);
+            assert_eq!(out.output.stats.mappings, full.stats.mappings);
+            assert_eq!(
+                out.output.stats.matched_documents,
+                full.stats.matched_documents
+            );
+            assert_eq!(out.view_hits + out.delta_docs, docs.len());
+            out
+        };
+        // One mapping each for documents 0, 4 and 8: a budget of 2 keeps
+        // the first two; everything pruned by the index is kept as empty.
+        let mut view = QueryView::new(2);
+        let cold = check(&docs, &mut view, 1);
+        assert_eq!((cold.view_hits, cold.output.stats.docs_skipped), (0, 9));
+        assert_eq!((view.retained_cost(), &view.refused), (2, &vec![8]));
+        let warm = check(&docs, &mut view, 2);
+        assert_eq!(
+            (warm.view_hits, warm.delta_docs, warm.invalidated),
+            (11, 1, 0)
+        );
+        // A refused document that also changed invalidates nothing; a
+        // retained one that changed does, and frees its mappings for the
+        // next relation in id order.
+        docs[8] = Document::new("the needle moved");
+        docs[0] = Document::new("hay too");
+        let out = check(&docs, &mut view, 1);
+        assert_eq!((out.delta_docs, out.invalidated), (2, 1));
+        assert_eq!((view.retained_cost(), view.refused.len()), (2, 0));
+        let ids: Vec<u32> = view.matches.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, [4, 8]);
     }
 
     #[test]
@@ -448,15 +457,10 @@ mod tests {
     }
 
     #[test]
-    fn split_by_membership_partitions() {
-        let (m, n) = split_by_membership(&[1, 3, 5, 9], &[0, 3, 4, 9, 11]);
-        assert_eq!(m, vec![3, 9]);
-        assert_eq!(n, vec![1, 5]);
-        let (m, n) = split_by_membership(&[], &[1]);
-        assert!(m.is_empty() && n.is_empty());
-        let (m, n) = split_by_membership(&[2, 4], &[]);
-        assert!(m.is_empty());
-        assert_eq!(n, vec![2, 4]);
+    fn intersect_sorted_keeps_common_ids() {
+        assert_eq!(intersect_sorted(&[1, 3, 5, 9], &[0, 3, 4, 9, 11]), [3, 9]);
+        assert!(intersect_sorted(&[], &[1]).is_empty());
+        assert!(intersect_sorted(&[2, 4], &[]).is_empty());
     }
 
     #[test]
@@ -465,10 +469,31 @@ mod tests {
         for i in 0..=spanner_enum::MAX_VARS {
             parts.push(format!("{{v{i:02}:a?}}"));
         }
-        let e = engine(&parts.concat());
-        let docs = vec![Document::new("aaa")];
+        let failing = engine(&parts.concat());
+        let docs = vec![Document::new("aaa"), Document::new("b")];
         let h = hashes(&docs);
         let mut view = QueryView::unbounded();
-        assert!(e.evaluate_delta(&docs, &h, None, &mut view, 1).is_err());
+        assert!(failing
+            .evaluate_delta(&docs, &h, None, &mut view, 1)
+            .is_err());
+        assert!(view.hashes.is_empty());
+        // A warm view survives a failed pass untouched: nothing that was
+        // not evaluated may read as retained afterwards.
+        let e = engine("{x:a+}");
+        e.evaluate_delta(&docs, &h, None, &mut view, 1).unwrap();
+        let (entries, cost) = (view.hashes.clone(), view.retained_cost());
+        let mut grown = docs.clone();
+        grown[1] = Document::new("aa");
+        grown.push(Document::new("a"));
+        assert!(failing
+            .evaluate_delta(&grown, &hashes(&grown), None, &mut view, 1)
+            .is_err());
+        assert_eq!((&view.hashes, view.retained_cost()), (&entries, cost));
+        let out = e
+            .evaluate_delta(&grown, &hashes(&grown), None, &mut view, 1)
+            .unwrap();
+        assert_eq!((out.delta_docs, out.invalidated, out.view_hits), (2, 1, 1));
+        let full = e.evaluate_with_threads(&grown, 1).unwrap();
+        assert_eq!(out.output.results, full.results);
     }
 }

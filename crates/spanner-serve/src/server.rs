@@ -33,7 +33,7 @@ use spanner_store::Store;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -62,9 +62,8 @@ pub struct ServeOptions {
     /// this long.
     pub idle_timeout: Duration,
     /// Retention budget of each maintained query view over the resident
-    /// store, in cost units (≈ retained mappings; see
-    /// [`QueryView::new`]). `0` disables retention — every store query is
-    /// a cold evaluation.
+    /// store, in retained mappings (see [`QueryView::new`]). `0` disables
+    /// retention — every store query is a cold evaluation.
     pub view_budget: usize,
     /// Maximum number of maintained query views per resident store (one
     /// per distinct prepared program); least-recently-used views are
@@ -368,8 +367,16 @@ struct ViewSetState {
 }
 
 struct ViewSlot {
-    view: Arc<Mutex<QueryView>>,
+    handle: Arc<ViewHandle>,
     last_used: u64,
+}
+
+/// One maintained view, plus its retention cost as of its last query
+/// mirrored into an atomic — so a scrape reads the cost without waiting
+/// behind the query that holds the view.
+struct ViewHandle {
+    view: Mutex<QueryView>,
+    retained_cost: AtomicUsize,
 }
 
 impl ViewSet {
@@ -384,7 +391,7 @@ impl ViewSet {
     /// The view for `key`, creating it (and evicting the least recently
     /// used one past capacity) on first use; `None` when views are
     /// disabled. The returned handle is locked *outside* the set mutex.
-    fn get(&self, key: &str) -> Option<Arc<Mutex<QueryView>>> {
+    fn get(&self, key: &str) -> Option<Arc<ViewHandle>> {
         if self.capacity == 0 {
             return None;
         }
@@ -393,7 +400,7 @@ impl ViewSet {
         let tick = state.tick;
         if let Some(slot) = state.views.get_mut(key) {
             slot.last_used = tick;
-            return Some(Arc::clone(&slot.view));
+            return Some(Arc::clone(&slot.handle));
         }
         if state.views.len() >= self.capacity {
             if let Some(oldest) = state
@@ -405,15 +412,18 @@ impl ViewSet {
                 state.views.remove(&oldest);
             }
         }
-        let view = Arc::new(Mutex::new(QueryView::new(self.budget)));
+        let handle = Arc::new(ViewHandle {
+            view: Mutex::new(QueryView::new(self.budget)),
+            retained_cost: AtomicUsize::new(0),
+        });
         state.views.insert(
             key.to_string(),
             ViewSlot {
-                view: Arc::clone(&view),
+                handle: Arc::clone(&handle),
                 last_used: tick,
             },
         );
-        Some(view)
+        Some(handle)
     }
 
     /// Number of resident views.
@@ -421,13 +431,16 @@ impl ViewSet {
         self.state.lock().expect("view set poisoned").views.len()
     }
 
-    /// Total retention cost across every resident view.
+    /// Total retention cost across every resident view, as of each
+    /// view's last completed query. No view is locked: the set mutex is
+    /// what every `query_corpus` passes through, and must never be held
+    /// while waiting for one slow query.
     fn retained_cost(&self) -> usize {
         let state = self.state.lock().expect("view set poisoned");
         state
             .views
             .values()
-            .map(|slot| slot.view.lock().expect("view poisoned").retained_cost())
+            .map(|slot| slot.handle.retained_cost.load(Ordering::Relaxed))
             .sum()
     }
 }
@@ -881,12 +894,16 @@ fn with_query(
 /// Builds the shared `query_corpus` success response from a full-corpus
 /// result: per-line mappings for matched documents, aggregate stats, plus
 /// any path-specific fields (the store path appends candidate count and
-/// selectivity). Also accumulates the daemon-wide fast-path counters.
+/// selectivity). Also accumulates the daemon-wide fast-path counters:
+/// a document is skipped, rejected, evaluated (it reached the executor)
+/// or — `view_hits` of them, on the resident path — served from a
+/// maintained view without being looked at.
 fn corpus_response(
     shared: &Shared,
     cached: bool,
     docs: &[Document],
     out: &CorpusResult,
+    view_hits: usize,
     extra: impl IntoIterator<Item = (&'static str, Json)>,
 ) -> Json {
     let skipped = out.stats.docs_skipped as u64;
@@ -896,7 +913,7 @@ fn corpus_response(
     shared
         .metrics
         .docs_evaluated
-        .add((out.stats.documents as u64).saturating_sub(skipped + rejected));
+        .add(((out.stats.documents - view_hits) as u64).saturating_sub(skipped + rejected));
     let results: Vec<Json> = docs
         .iter()
         .zip(&out.results)
@@ -1080,7 +1097,7 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
             let docs = Arc::new(split_lines(&text));
             match query.evaluate_corpus_on_pool(&docs, &shared.pool) {
                 Err(e) => error_response(e),
-                Ok(out) => corpus_response(shared, cached, &docs, &out, []),
+                Ok(out) => corpus_response(shared, cached, &docs, &out, 0, []),
             }
         }),
         Request::QueryCorpus {
@@ -1099,8 +1116,11 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
                     .get(&cache_key(&program, shared.options.ra_options));
                 let result = match &slot {
                     Some(slot) => {
-                        let mut view = slot.lock().expect("view poisoned");
-                        store.query_view(query.engine(), &mut view, threads)
+                        let mut view = slot.view.lock().expect("view poisoned");
+                        let result = store.query_view(query.engine(), &mut view, threads);
+                        slot.retained_cost
+                            .store(view.retained_cost(), Ordering::Relaxed);
+                        result
                     }
                     None => store.query_view(query.engine(), &mut QueryView::new(0), threads),
                 };
@@ -1128,6 +1148,7 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
                             cached,
                             store.documents(),
                             &outcome.output,
+                            outcome.view_hits,
                             [
                                 ("candidates", candidates),
                                 ("selectivity", Json::Number(outcome.selectivity())),
@@ -1304,5 +1325,29 @@ mod tests {
         // A huge request degrades to the shared ceiling instead of
         // attempting (and aborting on) a million thread spawns.
         assert_eq!(resolve_threads(1_000_000), spanner_corpus::MAX_THREADS);
+    }
+
+    #[test]
+    fn a_scrape_during_a_held_view_blocks_neither_itself_nor_view_lookup() {
+        let views = Arc::new(ViewSet::new(4, 1 << 10));
+        let handle = views.get("hot").expect("views are enabled");
+        handle.retained_cost.store(7, Ordering::Relaxed);
+        // A slow query in flight: the view stays locked for the whole test.
+        let in_flight = handle.view.lock().expect("fresh view");
+        let (sender, receiver) = channel();
+        let scraper = {
+            let views = Arc::clone(&views);
+            std::thread::spawn(move || sender.send(views.retained_cost()))
+        };
+        // The timeout only turns a deadlock into a failure; a scrape that
+        // does not touch the view lock answers at once.
+        let cost = receiver
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the scrape waited for the query holding the view");
+        assert_eq!(cost, 7);
+        assert!(views.get("hot").is_some() && views.get("other").is_some());
+        assert_eq!(views.entries(), 2);
+        drop(in_flight);
+        scraper.join().expect("scraper").expect("receiver alive");
     }
 }

@@ -60,7 +60,7 @@
 //! ```
 
 use spanner_core::{Document, FxHashMap, FxHashSet, SpannerResult};
-use spanner_corpus::{CorpusEngine, CorpusResult, QueryView};
+use spanner_corpus::{intersect_sorted, CorpusEngine, CorpusResult, QueryView};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
@@ -135,6 +135,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// the store.
 pub struct Store {
     docs: Vec<Document>,
+    /// Total length of `docs` in bytes, kept in step by every mutation.
+    bytes: usize,
     /// Per-document FNV-1a content hashes, indexed like `docs`.
     hashes: Vec<u64>,
     /// Base segment: sorted, duplicate-free posting lists per byte trigram
@@ -259,6 +261,7 @@ impl Store {
         let hashes = docs.iter().map(|d| fnv1a64(d.bytes())).collect();
         let base_len = docs.len();
         Ok(Store {
+            bytes: docs.iter().map(Document::len).sum(),
             docs,
             hashes,
             base,
@@ -310,7 +313,7 @@ impl Store {
 
     /// Total corpus size in bytes.
     pub fn bytes(&self) -> usize {
-        self.docs.iter().map(Document::len).sum()
+        self.bytes
     }
 
     /// Monotone mutation counter: `0` for a fresh build/load, bumped once
@@ -355,6 +358,7 @@ impl Store {
         let doc = Document::new(text);
         self.add_delta_postings(id, doc.bytes());
         self.hashes.push(fnv1a64(doc.bytes()));
+        self.bytes += doc.len();
         self.docs.push(doc);
         self.generation += 1;
         self.maybe_compact();
@@ -375,6 +379,7 @@ impl Store {
         let doc = Document::new(text);
         self.add_delta_postings(id, doc.bytes());
         self.hashes[idx] = fnv1a64(doc.bytes());
+        self.bytes = self.bytes - self.docs[idx].len() + doc.len();
         self.docs[idx] = doc;
         self.deleted.remove(&id);
         self.generation += 1;
@@ -398,6 +403,7 @@ impl Store {
             return Ok(());
         }
         self.retire_postings(id);
+        self.bytes -= self.docs[idx].len();
         self.docs[idx] = Document::new("");
         self.hashes[idx] = fnv1a64(b"");
         self.deleted.insert(id);
@@ -576,12 +582,13 @@ impl Store {
     }
 
     /// Runs a compiled query *incrementally* through a maintained
-    /// [`QueryView`]: documents whose content hash matches their retained
-    /// entry are served from the view; the delta is pruned through the
+    /// [`QueryView`]: documents whose content hash matches the view's
+    /// snapshot are served from the view; the delta is pruned through the
     /// trigram index and re-evaluated
     /// ([`CorpusEngine::evaluate_delta`]). Results cover the whole corpus
     /// in order and are bit-identical to [`Store::query`] — a repeat query
-    /// after `k` mutations touches `O(k)` documents, not `O(n)`.
+    /// after `k` mutations evaluates `k` documents; what is left of `O(n)`
+    /// is one compare of the hash slices and the dense result's fill.
     pub fn query_view(
         &self,
         engine: &CorpusEngine,
@@ -742,6 +749,7 @@ impl Store {
         Ok(Store {
             base_len: docs.len(),
             stale: vec![false; docs.len()],
+            bytes: docs.iter().map(Document::len).sum(),
             docs,
             hashes,
             base: postings,
@@ -768,24 +776,6 @@ impl std::fmt::Debug for Store {
             self.delta_postings,
         )
     }
-}
-
-/// Intersection of two sorted, duplicate-free id lists.
-fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
 }
 
 /// LEB128-style unsigned varint.
@@ -1071,6 +1061,40 @@ mod tests {
         assert_eq!(store.compactions(), before + 1);
         assert_eq!(store.delta_postings(), 0);
         assert_eq!(store.stale_count(), 0);
+    }
+
+    #[test]
+    fn byte_total_tracks_every_mutation() {
+        let recomputed = |s: &Store| s.documents().iter().map(Document::len).sum::<usize>();
+        let mut store = Store::build(docs(&["alpha beta", "", "β-reduction"])).unwrap();
+        assert_eq!(store.bytes(), recomputed(&store));
+        // A seeded script mixing every mutation, a forced compaction and a
+        // save/load round trip.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for step in 0..400 {
+            let id = next(store.len()) as u32;
+            let text = "naïve ".repeat(next(6));
+            match next(4) {
+                0 | 1 => store.update(id, &text).unwrap(),
+                2 => store.delete(id).unwrap(),
+                _ => drop(store.append(&text).unwrap()),
+            }
+            if step % 100 == 99 {
+                store.compact();
+            }
+            assert_eq!(store.bytes(), recomputed(&store), "step {step}");
+        }
+        let path = tmp("bytes");
+        store.save(&path).unwrap();
+        let loaded = Store::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(loaded.bytes(), store.bytes());
     }
 
     #[test]
