@@ -205,7 +205,7 @@ impl PhysOp {
     /// (`limit_trips`). Per node: `rows` (mappings produced), `nanos`
     /// (inclusive wall time), and operator-specific counters —
     /// `prescan_skip`/`prescan_reject`/`prescan_accept` and
-    /// `bool_dfa`/`bool_nfa` on compiled scans, `build_rows`/
+    /// `bool_dfa`/`bool_nfa` and `eval_table_cells` on compiled scans, `build_rows`/
     /// `build_skipped` on joins, `probe_rows`/`probe_skipped` on
     /// differences.
     pub fn execute_traced_bounded(
@@ -264,7 +264,12 @@ impl PhysOp {
                         PreScan::Accept => node.add("prescan_accept", 1),
                     }
                 }
-                spanner_enum::evaluate_compiled(compiled, doc)
+                let mut stream = enumerate_compiled(compiled, doc)?;
+                let mappings: SpannerResult<Vec<Mapping>> = stream.by_ref().collect();
+                // Table cells this document had to compute: 0 once the
+                // automaton is warm, so a non-zero count marks a cold one.
+                node.add("eval_table_cells", stream.graph().table_cells());
+                Ok(MappingSet::from_mappings(mappings?))
             }
             PhysOp::BlackBoxScan(s) => s.eval(doc),
             PhysOp::Project { keep, input } => {

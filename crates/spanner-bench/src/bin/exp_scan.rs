@@ -5,9 +5,16 @@
 //! the boolean pre-pass without enumeration; at 100% the fast path can
 //! only lose its (tiny) pre-pass overhead. The baseline is the same
 //! engine with [`RaOptions::scan_fast_path`] off — the full compiled
-//! scan runs on every line. Medians land in `BENCH_scan.json`, and the
-//! miss-dominated rows (0%, 1%) assert the ≥10x acceptance bar so CI
-//! fails loudly if the prefilters stop firing.
+//! scan runs on every line. Medians land in `BENCH_scan.json` (gated by
+//! `bench_gate` in CI), and two bars are asserted here: the miss-dominated
+//! rows (0%, 1%) must beat the baseline by ≥2x, so CI fails loudly if the
+//! prefilters stop firing, and the all-hit row must stay ≥1.5x under its
+//! time from before evaluation became table walks.
+//!
+//! The miss bar was 10x while the baseline's backward pass cost ~200 ns per
+//! byte. That pass is now one table lookup per byte, which made the
+//! *baseline* ~20x faster on misses; what the prefilters still save is the
+//! pass itself.
 
 use spanner_algebra::{CompiledPlan, Instantiation, RaOptions, RaTree};
 use spanner_bench::{header, median_of, merge_bench_json, ms, row, BenchEntry};
@@ -56,6 +63,11 @@ fn corpus(lines: usize, hits_per_1000: usize, seed: u64) -> Vec<Document> {
         })
         .collect()
 }
+
+/// `scan/hit-rate-1000/fastpath` as committed before the evaluation tables
+/// (per-document match-graph DP and enumerator memo): 25.95 ms. The hit
+/// path's acceptance bar is ≥1.5x under it.
+const HIT_ROW_BEFORE_NS: u128 = 25_953_914;
 
 fn main() {
     println!("## E14 — scan-core fast path: match-rate sweep\n");
@@ -117,11 +129,17 @@ fn main() {
             out_base.stats.mappings,
         ));
         if per_mille <= 10 {
-            // The acceptance bar: miss-dominated corpora must be an order
-            // of magnitude faster than scanning without prefilters.
             assert!(
-                speedup >= 10.0,
-                "miss-dominated sweep at {per_mille}/1000 is only {speedup:.1}x (bar: 10x)"
+                speedup >= 2.0,
+                "miss-dominated sweep at {per_mille}/1000 is only {speedup:.1}x (bar: 2x)"
+            );
+        }
+        if per_mille == 1000 {
+            assert!(
+                t_fast.as_nanos() * 3 <= HIT_ROW_BEFORE_NS * 2,
+                "all-hit sweep took {} ms (bar: 1.5x under {:.2} ms)",
+                ms(t_fast),
+                HIT_ROW_BEFORE_NS as f64 / 1e6
             );
         }
     }

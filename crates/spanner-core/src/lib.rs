@@ -25,7 +25,6 @@
 //!   default throughout the workspace.
 
 pub mod alphabet;
-pub mod arena;
 pub mod document;
 pub mod error;
 pub mod fxhash;
@@ -36,7 +35,6 @@ pub mod span;
 pub mod variable;
 
 pub use alphabet::ByteClass;
-pub use arena::Arena;
 pub use document::Document;
 pub use error::{SpannerError, SpannerResult};
 pub use fxhash::{FxHashMap, FxHashSet};

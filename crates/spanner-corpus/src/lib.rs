@@ -320,12 +320,29 @@ pub fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
 /// the fast path did with it.
 type Evaluated = (u32, MappingSet, DocOutcome);
 
-/// The fewest documents a spawned worker must receive before a selection
-/// is sharded across scoped threads: spawning and joining one costs about
-/// 100 µs on the reference box — some eight document evaluations — so a
-/// smaller share costs more to start than it saves (DESIGN.md §11). A
-/// constant, not an option: it follows the machine, not the query.
-const MIN_DOCS_PER_WORKER: usize = 32;
+/// The fewest documents a worker must receive before a selection or a
+/// pooled corpus is split across threads. Handing work to another thread —
+/// spawning and joining a scoped one, or waking a pooled one and waiting
+/// for its answer — costs 50–100 µs on the reference box and as much again
+/// in the allocator, which then frees on one thread what another
+/// allocated; a warm matching log line evaluates in 1.5–2 µs. Two workers
+/// break even with the calling thread at some 64 documents each (DESIGN.md
+/// §11 has the table), and below that the hand-off is most of a request
+/// and its cost follows the scheduler, not the work. A constant, not an
+/// option: it follows the machine, not the query.
+const MIN_DOCS_PER_WORKER: usize = 128;
+
+/// The workers `docs` documents are split across when `requested` are on
+/// offer: one (the calling thread) unless each gets its minimum share. Too
+/// few documents for a second worker is decided before the thread count is
+/// resolved: resolving `0` asks the OS for the CPU count (tens of
+/// microseconds), more than a small selection costs.
+fn workers_for(requested: usize, docs: usize) -> usize {
+    match docs / MIN_DOCS_PER_WORKER {
+        0 | 1 => 1,
+        share => effective_threads(requested, share),
+    }
+}
 
 /// Assembles the dense [`CorpusResult`] from sparse relations: every slot
 /// starts as the empty relation (which does not allocate), only the
@@ -540,13 +557,7 @@ impl CorpusEngine {
                 })
                 .collect()
         };
-        // Too few documents for a second worker is decided before the
-        // thread count is resolved: resolving asks the OS for the CPU count
-        // (tens of microseconds), more than a small selection costs.
-        let workers = match ids.len() / MIN_DOCS_PER_WORKER {
-            0 | 1 => 1,
-            share => effective_threads(threads, share),
-        };
+        let workers = workers_for(threads, ids.len());
         if workers == 1 {
             return Ok((eval(ids)?, 1));
         }
@@ -574,15 +585,21 @@ impl CorpusEngine {
     /// The engine and the documents are shared with the workers through
     /// `Arc` (jobs on a persistent pool are `'static`). Results are in
     /// corpus order and bit-identical to [`CorpusEngine::evaluate_with_threads`]
-    /// for every pool size.
+    /// for every pool size. A corpus too small to give every worker its
+    /// minimum share (a request that ships a screenful of lines) is
+    /// evaluated on the calling thread: waking two workers for it costs
+    /// more than it saves, by an amount that changes from call to call.
     pub fn evaluate_on_pool(
         self: &Arc<CorpusEngine>,
         docs: &Arc<Vec<Document>>,
         pool: &WorkerPool,
     ) -> SpannerResult<CorpusResult> {
+        let workers = workers_for(pool.threads(), docs.len());
+        if workers == 1 {
+            return self.evaluate_with_threads(docs, 1);
+        }
         let start = Instant::now();
-        let threads = effective_threads(pool.threads(), docs.len());
-        let chunks = shard_ranges(docs.len(), threads);
+        let chunks = shard_ranges(docs.len(), workers);
         let (send, recv) = std::sync::mpsc::channel();
         for (index, range) in chunks.iter().cloned().enumerate() {
             let engine = Arc::clone(self);
@@ -609,9 +626,8 @@ impl CorpusEngine {
             }
         }
         // As on the scoped path: the shard count, not the clamped request,
-        // is the number of workers that ran (the calling thread for an
-        // empty corpus).
-        collect_result(docs, chunks.len().max(1), slots, start)
+        // is the number of workers that ran.
+        collect_result(docs, chunks.len(), slots, start)
     }
 }
 
@@ -631,10 +647,15 @@ pub const MAX_THREADS: usize = 256;
 /// there is never a point in more workers than documents, nor past
 /// [`MAX_THREADS`].
 fn effective_threads(requested: usize, docs: usize) -> usize {
-    let available = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1);
-    let threads = if requested == 0 { available } else { requested };
+    // `available_parallelism` reads cgroup files (14–90 µs): only pay for it
+    // when the caller actually asked for "one per CPU".
+    let threads = if requested == 0 {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    } else {
+        requested
+    };
     threads.clamp(1, docs.clamp(1, MAX_THREADS))
 }
 
@@ -751,9 +772,12 @@ mod tests {
     #[test]
     fn pool_evaluation_is_bit_identical_to_scoped() {
         let e = Arc::new(engine("{x:a+}"));
+        // Long enough that pools of 2 and 4 really shard it.
         let docs: Arc<Vec<Document>> = Arc::new(
             ["aa", "b", "a", "", "aaa", "ba"]
                 .iter()
+                .cycle()
+                .take(4 * MIN_DOCS_PER_WORKER + 3)
                 .map(|t| Document::new(*t))
                 .collect(),
         );
@@ -763,6 +787,12 @@ mod tests {
             let pooled = e.evaluate_on_pool(&docs, &pool).unwrap();
             assert_eq!(pooled.results, scoped.results, "pool size {pool_size}");
             assert_eq!(pooled.stats.mappings, scoped.stats.mappings);
+            assert_eq!(pooled.stats.threads, pool_size);
+            // A short corpus never leaves the calling thread.
+            let short = Arc::new(docs[..2 * MIN_DOCS_PER_WORKER - 1].to_vec());
+            let inline = e.evaluate_on_pool(&short, &pool).unwrap();
+            assert_eq!(inline.results[..], scoped.results[..short.len()]);
+            assert_eq!(inline.stats.threads, 1);
         }
     }
 
@@ -810,10 +840,14 @@ mod tests {
         let docs: Vec<Document> = (0..10).map(|i| Document::new("a".repeat(i % 3))).collect();
         let out = e.evaluate_with_threads(&docs, 8).unwrap();
         assert_eq!(out.stats.threads, 5);
+        // The pool path offers each worker its minimum share first (5 shares
+        // here, for a pool of 8), then rounds the same way.
         let e = Arc::new(e);
-        let docs = Arc::new(docs);
         let pool = WorkerPool::new(8);
-        let pooled = e.evaluate_on_pool(&docs, &pool).unwrap();
+        let long: Vec<Document> = (0..5 * MIN_DOCS_PER_WORKER + 4)
+            .map(|i| Document::new("a".repeat(i % 3)))
+            .collect();
+        let pooled = e.evaluate_on_pool(&Arc::new(long), &pool).unwrap();
         assert_eq!(pooled.stats.threads, 5);
         // Single-worker and empty-corpus paths report the calling thread.
         assert_eq!(e.evaluate_with_threads(&docs, 1).unwrap().stats.threads, 1);

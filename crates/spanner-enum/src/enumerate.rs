@@ -10,59 +10,37 @@
 //! combined-complexity algorithm of Amarilli et al. that the paper cites.
 
 use crate::matchgraph::MatchGraph;
-use crate::opset::OpSet;
-use spanner_core::{Arena, Document, FxHashMap, Mapping, MappingSet, SpannerError, SpannerResult};
-use spanner_vset::{CompiledVsa, StateSet, Vsa};
+use crate::opset::{mapping_from_ops, OpSet};
+use spanner_core::{Document, Mapping, MappingSet, SpannerError, SpannerResult};
+use spanner_vset::{CompiledVsa, EvalTables, SetId, Vsa};
 
 /// A lazily evaluated stream of the mappings of `VAW(d)`.
 ///
-/// The DFS re-visits the same `(position, frontier)` pairs over and over —
-/// every mapping sharing a prefix re-derives the identical candidate list.
-/// Candidate lists are therefore computed once per distinct pair and stored
-/// in an append-only store (`cand_store`); frames hold indices
-/// into it, so descending a step is a hash lookup instead of an op-closure
-/// exploration, and no candidate state set is ever cloned on the hot path.
-/// Frontier scratch sets recycle through a per-document
-/// [`spanner_core::Arena`].
+/// A depth-first walk over `(position, frontier)` pairs, where a frontier is
+/// an interned state set of the automaton's [`EvalTables`]: the candidate
+/// operation sets of a frontier and the frontier after a letter are table
+/// lookups (computed once per automaton, not per document), and the two
+/// per-document questions — is a candidate *viable* here, is the rest of
+/// the document *forced* — are one intersection each with the sets the match
+/// graph's backward pass attached to the position.
 pub struct Enumerator<'a> {
     graph: MatchGraph<'a>,
     /// DFS stack; one frame per document position on the current path.
     stack: Vec<Frame>,
-    /// The operation sets chosen on the current path (parallel to `stack`).
+    /// The non-empty operation sets chosen on the current path, with their
+    /// positions.
     path: Vec<(u32, OpSet)>,
-    finished: bool,
-    /// Memoized candidate lists, one per distinct `(position, frontier)`
-    /// pair (append-only; frames index into it).
-    cand_store: Vec<Vec<(OpSet, StateSet)>>,
-    /// `memo[pos]`: frontier after consuming the letter at `pos` → index of
-    /// the candidate list for position `pos + 1`.
-    memo: Vec<FxHashMap<StateSet, u32>>,
-    /// Per candidate list: whether the continuation from it is *forced* —
-    /// a unique, op-free chain all the way to acceptance (see
-    /// [`Enumerator::tail_forced`]). Parallel to `cand_store`.
-    tail: Vec<Tail>,
-    /// Position of each candidate list (parallel to `cand_store`; 1-based
-    /// like [`Frame::pos`]).
-    cand_pos: Vec<u32>,
-    /// Recycled frontier scratch sets.
-    arena: Arena<StateSet>,
-}
-
-/// Memoized forced-tail status of one candidate list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tail {
-    Unknown,
-    Forced,
-    Branching,
 }
 
 struct Frame {
     /// Position of this frame (1-based; `|d| + 1` is the final frame).
     pos: u32,
-    /// Index of this position's candidate list in the store.
-    cand: u32,
-    /// Index of the next candidate to try.
-    next: usize,
+    /// The states reached after consuming the letter at `pos - 1`.
+    frontier: SetId,
+    /// Index of the next candidate of `frontier` to try.
+    next: u32,
+    /// Length of `path` before this frame's choice.
+    path_len: u32,
 }
 
 impl<'a> Enumerator<'a> {
@@ -84,33 +62,18 @@ impl<'a> Enumerator<'a> {
     }
 
     fn with_graph(graph: MatchGraph<'a>) -> SpannerResult<Self> {
-        let n = graph.doc.len();
         let mut e = Enumerator {
             graph,
             stack: Vec::new(),
             path: Vec::new(),
-            finished: false,
-            cand_store: Vec::new(),
-            memo: Vec::new(),
-            tail: Vec::new(),
-            cand_pos: Vec::new(),
-            arena: Arena::new(),
         };
         if e.graph.is_nonempty() {
-            e.memo = vec![FxHashMap::default(); n + 1];
-            let compiled = e.graph.compiled();
-            let initial = StateSet::from_states(compiled.state_count(), [compiled.initial()]);
-            let candidates = e.graph.op_closures(1, &initial);
-            e.cand_store.push(candidates);
-            e.tail.push(Tail::Unknown);
-            e.cand_pos.push(1);
             e.stack.push(Frame {
                 pos: 1,
-                cand: 0,
+                frontier: EvalTables::INITIAL,
                 next: 0,
+                path_len: 0,
             });
-        } else {
-            e.finished = true;
         }
         Ok(e)
     }
@@ -121,123 +84,42 @@ impl<'a> Enumerator<'a> {
     }
 
     fn next_mapping(&mut self) -> Option<SpannerResult<Mapping>> {
-        if self.finished {
-            return None;
-        }
         let n = self.graph.doc.len() as u32;
         loop {
-            let Some(frame) = self.stack.last() else {
-                self.finished = true;
-                return None;
-            };
-            let (pos, cand, i) = (frame.pos, frame.cand as usize, frame.next);
-            if i >= self.cand_store[cand].len() {
+            let frame = self.stack.last_mut()?;
+            let (pos, from) = (frame.pos, frame.next as usize);
+            let Some((i, set, reached)) = self.graph.next_candidate(pos, frame.frontier, from)
+            else {
                 // Backtrack.
                 self.stack.pop();
-                self.path.pop();
                 continue;
-            }
-            self.stack.last_mut().expect("frame present").next += 1;
-            let set = self.cand_store[cand][i].0;
+            };
+            frame.next = i as u32 + 1;
             // Record the choice (replacing any previous choice at this depth).
-            self.path.truncate(self.stack.len() - 1);
-            self.path.push((pos, set));
-
-            if pos == n + 1 {
-                // Complete mapping.
-                return Some(self.graph.ops.mapping_from_positions(&self.path));
+            self.path.truncate(frame.path_len as usize);
+            if !set.is_empty() {
+                self.path.push((pos, set));
             }
-            // Consume the letter at `pos` and descend. The reached frontier
-            // determines the candidate list at `pos + 1`; compute it once
-            // per distinct frontier and reuse it ever after.
-            let next_cand = self.descend(pos, cand, i);
-            if self.tail_forced(next_cand, n) {
-                // The subtree below holds exactly one mapping and the
-                // forced chain adds no variable operations: the mapping is
-                // already determined by the path, so emit it without
-                // walking the suffix frame by frame.
-                return Some(self.graph.ops.mapping_from_positions(&self.path));
+            if pos <= n {
+                // Consume the letter at `pos` and descend — unless the
+                // subtree below is forced: then the mapping is already
+                // determined by the path, so emit it without walking the
+                // suffix frame by frame (the dominant cost on
+                // `.*…​.*`-shaped extractors).
+                let frontier = self.graph.advance(pos, reached);
+                if !self.graph.forced(pos + 1, frontier) {
+                    self.stack.push(Frame {
+                        pos: pos + 1,
+                        frontier,
+                        next: 0,
+                        path_len: self.path.len() as u32,
+                    });
+                    continue;
+                }
             }
-            self.stack.push(Frame {
-                pos: pos + 1,
-                cand: next_cand,
-                next: 0,
-            });
+            let vars = self.graph.compiled().var_table().vars();
+            return Some(mapping_from_ops(vars, &self.path));
         }
-    }
-
-    /// Consumes the letter at `pos` from candidate `(cand, i)`'s state set
-    /// and returns the id of the candidate list at `pos + 1`, computing and
-    /// memoizing it on the first visit to that `(position, frontier)` pair.
-    fn descend(&mut self, pos: u32, cand: usize, i: usize) -> u32 {
-        let states = self.graph.compiled().state_count();
-        let mut next_states = self.arena.take_or(|| StateSet::new(states));
-        self.graph
-            .advance_into(pos, &self.cand_store[cand][i].1, &mut next_states);
-        debug_assert!(
-            !next_states.is_empty(),
-            "candidate op-sets are viability-checked"
-        );
-        match self.memo[pos as usize].get(&next_states) {
-            Some(&id) => {
-                self.arena.put(next_states);
-                id
-            }
-            None => {
-                let candidates = self.graph.op_closures(pos + 1, &next_states);
-                debug_assert!(
-                    !candidates.is_empty(),
-                    "viable prefixes always have a continuation"
-                );
-                let id = self.cand_store.len() as u32;
-                self.cand_store.push(candidates);
-                self.tail.push(Tail::Unknown);
-                self.cand_pos.push(pos + 1);
-                self.memo[pos as usize].insert(next_states, id);
-                id
-            }
-        }
-    }
-
-    /// Whether the continuation from candidate list `cand` is *forced*:
-    /// every list on the chain ahead is a single op-free candidate, ending
-    /// at position `n + 1` (acceptance is implied — candidate lists are
-    /// viability-checked against the co-accessible sets). A forced subtree
-    /// holds exactly one mapping and contributes no variable operations, so
-    /// the enumerator can emit at the head of the chain instead of pushing
-    /// one frame per remaining position. Memoized per candidate list: each
-    /// chain is walked once per document, which turns the per-mapping
-    /// suffix walk (the dominant cost on `.*…​.*`-shaped extractors) into
-    /// an O(1) lookup.
-    fn tail_forced(&mut self, cand: u32, n: u32) -> bool {
-        let mut chain = Vec::new();
-        let mut cur = cand;
-        let forced = loop {
-            match self.tail[cur as usize] {
-                Tail::Forced => break true,
-                Tail::Branching => break false,
-                Tail::Unknown => {}
-            }
-            chain.push(cur);
-            let list = &self.cand_store[cur as usize];
-            if list.len() != 1 || !list[0].0.is_empty() {
-                break false;
-            }
-            let pos = self.cand_pos[cur as usize];
-            if pos == n + 1 {
-                break true;
-            }
-            cur = self.descend(pos, cur as usize, 0);
-        };
-        let status = if forced {
-            Tail::Forced
-        } else {
-            Tail::Branching
-        };
-        for id in chain {
-            self.tail[id as usize] = status;
-        }
-        forced
     }
 }
 

@@ -6,8 +6,10 @@
 //! without duplicates, with delay polynomial in the input for any bounded
 //! number of capture variables.
 //!
-//! * [`MatchGraph`] — the `(position, state)` graph of `A` on `d` with
-//!   co-accessibility information and per-position operation-set closures;
+//! * [`MatchGraph`] — the `(position, state)` graph of `A` on `d`: one
+//!   backward-DFA state per position over the automaton's evaluation tables
+//!   (`spanner_vset::tables`), giving co-accessibility, candidate viability
+//!   and the forced-tail test;
 //! * [`Enumerator`] — the lazy, duplicate-free, dead-end-free mapping stream;
 //! * [`evaluate`], [`is_nonempty`], [`count_mappings`], [`evaluate_rgx`] —
 //!   convenience entry points.

@@ -3,22 +3,24 @@
 //! The match graph (called "match structure" when viewed as an NFA over
 //! variable configurations in Freydenberger et al. and in the proof of
 //! Theorem 4.8) has one node per pair `(position, state)`. The enumerator of
-//! this crate and the ad-hoc difference constructions of `spanner-algebra`
-//! both work on top of it.
+//! this crate works on top of it.
 //!
-//! Since the compiled-engine rework, the graph is built on a
-//! [`CompiledVsa`]: ε-reachability comes from precomputed closures instead
-//! of per-position graph searches, per-position state sets (coaccessibility
-//! and usefulness certificates) are [`StateSet`] bitsets, and letter
-//! transitions dispatch through the byte-class tables. Building the graph
-//! from a borrowed `&Vsa` compiles on the fly; callers that evaluate the
-//! same automaton on many documents should compile once and use
+//! The graph is a walk over the automaton's [`EvalTables`]: the backward
+//! pass is a DFA run over interned (useful, operations-ahead) set pairs (one
+//! table lookup per byte, one `u32` per position), and the enumerator's
+//! op-closure and letter steps are lookups in the forward tables. The tables
+//! belong to the [`CompiledVsa`], are checked out once per document and
+//! outlive it, so a warm automaton evaluates a document without recomputing —
+//! or allocating — anything per position. Building the graph from a borrowed
+//! `&Vsa` compiles on the fly (cold tables every time); callers that evaluate
+//! the same automaton on many documents should compile once and use
 //! [`MatchGraph::from_compiled`].
 
-use crate::opset::{OpSet, OpTable};
-use spanner_core::{Document, SpannerError, SpannerResult, VarSet};
-use spanner_vset::{CompiledVsa, StateId, StateSet, Vsa};
+use crate::opset::{check_var_limit, OpSet};
+use spanner_core::{Document, SpannerError, SpannerResult};
+use spanner_vset::{BackId, CompiledVsa, EvalTables, SetId, StateId, Vsa};
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// The match graph of an automaton on a document.
 pub struct MatchGraph<'a> {
@@ -26,17 +28,18 @@ pub struct MatchGraph<'a> {
     compiled: Cow<'a, CompiledVsa>,
     /// The document.
     pub doc: &'a Document,
-    /// Operation-bit table over `Vars(A)`.
-    pub ops: OpTable,
-    /// `coaccessible[p - 1]`: the states from which some accepting
-    /// configuration is reachable at position `p` (1-based positions up to
-    /// `|d| + 1`).
-    coaccessible: Vec<StateSet>,
-    /// `useful[p - 1]`: the states that *immediately* progress at position
-    /// `p` — for `p ≤ |d|` those with a letter transition on `d[p]` into a
-    /// co-accessible state of `p + 1`, for `p = |d| + 1` the accepting
-    /// states.
-    useful: Vec<StateSet>,
+    /// The automaton's evaluation tables, shared until this document's first
+    /// miss (see [`CompiledVsa::eval_tables`]).
+    tables: Arc<EvalTables>,
+    /// Cells the tables held at checkout.
+    base_cells: u64,
+    /// `back[p - 1]`: the backward-DFA state of position `p`. It names the
+    /// states that *immediately* progress at `p` — for `p ≤ |d|` those with
+    /// a letter transition on `d[p]` into a co-accessible state of `p + 1`,
+    /// for `p = |d| + 1` the accepting states (a state is co-accessible at
+    /// `p` iff its zero closure meets them) — and the states that still
+    /// have a variable operation ahead of them.
+    back: Vec<BackId>,
 }
 
 impl<'a> MatchGraph<'a> {
@@ -61,74 +64,30 @@ impl<'a> MatchGraph<'a> {
                 "polynomial-delay enumeration requires a sequential vset-automaton",
             ));
         }
-        let ops = OpTable::new(&VarSet::from_iter(
-            compiled.var_table().vars().iter().cloned(),
-        ))?;
-        // `op_closures` encodes operation bits from the compiled `VarTable`
-        // index while `ops` decodes them by its own index; both are in name
-        // order today, but the encoding is only correct while they agree.
-        assert_eq!(
-            ops.vars(),
-            compiled.var_table().vars(),
-            "OpTable and VarTable must index variables identically"
-        );
-        let n = doc.len();
-        let states = compiled.state_count();
+        check_var_limit(compiled.var_table().len())?;
+        let mut tables = compiled.eval_tables();
+        let base_cells = tables.cells();
 
-        // Backward dynamic programming over positions, on bitsets.
-        let mut coaccessible: Vec<StateSet> = vec![StateSet::new(states); n + 1];
-        let mut useful: Vec<StateSet> = vec![StateSet::new(states); n + 1];
-        // Position n + 1: co-accessible iff an accepting state is reachable
-        // without consuming input; immediately useful iff accepting.
-        useful[n] = compiled.accepting().clone();
-        for q in 0..states {
-            if compiled.accepts_without_input(q) {
-                coaccessible[n].insert(q);
-            }
-        }
-        // Positions n .. 1: a state is useful if some letter transition on
-        // d[p] reaches a co-accessible state of p + 1, and co-accessible if
-        // its zero closure contains a useful state. The step is a pure
-        // function of (byte class, co-accessible set at p + 1) — and the
-        // co-accessible sets saturate quickly on real documents — so the
-        // computed transitions are memoized; on homogeneous documents the
-        // backward pass degenerates to memo lookups.
-        let mut memo: spanner_core::FxHashMap<(usize, StateSet), (StateSet, StateSet)> =
-            spanner_core::FxHashMap::default();
-        for p in (1..=n).rev() {
-            let symbol = doc.symbol_at(p as u32).expect("position in range");
-            let class = compiled.class_of(symbol);
-            let key = (class, coaccessible[p].clone());
-            if let Some((step_ok, coacc)) = memo.get(&key) {
-                useful[p - 1] = step_ok.clone();
-                coaccessible[p - 1] = coacc.clone();
-                continue;
-            }
-            let mut step_ok = StateSet::new(states);
-            for r in 0..states {
-                if compiled
-                    .byte_targets(r, class)
-                    .iter()
-                    .any(|&t| coaccessible[p].contains(t))
-                {
-                    step_ok.insert(r);
-                }
-            }
-            for q in 0..states {
-                if compiled.zero_closure(q).intersects(&step_ok) {
-                    coaccessible[p - 1].insert(q);
-                }
-            }
-            memo.insert(key, (step_ok.clone(), coaccessible[p - 1].clone()));
-            useful[p - 1] = step_ok;
+        // The backward pass: a DFA run from the accepting set at position
+        // |d| + 1 down to position 1.
+        let bytes = doc.bytes();
+        let mut back = vec![EvalTables::ACCEPTING; bytes.len() + 1];
+        let mut current = EvalTables::ACCEPTING;
+        for (slot, &byte) in back.iter_mut().zip(bytes).rev() {
+            let class = compiled.class_of(byte);
+            current = match tables.back(current, class) {
+                Some(previous) => previous,
+                None => Arc::make_mut(&mut tables).fill_back(&compiled, current, class),
+            };
+            *slot = current;
         }
 
         Ok(MatchGraph {
             compiled,
             doc,
-            ops,
-            coaccessible,
-            useful,
+            tables,
+            base_cells,
+            back,
         })
     }
 
@@ -141,7 +100,8 @@ impl<'a> MatchGraph<'a> {
     /// Whether state `q` at position `pos` can still reach acceptance.
     #[inline]
     pub fn is_coaccessible(&self, pos: u32, q: StateId) -> bool {
-        self.coaccessible[pos as usize - 1].contains(q)
+        self.tables
+            .coaccessible(self.compiled.zero_closure(q), self.back[pos as usize - 1])
     }
 
     /// Whether the automaton has any valid accepting run on the document.
@@ -149,104 +109,66 @@ impl<'a> MatchGraph<'a> {
         self.is_coaccessible(1, self.compiled.initial())
     }
 
-    /// Computes, from the set `from` of states at position `pos`, every pair
-    /// `(op_set, states)` reachable by performing exactly `op_set` (via ε and
-    /// variable-operation transitions, no operation twice) such that some
-    /// reached state is useful:
-    ///
-    /// * if `pos ≤ |d|`: the state has a letter transition on `d[pos]` into a
-    ///   co-accessible state of position `pos + 1`;
-    /// * if `pos = |d| + 1`: the state is accepting.
-    ///
-    /// The result groups, for every such useful operation set, the full set
-    /// of reachable states (useful or not — they matter for later
-    /// positions), in a canonical order.
-    pub fn op_closures(&self, pos: u32, from: &StateSet) -> Vec<(OpSet, StateSet)> {
-        let compiled = &*self.compiled;
-        let states = compiled.state_count();
-        let useful = &self.useful[pos as usize - 1];
+    /// Table cells this graph (and the enumeration on top of it) had to
+    /// compute — 0 when the automaton's tables were warm for the document.
+    pub fn table_cells(&self) -> u64 {
+        self.tables.cells() - self.base_cells
+    }
 
-        // The ε-closure of the frontier: the states reachable with the empty
-        // operation set.
-        let mut closure = StateSet::new(states);
-        for q in from.iter() {
-            closure.union_with(compiled.eps_closure(q));
+    /// The first *viable* candidate of `frontier` at position `pos`, at or
+    /// after index `from` of the frontier's candidate list: its index, its
+    /// operation set, and the states reached by performing exactly that set.
+    /// Viable means some reached state is useful at `pos`, i.e. the choice
+    /// extends to an accepted mapping. Candidates come in increasing
+    /// operation-set order.
+    pub(crate) fn next_candidate(
+        &mut self,
+        pos: u32,
+        frontier: SetId,
+        from: usize,
+    ) -> Option<(usize, OpSet, SetId)> {
+        if self.tables.ops(frontier).is_none() {
+            Arc::make_mut(&mut self.tables).fill_ops(&self.compiled, frontier);
         }
-
-        // Fast path: no reachable state can perform a variable operation —
-        // the overwhelmingly common case on positions away from match
-        // boundaries. The only candidate operation set is ∅.
-        if !closure.intersects(compiled.states_with_var_ops()) {
-            if closure.intersects(useful) {
-                return vec![(OpSet::EMPTY, closure)];
-            }
-            return Vec::new();
-        }
-
-        // Slow path: explore (state, opset) pairs. Visited states are
-        // tracked per operation set in `by_set` (a linear scan — the number
-        // of distinct sets per position is small); ε-moves are collapsed
-        // through the precomputed ε-closures, so the stack only carries
-        // genuine operation steps.
-        let mut by_set: Vec<(OpSet, StateSet, bool)> = Vec::new();
-        by_set.push((OpSet::EMPTY, closure, false));
-        by_set[0].2 = by_set[0].1.intersects(useful);
-        let mut stack: Vec<(StateId, OpSet)> = by_set[0]
-            .1
+        let candidates = self.tables.ops(frontier).expect("filled above");
+        let at = self.back[pos as usize - 1];
+        candidates[from..]
             .iter()
-            .filter(|&q| compiled.has_var_ops(q))
-            .map(|q| (q, OpSet::EMPTY))
-            .collect();
+            .position(|&(_, reached)| self.tables.viable(reached, at))
+            .map(|offset| {
+                let (ops, reached) = candidates[from + offset];
+                (from + offset, OpSet(ops), reached)
+            })
+    }
 
-        while let Some((q, set)) = stack.pop() {
-            for &(op, target) in compiled.var_ops(q) {
-                let bit = 1u64 << (2 * op.var as u64 + u64::from(op.is_close));
-                if set.contains(bit) {
-                    continue;
-                }
-                let next_set = set.with(bit);
-                let slot = match by_set.iter().position(|(s, _, _)| *s == next_set) {
-                    Some(slot) => slot,
-                    None => {
-                        by_set.push((next_set, StateSet::new(states), false));
-                        by_set.len() - 1
-                    }
-                };
-                for r in compiled.eps_closure(target).iter() {
-                    if by_set[slot].1.insert(r) {
-                        by_set[slot].2 |= useful.contains(r);
-                        if compiled.has_var_ops(r) {
-                            stack.push((r, next_set));
-                        }
-                    }
-                }
-            }
+    /// Advances a set of states over the letter at `pos` (1-based, `≤ |d|`).
+    ///
+    /// The result is *not* pruned to the co-accessible states of `pos + 1`:
+    /// a dead state reaches useful states at no later position, so it can
+    /// never make a candidate viable, and leaving it in keeps this step a
+    /// function of the automaton alone.
+    pub(crate) fn advance(&mut self, pos: u32, states: SetId) -> SetId {
+        let class = self.compiled.class_of(self.doc.bytes()[pos as usize - 1]);
+        match self.tables.step(states, class) {
+            Some(next) => next,
+            None => Arc::make_mut(&mut self.tables).fill_step(&self.compiled, states, class),
         }
-
-        let mut out: Vec<(OpSet, StateSet)> = by_set
-            .into_iter()
-            .filter(|(_, _, useful)| *useful)
-            .map(|(set, states, _)| (set, states))
-            .collect();
-        // Canonical (deterministic) order of candidates.
-        out.sort_by_key(|(set, _)| *set);
-        out
     }
 
-    /// Advances a set of states over the letter at `pos` (1-based, `≤ |d|`),
-    /// keeping only co-accessible successors.
-    pub fn advance(&self, pos: u32, states: &StateSet) -> StateSet {
-        let mut out = StateSet::new(self.compiled.state_count());
-        self.advance_into(pos, states, &mut out);
-        out
+    /// Whether the continuation of `frontier` at `pos` is *forced*: no
+    /// accepting continuation performs another variable operation, so the
+    /// subtree below holds exactly one mapping and adds nothing to it.
+    #[inline]
+    pub(crate) fn forced(&self, pos: u32, frontier: SetId) -> bool {
+        self.tables.forced(frontier, self.back[pos as usize - 1])
     }
+}
 
-    /// [`MatchGraph::advance`] into a caller-provided set (cleared first) —
-    /// the allocation-free form the enumerator's hot loop uses.
-    pub fn advance_into(&self, pos: u32, states: &StateSet, out: &mut StateSet) {
-        let symbol = self.doc.symbol_at(pos).expect("position in range");
-        self.compiled.step_frontier(states, symbol, out);
-        out.intersect_with(&self.coaccessible[pos as usize]);
+impl Drop for MatchGraph<'_> {
+    fn drop(&mut self) {
+        if self.table_cells() > 0 {
+            self.compiled.publish_eval_tables(&self.tables);
+        }
     }
 }
 
@@ -282,18 +204,20 @@ mod tests {
 
     #[test]
     fn op_closures_enumerate_candidate_sets() {
-        // ({x:a})?a* on "a": the closures group whole per-position op sets,
-        // so the useful sets are ∅, {x⊢}, and {x⊢, ⊣x} (empty capture).
+        // ({x:a})?a* on "a": the candidates group whole per-position op
+        // sets; at position 1 the viable ones are ∅ (the `a*` branch) and
+        // {x⊢} — closing x needs a letter first.
         let a = compile(&parse("({x:a})?a*").unwrap());
         let doc = Document::new("a");
-        let g = MatchGraph::build(&a, &doc).unwrap();
-        let initial = StateSet::from_states(g.compiled().state_count(), [g.compiled().initial()]);
-        let closures = g.op_closures(1, &initial);
-        assert!(!closures.is_empty());
-        // All candidate sets must be distinct.
-        let mut sets: Vec<OpSet> = closures.iter().map(|(s, _)| *s).collect();
-        sets.dedup();
-        assert_eq!(sets.len(), closures.len());
+        let mut g = MatchGraph::build(&a, &doc).unwrap();
+        let mut sets = Vec::new();
+        let mut from = 0;
+        while let Some((i, set, _)) = g.next_candidate(1, EvalTables::INITIAL, from) {
+            sets.push(set);
+            from = i + 1;
+        }
+        assert_eq!(sets.len(), 2, "{sets:?}");
+        assert!(sets[0].is_empty() && sets[0] < sets[1], "{sets:?}");
     }
 
     #[test]
@@ -312,5 +236,17 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_second_document_walks_warm_tables() {
+        let compiled = CompiledVsa::compile(&compile(&parse(".*{x:a+}b.*").unwrap()));
+        let doc = Document::new("zaabz");
+        let cold = MatchGraph::from_compiled(&compiled, &doc).unwrap();
+        assert!(cold.table_cells() > 0);
+        drop(cold);
+        let warm = MatchGraph::from_compiled(&compiled, &doc).unwrap();
+        assert_eq!(warm.table_cells(), 0);
+        assert!(warm.is_nonempty());
     }
 }

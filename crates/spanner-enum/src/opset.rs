@@ -1,7 +1,6 @@
 //! Compact representation of sets of variable operations.
 
 use spanner_core::{Span, SpannerError, SpannerResult, VarSet, Variable};
-use std::collections::BTreeMap;
 
 /// Maximum number of variables a single automaton may use with the bitset
 /// representation (open + close bits must fit into a `u64`).
@@ -55,13 +54,7 @@ impl OpTable {
     ///
     /// Fails if there are more than [`MAX_VARS`] variables.
     pub fn new(vars: &VarSet) -> SpannerResult<OpTable> {
-        if vars.len() > MAX_VARS {
-            return Err(SpannerError::LimitExceeded {
-                what: "variables per automaton (bitset operation sets)",
-                limit: MAX_VARS,
-                actual: vars.len(),
-            });
-        }
+        check_var_limit(vars.len())?;
         Ok(OpTable {
             vars: vars.to_vec(),
         })
@@ -97,49 +90,69 @@ impl OpTable {
         &self.vars
     }
 
-    /// Reconstructs a [`spanner_core::Mapping`] from the positions at which
-    /// each operation of a run was performed.
-    ///
-    /// `ops_at` lists, for every document position, the operation set
-    /// performed there. Returns an error if an open operation has no matching
-    /// close (which cannot happen for accepting runs of sequential automata).
+    /// [`mapping_from_ops`] over this table's variables.
     pub fn mapping_from_positions(
         &self,
         ops_at: &[(u32, OpSet)],
     ) -> SpannerResult<spanner_core::Mapping> {
-        let mut opens: BTreeMap<usize, u32> = BTreeMap::new();
-        let mut closes: BTreeMap<usize, u32> = BTreeMap::new();
-        for &(pos, set) in ops_at {
-            for (i, _) in self.vars.iter().enumerate() {
-                if set.contains(1u64 << (2 * i)) {
-                    opens.insert(i, pos);
-                }
-                if set.contains(1u64 << (2 * i + 1)) {
-                    closes.insert(i, pos);
-                }
-            }
-        }
-        let mut mapping = spanner_core::Mapping::new();
-        for (i, open_pos) in &opens {
-            match closes.get(i) {
-                Some(close_pos) if close_pos >= open_pos => {
-                    mapping.insert(self.vars[*i].clone(), Span::new(*open_pos, *close_pos));
-                }
-                _ => {
-                    return Err(SpannerError::Invalid(format!(
-                        "variable {} opened at {} but not properly closed",
-                        self.vars[*i], open_pos
-                    )))
-                }
-            }
-        }
-        if closes.keys().any(|i| !opens.contains_key(i)) {
-            return Err(SpannerError::Invalid(
-                "a variable was closed without being opened".to_string(),
-            ));
-        }
-        Ok(mapping)
+        mapping_from_ops(&self.vars, ops_at)
     }
+}
+
+/// Fails if `count` variables do not fit the bitset representation.
+pub(crate) fn check_var_limit(count: usize) -> SpannerResult<()> {
+    if count > MAX_VARS {
+        return Err(SpannerError::LimitExceeded {
+            what: "variables per automaton (bitset operation sets)",
+            limit: MAX_VARS,
+            actual: count,
+        });
+    }
+    Ok(())
+}
+
+/// Reconstructs a [`spanner_core::Mapping`] from the positions at which each
+/// operation of a run was performed.
+///
+/// `vars` are the automaton's variables in operation-bit order; `ops_at`
+/// lists the non-empty operation sets of the run with their (1-based)
+/// document positions. Returns an error if an open operation has no matching
+/// close (which cannot happen for accepting runs of sequential automata).
+pub(crate) fn mapping_from_ops(
+    vars: &[Variable],
+    ops_at: &[(u32, OpSet)],
+) -> SpannerResult<spanner_core::Mapping> {
+    // `[open, close]` position per variable; positions are 1-based, so 0
+    // marks an operation that was never performed.
+    let mut at = [[0u32; 2]; MAX_VARS];
+    for &(pos, set) in ops_at {
+        let mut rest = set.0;
+        while rest != 0 {
+            let bit = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            at[bit / 2][bit % 2] = pos;
+        }
+    }
+    let mut mapping = spanner_core::Mapping::new();
+    for (var, &[open, close]) in vars.iter().zip(&at) {
+        match (open, close) {
+            (0, 0) => {}
+            (0, _) => {
+                return Err(SpannerError::Invalid(
+                    "a variable was closed without being opened".to_string(),
+                ))
+            }
+            _ if close >= open => {
+                mapping.insert(var.clone(), Span::new(open, close));
+            }
+            _ => {
+                return Err(SpannerError::Invalid(format!(
+                    "variable {var} opened at {open} but not properly closed"
+                )))
+            }
+        }
+    }
+    Ok(mapping)
 }
 
 #[cfg(test)]

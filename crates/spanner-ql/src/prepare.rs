@@ -404,6 +404,17 @@ fn scan_plan_lines(op: &PhysOp, out: &mut Vec<String>) {
                 )),
                 None => parts.push("lazy DFA: over budget, NFA fallback".to_string()),
             }
+            // Unlike the DFA, the evaluation tables are reported as they
+            // are, not forced: they only ever grow from matching documents.
+            let tables = compiled.eval_table_stats();
+            parts.push(if tables.sets == 0 {
+                "eval tables: cold".to_string()
+            } else {
+                format!(
+                    "eval tables: {} sets, {} backward + {} forward cells, {} bytes",
+                    tables.sets, tables.back_cells, tables.forward_cells, tables.bytes
+                )
+            });
             out.push(format!(
                 "  scan #{}: fast path {}, {}",
                 out.len(),
@@ -588,6 +599,8 @@ mod tests {
         assert!(explain.contains("factors=[@][a]"), "{explain}");
         assert!(explain.contains("min_len="), "{explain}");
         assert!(explain.contains("lazy DFA:"), "{explain}");
+        // Nothing has matched yet, so no evaluation table cell exists.
+        assert!(explain.contains("eval tables: cold"), "{explain}");
     }
 
     #[test]
@@ -632,6 +645,13 @@ mod tests {
         assert!(text.contains("rows="), "{text}");
         assert!(text.contains("time="), "{text}");
         assert!(text.contains("prescan_accept=1"), "{text}");
+        // The first matching document fills the scans' evaluation tables
+        // (`explain` runs before the evaluation); the second finds them.
+        assert!(text.contains("eval tables: cold"), "{text}");
+        assert!(!text.contains("eval_table_cells=0"), "{text}");
+        let warm = q.explain_analyze(&Document::new("aab"));
+        assert!(warm.contains("backward + "), "{warm}");
+        assert!(warm.contains("eval_table_cells=0"), "{warm}");
         // A document the pre-pass rejects reports the verdict, not rows.
         let miss = q.explain_analyze(&Document::new("zzz"));
         assert!(

@@ -6,7 +6,9 @@
 //! compiled once, ever, per process) and one persistent
 //! [`WorkerPool`] for corpus sharding — a corpus request fans its
 //! documents out across that pool exactly like the CLI `corpus` command,
-//! but without paying thread spawn per request.
+//! but without paying thread spawn per request (a corpus of a few hundred
+//! lines is evaluated on the connection's own worker instead: waking the
+//! pool for it costs more than it saves).
 //!
 //! Robustness choices, all observable through the protocol tests:
 //!

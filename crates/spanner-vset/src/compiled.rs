@@ -108,31 +108,45 @@ impl StateSet {
     /// Whether the two sets share at least one state (no allocation).
     #[inline]
     pub fn intersects(&self, other: &StateSet) -> bool {
-        self.blocks
-            .iter()
-            .zip(&other.blocks)
-            .any(|(a, b)| a & b != 0)
+        meet(&self.blocks, &other.blocks)
     }
 
     /// Iterates over the states in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = StateId> + '_ {
-        self.blocks.iter().enumerate().flat_map(|(i, &block)| {
-            let mut rest = block;
-            std::iter::from_fn(move || {
-                if rest == 0 {
-                    return None;
-                }
-                let bit = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                Some(i * 64 + bit)
-            })
-        })
+        bits(&self.blocks)
+    }
+
+    /// The raw `u64` blocks (what [`crate::tables::EvalTables`] interns).
+    #[inline]
+    pub(crate) fn blocks(&self) -> &[u64] {
+        &self.blocks
     }
 
     /// The states as a sorted vector.
     pub fn to_vec(&self) -> Vec<StateId> {
         self.iter().collect()
     }
+}
+
+/// Whether two block slices share a set bit.
+#[inline]
+pub(crate) fn meet(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).any(|(x, y)| x & y != 0)
+}
+
+/// The set bits of a block slice, in increasing order.
+pub(crate) fn bits(blocks: &[u64]) -> impl Iterator<Item = StateId> + '_ {
+    blocks.iter().enumerate().flat_map(|(i, &block)| {
+        let mut rest = block;
+        std::iter::from_fn(move || {
+            if rest == 0 {
+                return None;
+            }
+            let bit = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            Some(i * 64 + bit)
+        })
+    })
 }
 
 impl std::fmt::Debug for StateSet {
@@ -184,6 +198,9 @@ pub struct CompiledVsa {
     /// The scan fast-path analysis (prefilters + lazy boolean DFA); see
     /// [`crate::scan`].
     scan: crate::scan::ScanPlan,
+    /// The published evaluation tables (lazily grown across documents; see
+    /// [`crate::tables`]).
+    eval: crate::tables::EvalCache,
 }
 
 impl CompiledVsa {
@@ -288,6 +305,7 @@ impl CompiledVsa {
             states_with_var_ops,
             sequential: is_sequential(vsa),
             scan: crate::scan::ScanPlan::placeholder(),
+            eval: crate::tables::EvalCache::new(crate::tables::EVAL_TABLE_BUDGET),
         };
         out.scan = crate::scan::ScanPlan::analyze(&out);
         out
@@ -298,6 +316,21 @@ impl CompiledVsa {
     #[inline]
     pub(crate) fn scan(&self) -> &crate::scan::ScanPlan {
         &self.scan
+    }
+
+    #[inline]
+    pub(crate) fn eval(&self) -> &crate::tables::EvalCache {
+        &self.eval
+    }
+
+    /// Test hook: the same automaton with a different evaluation-table byte
+    /// budget (and cold tables), to force the drop-and-regrow path. The
+    /// budget is not an option — production code always runs on
+    /// [`crate::tables::EVAL_TABLE_BUDGET`].
+    #[doc(hidden)]
+    pub fn with_eval_table_budget(mut self, bytes: usize) -> CompiledVsa {
+        self.eval = crate::tables::EvalCache::new(bytes);
+        self
     }
 
     /// Whether the source automaton is sequential (Theorem 2.5's

@@ -20,6 +20,9 @@
 //! * [`compiled`] — the compile-once evaluation engine: precomputed
 //!   ε-closures, byte-class dispatch tables, dense variable indices, and
 //!   bitset state sets ([`StateSet`]);
+//! * [`tables`] — the per-automaton evaluation tables (a backward DFA over
+//!   useful / operations-ahead sets, forward op-closure and step tables)
+//!   that turn matching a document into table walks;
 //! * [`mod@interpret`] — a brute-force evaluator used as a test oracle;
 //! * [`boolean`] — NFA determinization/complementation used to demonstrate
 //!   why static compilation of the difference operator must blow up
@@ -37,6 +40,7 @@ pub mod interpret;
 pub mod join;
 pub mod scan;
 pub mod semifunctional;
+pub mod tables;
 pub mod thompson;
 
 pub use analysis::{
@@ -52,4 +56,5 @@ pub use join::{
 };
 pub use scan::{PreScan, ScanPlan};
 pub use semifunctional::{make_semi_functional, SemiFunctionalVsa};
+pub use tables::{BackId, EvalTableStats, EvalTables, SetId, EVAL_TABLE_BUDGET};
 pub use thompson::compile;
