@@ -1,11 +1,8 @@
 //! The physical operator executor: one Volcano-style pipeline behind every
 //! evaluation path.
 //!
-//! Before this module existed the workspace had three divergent ways of
-//! evaluating an RA tree on a document: the recursive ad-hoc compilation of
-//! `evaluate_ra`, `CompiledPlan`'s per-document automaton *recomposition*
-//! for dynamic (difference / black-box) nodes, and the static-only
-//! `PlanStream`. They are now one layer:
+//! Every consumer — `evaluate_ra`, `CompiledPlan::evaluate` / `stream`, the
+//! corpus engine, `PreparedQuery` — evaluates through this one layer:
 //!
 //! * [`PhysOp`] is the physical operator tree. Leaves are
 //!   [`PhysOp::CompiledScan`] (a static RA subtree compiled **once** into a
@@ -15,20 +12,22 @@
 //!   [`PhysOp::HashJoin`], [`PhysOp::UnionAll`] (with set-semantics dedup),
 //!   [`PhysOp::Difference`] (an anti-join over a materialized probe side —
 //!   no per-document `Vsa` recomposition), and [`PhysOp::Project`].
-//! * [`PhysicalPlan::lower`] obtains the operator tree of a
-//!   [`CompiledPlan`]; lowering happens exactly once at plan-compile time
-//!   and the operators share their automata through `Arc`, so the handle is
-//!   cheap and every consumer (`evaluate_ra`, `CompiledPlan::evaluate` /
-//!   `stream`, the corpus engine, `PreparedQuery`) runs through the same
-//!   executor.
-//! * Every operator exposes both a materializing [`PhysOp::execute`] (bulk
-//!   relational evaluation — hash join, hash anti-join, builder-based union)
-//!   and a pull-iterator [`PhysOp::stream`] ([`OpStream`]). A fully static
-//!   plan streams straight off its compiled automaton with polynomial
-//!   delay, exactly as before; plans with a difference at the root now
-//!   stream too (the probe side is materialized once, the input side is
-//!   enumerated lazily and filtered), which the old recomposition path
-//!   could not do.
+//! * Lowering happens exactly once, in
+//!   [`CompiledPlan::compile`](crate::CompiledPlan::compile); the operators
+//!   share their automata through `Arc`, so the [`PhysicalPlan`] handle
+//!   ([`CompiledPlan::physical`](crate::CompiledPlan::physical)) is cheap
+//!   to clone.
+//! * [`PhysOp::execute`] is the **one** materializing recursion (bulk
+//!   relational evaluation — hash join, hash anti-join, builder-based
+//!   union). It is generic over an [`Observer`]: instantiated with
+//!   [`NoTrace`] it is the serving path, with [`ExecTrace`] it is
+//!   `explain --analyze` — the same `match`, monomorphized twice, so the two
+//!   cannot drift and the untraced one pays nothing (DESIGN.md §10).
+//! * [`PhysOp::stream_bounded`] is the pull-iterator form ([`OpStream`]). A
+//!   fully static plan streams straight off its compiled automaton with
+//!   polynomial delay; a plan with a difference at the root streams too
+//!   (the probe side is materialized once, the input side is enumerated
+//!   lazily and filtered).
 //!
 //! The executor evaluates difference and black-box composition at the
 //! *relation* level (the `spanner-core` operators, which are the paper's
@@ -39,7 +38,6 @@
 //! functions and as the differential baseline (`compile_ra`), but no plan
 //! evaluates through them anymore.
 
-use crate::plan::CompiledPlan;
 use crate::spanner::SpannerRef;
 use spanner_core::{Document, FxHashSet, Mapping, MappingSet, SpannerResult, VarSet};
 use spanner_enum::{enumerate_compiled, Enumerator};
@@ -50,9 +48,112 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Per-operator execution trace (re-exported from `spanner-obs`): one
-/// [`TraceNode`](spanner_obs::TraceNode) per physical operator, produced
-/// by [`PhysOp::execute_traced_bounded`].
+/// [`TraceNode`](spanner_obs::TraceNode) per physical operator — the
+/// recording [`Observer`].
 pub use spanner_obs::TraceNode as ExecTrace;
+
+/// What [`PhysOp::execute`] reports to while it runs: one value per
+/// operator evaluation, nested like the operator tree. There is one
+/// executor recursion and it is generic over this trait; the two
+/// implementations are [`NoTrace`], which records nothing and compiles to
+/// the bare recursion, and [`ExecTrace`], which is `explain --analyze`.
+/// Multi-document engines fold per-document observations into one per
+/// worker with [`Observer::merge`], starting from [`Observer::skeleton`].
+/// The reports default to doing nothing; a recording observer overrides
+/// every one of them.
+pub trait Observer: Sized {
+    /// Whether anything is recorded — a constant, so a measurement that is
+    /// itself work (reading a table size, probing the DFA) is compiled out
+    /// of the unobserved executor rather than branched around.
+    const RECORDS: bool;
+
+    /// Observes one evaluation of `op`: opens its record, runs `eval`
+    /// against it, and closes it (rows produced, inclusive wall time). The
+    /// record is returned alongside the result — also on error, so a
+    /// `LimitExceeded` trip stays visible.
+    fn observe(
+        op: &PhysOp,
+        eval: impl FnOnce(&mut Self) -> SpannerResult<MappingSet>,
+    ) -> (SpannerResult<MappingSet>, Self);
+
+    /// A zero-valued record with the shape and labels of `op`'s whole
+    /// subtree. The executor adopts a skeleton for every subtree it
+    /// short-circuits (a skipped join build side, a skipped difference
+    /// probe side, union inputs after an error), so **every** record of a
+    /// given plan has exactly this shape — which is what lets records from
+    /// different documents and different worker shards
+    /// [`merge`](Observer::merge) into one aggregate.
+    fn skeleton(op: &PhysOp) -> Self;
+
+    /// Adds `n` to the named counter of this operator.
+    fn count(&mut self, _name: &'static str, _n: u64) {}
+
+    /// Appends the record of this operator's next input, in plan order: an
+    /// evaluated child's, or the skeleton of one that was short-circuited.
+    fn adopt(&mut self, _child: Self) {}
+
+    /// Accumulates another record of the same plan into this one.
+    fn merge(&mut self, _other: &Self) {}
+}
+
+/// The [`Observer`] that records nothing: every report is the empty
+/// default, so `execute::<NoTrace>` is the executor with no trace of
+/// tracing in it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NoTrace;
+
+impl Observer for NoTrace {
+    const RECORDS: bool = false;
+
+    #[inline]
+    fn observe(
+        _: &PhysOp,
+        eval: impl FnOnce(&mut Self) -> SpannerResult<MappingSet>,
+    ) -> (SpannerResult<MappingSet>, Self) {
+        (eval(&mut NoTrace), NoTrace)
+    }
+
+    #[inline]
+    fn skeleton(_: &PhysOp) -> Self {
+        NoTrace
+    }
+}
+
+impl Observer for ExecTrace {
+    const RECORDS: bool = true;
+
+    fn observe(
+        op: &PhysOp,
+        eval: impl FnOnce(&mut Self) -> SpannerResult<MappingSet>,
+    ) -> (SpannerResult<MappingSet>, Self) {
+        let start = Instant::now();
+        let mut node = ExecTrace::new(op.label());
+        let result = eval(&mut node);
+        if let Ok(set) = &result {
+            node.rows = set.len() as u64;
+        }
+        node.observe_elapsed(start.elapsed());
+        (result, node)
+    }
+
+    fn skeleton(op: &PhysOp) -> Self {
+        let mut node = ExecTrace::new(op.label());
+        node.children = op.children().into_iter().map(Self::skeleton).collect();
+        node
+    }
+
+    fn count(&mut self, name: &'static str, n: u64) {
+        self.add(name, n);
+    }
+
+    fn adopt(&mut self, child: Self) {
+        self.children.push(child);
+    }
+
+    fn merge(&mut self, other: &Self) {
+        ExecTrace::merge(self, other);
+    }
+}
 
 /// A node of the physical operator tree (see the module docs).
 ///
@@ -90,7 +191,7 @@ pub enum PhysOp {
     /// common-variable span vector whenever both inputs bind all common
     /// variables.
     HashJoin {
-        /// Probe side (streamed by [`PhysOp::stream`]).
+        /// Probe side (streamed by [`PhysOp::stream_bounded`]).
         left: Box<PhysOp>,
         /// Build side (always materialized).
         right: Box<PhysOp>,
@@ -99,7 +200,7 @@ pub enum PhysOp {
     /// materialized once and every input mapping survives iff it is
     /// incompatible with all probe mappings. No automaton recomposition.
     Difference {
-        /// Input side (streamed by [`PhysOp::stream`]).
+        /// Input side (streamed by [`PhysOp::stream_bounded`]).
         input: Box<PhysOp>,
         /// Probe side (always materialized).
         probe: Box<PhysOp>,
@@ -108,126 +209,32 @@ pub enum PhysOp {
 
 impl PhysOp {
     /// Evaluates the operator on one document into a materialized relation,
-    /// with no bound on intermediate sizes (see [`PhysOp::execute_bounded`]).
-    pub fn execute(&self, doc: &Document) -> SpannerResult<MappingSet> {
-        self.execute_bounded(doc, usize::MAX)
-    }
-
-    /// [`PhysOp::execute`] with a resource guard: every relation that feeds
-    /// a relational operator (a dynamic operator's input or probe/build
-    /// side) may hold at most `limit` mappings — the executor's counterpart
-    /// of the automaton state limits of the ad-hoc pipeline
-    /// (`RaOptions::max_signatures` is threaded through here by
-    /// [`CompiledPlan`]). The *root* result is not bounded: like the old
-    /// pipeline's final enumeration, the caller asked for it.
-    pub fn execute_bounded(&self, doc: &Document, limit: usize) -> SpannerResult<MappingSet> {
-        match self {
-            PhysOp::CompiledScan {
-                vsa,
-                compiled,
-                fast_path,
-            } => {
-                if vsa.accepting_states().is_empty() {
-                    return Ok(MappingSet::new());
-                }
-                // The boolean pre-pass: documents with no accepting run are
-                // rejected without building enumeration machinery. Exact, so
-                // results are unchanged (see `spanner_vset::scan`).
-                if *fast_path && compiled.prescan(doc) != PreScan::Accept {
-                    return Ok(MappingSet::new());
-                }
-                spanner_enum::evaluate_compiled(compiled, doc)
-            }
-            PhysOp::BlackBoxScan(s) => s.eval(doc),
-            PhysOp::Project { keep, input } => {
-                Ok(checked(input.execute_bounded(doc, limit)?, limit)?.project(keep))
-            }
-            PhysOp::UnionAll(inputs) => {
-                let mut out = MappingSet::builder();
-                for op in inputs {
-                    out.extend(checked(op.execute_bounded(doc, limit)?, limit)?);
-                }
-                Ok(out.finish())
-            }
-            PhysOp::HashJoin { left, right } => {
-                let left = checked(left.execute_bounded(doc, limit)?, limit)?;
-                if left.is_empty() {
-                    // ∅ ⋈ R = ∅ — skip the build side.
-                    return Ok(left);
-                }
-                let right = checked(right.execute_bounded(doc, limit)?, limit)?;
-                Ok(left.join(&right))
-            }
-            PhysOp::Difference { input, probe } => {
-                let input = checked(input.execute_bounded(doc, limit)?, limit)?;
-                if input.is_empty() {
-                    // ∅ \ R = ∅ — skip the probe side entirely (with the
-                    // scan pre-pass this makes misses on the input side
-                    // free).
-                    return Ok(input);
-                }
-                let probe = checked(probe.execute_bounded(doc, limit)?, limit)?;
-                Ok(input.anti_join(&probe))
-            }
-        }
-    }
-
-    /// A zero-valued [`ExecTrace`] with the shape and labels of this plan.
-    ///
-    /// The traced executor attaches a skeleton for every subtree it
-    /// short-circuits (a skipped join build side, a skipped difference
-    /// probe side, union inputs after an error), so **every** trace of a
-    /// given plan has exactly this shape — which is what lets traces from
-    /// different documents and different worker shards
-    /// [`merge`](ExecTrace::merge) into one aggregate.
-    pub fn trace_skeleton(&self) -> ExecTrace {
-        let mut node = ExecTrace::new(self.label());
-        node.children = self
-            .children()
-            .into_iter()
-            .map(PhysOp::trace_skeleton)
-            .collect();
-        node
-    }
-
-    /// [`PhysOp::execute_traced_bounded`] without a resource guard.
-    pub fn execute_traced(&self, doc: &Document) -> (SpannerResult<MappingSet>, ExecTrace) {
-        self.execute_traced_bounded(doc, usize::MAX)
-    }
-
-    /// [`PhysOp::execute_bounded`] with per-operator instrumentation.
-    ///
-    /// Semantically identical to the untraced path (same results, same
-    /// errors, same short-circuits); it is a **separate** recursion so the
-    /// hot path pays nothing when tracing is off. The trace is returned
-    /// alongside the result — also on error, so a `LimitExceeded` trip is
-    /// visible in the trace of the operator whose guard fired
-    /// (`limit_trips`). Per node: `rows` (mappings produced), `nanos`
-    /// (inclusive wall time), and operator-specific counters —
-    /// `prescan_skip`/`prescan_reject`/`prescan_accept` and
-    /// `bool_dfa`/`bool_nfa` and `eval_table_cells` on compiled scans, `build_rows`/
+    /// reporting to `obs` — the record of *this* operator, opened by the
+    /// caller ([`Observer::observe`]) — as it goes. This is the one
+    /// recursion behind every evaluation, traced or not: with [`NoTrace`]
+    /// every report is an empty inlined call, so the instantiation is the
+    /// plain recursion (no branch, no `Option`, no dyn call); with
+    /// [`ExecTrace`] each node records `rows` (mappings produced), `nanos`
+    /// (inclusive wall time) and operator-specific counters —
+    /// `prescan_skip`/`prescan_reject`/`prescan_accept`, `bool_dfa`/
+    /// `bool_nfa` and `eval_table_cells` on compiled scans, `build_rows`/
     /// `build_skipped` on joins, `probe_rows`/`probe_skipped` on
-    /// differences.
-    pub fn execute_traced_bounded(
+    /// differences, `limit_trips` on the operator whose guard fired. Results,
+    /// errors and short-circuits are the same for every observer.
+    ///
+    /// `limit` is the resource guard: every relation that feeds a
+    /// relational operator (a dynamic operator's input or probe/build side)
+    /// may hold at most `limit` mappings — the executor's counterpart of the
+    /// automaton state limits of the ad-hoc pipeline
+    /// (`RaOptions::max_signatures` is threaded through here by
+    /// [`CompiledPlan`](crate::CompiledPlan)). The *root* result is not
+    /// bounded: like the old pipeline's final enumeration, the caller asked
+    /// for it.
+    pub fn execute<O: Observer>(
         &self,
         doc: &Document,
         limit: usize,
-    ) -> (SpannerResult<MappingSet>, ExecTrace) {
-        let start = Instant::now();
-        let mut node = ExecTrace::new(self.label());
-        let result = self.execute_traced_inner(doc, limit, &mut node);
-        if let Ok(set) = &result {
-            node.rows = set.len() as u64;
-        }
-        node.observe_elapsed(start.elapsed());
-        (result, node)
-    }
-
-    fn execute_traced_inner(
-        &self,
-        doc: &Document,
-        limit: usize,
-        node: &mut ExecTrace,
+        obs: &mut O,
     ) -> SpannerResult<MappingSet> {
         match self {
             PhysOp::CompiledScan {
@@ -236,125 +243,132 @@ impl PhysOp {
                 fast_path,
             } => {
                 if vsa.accepting_states().is_empty() {
-                    node.add("prescan_skip", 1);
+                    obs.count("prescan_skip", 1);
                     return Ok(MappingSet::new());
                 }
+                // The boolean pre-pass: documents with no accepting run are
+                // rejected without building enumeration machinery. Exact, so
+                // results are unchanged (see `spanner_vset::scan`).
                 if *fast_path {
                     let verdict = compiled.prescan(doc);
                     // The pre-pass ran its boolean scan (unless a static
                     // prefilter skipped first); report which tier answered.
                     // `dfa_states` is the non-forcing probe, so recording
-                    // never builds machinery the untraced path would not.
-                    if verdict != PreScan::Skip {
+                    // never builds machinery an unobserved run would not.
+                    if O::RECORDS && verdict != PreScan::Skip {
                         match compiled.scan_plan().dfa_states() {
-                            Some(Some(_)) => node.add("bool_dfa", 1),
-                            Some(None) => node.add("bool_nfa", 1),
+                            Some(Some(_)) => obs.count("bool_dfa", 1),
+                            Some(None) => obs.count("bool_nfa", 1),
                             None => {}
                         }
                     }
-                    match verdict {
-                        PreScan::Skip => {
-                            node.add("prescan_skip", 1);
-                            return Ok(MappingSet::new());
-                        }
-                        PreScan::Reject => {
-                            node.add("prescan_reject", 1);
-                            return Ok(MappingSet::new());
-                        }
-                        PreScan::Accept => node.add("prescan_accept", 1),
+                    let counter = match verdict {
+                        PreScan::Skip => "prescan_skip",
+                        PreScan::Reject => "prescan_reject",
+                        PreScan::Accept => "prescan_accept",
+                    };
+                    obs.count(counter, 1);
+                    if verdict != PreScan::Accept {
+                        return Ok(MappingSet::new());
                     }
                 }
                 let mut stream = enumerate_compiled(compiled, doc)?;
                 let mappings: SpannerResult<Vec<Mapping>> = stream.by_ref().collect();
                 // Table cells this document had to compute: 0 once the
                 // automaton is warm, so a non-zero count marks a cold one.
-                node.add("eval_table_cells", stream.graph().table_cells());
+                if O::RECORDS {
+                    obs.count("eval_table_cells", stream.graph().table_cells());
+                }
                 Ok(MappingSet::from_mappings(mappings?))
             }
             PhysOp::BlackBoxScan(s) => s.eval(doc),
-            PhysOp::Project { keep, input } => {
-                let (result, child) = input.execute_traced_bounded(doc, limit);
-                node.children.push(child);
-                let set = result.and_then(|s| checked_traced(s, limit, node))?;
-                Ok(set.project(keep))
-            }
+            PhysOp::Project { keep, input } => Ok(input.input(doc, limit, obs)?.project(keep)),
             PhysOp::UnionAll(inputs) => {
                 let mut out = MappingSet::builder();
-                let mut failed = None;
-                for op in inputs {
-                    if failed.is_some() {
-                        // Keep the trace shape stable past the error.
-                        node.children.push(op.trace_skeleton());
-                        continue;
-                    }
-                    let (result, child) = op.execute_traced_bounded(doc, limit);
-                    node.children.push(child);
-                    match result.and_then(|s| checked_traced(s, limit, node)) {
+                for (i, op) in inputs.iter().enumerate() {
+                    match op.input(doc, limit, obs) {
                         Ok(set) => out.extend(set),
-                        Err(e) => failed = Some(e),
+                        Err(e) => {
+                            // Keep the trace shape stable past the error.
+                            for rest in &inputs[i + 1..] {
+                                obs.adopt(O::skeleton(rest));
+                            }
+                            return Err(e);
+                        }
                     }
                 }
-                match failed {
-                    Some(e) => Err(e),
-                    None => Ok(out.finish()),
-                }
+                Ok(out.finish())
             }
             PhysOp::HashJoin { left, right } => {
-                let (result, child) = left.execute_traced_bounded(doc, limit);
-                node.children.push(child);
-                let left_set = match result.and_then(|s| checked_traced(s, limit, node)) {
-                    Ok(set) => set,
+                let left = match left.input(doc, limit, obs) {
+                    Ok(set) if set.is_empty() => {
+                        // ∅ ⋈ R = ∅ — skip the build side.
+                        obs.count("build_skipped", 1);
+                        obs.adopt(O::skeleton(right));
+                        return Ok(set);
+                    }
                     Err(e) => {
-                        node.children.push(right.trace_skeleton());
+                        obs.adopt(O::skeleton(right));
                         return Err(e);
                     }
+                    Ok(set) => set,
                 };
-                if left_set.is_empty() {
-                    // ∅ ⋈ R = ∅ — skip the build side.
-                    node.add("build_skipped", 1);
-                    node.children.push(right.trace_skeleton());
-                    return Ok(left_set);
-                }
-                let (result, child) = right.execute_traced_bounded(doc, limit);
-                node.children.push(child);
-                let right_set = result.and_then(|s| checked_traced(s, limit, node))?;
-                node.add("build_rows", right_set.len() as u64);
-                Ok(left_set.join(&right_set))
+                let right = right.input(doc, limit, obs)?;
+                obs.count("build_rows", right.len() as u64);
+                Ok(left.join(&right))
             }
             PhysOp::Difference { input, probe } => {
-                let (result, child) = input.execute_traced_bounded(doc, limit);
-                node.children.push(child);
-                let input_set = match result.and_then(|s| checked_traced(s, limit, node)) {
-                    Ok(set) => set,
+                let input = match input.input(doc, limit, obs) {
+                    Ok(set) if set.is_empty() => {
+                        // ∅ \ R = ∅ — skip the probe side entirely (with
+                        // the scan pre-pass this makes misses on the input
+                        // side free).
+                        obs.count("probe_skipped", 1);
+                        obs.adopt(O::skeleton(probe));
+                        return Ok(set);
+                    }
                     Err(e) => {
-                        node.children.push(probe.trace_skeleton());
+                        obs.adopt(O::skeleton(probe));
                         return Err(e);
                     }
+                    Ok(set) => set,
                 };
-                if input_set.is_empty() {
-                    // ∅ \ R = ∅ — skip the probe side entirely.
-                    node.add("probe_skipped", 1);
-                    node.children.push(probe.trace_skeleton());
-                    return Ok(input_set);
-                }
-                let (result, child) = probe.execute_traced_bounded(doc, limit);
-                node.children.push(child);
-                let probe_set = result.and_then(|s| checked_traced(s, limit, node))?;
-                node.add("probe_rows", probe_set.len() as u64);
-                Ok(input_set.anti_join(&probe_set))
+                let probe = probe.input(doc, limit, obs)?;
+                obs.count("probe_rows", probe.len() as u64);
+                Ok(input.anti_join(&probe))
             }
         }
     }
 
-    /// Opens a pull iterator over the operator's mappings on one document,
-    /// with no bound on materialized sides (see [`PhysOp::stream_bounded`]).
-    pub fn stream<'a>(&'a self, doc: &'a Document) -> SpannerResult<OpStream<'a>> {
-        self.stream_bounded(doc, usize::MAX)
+    /// Evaluates `self` as an input of the operator `parent` observes: the
+    /// child runs under its own record, which `parent` adopts, and its
+    /// relation must pass the resource guard of [`PhysOp::execute`] — a
+    /// trip is counted on the operator that enforced it (`limit_trips`)
+    /// before the error propagates.
+    fn input<O: Observer>(
+        &self,
+        doc: &Document,
+        limit: usize,
+        parent: &mut O,
+    ) -> SpannerResult<MappingSet> {
+        let (result, child) = O::observe(self, |obs| self.execute(doc, limit, obs));
+        parent.adopt(child);
+        let set = result?;
+        if set.len() > limit {
+            parent.count("limit_trips", 1);
+            return Err(spanner_core::SpannerError::LimitExceeded {
+                what: "executor intermediate relation",
+                limit,
+                actual: set.len(),
+            });
+        }
+        Ok(set)
     }
 
-    /// [`PhysOp::stream`] with the [`PhysOp::execute_bounded`] resource
-    /// guard applied to the sides the stream materializes at open time (a
-    /// join's build side, a difference's probe side).
+    /// Opens a pull iterator over the operator's mappings on one document,
+    /// with the [`PhysOp::execute`] resource guard applied to the sides the
+    /// stream materializes at open time (a join's build side, a
+    /// difference's probe side).
     ///
     /// The stream is duplicate-free. A [`PhysOp::CompiledScan`] streams with
     /// polynomial delay; [`PhysOp::Difference`] and [`PhysOp::HashJoin`]
@@ -402,10 +416,7 @@ impl PhysOp {
                 } else {
                     StreamKind::Join {
                         probe: Box::new(probe),
-                        build: RelationIndex::new(checked(
-                            right.execute_bounded(doc, limit)?,
-                            limit,
-                        )?),
+                        build: RelationIndex::new(right.input(doc, limit, &mut NoTrace)?),
                         pending: VecDeque::new(),
                         seen: FxHashSet::default(),
                     }
@@ -419,10 +430,7 @@ impl PhysOp {
                 } else {
                     StreamKind::AntiJoin {
                         input: Box::new(input),
-                        probe: RelationIndex::new(checked(
-                            probe.execute_bounded(doc, limit)?,
-                            limit,
-                        )?),
+                        probe: RelationIndex::new(probe.input(doc, limit, &mut NoTrace)?),
                     }
                 }
             }
@@ -592,13 +600,15 @@ impl fmt::Debug for PhysOp {
     }
 }
 
-/// The lowered, executable form of a [`CompiledPlan`]: a shared physical
-/// operator tree (see the module docs).
+/// The lowered, executable form of a [`CompiledPlan`](crate::CompiledPlan): a shared physical
+/// operator tree (see the module docs) and the resource guard it runs
+/// under. Lowering happens exactly once, inside [`CompiledPlan::compile`](crate::CompiledPlan::compile);
+/// [`CompiledPlan::physical`](crate::CompiledPlan::physical) hands out this handle.
 #[derive(Clone)]
 pub struct PhysicalPlan {
     root: Arc<PhysOp>,
     /// Resource guard: maximum size of any relation feeding a relational
-    /// operator (see [`PhysOp::execute_bounded`]).
+    /// operator (see [`PhysOp::execute`]).
     max_intermediate: usize,
 }
 
@@ -610,68 +620,22 @@ impl PhysicalPlan {
         }
     }
 
-    /// The lowering step from the compiled logical plan to the physical
-    /// operator tree.
-    ///
-    /// Lowering itself runs exactly once, inside [`CompiledPlan::compile`]
-    /// (every static subtree is compiled to its shared automaton there);
-    /// this accessor hands out the shared operator tree, so it is cheap and
-    /// can be called per consumer.
-    pub fn lower(plan: &CompiledPlan) -> PhysicalPlan {
-        plan.physical().clone()
-    }
-
     /// The root operator.
     pub fn root(&self) -> &PhysOp {
         &self.root
     }
 
-    /// Whether the whole plan lowered to a single compiled scan (no
-    /// per-document composition work at all).
-    pub fn is_fully_compiled(&self) -> bool {
-        matches!(*self.root, PhysOp::CompiledScan { .. })
-    }
-
-    /// Number of physical operators.
-    pub fn operator_count(&self) -> usize {
-        self.root.operator_count()
-    }
-
     /// Evaluates the plan on one document into a materialized relation
     /// (intermediate relations bounded by the plan's resource guard).
     pub fn execute(&self, doc: &Document) -> SpannerResult<MappingSet> {
-        self.root.execute_bounded(doc, self.max_intermediate)
-    }
-
-    /// [`PhysicalPlan::execute`] with per-operator instrumentation (see
-    /// [`PhysOp::execute_traced_bounded`]); a separate recursion, so
-    /// untraced execution pays nothing for it.
-    pub fn execute_traced(&self, doc: &Document) -> (SpannerResult<MappingSet>, ExecTrace) {
-        self.root.execute_traced_bounded(doc, self.max_intermediate)
+        self.root.execute(doc, self.max_intermediate, &mut NoTrace)
     }
 
     /// A zero-valued trace with this plan's shape
-    /// (see [`PhysOp::trace_skeleton`]).
+    /// (see [`Observer::skeleton`]) — what `tests/trace_oracle.rs` pins
+    /// every trace of the plan against.
     pub fn trace_skeleton(&self) -> ExecTrace {
-        self.root.trace_skeleton()
-    }
-
-    /// Opens a pull iterator over the plan's mappings on one document
-    /// (materialized sides bounded by the plan's resource guard).
-    pub fn stream<'a>(&'a self, doc: &'a Document) -> SpannerResult<OpStream<'a>> {
-        self.root.stream_bounded(doc, self.max_intermediate)
-    }
-
-    /// The document-level pre-pass of the root operator
-    /// (see [`PhysOp::prescan_reject`]).
-    pub fn prescan_reject(&self, doc: &Document) -> Option<PreScan> {
-        self.root.prescan_reject(doc)
-    }
-
-    /// The root operator's required literals
-    /// (see [`PhysOp::required_literals`]).
-    pub fn required_literals(&self) -> Vec<Vec<u8>> {
-        self.root.required_literals()
+        ExecTrace::skeleton(&self.root)
     }
 
     /// Renders the operator tree as an indented multi-line outline (the
@@ -699,33 +663,6 @@ impl fmt::Debug for PhysicalPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.describe())
     }
-}
-
-/// [`checked`] for the traced path: a tripped guard is recorded on the
-/// operator that enforced it (`limit_trips`) before the error propagates.
-fn checked_traced(
-    set: MappingSet,
-    limit: usize,
-    node: &mut ExecTrace,
-) -> SpannerResult<MappingSet> {
-    let result = checked(set, limit);
-    if result.is_err() {
-        node.add("limit_trips", 1);
-    }
-    result
-}
-
-/// Enforces the intermediate-relation resource guard of
-/// [`PhysOp::execute_bounded`].
-fn checked(set: MappingSet, limit: usize) -> SpannerResult<MappingSet> {
-    if set.len() > limit {
-        return Err(spanner_core::SpannerError::LimitExceeded {
-            what: "executor intermediate relation",
-            limit,
-            actual: set.len(),
-        });
-    }
-    Ok(set)
 }
 
 /// A materialized relation with lazily-built hash indexes for compatibility
@@ -957,6 +894,7 @@ impl Iterator for OpStream<'_> {
 mod tests {
     use super::*;
     use crate::blackbox::TokenizerSpanner;
+    use crate::plan::CompiledPlan;
     use crate::ratree::{evaluate_ra_materialized, Instantiation, RaOptions, RaTree};
     use spanner_rgx::parse;
 
@@ -970,7 +908,19 @@ mod tests {
 
     fn lower(tree: &RaTree, inst: &Instantiation) -> PhysicalPlan {
         let plan = CompiledPlan::compile(tree, inst, RaOptions::default()).unwrap();
-        PhysicalPlan::lower(&plan)
+        plan.physical().clone()
+    }
+
+    fn is_fully_compiled(physical: &PhysicalPlan) -> bool {
+        matches!(physical.root(), PhysOp::CompiledScan { .. })
+    }
+
+    fn execute_traced(
+        physical: &PhysicalPlan,
+        doc: &Document,
+    ) -> (SpannerResult<MappingSet>, ExecTrace) {
+        let root = physical.root();
+        ExecTrace::observe(root, |obs| root.execute(doc, usize::MAX, obs))
     }
 
     #[test]
@@ -983,8 +933,8 @@ mod tests {
             .with(0, parse("{x:a+}{y:b*}").unwrap())
             .with(1, parse("{y:a*}{x:b+}").unwrap());
         let physical = lower(&tree, &inst);
-        assert!(physical.is_fully_compiled());
-        assert_eq!(physical.operator_count(), 1);
+        assert!(is_fully_compiled(&physical));
+        assert_eq!(physical.root().operator_count(), 1);
         assert!(physical.describe().starts_with("CompiledScan("));
     }
 
@@ -999,10 +949,10 @@ mod tests {
             .with(1, parse("{x:a+}{y:b*}").unwrap())
             .with(2, parse("{x:a}b").unwrap());
         let physical = lower(&tree, &inst);
-        assert!(!physical.is_fully_compiled());
+        assert!(!is_fully_compiled(&physical));
         // The static join collapsed into one compiled scan; the difference
         // is a physical anti-join over two scans, not a recomposed Vsa.
-        assert_eq!(physical.operator_count(), 3);
+        assert_eq!(physical.root().operator_count(), 3);
         let outline = physical.describe();
         assert!(outline.starts_with("Difference(anti-join)"), "{outline}");
         assert_eq!(outline.matches("CompiledScan(").count(), 2, "{outline}");
@@ -1048,7 +998,8 @@ mod tests {
         for text in ["aabb", "aab", "ab", ""] {
             let doc = Document::new(text);
             let streamed: Vec<Mapping> = physical
-                .stream(&doc)
+                .root()
+                .stream_bounded(&doc, usize::MAX)
                 .unwrap()
                 .collect::<SpannerResult<_>>()
                 .unwrap();
@@ -1114,7 +1065,7 @@ mod tests {
         let mut merged = physical.trace_skeleton();
         for text in ["ab", "aab", "a", "", "zzz"] {
             let doc = Document::new(text);
-            let (traced, trace) = physical.execute_traced(&doc);
+            let (traced, trace) = execute_traced(&physical, &doc);
             assert_eq!(
                 traced.unwrap(),
                 physical.execute(&doc).unwrap(),
@@ -1149,7 +1100,7 @@ mod tests {
         };
         let plan = CompiledPlan::compile(&tree, &inst, tight).unwrap();
         let doc = Document::new("abcd");
-        let (result, trace) = plan.evaluate_traced(&doc);
+        let (result, trace) = plan.evaluate_observed::<ExecTrace>(&doc);
         assert!(matches!(
             result,
             Err(spanner_core::SpannerError::LimitExceeded { .. })
@@ -1165,7 +1116,7 @@ mod tests {
         // boolean tier answered.
         let miss = Instantiation::new().with(0, parse("q{x:a+}").unwrap());
         let physical = lower(&RaTree::leaf(0), &miss);
-        let (result, trace) = physical.execute_traced(&Document::new("aaa"));
+        let (result, trace) = execute_traced(&physical, &Document::new("aaa"));
         assert!(result.unwrap().is_empty());
         assert_eq!(
             trace.counter("prescan_skip") + trace.counter("prescan_reject"),
@@ -1186,7 +1137,7 @@ mod tests {
         let inst = Instantiation::new().with(0, parse(&parts.concat()).unwrap());
         let physical = lower(&RaTree::leaf(0), &inst);
         let doc = Document::new("aaa");
-        assert!(physical.stream(&doc).is_err());
+        assert!(physical.root().stream_bounded(&doc, usize::MAX).is_err());
         assert!(physical.execute(&doc).is_err());
     }
 }

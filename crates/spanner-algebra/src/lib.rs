@@ -63,8 +63,8 @@ pub use difference::{
     difference_adhoc, difference_adhoc_eval, difference_filter, difference_product,
     difference_product_eval, DifferenceOptions,
 };
-pub use exec::{ExecTrace, OpStream, PhysOp, PhysicalPlan};
-pub use plan::{optimize_ra, optimize_ra_with_stats, CompiledPlan, PlanStats, PlanStream};
+pub use exec::{ExecTrace, NoTrace, Observer, OpStream, PhysOp, PhysicalPlan};
+pub use plan::{optimize_ra, optimize_ra_with_stats, CompiledPlan, PlanStats};
 pub use ratree::{
     compile_ra, evaluate_ra, evaluate_ra_materialized, figure_2_tree, shared_variable_bound,
     tree_vars, Atom, Instantiation, LeafId, RaOptions, RaTree,

@@ -33,11 +33,11 @@
 //! that would increase it are discarded), and the pass is idempotent —
 //! optimizing an optimized plan returns it unchanged.
 
-use crate::exec::{OpStream, PhysOp, PhysicalPlan};
+use crate::exec::{NoTrace, Observer, OpStream, PhysOp, PhysicalPlan};
 use crate::ratree::{
     compile_static_atom, resolve_atom, tree_vars, Atom, Instantiation, LeafId, RaOptions, RaTree,
 };
-use spanner_core::{Document, Mapping, MappingSet, SpannerResult, VarSet};
+use spanner_core::{Document, MappingSet, SpannerResult, VarSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -459,7 +459,6 @@ use spanner_vset::{join, CompiledVsa, Vsa};
 pub struct CompiledPlan {
     physical: PhysicalPlan,
     tree: RaTree,
-    vars: VarSet,
     options: RaOptions,
 }
 
@@ -516,7 +515,6 @@ impl CompiledPlan {
         } else {
             tree.clone()
         };
-        let vars = tree_vars(&tree, inst)?;
         let root = Self::build(&tree, inst, options)?.into_op(options);
         Ok(CompiledPlan {
             // `max_signatures` bounds the executor's materialized
@@ -524,7 +522,6 @@ impl CompiledPlan {
             // Lemma 4.2 signature cap in the recomposition path.
             physical: PhysicalPlan::with_limit(root, options.max_signatures),
             tree,
-            vars,
             options,
         })
     }
@@ -595,18 +592,18 @@ impl CompiledPlan {
 
     /// Evaluates the plan on one document through the physical executor.
     pub fn evaluate(&self, doc: &Document) -> SpannerResult<MappingSet> {
-        self.physical.execute(doc)
+        self.evaluate_observed::<NoTrace>(doc).0
     }
 
-    /// [`CompiledPlan::evaluate`] with a per-operator execution trace (see
-    /// [`PhysicalPlan::execute_traced`]). The trace is returned alongside
-    /// the result — also when evaluation fails, so limit trips stay
-    /// observable.
-    pub fn evaluate_traced(
-        &self,
-        doc: &Document,
-    ) -> (SpannerResult<MappingSet>, crate::exec::ExecTrace) {
-        self.physical.execute_traced(doc)
+    /// [`CompiledPlan::evaluate`] under an [`Observer`] of the caller's
+    /// choosing — [`ExecTrace`](crate::ExecTrace) for a per-operator
+    /// execution trace. The observation is returned alongside the result —
+    /// also when evaluation fails, so limit trips stay observable.
+    pub fn evaluate_observed<O: Observer>(&self, doc: &Document) -> (SpannerResult<MappingSet>, O) {
+        let root = self.physical.root();
+        O::observe(root, |obs| {
+            root.execute(doc, self.options.max_signatures, obs)
+        })
     }
 
     /// Streams the plan's mappings on one document.
@@ -616,33 +613,34 @@ impl CompiledPlan {
     /// the result. Plans with dynamic operators stream through the executor
     /// pipeline: a difference root materializes only its probe side and
     /// streams the input side lazily.
-    pub fn stream<'a>(&'a self, doc: &'a Document) -> SpannerResult<PlanStream<'a>> {
-        Ok(PlanStream(self.physical.stream(doc)?))
+    pub fn stream<'a>(&'a self, doc: &'a Document) -> SpannerResult<OpStream<'a>> {
+        self.physical
+            .root()
+            .stream_bounded(doc, self.options.max_signatures)
     }
 
     /// Cheap document-level pre-pass: returns `Some(verdict)` when the scan
     /// fast path can prove the plan's result on `doc` is empty without
-    /// evaluating it (see [`PhysicalPlan::prescan_reject`]). `None` means
+    /// evaluating it (see [`PhysOp::prescan_reject`]). `None` means
     /// the document must be evaluated (or the fast path is disabled).
     pub fn prescan_reject(&self, doc: &Document) -> Option<spanner_vset::PreScan> {
-        self.physical.prescan_reject(doc)
+        self.physical.root().prescan_reject(doc)
     }
 
     /// Byte strings every document with a non-empty result must contain
     /// (see [`PhysOp::required_literals`]); empty = no constraint. Corpus
     /// indexes use these to prune documents without visiting them.
     pub fn required_literals(&self) -> Vec<Vec<u8>> {
-        self.physical.required_literals()
+        self.physical.root().required_literals()
     }
 
     /// Whether the whole plan compiled into one static automaton (no
     /// per-document composition at all).
     pub fn is_static(&self) -> bool {
-        self.physical.is_fully_compiled()
+        matches!(self.physical.root(), PhysOp::CompiledScan { .. })
     }
 
-    /// The lowered physical operator tree (shared, cheap to clone; see also
-    /// [`PhysicalPlan::lower`]).
+    /// The lowered physical operator tree (shared, cheap to clone).
     pub fn physical(&self) -> &PhysicalPlan {
         &self.physical
     }
@@ -650,28 +648,6 @@ impl CompiledPlan {
     /// The optimized logical tree the plan was compiled from.
     pub fn tree(&self) -> &RaTree {
         &self.tree
-    }
-
-    /// The declared variable set of the plan's output.
-    pub fn vars(&self) -> &VarSet {
-        &self.vars
-    }
-
-    /// The options the plan was compiled with.
-    pub fn options(&self) -> RaOptions {
-        self.options
-    }
-}
-
-/// The mapping stream of [`CompiledPlan::stream`]: a thin wrapper around the
-/// executor's pull iterator ([`OpStream`]).
-pub struct PlanStream<'a>(OpStream<'a>);
-
-impl Iterator for PlanStream<'_> {
-    type Item = SpannerResult<Mapping>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.0.next()
     }
 }
 

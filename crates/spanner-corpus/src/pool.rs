@@ -91,15 +91,17 @@ impl std::fmt::Debug for WorkerPool {
     }
 }
 
-/// Resolves a requested worker-pool size: `0` means one worker per
-/// available CPU; the result is clamped to `[1, MAX_THREADS]`, matching
-/// the scoped evaluation path. Public so every thread-pool layer (the
-/// serve daemon's connection workers included) resolves identically.
+/// Resolves a requested worker count: `0` means one worker per available
+/// CPU; the result is clamped to `[1, MAX_THREADS]`. Public so every
+/// thread-pool layer (the serve daemon's connection workers included)
+/// resolves identically.
 pub fn resolve_pool_threads(requested: usize) -> usize {
-    let available = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1);
-    let threads = if requested == 0 { available } else { requested };
+    // `available_parallelism` reads cgroup files (14–90 µs): only pay for it
+    // when the caller actually asked for "one per CPU".
+    let threads = match requested {
+        0 => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
+        n => n,
+    };
     threads.clamp(1, crate::MAX_THREADS)
 }
 

@@ -34,7 +34,8 @@
 //! snapshot — every evaluation is cold — which the differential oracle uses
 //! to pin the delta path against the full scan.
 
-use crate::{assemble, intersect_sorted, CorpusEngine, CorpusResult};
+use crate::{assemble, intersect_sorted, CorpusEngine, CorpusResult, Workers};
+use spanner_algebra::NoTrace;
 use spanner_core::{Document, MappingSet, SpannerResult};
 use std::time::Instant;
 
@@ -247,11 +248,12 @@ impl CorpusEngine {
             Some(set) => intersect_sorted(&misses, set),
             None => misses.clone(),
         };
-        let (evaluated, workers) = self.evaluate_selection(docs, &selection, threads)?;
+        let pass =
+            self.evaluate_selection::<NoTrace>(docs, &selection, Workers::Scoped(threads))?;
         view.release(&misses);
         let unread = misses.len() - selection.len();
         let hits = view.matches.iter().map(|(id, set)| (*id, set.clone()));
-        let output = assemble(docs, workers, unread, hits, evaluated, start);
+        let (output, NoTrace) = assemble(docs, unread, hits, pass, start);
         view.admit(hashes, &misses, &selection, &output.results);
         Ok(DeltaOutcome {
             output,
@@ -290,19 +292,25 @@ mod tests {
     #[test]
     fn warm_view_serves_everything_from_retained_entries() {
         let e = engine("{x:a+}");
+        // Long enough that the cold pass, whose delta is every document,
+        // is split across two workers.
         let docs: Vec<Document> = ["aa", "b", "a", "", "aaa"]
             .iter()
+            .cycle()
+            .take(300)
             .map(|t| Document::new(*t))
             .collect();
         let h = hashes(&docs);
-        let full = e.evaluate_with_threads(&docs, 2).unwrap();
+        let full = e.evaluate_with_threads(&docs, 1).unwrap();
         let mut view = QueryView::unbounded();
         let cold = e.evaluate_delta(&docs, &h, None, &mut view, 2).unwrap();
+        assert_eq!(cold.output.stats.threads, 2);
         assert_eq!(cold.output.results, full.results);
         assert_eq!(cold.delta_docs, docs.len());
         assert_eq!(cold.view_hits, 0);
         assert_eq!(view.retained_cost(), full.stats.mappings);
         let warm = e.evaluate_delta(&docs, &h, None, &mut view, 2).unwrap();
+        assert_eq!(warm.output.stats.threads, 1);
         assert_eq!(warm.output.results, full.results);
         assert_eq!(warm.delta_docs, 0);
         assert_eq!(warm.view_hits, docs.len());

@@ -90,7 +90,7 @@ impl OpTable {
         &self.vars
     }
 
-    /// [`mapping_from_ops`] over this table's variables.
+    /// `mapping_from_ops` over this table's variables.
     pub fn mapping_from_positions(
         &self,
         ops_at: &[(u32, OpSet)],

@@ -13,11 +13,11 @@ use crate::error::QlError;
 use crate::lower::Lowered;
 use crate::parser::{parse_program, Program};
 use spanner_algebra::{
-    shared_variable_bound, tree_vars, CompiledPlan, ExecTrace, Instantiation, PhysOp, PhysicalPlan,
-    PlanStream, RaOptions, RaTree,
+    shared_variable_bound, tree_vars, CompiledPlan, ExecTrace, Instantiation, OpStream, PhysOp,
+    RaOptions, RaTree,
 };
 use spanner_core::{Document, MappingSet, SpannerResult, VarSet};
-use spanner_corpus::{CorpusEngine, CorpusResult, DeltaOutcome, QueryView, WorkerPool};
+use spanner_corpus::{CorpusEngine, CorpusResult, WorkerPool};
 use std::sync::Arc;
 
 /// A compiled SpannerQL query, ready for repeated evaluation.
@@ -29,7 +29,7 @@ use std::sync::Arc;
 pub struct PreparedQuery {
     program: Program,
     lowered: Lowered,
-    engine: Arc<CorpusEngine>,
+    engine: CorpusEngine,
     vars: VarSet,
     bound_before: usize,
     bound_after: usize,
@@ -77,11 +77,7 @@ impl PreparedQuery {
         let lowered = program.lower()?;
         let vars = tree_vars(&lowered.tree, &lowered.inst)?;
         let bound_before = shared_variable_bound(&lowered.tree, &lowered.inst)?;
-        let engine = Arc::new(CorpusEngine::compile(
-            &lowered.tree,
-            &lowered.inst,
-            options,
-        )?);
+        let engine = CorpusEngine::compile(&lowered.tree, &lowered.inst, options)?;
         let bound_after = shared_variable_bound(engine.plan().tree(), &lowered.inst)?;
         Ok(PreparedQuery {
             program,
@@ -99,15 +95,16 @@ impl PreparedQuery {
     }
 
     /// [`PreparedQuery::evaluate`] with a per-operator execution trace
-    /// (see [`spanner_algebra::PhysicalPlan::execute_traced`]); the trace
-    /// is returned alongside the result, also on error.
+    /// (the same executor under a recording
+    /// [`Observer`](spanner_algebra::Observer)); the trace is returned
+    /// alongside the result, also on error.
     pub fn evaluate_traced(&self, doc: &Document) -> (SpannerResult<MappingSet>, ExecTrace) {
-        self.engine.plan().evaluate_traced(doc)
+        self.engine.plan().evaluate_observed(doc)
     }
 
     /// Streams the query's mappings on one document (polynomial delay for
     /// fully static plans).
-    pub fn stream<'a>(&'a self, doc: &'a Document) -> SpannerResult<PlanStream<'a>> {
+    pub fn stream<'a>(&'a self, doc: &'a Document) -> SpannerResult<OpStream<'a>> {
         self.engine.plan().stream(doc)
     }
 
@@ -135,26 +132,6 @@ impl PreparedQuery {
         self.engine.evaluate_on_pool(docs, pool)
     }
 
-    /// Evaluates the query over a corpus *incrementally* through a
-    /// maintained [`QueryView`] (see [`CorpusEngine::evaluate_delta`]):
-    /// documents whose content hash matches their retained entry reuse the
-    /// memoized relation; only the delta is re-run. Results are
-    /// bit-identical to [`PreparedQuery::evaluate_corpus`] for every
-    /// thread count and view budget. `hashes` holds one content hash per
-    /// document and `candidates` an optional sound sorted candidate set
-    /// (both in the shape a `spanner_store::Store` maintains).
-    pub fn evaluate_corpus_delta(
-        &self,
-        docs: &[Document],
-        hashes: &[u64],
-        candidates: Option<&[u32]>,
-        view: &mut QueryView,
-        threads: usize,
-    ) -> SpannerResult<DeltaOutcome> {
-        self.engine
-            .evaluate_delta(docs, hashes, candidates, view, threads)
-    }
-
     /// [`PreparedQuery::evaluate_corpus`] with per-operator instrumentation
     /// aggregated over every document
     /// (see [`CorpusEngine::evaluate_traced_with_threads`]).
@@ -166,14 +143,10 @@ impl PreparedQuery {
         self.engine.evaluate_traced_with_threads(docs, threads)
     }
 
-    /// The corpus engine wrapping the compiled plan.
+    /// The corpus engine wrapping the compiled plan — the handle the
+    /// index-aware and incremental paths take (`spanner_store::Store::query`
+    /// / `query_view`, [`CorpusEngine::evaluate_delta`]).
     pub fn engine(&self) -> &CorpusEngine {
-        &self.engine
-    }
-
-    /// The corpus engine as a shareable handle (for `'static` jobs on
-    /// persistent worker pools).
-    pub fn shared_engine(&self) -> &Arc<CorpusEngine> {
         &self.engine
     }
 
@@ -184,7 +157,7 @@ impl PreparedQuery {
     /// [`PreparedQuery::explain`].
     pub fn plan_outline(&self) -> String {
         let plan = self.engine.plan();
-        let physical = PhysicalPlan::lower(plan);
+        let operators = plan.physical().root().operator_count();
         let vars: Vec<String> = self.vars.iter().map(|v| v.to_string()).collect();
         format!(
             "{} plan, {} operator{}, vars {{{}}}, bound {}",
@@ -193,12 +166,8 @@ impl PreparedQuery {
             } else {
                 "dynamic"
             },
-            physical.operator_count(),
-            if physical.operator_count() == 1 {
-                ""
-            } else {
-                "s"
-            },
+            operators,
+            if operators == 1 { "" } else { "s" },
             vars.join(","),
             self.bound_after,
         )
@@ -253,7 +222,8 @@ impl PreparedQuery {
     /// physical operator tree the executor runs.
     pub fn explain(&self) -> String {
         let plan = self.engine.plan();
-        let physical = PhysicalPlan::lower(plan);
+        let physical = plan.physical();
+        let operators = physical.root().operator_count();
         let vars: Vec<String> = self.vars.iter().map(|v| v.to_string()).collect();
         let mut out = String::new();
         out.push_str(&format!("query      : {}\n", self.lowered.tree));
@@ -285,12 +255,8 @@ impl PreparedQuery {
         ));
         out.push_str(&format!(
             "physical   : {} operator{}\n{}\n",
-            physical.operator_count(),
-            if physical.operator_count() == 1 {
-                ""
-            } else {
-                "s"
-            },
+            operators,
+            if operators == 1 { "" } else { "s" },
             physical.describe()
         ));
         let mut scans = Vec::new();
@@ -305,7 +271,7 @@ impl PreparedQuery {
             out.push('\n');
         }
         // Plan-level required literals: what a corpus index can prune on.
-        let literals = physical.required_literals();
+        let literals = plan.required_literals();
         if literals.is_empty() {
             out.push_str("literals   : none (an indexed store falls back to a full scan)\n");
         } else {
@@ -422,21 +388,10 @@ fn scan_plan_lines(op: &PhysOp, out: &mut Vec<String>) {
                 parts.join(", "),
             ));
         }
-        PhysOp::BlackBoxScan(_) => {}
-        PhysOp::Project { input, .. } => scan_plan_lines(input, out),
-        PhysOp::UnionAll(inputs) => {
-            for input in inputs {
-                scan_plan_lines(input, out);
-            }
-        }
-        PhysOp::HashJoin { left, right } => {
-            scan_plan_lines(left, out);
-            scan_plan_lines(right, out);
-        }
-        PhysOp::Difference { input, probe } => {
-            scan_plan_lines(input, out);
-            scan_plan_lines(probe, out);
-        }
+        inner => inner
+            .children()
+            .into_iter()
+            .for_each(|child| scan_plan_lines(child, out)),
     }
 }
 
@@ -486,8 +441,15 @@ mod tests {
     #[test]
     fn corpus_evaluation_matches_per_document() {
         let q = PreparedQuery::prepare("/{x:a+}/").unwrap();
-        let docs = vec![Document::new("aa"), Document::new("b"), Document::new("a")];
+        // Long enough for two workers to get a share each.
+        let docs: Vec<Document> = ["aa", "b", "a"]
+            .iter()
+            .cycle()
+            .take(300)
+            .map(|t| Document::new(*t))
+            .collect();
         let out = q.evaluate_corpus(&docs, 2).unwrap();
+        assert_eq!(out.stats.threads, 2);
         for (doc, got) in docs.iter().zip(&out.results) {
             assert_eq!(got, &q.evaluate(doc).unwrap());
         }
@@ -495,6 +457,7 @@ mod tests {
         let docs = Arc::new(docs);
         let pool = WorkerPool::new(2);
         let pooled = q.evaluate_corpus_on_pool(&docs, &pool).unwrap();
+        assert_eq!(pooled.stats.threads, 2);
         assert_eq!(pooled.results, out.results);
     }
 
@@ -507,9 +470,10 @@ mod tests {
                 .map(|d| spanner_store::fnv1a64(d.bytes()))
                 .collect()
         };
-        let mut view = QueryView::unbounded();
+        let mut view = spanner_corpus::QueryView::unbounded();
         let cold = q
-            .evaluate_corpus_delta(&docs, &hash(&docs), None, &mut view, 1)
+            .engine()
+            .evaluate_delta(&docs, &hash(&docs), None, &mut view, 1)
             .unwrap();
         assert_eq!(
             cold.output.results,
@@ -520,7 +484,8 @@ mod tests {
         // bit-identical to the full pass.
         docs[1] = Document::new("aba");
         let warm = q
-            .evaluate_corpus_delta(&docs, &hash(&docs), None, &mut view, 2)
+            .engine()
+            .evaluate_delta(&docs, &hash(&docs), None, &mut view, 2)
             .unwrap();
         assert_eq!(
             (warm.delta_docs, warm.view_hits, warm.invalidated),

@@ -630,7 +630,34 @@ impl Store {
     /// (merged, tombstone-free) index is written, so the bytes are
     /// identical to saving `Store::build(store.documents().to_vec())` —
     /// mutations never leak into the segment format.
+    ///
+    /// The save is atomic: the segment is written to a sibling temporary
+    /// file (`<path>.tmp`), synced, and renamed over `path`, so a crash or
+    /// an error at any byte leaves the previous segment as it was; on error
+    /// the temporary file is removed.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), StoreError> {
+        let path = path.as_ref();
+        let mut temp = path.as_os_str().to_owned();
+        temp.push(".tmp");
+        let temp = Path::new(&temp);
+        let saved = self.write_segment(temp).and_then(|()| {
+            std::fs::rename(temp, path)?;
+            // The rename is durable once the directory entry is.
+            #[cfg(unix)]
+            {
+                let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+                std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+            }
+            Ok(())
+        });
+        if saved.is_err() {
+            let _ = std::fs::remove_file(temp);
+        }
+        saved
+    }
+
+    /// Writes the segment of [`Store::save`] to `path` and syncs it.
+    fn write_segment(&self, path: &Path) -> Result<(), StoreError> {
         // Deterministic on-disk order: sorted by trigram; dead keys
         // (tombstoned everywhere, nothing in the delta) are dropped.
         let mut keys: Vec<[u8; 3]> = self.base.keys().copied().collect();
@@ -667,7 +694,8 @@ impl Store {
                 prev = id;
             }
         }
-        w.flush()?;
+        let file = w.into_inner().map_err(|e| e.into_error())?;
+        file.sync_all()?;
         Ok(())
     }
 
@@ -884,6 +912,27 @@ mod tests {
             loaded.candidates(&[b"alpha".to_vec()]),
             store.candidates(&[b"alpha".to_vec()])
         );
+    }
+
+    #[test]
+    fn failed_save_leaves_the_previous_segment_intact() {
+        let first = Store::build(docs(&["alpha beta", "gamma"])).unwrap();
+        let second = Store::build(docs(&["delta", "epsilon zeta", "eta"])).unwrap();
+        let path = tmp("atomic");
+        let temp = std::path::PathBuf::from(format!("{}.tmp", path.display()));
+        first.save(&path).unwrap();
+        assert!(!temp.exists(), "a successful save leaves no temp file");
+        let saved = std::fs::read(&path).unwrap();
+        // The temp path taken by a directory: the segment cannot be written.
+        std::fs::create_dir(&temp).unwrap();
+        assert!(matches!(second.save(&path), Err(StoreError::Io(_))));
+        assert_eq!(std::fs::read(&path).unwrap(), saved);
+        assert_eq!(Store::load(&path).unwrap().documents(), first.documents());
+        std::fs::remove_dir(&temp).unwrap();
+        second.save(&path).unwrap();
+        assert!(!temp.exists());
+        assert_eq!(Store::load(&path).unwrap().documents(), second.documents());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

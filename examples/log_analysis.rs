@@ -12,6 +12,9 @@ use document_spanners::workloads;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
+/// Lines the Section-4 difference construction is cross-checked on.
+const CROSS_CHECK_LINES: usize = 20;
+
 fn main() {
     let lines: usize = std::env::args()
         .nth(1)
@@ -40,10 +43,21 @@ fn main() {
     let ip_only = requests.project(&VarSet::from_iter(["ip"]));
     let error_ips = errors.project(&VarSet::from_iter(["ip"]));
 
-    // 3. Difference: IPs with requests but no errors (ad-hoc compilation).
+    // 3. Difference: IPs with requests but no errors, as an RA tree through
+    //    the physical executor (compiled scans under an anti-join).
+    let tree = RaTree::difference(
+        RaTree::project(VarSet::from_iter(["ip"]), RaTree::leaf(0)),
+        RaTree::project(VarSet::from_iter(["ip"]), RaTree::leaf(1)),
+    );
+    let inst = Instantiation::new()
+        .with(0, workloads::log_request_extractor().unwrap())
+        .with(1, workloads::log_error_extractor().unwrap());
+    println!(
+        "\nRA tree {tree} shares at most {} variable(s) per binary node",
+        spanner_algebra::shared_variable_bound(&tree, &inst).unwrap()
+    );
     let t = Instant::now();
-    let clean =
-        difference_product_eval(&ip_only, &error_ips, &doc, DifferenceOptions::default()).unwrap();
+    let clean = evaluate_ra(&tree, &inst, &doc, RaOptions::default()).unwrap();
     let clean_ips: BTreeSet<&str> = clean
         .iter()
         .filter_map(|m| m.get(&"ip".into()))
@@ -61,24 +75,28 @@ fn main() {
         println!("  … and {} more", clean_ips.len() - 10);
     }
 
-    // 4. The same query phrased as an RA tree (extraction complexity view).
-    let tree = RaTree::difference(
-        RaTree::project(VarSet::from_iter(["ip"]), RaTree::leaf(0)),
-        RaTree::project(VarSet::from_iter(["ip"]), RaTree::leaf(1)),
-    );
-    let inst = Instantiation::new()
-        .with(0, workloads::log_request_extractor().unwrap())
-        .with(1, workloads::log_error_extractor().unwrap());
-    println!(
-        "\nRA tree {tree} shares at most {} variable(s) per binary node",
-        spanner_algebra::shared_variable_bound(&tree, &inst).unwrap()
+    // 4. Cross-check against the paper's ad-hoc product construction
+    //    (Theorem 4.3), the reference semantics. Its automaton grows with
+    //    the document, so it runs on a prefix that takes about a second.
+    let prefix = Document::new(
+        doc.text()
+            .lines()
+            .take(CROSS_CHECK_LINES)
+            .collect::<Vec<_>>()
+            .join("\n"),
     );
     let t = Instant::now();
-    let via_tree = evaluate_ra(&tree, &inst, &doc, RaOptions::default()).unwrap();
+    let adhoc =
+        difference_product_eval(&ip_only, &error_ips, &prefix, DifferenceOptions::default())
+            .unwrap();
+    let via_tree = evaluate_ra(&tree, &inst, &prefix, RaOptions::default()).unwrap();
     println!(
-        "RA-tree evaluation: {} mappings in {:?} (matches the direct pipeline: {})",
-        via_tree.len(),
+        "\nad-hoc product construction on the first {} lines: {} mappings in {:?} \
+         (matches the executor: {})",
+        prefix.text().lines().count(),
+        adhoc.len(),
         t.elapsed(),
-        via_tree == clean
+        adhoc == via_tree
     );
+    assert_eq!(adhoc, via_tree, "the two difference evaluations disagree");
 }

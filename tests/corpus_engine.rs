@@ -5,6 +5,7 @@ use document_spanners::prelude::*;
 use document_spanners::workloads;
 use spanner_algebra::evaluate_ra_materialized;
 use spanner_core::MappingSet;
+use std::sync::Arc;
 
 /// The Figure 2 student query over a per-line corpus — a dynamic plan (the
 /// difference node recompiles per document).
@@ -43,7 +44,8 @@ fn log_engine() -> CorpusEngine {
 
 #[test]
 fn thread_count_does_not_change_results() {
-    let corpus = workloads::access_log(120, 3);
+    // Enough lines that eight workers each get a share.
+    let corpus = workloads::access_log(1200, 3);
     let mut docs = split_lines(corpus.text());
     // An empty document in the middle of the corpus must be handled too.
     docs.insert(60, Document::new(""));
@@ -65,7 +67,9 @@ fn thread_count_does_not_change_results() {
             out.stats.matched_documents,
             baseline.stats.matched_documents
         );
-        // Workers are never oversubscribed past the corpus size.
+        // The sharded path really ran, and workers are never
+        // oversubscribed past the corpus size.
+        assert!(out.stats.threads > 1, "{threads} threads ran inline");
         assert!(out.stats.threads <= docs.len());
     }
 }
@@ -73,20 +77,25 @@ fn thread_count_does_not_change_results() {
 #[test]
 fn dynamic_plans_are_thread_safe_too() {
     let corpus = workloads::student_records_with_recommendations(40, 0.6, 7);
-    let docs = split_lines(corpus.text());
+    let lines = split_lines(corpus.text());
+    // The records repeated until four workers each get a share.
+    let docs: Vec<Document> = lines.iter().cycle().take(600).cloned().collect();
     let engine = student_engine();
     assert!(!engine.plan().is_static());
 
     let single = engine.evaluate_with_threads(&docs, 1).unwrap();
     let multi = engine.evaluate_with_threads(&docs, 4).unwrap();
+    assert_eq!((single.stats.threads, multi.stats.threads), (1, 4));
     assert_eq!(single.results, multi.results);
 
     // And both match per-document materialized evaluation of the original
     // tree.
     let (tree, inst) = student_query();
-    for (doc, actual) in docs.iter().zip(&single.results) {
+    for (i, doc) in lines.iter().enumerate() {
         let oracle = evaluate_ra_materialized(&tree, &inst, doc).unwrap();
-        assert_eq!(actual, &oracle, "on {:?}", doc.text());
+        for actual in single.results.iter().skip(i).step_by(lines.len()) {
+            assert_eq!(actual, &oracle, "on {:?}", doc.text());
+        }
     }
 }
 
@@ -122,10 +131,147 @@ fn zero_threads_means_auto() {
     let docs = split_lines(workloads::access_log(10, 1).text());
     let engine = log_engine();
     let out = engine.evaluate_with_threads(&docs, 0).unwrap();
-    assert!(out.stats.threads >= 1);
+    // Ten lines stay on the calling thread however many CPUs there are.
+    assert_eq!(out.stats.threads, 1);
     assert_eq!(out.results.len(), docs.len());
     assert_eq!(
         out.results,
         engine.evaluate_with_threads(&docs, 1).unwrap().results
     );
+}
+
+/// One corpus pass: the answer (or the first error, as text), and for the
+/// traced scan its trace.
+type Pass = (
+    Result<CorpusResult, String>,
+    Option<spanner_algebra::ExecTrace>,
+);
+
+/// Runs `program` over `docs` through every `CorpusEngine` entry point, on
+/// up to `threads` workers each.
+fn every_entry_point(
+    program: &str,
+    options: RaOptions,
+    docs: &Arc<Vec<Document>>,
+    threads: usize,
+) -> Vec<(&'static str, Pass)> {
+    let query = PreparedQuery::prepare_with_options(program, options).unwrap();
+    let engine = query.engine();
+    let all: Vec<u32> = (0..docs.len() as u32).collect();
+    let hashes: Vec<u64> = docs.iter().map(|d| fnv1a64(d.bytes())).collect();
+    let pool = WorkerPool::new(threads);
+    let delta = |mut view: QueryView| {
+        engine
+            .evaluate_delta(docs, &hashes, None, &mut view, threads)
+            .map(|outcome| outcome.output)
+    };
+    let mut passes: Vec<(&'static str, Pass)> = [
+        ("scoped", engine.evaluate_with_threads(docs, threads)),
+        (
+            "candidates",
+            engine.evaluate_candidates_with_threads(docs, &all, threads),
+        ),
+        ("pool", query.evaluate_corpus_on_pool(docs, &pool)),
+        ("delta, budget 0", delta(QueryView::new(0))),
+        ("delta, unbounded", delta(QueryView::unbounded())),
+    ]
+    .into_iter()
+    .map(|(name, out)| (name, (out.map_err(|e| e.to_string()), None)))
+    .collect();
+    passes.push((
+        "traced",
+        match engine.evaluate_traced_with_threads(docs, threads) {
+            Ok((out, trace)) => (Ok(out), Some(trace)),
+            Err(e) => (Err(e.to_string()), None),
+        },
+    ));
+    passes
+}
+
+#[test]
+fn every_entry_point_agrees() {
+    // `trace_oracle`'s programs: every physical operator.
+    let programs = [
+        "/{x:a+}b/",
+        "/.*{x:a+}b.*/",
+        "let a = /{x:a+}b*/; project x (a);",
+        "let a = /{x:a}b*/; let b = /a*{x:b}/; a union b;",
+        "let a = /{x:a+}{y:b+}/; let b = /{x:a+}b*/; a join b;",
+        "/.*{x:a+}.*/ minus /{x:aa}/",
+        "let a = /{x:(a|b)+}/; let b = /{x:ab+}/; project x (a minus b);",
+    ];
+    // Lines the static prefilters skip, lines the boolean scan rejects and
+    // lines that match, repeated until three workers each get a share.
+    let lines = [
+        "aab", "zzz", "ab", "", "bbb", "aabab", "qqq aab", "b", "a", "abab", "ba",
+    ];
+    let docs: Arc<Vec<Document>> = Arc::new(
+        lines
+            .iter()
+            .cycle()
+            .take(36 * lines.len())
+            .map(|t| Document::new(*t))
+            .collect(),
+    );
+    let timeless = |out: &CorpusResult| CorpusStats {
+        elapsed: Default::default(),
+        ..out.stats
+    };
+    let (mut skipped, mut rejected, mut matched, mut tripped) = (0, 0, 0, 0);
+    for program in programs {
+        for threads in [1, 3] {
+            let passes = every_entry_point(program, RaOptions::default(), &docs, threads);
+            let (_, (reference, _)) = &passes[0];
+            let reference = reference.as_ref().unwrap();
+            assert_eq!(reference.stats.threads, threads, "{program:?}");
+            for (name, (out, trace)) in &passes {
+                let out = out.as_ref().unwrap();
+                assert_eq!(out.results, reference.results, "{name}: {program:?}");
+                assert_eq!(timeless(out), timeless(reference), "{name}: {program:?}");
+                if let Some(trace) = trace {
+                    let tally = |counter| trace.counter(counter) as usize;
+                    let stats = out.stats;
+                    assert_eq!(tally("corpus_docs_skipped"), stats.docs_skipped);
+                    assert_eq!(tally("corpus_docs_rejected"), stats.docs_rejected);
+                    assert_eq!(
+                        tally("corpus_docs_evaluated"),
+                        stats.documents - stats.docs_skipped - stats.docs_rejected
+                    );
+                    // The root operator produced the answer; in a one-scan
+                    // plan it is the whole trace.
+                    assert_eq!(trace.rows, stats.mappings as u64, "{program:?}");
+                    if trace.children.is_empty() {
+                        assert_eq!(trace.total_rows(), stats.mappings as u64);
+                    }
+                }
+            }
+            skipped += reference.stats.docs_skipped;
+            rejected += reference.stats.docs_rejected;
+            matched += reference.stats.matched_documents;
+
+            // No intermediate relation may hold a mapping: a plan with a
+            // relational operator trips on its first matching line, and
+            // every entry point reports that line's error.
+            let strict = RaOptions {
+                max_signatures: 0,
+                ..RaOptions::default()
+            };
+            let passes = every_entry_point(program, strict, &docs, threads);
+            let (_, (reference, _)) = &passes[0];
+            for (name, (out, _)) in &passes {
+                match (out, reference) {
+                    (Ok(out), Ok(reference)) => assert_eq!(out.results, reference.results),
+                    (Err(e), Err(reference)) => assert_eq!(e, reference, "{name}: {program:?}"),
+                    _ => panic!("{name} and scoped disagree on failing: {program:?}"),
+                }
+            }
+            tripped += usize::from(reference.is_err());
+        }
+    }
+    // The corpus exercised every outcome, and the guard tripped wherever a
+    // plan has a relational operator: the two `minus` programs (union, join
+    // and projection over static leaves fuse into one scan), at both thread
+    // counts.
+    assert!(skipped > 0 && rejected > 0 && matched > 0);
+    assert_eq!(tripped, 4);
 }

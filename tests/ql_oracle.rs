@@ -60,17 +60,32 @@ fn ql_evaluation_is_bit_identical_to_programmatic_ra() {
 /// thread count, exactly what single-document evaluation returns.
 #[test]
 fn ql_corpus_evaluation_matches_single_document() {
-    let docs: Vec<Document> = DOCS.iter().map(|t| Document::new(*t)).collect();
+    // The documents repeated until three workers each get a share: below
+    // that the engine would run the "sharded" call on the calling thread.
+    let docs: Vec<Document> = DOCS
+        .iter()
+        .cycle()
+        .take(DOCS.len().max(400))
+        .map(|t| Document::new(*t))
+        .collect();
     for seed in 0..30u64 {
         let RandomQlProgram { text, tree, inst } = random_ql_program(cfg(seed), seed + 50_000);
         let prepared = PreparedQuery::prepare(&text)
             .unwrap_or_else(|e| panic!("seed {seed}: {}\n{text}", e.pretty(&text)));
         let single = prepared.evaluate_corpus(&docs, 1).unwrap();
         let sharded = prepared.evaluate_corpus(&docs, 3).unwrap();
-        for (i, doc) in docs.iter().enumerate() {
-            let expected = evaluate_ra(&tree, &inst, doc, RaOptions::default()).unwrap();
-            assert_eq!(single.results[i], expected, "seed {seed} doc {i}:\n{text}");
-            assert_eq!(sharded.results[i], expected, "seed {seed} doc {i}:\n{text}");
+        assert_eq!((single.stats.threads, sharded.stats.threads), (1, 3));
+        let expected: Vec<MappingSet> = docs[..DOCS.len()]
+            .iter()
+            .map(|doc| evaluate_ra(&tree, &inst, doc, RaOptions::default()).unwrap())
+            .collect();
+        for i in 0..docs.len() {
+            let expected = &expected[i % DOCS.len()];
+            assert_eq!(&single.results[i], expected, "seed {seed} doc {i}:\n{text}");
+            assert_eq!(
+                &sharded.results[i], expected,
+                "seed {seed} doc {i}:\n{text}"
+            );
         }
     }
 }

@@ -121,14 +121,17 @@ fn fixed_plan_trace_shape_is_stable() {
 #[test]
 fn traced_corpus_tallies_agree_with_stats_for_every_thread_count() {
     let query = PreparedQuery::prepare("/.*{x:a+}b.*/").unwrap();
-    let corpus = "aab\nzzz\nab\n\nbbb\naabab\nqqq aab\nb";
-    let docs = split_lines(corpus);
+    // Eight lines, repeated until four workers each get a share: a corpus
+    // the engine runs on the calling thread would compare one path thrice.
+    let corpus = "aab\nzzz\nab\n\nbbb\naabab\nqqq aab\nb\n".repeat(64);
+    let docs = split_lines(&corpus);
     let plain = query.evaluate_corpus(&docs, 1).unwrap();
 
     let mut reference: Option<ExecTrace> = None;
     for threads in [1, 2, 4] {
         let (out, trace) = query.evaluate_corpus_traced(&docs, threads).unwrap();
         assert_eq!(out.results, plain.results, "{threads} threads");
+        assert_eq!(out.stats.threads, threads, "the sharded path must have run");
         // Per-document outcome counters partition the corpus exactly as
         // the engine statistics do.
         let skipped = trace.counter("corpus_docs_skipped");
