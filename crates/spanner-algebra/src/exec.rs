@@ -41,6 +41,7 @@
 use crate::spanner::SpannerRef;
 use spanner_core::{Document, FxHashSet, Mapping, MappingSet, SpannerResult, VarSet};
 use spanner_enum::{enumerate_compiled, Enumerator};
+use spanner_vset::scan::contains_factor;
 use spanner_vset::{CompiledVsa, PreScan, Vsa};
 use std::collections::VecDeque;
 use std::fmt;
@@ -545,9 +546,7 @@ impl PhysOp {
     /// `scan_fast_path` setting. An empty set means "no constraint".
     pub fn required_literals(&self) -> Vec<Vec<u8>> {
         let mut literals = match self {
-            PhysOp::CompiledScan { compiled, .. } => {
-                compiled.scan_plan().required_literals().to_vec()
-            }
+            PhysOp::CompiledScan { compiled, .. } => compiled.required_literals().to_vec(),
             PhysOp::BlackBoxScan(_) => Vec::new(),
             PhysOp::Project { input, .. } => input.required_literals(),
             PhysOp::UnionAll(inputs) => {
@@ -574,11 +573,6 @@ impl PhysOp {
         dedup_subsumed(&mut literals);
         literals
     }
-}
-
-/// Whether `needle` occurs in `haystack` as a contiguous factor.
-fn contains_factor(haystack: &[u8], needle: &[u8]) -> bool {
-    haystack.windows(needle.len()).any(|w| w == needle)
 }
 
 /// Keeps the longest literals, dropping duplicates and literals occurring

@@ -137,13 +137,16 @@ impl ByteClass {
 
     /// Iterates over the bytes in the class in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = u8> + '_ {
-        (0u16..256).filter_map(move |b| {
-            let b = b as u8;
-            if self.contains(b) {
-                Some(b)
-            } else {
-                None
-            }
+        self.bits.iter().enumerate().flat_map(|(i, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
+                }
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                Some((i * 64 + bit) as u8)
+            })
         })
     }
 }

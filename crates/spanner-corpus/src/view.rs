@@ -114,12 +114,14 @@ impl QueryView {
     }
 
     /// The delta against the corpus's `current` hashes (at least as long
-    /// as the snapshot): the sorted ids of every document without a valid
-    /// retained entry — changed, refused, or new — and how many of them
-    /// invalidate an entry that was retained.
+    /// as the snapshot), among the documents the snapshot covers: the
+    /// sorted ids without a valid retained entry — changed or refused — and
+    /// how many of them invalidate an entry that was retained. (Every
+    /// document past the snapshot misses as well; that run is a range and
+    /// is not listed.)
     fn delta(&self, current: &[u64]) -> (Vec<u32>, usize) {
         let known = self.hashes.len();
-        let mut misses: Vec<u32> = Vec::new();
+        let mut stale: Vec<u32> = Vec::new();
         let blocks = self
             .hashes
             .chunks(COMPARE_BLOCK)
@@ -128,23 +130,22 @@ impl QueryView {
             if old != new {
                 let base = block * COMPARE_BLOCK;
                 let differing = old.iter().zip(new).enumerate().filter(|(_, (o, n))| o != n);
-                misses.extend(differing.map(|(i, _)| (base + i) as u32));
+                stale.extend(differing.map(|(i, _)| (base + i) as u32));
             }
         }
         // Two sorted runs: the stable sort merges them; a refused document
         // that also changed is one miss and invalidates nothing.
-        misses.extend_from_slice(&self.refused);
-        misses.sort();
-        misses.dedup();
-        let invalidated = misses.len() - self.refused.len();
-        misses.extend(known as u32..current.len() as u32);
-        (misses, invalidated)
+        stale.extend_from_slice(&self.refused);
+        stale.sort();
+        stale.dedup();
+        let invalidated = stale.len() - self.refused.len();
+        (stale, invalidated)
     }
 
-    /// Drops the retained relations of `misses` ahead of their
-    /// replacement, leaving exactly the hits.
-    fn release(&mut self, misses: &[u32]) {
-        let mut missed = misses.iter().peekable();
+    /// Drops the retained relations of the `stale` documents ahead of
+    /// their replacement, leaving exactly the hits.
+    fn release(&mut self, stale: &[u32]) {
+        let mut missed = stale.iter().peekable();
         self.matches.retain(|(id, set)| {
             while missed.next_if(|&&m| m < *id).is_some() {}
             let hit = missed.peek() != Some(&id);
@@ -158,24 +159,19 @@ impl QueryView {
     }
 
     /// Records the delta's outcome: snapshots the `current` hash of every
-    /// miss and retains, in id order, the non-empty relations among the
-    /// `evaluated` documents' `results` the budget allows. (Any other miss
-    /// was pruned by the index or evaluated to nothing: it is retained as
-    /// empty, by hash alone.)
-    fn admit(
-        &mut self,
-        current: &[u64],
-        misses: &[u32],
-        evaluated: &[u32],
-        results: &[MappingSet],
-    ) {
+    /// miss — the `stale` documents and everything past the snapshot — and
+    /// retains, in id order, the non-empty relations among the `evaluated`
+    /// documents' `results` the budget allows. (Any other miss was pruned
+    /// by the index or evaluated to nothing: it is retained as empty, by
+    /// hash alone.)
+    fn admit(&mut self, current: &[u64], stale: &[u32], evaluated: &[u32], results: &[MappingSet]) {
         if self.budget == 0 {
             return;
         }
-        let known = self.hashes.len();
-        for &id in misses.iter().take_while(|&&id| (id as usize) < known) {
+        for &id in stale {
             self.hashes[id as usize] = current[id as usize];
         }
+        let known = self.hashes.len();
         self.hashes.extend_from_slice(&current[known..]);
         for &id in evaluated {
             let set = &results[id as usize];
@@ -241,24 +237,39 @@ impl CorpusEngine {
         if hashes.len() < view.hashes.len() {
             view.clear();
         }
-        let (misses, invalidated) = view.delta(hashes);
+        let known = view.hashes.len();
+        let (stale, invalidated) = view.delta(hashes);
+        let delta_docs = stale.len() + (docs.len() - known);
         // Index pruning applies to the delta only: a missed document
-        // outside a sound candidate set is provably result-free.
-        let selection = match candidates {
-            Some(set) => intersect_sorted(&misses, set),
-            None => misses.clone(),
+        // outside a sound candidate set is provably result-free. Every
+        // document past the snapshot misses, so the candidates there are
+        // the selection as they stand — a fresh view walks its candidate
+        // set, not the corpus.
+        let selection: Vec<u32> = match candidates {
+            Some(set) => {
+                let (covered, past) =
+                    set.split_at(set.partition_point(|&id| (id as usize) < known));
+                let in_corpus = past.iter().take_while(|&&id| (id as usize) < docs.len());
+                let mut selection = intersect_sorted(&stale, covered);
+                selection.extend(in_corpus);
+                selection
+            }
+            None => {
+                let past = known as u32..docs.len() as u32;
+                stale.iter().copied().chain(past).collect()
+            }
         };
         let pass =
             self.evaluate_selection::<NoTrace>(docs, &selection, Workers::Scoped(threads))?;
-        view.release(&misses);
-        let unread = misses.len() - selection.len();
+        view.release(&stale);
+        let unread = delta_docs - selection.len();
         let hits = view.matches.iter().map(|(id, set)| (*id, set.clone()));
         let (output, NoTrace) = assemble(docs, unread, hits, pass, start);
-        view.admit(hashes, &misses, &selection, &output.results);
+        view.admit(hashes, &stale, &selection, &output.results);
         Ok(DeltaOutcome {
             output,
-            delta_docs: misses.len(),
-            view_hits: docs.len() - misses.len(),
+            delta_docs,
+            view_hits: docs.len() - delta_docs,
             invalidated,
         })
     }
@@ -462,6 +473,76 @@ mod tests {
             .unwrap();
         assert_eq!(warm.view_hits, docs.len());
         assert_eq!(warm.delta_docs, 0);
+    }
+
+    #[test]
+    fn documents_past_the_snapshot_select_their_candidates_unwalked() {
+        let e = engine(".*{x:needle}.*");
+        let line = |i: usize| match i % 7 {
+            0 => Document::new(format!("needle {i}")),
+            _ => Document::new(format!("hay {i}")),
+        };
+        let mut docs: Vec<Document> = (0..40).map(line).collect();
+        // Sound and not exact: every needle line, one line of hay, and an
+        // id past the corpus (ignored, as a merge against the misses did).
+        let candidates = |n: u32| -> Vec<u32> {
+            let mut ids: Vec<u32> = (0..n).filter(|i| i % 7 == 0 || *i == 3).collect();
+            ids.push(n + 2);
+            ids
+        };
+        let same_pass = |a: &CorpusResult, b: &CorpusResult| {
+            assert_eq!(a.results, b.results);
+            let (mut a, mut b) = (a.stats, b.stats);
+            (a.elapsed, b.elapsed) = Default::default();
+            assert_eq!(a, b);
+        };
+
+        // A fresh view is the indexed scan, field for field, and admits
+        // what a fresh view without an index admits.
+        let h = hashes(&docs);
+        let mut view = QueryView::unbounded();
+        let fresh = e
+            .evaluate_delta(&docs, &h, Some(&candidates(40)), &mut view, 1)
+            .unwrap();
+        let indexed = e
+            .evaluate_candidates_with_threads(&docs, &candidates(40)[..7], 1)
+            .unwrap();
+        same_pass(&fresh.output, &indexed);
+        // 33 lines unread, and the prefilters skip the candidate line of hay.
+        assert_eq!(fresh.output.stats.docs_skipped, 34);
+        assert_eq!(
+            (fresh.delta_docs, fresh.view_hits, fresh.invalidated),
+            (40, 0, 0)
+        );
+        let mut unpruned = QueryView::unbounded();
+        e.evaluate_delta(&docs, &h, None, &mut unpruned, 1).unwrap();
+        assert_eq!(view.hashes, unpruned.hashes);
+        assert_eq!(view.matches, unpruned.matches);
+        assert_eq!(view.refused, unpruned.refused);
+        assert_eq!(view.retained_cost(), unpruned.retained_cost());
+
+        // A warm view over a corpus that grew and changed: the stale
+        // document is merged against the candidates it is covered by, the
+        // appended ones are taken from the candidate set as they stand.
+        docs[14] = Document::new("hay now");
+        docs.extend((40..60).map(line));
+        let h = hashes(&docs);
+        let grown = e
+            .evaluate_delta(&docs, &h, Some(&candidates(60)), &mut view, 1)
+            .unwrap();
+        let full = e.evaluate_with_threads(&docs, 1).unwrap();
+        assert_eq!(grown.output.results, full.results);
+        assert_eq!(
+            (grown.delta_docs, grown.view_hits, grown.invalidated),
+            (21, 39, 1)
+        );
+        // Read: document 14 (hay now: skipped by the prefilters) and the
+        // appended needle lines 42, 49 and 56; the other 17 are not.
+        assert_eq!(grown.output.stats.docs_skipped, 18);
+        let mut scratch = QueryView::unbounded();
+        e.evaluate_delta(&docs, &h, None, &mut scratch, 1).unwrap();
+        assert_eq!(view.hashes, scratch.hashes);
+        assert_eq!(view.matches, scratch.matches);
     }
 
     #[test]

@@ -355,8 +355,8 @@ fn scan_plan_lines(op: &PhysOp, out: &mut Vec<String>) {
                     .collect();
                 parts.push(format!("factors={}", factors.join("")));
             }
-            if !plan.required_literals().is_empty() {
-                let literals: Vec<String> = plan
+            if !compiled.required_literals().is_empty() {
+                let literals: Vec<String> = compiled
                     .required_literals()
                     .iter()
                     .map(|l| format!("{:?}", String::from_utf8_lossy(l)))

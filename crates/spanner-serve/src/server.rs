@@ -151,6 +151,10 @@ pub(crate) struct ServerMetrics {
     /// HTTP responses by status class (`2xx`…`5xx`), indexed by
     /// `status / 100 - 2`; stays zero on the line-JSON transport.
     pub(crate) http_classes: Vec<Counter>,
+    /// Time a request spent getting its program compiled, observed on every
+    /// prepared-query cache miss (the lookup and the compile; a failed
+    /// compile counts): the cache/prepare phase of an ad-hoc query.
+    prepare_seconds: Histogram,
     /// Corpus documents by fast-path outcome, accumulated over every
     /// `query_corpus` request: skipped (static prefilters), rejected
     /// (boolean pre-pass), evaluated (reached the executor).
@@ -233,6 +237,12 @@ impl ServerMetrics {
                 "HTTP responses written, by status class",
                 "class",
                 &["2xx", "3xx", "4xx", "5xx"],
+            ),
+            prepare_seconds: registry.histogram(
+                "spanner_prepare_seconds",
+                "Program compile time per prepared-query cache miss",
+                &[],
+                LATENCY_BUCKETS,
             ),
             docs_skipped: docs("skipped"),
             docs_rejected: docs("rejected"),
@@ -884,10 +894,17 @@ fn with_query(
     program: &str,
     build: impl FnOnce(std::sync::Arc<spanner_ql::PreparedQuery>, bool) -> Json,
 ) -> Json {
-    match shared
+    let start = Instant::now();
+    let prepared = shared
         .cache
-        .get_or_prepare(program, shared.options.ra_options)
-    {
+        .get_or_prepare(program, shared.options.ra_options);
+    if !matches!(prepared, Ok((_, true))) {
+        shared
+            .metrics
+            .prepare_seconds
+            .observe_duration(start.elapsed());
+    }
+    match prepared {
         Err(e) => error_response(e.pretty(program)),
         Ok((query, cached)) => build(query, cached),
     }
@@ -1246,6 +1263,10 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
                         ("hits", Json::number(cache.hits as usize)),
                         ("misses", Json::number(cache.misses as usize)),
                         ("evictions", Json::number(cache.evictions as usize)),
+                        (
+                            "prepare_seconds",
+                            Json::Number(shared.metrics.prepare_seconds.sum()),
+                        ),
                     ]),
                 ),
                 (

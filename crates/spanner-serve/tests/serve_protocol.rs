@@ -585,6 +585,9 @@ fn metrics_op_returns_prometheus_exposition() {
         r#"spanner_requests_total{op="query_corpus"} 1"#,
         // Second query + query_corpus both reuse the first query's entry.
         r#"spanner_cache_hits_total 2"#,
+        // One observation per cache miss: the first query compiled.
+        "# TYPE spanner_prepare_seconds histogram",
+        "spanner_prepare_seconds_count 1",
         r#"spanner_corpus_docs_total{outcome="skipped"} 1"#,
         r#"le="+Inf"#,
     ] {
@@ -596,6 +599,21 @@ fn metrics_op_returns_prometheus_exposition() {
         text.contains(r#"spanner_request_seconds_count{op="query"} 2"#),
         "{text}"
     );
+
+    // A program that fails to compile is a miss as well, and `stats`
+    // reports the time both misses took.
+    assert!(!ok(&client.query("let a = ;", "x").unwrap()));
+    let response = client.metrics().unwrap();
+    let text = response.get("metrics").and_then(Json::as_str).unwrap();
+    assert!(text.contains("spanner_prepare_seconds_count 2"), "{text}");
+    assert!(text.contains("spanner_cache_misses_total 2"), "{text}");
+    let stats = client.stats().unwrap();
+    let spent = stats
+        .get("cache")
+        .and_then(|c| c.get("prepare_seconds"))
+        .and_then(Json::as_f64)
+        .unwrap_or_else(|| panic!("{stats}"));
+    assert!(spent > 0.0 && spent < 5.0, "{stats}");
 
     client.shutdown().unwrap();
     handle.join().unwrap().unwrap();

@@ -13,7 +13,7 @@
 //!   inverted into sorted posting lists (delta-varint encoded on disk).
 //! * **Literal pruning**: at query time, the *required literals* a
 //!   compiled plan extracts from its automata (see
-//!   `spanner_vset::scan::ScanPlan::required_literals` — byte strings every
+//!   `spanner_vset::CompiledVsa::required_literals` — byte strings every
 //!   accepted document must contain) are broken into trigrams and their
 //!   posting lists intersected into a candidate document set. Every
 //!   document outside it is provably result-free and is skipped without

@@ -12,7 +12,7 @@
 //!   the *zero closure* (ε and variable operations — everything that
 //!   consumes no input);
 //! * **letter transitions** are re-indexed through a dense 256-entry
-//!   byte-to-class table: the distinct [`ByteClass`](spanner_core::ByteClass) labels of the automaton
+//!   byte-to-class table: the distinct [`ByteClass`] labels of the automaton
 //!   partition the byte alphabet into equivalence classes, and each state
 //!   stores one flat target list per class;
 //! * **variable operations** are split into per-state lists with the
@@ -28,8 +28,7 @@
 
 use crate::analysis::is_sequential;
 use crate::automaton::{Label, StateId, Vsa};
-use spanner_core::{VarTable, Variable};
-use std::collections::HashMap;
+use spanner_core::{ByteClass, VarTable, Variable};
 
 /// A set of automaton states, stored as a bitset over `u64` blocks.
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -184,6 +183,8 @@ pub struct CompiledVsa {
     /// Dense byte → byte-class dispatch table.
     class_of: Box<[u16; 256]>,
     class_count: usize,
+    /// The bytes of each class (never empty).
+    class_bytes: Vec<ByteClass>,
     /// Flattened `state × class → sorted target list` table.
     byte_step: Vec<Vec<StateId>>,
     /// Per-state variable operations with their targets.
@@ -211,7 +212,7 @@ impl CompiledVsa {
         let vars = VarTable::new(vsa.vars().iter().cloned());
 
         // --- Byte classes: partition 0..=255 by the distinct Class labels.
-        let mut distinct: Vec<spanner_core::ByteClass> = Vec::new();
+        let mut distinct: Vec<ByteClass> = Vec::new();
         for (_, label, _) in vsa.all_transitions() {
             if let Label::Class(c) = label {
                 if !distinct.contains(c) {
@@ -219,19 +220,33 @@ impl CompiledVsa {
                 }
             }
         }
+        // Split every class by membership in each label in turn. Ids are
+        // handed out in byte order at every step, so classes stay numbered
+        // by their smallest byte.
         let mut class_of = Box::new([0u16; 256]);
-        let mut signatures: HashMap<Vec<bool>, u16> = HashMap::new();
-        let mut class_reps: Vec<u8> = Vec::new();
-        for b in 0..=255u8 {
-            let sig: Vec<bool> = distinct.iter().map(|c| c.contains(b)).collect();
-            let next_id = signatures.len() as u16;
-            let id = *signatures.entry(sig).or_insert_with(|| {
-                class_reps.push(b);
-                next_id
-            });
-            class_of[b as usize] = id;
+        let mut class_count = 1usize;
+        for label in &distinct {
+            let mut split = [[u16::MAX; 2]; 256];
+            let mut next = 0u16;
+            for b in 0..=255u8 {
+                let slot =
+                    &mut split[class_of[b as usize] as usize][usize::from(label.contains(b))];
+                if *slot == u16::MAX {
+                    *slot = next;
+                    next += 1;
+                }
+                class_of[b as usize] = *slot;
+            }
+            class_count = next as usize;
         }
-        let class_count = class_reps.len();
+        let mut class_bytes = vec![ByteClass::empty(); class_count];
+        for b in 0..=255u8 {
+            class_bytes[class_of[b as usize] as usize].insert(b);
+        }
+        let class_reps: Vec<u8> = class_bytes
+            .iter()
+            .filter_map(|class| class.iter().next())
+            .collect();
 
         // --- Per-state transition tables.
         let mut byte_step: Vec<Vec<StateId>> = vec![Vec::new(); n * class_count];
@@ -300,6 +315,7 @@ impl CompiledVsa {
             zero_closure,
             class_of,
             class_count,
+            class_bytes,
             byte_step,
             var_ops,
             states_with_var_ops,
@@ -386,6 +402,12 @@ impl CompiledVsa {
     #[inline]
     pub fn class_of(&self, b: u8) -> usize {
         self.class_of[b as usize] as usize
+    }
+
+    /// The bytes of class `class` (never empty).
+    #[inline]
+    pub fn class_bytes(&self, class: usize) -> &ByteClass {
+        &self.class_bytes[class]
     }
 
     /// The targets of `q` under any byte of class `class`.

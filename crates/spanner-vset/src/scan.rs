@@ -27,6 +27,14 @@
 //!    empty-frontier early exit — never slower than the enumeration path it
 //!    guards.
 //!
+//! Beside the ladder, the plan answers one question for corpus-level
+//! indexes: which byte strings does every accepted document contain
+//! ([`CompiledVsa::required_literals`])? Only an indexed store asks, so the
+//! answer is worked out on first request — like the DFA — and a plain
+//! evaluation never pays for it. Candidates are read off the shortest
+//! accepted document and each is settled by an exact test over the
+//! automaton ([`CompiledVsa::literal_counterexample`]).
+//!
 //! Results are unchanged by construction: the pre-pass answers exactly the
 //! boolean question "does the automaton have an accepting run on `d`?",
 //! which for the sequential automata the enumerator accepts coincides with
@@ -52,10 +60,6 @@ pub const MAX_LITERALS: usize = 4;
 /// State-count ceiling for literal extraction; the analysis is skipped on
 /// automata past it — literals are an optimization, never a requirement.
 const LITERAL_STATE_BUDGET: usize = 512;
-
-/// Budget on requiredness-verification calls per automaton, bounding the
-/// greedy literal extension.
-const LITERAL_VERIFY_BUDGET: usize = 256;
 
 /// Budget on boolean-DFA table cells (`states × byte classes`); the subset
 /// construction aborts past it and the pre-pass falls back to NFA stepping.
@@ -103,23 +107,32 @@ struct MatchDfa {
     accel: Vec<Accel>,
 }
 
+/// The required literals of one automaton, and what finding them cost.
+#[derive(Debug, Clone, Default)]
+struct LiteralSet {
+    literals: Vec<Vec<u8>>,
+    /// Runs of the exact test ([`LiteralTest::counterexample`]) the
+    /// extraction made.
+    explorations: usize,
+}
+
 /// The compile-time scan analysis attached to every [`CompiledVsa`].
 #[derive(Debug, Clone)]
 pub struct ScanPlan {
-    /// Length of the shortest accepted document; `None` iff the language is
-    /// empty (every document is skipped).
-    min_len: Option<usize>,
+    /// A shortest accepted document; `None` iff the language is empty
+    /// (every document is skipped).
+    shortest: Option<Vec<u8>>,
     /// Possible first bytes of an accepted non-empty document; `None` when
     /// unconstrained (all 256 bytes possible).
     prefix_class: Option<ByteClass>,
     /// Byte classes that every accepted document must contain at least one
     /// byte of (rarest first).
     required_factors: Vec<ByteClass>,
-    /// Byte strings that every accepted document must contain as a factor
-    /// (longest first): single-byte required factors and anchored-prefix
-    /// bytes, greedily extended with singleton-class bytes and verified
-    /// exactly against the automaton. Consumed by corpus-level indexes.
-    required_literals: Vec<Vec<u8>>,
+    /// Byte strings that every accepted document must contain as a factor,
+    /// extracted on first request ([`CompiledVsa::required_literals`]):
+    /// only corpus-level indexes read them, and a plain evaluation never
+    /// asks.
+    literals: OnceLock<LiteralSet>,
     /// The boolean DFA, built on first use; `None` inside means the subset
     /// construction exceeded [`DFA_CELL_BUDGET`] (NFA fallback).
     dfa: OnceLock<Option<MatchDfa>>,
@@ -130,47 +143,32 @@ impl ScanPlan {
     /// under construction (replaced by [`ScanPlan::analyze`] immediately).
     pub(crate) fn placeholder() -> ScanPlan {
         ScanPlan {
-            min_len: None,
+            shortest: None,
             prefix_class: None,
             required_factors: Vec::new(),
-            required_literals: Vec::new(),
+            literals: OnceLock::new(),
             dfa: OnceLock::new(),
         }
     }
 
     /// Runs the static analysis over a freshly compiled automaton.
     pub(crate) fn analyze(compiled: &CompiledVsa) -> ScanPlan {
-        let min_len = min_accepted_len(compiled);
-        if min_len.is_none() {
+        let Some(shortest) = shortest_accepted(compiled) else {
             // Empty language: the filters are never consulted.
-            return ScanPlan {
-                min_len,
-                prefix_class: None,
-                required_factors: Vec::new(),
-                required_literals: Vec::new(),
-                dfa: OnceLock::new(),
-            };
-        }
-        let prefix_class = prefix_class(compiled);
-        let required_factors = required_factors(compiled);
-        let required_literals = required_literals(
-            compiled,
-            min_len.expect("nonempty language"),
-            prefix_class.as_ref(),
-            &required_factors,
-        );
+            return ScanPlan::placeholder();
+        };
         ScanPlan {
-            min_len,
-            prefix_class,
-            required_factors,
-            required_literals,
+            shortest: Some(shortest),
+            prefix_class: prefix_class(compiled),
+            required_factors: required_factors(compiled),
+            literals: OnceLock::new(),
             dfa: OnceLock::new(),
         }
     }
 
     /// Length of the shortest accepted document (`None`: empty language).
     pub fn min_len(&self) -> Option<usize> {
-        self.min_len
+        self.shortest.as_ref().map(Vec::len)
     }
 
     /// The anchored-prefix class: possible first bytes of an accepted
@@ -182,13 +180,6 @@ impl ScanPlan {
     /// The required factors: byte classes every accepted document contains.
     pub fn required_factors(&self) -> &[ByteClass] {
         &self.required_factors
-    }
-
-    /// The required literals: byte strings every accepted document contains
-    /// as a factor (longest first). Empty when the analysis could not pin
-    /// any down — callers must fall back to scanning every document.
-    pub fn required_literals(&self) -> &[Vec<u8>] {
-        &self.required_literals
     }
 
     /// Whether the boolean DFA has been built yet, and with how many states:
@@ -204,7 +195,7 @@ impl ScanPlan {
     /// state is scanned). Exact refusals only: `false` means "scan needed",
     /// not "matches".
     fn filters_reject(&self, bytes: &[u8]) -> bool {
-        let Some(min_len) = self.min_len else {
+        let Some(min_len) = self.min_len() else {
             return true; // empty language
         };
         if bytes.len() < min_len {
@@ -255,6 +246,32 @@ impl CompiledVsa {
         self.prescan(doc) == PreScan::Accept
     }
 
+    /// The required literals: byte strings every accepted document contains
+    /// as a factor (longest first), extracted on first call. Empty when the
+    /// analysis could not pin any down — callers must fall back to scanning
+    /// every document.
+    pub fn required_literals(&self) -> &[Vec<u8>] {
+        &self.literal_set().literals
+    }
+
+    /// An accepted document that does not contain `needle` as a factor, or
+    /// `None` when every accepted document contains it — the exact test
+    /// behind [`CompiledVsa::required_literals`], with its certificate.
+    pub fn literal_counterexample(&self, needle: &[u8]) -> Option<Vec<u8>> {
+        LiteralTest::new(self).counterexample(needle)
+    }
+
+    /// Test hook: how many runs of [`CompiledVsa::literal_counterexample`]
+    /// the literal extraction made (forces it).
+    #[doc(hidden)]
+    pub fn literal_explorations(&self) -> usize {
+        self.literal_set().explorations
+    }
+
+    fn literal_set(&self) -> &LiteralSet {
+        self.scan().literals.get_or_init(|| required_literals(self))
+    }
+
     /// Forces the boolean DFA to build and reports its state count; `None`
     /// means the subset construction exceeded [`DFA_CELL_BUDGET`] and the
     /// pre-pass runs on the NFA frontier fallback.
@@ -267,39 +284,46 @@ impl CompiledVsa {
     }
 }
 
-/// BFS over consuming transitions (with zero-closures between letters):
-/// the minimum number of bytes on any path from the initial closure to an
-/// accepting state. `None` iff no accepting state is reachable at all.
-fn min_accepted_len(compiled: &CompiledVsa) -> Option<usize> {
-    let states = compiled.state_count();
-    let mut dist: Vec<Option<usize>> = vec![None; states];
+/// BFS over consuming transitions (with zero-closures between letters): a
+/// shortest document on a path from the initial closure to an accepting
+/// state, spelled with the smallest byte of every class it crosses. `None`
+/// iff no accepting state is reachable at all.
+fn shortest_accepted(compiled: &CompiledVsa) -> Option<Vec<u8>> {
+    // `via[q]`: the state `q` was first reached from and the byte read on
+    // the way; a state of the initial closure points at itself.
+    let mut via: Vec<Option<(usize, u8)>> = vec![None; compiled.state_count()];
+    let reps: Vec<u8> = (0..compiled.class_count())
+        .filter_map(|class| compiled.class_bytes(class).iter().next())
+        .collect();
     let mut queue = std::collections::VecDeque::new();
     for q in compiled.zero_closure(compiled.initial()).iter() {
-        if dist[q].is_none() {
-            dist[q] = Some(0);
-            queue.push_back(q);
-        }
+        via[q] = Some((q, 0));
+        queue.push_back(q);
     }
-    let mut best: Option<usize> = None;
     while let Some(q) = queue.pop_front() {
-        let d = dist[q].expect("queued states have a distance");
         if compiled.is_accepting(q) {
-            best = Some(best.map_or(d, |b| b.min(d)));
             // BFS: the first accepting state found is at minimum distance.
-            break;
+            let mut doc = Vec::new();
+            let mut at = q;
+            while let Some((from, byte)) = via[at].filter(|&(from, _)| from != at) {
+                doc.push(byte);
+                at = from;
+            }
+            doc.reverse();
+            return Some(doc);
         }
-        for class in 0..compiled.class_count() {
+        for (class, &rep) in reps.iter().enumerate() {
             for &t in compiled.byte_targets(q, class) {
                 for r in compiled.zero_closure(t).iter() {
-                    if dist[r].is_none() {
-                        dist[r] = Some(d + 1);
+                    if via[r].is_none() {
+                        via[r] = Some((q, rep));
                         queue.push_back(r);
                     }
                 }
             }
         }
     }
-    best
+    None
 }
 
 /// The union of the byte classes of consuming transitions leaving the
@@ -308,13 +332,12 @@ fn min_accepted_len(compiled: &CompiledVsa) -> Option<usize> {
 fn prefix_class(compiled: &CompiledVsa) -> Option<ByteClass> {
     let start = compiled.zero_closure(compiled.initial());
     let mut class = ByteClass::empty();
-    for b in 0..=255u8 {
-        let c = compiled.class_of(b);
+    for c in 0..compiled.class_count() {
         if start
             .iter()
             .any(|q| !compiled.byte_targets(q, c).is_empty())
         {
-            class.insert(b);
+            class = class.union(compiled.class_bytes(c));
         }
     }
     (class.len() < 256).then_some(class)
@@ -330,13 +353,8 @@ fn required_factors(compiled: &CompiledVsa) -> Vec<ByteClass> {
     if class_count > 64 {
         return Vec::new();
     }
-    // The byte set of each compiled class.
-    let mut class_bytes: Vec<ByteClass> = vec![ByteClass::empty(); class_count];
-    for b in 0..=255u8 {
-        class_bytes[compiled.class_of(b)].insert(b);
-    }
     let mut factors: Vec<ByteClass> = Vec::new();
-    for (avoid, bytes) in class_bytes.iter().enumerate() {
+    for avoid in 0..class_count {
         // Is any accepting state reachable using only classes != `avoid`?
         let mut reach = compiled.zero_closure(compiled.initial()).clone();
         let mut stack: Vec<usize> = reach.iter().collect();
@@ -362,7 +380,7 @@ fn required_factors(compiled: &CompiledVsa) -> Vec<ByteClass> {
             }
         }
         if !alive {
-            factors.push(*bytes);
+            factors.push(*compiled.class_bytes(avoid));
         }
     }
     // Collect *all* required classes before ranking: truncating in
@@ -375,178 +393,375 @@ fn required_factors(compiled: &CompiledVsa) -> Vec<ByteClass> {
 
 /// Extracts required *byte strings*: literals every accepted document must
 /// contain as a contiguous factor. Seeds are the single-byte required
-/// factors plus a singleton anchored-prefix byte; each seed is grown
-/// greedily to the left and right with singleton-class bytes, and every
-/// candidate is verified exactly by [`is_required_literal`]. Kept longest
-/// first (more trigrams — more selective), at most [`MAX_LITERALS`], with
-/// substrings of longer literals dropped as redundant.
-fn required_literals(
-    compiled: &CompiledVsa,
-    min_len: usize,
-    prefix_class: Option<&ByteClass>,
-    factors: &[ByteClass],
-) -> Vec<Vec<u8>> {
-    if min_len == 0 {
-        // The empty document is accepted, so no literal can be required.
-        return Vec::new();
+/// factors plus a singleton anchored-prefix byte; each seed is grown to the
+/// right, then to the left, with singleton-class bytes, taking at every
+/// step the smallest byte that keeps the literal required
+/// ([`LiteralTest::counterexample`], exact). The bytes worth asking about are
+/// *derived*, not guessed: the shortest accepted document contains every
+/// required literal, so only a byte next to an occurrence of `w` in it can
+/// extend `w` ([`Extraction::grow`]). Kept longest first (more trigrams —
+/// more selective), at most [`MAX_LITERALS`], with substrings of longer
+/// literals dropped as redundant.
+fn required_literals(compiled: &CompiledVsa) -> LiteralSet {
+    let plan = compiled.scan();
+    let witness = match plan.shortest.as_deref() {
+        // Empty language, or the empty document is accepted: nothing can
+        // be required.
+        None | Some([]) => return LiteralSet::default(),
+        Some(witness) => witness,
+    };
+    if compiled.class_count() > 64 || compiled.state_count() > LITERAL_STATE_BUDGET {
+        return LiteralSet::default();
     }
-    let class_count = compiled.class_count();
-    if class_count > 64 || compiled.state_count() > LITERAL_STATE_BUDGET {
-        return Vec::new();
-    }
-    // Bytes alone in their compiled class: the only bytes the class
-    // partition can pin to an exact literal position.
-    let mut class_size = vec![0u16; class_count];
-    for b in 0..=255u8 {
-        class_size[compiled.class_of(b)] += 1;
-    }
-    let singleton_bytes: Vec<u8> = (0..=255u8)
-        .filter(|&b| class_size[compiled.class_of(b)] == 1)
-        .collect();
-
     // Seeds: single-byte required factors (required by construction) and a
     // singleton anchored-prefix byte (every accepted document is non-empty
     // here, so its verified first byte is a factor).
-    let mut seeds: Vec<u8> = factors
+    let mut seeds: Vec<u8> = plan
+        .required_factors
         .iter()
-        .filter(|f| f.len() == 1)
-        .filter_map(|f| f.iter().next())
+        .chain(&plan.prefix_class)
+        .filter(|class| class.len() == 1)
+        .filter_map(|class| class.iter().next())
         .collect();
-    if let Some(prefix) = prefix_class {
-        if prefix.len() == 1 {
-            seeds.extend(prefix.iter().next());
-        }
-    }
     seeds.sort_unstable();
     seeds.dedup();
 
-    let mut budget = LITERAL_VERIFY_BUDGET;
+    let mut extraction = Extraction {
+        test: LiteralTest::new(compiled),
+        witness,
+        confirmed: Vec::new(),
+        counterexamples: Vec::new(),
+        explorations: 0,
+    };
     let mut literals: Vec<Vec<u8>> = Vec::new();
     for seed in seeds {
-        let mut verify = |lit: &[u8]| {
-            if budget == 0 {
-                return false;
-            }
-            budget -= 1;
-            is_required_literal(compiled, lit)
-        };
-        if !verify(&[seed]) {
-            continue;
+        if extraction.required(&[seed]) {
+            let right = extraction.grow(vec![seed], false);
+            literals.push(extraction.grow(right, true));
         }
-        let mut lit = vec![seed];
-        // Grow right, then left; each step keeps the literal verified.
-        loop {
-            if lit.len() >= MAX_LITERAL_LEN {
-                break;
-            }
-            let mut grown = false;
-            for &b in &singleton_bytes {
-                lit.push(b);
-                if verify(&lit) {
-                    grown = true;
-                    break;
-                }
-                lit.pop();
-            }
-            if !grown {
-                break;
-            }
-        }
-        loop {
-            if lit.len() >= MAX_LITERAL_LEN {
-                break;
-            }
-            let mut grown = false;
-            for &b in &singleton_bytes {
-                lit.insert(0, b);
-                if verify(&lit) {
-                    grown = true;
-                    break;
-                }
-                lit.remove(0);
-            }
-            if !grown {
-                break;
-            }
-        }
-        literals.push(lit);
     }
 
     // Longest first; drop duplicates and substrings of longer literals.
     literals.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
     let mut kept: Vec<Vec<u8>> = Vec::new();
     for lit in literals {
-        let subsumed = kept
-            .iter()
-            .any(|k| k.windows(lit.len()).any(|w| w == lit.as_slice()));
-        if !subsumed {
+        if !kept.iter().any(|k| contains_factor(k, &lit)) {
             kept.push(lit);
         }
     }
     kept.truncate(MAX_LITERALS);
-    kept
+    LiteralSet {
+        literals: kept,
+        explorations: extraction.explorations,
+    }
 }
 
-/// Whether every accepted document contains `needle` as a factor: explores
-/// the product of the NFA (zero-closures as ε — variable operations read no
-/// input) with the KMP prefix automaton of `needle`, pruning any path on
-/// which the needle completes. The literal is required iff no accepting
-/// state is reachable on a needle-avoiding path.
-fn is_required_literal(compiled: &CompiledVsa, needle: &[u8]) -> bool {
-    let m = needle.len();
-    debug_assert!(m > 0);
-    let fail = kmp_failure(needle);
-    let kmp_next = |mut k: usize, b: u8| -> usize {
-        while k > 0 && needle[k] != b {
-            k = fail[k - 1];
-        }
-        if needle[k] == b {
-            k + 1
-        } else {
-            0
-        }
-    };
+/// One automaton's literal extraction: the exact test, asked as rarely as
+/// the answers already in hand allow.
+struct Extraction<'a> {
+    test: LiteralTest<'a>,
+    /// The shortest accepted document.
+    witness: &'a [u8],
+    /// What the test has answered so far: literals it found required, and
+    /// the accepted documents it refuted the others with.
+    confirmed: Vec<Vec<u8>>,
+    counterexamples: Vec<Vec<u8>>,
+    explorations: usize,
+}
 
-    let states = compiled.state_count();
-    let mut visited = vec![false; states * m];
-    let mut stack: Vec<(usize, usize)> = Vec::new();
-    for q in compiled.zero_closure(compiled.initial()).iter() {
-        if compiled.is_accepting(q) {
-            // A document can end here with the needle unmatched.
+impl Extraction<'_> {
+    /// Whether `candidate` is required. A factor of a required literal is
+    /// required, so a seed inside a literal found earlier regrows it
+    /// without a single exploration; a literal missing from an accepted
+    /// document is not, so one counterexample (`needlea` against `needle `)
+    /// settles every other candidate that overshoots the same way.
+    /// Anything else is put to the exact test.
+    fn required(&mut self, candidate: &[u8]) -> bool {
+        if self.confirmed.iter().any(|k| contains_factor(k, candidate)) {
+            return true;
+        }
+        if self
+            .counterexamples
+            .iter()
+            .any(|doc| !contains_factor(doc, candidate))
+        {
             return false;
         }
-        if !visited[q * m] {
-            visited[q * m] = true;
-            stack.push((q, 0));
+        self.explorations += 1;
+        match self.test.counterexample(candidate) {
+            None => {
+                self.confirmed.push(candidate.to_vec());
+                true
+            }
+            Some(doc) => {
+                self.counterexamples.push(doc);
+                false
+            }
         }
     }
-    while let Some((q, k)) = stack.pop() {
-        // Bytes sharing a class can move the KMP automaton differently, so
-        // each byte is stepped individually (the visited set dedups the
-        // resulting product states).
-        for b in 0..=255u8 {
-            let targets = compiled.byte_targets(q, compiled.class_of(b));
-            if targets.is_empty() {
-                continue;
+
+    /// Grows the required literal `lit` on one side for as long as it stays
+    /// required (and under [`MAX_LITERAL_LEN`]).
+    fn grow(&mut self, mut lit: Vec<u8>, before: bool) -> Vec<u8> {
+        let (doc, compiled) = (self.witness, self.test.compiled);
+        let extend = |lit: &mut Vec<u8>, b: u8| {
+            if before {
+                lit.insert(0, b)
+            } else {
+                lit.push(b)
             }
-            let k2 = kmp_next(k, b);
-            if k2 == m {
-                continue; // needle matched: not an avoiding path
-            }
-            for &t in targets {
-                for r in compiled.zero_closure(t).iter() {
-                    if compiled.is_accepting(r) {
-                        return false;
+        };
+        loop {
+            let known = lit.len();
+            let mut tip = lit;
+            // Where `tip` occurs in the witness, and the byte next to it
+            // there.
+            let mut at: Vec<usize> = doc
+                .windows(known)
+                .enumerate()
+                .filter_map(|(i, w)| (w == &tip[..]).then_some(i))
+                .collect();
+            let beside = |at: usize, len: usize| {
+                if before {
+                    at.checked_sub(1).map(|i| doc[i])
+                } else {
+                    doc.get(at + len).copied()
+                }
+            };
+            // While the witness offers one byte, follow it unasked.
+            let choice = loop {
+                if tip.len() >= MAX_LITERAL_LEN {
+                    break ByteClass::empty();
+                }
+                // Alone in their class: the only bytes the partition pins
+                // to a position.
+                let mut offered = ByteClass::empty();
+                for b in at.iter().filter_map(|&i| beside(i, tip.len())) {
+                    if compiled.class_bytes(compiled.class_of(b)).len() == 1 {
+                        offered.insert(b);
                     }
-                    if !visited[r * m + k2] {
-                        visited[r * m + k2] = true;
-                        stack.push((r, k2));
+                }
+                let only = offered.iter().next().filter(|_| offered.len() == 1);
+                match only {
+                    Some(b) => {
+                        at.retain(|&i| beside(i, tip.len()) == Some(b));
+                        at.iter_mut().for_each(|i| *i -= usize::from(before));
+                        extend(&mut tip, b);
+                    }
+                    None => break offered,
+                }
+            };
+            // The links of that chain are `tip` cut to `known + 1 ..=
+            // tip.len()` bytes. Each is a factor of the next, so
+            // requiredness is lost once along the chain and never regained:
+            // the last required link is found by bisection — after two
+            // looks from the top, since a literal usually runs to where the
+            // witness stops offering or one byte short of it (the separator
+            // the shortest document happens to go on with).
+            let cut = |len: usize| {
+                if before {
+                    &tip[tip.len() - len..]
+                } else {
+                    &tip[..len]
+                }
+            };
+            let (mut required, mut open, mut looks) = (known, tip.len(), 0);
+            while required < open {
+                let probe = if looks < 2 {
+                    open
+                } else {
+                    (required + open).div_ceil(2)
+                };
+                looks += 1;
+                if self.required(cut(probe)) {
+                    required = probe;
+                } else {
+                    open = probe - 1;
+                }
+            }
+            lit = cut(required).to_vec();
+            if required < tip.len() {
+                return lit;
+            }
+            // Several occurrences disagree on the next byte: smallest first.
+            let Some(b) = choice.iter().find(|&b| {
+                let mut candidate = lit.clone();
+                extend(&mut candidate, b);
+                self.required(&candidate)
+            }) else {
+                return lit;
+            };
+            extend(&mut lit, b);
+        }
+    }
+}
+
+/// Whether `needle` occurs in `haystack` as a contiguous factor.
+pub fn contains_factor(haystack: &[u8], needle: &[u8]) -> bool {
+    haystack.windows(needle.len()).any(|w| w == needle)
+}
+
+/// One consuming move of the ε-free automaton behind [`LiteralTest`]: on a
+/// byte of `class`, to the states `next` (a range of [`LiteralTest::next`]).
+struct Move {
+    class: usize,
+    /// Whether the move can end a document: some state entered accepts
+    /// without reading further.
+    accepts: bool,
+    next: std::ops::Range<usize>,
+}
+
+/// The exact requiredness test of one automaton. Its runs share the
+/// automaton with the zero-closures folded into the consuming moves, so a
+/// run walks states that read a byte and nothing else.
+struct LiteralTest<'a> {
+    compiled: &'a CompiledVsa,
+    /// State `q` owns `moves[moves_from[q]..moves_from[q + 1]]`.
+    moves: Vec<Move>,
+    moves_from: Vec<usize>,
+    /// The successor lists of every move: the consuming states among the
+    /// zero-closures of its targets.
+    next: Vec<usize>,
+    /// Scratch of [`LiteralTest::counterexample`].
+    via: Vec<(usize, u8)>,
+    stack: Vec<(usize, usize)>,
+}
+
+impl<'a> LiteralTest<'a> {
+    fn new(compiled: &'a CompiledVsa) -> Self {
+        let states = compiled.state_count();
+        let classes = 0..compiled.class_count();
+        let consumes: Vec<bool> = (0..states)
+            .map(|q| {
+                classes
+                    .clone()
+                    .any(|c| !compiled.byte_targets(q, c).is_empty())
+            })
+            .collect();
+        let mut moves = Vec::with_capacity(states);
+        let mut moves_from = Vec::with_capacity(states + 1);
+        moves_from.push(0);
+        let mut next = Vec::with_capacity(2 * states);
+        let mut entered = StateSet::new(states);
+        for q in 0..states {
+            for class in classes.clone() {
+                let targets = compiled.byte_targets(q, class);
+                if targets.is_empty() {
+                    continue;
+                }
+                entered.clear();
+                for &t in targets {
+                    entered.union_with(compiled.zero_closure(t));
+                }
+                let from = next.len();
+                next.extend(entered.iter().filter(|&r| consumes[r]));
+                moves.push(Move {
+                    class,
+                    accepts: entered.intersects(compiled.accepting()),
+                    next: from..next.len(),
+                });
+            }
+            moves_from.push(moves.len());
+        }
+        LiteralTest {
+            compiled,
+            moves,
+            moves_from,
+            next,
+            via: Vec::new(),
+            stack: Vec::new(),
+        }
+    }
+
+    /// An accepted document that does not contain `needle` as a factor —
+    /// `None` iff every accepted document contains it. Explores the
+    /// product of the NFA (zero-closures as ε — variable operations read no
+    /// input) with the KMP prefix automaton of `needle`, pruning any path on
+    /// which the needle completes: the literal is required iff no accepting
+    /// state is reachable on a needle-avoiding path, and such a path spells
+    /// the counterexample.
+    ///
+    /// A product state is stepped once per *group* of bytes that move it
+    /// alike, not once per byte: the bytes of one compiled class share
+    /// their NFA targets, and every byte that does not occur in the needle
+    /// resets the KMP state to 0. So each byte of the needle is a group of
+    /// its own, the rest of each class is one more (stepped by its smallest
+    /// byte), and the product states reached — hence the verdict — are
+    /// those of stepping all 256 bytes.
+    fn counterexample(&mut self, needle: &[u8]) -> Option<Vec<u8>> {
+        /// `via` of a product state not reached yet / reached at the start.
+        const UNSEEN: usize = usize::MAX;
+        const ROOT: usize = usize::MAX - 1;
+        let compiled = self.compiled;
+        let m = needle.len();
+        if m == 0 {
+            return None;
+        }
+        let start = compiled.zero_closure(compiled.initial());
+        if start.intersects(compiled.accepting()) {
+            // A document can end here with the needle unmatched.
+            return Some(Vec::new());
+        }
+        let fail = kmp_failure(needle);
+        let kmp_next = |mut k: usize, b: u8| -> usize {
+            while k > 0 && needle[k] != b {
+                k = fail[k - 1];
+            }
+            if needle[k] == b {
+                k + 1
+            } else {
+                0
+            }
+        };
+        let in_needle = ByteClass::of(needle);
+        let outside = in_needle.complement();
+        let mut groups: Vec<(usize, u8)> = in_needle
+            .iter()
+            .map(|b| (compiled.class_of(b), b))
+            .collect();
+        groups.extend((0..compiled.class_count()).filter_map(|class| {
+            let rest = compiled.class_bytes(class).intersect(&outside);
+            let smallest = rest.iter().next();
+            smallest.map(|b| (class, b))
+        }));
+
+        // `via[q * m + k]`: the product state `(q, k)` was first reached
+        // from, and the byte read on the way.
+        self.via.clear();
+        self.via.resize(compiled.state_count() * m, (UNSEEN, 0));
+        self.stack.clear();
+        for q in start.iter() {
+            self.via[q * m] = (ROOT, 0);
+            self.stack.push((q, 0));
+        }
+        while let Some((q, k)) = self.stack.pop() {
+            for mv in &self.moves[self.moves_from[q]..self.moves_from[q + 1]] {
+                for &(_, byte) in groups.iter().filter(|&&(c, _)| c == mv.class) {
+                    let k2 = kmp_next(k, byte);
+                    if k2 == m {
+                        continue; // needle matched: not an avoiding path
+                    }
+                    if mv.accepts {
+                        let mut doc = vec![byte];
+                        let mut at = q * m + k;
+                        while self.via[at].0 != ROOT {
+                            doc.push(self.via[at].1);
+                            at = self.via[at].0;
+                        }
+                        doc.reverse();
+                        return Some(doc);
+                    }
+                    for &r in &self.next[mv.next.clone()] {
+                        if self.via[r * m + k2].0 == UNSEEN {
+                            self.via[r * m + k2] = (q * m + k, byte);
+                            self.stack.push((r, k2));
+                        }
                     }
                 }
             }
         }
+        None
     }
-    true
 }
 
 /// The KMP failure function of `needle`: `fail[i]` is the length of the
@@ -794,7 +1009,7 @@ mod tests {
     #[test]
     fn required_literals_recover_a_needle() {
         let (_, c) = compiled(".*needle.*");
-        let literals = c.scan_plan().required_literals();
+        let literals = c.required_literals();
         assert!(
             literals.iter().any(|l| l == b"needle"),
             "full needle must be extracted: {literals:?}"
@@ -810,9 +1025,82 @@ mod tests {
     }
 
     #[test]
+    fn literals_are_extracted_on_first_request_only() {
+        let (_, c) = compiled(".*needle.*");
+        assert!(c.matches_anywhere(&Document::new("a needle")));
+        assert!(
+            c.scan_plan().literals.get().is_none(),
+            "evaluation never asks"
+        );
+        assert_eq!(c.required_literals(), [b"needle".to_vec()]);
+        assert!(c.scan_plan().literals.get().is_some());
+    }
+
+    #[test]
+    fn ordinary_literals_are_extracted_whole() {
+        // 15 bytes, under MAX_LITERAL_LEN, in three explorations: the seed,
+        // then each side's whole chain (the shortest accepted document *is*
+        // the literal). Trying every singleton byte took 256.
+        let (_, c) = compiled(".*{x:GET /index\\.html}.*");
+        assert_eq!(c.required_literals(), [b"GET /index.html".to_vec()]);
+        assert_eq!(c.literal_explorations(), 3);
+
+        // Two literals around a class.
+        let (_, c) = compiled(".*{x:user=[a-z]+} logged in from.*");
+        assert_eq!(
+            c.required_literals(),
+            [b" logged in from".to_vec(), b"user=".to_vec()]
+        );
+
+        // The second literal used to be starved: the first one spent the
+        // whole try budget.
+        let (_, c) = compiled(".*{m:POST} /api/v1/orders .*status={s:[0-9]+}.*");
+        assert_eq!(
+            c.required_literals(),
+            [b" /api/v1/orders ".to_vec(), b"status=".to_vec()]
+        );
+    }
+
+    #[test]
+    fn long_literals_are_cut_at_the_length_cap() {
+        let long = "abcdefghijklmnopqrstuvwxyz0123456789ABCD";
+        assert_eq!(long.len(), 40);
+        let (_, c) = compiled(&format!(".*{long}.*"));
+        let literals = c.required_literals();
+        assert!(!literals.is_empty());
+        for lit in literals {
+            assert!(lit.len() <= MAX_LITERAL_LEN, "{literals:?}");
+            assert!(contains_factor(long.as_bytes(), lit), "{literals:?}");
+            assert_eq!(c.literal_counterexample(lit), None, "{literals:?}");
+        }
+        assert_eq!(literals[0].len(), MAX_LITERAL_LEN);
+    }
+
+    #[test]
+    fn a_seed_inside_a_found_literal_still_finds_its_own() {
+        // 'b' occurs in "ab", but grown on its own it reaches "ba": a factor
+        // of a confirmed literal is confirmed for free, never skipped.
+        let (_, c) = compiled(".*ab.*ba.*");
+        assert_eq!(c.required_literals(), [b"ab".to_vec(), b"ba".to_vec()]);
+    }
+
+    #[test]
+    fn requiredness_is_exact() {
+        let (_, c) = compiled(".*ab.*abc.*");
+        // Neither the first nor the last "ab" need be followed by 'c'.
+        for (needle, required) in [("ab", true), ("abc", true), ("bc", true), ("ba", false)] {
+            let refuted = c.literal_counterexample(needle.as_bytes());
+            assert_eq!(refuted.is_none(), required, "{needle}: {refuted:?}");
+        }
+        // Every document contains the empty string.
+        assert_eq!(c.literal_counterexample(b""), None);
+        assert_eq!(c.required_literals(), [b"abc".to_vec()]);
+    }
+
+    #[test]
     fn anchored_prefix_extends_to_a_literal() {
         let (_, c) = compiled("abc{x:d*}");
-        let literals = c.scan_plan().required_literals();
+        let literals = c.required_literals();
         assert!(
             literals.iter().any(|l| l == b"abc"),
             "anchored prefix chain: {literals:?}"
@@ -825,11 +1113,11 @@ mod tests {
     fn no_literals_without_singleton_classes_or_with_empty_doc() {
         // Multi-byte classes only: nothing can be pinned to exact bytes.
         let (_, c) = compiled("{x:[ab]+}");
-        assert!(c.scan_plan().required_literals().is_empty());
+        assert!(c.required_literals().is_empty());
         // The empty document is accepted: nothing is required.
         let (_, c) = compiled("{x:a*}");
         assert_eq!(c.scan_plan().min_len(), Some(0));
-        assert!(c.scan_plan().required_literals().is_empty());
+        assert!(c.required_literals().is_empty());
     }
 
     #[test]
@@ -850,7 +1138,7 @@ mod tests {
         ];
         for pattern in patterns {
             let (vsa, c) = compiled(pattern);
-            let literals = c.scan_plan().required_literals().to_vec();
+            let literals = c.required_literals().to_vec();
             for text in docs {
                 let doc = Document::new(text);
                 if interpret_nonempty(&vsa, &doc) {
