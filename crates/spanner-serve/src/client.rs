@@ -2,24 +2,21 @@
 //!
 //! One [`Client`] wraps one TCP connection; every call writes one request
 //! line and reads one response line. The CLI `client` subcommand, the
-//! protocol tests, and the serve benchmark all drive the daemon through
-//! this type, so the protocol has exactly one encoder.
+//! protocol tests, the shard router and the serve benchmark all drive the
+//! daemon through this type, and every typed method encodes its request
+//! with [`Request::to_json`], so the protocol has exactly one encoder.
 
+use crate::conn::{line_frame, Conn, Frame, Limits, POLL_INTERVAL};
 use crate::json::Json;
-use std::io::{self, BufRead, BufReader, Write};
+use crate::protocol::Request;
+use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-/// How often a deadline-bound read wakes up to check the clock. The
-/// socket timeout is this poll interval, not the deadline itself, so a
-/// slow-drip server feeding one byte per interval still hits the overall
-/// deadline instead of resetting it per read.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
-
 /// A connected protocol client.
+#[derive(Debug)]
 pub struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
+    conn: Conn,
     /// Overall per-request response deadline; `None` waits forever (the
     /// interactive CLI default — the shard router always sets one).
     deadline: Option<Duration>,
@@ -28,25 +25,19 @@ pub struct Client {
 impl Client {
     /// Connects to a running daemon.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        Client::from_stream(stream)
+        Client::from_stream(TcpStream::connect(addr)?)
     }
 
     /// Connects with a bound on the TCP connect itself — the shape the
     /// shard router uses, so one dead backend cannot stall a fan-out for
     /// the OS's (minutes-long) connect timeout.
     pub fn connect_with_timeout(addr: &SocketAddr, timeout: Duration) -> io::Result<Client> {
-        let stream = TcpStream::connect_timeout(addr, timeout)?;
-        Client::from_stream(stream)
+        Client::from_stream(TcpStream::connect_timeout(addr, timeout)?)
     }
 
     fn from_stream(stream: TcpStream) -> io::Result<Client> {
-        // One small line per round trip: disable Nagle, like the server.
-        stream.set_nodelay(true)?;
-        let writer = stream.try_clone()?;
         Ok(Client {
-            writer,
-            reader: BufReader::new(stream),
+            conn: Conn::new(stream)?,
             deadline: None,
         })
     }
@@ -55,17 +46,12 @@ impl Client {
     /// within `deadline` fails with [`io::ErrorKind::TimedOut`] instead
     /// of blocking forever. `None` restores unbounded waits.
     pub fn set_deadline(&mut self, deadline: Option<Duration>) -> io::Result<()> {
-        let stream = self.reader.get_ref();
-        match deadline {
-            Some(_) => {
-                stream.set_read_timeout(Some(POLL_INTERVAL))?;
-                self.writer.set_write_timeout(deadline)?;
-            }
-            None => {
-                stream.set_read_timeout(None)?;
-                self.writer.set_write_timeout(None)?;
-            }
-        }
+        // The socket wakes every poll interval and the reader checks the
+        // overall deadline: a slow-drip server feeding one byte per
+        // interval must not reset the clock with every read.
+        let stream = self.conn.stream();
+        stream.set_read_timeout(deadline.map(|_| POLL_INTERVAL))?;
+        stream.set_write_timeout(deadline)?;
         self.deadline = deadline;
         Ok(())
     }
@@ -74,52 +60,38 @@ impl Client {
     /// newline). The lowest-level escape hatch — the CLI uses it so users
     /// can type any JSON they like.
     pub fn request_line(&mut self, line: &str) -> io::Result<String> {
-        // One write_all, not writeln!: a formatted write issues one
-        // syscall (one packet, under NODELAY) per fragment.
-        let mut framed = String::with_capacity(line.len() + 1);
-        framed.push_str(line);
-        framed.push('\n');
-        self.writer.write_all(framed.as_bytes())?;
-        let limit = self.deadline.map(|d| Instant::now() + d);
-        let mut response = String::new();
-        loop {
-            match self.reader.read_line(&mut response) {
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "server closed the connection",
-                    ));
-                }
-                // `read_line` also returns on EOF without a terminator: a
-                // server that closes mid-response must surface as an error,
-                // not as a truncated "line".
-                Ok(_) if !response.ends_with('\n') => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "server closed the connection mid-response",
-                    ));
-                }
-                Ok(_) => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                // A poll-interval timeout only matters past the deadline;
-                // partial bytes read so far stay buffered in `response`.
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) && self.deadline.is_some() =>
-                {
-                    if limit.is_some_and(|limit| Instant::now() >= limit) {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "response deadline exceeded",
-                        ));
-                    }
-                }
-                Err(e) => return Err(e),
+        // A failed earlier write may have left its line behind.
+        self.conn.output.clear();
+        self.conn.output.extend_from_slice(line.as_bytes());
+        self.conn.output.push(b'\n');
+        self.conn.flush()?;
+        let limits = Limits {
+            cap: usize::MAX,
+            deadline: self.deadline.and_then(|d| Instant::now().checked_add(d)),
+            stop: None,
+        };
+        // The response is framed as bytes and converted once: a poll tick
+        // that lands inside a multi-byte character loses nothing.
+        let closed = |message| Err(io::Error::new(io::ErrorKind::UnexpectedEof, message));
+        match self.conn.read_frame(&limits, line_frame)? {
+            Frame::Complete => {}
+            Frame::Eof if self.conn.input.is_empty() => {
+                return closed("server closed the connection");
             }
+            // A server that closes mid-response must surface as an error,
+            // not as a truncated "line".
+            Frame::Eof => return closed("server closed the connection mid-response"),
+            Frame::Expired => {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    "response deadline exceeded",
+                ));
+            }
+            Frame::Oversized => unreachable!("responses are read without a cap"),
         }
-        Ok(response.trim_end().to_string())
+        let mut response = std::mem::take(&mut self.conn.input);
+        response.truncate(response.trim_ascii_end().len());
+        String::from_utf8(response).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 
     /// Sends one request value and parses the response.
@@ -129,122 +101,104 @@ impl Client {
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad response: {e}")))
     }
 
+    /// Sends one typed request.
+    fn send(&mut self, request: Request) -> io::Result<Json> {
+        self.request(&request.to_json())
+    }
+
     /// `prepare`: compile `program` into the server's cache.
     pub fn prepare(&mut self, program: &str) -> io::Result<Json> {
-        self.request(&Json::object([
-            ("op", Json::string("prepare")),
-            ("program", Json::string(program)),
-        ]))
+        self.send(Request::Prepare {
+            program: program.into(),
+        })
     }
 
     /// `query`: evaluate `program` on one document.
     pub fn query(&mut self, program: &str, doc: &str) -> io::Result<Json> {
-        self.request(&Json::object([
-            ("op", Json::string("query")),
-            ("program", Json::string(program)),
-            ("doc", Json::string(doc)),
-        ]))
+        self.send(Request::Query {
+            program: program.into(),
+            doc: doc.into(),
+        })
     }
 
     /// `query_corpus`: evaluate `program` over every line of `text`.
     pub fn query_corpus(&mut self, program: &str, text: &str) -> io::Result<Json> {
-        self.request(&Json::object([
-            ("op", Json::string("query_corpus")),
-            ("program", Json::string(program)),
-            ("text", Json::string(text)),
-        ]))
+        self.send(Request::QueryCorpus {
+            program: program.into(),
+            text: Some(text.into()),
+        })
     }
 
     /// `load_corpus`: ingest every line of `text` into the server's
     /// resident trigram-indexed store.
     pub fn load_corpus(&mut self, text: &str) -> io::Result<Json> {
-        self.request(&Json::object([
-            ("op", Json::string("load_corpus")),
-            ("text", Json::string(text)),
-        ]))
+        self.send(Request::LoadCorpus { text: text.into() })
     }
 
     /// `append_docs`: append every line of `text` to the resident store.
     pub fn append_docs(&mut self, text: &str) -> io::Result<Json> {
-        self.request(&Json::object([
-            ("op", Json::string("append_docs")),
-            ("text", Json::string(text)),
-        ]))
+        self.send(Request::AppendDocs { text: text.into() })
     }
 
     /// `update_doc`: replace resident document `line` (0-based) with
     /// `text`.
     pub fn update_doc(&mut self, line: u32, text: &str) -> io::Result<Json> {
-        self.request(&Json::object([
-            ("op", Json::string("update_doc")),
-            ("line", Json::number(line as usize)),
-            ("text", Json::string(text)),
-        ]))
+        self.send(Request::UpdateDoc {
+            line,
+            text: text.into(),
+        })
     }
 
     /// `delete_docs`: tombstone the given resident document ids.
     pub fn delete_docs(&mut self, lines: &[u32]) -> io::Result<Json> {
-        self.request(&Json::object([
-            ("op", Json::string("delete_docs")),
-            (
-                "lines",
-                Json::Array(lines.iter().map(|&id| Json::number(id as usize)).collect()),
-            ),
-        ]))
+        self.send(Request::DeleteDocs {
+            lines: lines.to_vec(),
+        })
     }
 
     /// `query_corpus` without `text`: evaluate `program` against the
     /// resident store loaded by [`Client::load_corpus`], served
     /// incrementally through its maintained view and trigram index.
     pub fn query_store(&mut self, program: &str) -> io::Result<Json> {
-        self.request(&Json::object([
-            ("op", Json::string("query_corpus")),
-            ("program", Json::string(program)),
-        ]))
+        self.send(Request::QueryCorpus {
+            program: program.into(),
+            text: None,
+        })
     }
 
     /// `explain`: the full explain rendering of `program`.
     pub fn explain(&mut self, program: &str) -> io::Result<Json> {
-        self.request(&Json::object([
-            ("op", Json::string("explain")),
-            ("program", Json::string(program)),
-        ]))
+        self.send(Request::Explain {
+            program: program.into(),
+            analyze: false,
+            doc: None,
+        })
     }
 
     /// `explain` with `"analyze": true`: run `program` on `doc` through
     /// the traced executor and report the explain text annotated with the
     /// measured per-operator tree, plus the structured trace.
     pub fn explain_analyze(&mut self, program: &str, doc: &str) -> io::Result<Json> {
-        self.request(&Json::object([
-            ("op", Json::string("explain")),
-            ("program", Json::string(program)),
-            ("analyze", Json::Bool(true)),
-            ("doc", Json::string(doc)),
-        ]))
+        self.send(Request::Explain {
+            program: program.into(),
+            analyze: true,
+            doc: Some(doc.into()),
+        })
     }
 
     /// `stats`: cache and server counters.
     pub fn stats(&mut self) -> io::Result<Json> {
-        self.request(&Json::object([("op", Json::string("stats"))]))
+        self.send(Request::Stats)
     }
 
     /// `metrics`: the server's metrics registry as Prometheus text
     /// exposition (in the response's `metrics` field).
     pub fn metrics(&mut self) -> io::Result<Json> {
-        self.request(&Json::object([("op", Json::string("metrics"))]))
+        self.send(Request::Metrics)
     }
 
     /// `shutdown`: ask the server to drain and exit.
     pub fn shutdown(&mut self) -> io::Result<Json> {
-        self.request(&Json::object([("op", Json::string("shutdown"))]))
-    }
-}
-
-impl std::fmt::Debug for Client {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.writer.peer_addr() {
-            Ok(addr) => write!(f, "Client({addr})"),
-            Err(_) => write!(f, "Client(disconnected)"),
-        }
+        self.send(Request::Shutdown)
     }
 }

@@ -1,11 +1,14 @@
 //! The HTTP/1.1 front end.
 //!
 //! The same operations as the line-JSON protocol, behind a std-only
-//! HTTP/1.1 server running on the existing connection-worker pool — no
-//! async runtime, no HTTP dependency. Every endpoint translates its
-//! request into the exact [`Request`] the line protocol would decode and
-//! funnels through the server's `dispatch_request`, so the two transports share one
-//! validation path, one dispatch, one set of per-op metrics, and (on a
+//! HTTP/1.1 codec on the daemon's one connection loop — no async runtime,
+//! no HTTP dependency. `HttpCodec` frames a request (head, then a
+//! length-framed body) through the connection's framed reader, names the
+//! op from the path and hands the body's fields to
+//! [`Request::from_json`], the decoder the line protocol uses; the loop
+//! dispatches and accounts for the request like any other, and the codec
+//! renders the response with an HTTP status. So the two transports share
+//! one validation path, one dispatch, one set of per-op metrics, and (on a
 //! router front end) one fan-out.
 //!
 //! | method & path | op | notes |
@@ -23,13 +26,19 @@
 //! | `POST /v1/corpus/delete` | `delete_docs` | body: `{"lines":[…]}` |
 //! | `POST /v1/shutdown` | `shutdown` | drain and exit |
 //!
+//! The path alone names the op: an `"op"` member in a body is ignored.
+//!
 //! Hostile-input containment mirrors the line transport: the request
 //! head is read through [`ServeOptions::max_head_bytes`] (`431` past
 //! it), bodies through [`ServeOptions::max_body_bytes`] (`413`, without
-//! reading the body), a `POST` without `Content-Length` is `411`, and
-//! the idle/slow-drip deadline ([`ServeOptions::idle_timeout`]) applies
-//! to head and body reads alike. Connections are keep-alive by default
-//! (HTTP/1.1) and honor `Connection: close`.
+//! reading the body), and the idle/slow-drip deadline
+//! ([`ServeOptions::idle_timeout`]) applies to head and body reads alike.
+//! A request without `Content-Length` has an empty body (`curl -X POST
+//! …/v1/shutdown` sends none); two *different* `Content-Length` values are
+//! a `400`, and request bodies with a `Transfer-Encoding` a `501`.
+//! Connections are keep-alive by default (HTTP/1.1) and honor
+//! `Connection: close`; a reject that leaves the stream unframed (a bad or
+//! oversized head, an unread body) closes it.
 //!
 //! Error responses carry the protocol's JSON error body: a plain error
 //! (bad program, bad field) is `400`; a router *degraded* response
@@ -40,15 +49,14 @@
 //! reassembled body is **byte-identical** to the line-protocol response
 //! for the same request — pinned by the HTTP conformance tests.
 
+use crate::conn::{exact_frame, line_frame, Conn, Frame, Limits};
 use crate::json::Json;
 use crate::protocol::{error_response, Request};
 #[cfg_attr(not(doc), allow(unused_imports))] // doc links only
 use crate::server::ServeOptions;
-use crate::server::{dispatch_request, initiate_shutdown, Shared, POLL_INTERVAL};
-use std::io::{self, BufRead, BufReader, Write};
+use crate::server::{Codec, Incoming, Shared};
+use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::atomic::Ordering;
-use std::time::Instant;
 
 /// A parsed request head.
 struct Head {
@@ -64,10 +72,7 @@ struct Head {
 impl Head {
     /// The first value of `name` (lowercase), if present.
     fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
+        header(&self.headers, name)
     }
 
     /// Whether the connection should stay open after the response.
@@ -88,316 +93,282 @@ impl Head {
     }
 }
 
-/// Outcome of reading one request head.
-enum HeadRead {
-    Head(Vec<u8>),
-    /// Head exceeded [`ServeOptions::max_head_bytes`].
-    TooLarge,
-    /// EOF, idle deadline, or shutdown while reading.
-    Closed,
+/// The HTTP/1.1 codec: what it decided about the response while reading
+/// the request, plus a reusable body buffer.
+#[derive(Default)]
+pub(crate) struct HttpCodec {
+    /// Whether the connection can be reused after the response. Stays
+    /// `false` until the request is framed to its last body byte.
+    keep_alive: bool,
+    /// The status of a reject, fixed while reading; a dispatched request's
+    /// status is read off its response.
+    status: Option<u16>,
+    /// The `Allow` header of a `405`.
+    allow: Option<&'static str>,
+    /// The rendered body (its length precedes it on the wire).
+    body: Vec<u8>,
 }
 
-/// Serves one HTTP connection until close, idle timeout, or shutdown.
-pub(crate) fn handle_http_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(POLL_INTERVAL))?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    loop {
-        let head_bytes = match read_head(&mut reader, shared)? {
-            HeadRead::Closed => return Ok(()),
-            HeadRead::TooLarge => {
-                let body = error_response(format!(
-                    "request head exceeds the {}-byte limit",
-                    shared.options.max_head_bytes
-                ));
-                shared
-                    .metrics
-                    .record_request("invalid", std::time::Duration::ZERO, &body);
-                // The unread rest of the head is unframed garbage: close.
-                return write_json(&mut writer, shared, 431, &body, false);
-            }
-            HeadRead::Head(bytes) => bytes,
+impl HttpCodec {
+    /// Refuses the request in hand with `status` and the protocol's error
+    /// body.
+    fn reject(
+        &mut self,
+        status: u16,
+        message: impl std::fmt::Display,
+    ) -> io::Result<Option<Incoming>> {
+        self.status = Some(status);
+        Ok(Some(Incoming::Decoded(Err(error_response(message)))))
+    }
+}
+
+impl Codec for HttpCodec {
+    fn read_request(&mut self, conn: &mut Conn, shared: &Shared) -> io::Result<Option<Incoming>> {
+        let options = &shared.options;
+        *self = HttpCodec {
+            body: std::mem::take(&mut self.body),
+            ..HttpCodec::default()
         };
-        let started = Instant::now();
-        shared.metrics.bytes_read.add(head_bytes.len() as u64);
-        let head = match parse_head(&head_bytes) {
-            Ok(head) => head,
-            Err(message) => {
-                let body = error_response(message);
-                shared
-                    .metrics
-                    .record_request("invalid", started.elapsed(), &body);
-                // A malformed head leaves the stream unframed: close.
-                return write_json(&mut writer, shared, 400, &body, false);
+        match conn.read_frame(&shared.limits(options.max_head_bytes), head_frame)? {
+            Frame::Complete => {}
+            // The unread rest of the head is unframed garbage: close.
+            Frame::Oversized => {
+                let cap = options.max_head_bytes;
+                return self.reject(431, format!("request head exceeds the {cap}-byte limit"));
             }
+            // EOF: a partial head is dropped silently (nothing to frame a
+            // response for); between requests this is a clean close.
+            Frame::Eof | Frame::Expired => return Ok(None),
+        }
+        // A malformed head, like every reject before the body is framed,
+        // leaves the stream unframed: `keep_alive` is still off.
+        let head = match parse_head(&conn.input) {
+            Ok(head) => head,
+            Err(message) => return self.reject(400, message),
         };
         if head.header("transfer-encoding").is_some() {
             // Request bodies must be length-framed; chunked requests are
             // out of scope (the server streams chunked *responses* only).
-            let body = error_response("chunked request bodies are not supported");
-            shared
-                .metrics
-                .record_request("invalid", started.elapsed(), &body);
-            return write_json(&mut writer, shared, 501, &body, false);
+            return self.reject(501, "chunked request bodies are not supported");
         }
-        let keep_alive = head.keep_alive();
         // Read the body (if any) before routing, so even a 404/405
         // response leaves the connection correctly framed for reuse.
-        let declared = match head.content_length() {
-            Ok(len) => len,
-            Err(()) => {
-                let body = error_response("unparseable Content-Length");
-                shared
-                    .metrics
-                    .record_request("invalid", started.elapsed(), &body);
-                return write_json(&mut writer, shared, 400, &body, false);
-            }
+        let length = match head.content_length() {
+            Ok(declared) => declared,
+            Err(()) => return self.reject(400, "unparseable Content-Length"),
         };
-        let body_bytes = match declared {
-            None => Vec::new(),
-            Some(len) if len > shared.options.max_body_bytes => {
-                let body = error_response(format!(
-                    "request body of {len} bytes exceeds the {}-byte limit",
-                    shared.options.max_body_bytes
-                ));
-                shared
-                    .metrics
-                    .record_request("invalid", started.elapsed(), &body);
-                // The body was never read: the stream is unframed; close.
-                return write_json(&mut writer, shared, 413, &body, false);
+        if let Some(length) = length {
+            let cap = options.max_body_bytes;
+            if length > cap {
+                // The body is never read.
+                let message =
+                    format!("request body of {length} bytes exceeds the {cap}-byte limit");
+                return self.reject(413, message);
             }
-            Some(len) => {
-                if head
-                    .header("expect")
-                    .is_some_and(|v| v.eq_ignore_ascii_case("100-continue"))
-                {
-                    writer.write_all(b"HTTP/1.1 100 Continue\r\n\r\n")?;
-                }
-                match read_body(&mut reader, len, shared)? {
-                    Some(bytes) => bytes,
-                    None => return Ok(()), // EOF / idle deadline mid-body
-                }
-            }
-        };
-        shared.metrics.bytes_read.add(body_bytes.len() as u64);
-        let outcome = route(shared, &head, &body_bytes, started);
-        match outcome {
-            Routed::Simple {
-                status,
-                body,
-                content_type,
-            } => {
-                let close = !keep_alive || status == 503;
-                write_response(&mut writer, shared, status, &content_type, &body, !close)?;
-                if close {
-                    return Ok(());
-                }
-            }
-            Routed::Json { status, body } => {
-                write_json(&mut writer, shared, status, &body, keep_alive)?;
-                if !keep_alive {
-                    return Ok(());
-                }
-            }
-            Routed::CorpusStream { response } => {
-                write_corpus_chunked(&mut writer, shared, &response, keep_alive)?;
-                if !keep_alive {
-                    return Ok(());
-                }
-            }
-            Routed::Shutdown { body } => {
-                // Answer, then drain: mirror the line transport's
-                // shutdown sequencing.
-                write_json(&mut writer, shared, 200, &body, false)?;
-                initiate_shutdown(shared);
-                return Ok(());
+            if head
+                .header("expect")
+                .is_some_and(|v| v.eq_ignore_ascii_case("100-continue"))
+            {
+                conn.output
+                    .extend_from_slice(b"HTTP/1.1 100 Continue\r\n\r\n");
+                conn.flush()?;
             }
         }
-    }
-}
-
-/// What the router decided to send back.
-enum Routed {
-    /// A non-JSON (or pre-rendered) response body.
-    Simple {
-        status: u16,
-        content_type: String,
-        body: Vec<u8>,
-    },
-    /// A protocol JSON response.
-    Json { status: u16, body: Json },
-    /// A successful `query_corpus` response, streamed chunked.
-    CorpusStream { response: Json },
-    /// A `shutdown` acknowledged; drain after writing.
-    Shutdown { body: Json },
-}
-
-/// Maps a path to its protocol op, for `POST` endpoints.
-fn post_op(path: &str) -> Option<&'static str> {
-    match path {
-        "/v1/prepare" => Some("prepare"),
-        "/v1/query" => Some("query"),
-        "/v1/explain" => Some("explain"),
-        "/v1/query_corpus" => Some("query_corpus"),
-        "/v1/corpus" => Some("load_corpus"),
-        "/v1/corpus/append" => Some("append_docs"),
-        "/v1/corpus/update" => Some("update_doc"),
-        "/v1/corpus/delete" => Some("delete_docs"),
-        "/v1/stats" => Some("stats"),
-        "/v1/shutdown" => Some("shutdown"),
-        _ => None,
-    }
-}
-
-/// Routes one framed request to a response, recording per-op metrics
-/// exactly like the line transport.
-fn route(shared: &Shared, head: &Head, body: &[u8], started: Instant) -> Routed {
-    match (head.method.as_str(), head.path.as_str()) {
-        ("GET", "/healthz") => Routed::Json {
-            status: 200,
-            body: Json::object([
+        // No length, no body.
+        let length = length.unwrap_or(0);
+        if conn.read_frame(&shared.limits(length), exact_frame(length))? != Frame::Complete {
+            // EOF or idle deadline mid-body: there is no way to frame a
+            // response on a half-sent request.
+            return Ok(None);
+        }
+        self.keep_alive = head.keep_alive();
+        let decoded = |request| Ok(Some(Incoming::Decoded(Ok(request))));
+        match (head.method.as_str(), head.path.as_str()) {
+            ("GET", "/healthz") => Ok(Some(Incoming::Probe(Json::object([
                 ("ok", Json::Bool(true)),
                 (
                     "uptime_s",
                     Json::Number(shared.started.elapsed().as_secs_f64()),
                 ),
-            ]),
-        },
-        ("GET", "/metrics") => {
-            shared.metrics.begin_request("metrics");
-            let text = shared.render_metrics();
-            shared.metrics.finish_request(
-                "metrics",
-                started.elapsed(),
-                &Json::object([("ok", Json::Bool(true))]),
-            );
-            Routed::Simple {
-                status: 200,
-                content_type: "text/plain; version=0.0.4; charset=utf-8".to_string(),
-                body: text.into_bytes(),
-            }
-        }
-        ("GET", "/v1/stats") => dispatch(shared, "stats", Json::object::<&str>([]), started),
-        ("POST", path) => match post_op(path) {
-            None => not_found(shared, started),
-            Some(op) => match body_to_fields(head, body, op) {
-                Err(message) => {
-                    let body = error_response(message);
-                    shared
-                        .metrics
-                        .record_request("invalid", started.elapsed(), &body);
-                    Routed::Json { status: 400, body }
-                }
-                Ok(fields) => dispatch(shared, op, fields, started),
+            ])))),
+            ("GET", "/metrics") => decoded(Request::Metrics),
+            ("GET", "/v1/stats") => decoded(Request::Stats),
+            ("POST", path) => match post_op(path) {
+                None => self.reject(404, "no such endpoint"),
+                Some(op) => match decode_body(&head, &conn.input, op) {
+                    Ok(request) => decoded(request),
+                    Err(message) => self.reject(400, message),
+                },
             },
-        },
-        (_, path)
-            if path == "/healthz"
-                || path == "/metrics"
-                || path == "/v1/stats"
-                || post_op(path).is_some() =>
-        {
-            // Known path, wrong method.
-            let allow = match path {
-                "/healthz" | "/metrics" => "GET",
-                "/v1/stats" => "GET, POST",
-                _ => "POST",
-            };
-            let body = error_response(format!(
-                "method {} not allowed (allow: {allow})",
-                head.method
-            ));
-            shared
-                .metrics
-                .record_request("invalid", started.elapsed(), &body);
-            Routed::Simple {
-                status: 405,
-                content_type: format!("application/json\r\nAllow: {allow}"),
-                body: body.to_string().into_bytes(),
-            }
+            (method, path) => match allowed_methods(path) {
+                None => self.reject(404, "no such endpoint"),
+                Some(allow) => {
+                    self.allow = Some(allow);
+                    self.reject(405, format!("method {method} not allowed (allow: {allow})"))
+                }
+            },
         }
-        _ => not_found(shared, started),
+    }
+
+    fn write_response(
+        &mut self,
+        conn: &mut Conn,
+        shared: &Shared,
+        response: &Json,
+        last: bool,
+    ) -> io::Result<bool> {
+        let keep_alive = self.keep_alive && !last;
+        let flag = |name| response.get(name).and_then(Json::as_bool) == Some(true);
+        let status = self.status.unwrap_or(match (flag("ok"), flag("degraded")) {
+            (true, _) => 200,
+            (false, true) => 503,
+            (false, false) => 400,
+        });
+        shared.metrics.http_classes[(status / 100 - 2) as usize].inc();
+        let head = |out: &mut Vec<u8>, content_type: &str, length: Option<usize>| {
+            write!(
+                out,
+                "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n",
+                reason(status)
+            )?;
+            if let Some(allow) = self.allow {
+                write!(out, "Allow: {allow}\r\n")?;
+            }
+            match length {
+                Some(length) => write!(out, "Content-Length: {length}\r\n")?,
+                None => out.extend_from_slice(b"Transfer-Encoding: chunked\r\n"),
+            }
+            let connection = if keep_alive { "keep-alive" } else { "close" };
+            write!(out, "Connection: {connection}\r\n\r\n")
+        };
+        let body = &mut self.body;
+        body.clear();
+        if let Some((before, results)) = split_results(response) {
+            // A `query_corpus` success streams: one chunk for everything
+            // before the `results` array, one per entry, one closing chunk
+            // — reassembled, the byte-identical line-protocol response.
+            head(&mut conn.output, "application/json", None)?;
+            let chunk = |out: &mut Vec<u8>, body: &mut Vec<u8>| -> io::Result<()> {
+                write!(out, "{:x}\r\n", body.len())?;
+                out.extend_from_slice(body);
+                out.extend_from_slice(b"\r\n");
+                body.clear();
+                Ok(())
+            };
+            write!(body, "{before}")?;
+            body.pop(); // strip '}' — the results array reopens the object
+            body.extend_from_slice(b",\"results\":[");
+            chunk(&mut conn.output, body)?;
+            for (i, entry) in results.iter().enumerate() {
+                if i > 0 {
+                    body.push(b',');
+                }
+                write!(body, "{entry}")?;
+                chunk(&mut conn.output, body)?;
+                // Chunks are coalesced into ~32 KiB writes.
+                if conn.output.len() >= 32 << 10 {
+                    conn.flush()?;
+                }
+            }
+            body.extend_from_slice(b"]}");
+            chunk(&mut conn.output, body)?;
+            conn.output.extend_from_slice(b"0\r\n\r\n");
+        } else if let Some(text) = response.get("metrics").and_then(Json::as_str) {
+            // The `metrics` op (`GET /metrics`) is scraped, not decoded.
+            let content_type = "text/plain; version=0.0.4; charset=utf-8";
+            head(&mut conn.output, content_type, Some(text.len()))?;
+            conn.output.extend_from_slice(text.as_bytes());
+        } else {
+            write!(body, "{response}")?;
+            head(&mut conn.output, "application/json", Some(body.len()))?;
+            conn.output.extend_from_slice(body);
+        }
+        conn.flush()?;
+        Ok(keep_alive)
     }
 }
 
-/// The 404 response.
-fn not_found(shared: &Shared, started: Instant) -> Routed {
-    let body = error_response("no such endpoint");
-    shared
-        .metrics
-        .record_request("invalid", started.elapsed(), &body);
-    Routed::Json { status: 404, body }
+/// Splits a `query_corpus` success — the one response whose last member is
+/// a `results` array (see `corpus_response`) — into the object of the
+/// members before the array and the array's entries.
+fn split_results(response: &Json) -> Option<(Json, &[Json])> {
+    let Json::Object(fields) = response else {
+        return None;
+    };
+    match fields.split_last()? {
+        ((key, Json::Array(results)), before) if key == "results" => {
+            Some((Json::Object(before.to_vec()), results))
+        }
+        _ => None,
+    }
 }
 
-/// Decodes a request body into the fields object the op expects: JSON
-/// endpoints must carry a JSON object; the corpus ingest endpoints
-/// accept raw text unless `Content-Type` says JSON, so
-/// `curl --data-binary @corpus.txt` works without escaping.
-fn body_to_fields(head: &Head, body: &[u8], op: &'static str) -> Result<Json, String> {
+/// The head framer: a head ends with the first blank line, `CRLFCRLF` or
+/// bare `LFLF`. The terminator may straddle a chunk boundary, so the bytes
+/// before a chunk's newline are looked up in the buffered part as needed.
+fn head_frame(buffered: &[u8], chunk: &[u8]) -> (usize, bool) {
+    let before = |i: usize, back: usize| match i.checked_sub(back) {
+        Some(j) => Some(chunk[j]),
+        None => buffered.len().checked_sub(back - i).map(|j| buffered[j]),
+    };
+    let end = (0..chunk.len()).find(|&i| {
+        chunk[i] == b'\n'
+            && (before(i, 1) == Some(b'\n')
+                || (before(i, 1), before(i, 2), before(i, 3))
+                    == (Some(b'\r'), Some(b'\n'), Some(b'\r')))
+    });
+    end.map_or((chunk.len(), false), |i| (i + 1, true))
+}
+
+/// Maps a `POST` path to its protocol op: `/v1/<op>` for every entry of
+/// [`Request::OPS`], except that the corpus family nests REST-style under
+/// `/v1/corpus` and `metrics` is served the Prometheus way, as
+/// `GET /metrics`.
+fn post_op(path: &str) -> Option<&'static str> {
+    let name = path.strip_prefix("/v1/")?;
+    Request::OPS.into_iter().find(|&op| match op {
+        "load_corpus" => name == "corpus",
+        "append_docs" => name == "corpus/append",
+        "update_doc" => name == "corpus/update",
+        "delete_docs" => name == "corpus/delete",
+        "metrics" => false,
+        op => name == op,
+    })
+}
+
+/// The methods a known path answers — the `Allow` header of its `405`;
+/// `None` for paths that are not endpoints.
+fn allowed_methods(path: &str) -> Option<&'static str> {
+    match path {
+        "/healthz" | "/metrics" => Some("GET"),
+        "/v1/stats" => Some("GET, POST"),
+        path => post_op(path).map(|_| "POST"),
+    }
+}
+
+/// Decodes a request body into the request `op` names: JSON endpoints
+/// carry a JSON object (or nothing); the corpus ingest endpoints accept
+/// raw text unless `Content-Type` says JSON, so `curl --data-binary
+/// @corpus.txt` works without escaping — and without a JSON round trip on
+/// the way to the store.
+fn decode_body(head: &Head, body: &[u8], op: &'static str) -> Result<Request, String> {
     let is_json = head
         .header("content-type")
         .is_some_and(|v| v.to_ascii_lowercase().contains("json"));
-    if matches!(op, "load_corpus" | "append_docs") && !is_json {
+    if !is_json && matches!(op, "load_corpus" | "append_docs") {
         let text = String::from_utf8_lossy(body).into_owned();
-        return Ok(Json::object([("text", Json::string(text))]));
+        return Ok(match op {
+            "load_corpus" => Request::LoadCorpus { text },
+            _ => Request::AppendDocs { text },
+        });
     }
     if body.is_empty() {
-        return Ok(Json::object::<&str>([]));
+        return Request::from_json(op, Json::Object(Vec::new()));
     }
     let text = std::str::from_utf8(body).map_err(|_| "request body is not UTF-8".to_string())?;
-    let value = Json::parse(text).map_err(|e| e.to_string())?;
-    match value {
-        Json::Object(_) => Ok(value),
+    match Json::parse(text).map_err(|e| e.to_string())? {
+        fields @ Json::Object(_) => Request::from_json(op, fields),
         _ => Err("request body must be a JSON object".to_string()),
-    }
-}
-
-/// Inserts the op, re-decodes through [`Request::parse`] (one validation
-/// path for both transports), dispatches, and maps the protocol response
-/// to an HTTP status.
-fn dispatch(shared: &Shared, op: &'static str, fields: Json, started: Instant) -> Routed {
-    let Json::Object(mut pairs) = fields else {
-        unreachable!("body_to_fields always yields an object");
-    };
-    pairs.retain(|(k, _)| k != "op");
-    pairs.insert(0, ("op".to_string(), Json::string(op)));
-    let line = Json::Object(pairs).to_string();
-    match Request::parse(&line) {
-        Err(message) => {
-            let body = error_response(message);
-            shared
-                .metrics
-                .record_request("invalid", started.elapsed(), &body);
-            Routed::Json { status: 400, body }
-        }
-        Ok(request) => {
-            let shutdown = request == Request::Shutdown;
-            let streaming = matches!(request, Request::QueryCorpus { .. });
-            shared.metrics.begin_request(op);
-            let response = dispatch_request(shared, request);
-            shared
-                .metrics
-                .finish_request(op, started.elapsed(), &response);
-            let ok = response.get("ok").and_then(Json::as_bool) == Some(true);
-            if shutdown && ok {
-                return Routed::Shutdown { body: response };
-            }
-            if !ok {
-                let degraded = response.get("degraded").and_then(Json::as_bool) == Some(true);
-                return Routed::Json {
-                    status: if degraded { 503 } else { 400 },
-                    body: response,
-                };
-            }
-            if streaming {
-                return Routed::CorpusStream { response };
-            }
-            Routed::Json {
-                status: 200,
-                body: response,
-            }
-        }
     }
 }
 
@@ -408,241 +379,12 @@ fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
-        411 => "Length Required",
         413 => "Content Too Large",
         431 => "Request Header Fields Too Large",
         501 => "Not Implemented",
         503 => "Service Unavailable",
         _ => "Unknown",
     }
-}
-
-/// Writes one JSON response.
-fn write_json(
-    writer: &mut TcpStream,
-    shared: &Shared,
-    status: u16,
-    body: &Json,
-    keep_alive: bool,
-) -> io::Result<()> {
-    write_response(
-        writer,
-        shared,
-        status,
-        "application/json",
-        body.to_string().as_bytes(),
-        keep_alive,
-    )
-}
-
-/// Writes one length-framed response with a single syscall (same
-/// rationale as the line transport's `write_response`).
-fn write_response(
-    writer: &mut TcpStream,
-    shared: &Shared,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    keep_alive: bool,
-) -> io::Result<()> {
-    let mut out = Vec::with_capacity(body.len() + 160);
-    out.extend_from_slice(
-        format!(
-            "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
-            reason(status),
-            body.len(),
-            if keep_alive { "keep-alive" } else { "close" },
-        )
-        .as_bytes(),
-    );
-    out.extend_from_slice(body);
-    shared.metrics.bytes_written.add(out.len() as u64);
-    record_status(shared, status);
-    writer.write_all(&out)
-}
-
-/// Records the status-class counter.
-fn record_status(shared: &Shared, status: u16) {
-    let class = (status / 100) as usize;
-    if (2..=5).contains(&class) {
-        shared.metrics.http_classes[class - 2].inc();
-    }
-}
-
-/// Streams a successful `query_corpus` response with chunked transfer
-/// encoding: one chunk for everything before the `results` array, one
-/// chunk per result entry, one closing chunk. The protocol response puts
-/// `results` last (see `corpus_response`), so the reassembled body is
-/// byte-identical to the line-protocol response — pinned by the HTTP
-/// conformance tests. Chunks are coalesced into ~32 KiB writes.
-fn write_corpus_chunked(
-    writer: &mut TcpStream,
-    shared: &Shared,
-    response: &Json,
-    keep_alive: bool,
-) -> io::Result<()> {
-    let Json::Object(fields) = response else {
-        // Not the expected shape; fall back to a plain response.
-        return write_json(writer, shared, 200, response, keep_alive);
-    };
-    let Some(("results", Json::Array(results))) = fields.last().map(|(k, v)| (k.as_str(), v))
-    else {
-        return write_json(writer, shared, 200, response, keep_alive);
-    };
-    let mut head = Json::Object(fields[..fields.len() - 1].to_vec()).to_string();
-    head.pop(); // strip '}' — the results array reopens the object
-    head.push_str(",\"results\":[");
-
-    let mut out = Vec::with_capacity(64 << 10);
-    out.extend_from_slice(
-        format!(
-            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nTransfer-Encoding: chunked\r\nConnection: {}\r\n\r\n",
-            if keep_alive { "keep-alive" } else { "close" },
-        )
-        .as_bytes(),
-    );
-    let mut written = 0u64;
-    let chunk = |out: &mut Vec<u8>, data: &str| {
-        out.extend_from_slice(format!("{:x}\r\n", data.len()).as_bytes());
-        out.extend_from_slice(data.as_bytes());
-        out.extend_from_slice(b"\r\n");
-    };
-    chunk(&mut out, &head);
-    for (i, entry) in results.iter().enumerate() {
-        let rendered = if i == 0 {
-            entry.to_string()
-        } else {
-            format!(",{entry}")
-        };
-        chunk(&mut out, &rendered);
-        if out.len() >= 32 << 10 {
-            written += out.len() as u64;
-            writer.write_all(&out)?;
-            out.clear();
-        }
-    }
-    chunk(&mut out, "]}");
-    out.extend_from_slice(b"0\r\n\r\n");
-    written += out.len() as u64;
-    writer.write_all(&out)?;
-    shared.metrics.bytes_written.add(written);
-    record_status(shared, 200);
-    Ok(())
-}
-
-/// Reads one request head (request line + headers, through the blank
-/// line), enforcing [`ServeOptions::max_head_bytes`] and the idle/
-/// slow-drip deadline, polling the shutdown flag while idle. Consumes
-/// only up to the head terminator, so pipelined bytes stay buffered for
-/// the next request.
-fn read_head(reader: &mut BufReader<TcpStream>, shared: &Shared) -> io::Result<HeadRead> {
-    let cap = shared.options.max_head_bytes;
-    let mut buf: Vec<u8> = Vec::new();
-    let started = Instant::now();
-    loop {
-        if started.elapsed() >= shared.options.idle_timeout {
-            return Ok(HeadRead::Closed);
-        }
-        let chunk = match reader.fill_buf() {
-            Ok(chunk) => chunk,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return Ok(HeadRead::Closed);
-                }
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        if chunk.is_empty() {
-            // EOF: a partial head is dropped silently (nothing to frame
-            // a response for); between requests this is a clean close.
-            return Ok(HeadRead::Closed);
-        }
-        // Find the head terminator in the window spanning the buffered
-        // tail and this chunk, accepting both CRLFCRLF and bare LFLF.
-        let tail = buf.len().min(3);
-        let mut window = Vec::with_capacity(tail + chunk.len());
-        window.extend_from_slice(&buf[buf.len() - tail..]);
-        window.extend_from_slice(chunk);
-        let crlf = find(&window, b"\r\n\r\n").map(|p| p + 4);
-        let lf = find(&window, b"\n\n").map(|p| p + 2);
-        let end = match (crlf, lf) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        match end {
-            // The terminator must end inside this chunk (a terminator
-            // fully inside `buf` would have been found last iteration).
-            Some(end) if end > tail => {
-                let take = end - tail;
-                buf.extend_from_slice(&chunk[..take]);
-                reader.consume(take);
-                if buf.len() > cap {
-                    return Ok(HeadRead::TooLarge);
-                }
-                return Ok(HeadRead::Head(buf));
-            }
-            _ => {
-                let take = chunk.len();
-                buf.extend_from_slice(chunk);
-                reader.consume(take);
-                if buf.len() > cap {
-                    return Ok(HeadRead::TooLarge);
-                }
-            }
-        }
-    }
-}
-
-/// First occurrence of `needle` in `haystack`.
-fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    haystack
-        .windows(needle.len())
-        .position(|window| window == needle)
-}
-
-/// Reads exactly `len` body bytes under the idle deadline; `None` on
-/// EOF, deadline, or shutdown (the connection just closes — there is no
-/// way to frame a response on a half-sent body).
-fn read_body(
-    reader: &mut BufReader<TcpStream>,
-    len: usize,
-    shared: &Shared,
-) -> io::Result<Option<Vec<u8>>> {
-    let mut buf = Vec::with_capacity(len.min(1 << 20));
-    let started = Instant::now();
-    while buf.len() < len {
-        if started.elapsed() >= shared.options.idle_timeout {
-            return Ok(None);
-        }
-        let chunk = match reader.fill_buf() {
-            Ok(chunk) => chunk,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return Ok(None);
-                }
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        if chunk.is_empty() {
-            return Ok(None);
-        }
-        let take = chunk.len().min(len - buf.len());
-        buf.extend_from_slice(&chunk[..take]);
-        reader.consume(take);
-    }
-    Ok(Some(buf))
 }
 
 /// Parses a head's bytes into method, path, version, and headers.
@@ -667,25 +409,44 @@ fn parse_head(bytes: &[u8]) -> Result<Head, String> {
     if !path.starts_with('/') {
         return Err(format!("unsupported request target `{target}`"));
     }
+    Ok(Head {
+        method: method.to_string(),
+        path,
+        http11,
+        headers: parse_headers(lines)?,
+    })
+}
+
+/// Parses header lines up to the blank line into name/value pairs, names
+/// lowercased — the one header grammar of server and client.
+fn parse_headers<'a>(
+    lines: impl Iterator<Item = &'a str>,
+) -> Result<Vec<(String, String)>, String> {
     let mut headers = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            break;
-        }
+    for line in lines.take_while(|line| !line.is_empty()) {
         let Some((name, value)) = line.split_once(':') else {
             return Err(format!("malformed header line `{line}`"));
         };
         if name.is_empty() || name.contains(' ') {
             return Err(format!("malformed header name `{name}`"));
         }
-        headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
+        let (name, value) = (name.to_ascii_lowercase(), value.trim());
+        // Two lengths that disagree frame two different messages — the
+        // request-smuggling shape RFC 9112 §6.3 makes unrecoverable.
+        if name == "content-length" && header(&headers, &name).is_some_and(|first| first != value) {
+            return Err("conflicting Content-Length headers".to_string());
+        }
+        headers.push((name, value.to_string()));
     }
-    Ok(Head {
-        method: method.to_string(),
-        path,
-        http11,
-        headers,
-    })
+    Ok(headers)
+}
+
+/// The first value of header `name` (lowercase) among parsed `headers`.
+fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers
+        .iter()
+        .find(|(k, _)| k == name)
+        .map(|(_, v)| v.as_str())
 }
 
 // ---------------------------------------------------------------------
@@ -706,10 +467,7 @@ pub struct HttpResponse {
 impl HttpResponse {
     /// The first value of header `name` (lowercase).
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
+        header(&self.headers, name)
     }
 
     /// The body as UTF-8 text.
@@ -734,18 +492,17 @@ impl HttpResponse {
 /// one client and asserts the server accepted exactly one connection).
 /// Reassembles chunked responses, so `POST /v1/query_corpus` round-trips
 /// to the same JSON the line protocol returns.
+#[derive(Debug)]
 pub struct HttpClient {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
+    conn: Conn,
 }
 
 impl HttpClient {
     /// Connects to an HTTP front end.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<HttpClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(HttpClient { stream, reader })
+        Ok(HttpClient {
+            conn: Conn::new(TcpStream::connect(addr)?)?,
+        })
     }
 
     /// Sends a `GET`.
@@ -755,16 +512,13 @@ impl HttpClient {
 
     /// Sends a `POST` with a JSON body.
     pub fn post_json(&mut self, path: &str, body: &Json) -> io::Result<HttpResponse> {
-        self.request(
-            "POST",
-            path,
-            Some(("application/json", body.to_string().into_bytes())),
-        )
+        let body = body.to_string();
+        self.request("POST", path, Some(("application/json", body.as_bytes())))
     }
 
     /// Sends a `POST` with a raw text body (the corpus ingest shape).
     pub fn post_text(&mut self, path: &str, body: &str) -> io::Result<HttpResponse> {
-        self.request("POST", path, Some(("text/plain", body.as_bytes().to_vec())))
+        self.request("POST", path, Some(("text/plain", body.as_bytes())))
     }
 
     /// Sends one request and reads one response on the persistent
@@ -773,86 +527,70 @@ impl HttpClient {
         &mut self,
         method: &str,
         path: &str,
-        body: Option<(&str, Vec<u8>)>,
+        body: Option<(&str, &[u8])>,
     ) -> io::Result<HttpResponse> {
-        let mut out = Vec::new();
-        match body {
-            None => out.extend_from_slice(format!("{method} {path} HTTP/1.1\r\n\r\n").as_bytes()),
-            Some((content_type, bytes)) => {
-                out.extend_from_slice(
-                    format!(
-                        "{method} {path} HTTP/1.1\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n\r\n",
-                        bytes.len()
-                    )
-                    .as_bytes(),
-                );
-                out.extend_from_slice(&bytes);
-            }
+        let out = &mut self.conn.output;
+        out.clear();
+        write!(out, "{method} {path} HTTP/1.1\r\n")?;
+        if let Some((content_type, bytes)) = body {
+            let length = bytes.len();
+            write!(
+                out,
+                "Content-Type: {content_type}\r\nContent-Length: {length}\r\n"
+            )?;
         }
-        self.stream.write_all(&out)?;
+        out.extend_from_slice(b"\r\n");
+        out.extend_from_slice(body.map_or(&[], |(_, bytes)| bytes));
+        self.conn.flush()?;
         self.read_response()
     }
 
     /// Reads one response: status line, headers, then a body framed by
     /// `Content-Length` or reassembled from `Transfer-Encoding: chunked`.
     fn read_response(&mut self) -> io::Result<HttpResponse> {
-        let status_line = self.read_line()?;
-        let mut parts = status_line.split_ascii_whitespace();
-        let (_version, status) = (parts.next(), parts.next());
-        let status: u16 = status
+        self.read_frame(head_frame)?;
+        let head = String::from_utf8_lossy(&self.conn.input);
+        let mut lines = head.split('\n').map(|l| l.strip_suffix('\r').unwrap_or(l));
+        let status_line = lines.next().unwrap_or("");
+        let status: u16 = status_line
+            .split_ascii_whitespace()
+            .nth(1)
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| bad_data(format!("malformed status line `{status_line}`")))?;
-        let mut headers = Vec::new();
-        loop {
-            let line = self.read_line()?;
-            if line.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = line.split_once(':') {
-                headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
-            }
-        }
+        let headers = parse_headers(lines).map_err(bad_data)?;
         // Interim responses (100 Continue) carry no body; read on.
         if status == 100 {
             return self.read_response();
         }
-        let chunked = headers
-            .iter()
-            .any(|(k, v)| k == "transfer-encoding" && v.to_ascii_lowercase().contains("chunked"));
-        let body = if chunked {
-            let mut body = Vec::new();
+        let chunked = header(&headers, "transfer-encoding")
+            .is_some_and(|v| v.to_ascii_lowercase().contains("chunked"));
+        let mut body = Vec::new();
+        if chunked {
             loop {
-                let size_line = self.read_line()?;
-                let size = usize::from_str_radix(size_line.trim(), 16)
+                self.read_frame(line_frame)?;
+                let size_line = String::from_utf8_lossy(&self.conn.input);
+                let size_line = size_line.trim();
+                let size = usize::from_str_radix(size_line, 16)
                     .map_err(|_| bad_data(format!("malformed chunk size `{size_line}`")))?;
                 if size == 0 {
                     // Trailer section: read through the blank line.
-                    loop {
-                        if self.read_line()?.is_empty() {
-                            break;
-                        }
+                    while !self.conn.input.trim_ascii().is_empty() {
+                        self.read_frame(line_frame)?;
                     }
                     break;
                 }
-                let mut chunk = vec![0u8; size];
-                io::Read::read_exact(&mut self.reader, &mut chunk)?;
-                body.extend_from_slice(&chunk);
-                let crlf = self.read_line()?;
-                if !crlf.is_empty() {
+                // The chunk and its CRLF.
+                self.read_frame(exact_frame(size.saturating_add(2)))?;
+                let Some(chunk) = self.conn.input.strip_suffix(b"\r\n") else {
                     return Err(bad_data("chunk not CRLF-terminated".to_string()));
-                }
+                };
+                body.extend_from_slice(chunk);
             }
-            body
         } else {
-            let len: usize = headers
-                .iter()
-                .find(|(k, _)| k == "content-length")
-                .and_then(|(_, v)| v.parse().ok())
-                .unwrap_or(0);
-            let mut body = vec![0u8; len];
-            io::Read::read_exact(&mut self.reader, &mut body)?;
-            body
-        };
+            let length = header(&headers, "content-length").and_then(|v| v.parse().ok());
+            self.read_frame(exact_frame(length.unwrap_or(0)))?;
+            body = std::mem::take(&mut self.conn.input);
+        }
         Ok(HttpResponse {
             status,
             headers,
@@ -860,28 +598,20 @@ impl HttpClient {
         })
     }
 
-    /// Reads one CRLF-terminated line, without the terminator.
-    fn read_line(&mut self) -> io::Result<String> {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
-        if n == 0 {
-            return Err(io::Error::new(
+    /// Reads one whole frame into the connection's input buffer; a stream
+    /// that ends first is an error.
+    fn read_frame(&mut self, framer: impl FnMut(&[u8], &[u8]) -> (usize, bool)) -> io::Result<()> {
+        const UNBOUNDED: Limits<'static> = Limits {
+            cap: usize::MAX,
+            deadline: None,
+            stop: None,
+        };
+        match self.conn.read_frame(&UNBOUNDED, framer)? {
+            Frame::Complete => Ok(()),
+            _ => Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
-            ));
-        }
-        while line.ends_with('\n') || line.ends_with('\r') {
-            line.pop();
-        }
-        Ok(line)
-    }
-}
-
-impl std::fmt::Debug for HttpClient {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.stream.peer_addr() {
-            Ok(addr) => write!(f, "HttpClient({addr})"),
-            Err(_) => write!(f, "HttpClient(disconnected)"),
+            )),
         }
     }
 }
@@ -923,6 +653,8 @@ mod tests {
             b"GET http://example.com HTTP/1.1\r\n\r\n",
             b"GET /x HTTP/1.1\r\nno colon here\r\n\r\n",
             b"GET /x HTTP/1.1\r\nbad name: v\r\n\r\n",
+            // Two framings of one request (RFC 9112 §6.3).
+            b"POST /x HTTP/1.1\r\nContent-Length: 35\r\nContent-Length: 500\r\n\r\n",
         ] {
             assert!(
                 parse_head(bytes).is_err(),
@@ -933,7 +665,52 @@ mod tests {
     }
 
     #[test]
+    fn heads_end_at_the_first_blank_line_wherever_the_chunks_fall() {
+        // A repeated length is not a conflict.
+        assert!(parse_head(b"POST /x HTTP/1.1\nContent-Length: 7\nContent-Length: 7\n\n").is_ok());
+        for head in [
+            &b"GET / HTTP/1.1\r\nA: b\r\n\r\n"[..],
+            b"GET / HTTP/1.1\nA: b\n\n",
+        ] {
+            let mut stream = head.to_vec();
+            stream.extend_from_slice(b"next request");
+            // Every way of cutting the stream in two finds the same end.
+            for cut in 0..stream.len() {
+                let (first, second) = stream.split_at(cut);
+                let end = match head_frame(&[], first) {
+                    (end, true) => end,
+                    (taken, false) => {
+                        assert_eq!(taken, first.len());
+                        let (end, complete) = head_frame(first, second);
+                        assert!(complete, "cut at {cut}");
+                        first.len() + end
+                    }
+                };
+                assert_eq!(end, head.len(), "cut at {cut}");
+            }
+        }
+    }
+
+    #[test]
     fn endpoint_table_is_total() {
+        // Every op has exactly one endpoint: a `POST` path, or `GET /metrics`.
+        for op in Request::OPS {
+            let paths = [
+                "corpus",
+                "corpus/append",
+                "corpus/update",
+                "corpus/delete",
+                op,
+            ]
+            .map(|name| format!("/v1/{name}"));
+            let routed = paths.iter().filter(|p| post_op(p) == Some(op)).count();
+            assert_eq!(routed, usize::from(op != "metrics"), "{op}");
+        }
+        assert_eq!(allowed_methods("/metrics"), Some("GET"));
+        assert_eq!(allowed_methods("/v1/stats"), Some("GET, POST"));
+        assert_eq!(allowed_methods("/v1/query"), Some("POST"));
+        assert_eq!(allowed_methods("/v1/load_corpus"), None);
+
         for (path, op) in [
             ("/v1/prepare", "prepare"),
             ("/v1/query", "query"),

@@ -95,6 +95,17 @@ impl Json {
         }
     }
 
+    /// Removes and returns member `key` of an object (the first match, the
+    /// one [`Json::get`] reads) — how a decoder moves a large string out of
+    /// a parsed request instead of copying it. `None` on other values.
+    pub fn take(&mut self, key: &str) -> Option<Json> {
+        let Json::Object(pairs) = self else {
+            return None;
+        };
+        let index = pairs.iter().position(|(k, _)| k == key)?;
+        Some(pairs.remove(index).1)
+    }
+
     /// The string payload, when this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -17,18 +17,25 @@
 //!   `max_signatures`), so a hostile query fails fast with an error
 //!   response instead of taking the process down.
 //!
-//! The protocol ([`protocol`]) has six requests: `prepare`, `query`,
-//! `query_corpus`, `explain`, `stats`, and `shutdown` (graceful: in-flight
-//! work drains before the process exits). [`Client`] is the matching
-//! synchronous client; [`json`] is the self-contained JSON layer
-//! (the workspace builds offline — no serde).
+//! The protocol ([`protocol`]) has eleven requests — `prepare`, `query`,
+//! `explain`, the resident corpus's `load_corpus` / `append_docs` /
+//! `update_doc` / `delete_docs` / `query_corpus`, `stats`, `metrics` and
+//! `shutdown` (graceful: in-flight work drains before the process exits) —
+//! and [`Request`] alone knows their wire format: one decoder, one encoder.
+//! [`Client`] is the matching synchronous client; [`json`] is the
+//! self-contained JSON layer (the workspace builds offline — no serde).
 //!
-//! Two front ends sit on the same dispatch path:
+//! Every connection runs the same loop over the same framed socket reader
+//! ([`server`]); a transport is a codec plugged into it — line-delimited
+//! JSON by default, or:
 //!
 //! * [`http`] — an HTTP/1.1 transport (`ServeOptions::http`) exposing the
 //!   protocol ops as `/v1/*` endpoints with hard head/body byte caps,
 //!   keep-alive, chunked streaming for corpus results, `/metrics`, and
-//!   `/healthz`, plus the matching [`HttpClient`];
+//!   `/healthz`, plus the matching [`HttpClient`].
+//!
+//! One more deployment shape sits on the same dispatch path:
+//!
 //! * [`router`] — a shard-router mode ([`Server::bind_router`]): one
 //!   front end partitions the corpus across N backend daemons, fans
 //!   corpus queries out in parallel, and merges per-document results in
@@ -56,6 +63,7 @@
 
 pub mod cache;
 pub mod client;
+mod conn;
 pub mod http;
 pub mod json;
 pub mod protocol;

@@ -103,84 +103,94 @@ pub enum Request {
 }
 
 impl Request {
+    /// Every protocol op, in the order of the table above. The per-op
+    /// metric labels, the unknown-op diagnosis and the HTTP endpoint table
+    /// are all derived from this one list.
+    pub const OPS: [&'static str; 11] = [
+        "prepare",
+        "query",
+        "load_corpus",
+        "append_docs",
+        "update_doc",
+        "delete_docs",
+        "query_corpus",
+        "explain",
+        "stats",
+        "metrics",
+        "shutdown",
+    ];
+
     /// Decodes one request line. Errors are human-readable strings, ready
     /// for an error response.
     pub fn parse(line: &str) -> Result<Request, String> {
-        let value = Json::parse(line).map_err(|e| e.to_string())?;
-        let op = value
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or("request object needs a string `op` field")?;
-        let field = |name: &str| -> Result<String, String> {
-            value
-                .get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("`{op}` needs a string `{name}` field"))
-        };
+        let mut value = Json::parse(line).map_err(|e| e.to_string())?;
+        match value.take("op") {
+            Some(Json::Str(op)) => Request::from_json(&op, value),
+            _ => Err("request object needs a string `op` field".to_string()),
+        }
+    }
+
+    /// Decodes the request `op` from its fields object — the one decoder
+    /// behind both transports (the line protocol reads `op` off the object,
+    /// HTTP off the path). Consumes `fields`: document and program strings
+    /// are moved into the request, not copied. Members the op does not
+    /// define are ignored.
+    pub fn from_json(op: &str, mut fields: Json) -> Result<Request, String> {
+        let fields = &mut fields;
         match op {
             "prepare" => Ok(Request::Prepare {
-                program: field("program")?,
+                program: string(fields, op, "program")?,
             }),
             "query" => Ok(Request::Query {
-                program: field("program")?,
-                doc: field("doc")?,
+                program: string(fields, op, "program")?,
+                doc: string(fields, op, "doc")?,
             }),
             "load_corpus" => Ok(Request::LoadCorpus {
-                text: field("text")?,
+                text: string(fields, op, "text")?,
             }),
             "append_docs" => Ok(Request::AppendDocs {
-                text: field("text")?,
+                text: string(fields, op, "text")?,
             }),
             "update_doc" => Ok(Request::UpdateDoc {
-                line: doc_id(&value, op, "line")?,
-                text: field("text")?,
+                line: fields
+                    .take("line")
+                    .and_then(|v| doc_id(&v))
+                    .ok_or_else(|| format!("`{op}` needs a document-id `line` field"))?,
+                text: string(fields, op, "text")?,
             }),
             "delete_docs" => {
-                let lines = value
-                    .get("lines")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| format!("`{op}` needs a `lines` array field"))?;
+                let Some(Json::Array(lines)) = fields.take("lines") else {
+                    return Err(format!("`{op}` needs a `lines` array field"));
+                };
                 let lines = lines
                     .iter()
                     .map(|v| {
-                        v.as_usize()
-                            .filter(|&id| id <= u32::MAX as usize)
-                            .map(|id| id as u32)
-                            .ok_or_else(|| {
-                                format!("`{op}` needs `lines` entries to be document ids")
-                            })
+                        doc_id(v).ok_or_else(|| {
+                            format!("`{op}` needs `lines` entries to be document ids")
+                        })
                     })
                     .collect::<Result<Vec<u32>, String>>()?;
                 Ok(Request::DeleteDocs { lines })
             }
             "query_corpus" => Ok(Request::QueryCorpus {
-                program: field("program")?,
-                // `text` is optional (absent targets the resident store),
-                // but when present it must be a string.
-                text: match value.get("text") {
-                    None => None,
-                    Some(_) => Some(field("text")?),
-                },
+                program: string(fields, op, "program")?,
+                text: optional_string(fields, op, "text")?,
             }),
             "explain" => {
-                let analyze = match value.get("analyze") {
+                let analyze = match fields.take("analyze") {
                     None => false,
                     Some(v) => v
                         .as_bool()
                         .ok_or("`explain` needs a boolean `analyze` field")?,
                 };
-                let doc = match value.get("doc") {
-                    None => None,
-                    Some(_) => Some(field("doc")?),
-                };
+                let doc = optional_string(fields, op, "doc")?;
                 if analyze && doc.is_none() {
                     return Err("`explain` with `\"analyze\": true` needs a `doc` field \
                                 to run the query on"
                         .to_string());
                 }
                 Ok(Request::Explain {
-                    program: field("program")?,
+                    program: string(fields, op, "program")?,
                     analyze,
                     doc,
                 })
@@ -188,18 +198,63 @@ impl Request {
             "stats" => Ok(Request::Stats),
             "metrics" => Ok(Request::Metrics),
             "shutdown" => Ok(Request::Shutdown),
-            other => Err(format!(
-                "unknown op `{other}` (expected prepare, query, load_corpus, \
-                 append_docs, update_doc, delete_docs, query_corpus, explain, \
-                 stats, metrics, or shutdown)"
-            )),
+            other => {
+                let (last, rest) = Request::OPS.split_last().expect("OPS is not empty");
+                Err(format!(
+                    "unknown op `{other}` (expected {}, or {last})",
+                    rest.join(", ")
+                ))
+            }
         }
+    }
+
+    /// Encodes this request as the object [`Request::parse`] decodes — the
+    /// one encoder: every typed [`crate::Client`] method and every shard
+    /// router payload is built here. Optional members are omitted when
+    /// unset, so `from_json(to_json(r)) == r` for every request.
+    pub fn to_json(&self) -> Json {
+        let text = |s: &String| Json::string(s.as_str());
+        let mut fields = vec![("op", Json::string(self.op_name()))];
+        match self {
+            Request::Prepare { program } => fields.push(("program", text(program))),
+            Request::Query { program, doc } => {
+                fields.extend([("program", text(program)), ("doc", text(doc))]);
+            }
+            Request::LoadCorpus { text: corpus } | Request::AppendDocs { text: corpus } => {
+                fields.push(("text", text(corpus)));
+            }
+            Request::UpdateDoc { line, text: doc } => {
+                fields.extend([("line", Json::number(*line as usize)), ("text", text(doc))]);
+            }
+            Request::DeleteDocs { lines } => fields.push((
+                "lines",
+                Json::Array(lines.iter().map(|&id| Json::number(id as usize)).collect()),
+            )),
+            Request::QueryCorpus {
+                program,
+                text: corpus,
+            } => {
+                fields.push(("program", text(program)));
+                fields.extend(corpus.as_ref().map(|corpus| ("text", text(corpus))));
+            }
+            Request::Explain {
+                program,
+                analyze,
+                doc,
+            } => {
+                fields.push(("program", text(program)));
+                fields.extend(analyze.then_some(("analyze", Json::Bool(true))));
+                fields.extend(doc.as_ref().map(|doc| ("doc", text(doc))));
+            }
+            Request::Stats | Request::Metrics | Request::Shutdown => {}
+        }
+        Json::object(fields)
     }
 
     /// The protocol op name of this request — the `op` label of the
     /// per-operation request metrics, so every counter family partitions
-    /// over exactly these values (plus `"invalid"` for lines that never
-    /// decode to a request).
+    /// over exactly [`Request::OPS`] (plus `"invalid"` for input that never
+    /// decodes to a request).
     pub fn op_name(&self) -> &'static str {
         match self {
             Request::Prepare { .. } => "prepare",
@@ -217,14 +272,26 @@ impl Request {
     }
 }
 
-/// Reads a whole-number JSON field as a `u32` document id.
-fn doc_id(value: &Json, op: &str, name: &str) -> Result<u32, String> {
-    value
-        .get(name)
-        .and_then(Json::as_usize)
-        .filter(|&id| id <= u32::MAX as usize)
-        .map(|id| id as u32)
-        .ok_or_else(|| format!("`{op}` needs a document-id `{name}` field"))
+/// Moves the string member `name` out of `fields`.
+fn string(fields: &mut Json, op: &str, name: &str) -> Result<String, String> {
+    match fields.take(name) {
+        Some(Json::Str(value)) => Ok(value),
+        _ => Err(format!("`{op}` needs a string `{name}` field")),
+    }
+}
+
+/// Like [`string`] for a member that may be absent — but when present it
+/// must be a string.
+fn optional_string(fields: &mut Json, op: &str, name: &str) -> Result<Option<String>, String> {
+    match fields.get(name) {
+        None => Ok(None),
+        Some(_) => string(fields, op, name).map(Some),
+    }
+}
+
+/// Reads a whole-number JSON value as a `u32` document id.
+fn doc_id(value: &Json) -> Option<u32> {
+    value.as_usize().and_then(|id| u32::try_from(id).ok())
 }
 
 /// Builds the standard failure response.
@@ -272,30 +339,32 @@ mod tests {
     use super::*;
     use spanner_ql::PreparedQuery;
 
+    /// One request line per op and optional-member combination.
+    const LINES: [(&str, &str); 13] = [
+        (r#"{"op":"prepare","program":"/a/"}"#, "prepare"),
+        (r#"{"op":"query","program":"/a/","doc":"aa"}"#, "query"),
+        (r#"{"op":"load_corpus","text":"a\nb"}"#, "load_corpus"),
+        (r#"{"op":"append_docs","text":"a\nb"}"#, "append_docs"),
+        (r#"{"op":"update_doc","line":3,"text":"new"}"#, "update_doc"),
+        (r#"{"op":"delete_docs","lines":[0,2]}"#, "delete_docs"),
+        (
+            r#"{"op":"query_corpus","program":"/a/","text":"a\nb"}"#,
+            "query_corpus",
+        ),
+        (r#"{"op":"query_corpus","program":"/a/"}"#, "query_corpus"),
+        (r#"{"op":"explain","program":"/a/"}"#, "explain"),
+        (
+            r#"{"op":"explain","program":"/a/","analyze":true,"doc":"aa"}"#,
+            "explain",
+        ),
+        (r#"{"op":"stats"}"#, "stats"),
+        (r#"{"op":"metrics"}"#, "metrics"),
+        (r#"{"op":"shutdown"}"#, "shutdown"),
+    ];
+
     #[test]
     fn every_op_parses() {
-        let cases = [
-            (r#"{"op":"prepare","program":"/a/"}"#, "prepare"),
-            (r#"{"op":"query","program":"/a/","doc":"aa"}"#, "query"),
-            (r#"{"op":"load_corpus","text":"a\nb"}"#, "load_corpus"),
-            (r#"{"op":"append_docs","text":"a\nb"}"#, "append_docs"),
-            (r#"{"op":"update_doc","line":3,"text":"new"}"#, "update_doc"),
-            (r#"{"op":"delete_docs","lines":[0,2]}"#, "delete_docs"),
-            (
-                r#"{"op":"query_corpus","program":"/a/","text":"a\nb"}"#,
-                "query_corpus",
-            ),
-            (r#"{"op":"query_corpus","program":"/a/"}"#, "query_corpus"),
-            (r#"{"op":"explain","program":"/a/"}"#, "explain"),
-            (
-                r#"{"op":"explain","program":"/a/","analyze":true,"doc":"aa"}"#,
-                "explain",
-            ),
-            (r#"{"op":"stats"}"#, "stats"),
-            (r#"{"op":"metrics"}"#, "metrics"),
-            (r#"{"op":"shutdown"}"#, "shutdown"),
-        ];
-        for (line, op) in cases {
+        for (line, op) in LINES {
             let request = Request::parse(line).unwrap();
             assert_eq!(request.op_name(), op, "{line}");
             match (op, &request) {
@@ -312,6 +381,12 @@ mod tests {
                 | ("shutdown", Request::Shutdown) => {}
                 _ => panic!("{line} parsed to {request:?}"),
             }
+            // The canonical lines are exactly what the encoder writes, and
+            // decoding ignores members the op does not define — so an HTTP
+            // body that repeats (or contradicts) the path's op is harmless.
+            assert_eq!(request.to_json().to_string(), line);
+            let fields = Json::parse(line).unwrap();
+            assert_eq!(Request::from_json(op, fields), Ok(request), "{line}");
         }
         // Plain explain defaults to no analysis; analyze carries the doc.
         assert_eq!(
@@ -356,6 +431,94 @@ mod tests {
         assert_eq!(
             Request::parse(r#"{"op":"delete_docs","lines":[]}"#).unwrap(),
             Request::DeleteDocs { lines: vec![] }
+        );
+    }
+
+    /// The wire format is a round trip: whatever strings a request carries,
+    /// `to_json` renders a line that `parse` (and `from_json`) decode back
+    /// to the same request.
+    #[test]
+    fn every_request_survives_the_wire() {
+        let strings = [
+            "",
+            "plain",
+            "q\"uote",
+            "back\\slash",
+            "new\nline\ttab",
+            "𝄞 é \u{1}",
+        ];
+        let mut requests = vec![Request::Stats, Request::Metrics, Request::Shutdown];
+        for (i, s) in strings.iter().enumerate() {
+            let (s, other) = (s.to_string(), strings[(i + 1) % strings.len()].to_string());
+            requests.extend([
+                Request::Prepare { program: s.clone() },
+                Request::Query {
+                    program: s.clone(),
+                    doc: other.clone(),
+                },
+                Request::LoadCorpus { text: s.clone() },
+                Request::AppendDocs { text: s.clone() },
+                Request::UpdateDoc {
+                    line: u32::MAX - i as u32,
+                    text: s.clone(),
+                },
+                Request::DeleteDocs {
+                    lines: (0..i as u32).map(|id| id * 7).collect(),
+                },
+                Request::QueryCorpus {
+                    program: s.clone(),
+                    text: Some(other.clone()),
+                },
+                Request::QueryCorpus {
+                    program: s.clone(),
+                    text: None,
+                },
+                Request::Explain {
+                    program: s.clone(),
+                    analyze: false,
+                    doc: None,
+                },
+                Request::Explain {
+                    program: s.clone(),
+                    analyze: false,
+                    doc: Some(other.clone()),
+                },
+                Request::Explain {
+                    program: s,
+                    analyze: true,
+                    doc: Some(other),
+                },
+            ]);
+        }
+        for request in requests {
+            let json = request.to_json();
+            let line = json.to_string();
+            assert!(!line.contains('\n'), "one request, one line: {line}");
+            assert_eq!(Request::parse(&line).as_ref(), Ok(&request), "{line}");
+            assert_eq!(
+                Request::from_json(request.op_name(), json),
+                Ok(request),
+                "{line}"
+            );
+        }
+    }
+
+    /// `OPS` is the one op table: exactly the names requests report, each
+    /// decodable, and the unknown-op diagnosis lists all of them.
+    #[test]
+    fn the_op_table_is_the_set_of_op_names() {
+        let mut named: Vec<&str> = LINES
+            .iter()
+            .map(|(line, _)| Request::parse(line).unwrap().op_name())
+            .collect();
+        named.dedup();
+        assert_eq!(named, Request::OPS);
+        let unknown = Request::from_json("frobnicate", Json::Null).unwrap_err();
+        assert_eq!(
+            unknown,
+            "unknown op `frobnicate` (expected prepare, query, load_corpus, \
+             append_docs, update_doc, delete_docs, query_corpus, explain, \
+             stats, metrics, or shutdown)"
         );
     }
 

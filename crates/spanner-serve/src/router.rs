@@ -371,14 +371,9 @@ impl Router {
         let payloads: Vec<String> = ranges
             .iter()
             .map(|range| {
-                Json::object([
-                    ("op", Json::string("load_corpus")),
-                    (
-                        "text",
-                        Json::string(Router::slice_text(&lines[range.clone()])),
-                    ),
-                ])
-                .to_string()
+                payload(Request::LoadCorpus {
+                    text: Router::slice_text(&lines[range.clone()]),
+                })
             })
             .collect();
         let results = self.fan_out(&payloads, true);
@@ -439,20 +434,15 @@ impl Router {
         let payloads: Vec<String> = ranges
             .iter()
             .map(|range| {
-                Json::object([
-                    ("op", Json::string("query_corpus")),
-                    ("program", Json::string(program)),
-                    (
-                        "text",
-                        Json::string(Router::slice_text(&lines[range.clone()])),
-                    ),
-                ])
-                .to_string()
+                payload(Request::QueryCorpus {
+                    program: program.to_string(),
+                    text: Some(Router::slice_text(&lines[range.clone()])),
+                })
             })
             .collect();
         let results = self.fan_out(&payloads, true);
         let bases: Vec<usize> = ranges.iter().map(|r| r.start).collect();
-        merge_corpus_responses(results, &bases, None)
+        merge_corpus_responses(results, &bases, false)
     }
 
     /// Routed resident `query_corpus`: fan the identical request out to
@@ -468,14 +458,12 @@ impl Router {
         }) else {
             return no_corpus();
         };
-        let payload = Json::object([
-            ("op", Json::string("query_corpus")),
-            ("program", Json::string(program)),
-        ])
-        .to_string();
-        let payloads = vec![payload; self.shards()];
-        let results = self.fan_out(&payloads, true);
-        merge_corpus_responses(results, &bases, Some(()))
+        let resident = payload(Request::QueryCorpus {
+            program: program.to_string(),
+            text: None,
+        });
+        let results = self.fan_out(&vec![resident; self.shards()], true);
+        merge_corpus_responses(results, &bases, true)
     }
 
     /// Routed `append_docs`: new documents go to the last shard, keeping
@@ -487,12 +475,10 @@ impl Router {
             return no_corpus();
         };
         let shard = self.shards() - 1;
-        let payload = Json::object([
-            ("op", Json::string("append_docs")),
-            ("text", Json::string(text)),
-        ])
-        .to_string();
-        let response = match self.call(shard, &payload, false) {
+        let append = payload(Request::AppendDocs {
+            text: text.to_string(),
+        });
+        let response = match self.call(shard, &append, false) {
             Ok(response) => response,
             Err(degraded) => return degraded,
         };
@@ -520,15 +506,14 @@ impl Router {
         let Some((shard, local)) = corpus.map.locate(line as usize) else {
             return out_of_bounds(line as usize, corpus.map.len());
         };
-        let payload = Json::object([
-            ("op", Json::string("update_doc")),
-            ("line", Json::number(local)),
-            ("text", Json::string(text)),
-        ])
-        .to_string();
+        // A shard-local id is at most the global `u32` id it came from.
+        let update = payload(Request::UpdateDoc {
+            line: local as u32,
+            text: text.to_string(),
+        });
         // Idempotent in content (re-applying the same replacement
         // converges), so transport failures retry.
-        let response = match self.call(shard, &payload, true) {
+        let response = match self.call(shard, &update, true) {
             Ok(response) => response,
             Err(degraded) => return degraded,
         };
@@ -552,13 +537,13 @@ impl Router {
         let Some(corpus) = corpus.as_mut() else {
             return no_corpus();
         };
-        let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards()];
+        let mut per_shard: Vec<Vec<u32>> = vec![Vec::new(); self.shards()];
         let mut bad: Option<usize> = None;
         let mut deleted = 0usize;
         for &id in lines {
             match corpus.map.locate(id as usize) {
                 Some((shard, local)) => {
-                    per_shard[shard].push(local);
+                    per_shard[shard].push(local as u32);
                     deleted += 1;
                 }
                 None => {
@@ -567,32 +552,16 @@ impl Router {
                 }
             }
         }
-        let payloads: Vec<Option<String>> = per_shard
-            .iter()
-            .map(|ids| {
-                if ids.is_empty() {
-                    None
-                } else {
-                    Some(
-                        Json::object([
-                            ("op", Json::string("delete_docs")),
-                            (
-                                "lines",
-                                Json::Array(ids.iter().map(|&id| Json::number(id)).collect()),
-                            ),
-                        ])
-                        .to_string(),
-                    )
-                }
-            })
-            .collect();
         // Shards with nothing to delete are skipped entirely; ids within
         // one shard keep their request order, and ids on different shards
         // are independent, so grouping preserves the daemon's in-order
         // semantics.
-        for (shard, payload) in payloads.iter().enumerate() {
-            let Some(payload) = payload else { continue };
-            let response = match self.call(shard, payload, true) {
+        for (shard, lines) in per_shard.into_iter().enumerate() {
+            if lines.is_empty() {
+                continue;
+            }
+            let delete = payload(Request::DeleteDocs { lines });
+            let response = match self.call(shard, &delete, true) {
                 Ok(response) => response,
                 Err(degraded) => return degraded,
             };
@@ -658,6 +627,11 @@ impl Router {
     }
 }
 
+/// Renders one backend request line — through the protocol's one encoder.
+fn payload(request: Request) -> String {
+    request.to_json().to_string()
+}
+
 /// Reads a numeric response field, defaulting to zero — backend
 /// responses are produced by our own daemon, so a missing field is a
 /// version skew bug, not a condition to diagnose per call site.
@@ -684,7 +658,7 @@ fn field(response: &Json, name: &str) -> usize {
 fn merge_corpus_responses(
     results: Vec<Result<Json, Json>>,
     bases: &[usize],
-    with_store: Option<()>,
+    with_store: bool,
 ) -> Json {
     let mut responses = Vec::with_capacity(results.len());
     for result in results {
@@ -717,7 +691,7 @@ fn merge_corpus_responses(
         mappings += field(response, "mappings");
         skipped += field(response, "skipped");
         rejected += field(response, "rejected");
-        if with_store.is_some() {
+        if with_store {
             candidates = match (candidates, response.get("candidates")) {
                 (Some(total), Some(Json::Number(n))) => Some(total + *n as usize),
                 _ => None,
@@ -756,7 +730,7 @@ fn merge_corpus_responses(
         ("skipped", Json::number(skipped)),
         ("rejected", Json::number(rejected)),
     ];
-    if with_store.is_some() {
+    if with_store {
         let selectivity = match (candidates, documents) {
             (Some(c), n) if n > 0 => c as f64 / n as f64,
             _ => 1.0,
@@ -832,7 +806,7 @@ mod tests {
                 Ok(shard(&[(1, 4)], false)),
             ],
             &[0, 3],
-            None,
+            false,
         );
         assert_eq!(merged.get("ok").and_then(Json::as_bool), Some(true));
         // cached only when every shard was cached.
@@ -852,10 +826,10 @@ mod tests {
     #[test]
     fn merge_propagates_shard_errors_and_degradation() {
         let error = error_response("syntax error");
-        let merged = merge_corpus_responses(vec![Ok(error.clone())], &[0], None);
+        let merged = merge_corpus_responses(vec![Ok(error.clone())], &[0], false);
         assert_eq!(merged.to_string(), error.to_string());
         let degraded = degraded_response(1, "x", "boom");
-        let merged = merge_corpus_responses(vec![Ok(error), Err(degraded.clone())], &[0, 1], None);
+        let merged = merge_corpus_responses(vec![Ok(error), Err(degraded.clone())], &[0, 1], false);
         // A shard-level error wins only if no transport degradation is
         // seen first in shard order... degradation short-circuits in
         // encounter order; here shard 0's error response returns first.
@@ -863,7 +837,7 @@ mod tests {
             merged.get("error").and_then(Json::as_str),
             Some("syntax error")
         );
-        let merged = merge_corpus_responses(vec![Err(degraded.clone())], &[0], None);
+        let merged = merge_corpus_responses(vec![Err(degraded.clone())], &[0], false);
         assert_eq!(merged.get("degraded").and_then(Json::as_bool), Some(true));
     }
 }

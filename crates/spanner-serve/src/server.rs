@@ -1,14 +1,22 @@
 //! The long-running query daemon.
 //!
-//! [`Server`] binds a TCP listener and serves the line-delimited JSON
-//! protocol of [`crate::protocol`] from a fixed pool of connection
-//! workers. All workers share one [`QueryCache`] (so a hot program is
-//! compiled once, ever, per process) and one persistent
-//! [`WorkerPool`] for corpus sharding — a corpus request fans its
-//! documents out across that pool exactly like the CLI `corpus` command,
-//! but without paying thread spawn per request (a corpus of a few hundred
-//! lines is evaluated on the connection's own worker instead: waking the
-//! pool for it costs more than it saves).
+//! [`Server`] binds a TCP listener and serves the protocol of
+//! [`crate::protocol`] from a fixed pool of connection workers. All workers
+//! share one [`QueryCache`] (so a hot program is compiled once, ever, per
+//! process) and one persistent [`WorkerPool`] for corpus sharding — a
+//! corpus request fans its documents out across that pool exactly like the
+//! CLI `corpus` command, but without paying thread spawn per request (a
+//! corpus of a few hundred lines is evaluated on the connection's own
+//! worker instead: waking the pool for it costs more than it saves).
+//!
+//! Every connection, whatever it speaks, runs the one loop
+//! `serve_connection`: read a request, decode it, account for it,
+//! dispatch it, write the answer, decide whether the connection goes on.
+//! What differs between the line-JSON and HTTP transports is a `Codec` —
+//! how bytes become a [`Request`] (or a reject) and how a response becomes
+//! bytes — chosen once per connection from [`ServeOptions::http`]. Both
+//! read through the framed reader of `conn.rs`, which owns the byte caps,
+//! the idle deadline and the shutdown poll.
 //!
 //! Robustness choices, all observable through the protocol tests:
 //!
@@ -18,12 +26,16 @@
 //! * per-request evaluation limits come from the configured
 //!   [`RaOptions`] (`max_states`, `max_signatures`), so a hostile query
 //!   fails fast with an error response instead of exhausting the process;
+//! * a failing `accept` (the process is out of file descriptors) is
+//!   counted and retried, never fatal: the resident store and the
+//!   connections already open outlive a flood;
 //! * `shutdown` stops the accept loop, then *drains*: every connection
 //!   worker finishes its in-flight request (and any input already
 //!   buffered on its connection) before the server exits.
 
 use crate::cache::{cache_key, QueryCache};
-use crate::http::handle_http_connection;
+use crate::conn::{line_frame, Conn, Frame, Limits, POLL_INTERVAL};
+use crate::http::HttpCodec;
 use crate::json::Json;
 use crate::protocol::{error_response, mappings_to_json, Request};
 use crate::router::{Router, RouterOptions};
@@ -33,7 +45,7 @@ use spanner_corpus::{split_lines, CorpusResult, QueryView, WorkerPool};
 use spanner_obs::{Counter, Exposition, Histogram, Registry, LATENCY_BUCKETS, RATIO_BUCKETS};
 use spanner_store::Store;
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver};
@@ -104,23 +116,10 @@ impl Default for ServeOptions {
     }
 }
 
-/// The protocol op labels every per-operation metric family partitions
-/// over: one slot per [`Request::op_name`] value plus `"invalid"` for
-/// lines that never decode to a request (parse errors, oversized lines).
-const OPS: &[&str] = &[
-    "prepare",
-    "query",
-    "load_corpus",
-    "append_docs",
-    "update_doc",
-    "delete_docs",
-    "query_corpus",
-    "explain",
-    "stats",
-    "metrics",
-    "shutdown",
-    "invalid",
-];
+/// The op label of input that never decodes to a request (parse errors,
+/// oversized requests, unknown endpoints): the one label the per-operation
+/// metric families carry besides [`Request::OPS`].
+const INVALID: &str = "invalid";
 
 /// Buckets for delta-size histograms (documents touched per incremental
 /// store query) — counts, not seconds.
@@ -130,6 +129,7 @@ const DELTA_BUCKETS: &[f64] = &[
 
 /// The per-op handles of one protocol operation.
 struct OpMetrics {
+    label: &'static str,
     requests: Counter,
     errors: Counter,
     latency: Histogram,
@@ -143,11 +143,14 @@ struct OpMetrics {
 /// into yet another set of counters.
 pub(crate) struct ServerMetrics {
     registry: Registry,
-    /// Per-op request/error/latency, indexed like [`OPS`].
+    /// Per-op request/error/latency: one entry per [`Request::OPS`] label,
+    /// in that order, then [`INVALID`].
     ops: Vec<OpMetrics>,
-    pub(crate) connections: Counter,
-    pub(crate) bytes_read: Counter,
-    pub(crate) bytes_written: Counter,
+    connections: Counter,
+    /// `accept` calls that failed (typically: out of file descriptors).
+    accept_errors: Counter,
+    bytes_read: Counter,
+    bytes_written: Counter,
     /// HTTP responses by status class (`2xx`…`5xx`), indexed by
     /// `status / 100 - 2`; stays zero on the line-JSON transport.
     pub(crate) http_classes: Vec<Counter>,
@@ -187,9 +190,11 @@ pub(crate) struct ServerMetrics {
 impl ServerMetrics {
     fn new() -> ServerMetrics {
         let registry = Registry::new();
-        let ops = OPS
-            .iter()
-            .map(|&op| OpMetrics {
+        let ops = Request::OPS
+            .into_iter()
+            .chain([INVALID])
+            .map(|op| OpMetrics {
+                label: op,
                 requests: registry.counter(
                     "spanner_requests_total",
                     "Protocol requests handled, by operation",
@@ -220,6 +225,11 @@ impl ServerMetrics {
             connections: registry.counter(
                 "spanner_connections_total",
                 "TCP connections accepted",
+                &[],
+            ),
+            accept_errors: registry.counter(
+                "spanner_accept_errors_total",
+                "Failed accept calls (retried after a pause, never fatal)",
                 &[],
             ),
             bytes_read: registry.counter(
@@ -305,36 +315,28 @@ impl ServerMetrics {
         }
     }
 
-    /// The handles for one op label (`"invalid"` for unknown labels, which
-    /// cannot occur for parsed requests).
+    /// The handles for one op label ([`INVALID`] for anything that is not
+    /// a protocol op).
     fn op(&self, op: &str) -> &OpMetrics {
-        let idx = OPS.iter().position(|&o| o == op).unwrap_or(OPS.len() - 1);
-        &self.ops[idx]
+        let known = Request::OPS.iter().position(|&o| o == op);
+        &self.ops[known.unwrap_or(Request::OPS.len())]
     }
 
     /// Counts a request as soon as it is decoded — before dispatch, so a
     /// `stats` or `metrics` response includes the request that asked.
-    pub(crate) fn begin_request(&self, op: &str) {
+    fn begin_request(&self, op: &str) {
         self.op(op).requests.inc();
     }
 
     /// Records the handled request's latency and — read off the response's
     /// `ok` field, so the tally can never drift from what the client saw —
     /// the error total.
-    pub(crate) fn finish_request(&self, op: &str, elapsed: Duration, response: &Json) {
+    fn finish_request(&self, op: &str, elapsed: Duration, response: &Json) {
         let m = self.op(op);
         if response.get("ok").and_then(Json::as_bool) != Some(true) {
             m.errors.inc();
         }
         m.latency.observe_duration(elapsed);
-    }
-
-    /// [`ServerMetrics::begin_request`] + [`ServerMetrics::finish_request`]
-    /// in one step, for lines that never dispatch (parse errors, oversized
-    /// lines).
-    pub(crate) fn record_request(&self, op: &str, elapsed: Duration, response: &Json) {
-        self.begin_request(op);
-        self.finish_request(op, elapsed, response);
     }
 
     /// Total requests across every op — derived from the per-op counters,
@@ -478,6 +480,17 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// The limits of one frame read on a served connection: at most `cap`
+    /// bytes, [`ServeOptions::idle_timeout`] from now to complete it, and
+    /// the shutdown flag to end idle waits.
+    pub(crate) fn limits(&self, cap: usize) -> Limits<'_> {
+        Limits {
+            cap,
+            deadline: Instant::now().checked_add(self.options.idle_timeout),
+            stop: Some(&self.shutdown),
+        }
+    }
+
     /// The current resident store, if any (cheap pointer clone; the
     /// pointer mutex is never held across a query or a build).
     fn resident(&self) -> Option<Arc<ResidentStore>> {
@@ -658,7 +671,9 @@ impl Server {
     /// drains: in-flight requests complete, queued connections are served,
     /// and every worker is joined before this returns.
     pub fn run(&self) -> io::Result<()> {
-        let threads = resolve_threads(self.shared.options.threads);
+        // A huge `serve [addr [threads]]` argument degrades to the corpus
+        // pool's ceiling instead of aborting when the OS refuses to spawn.
+        let threads = spanner_corpus::resolve_pool_threads(self.shared.options.threads);
         let (sender, receiver) = channel::<TcpStream>();
         let receiver = Arc::new(Mutex::new(receiver));
         let workers: Vec<_> = (0..threads)
@@ -674,9 +689,9 @@ impl Server {
                     // Connection-level I/O errors (peer reset, timeout on a
                     // dead socket) end that connection only.
                     let _ = if shared.options.http {
-                        handle_http_connection(stream, &shared)
+                        serve_connection(stream, &shared, HttpCodec::default())
                     } else {
-                        handle_connection(stream, &shared)
+                        serve_connection(stream, &shared, LineCodec)
                     };
                 })
             })
@@ -691,8 +706,14 @@ impl Server {
                 Ok(stream) => {
                     let _ = sender.send(stream);
                 }
-                Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => continue,
-                Err(e) => return Err(e),
+                // Out of file descriptors, or a peer that gave up while
+                // queued: nothing about the listener is broken, and exiting
+                // would take the resident store and every open connection
+                // with it. Pause so a full descriptor table is not spun on.
+                Err(_) => {
+                    self.shared.metrics.accept_errors.inc();
+                    std::thread::sleep(POLL_INTERVAL);
+                }
             }
         }
         drop(sender);
@@ -716,173 +737,133 @@ impl std::fmt::Debug for Server {
     }
 }
 
-/// Resolves the connection-worker count: the corpus pool's resolver
-/// (`0` = one per CPU, clamped to `MAX_THREADS`) — a huge
-/// `serve [addr [threads]]` argument must degrade to the cap, not abort
-/// the daemon when the OS refuses to spawn.
-fn resolve_threads(requested: usize) -> usize {
-    spanner_corpus::resolve_pool_threads(requested)
+/// What a [`Codec`] made of the bytes it read.
+pub(crate) enum Incoming {
+    /// Protocol input: a decoded request — accounted under its op,
+    /// dispatched, answered — or the error response to input the codec
+    /// refuses (undecodable, oversized, no such endpoint), accounted as
+    /// [`INVALID`].
+    Decoded(Result<Request, Json>),
+    /// A question outside the protocol that the codec answers itself (the
+    /// HTTP liveness probe): answered, not accounted.
+    Probe(Json),
 }
 
-/// How often an idle connection re-checks the shutdown flag.
-pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(50);
+/// One transport's wire format: how bytes become requests and responses
+/// become bytes. Everything else about a connection is `serve_connection`.
+pub(crate) trait Codec {
+    /// Reads one request off the connection and decodes it; `None` when
+    /// the connection is over (EOF, idle deadline, shutdown while idle).
+    fn read_request(&mut self, conn: &mut Conn, shared: &Shared) -> io::Result<Option<Incoming>>;
 
-/// One request line, read under the byte cap.
-enum LineRead {
-    /// A complete line within the cap.
-    Line(String),
-    /// The line exceeded the cap; its bytes were drained, not buffered.
-    TooLong,
-    /// End of stream (or shutdown while idle).
-    Closed,
+    /// Writes the response to the request last read and reports whether
+    /// the connection stays open: never when `last` (the loop is about to
+    /// shut down), otherwise as the transport's framing allows.
+    fn write_response(
+        &mut self,
+        conn: &mut Conn,
+        shared: &Shared,
+        response: &Json,
+        last: bool,
+    ) -> io::Result<bool>;
 }
 
-/// Serves one connection until EOF or shutdown.
-fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
-    // Request/response lines are small; without NODELAY the Nagle /
-    // delayed-ACK interaction adds tens of milliseconds per round trip.
-    stream.set_nodelay(true)?;
+/// Serves one connection until EOF, idle timeout or shutdown: the one
+/// read → decode → account → dispatch → write loop behind both transports.
+fn serve_connection<C: Codec>(stream: TcpStream, shared: &Shared, mut codec: C) -> io::Result<()> {
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    loop {
-        // The latency clock starts once a complete line is in hand —
-        // client idle time between requests is not handling time.
-        let response = match read_request_line(&mut reader, shared)? {
-            LineRead::Closed => return Ok(()),
-            LineRead::TooLong => {
-                let response = error_response(format!(
-                    "request line exceeds the {}-byte limit",
-                    shared.options.max_line_bytes
-                ));
-                shared
-                    .metrics
-                    .record_request("invalid", Duration::ZERO, &response);
+    let mut conn = Conn::new(stream)?;
+    let metrics = &shared.metrics;
+    while let Some(incoming) = codec.read_request(&mut conn, shared)? {
+        metrics.bytes_read.add(std::mem::take(&mut conn.bytes_read));
+        let shutdown = matches!(incoming, Incoming::Decoded(Ok(Request::Shutdown)));
+        let response = match incoming {
+            Incoming::Probe(response) => response,
+            // The only place requests are counted and timed. The latency
+            // clock starts when the request's last byte was read: decoding
+            // and dispatch are handling time, the client's idle time before
+            // it is not.
+            Incoming::Decoded(decoded) => {
+                let op = decoded.as_ref().map_or(INVALID, Request::op_name);
+                metrics.begin_request(op);
+                let response = match decoded {
+                    Ok(request) => dispatch_request(shared, request),
+                    Err(reject) => reject,
+                };
+                metrics.finish_request(op, conn.framed_at.elapsed(), &response);
                 response
             }
-            LineRead::Line(line) if line.trim().is_empty() => continue,
-            LineRead::Line(line) => {
-                let started = Instant::now();
-                shared.metrics.bytes_read.add(line.len() as u64 + 1);
-                match Request::parse(&line) {
-                    Err(message) => {
-                        let response = error_response(message);
-                        shared
-                            .metrics
-                            .record_request("invalid", started.elapsed(), &response);
-                        response
-                    }
-                    Ok(request) => {
-                        let op = request.op_name();
-                        let shutdown = request == Request::Shutdown;
-                        shared.metrics.begin_request(op);
-                        let response = dispatch_request(shared, request);
-                        shared
-                            .metrics
-                            .finish_request(op, started.elapsed(), &response);
-                        if shutdown {
-                            write_response(&mut writer, &response, shared)?;
-                            initiate_shutdown(shared);
-                            return Ok(());
-                        }
-                        response
-                    }
-                }
-            }
         };
-        write_response(&mut writer, &response, shared)?;
+        let keep_open = codec.write_response(&mut conn, shared, &response, shutdown)?;
+        metrics
+            .bytes_written
+            .add(std::mem::take(&mut conn.bytes_written));
+        if shutdown {
+            // Answered first, then flagged: the accept loop is unblocked
+            // with a wake-up connection and every worker drains.
+            shared.shutdown.store(true, Ordering::SeqCst);
+            let _ = TcpStream::connect(shared.addr);
+        }
+        if !keep_open {
+            break;
+        }
     }
+    Ok(())
 }
 
-/// Writes one response line with a single syscall. Rendering straight
-/// into the socket would issue one `write(2)` per formatting fragment —
-/// under `TCP_NODELAY` that is one packet per fragment, which dominates
-/// the round trip for any non-trivial response.
-fn write_response(writer: &mut TcpStream, response: &Json, shared: &Shared) -> io::Result<()> {
-    let mut line = response.to_string();
-    line.push('\n');
-    shared.metrics.bytes_written.add(line.len() as u64);
-    writer.write_all(line.as_bytes())
-}
+/// The line-JSON transport: one request object per `\n`-terminated line,
+/// one response object per line.
+struct LineCodec;
 
-/// Flags the shutdown and unblocks the accept loop with a wake-up
-/// connection.
-pub(crate) fn initiate_shutdown(shared: &Shared) {
-    shared.shutdown.store(true, Ordering::SeqCst);
-    let _ = TcpStream::connect(shared.addr);
-}
-
-/// Reads one `\n`-terminated line, enforcing the byte cap without
-/// buffering past it, and polling the shutdown flag while idle.
-///
-/// Two liveness guards on the poll path: once the server is draining,
-/// the connection closes on the next poll tick even with a partial line
-/// buffered (a half-written line is not in-flight work — waiting for its
-/// terminator could stall shutdown forever); and a connection that goes
-/// longer than [`ServeOptions::idle_timeout`] without completing a line
-/// is closed, so silent or slow-drip clients cannot permanently occupy
-/// one of the fixed connection workers.
-fn read_request_line(reader: &mut BufReader<TcpStream>, shared: &Shared) -> io::Result<LineRead> {
-    let cap = shared.options.max_line_bytes;
-    let mut buf: Vec<u8> = Vec::new();
-    let mut too_long = false;
-    let started = std::time::Instant::now();
-    loop {
-        // The deadline applies on every iteration, not only when the
-        // socket is silent — a slow-drip client feeding one byte per poll
-        // interval must not occupy the worker past the timeout either.
-        if started.elapsed() >= shared.options.idle_timeout {
-            return Ok(LineRead::Closed);
-        }
-        let chunk = match reader.fill_buf() {
-            Ok(chunk) => chunk,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return Ok(LineRead::Closed);
+impl Codec for LineCodec {
+    fn read_request(&mut self, conn: &mut Conn, shared: &Shared) -> io::Result<Option<Incoming>> {
+        let cap = shared.options.max_line_bytes;
+        loop {
+            // The cap admits the terminator; the deadline restarts with
+            // every line, so an active client may idle between requests.
+            let limits = shared.limits(cap.saturating_add(1));
+            let decoded = match conn.read_frame(&limits, line_frame)? {
+                Frame::Expired => return Ok(None),
+                Frame::Eof if conn.input.is_empty() => return Ok(None),
+                // EOF: a final unterminated line still counts as a request.
+                Frame::Complete | Frame::Eof => {
+                    let line = String::from_utf8_lossy(&conn.input);
+                    // Minus its terminator: error positions count the bytes
+                    // the client wrote.
+                    let line = line.strip_suffix('\n').unwrap_or(&line);
+                    let line = line.strip_suffix('\r').unwrap_or(line);
+                    if line.trim().is_empty() {
+                        continue;
+                    }
+                    Request::parse(line)
                 }
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        if chunk.is_empty() {
-            // EOF: a final unterminated line still counts as a request.
-            if buf.is_empty() || too_long {
-                return Ok(if too_long {
-                    LineRead::TooLong
-                } else {
-                    LineRead::Closed
-                });
-            }
-            let line = String::from_utf8_lossy(&buf).into_owned();
-            return Ok(LineRead::Line(line));
+                Frame::Oversized => {
+                    // Skip the rest of the line a capful at a time — never
+                    // buffered whole — so the next request parses clean.
+                    loop {
+                        match conn.read_frame(&limits, line_frame)? {
+                            Frame::Oversized => continue,
+                            Frame::Expired => return Ok(None),
+                            Frame::Complete | Frame::Eof => break,
+                        }
+                    }
+                    Err(format!("request line exceeds the {cap}-byte limit"))
+                }
+            };
+            return Ok(Some(Incoming::Decoded(decoded.map_err(error_response))));
         }
-        let newline = chunk.iter().position(|&b| b == b'\n');
-        let take = newline.map_or(chunk.len(), |i| i + 1);
-        if !too_long {
-            if buf.len() + take > cap + 1 {
-                too_long = true;
-                buf.clear();
-            } else {
-                buf.extend_from_slice(&chunk[..take]);
-            }
-        }
-        reader.consume(take);
-        if newline.is_some() {
-            if too_long {
-                return Ok(LineRead::TooLong);
-            }
-            buf.pop(); // the newline
-            if buf.last() == Some(&b'\r') {
-                buf.pop();
-            }
-            let line = String::from_utf8_lossy(&buf).into_owned();
-            return Ok(LineRead::Line(line));
-        }
+    }
+
+    fn write_response(
+        &mut self,
+        conn: &mut Conn,
+        _shared: &Shared,
+        response: &Json,
+        last: bool,
+    ) -> io::Result<bool> {
+        writeln!(conn.output, "{response}")?;
+        conn.flush()?;
+        Ok(!last)
     }
 }
 
@@ -1308,11 +1289,13 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
                     // per operation (the same counters `metrics` renders).
                     "ops",
                     Json::Object(
-                        OPS.iter()
-                            .map(|&op| {
-                                let m = shared.metrics.op(op);
+                        shared
+                            .metrics
+                            .ops
+                            .iter()
+                            .map(|m| {
                                 (
-                                    op.to_string(),
+                                    m.label.to_string(),
                                     Json::object([
                                         ("requests", Json::number(m.requests.get() as usize)),
                                         ("errors", Json::number(m.errors.get() as usize)),
@@ -1343,11 +1326,12 @@ mod tests {
 
     #[test]
     fn worker_counts_resolve_and_clamp() {
-        assert!(resolve_threads(0) >= 1);
-        assert_eq!(resolve_threads(3), 3);
+        use spanner_corpus::resolve_pool_threads;
+        assert!(resolve_pool_threads(0) >= 1);
+        assert_eq!(resolve_pool_threads(3), 3);
         // A huge request degrades to the shared ceiling instead of
         // attempting (and aborting on) a million thread spawns.
-        assert_eq!(resolve_threads(1_000_000), spanner_corpus::MAX_THREADS);
+        assert_eq!(resolve_pool_threads(1_000_000), spanner_corpus::MAX_THREADS);
     }
 
     #[test]

@@ -34,6 +34,10 @@ enum Misbehavior {
     /// Accept, read the request, then drip one byte per poll interval —
     /// slower than any deadline, but never idle.
     SlowDrip,
+    /// Accept, read the request, answer correctly but in two writes that
+    /// split a multi-byte character, further apart than the client's poll
+    /// interval: slow, not wrong.
+    SplitUtf8,
 }
 
 /// A misbehaving backend: counts accepted connections, applies one
@@ -94,6 +98,17 @@ impl Stub {
                                     break;
                                 }
                                 std::thread::sleep(Duration::from_millis(80));
+                            }
+                        }
+                        Misbehavior::SplitUtf8 => {
+                            let _ = stream.write_all(b"{\"ok\":true,\"text\":\"\xC3");
+                            std::thread::sleep(Duration::from_millis(120));
+                            let _ = stream.write_all(b"\xA9\"}\n");
+                            // Hold the connection until the test is over, so
+                            // a retry would show as a second accept, not as a
+                            // reuse of this one.
+                            while !stopped.load(Ordering::SeqCst) {
+                                std::thread::sleep(Duration::from_millis(10));
                             }
                         }
                     }
@@ -253,6 +268,42 @@ fn misbehaving_backends_yield_bounded_typed_degradation() {
         client.shutdown().unwrap();
         handle.join().unwrap().unwrap();
     }
+}
+
+/// A response that arrives in two pieces, split inside a character and
+/// further apart than the client's poll interval, is a slow response — not
+/// a transport failure. (Read as text per poll tick, the half character was
+/// an `InvalidData` error: idempotent calls retried, and an `append_docs`
+/// the backend had *applied* was reported degraded.)
+#[test]
+fn a_response_split_inside_a_character_succeeds_on_the_first_attempt() {
+    let stub = Stub::start(Misbehavior::SplitUtf8);
+    // A deadline well past the 120 ms gap; what is under test is the poll
+    // tick that lands inside it.
+    let options = RouterOptions {
+        read_timeout: Duration::from_secs(2),
+        ..fast_router(vec![stub.addr.to_string()], 2)
+    };
+    let (mut client, handle) = start_router(options);
+
+    let response = Json::parse(&client.request_line(&query_line()).unwrap()).unwrap();
+    assert_eq!(
+        response.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{response}"
+    );
+    assert_eq!(stub.connections(), 1, "no retry: the first answer counts");
+    let stats = client.stats().unwrap();
+    let backend = &stats
+        .get("router")
+        .and_then(|r| r.get("backends"))
+        .and_then(Json::as_array)
+        .expect("router backends in stats")[0];
+    assert_eq!(backend.get("errors").and_then(Json::as_usize), Some(0));
+    assert_eq!(backend.get("retries").and_then(Json::as_usize), Some(0));
+
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
 }
 
 /// A dead address (nothing listening) degrades fast — connect errors do

@@ -210,6 +210,342 @@ fn chunked_corpus_stream_matches_line_protocol_bytes() {
     line_handle.join().unwrap().unwrap();
 }
 
+/// Blanks the members that measure time, which no two runs agree on.
+fn scrub(value: &mut Json) {
+    match value {
+        Json::Object(pairs) => {
+            for (key, member) in pairs {
+                match (key.as_str(), member) {
+                    ("uptime_s" | "prepare_seconds" | "nanos", member) => *member = Json::Null,
+                    // `explain` with `analyze` renders the measured run after
+                    // its static part.
+                    ("explain", Json::Str(text)) => {
+                        let end = text.find("analyze    :").unwrap_or(text.len());
+                        text.truncate(end);
+                    }
+                    (_, member) => scrub(member),
+                }
+            }
+        }
+        Json::Array(items) => items.iter_mut().for_each(scrub),
+        _ => {}
+    }
+}
+
+/// `ops.<op>.{requests,errors}` of a `stats` response.
+fn tally(stats: &Json, op: &str) -> (usize, usize) {
+    let entry = stats
+        .get("ops")
+        .and_then(|ops| ops.get(op))
+        .unwrap_or_else(|| panic!("no ops.{op} in {stats}"));
+    let count = |name| entry.get(name).and_then(Json::as_usize).unwrap();
+    (count("requests"), count("errors"))
+}
+
+/// One row of the transport-parity table.
+struct Case {
+    name: &'static str,
+    /// The request as the line daemon gets it.
+    line: String,
+    /// The endpoint of the line's op.
+    path: &'static str,
+    /// What the HTTP daemon gets, when not `line` itself (`op` member
+    /// included — over HTTP the path names the op).
+    body: Option<Body>,
+    /// The label both daemons must account the request under.
+    op: &'static str,
+    status: u16,
+    /// The response measures time, or each transport words it its own way:
+    /// not comparable byte for byte.
+    volatile: bool,
+}
+
+enum Body {
+    /// Raw text, as `text/plain` (the corpus ingest shape).
+    Raw(&'static str),
+    /// Another JSON text than the line.
+    Json(&'static str),
+}
+
+fn case(name: &'static str, line: &str, path: &'static str, op: &'static str, status: u16) -> Case {
+    Case {
+        name,
+        line: line.to_string(),
+        path,
+        body: None,
+        op,
+        status,
+        volatile: false,
+    }
+}
+
+impl Case {
+    fn body(self, body: Body) -> Case {
+        Case {
+            body: Some(body),
+            ..self
+        }
+    }
+
+    fn volatile(self) -> Case {
+        Case {
+            volatile: true,
+            ..self
+        }
+    }
+}
+
+/// Transport parity as a table: the same request, sent as a line to a line
+/// daemon and as a body to the op's endpoint on an HTTP daemon, gets the
+/// byte-identical response body and moves the same per-op counters — for
+/// every op and every reject class.
+#[test]
+fn every_op_and_reject_answers_and_counts_alike_on_both_transports() {
+    let options = ServeOptions {
+        max_line_bytes: 8 << 10,
+        ..http_options()
+    };
+    let (http_addr, http_handle) = start_http(options);
+    let (line_addr, line_handle) = start_http(ServeOptions {
+        http: false,
+        ..options
+    });
+    let mut http = HttpClient::connect(http_addr).unwrap();
+    let mut line = Client::connect(line_addr).unwrap();
+
+    let oversized = format!(
+        r#"{{"op":"query","program":"/{{x:a}}/","doc":"{}"}}"#,
+        "a".repeat(9 << 10)
+    );
+    let cases = [
+        case(
+            "prepare",
+            r#"{"op":"prepare","program":"/{x:a+}b*/"}"#,
+            "/v1/prepare",
+            "prepare",
+            200,
+        ),
+        case(
+            "query",
+            r#"{"op":"query","program":"/{x:a+}b*/","doc":"aab \"é\" 𝄞"}"#,
+            "/v1/query",
+            "query",
+            200,
+        ),
+        case(
+            "explain",
+            r#"{"op":"explain","program":"/{x:a+}b*/"}"#,
+            "/v1/explain",
+            "explain",
+            200,
+        ),
+        case(
+            "explain analyze",
+            r#"{"op":"explain","program":"/{x:a+}b*/","analyze":true,"doc":"aab"}"#,
+            "/v1/explain",
+            "explain",
+            200,
+        )
+        .volatile(),
+        case(
+            "query_corpus before load",
+            r#"{"op":"query_corpus","program":"/{x:a+}b*/"}"#,
+            "/v1/query_corpus",
+            "query_corpus",
+            400,
+        ),
+        case(
+            "load_corpus json",
+            r#"{"op":"load_corpus","text":"aa\nb\nabab\n\naaa bb"}"#,
+            "/v1/corpus",
+            "load_corpus",
+            200,
+        ),
+        case(
+            "load_corpus raw",
+            r#"{"op":"load_corpus","text":"aa\nb\nabab\n\naaa bb"}"#,
+            "/v1/corpus",
+            "load_corpus",
+            200,
+        )
+        .body(Body::Raw("aa\nb\nabab\n\naaa bb")),
+        case(
+            "append_docs json",
+            r#"{"op":"append_docs","text":"aaaa\nzz"}"#,
+            "/v1/corpus/append",
+            "append_docs",
+            200,
+        ),
+        case(
+            "append_docs raw",
+            r#"{"op":"append_docs","text":"ab"}"#,
+            "/v1/corpus/append",
+            "append_docs",
+            200,
+        )
+        .body(Body::Raw("ab")),
+        case(
+            "update_doc",
+            r#"{"op":"update_doc","line":1,"text":"baa"}"#,
+            "/v1/corpus/update",
+            "update_doc",
+            200,
+        ),
+        case(
+            "update_doc out of range",
+            r#"{"op":"update_doc","line":99,"text":"x"}"#,
+            "/v1/corpus/update",
+            "update_doc",
+            400,
+        ),
+        case(
+            "delete_docs",
+            r#"{"op":"delete_docs","lines":[0]}"#,
+            "/v1/corpus/delete",
+            "delete_docs",
+            200,
+        ),
+        case(
+            "query_corpus resident",
+            r#"{"op":"query_corpus","program":"/{x:a+}b*/"}"#,
+            "/v1/query_corpus",
+            "query_corpus",
+            200,
+        ),
+        case(
+            "query_corpus text",
+            r#"{"op":"query_corpus","program":"/{x:a+}b*/","text":"aa\nb\nabab"}"#,
+            "/v1/query_corpus",
+            "query_corpus",
+            200,
+        ),
+        case(
+            "bad program",
+            r#"{"op":"query","program":"/{x:/","doc":"a"}"#,
+            "/v1/query",
+            "query",
+            400,
+        ),
+        case("stats", r#"{"op":"stats"}"#, "/v1/stats", "stats", 200).volatile(),
+        // A body-level `op` never overrides the path.
+        case(
+            "mismatched body op",
+            r#"{"op":"query","program":"/{x:a}/","doc":"a"}"#,
+            "/v1/query",
+            "query",
+            200,
+        )
+        .body(Body::Json(
+            r#"{"op":"shutdown","program":"/{x:a}/","doc":"a"}"#,
+        )),
+        // Rejects both transports word alike.
+        case(
+            "malformed JSON",
+            r#"{"op":"query","program": "#,
+            "/v1/query",
+            "invalid",
+            400,
+        ),
+        case(
+            "missing field",
+            r#"{"op":"query","program":"/a/"}"#,
+            "/v1/query",
+            "invalid",
+            400,
+        ),
+        case(
+            "mistyped field",
+            r#"{"op":"update_doc","line":"1","text":"x"}"#,
+            "/v1/corpus/update",
+            "invalid",
+            400,
+        ),
+        // Rejects each transport words its own way: same class, same
+        // accounting.
+        case(
+            "not an object",
+            r#"["op","query"]"#,
+            "/v1/query",
+            "invalid",
+            400,
+        )
+        .volatile(),
+        case(
+            "unknown op or path",
+            r#"{"op":"frobnicate"}"#,
+            "/v1/frobnicate",
+            "invalid",
+            404,
+        )
+        .volatile(),
+        case("oversized", &oversized, "/v1/query", "invalid", 413).volatile(),
+    ];
+
+    for case in cases {
+        let Case { name, op, .. } = case;
+        let before = (
+            tally(&line.stats().unwrap(), op),
+            tally(&http.get("/v1/stats").unwrap().json().unwrap(), op),
+        );
+        let line_response = line.request_line(&case.line).unwrap();
+        let http_response = match case.body {
+            Some(Body::Raw(text)) => http.post_text(case.path, text),
+            // `post_json` re-renders its value — to the identical bytes, for
+            // these canonical texts; an undecodable one goes out as it is.
+            Some(Body::Json(text)) => http.post_json(case.path, &Json::parse(text).unwrap()),
+            None => match Json::parse(&case.line) {
+                Ok(value) => http.post_json(case.path, &value),
+                Err(_) => http.post_text(case.path, &case.line),
+            },
+        }
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let http_text = http_response.text();
+        assert_eq!(http_response.status, case.status, "{name}: {http_text}");
+        if case.status == 413 {
+            // The unread body left the stream unframed: the server closed.
+            http = HttpClient::connect(http_addr).unwrap();
+        }
+
+        // Same answer…
+        let ok = case.status == 200;
+        let mut answers = [&line_response, &http_text].map(|text| Json::parse(text).unwrap());
+        for answer in &answers {
+            assert_eq!(
+                answer.get("ok").and_then(Json::as_bool),
+                Some(ok),
+                "{name}: {answer}"
+            );
+        }
+        if !case.volatile {
+            assert_eq!(http_text, line_response, "{name}: not byte-identical");
+        } else if ok {
+            answers.iter_mut().for_each(scrub);
+            assert_eq!(answers[1].to_string(), answers[0].to_string(), "{name}");
+        }
+
+        // … and the same accounting, under the same op.
+        let after = (
+            tally(&line.stats().unwrap(), op),
+            tally(&http.get("/v1/stats").unwrap().json().unwrap(), op),
+        );
+        // The second probe is a `stats` request itself (the first is in
+        // its own snapshot: requests are counted on arrival).
+        let expected = (1 + usize::from(op == "stats"), usize::from(!ok));
+        for (transport, before, after) in [("line", before.0, after.0), ("http", before.1, after.1)]
+        {
+            assert_eq!(
+                (after.0 - before.0, after.1 - before.1),
+                expected,
+                "{name}: ops.{op} over {transport}"
+            );
+        }
+    }
+
+    shutdown(http_addr, http_handle);
+    line.shutdown().unwrap();
+    line_handle.join().unwrap().unwrap();
+}
+
 #[test]
 fn cap_and_method_rejections_use_the_right_status_codes() {
     let (addr, handle) = start_http(http_options());
@@ -237,6 +573,41 @@ fn cap_and_method_rejections_use_the_right_status_codes() {
     );
     assert_eq!(status_of(&response), Some(400), "bad content-length");
 
+    // Two different lengths frame two different requests → 400 + close
+    // (RFC 9112 §6.3); the first must not simply win.
+    let body = b"{\"program\":\"/{x:a}/\",\"doc\":\"a\"}";
+    let mut bytes = format!(
+        "POST /v1/query HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: {}\r\nContent-Length: 500\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    bytes.extend_from_slice(body);
+    let response = raw_exchange(addr, &bytes);
+    assert_eq!(status_of(&response), Some(400), "conflicting lengths");
+    assert!(
+        String::from_utf8_lossy(&response).contains("Connection: close"),
+        "an ambiguously framed request must not leave the connection open"
+    );
+
+    // No Content-Length means an empty body, never `411`: `curl -X POST
+    // …/v1/shutdown` sends none. Bodiless ops answer; an op that needs
+    // fields misses them (400), like an empty JSON object would.
+    let response = raw_exchange(
+        addr,
+        b"POST /v1/stats HTTP/1.1\r\nConnection: close\r\n\r\n",
+    );
+    assert_eq!(status_of(&response), Some(200), "bodiless POST");
+    let response = raw_exchange(
+        addr,
+        b"POST /v1/query HTTP/1.1\r\nConnection: close\r\n\r\n",
+    );
+    assert_eq!(status_of(&response), Some(400), "no length = empty body");
+    assert!(
+        String::from_utf8_lossy(&response).contains("`query` needs a string `program` field"),
+        "{}",
+        String::from_utf8_lossy(&response)
+    );
+
     // Chunked request bodies are not supported → 501.
     let response = raw_exchange(
         addr,
@@ -252,6 +623,14 @@ fn cap_and_method_rejections_use_the_right_status_codes() {
     assert!(
         String::from_utf8_lossy(&response).contains("Allow: POST"),
         "405 must carry Allow"
+    );
+    // … as a header of its own, next to an untouched Content-Type.
+    let text = String::from_utf8_lossy(&response);
+    let headers: Vec<&str> = text.split("\r\n").take_while(|l| !l.is_empty()).collect();
+    assert!(headers.contains(&"Allow: POST"), "{headers:?}");
+    assert!(
+        headers.contains(&"Content-Type: application/json"),
+        "{headers:?}"
     );
 
     // Unsupported version → 400. Malformed request line → 400.
@@ -357,6 +736,7 @@ fn fuzzed_request_bytes_never_kill_the_server() {
         b"POST /v1/query HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: 31\r\n\r\n{\"program\":\"/{x:a}/\",\"doc\":\"a\"}".to_vec(),
         b"POST /v1/corpus HTTP/1.1\r\nContent-Length: 8\r\n\r\naa\nb\naaa".to_vec(),
         b"POST /v1/query_corpus HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: 40\r\n\r\n{\"program\":\"/{x:a+}/\",\"text\":\"aa\\nb\\na\"}".to_vec(),
+        b"POST /v1/query HTTP/1.1\r\nContent-Length: 31\r\nContent-Length: 13\r\n\r\n{\"program\":\"/{x:a}/\",\"doc\":\"a\"}".to_vec(),
     ];
 
     for seed in 0..120u64 {

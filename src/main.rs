@@ -365,10 +365,9 @@ fn run(args: &[String]) -> Result<(), String> {
                 );
             } else {
                 eprintln!(
-                    "listening on {} (line-delimited JSON ops: prepare, query, \
-                     load_corpus, append_docs, update_doc, delete_docs, \
-                     query_corpus, explain, stats, metrics, shutdown)",
+                    "listening on {} (line-delimited JSON ops: {})",
                     server.local_addr(),
+                    spanner_serve::Request::OPS.join(", "),
                 );
             }
             server.run().map_err(|e| e.to_string())
