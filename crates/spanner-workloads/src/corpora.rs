@@ -4,7 +4,8 @@
 //! workloads: personal-information records (the `dStudents` document of
 //! Figure 1), system logs, and large machine-generated extractors. These
 //! generators produce documents of a controlled size with the same structure
-//! so that the experiments in EXPERIMENTS.md can sweep the document length.
+//! so that the experiments (`cargo run -p spanner-bench -- list`) can sweep
+//! the document length.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -1,8 +1,9 @@
 //! Synthetic workloads: corpora, extractor libraries, and random spanners.
 //!
 //! The paper has no public benchmark suite, so this crate provides the
-//! workloads used by the experiments in EXPERIMENTS.md: student-record and
-//! access-log corpora of a controlled size (the Figure 1 document family),
+//! workloads used by the experiments (`cargo run -p spanner-bench -- list`
+//! is their index): student-record and access-log corpora of a controlled
+//! size (the Figure 1 document family),
 //! the paper's running-example extractors (Examples 2.1–2.4, 5.1, 5.4), the
 //! Example 3.10 blow-up family, and random sequential vset-automata / regex
 //! formulas standing in for the large machine-generated extractors the paper
@@ -29,4 +30,4 @@ pub use mutations::random_mutations;
 pub use random_ql::{random_ql_program, RandomQlConfig, RandomQlProgram};
 pub use random_ra::{random_ra_tree, RandomRaConfig};
 pub use random_vsa::{random_sequential_rgx, random_sequential_vsa, RandomVsaConfig};
-pub use requests::{program_library, request_mix, RequestKind, RequestMixConfig, ServeRequest};
+pub use requests::program_library;

@@ -1,9 +1,8 @@
 //! Random mutation scripts for the incremental-evaluation tests.
 //!
-//! The differential oracles (`tests/incr_oracle.rs`) and the `exp_incr`
-//! benchmark need reproducible interleavings of appends, updates, and
-//! deletes whose document ids are always valid for the corpus they run
-//! against. The generated texts deliberately mix needle hits, misses,
+//! The differential oracles (`tests/incr_oracle.rs`) need reproducible
+//! interleavings of appends, updates, and deletes whose document ids are
+//! always valid for the corpus they run against. The generated texts deliberately mix needle hits, misses,
 //! empty documents, and multi-byte UTF-8, so hash-keyed view invalidation
 //! is exercised across char boundaries and on the empty-document edge.
 

@@ -1,72 +1,12 @@
-//! A request-mix generator for the serving layer.
+//! The program library of the serving workloads.
 //!
-//! Serving benchmarks and tests need traffic that looks like a real query
-//! service's: a small hot set of programs hit over and over (the case the
-//! prepared-query cache exists for), a long tail of colder programs, and a
-//! mix of single-document, corpus, and introspection requests. This module
-//! generates such a mix deterministically from a seed, as plain data — the
-//! workloads crate knows nothing about the wire protocol, so the serve
-//! layer (or a benchmark) maps [`ServeRequest`] onto whatever transport it
-//! drives.
+//! Serving traffic is a small hot set of programs hit over and over (the
+//! case the prepared-query cache exists for) and a long tail of colder
+//! ones. `bench/` draws its request streams from this library; the
+//! workloads crate knows nothing about the wire protocol.
 
-use crate::corpora::access_log;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// What a generated request asks the service to do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RequestKind {
-    /// Evaluate the program on one document.
-    Query,
-    /// Evaluate the program over a multi-line corpus.
-    QueryCorpus,
-    /// Render the program's plan explanation.
-    Explain,
-    /// Read the service counters (no program attached).
-    Stats,
-}
-
-/// One generated request: the operation, the program text, and the
-/// document (or corpus text) it applies to.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServeRequest {
-    /// The operation.
-    pub kind: RequestKind,
-    /// SpannerQL program text (empty for [`RequestKind::Stats`]).
-    pub program: String,
-    /// Document text for queries; newline-separated corpus text for corpus
-    /// requests; empty otherwise.
-    pub doc: String,
-}
-
-/// Tuning knobs of [`request_mix`].
-#[derive(Debug, Clone, Copy)]
-pub struct RequestMixConfig {
-    /// Percent of program picks that go to the hottest program (the rest
-    /// spread uniformly over the remaining library) — the cache-hit knob.
-    pub hot_percent: u32,
-    /// Percent of requests that are corpus scans.
-    pub corpus_percent: u32,
-    /// Percent of requests that are explains / stats (half each).
-    pub introspection_percent: u32,
-    /// Lines per generated corpus request.
-    pub corpus_lines: usize,
-}
-
-impl Default for RequestMixConfig {
-    fn default() -> RequestMixConfig {
-        RequestMixConfig {
-            hot_percent: 70,
-            corpus_percent: 10,
-            introspection_percent: 6,
-            corpus_lines: 50,
-        }
-    }
-}
-
-/// The program library the mix draws from: a hot user/host join (first
-/// entry) plus a tail of colder extractors, all over email- and log-shaped
-/// lines.
+/// A hot user/host join (first entry) plus a tail of colder extractors, all
+/// over email- and log-shaped lines.
 pub fn program_library() -> Vec<String> {
     vec![
         // The hot program: the running-example extraction pipeline grown to
@@ -89,119 +29,10 @@ pub fn program_library() -> Vec<String> {
     ]
 }
 
-/// Generates `n` requests with the configured mix, deterministically from
-/// `seed`. The document stream reuses the access-log corpus generator, so
-/// the programs actually extract something.
-pub fn request_mix(n: usize, config: RequestMixConfig, seed: u64) -> Vec<ServeRequest> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let programs = program_library();
-    let log = access_log(200, seed ^ 0x5eed);
-    let lines: Vec<&str> = log.text().lines().collect();
-    let email_line = |rng: &mut StdRng| {
-        let users = ["bob", "carol", "adminx", "dave", "eve"];
-        let hosts = ["edu.ru", "site.org", "dot.net", "mail.co.uk"];
-        format!(
-            "{}@{} msg {}",
-            users[rng.gen_range(0..users.len())],
-            hosts[rng.gen_range(0..hosts.len())],
-            rng.gen_range(0..1000)
-        )
-    };
-    (0..n)
-        .map(|_| {
-            let roll = rng.gen_range(0..100u32);
-            let kind = if roll < config.introspection_percent {
-                if roll % 2 == 0 {
-                    RequestKind::Stats
-                } else {
-                    RequestKind::Explain
-                }
-            } else if roll < config.introspection_percent + config.corpus_percent {
-                RequestKind::QueryCorpus
-            } else {
-                RequestKind::Query
-            };
-            if kind == RequestKind::Stats {
-                return ServeRequest {
-                    kind,
-                    program: String::new(),
-                    doc: String::new(),
-                };
-            }
-            let program = if rng.gen_range(0..100u32) < config.hot_percent {
-                programs[0].clone()
-            } else {
-                programs[1 + rng.gen_range(0..programs.len() - 1)].clone()
-            };
-            let doc = match kind {
-                RequestKind::Query => {
-                    if rng.gen_bool(0.5) {
-                        email_line(&mut rng)
-                    } else {
-                        lines[rng.gen_range(0..lines.len())].to_string()
-                    }
-                }
-                RequestKind::QueryCorpus => {
-                    let mut corpus = String::new();
-                    for _ in 0..config.corpus_lines {
-                        if rng.gen_bool(0.5) {
-                            corpus.push_str(&email_line(&mut rng));
-                        } else {
-                            corpus.push_str(lines[rng.gen_range(0..lines.len())]);
-                        }
-                        corpus.push('\n');
-                    }
-                    corpus
-                }
-                RequestKind::Explain | RequestKind::Stats => String::new(),
-            };
-            ServeRequest { kind, program, doc }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use spanner_ql::PreparedQuery;
-
-    #[test]
-    fn mix_is_deterministic_and_sized() {
-        let a = request_mix(100, RequestMixConfig::default(), 7);
-        let b = request_mix(100, RequestMixConfig::default(), 7);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 100);
-        let c = request_mix(100, RequestMixConfig::default(), 8);
-        assert_ne!(a, c, "different seeds give different mixes");
-    }
-
-    #[test]
-    fn mix_respects_the_shape_knobs() {
-        let mix = request_mix(500, RequestMixConfig::default(), 11);
-        let queries = mix.iter().filter(|r| r.kind == RequestKind::Query).count();
-        let corpora = mix
-            .iter()
-            .filter(|r| r.kind == RequestKind::QueryCorpus)
-            .count();
-        assert!(queries > 300, "queries dominate: {queries}");
-        assert!(corpora > 10, "corpus requests present: {corpora}");
-        let hot = &program_library()[0];
-        let hot_hits = mix.iter().filter(|r| &r.program == hot).count();
-        assert!(
-            hot_hits * 2 > mix.len(),
-            "the hot program dominates the program picks: {hot_hits}"
-        );
-        for r in &mix {
-            match r.kind {
-                RequestKind::Stats => assert!(r.program.is_empty()),
-                RequestKind::Explain => assert!(!r.program.is_empty()),
-                RequestKind::Query => assert!(!r.doc.is_empty()),
-                RequestKind::QueryCorpus => {
-                    assert_eq!(r.doc.lines().count(), 50);
-                }
-            }
-        }
-    }
 
     #[test]
     fn every_generated_program_compiles() {
