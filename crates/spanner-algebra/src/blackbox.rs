@@ -134,7 +134,7 @@ impl Spanner for DictionarySpanner {
                 if self.case_insensitive {
                     self.entries.contains(&text.to_lowercase())
                 } else {
-                    self.entries.contains(text)
+                    self.entries.contains(&*text)
                 }
             })
             .map(|s| Mapping::from_pairs([(self.var.clone(), s)]))
@@ -315,7 +315,7 @@ mod tests {
         let s = TokenizerSpanner::new("tok");
         let doc = Document::new("ab, cd_7 !x");
         let out = s.eval(&doc).unwrap();
-        let texts: Vec<&str> = out
+        let texts: Vec<_> = out
             .iter()
             .map(|m| doc.slice(m.get(&"tok".into()).unwrap()))
             .collect();
@@ -356,13 +356,13 @@ mod tests {
         );
         let out = s.eval(&doc).unwrap();
         assert_eq!(out.len(), 2);
-        let subjects: Vec<&str> = out
+        let subjects: Vec<_> = out
             .iter()
             .map(|m| doc.slice(m.get(&"student".into()).unwrap()))
             .collect();
-        assert!(subjects.contains(&"Rodion"));
-        assert!(subjects.contains(&"Zosimov"));
-        assert!(!subjects.contains(&"Pyotr"));
+        assert!(subjects.contains(&"Rodion".into()));
+        assert!(subjects.contains(&"Zosimov".into()));
+        assert!(!subjects.contains(&"Pyotr".into()));
     }
 
     #[test]

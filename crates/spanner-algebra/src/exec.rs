@@ -42,7 +42,7 @@ use crate::spanner::SpannerRef;
 use spanner_core::{Document, FxHashSet, Mapping, MappingSet, SpannerResult, VarSet};
 use spanner_enum::{enumerate_compiled, Enumerator};
 use spanner_vset::scan::contains_factor;
-use spanner_vset::{CompiledVsa, PreScan, Vsa};
+use spanner_vset::{CompiledVsa, PreScan};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
@@ -166,10 +166,8 @@ pub enum PhysOp {
     /// A maximal static RA subtree, compiled once into a shared automaton;
     /// enumerated per document with polynomial delay.
     CompiledScan {
-        /// The construction-time automaton (kept for schema/size reporting
-        /// and the empty-language fast path).
-        vsa: Arc<Vsa>,
-        /// The compile-once evaluation form the enumerator runs on.
+        /// The compile-once evaluation form the enumerator runs on (and
+        /// what schema, size and the empty-language fast path are read off).
         compiled: Arc<CompiledVsa>,
         /// Whether the scan fast path (prefilters + lazy-DFA boolean
         /// pre-pass) is consulted before enumeration
@@ -239,11 +237,10 @@ impl PhysOp {
     ) -> SpannerResult<MappingSet> {
         match self {
             PhysOp::CompiledScan {
-                vsa,
                 compiled,
                 fast_path,
             } => {
-                if vsa.accepting_states().is_empty() {
+                if compiled.accepting().is_empty() {
                     obs.count("prescan_skip", 1);
                     return Ok(MappingSet::new());
                 }
@@ -383,11 +380,10 @@ impl PhysOp {
     ) -> SpannerResult<OpStream<'a>> {
         let kind = match self {
             PhysOp::CompiledScan {
-                vsa,
                 compiled,
                 fast_path,
             } => {
-                if vsa.accepting_states().is_empty()
+                if compiled.accepting().is_empty()
                     || (*fast_path && compiled.prescan(doc) != PreScan::Accept)
                 {
                     StreamKind::Empty
@@ -453,10 +449,12 @@ impl PhysOp {
     /// One-line label for outlines and debugging.
     pub fn label(&self) -> String {
         match self {
-            PhysOp::CompiledScan { vsa, .. } => format!(
+            PhysOp::CompiledScan { compiled, .. } => format!(
                 "CompiledScan({} states, vars {{{}}})",
-                vsa.state_count(),
-                vsa.vars()
+                compiled.state_count(),
+                compiled
+                    .var_table()
+                    .vars()
                     .iter()
                     .map(|v| v.to_string())
                     .collect::<Vec<_>>()
@@ -498,14 +496,13 @@ impl PhysOp {
     pub fn prescan_reject(&self, doc: &Document) -> Option<PreScan> {
         match self {
             PhysOp::CompiledScan {
-                vsa,
                 compiled,
                 fast_path,
             } => {
                 if !*fast_path {
                     return None;
                 }
-                if vsa.accepting_states().is_empty() {
+                if compiled.accepting().is_empty() {
                     return Some(PreScan::Skip);
                 }
                 match compiled.prescan(doc) {

@@ -476,18 +476,16 @@ impl Built {
     /// every leaf of the operator tree is therefore compiled exactly once.
     fn into_op(self, options: RaOptions) -> PhysOp {
         match self {
-            Built::Static(vsa) => compiled_scan(vsa, options),
+            Built::Static(vsa) => compiled_scan(&vsa, options),
             Built::Dynamic(op) => op,
         }
     }
 }
 
 /// Wraps a static automaton as a compiled-scan operator.
-fn compiled_scan(vsa: Vsa, options: RaOptions) -> PhysOp {
-    let compiled = CompiledVsa::compile(&vsa);
+fn compiled_scan(vsa: &Vsa, options: RaOptions) -> PhysOp {
     PhysOp::CompiledScan {
-        vsa: Arc::new(vsa),
-        compiled: Arc::new(compiled),
+        compiled: Arc::new(CompiledVsa::compile(vsa)),
         fast_path: options.scan_fast_path,
     }
 }

@@ -1,6 +1,7 @@
 //! Documents: the strings that spanners extract from.
 
 use crate::span::Span;
+use std::borrow::Cow;
 use std::fmt;
 
 /// An input document: a finite string over the (byte) alphabet.
@@ -50,24 +51,27 @@ impl Document {
         self.bytes().get(pos as usize - 1).copied()
     }
 
-    /// The substring `d[span⟩` covered by `span`.
+    /// The substring `d[span⟩` covered by `span`, byte-exact: the alphabet
+    /// is bytes, so a span may begin or end inside a multi-byte character
+    /// (`.` matches one byte). The covered bytes are decoded lossily — each
+    /// split character renders as U+FFFD, everything else borrows from the
+    /// document — and the span itself stays a pair of byte positions.
     ///
     /// # Panics
     ///
-    /// Panics if the span does not fit the document.
+    /// Panics if the span does not fit the document (never on a span of a
+    /// mapping extracted from it).
     #[inline]
-    pub fn slice(&self, span: Span) -> &str {
-        &self.text[span.as_range()]
+    pub fn slice(&self, span: Span) -> Cow<'_, str> {
+        String::from_utf8_lossy(&self.bytes()[span.as_range()])
     }
 
-    /// The substring covered by `span`, or `None` if the span does not fit.
+    /// [`Document::slice`], or `None` if the span does not fit.
     #[inline]
-    pub fn try_slice(&self, span: Span) -> Option<&str> {
-        if span.fits(self.len()) {
-            Some(&self.text[span.as_range()])
-        } else {
-            None
-        }
+    pub fn try_slice(&self, span: Span) -> Option<Cow<'_, str>> {
+        self.bytes()
+            .get(span.as_range())
+            .map(String::from_utf8_lossy)
     }
 
     /// The span covering the whole document, `[1, n + 1⟩`.
@@ -132,7 +136,21 @@ mod tests {
         assert_eq!(d.slice(Span::new(1, 1)), "");
         assert_eq!(d.slice(Span::new(2, 4)), "od");
         assert_eq!(d.try_slice(Span::new(2, 9)), None);
-        assert_eq!(d.try_slice(Span::new(7, 7)), Some(""));
+        assert_eq!(d.try_slice(Span::new(7, 7)).as_deref(), Some(""));
+    }
+
+    #[test]
+    fn slicing_is_bytewise_inside_characters() {
+        // "é" is two bytes: every span over it is answered, the ones that
+        // split it with U+FFFD for the part they cover.
+        let d = Document::new("aé");
+        assert_eq!(d.slice(Span::new(1, 4)), "aé");
+        assert_eq!(d.slice(Span::new(2, 4)), "é");
+        assert_eq!(d.slice(Span::new(1, 3)), "a\u{fffd}");
+        assert_eq!(d.slice(Span::new(2, 3)), "\u{fffd}");
+        assert_eq!(d.try_slice(Span::new(3, 4)).as_deref(), Some("\u{fffd}"));
+        assert_eq!(d.slice(Span::new(3, 3)), "");
+        assert_eq!(d.try_slice(Span::new(3, 5)), None);
     }
 
     #[test]

@@ -12,12 +12,13 @@
 //!   single-document evaluation and SpannerQL;
 //! * every entry point — the full scan
 //!   ([`CorpusEngine::evaluate_with_threads`]), its traced form, the
-//!   indexed scan over a candidate list, the pooled scan
-//!   ([`CorpusEngine::evaluate_on_pool`]) and the incremental one
+//!   indexed scan over a candidate list and the incremental one
 //!   ([`CorpusEngine::evaluate_delta`]) — is **one** pass over a *document
 //!   selection* (a sorted id list; the full scan selects every id), a
-//!   *thread source* (scoped threads or a persistent [`WorkerPool`]) and an
-//!   executor [`Observer`]. The lowered plan is read-only after compilation
+//!   worker count and an executor [`Observer`]. There is one thread source:
+//!   workers are threads scoped to the call, which borrow the plan and the
+//!   documents — the crate keeps no thread alive between calls and owns no
+//!   queue. The lowered plan is read-only after compilation
 //!   (`CompiledPlan: Sync`), so every worker evaluates against the *same*
 //!   shared operator tree and compiled automata — no per-thread
 //!   compilation, no locking on the hot path. Results are returned **in
@@ -48,7 +49,6 @@ use spanner_algebra::{
 };
 use spanner_core::{Document, MappingSet, SpannerResult};
 use std::borrow::Cow;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub mod pool;
@@ -106,9 +106,9 @@ pub struct CorpusResult {
 }
 
 /// A compiled RA query ready to be evaluated over many documents.
+#[derive(Debug)]
 pub struct CorpusEngine {
-    /// Shared, not owned: jobs on a persistent pool outlive the call.
-    plan: Arc<CompiledPlan>,
+    plan: CompiledPlan,
 }
 
 /// What one worker brings back from its chunk of a selection — and, folded
@@ -129,8 +129,7 @@ struct Shard<O> {
 /// empty, so such a document never reaches the executor and surfaces as a
 /// tally (and as `corpus_docs_skipped` / `corpus_docs_rejected` on the root
 /// of a recording observer); an evaluated document merges its per-operator
-/// observation into the worker's. Every thread source runs this function,
-/// whichever thread it runs it on.
+/// observation into the worker's.
 fn eval_chunk<O: Observer>(
     plan: &CompiledPlan,
     docs: &[Document],
@@ -167,16 +166,6 @@ fn eval_chunk<O: Observer>(
         }
     }
     Ok(shard)
-}
-
-/// Where a pass finds its workers.
-enum Workers<'a> {
-    /// Threads scoped to the call, at most this many (`0` = one per CPU):
-    /// they borrow the plan and the documents.
-    Scoped(usize),
-    /// A persistent pool. Its jobs are `'static`, so they share the plan
-    /// and the documents through `Arc`s instead.
-    Pool(&'a WorkerPool, &'a Arc<Vec<Document>>),
 }
 
 /// Partitions `0..len` into **exactly** `shards` contiguous, in-order
@@ -297,8 +286,8 @@ pub fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
 
 /// The fewest documents a worker must receive before a selection is split
 /// across threads. Handing work to another thread — spawning and joining a
-/// scoped one, or waking a pooled one and waiting for its answer — costs
-/// 50–100 µs on the reference box and as much again in the allocator, which
+/// scoped one — costs 50–100 µs on the reference box and as much again in
+/// the allocator, which
 /// then frees on one thread what another allocated; a warm matching log
 /// line evaluates in 1.5–2 µs. Two workers break even with the calling
 /// thread at some 64 documents each (DESIGN.md §11 has the table), and
@@ -371,9 +360,7 @@ impl CorpusEngine {
 
     /// Wraps an already-compiled plan.
     pub fn from_plan(plan: CompiledPlan) -> CorpusEngine {
-        CorpusEngine {
-            plan: Arc::new(plan),
-        }
+        CorpusEngine { plan }
     }
 
     /// The underlying compiled plan.
@@ -390,9 +377,7 @@ impl CorpusEngine {
         docs: &[Document],
         threads: usize,
     ) -> SpannerResult<CorpusResult> {
-        Ok(self
-            .scan::<NoTrace>(docs, None, Workers::Scoped(threads))?
-            .0)
+        Ok(self.scan::<NoTrace>(docs, None, threads)?.0)
     }
 
     /// [`CorpusEngine::evaluate_with_threads`] with per-operator
@@ -409,7 +394,7 @@ impl CorpusEngine {
         docs: &[Document],
         threads: usize,
     ) -> SpannerResult<(CorpusResult, ExecTrace)> {
-        self.scan(docs, None, Workers::Scoped(threads))
+        self.scan(docs, None, threads)
     }
 
     /// Evaluates only the `candidates` subset of the corpus — the
@@ -431,113 +416,72 @@ impl CorpusEngine {
         candidates: &[u32],
         threads: usize,
     ) -> SpannerResult<CorpusResult> {
-        Ok(self
-            .scan::<NoTrace>(docs, Some(candidates), Workers::Scoped(threads))?
-            .0)
+        Ok(self.scan::<NoTrace>(docs, Some(candidates), threads)?.0)
     }
 
-    /// Evaluates the corpus by sharding it across a persistent
-    /// [`WorkerPool`] instead of spawning scoped threads per call — the
-    /// shape a long-running query service wants, where one pool serves
-    /// thousands of corpus requests and thread spawn cost is paid once at
-    /// startup.
-    ///
-    /// The plan and the documents are shared with the workers through
-    /// `Arc` (jobs on a persistent pool are `'static`). Results are in
-    /// corpus order and bit-identical to [`CorpusEngine::evaluate_with_threads`]
-    /// for every pool size. A corpus too small to give every worker its
-    /// minimum share (a request that ships a screenful of lines) is
-    /// evaluated on the calling thread: waking two workers for it costs
-    /// more than it saves, by an amount that changes from call to call.
+    /// [`CorpusEngine::evaluate_with_threads`] on `pool.threads()` workers.
+    /// A forward kept **by name only**, for the frozen `bench/` package (see
+    /// [`WorkerPool`]): there is no pool behind it.
     pub fn evaluate_on_pool(
         &self,
-        docs: &Arc<Vec<Document>>,
+        docs: &[Document],
         pool: &WorkerPool,
     ) -> SpannerResult<CorpusResult> {
-        Ok(self
-            .scan::<NoTrace>(docs, None, Workers::Pool(pool, docs))?
-            .0)
+        self.evaluate_with_threads(docs, pool.threads())
     }
 
     /// A pass with nothing served from a view: evaluates the documents
     /// `ids` (every document when `None`) and assembles the whole-corpus
     /// result; documents outside `ids` count as skipped, unread.
-    fn scan<O: Observer + Clone + Send + 'static>(
+    fn scan<O: Observer + Clone + Send>(
         &self,
         docs: &[Document],
         ids: Option<&[u32]>,
-        workers: Workers<'_>,
+        threads: usize,
     ) -> SpannerResult<(CorpusResult, O)> {
         let start = Instant::now();
         let every = || Cow::Owned((0..docs.len() as u32).collect());
         let ids: Cow<'_, [u32]> = ids.map_or_else(every, Cow::Borrowed);
-        let pass = self.evaluate_selection(docs, &ids, workers)?;
+        let pass = self.evaluate_selection(docs, &ids, threads)?;
         let unread = docs.len() - ids.len();
         Ok(assemble(docs, unread, std::iter::empty(), pass, start))
     }
 
     /// The one evaluator behind every entry point: evaluates the documents
-    /// `ids` (sorted, in bounds) on `workers` and returns their non-empty
-    /// relations in id order with the fast-path tallies, the merged
-    /// observation and the number of workers that ran — or the first error
-    /// in id order. The id list is what gets sharded (not the corpus): the
-    /// work is proportional to the selection. Every worker's observer
-    /// starts from the plan's skeleton, so observations merge whatever the
-    /// split.
-    fn evaluate_selection<O: Observer + Clone + Send + 'static>(
+    /// `ids` (sorted, in bounds) on up to `threads` workers (`0` = one per
+    /// CPU) and returns their non-empty relations in id order with the
+    /// fast-path tallies, the merged observation and the number of workers
+    /// that ran — or the first error in id order. The id list is what gets
+    /// sharded (not the corpus): the work is proportional to the selection.
+    /// Workers are threads scoped to this call, borrowing the plan and the
+    /// documents; every worker's observer starts from the plan's skeleton,
+    /// so observations merge whatever the split.
+    fn evaluate_selection<O: Observer + Clone + Send>(
         &self,
         docs: &[Document],
         ids: &[u32],
-        workers: Workers<'_>,
+        threads: usize,
     ) -> SpannerResult<Shard<O>> {
         let seed = O::skeleton(self.plan.physical().root());
-        let offered = match workers {
-            Workers::Scoped(threads) => threads,
-            Workers::Pool(pool, ..) => pool.threads(),
-        };
-        let count = workers_for(offered, ids.len());
+        let count = workers_for(threads, ids.len());
         if count == 1 {
             return eval_chunk(&self.plan, docs, ids, seed);
         }
         // Rounding the chunk size up can leave fewer chunks than `count`;
         // the shards that come back are the workers that ran.
         let chunks = ids.chunks(ids.len().div_ceil(count));
-        let shards: Vec<SpannerResult<Shard<O>>> = match workers {
-            Workers::Scoped(_) => std::thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .map(|chunk| {
-                        let seed = seed.clone();
-                        scope.spawn(move || eval_chunk(&self.plan, docs, chunk, seed))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("corpus worker panicked"))
-                    .collect()
-            }),
-            Workers::Pool(pool, docs) => {
-                let (send, recv) = std::sync::mpsc::channel();
-                let jobs = chunks.len();
-                for (index, chunk) in chunks.enumerate() {
-                    let (plan, docs, chunk) =
-                        (Arc::clone(&self.plan), Arc::clone(docs), chunk.to_vec());
-                    let (send, seed) = (send.clone(), seed.clone());
-                    pool.execute(move || {
-                        let shard = eval_chunk(&plan, &docs, &chunk, seed);
-                        // Every report is awaited below: the receiver is there.
-                        let _ = send.send((index, shard));
-                    });
-                }
-                // A job that died without reporting fails a `recv` below
-                // instead of hanging it.
-                drop(send);
-                let mut shards: Vec<_> = (0..jobs)
-                    .map(|_| recv.recv().expect("every chunk job reports once"))
-                    .collect();
-                shards.sort_by_key(|(index, _)| *index);
-                shards.into_iter().map(|(_, shard)| shard).collect()
-            }
-        };
+        let shards: Vec<SpannerResult<Shard<O>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = chunks
+                .map(|chunk| {
+                    let seed = seed.clone();
+                    scope.spawn(move || eval_chunk(&self.plan, docs, chunk, seed))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("corpus worker panicked"))
+                .collect()
+        });
         let mut shards = shards.into_iter();
         let mut pass = shards.next().expect("two chunks or more")?;
         for shard in shards {
@@ -552,16 +496,10 @@ impl CorpusEngine {
     }
 }
 
-impl std::fmt::Debug for CorpusEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "CorpusEngine({:?})", self.plan)
-    }
-}
-
 /// Hard ceiling on spawned workers: corpora can be arbitrarily large, and a
 /// requested count far past the CPU count would only pay thread-spawn cost
-/// (or abort the process when the OS refuses to spawn). Public so other
-/// thread-pool layers (the serve daemon) clamp to the same bound.
+/// (or abort the process when the OS refuses to spawn). Public so the serve
+/// daemon clamps its connection workers to the same bound.
 pub const MAX_THREADS: usize = 256;
 
 /// Splits a document into one [`Document`] per line — the shape of the
@@ -574,6 +512,7 @@ pub fn split_lines(text: &str) -> Vec<Document> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn partition_ranges_are_exact_and_balanced() {
@@ -692,7 +631,7 @@ mod tests {
             parts.push(format!("{{v{i:02}:a?}}"));
         }
         let failing = Arc::new(engine(&parts.concat()));
-        // Inline, then from a pooled worker.
+        // Inline, then from a worker, through the forward `bench/` calls.
         for len in [2, 2 * MIN_DOCS_PER_WORKER] {
             let docs = Arc::new(vec![Document::new("aaa"); len]);
             assert!(

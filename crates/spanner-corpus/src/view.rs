@@ -34,7 +34,7 @@
 //! snapshot — every evaluation is cold — which the differential oracle uses
 //! to pin the delta path against the full scan.
 
-use crate::{assemble, intersect_sorted, CorpusEngine, CorpusResult, Workers};
+use crate::{assemble, intersect_sorted, CorpusEngine, CorpusResult};
 use spanner_algebra::NoTrace;
 use spanner_core::{Document, MappingSet, SpannerResult};
 use std::time::Instant;
@@ -259,8 +259,7 @@ impl CorpusEngine {
                 stale.iter().copied().chain(past).collect()
             }
         };
-        let pass =
-            self.evaluate_selection::<NoTrace>(docs, &selection, Workers::Scoped(threads))?;
+        let pass = self.evaluate_selection::<NoTrace>(docs, &selection, threads)?;
         view.release(&stale);
         let unread = delta_docs - selection.len();
         let hits = view.matches.iter().map(|(id, set)| (*id, set.clone()));

@@ -6,8 +6,8 @@
 //! lowers onto the physical operator executor) — exactly once. The handle
 //! then evaluates any number of documents through that one executor: single
 //! documents stream through the operator pull pipeline (polynomial delay on
-//! static plans, via [`CompiledPlan::stream`]), corpora shard across a
-//! [`CorpusEngine`] thread pool.
+//! static plans, via [`CompiledPlan::stream`]), corpora shard across the
+//! scoped workers of a [`CorpusEngine`].
 
 use crate::error::QlError;
 use crate::lower::Lowered;
@@ -18,14 +18,14 @@ use spanner_algebra::{
 };
 use spanner_core::{Document, MappingSet, SpannerResult, VarSet};
 use spanner_corpus::{CorpusEngine, CorpusResult, WorkerPool};
-use std::sync::Arc;
 
 /// A compiled SpannerQL query, ready for repeated evaluation.
 ///
 /// `PreparedQuery` is `Send + Sync` and immutable after
-/// [`PreparedQuery::prepare`]: wrap it in an [`Arc`] and any number of
-/// threads can evaluate against the one compiled plan concurrently — the
-/// sharing model of the `spanner-serve` prepared-query cache.
+/// [`PreparedQuery::prepare`]: wrap it in an [`Arc`](std::sync::Arc) and
+/// any number of threads can evaluate against the one compiled plan
+/// concurrently — the sharing model of the `spanner-serve` prepared-query
+/// cache.
 pub struct PreparedQuery {
     program: Program,
     lowered: Lowered,
@@ -119,14 +119,12 @@ impl PreparedQuery {
         self.engine.evaluate_with_threads(docs, threads)
     }
 
-    /// Evaluates the query over a corpus sharded across a persistent
-    /// [`WorkerPool`] (see
-    /// [`CorpusEngine::evaluate_on_pool`]) — the serving-layer shape, where
-    /// one pool outlives thousands of requests. Results are bit-identical
-    /// to [`PreparedQuery::evaluate_corpus`].
+    /// [`PreparedQuery::evaluate_corpus`] on `pool.threads()` workers: a
+    /// forward kept **by name only** because the frozen `bench/` package
+    /// calls it (see [`WorkerPool`]; ROADMAP item 1(i) deletes both names).
     pub fn evaluate_corpus_on_pool(
         &self,
-        docs: &Arc<Vec<Document>>,
+        docs: &[Document],
         pool: &WorkerPool,
     ) -> SpannerResult<CorpusResult> {
         self.engine.evaluate_on_pool(docs, pool)
@@ -453,8 +451,9 @@ mod tests {
         for (doc, got) in docs.iter().zip(&out.results) {
             assert_eq!(got, &q.evaluate(doc).unwrap());
         }
-        // The persistent-pool path produces the same relations.
-        let docs = Arc::new(docs);
+        // So does the forward `bench/` calls, with the `&Arc<Vec<_>>` it
+        // passes.
+        let docs = std::sync::Arc::new(docs);
         let pool = WorkerPool::new(2);
         let pooled = q.evaluate_corpus_on_pool(&docs, &pool).unwrap();
         assert_eq!(pooled.stats.threads, 2);

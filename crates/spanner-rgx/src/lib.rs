@@ -26,7 +26,7 @@
 //! let result = reference_eval(&alpha, &doc);
 //! assert!(result.iter().any(|m| doc.slice(m.get(&"key".into()).unwrap()) == "verbose"
 //!     && m.get(&"val".into()).is_none()));
-//! assert!(result.iter().any(|m| m.get(&"val".into()).map(|s| doc.slice(s)) == Some("red")));
+//! assert!(result.iter().any(|m| m.get(&"val".into()).map(|s| doc.slice(s)).as_deref() == Some("red")));
 //! ```
 
 pub mod ast;

@@ -12,7 +12,7 @@
 use spanner_algebra::RaOptions;
 use spanner_ql::{PreparedQuery, QlError};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Counters describing a cache's lifetime behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -92,6 +92,12 @@ impl QueryCache {
         }
     }
 
+    /// The bookkeeping, locked. It is held for map and counter updates
+    /// only, each valid on its own, so a poisoned lock is simply recovered.
+    fn state(&self) -> MutexGuard<'_, CacheState> {
+        crate::lock_or_reset(&self.state, |_| ())
+    }
+
     /// Returns the prepared form of `program`, compiling and caching it on
     /// a miss. The boolean is `true` when the request found an existing
     /// entry (possibly still compiling — it shares that compilation rather
@@ -104,7 +110,7 @@ impl QueryCache {
     ) -> Result<(Arc<PreparedQuery>, bool), QlError> {
         let key = cache_key(program, options);
         let (slot, hit) = {
-            let mut state = self.state.lock().expect("cache mutex poisoned");
+            let mut state = self.state();
             state.tick += 1;
             let tick = state.tick;
             if let Some(entry) = state.entries.get_mut(&key) {
@@ -146,7 +152,7 @@ impl QueryCache {
                 // Failed compilations are never served from the cache:
                 // drop the entry (only if it is still *this* slot — a
                 // concurrent retry may already have replaced it).
-                let mut state = self.state.lock().expect("cache mutex poisoned");
+                let mut state = self.state();
                 if let Some(entry) = state.entries.get(&key) {
                     if Arc::ptr_eq(&entry.slot, &slot) {
                         state.entries.remove(&key);
@@ -160,16 +166,14 @@ impl QueryCache {
     /// Whether the program is resident under these options (does not touch
     /// recency).
     pub fn contains(&self, program: &str, options: RaOptions) -> bool {
-        self.state
-            .lock()
-            .expect("cache mutex poisoned")
+        self.state()
             .entries
             .contains_key(&cache_key(program, options))
     }
 
     /// A snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
-        let state = self.state.lock().expect("cache mutex poisoned");
+        let state = self.state();
         CacheStats {
             capacity: self.capacity,
             entries: state.entries.len(),

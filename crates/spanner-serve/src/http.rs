@@ -42,7 +42,8 @@
 //!
 //! Error responses carry the protocol's JSON error body: a plain error
 //! (bad program, bad field) is `400`; a router *degraded* response
-//! (`"degraded": true` — a backend shard stayed unreachable) is `503`.
+//! (`"degraded": true` — a backend shard stayed unreachable) is `503`; a
+//! request whose handling panicked (`"internal": true`) is `500`.
 //!
 //! `POST /v1/query_corpus` streams its response with
 //! `Transfer-Encoding: chunked`, one chunk per matched document, and the
@@ -219,11 +220,14 @@ impl Codec for HttpCodec {
     ) -> io::Result<bool> {
         let keep_alive = self.keep_alive && !last;
         let flag = |name| response.get(name).and_then(Json::as_bool) == Some(true);
-        let status = self.status.unwrap_or(match (flag("ok"), flag("degraded")) {
-            (true, _) => 200,
-            (false, true) => 503,
-            (false, false) => 400,
-        });
+        let status =
+            self.status
+                .unwrap_or(match (flag("ok"), flag("degraded"), flag("internal")) {
+                    (true, ..) => 200,
+                    (_, true, _) => 503,
+                    (_, _, true) => 500,
+                    _ => 400,
+                });
         shared.metrics.http_classes[(status / 100 - 2) as usize].inc();
         let head = |out: &mut Vec<u8>, content_type: &str, length: Option<usize>| {
             write!(
@@ -381,6 +385,7 @@ fn reason(status: u16) -> &'static str {
         405 => "Method Not Allowed",
         413 => "Content Too Large",
         431 => "Request Header Fields Too Large",
+        500 => "Internal Server Error",
         501 => "Not Implemented",
         503 => "Service Unavailable",
         _ => "Unknown",

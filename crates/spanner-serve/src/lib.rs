@@ -10,12 +10,15 @@
 //! * a shared LRU [`QueryCache`] holding `Arc<PreparedQuery>` — concurrent
 //!   requests for the same program evaluate against one compiled plan with
 //!   zero per-request compilation ([`cache`]);
-//! * a fixed pool of connection workers and a persistent
-//!   [`spanner_corpus::WorkerPool`] that corpus requests shard across
+//! * a fixed pool of connection workers, the daemon's only long-lived
+//!   threads: a corpus request is evaluated on the worker that read it,
+//!   split across threads scoped to the request when it is large enough
 //!   ([`server`]);
 //! * per-request resource limits (`RaOptions::max_states` /
 //!   `max_signatures`), so a hostile query fails fast with an error
-//!   response instead of taking the process down.
+//!   response instead of taking the process down — and a request whose
+//!   handling panics anyway is answered with an internal error while its
+//!   connection and its worker live on.
 //!
 //! The protocol ([`protocol`]) has eleven requests — `prepare`, `query`,
 //! `explain`, the resident corpus's `load_corpus` / `append_docs` /
@@ -77,3 +80,20 @@ pub use json::Json;
 pub use protocol::Request;
 pub use router::RouterOptions;
 pub use server::{ServeOptions, Server};
+
+use std::sync::{Mutex, MutexGuard};
+
+/// Locks `mutex` whatever became of its last holder. A request that panics
+/// is answered as an internal error; the lock it held must not fail every
+/// later request too. `reset` runs once on the value behind a poisoned
+/// lock, to bring it to a state that is valid wherever the holder stopped
+/// (a no-op for bookkeeping whose every update is valid on its own), and
+/// the poison is cleared.
+pub(crate) fn lock_or_reset<T>(mutex: &Mutex<T>, reset: impl FnOnce(&mut T)) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|poisoned| {
+        let mut guard = poisoned.into_inner();
+        reset(&mut guard);
+        mutex.clear_poison();
+        guard
+    })
+}

@@ -22,9 +22,14 @@
 //! | `shutdown` | — | stop accepting, drain, exit |
 //!
 //! Every response carries `"ok"`; failures are
-//! `{"ok":false,"error":"…"}` and never tear the connection down. Span
-//! positions use the paper's 1-based `[start, end⟩` convention, matching
-//! the rest of the workspace.
+//! `{"ok":false,"error":"…"}` and never tear the connection down — a
+//! request whose handling panics included (`"internal error: …"`, with
+//! `"internal":true`). Span positions use the paper's 1-based
+//! `[start, end⟩` convention, matching the rest of the workspace, and count
+//! **bytes**: `.` and the classes match one byte, so a span may begin or
+//! end inside a multi-byte character. The `text` beside a span is the
+//! covered bytes decoded lossily — a split character renders as U+FFFD —
+//! while the span itself stays exact.
 
 use crate::json::Json;
 use spanner_core::{Document, MappingSet};
@@ -304,7 +309,8 @@ pub fn error_response(message: impl std::fmt::Display) -> Json {
 
 /// Renders a relation as a JSON array of mapping objects; each mapping
 /// maps a variable name to `{"span":[start,end],"text":…}` with the
-/// 1-based span convention.
+/// 1-based span convention over bytes; `text` is [`Document::slice`], lossy
+/// where the span splits a character.
 pub fn mappings_to_json(doc: &Document, set: &MappingSet) -> Json {
     Json::Array(
         set.iter()

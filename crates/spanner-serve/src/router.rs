@@ -30,12 +30,13 @@
 
 use crate::client::Client;
 use crate::json::Json;
+use crate::lock_or_reset;
 use crate::protocol::{error_response, Request};
 use spanner_corpus::{partition_ranges, ShardMap};
 use spanner_obs::{Counter, Histogram, Registry, LATENCY_BUCKETS};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Configuration of a shard router front end.
@@ -248,6 +249,14 @@ impl Router {
         self.backends.len()
     }
 
+    /// The sharded corpus's bookkeeping, locked. A request that panicked
+    /// while holding it may have applied a mutation on a shard without
+    /// recording it: the map is forgotten, and corpus operations ask for a
+    /// `load_corpus` until one rebuilds it.
+    fn corpus(&self) -> MutexGuard<'_, Option<RouterCorpus>> {
+        lock_or_reset(&self.corpus, |corpus| *corpus = None)
+    }
+
     /// Routes one request to the shards; `None` means the operation is
     /// local to the front end.
     pub(crate) fn route(&self, request: &Request) -> Option<Json> {
@@ -274,7 +283,9 @@ impl Router {
     /// response.
     fn call(&self, shard: usize, line: &str, idempotent: bool) -> Result<Json, Json> {
         let backend = &self.backends[shard];
-        let mut conn = backend.conn.lock().expect("backend pool poisoned");
+        // A call that panicked mid-exchange leaves a connection with half a
+        // conversation on it: it is dropped, like one that failed.
+        let mut conn = lock_or_reset(&backend.conn, |conn| *conn = None);
         let attempts = 1 + if idempotent { self.options.retries } else { 0 };
         let mut last_error = String::new();
         for attempt in 0..attempts {
@@ -388,12 +399,12 @@ impl Router {
                 Err(degraded) => {
                     // A partial load is not a corpus: forget any previous
                     // map so resident queries fail loudly, not subtly.
-                    *self.corpus.lock().expect("router corpus poisoned") = None;
+                    *self.corpus() = None;
                     return degraded.clone();
                 }
             };
             if response.get("ok").and_then(Json::as_bool) != Some(true) {
-                *self.corpus.lock().expect("router corpus poisoned") = None;
+                *self.corpus() = None;
                 return response.clone();
             }
             let count = field(response, "documents");
@@ -404,7 +415,7 @@ impl Router {
             generations.push(field(response, "generation") as u64);
         }
         let map = ShardMap::new(sizes.clone());
-        *self.corpus.lock().expect("router corpus poisoned") = Some(RouterCorpus {
+        *self.corpus() = Some(RouterCorpus {
             map,
             generations: generations.clone(),
         });
@@ -449,7 +460,7 @@ impl Router {
     /// every shard's resident store, merge with the shard map's offsets.
     fn query_resident(&self, program: &str) -> Json {
         let Some(bases) = ({
-            let corpus = self.corpus.lock().expect("router corpus poisoned");
+            let corpus = self.corpus();
             corpus.as_ref().map(|c| {
                 (0..c.map.shards())
                     .map(|s| c.map.base(s))
@@ -470,7 +481,7 @@ impl Router {
     /// every existing id stable. Never retried (the one non-idempotent
     /// operation — a duplicated append would corrupt the corpus).
     fn append_docs(&self, text: &str) -> Json {
-        let mut corpus = self.corpus.lock().expect("router corpus poisoned");
+        let mut corpus = self.corpus();
         let Some(corpus) = corpus.as_mut() else {
             return no_corpus();
         };
@@ -499,7 +510,7 @@ impl Router {
     /// Routed `update_doc`: locate the owning shard via the map's prefix
     /// sums, translate to the shard-local id, forward.
     fn update_doc(&self, line: u32, text: &str) -> Json {
-        let mut corpus = self.corpus.lock().expect("router corpus poisoned");
+        let mut corpus = self.corpus();
         let Some(corpus) = corpus.as_mut() else {
             return no_corpus();
         };
@@ -533,7 +544,7 @@ impl Router {
     /// still apply), group the valid prefix per owning shard preserving
     /// order, fan out, merge. Deletes are idempotent, so retried.
     fn delete_docs(&self, lines: &[u32]) -> Json {
-        let mut corpus = self.corpus.lock().expect("router corpus poisoned");
+        let mut corpus = self.corpus();
         let Some(corpus) = corpus.as_mut() else {
             return no_corpus();
         };
@@ -585,7 +596,7 @@ impl Router {
     /// and per-backend transport counters. Deliberately local — a stats
     /// probe must answer even with every backend down.
     pub(crate) fn stats(&self) -> Json {
-        let corpus = self.corpus.lock().expect("router corpus poisoned");
+        let corpus = self.corpus();
         let (shards, documents, generation) = match corpus.as_ref() {
             None => (Json::Null, Json::Null, Json::Null),
             Some(c) => (

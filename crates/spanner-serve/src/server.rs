@@ -1,13 +1,14 @@
 //! The long-running query daemon.
 //!
 //! [`Server`] binds a TCP listener and serves the protocol of
-//! [`crate::protocol`] from a fixed pool of connection workers. All workers
+//! [`crate::protocol`] from a fixed pool of connection workers — the only
+//! long-lived threads the daemon has besides the accept loop. All workers
 //! share one [`QueryCache`] (so a hot program is compiled once, ever, per
-//! process) and one persistent [`WorkerPool`] for corpus sharding — a
-//! corpus request fans its documents out across that pool exactly like the
-//! CLI `corpus` command, but without paying thread spawn per request (a
-//! corpus of a few hundred lines is evaluated on the connection's own
-//! worker instead: waking the pool for it costs more than it saves).
+//! process). A corpus request is evaluated on the worker that read it,
+//! exactly like the CLI `corpus` command: a corpus of a few hundred lines
+//! stays on that thread, a larger one is split across up to
+//! [`ServeOptions::corpus_threads`] threads scoped to the request, which
+//! are gone when it is answered.
 //!
 //! Every connection, whatever it speaks, runs the one loop
 //! `serve_connection`: read a request, decode it, account for it,
@@ -29,6 +30,12 @@
 //! * a failing `accept` (the process is out of file descriptors) is
 //!   counted and retried, never fatal: the resident store and the
 //!   connections already open outlive a flood;
+//! * a request whose handling panics is answered with an
+//!   `"internal error: …"` response and counted
+//!   (`spanner_panics_total`); its connection and its worker live on, and
+//!   a lock the panic poisoned is recovered — or, for a store a mutation
+//!   left half-applied, answered with a typed error until the next
+//!   `load_corpus` — instead of failing every later request;
 //! * `shutdown` stops the accept loop, then *drains*: every connection
 //!   worker finishes its in-flight request (and any input already
 //!   buffered on its connection) before the server exits.
@@ -37,19 +44,21 @@ use crate::cache::{cache_key, QueryCache};
 use crate::conn::{line_frame, Conn, Frame, Limits, POLL_INTERVAL};
 use crate::http::HttpCodec;
 use crate::json::Json;
+use crate::lock_or_reset;
 use crate::protocol::{error_response, mappings_to_json, Request};
 use crate::router::{Router, RouterOptions};
 use spanner_algebra::RaOptions;
 use spanner_core::Document;
-use spanner_corpus::{split_lines, CorpusResult, QueryView, WorkerPool};
+use spanner_corpus::{resolve_pool_threads, split_lines, CorpusResult, QueryView};
 use spanner_obs::{Counter, Exposition, Histogram, Registry, LATENCY_BUCKETS, RATIO_BUCKETS};
 use spanner_store::Store;
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 /// Configuration of a [`Server`].
@@ -67,7 +76,10 @@ pub struct ServeOptions {
     /// intermediate relations) — the fail-fast guard against hostile
     /// queries.
     pub ra_options: RaOptions,
-    /// Worker threads of the shared corpus pool (`0` = one per CPU).
+    /// The most threads one `query_corpus` request is split across (`0` =
+    /// one per CPU, resolved once when the server binds). They are scoped
+    /// to the request, so concurrent corpus requests run at most
+    /// `threads × corpus_threads` transient workers between them.
     pub corpus_threads: usize,
     /// A connection that goes this long without completing a request line
     /// is closed — silent or slow-drip clients cannot permanently occupy
@@ -149,6 +161,8 @@ pub(crate) struct ServerMetrics {
     connections: Counter,
     /// `accept` calls that failed (typically: out of file descriptors).
     accept_errors: Counter,
+    /// Requests whose handling panicked (answered as internal errors).
+    panics: Counter,
     bytes_read: Counter,
     bytes_written: Counter,
     /// HTTP responses by status class (`2xx`…`5xx`), indexed by
@@ -230,6 +244,11 @@ impl ServerMetrics {
             accept_errors: registry.counter(
                 "spanner_accept_errors_total",
                 "Failed accept calls (retried after a pause, never fatal)",
+                &[],
+            ),
+            panics: registry.counter(
+                "spanner_panics_total",
+                "Requests whose handling panicked (answered with an internal error)",
                 &[],
             ),
             bytes_read: registry.counter(
@@ -362,6 +381,36 @@ struct ResidentStore {
     views: ViewSet,
 }
 
+impl ResidentStore {
+    /// The store for a query — or `None` once a mutation has panicked
+    /// part-way through it (a panicking *query* poisons nothing): documents
+    /// and index may disagree, so nothing is served from it and every query
+    /// and mutation is answered [`store_poisoned`] until `load_corpus`
+    /// replaces the store.
+    fn read(&self) -> Option<RwLockReadGuard<'_, Store>> {
+        self.store.read().ok()
+    }
+
+    /// The store for a mutation; see [`ResidentStore::read`].
+    fn write(&self) -> Option<RwLockWriteGuard<'_, Store>> {
+        self.store.write().ok()
+    }
+
+    /// The store for `stats` and `metrics`, which only read its size
+    /// counters and must answer whatever state it is in.
+    fn counters(&self) -> RwLockReadGuard<'_, Store> {
+        self.store.read().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The answer of a store whose lock a mutation died holding.
+fn store_poisoned() -> Json {
+    error_response(
+        "the resident corpus was left half-updated by a failed mutation \
+         (send `load_corpus` again)",
+    )
+}
+
 /// A bounded LRU map of maintained query views over one resident store,
 /// keyed exactly like the prepared-query cache (trimmed program text +
 /// compile options) so a view can never serve a plan it was not built by.
@@ -393,6 +442,15 @@ struct ViewHandle {
     retained_cost: AtomicUsize,
 }
 
+impl ViewHandle {
+    /// Locks the view for one query. A query that panicked while holding
+    /// it may have left it between releasing stale entries and admitting
+    /// their replacements: such a view is emptied and starts cold.
+    fn lock(&self) -> MutexGuard<'_, QueryView> {
+        lock_or_reset(&self.view, QueryView::clear)
+    }
+}
+
 impl ViewSet {
     fn new(capacity: usize, budget: usize) -> ViewSet {
         ViewSet {
@@ -402,6 +460,12 @@ impl ViewSet {
         }
     }
 
+    /// The set's bookkeeping, locked: map and clock updates, each valid on
+    /// its own, so a poisoned lock is recovered as it stands.
+    fn state(&self) -> MutexGuard<'_, ViewSetState> {
+        lock_or_reset(&self.state, |_| ())
+    }
+
     /// The view for `key`, creating it (and evicting the least recently
     /// used one past capacity) on first use; `None` when views are
     /// disabled. The returned handle is locked *outside* the set mutex.
@@ -409,7 +473,7 @@ impl ViewSet {
         if self.capacity == 0 {
             return None;
         }
-        let mut state = self.state.lock().expect("view set poisoned");
+        let mut state = self.state();
         state.tick += 1;
         let tick = state.tick;
         if let Some(slot) = state.views.get_mut(key) {
@@ -442,7 +506,7 @@ impl ViewSet {
 
     /// Number of resident views.
     fn entries(&self) -> usize {
-        self.state.lock().expect("view set poisoned").views.len()
+        self.state().views.len()
     }
 
     /// Total retention cost across every resident view, as of each
@@ -450,7 +514,7 @@ impl ViewSet {
     /// what every `query_corpus` passes through, and must never be held
     /// while waiting for one slow query.
     fn retained_cost(&self) -> usize {
-        let state = self.state.lock().expect("view set poisoned");
+        let state = self.state();
         state
             .views
             .values()
@@ -462,7 +526,7 @@ impl ViewSet {
 /// State shared by the accept loop and every connection worker.
 pub(crate) struct Shared {
     cache: QueryCache,
-    pool: WorkerPool,
+    /// As given to `bind`, except that `corpus_threads` is resolved.
     pub(crate) options: ServeOptions,
     pub(crate) addr: SocketAddr,
     pub(crate) shutdown: AtomicBool,
@@ -494,7 +558,7 @@ impl Shared {
     /// The current resident store, if any (cheap pointer clone; the
     /// pointer mutex is never held across a query or a build).
     fn resident(&self) -> Option<Arc<ResidentStore>> {
-        self.store.lock().expect("store poisoned").clone()
+        lock_or_reset(&self.store, |_| ()).clone()
     }
 
     /// Renders the whole registry plus the scrape-time families (cache,
@@ -536,7 +600,7 @@ impl Shared {
             out.sample(name, &[], value as f64);
         }
         if let Some(resident) = self.resident() {
-            let store = resident.store.read().expect("store lock poisoned");
+            let store = resident.counters();
             for (name, help, value) in [
                 (
                     "spanner_store_documents",
@@ -641,6 +705,12 @@ impl Server {
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
+        // Resolved here, once: resolving `0` reads cgroup files, which costs
+        // more than a small corpus request does.
+        let options = ServeOptions {
+            corpus_threads: resolve_pool_threads(options.corpus_threads),
+            ..options
+        };
         let metrics = ServerMetrics::new();
         let router = match router {
             None => None,
@@ -650,7 +720,6 @@ impl Server {
             listener,
             shared: Arc::new(Shared {
                 cache: QueryCache::new(options.cache_capacity),
-                pool: WorkerPool::new(options.corpus_threads),
                 options,
                 addr,
                 shutdown: AtomicBool::new(false),
@@ -672,8 +741,8 @@ impl Server {
     /// and every worker is joined before this returns.
     pub fn run(&self) -> io::Result<()> {
         // A huge `serve [addr [threads]]` argument degrades to the corpus
-        // pool's ceiling instead of aborting when the OS refuses to spawn.
-        let threads = spanner_corpus::resolve_pool_threads(self.shared.options.threads);
+        // engine's ceiling instead of aborting when the OS refuses to spawn.
+        let threads = resolve_pool_threads(self.shared.options.threads);
         let (sender, receiver) = channel::<TcpStream>();
         let receiver = Arc::new(Mutex::new(receiver));
         let workers: Vec<_> = (0..threads)
@@ -787,7 +856,7 @@ fn serve_connection<C: Codec>(stream: TcpStream, shared: &Shared, mut codec: C) 
                 let op = decoded.as_ref().map_or(INVALID, Request::op_name);
                 metrics.begin_request(op);
                 let response = match decoded {
-                    Ok(request) => dispatch_request(shared, request),
+                    Ok(request) => guarded(metrics, || dispatch_request(shared, request)),
                     Err(reject) => reject,
                 };
                 metrics.finish_request(op, conn.framed_at.elapsed(), &response);
@@ -809,6 +878,30 @@ fn serve_connection<C: Codec>(stream: TcpStream, shared: &Shared, mut codec: C) 
         }
     }
     Ok(())
+}
+
+/// Runs one request's `handle` so that a panic in it is an answer, not a
+/// dead worker: the workers are a fixed few, and a daemon that has lost
+/// each of them to a panicking request accepts connections and answers
+/// none. The panic becomes an `internal error` response (`500` over HTTP)
+/// counted in `spanner_panics_total`. What a panic can leave behind is
+/// shared state behind locks, every one of which is recovered or answered
+/// for when poisoned ([`lock_or_reset`], [`ResidentStore::read`]) — hence
+/// the `AssertUnwindSafe`.
+fn guarded(metrics: &ServerMetrics, handle: impl FnOnce() -> Json) -> Json {
+    catch_unwind(AssertUnwindSafe(handle)).unwrap_or_else(|payload| {
+        metrics.panics.inc();
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("panic without a message");
+        Json::object([
+            ("ok", Json::Bool(false)),
+            ("error", Json::string(format!("internal error: {message}"))),
+            ("internal", Json::Bool(true)),
+        ])
+    })
 }
 
 /// The line-JSON transport: one request object per `\n`-terminated line,
@@ -1011,7 +1104,7 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
                         store: RwLock::new(store),
                         views: ViewSet::new(shared.options.max_views, shared.options.view_budget),
                     });
-                    *shared.store.lock().expect("store poisoned") = Some(resident);
+                    *lock_or_reset(&shared.store, |_| ()) = Some(resident);
                     response
                 }
             }
@@ -1019,7 +1112,9 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
         Request::AppendDocs { text } => match shared.resident() {
             None => error_response("no resident corpus (send `load_corpus` first)"),
             Some(resident) => {
-                let mut store = resident.store.write().expect("store lock poisoned");
+                let Some(mut store) = resident.write() else {
+                    return store_poisoned();
+                };
                 let mut appended = 0usize;
                 let mut failure = None;
                 for line in text.lines() {
@@ -1046,7 +1141,9 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
         Request::UpdateDoc { line, text } => match shared.resident() {
             None => error_response("no resident corpus (send `load_corpus` first)"),
             Some(resident) => {
-                let mut store = resident.store.write().expect("store lock poisoned");
+                let Some(mut store) = resident.write() else {
+                    return store_poisoned();
+                };
                 match store.update(line, &text) {
                     Err(e) => error_response(e),
                     Ok(()) => {
@@ -1063,7 +1160,9 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
         Request::DeleteDocs { lines } => match shared.resident() {
             None => error_response("no resident corpus (send `load_corpus` first)"),
             Some(resident) => {
-                let mut store = resident.store.write().expect("store lock poisoned");
+                let Some(mut store) = resident.write() else {
+                    return store_poisoned();
+                };
                 let mut deleted = 0usize;
                 let mut failure = None;
                 // Applied in order; the first bad id aborts (earlier
@@ -1094,8 +1193,8 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
             program,
             text: Some(text),
         } => with_query(shared, &program, |query, cached| {
-            let docs = Arc::new(split_lines(&text));
-            match query.evaluate_corpus_on_pool(&docs, &shared.pool) {
+            let docs = split_lines(&text);
+            match query.evaluate_corpus(&docs, shared.options.corpus_threads) {
                 Err(e) => error_response(e),
                 Ok(out) => corpus_response(shared, cached, &docs, &out, 0, []),
             }
@@ -1106,8 +1205,10 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
         } => match shared.resident() {
             None => error_response("no resident corpus (send `load_corpus` first)"),
             Some(resident) => with_query(shared, &program, |query, cached| {
-                let store = resident.store.read().expect("store lock poisoned");
-                let threads = shared.pool.threads();
+                let Some(store) = resident.read() else {
+                    return store_poisoned();
+                };
+                let threads = shared.options.corpus_threads;
                 // One maintained view per (program, options) key; with
                 // views disabled a throwaway zero-budget view keeps the
                 // code path (and the response shape) identical.
@@ -1116,7 +1217,7 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
                     .get(&cache_key(&program, shared.options.ra_options));
                 let result = match &slot {
                     Some(slot) => {
-                        let mut view = slot.view.lock().expect("view poisoned");
+                        let mut view = slot.lock();
                         let result = store.query_view(query.engine(), &mut view, threads);
                         slot.retained_cost
                             .store(view.retained_cost(), Ordering::Relaxed);
@@ -1221,7 +1322,7 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
             let store = match shared.resident() {
                 None => Json::Null,
                 Some(resident) => {
-                    let store = resident.store.read().expect("store lock poisoned");
+                    let store = resident.counters();
                     Json::object([
                         ("documents", Json::number(store.len())),
                         ("bytes", Json::number(store.bytes())),
@@ -1269,7 +1370,10 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
                             "connections",
                             Json::number(shared.metrics.connections.get() as usize),
                         ),
-                        ("corpus_threads", Json::number(shared.pool.threads())),
+                        (
+                            "corpus_threads",
+                            Json::number(shared.options.corpus_threads),
+                        ),
                         (
                             "docs_skipped",
                             Json::number(shared.metrics.docs_skipped.get() as usize),
@@ -1326,7 +1430,6 @@ mod tests {
 
     #[test]
     fn worker_counts_resolve_and_clamp() {
-        use spanner_corpus::resolve_pool_threads;
         assert!(resolve_pool_threads(0) >= 1);
         assert_eq!(resolve_pool_threads(3), 3);
         // A huge request degrades to the shared ceiling instead of
@@ -1340,7 +1443,7 @@ mod tests {
         let handle = views.get("hot").expect("views are enabled");
         handle.retained_cost.store(7, Ordering::Relaxed);
         // A slow query in flight: the view stays locked for the whole test.
-        let in_flight = handle.view.lock().expect("fresh view");
+        let in_flight = handle.lock();
         let (sender, receiver) = channel();
         let scraper = {
             let views = Arc::clone(&views);
@@ -1356,5 +1459,65 @@ mod tests {
         assert_eq!(views.entries(), 2);
         drop(in_flight);
         scraper.join().expect("scraper").expect("receiver alive");
+    }
+
+    #[test]
+    fn a_panic_under_the_guard_is_an_answer_and_its_view_serves_again() {
+        let metrics = ServerMetrics::new();
+        let views = ViewSet::new(4, 1 << 10);
+        let engine = spanner_ql::PreparedQuery::prepare("/{x:a+}/").unwrap();
+        let store = Store::build(split_lines("aa\nb\na")).unwrap();
+        let handle = views.get("hot").expect("views are enabled");
+        let query = |handle: &ViewHandle| {
+            let outcome = store.query_view(engine.engine(), &mut handle.lock(), 1);
+            let outcome = outcome.unwrap();
+            (outcome.view_hits, outcome.output.stats.matched_documents)
+        };
+        assert_eq!(query(&handle), (0, 2));
+        assert_eq!(query(&handle), (3, 2));
+        // A request dies holding the view: an answer, counted, not a panic
+        // of the worker.
+        let response = guarded(&metrics, || {
+            let _view = handle.lock();
+            panic!("boom at document {}", 7)
+        });
+        assert_eq!(
+            response.to_string(),
+            r#"{"ok":false,"error":"internal error: boom at document 7","internal":true}"#
+        );
+        assert_eq!(metrics.panics.get(), 1);
+        // The next query of that view gets a lock, not a second panic; the
+        // view starts over (whatever the dead request left in it is not
+        // trusted) and is warm again after.
+        assert!(handle.view.is_poisoned());
+        assert_eq!(query(&handle), (0, 2));
+        assert!(!handle.view.is_poisoned());
+        assert_eq!(query(&handle), (3, 2));
+        assert_eq!(guarded(&metrics, || Json::Null), Json::Null);
+        assert_eq!(metrics.panics.get(), 1);
+    }
+
+    #[test]
+    fn a_store_a_mutation_died_in_is_refused_with_a_typed_error() {
+        let metrics = ServerMetrics::new();
+        let resident = ResidentStore {
+            store: RwLock::new(Store::build(split_lines("a\nb")).unwrap()),
+            views: ViewSet::new(0, 0),
+        };
+        // A query that dies poisons nothing; a mutation that dies does.
+        guarded(&metrics, || {
+            let _store = resident.read();
+            panic!("mid-query")
+        });
+        assert!(resident.write().is_some());
+        guarded(&metrics, || {
+            let _store = resident.write();
+            panic!("mid-mutation")
+        });
+        assert!(resident.read().is_none() && resident.write().is_none());
+        let refused = store_poisoned().to_string();
+        assert!(refused.contains("load_corpus"), "{refused}");
+        // `stats` and `metrics` still read its size.
+        assert_eq!(resident.counters().len(), 2);
     }
 }

@@ -782,3 +782,32 @@ fn fuzzed_request_bytes_never_kill_the_server() {
 
     shutdown(addr, handle);
 }
+
+/// The line transport's `split_character_spans_are_answered_on_every_path`
+/// over HTTP: one more split-character query than there are workers, each
+/// on its own connection and bounded by `raw_exchange`'s read timeout —
+/// each used to kill the worker that served it and get an empty reply —
+/// then the liveness probe.
+#[test]
+fn split_character_queries_leave_every_worker_alive() {
+    let options = http_options();
+    let (addr, handle) = start_http(options);
+    let body = r#"{"program":"/.*{x:.}.*/","doc":"é"}"#;
+    let request = format!(
+        "POST /v1/query HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    for _ in 0..options.threads + 1 {
+        let response = raw_exchange(addr, request.as_bytes());
+        assert_eq!(status_of(&response), Some(200));
+        let text = String::from_utf8(response).unwrap();
+        let (_, body) = text.split_once("\r\n\r\n").unwrap();
+        let halves =
+            r#""mappings":[{"x":{"span":[1,2],"text":"?"}},{"x":{"span":[2,3],"text":"?"}}]"#
+                .replace('?', "\u{fffd}");
+        assert!(body.contains(&halves), "{body}");
+    }
+    let health = raw_exchange(addr, b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
+    assert_eq!(status_of(&health), Some(200));
+    shutdown(addr, handle);
+}

@@ -811,3 +811,122 @@ fn slow_drip_clients_cannot_hold_a_worker_past_the_idle_timeout() {
     client.shutdown().unwrap();
     handle.join().unwrap().unwrap();
 }
+
+/// `.` matches one *byte*, so on "é" (two bytes) the span of `x` splits the
+/// character. Spans are byte offsets and stay so; the `text` beside them
+/// is the covered bytes decoded lossily. Rendering it used to panic, which
+/// killed the connection's worker — and there are only `threads` of them:
+/// the request after the last death, and every probe after it, was
+/// accepted and never answered. So: `threads + 1` such requests on each
+/// path that renders mappings, each on a connection of its own and under a
+/// client deadline, then `stats` and `metrics`.
+#[test]
+fn split_character_spans_are_answered_on_every_path() {
+    let threads = 2;
+    let (addr, handle) = start(ServeOptions {
+        threads,
+        ..ServeOptions::default()
+    });
+    let connect = || {
+        let mut client = Client::connect(addr).unwrap();
+        client
+            .set_deadline(Some(std::time::Duration::from_secs(20)))
+            .unwrap();
+        client
+    };
+    let program = "/.*{x:.}.*/";
+    // Both halves of "é", one replacement character each.
+    let halves = r#"[{"x":{"span":[1,2],"text":"?"}},{"x":{"span":[2,3],"text":"?"}}]"#
+        .replace('?', "\u{fffd}");
+    for _ in 0..threads + 1 {
+        let response = connect().query(program, "é").unwrap();
+        assert!(ok(&response), "{response}");
+        assert_eq!(response.get("mappings").unwrap().to_string(), halves);
+    }
+    let corpus = "é\nab";
+    connect().load_corpus(corpus).unwrap();
+    for shipped in [true, false] {
+        for _ in 0..threads + 1 {
+            let mut client = connect();
+            let response = match shipped {
+                true => client.query_corpus(program, corpus),
+                false => client.query_store(program),
+            }
+            .unwrap();
+            assert!(ok(&response), "{response}");
+            let results = response.get("results").and_then(Json::as_array).unwrap();
+            assert_eq!(results.len(), 2, "{response}");
+            assert_eq!(results[0].get("mappings").unwrap().to_string(), halves);
+        }
+    }
+    let mut client = connect();
+    let stats = client.stats().unwrap();
+    assert_eq!(field(&stats, ["server", "errors_total"]), 0, "{stats}");
+    let metrics = client.metrics().unwrap();
+    let text = metrics.get("metrics").and_then(Json::as_str).unwrap();
+    assert!(text.contains("\nspanner_panics_total 0\n"), "{text}");
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+/// The sharded path of a shipped corpus, which no benchmark workload
+/// reaches (they ship 64 lines; a second worker needs 256): one 1 024-line
+/// access log to daemons offering 1, 2 and 4 corpus threads. The response
+/// lines are byte-identical, and are what rendering the single-threaded
+/// library evaluation gives.
+#[test]
+fn corpus_threads_do_not_change_a_response_byte() {
+    use spanner_serve::protocol::mappings_to_json;
+    let program = r#"/{ip:\d+\.\d+\.\d+\.\d+} - ({user:\l+}|-) \[[\d\/]+\] "{method:\u+} {path:[\w\/\.]+}" {status:\d\d\d} \d+/"#;
+    let log = spanner_workloads::access_log(1024, 7);
+    let text = log.text().trim_end();
+    let request = Json::object([
+        ("op", Json::string("query_corpus")),
+        ("program", Json::string(program)),
+        ("text", Json::string(text)),
+    ])
+    .to_string();
+
+    let docs = spanner_corpus::split_lines(text);
+    let out = spanner_ql::PreparedQuery::prepare(program)
+        .unwrap()
+        .evaluate_corpus(&docs, 1)
+        .unwrap();
+    assert_eq!((out.stats.matched_documents, out.stats.threads), (1024, 1));
+    let results = docs
+        .iter()
+        .zip(&out.results)
+        .enumerate()
+        .map(|(i, (d, set))| {
+            Json::object([
+                ("line", Json::number(i)),
+                ("count", Json::number(set.len())),
+                ("mappings", mappings_to_json(d, set)),
+            ])
+        });
+    let expected = Json::object([
+        ("ok", Json::Bool(true)),
+        ("cached", Json::Bool(false)),
+        ("documents", Json::number(out.stats.documents)),
+        ("matched", Json::number(out.stats.matched_documents)),
+        ("mappings", Json::number(out.stats.mappings)),
+        ("skipped", Json::number(out.stats.docs_skipped)),
+        ("rejected", Json::number(out.stats.docs_rejected)),
+        ("results", Json::Array(results.collect())),
+    ])
+    .to_string();
+
+    for corpus_threads in [1, 2, 4] {
+        let (addr, handle) = start(ServeOptions {
+            corpus_threads,
+            ..ServeOptions::default()
+        });
+        let mut client = Client::connect(addr).unwrap();
+        let response = client.request_line(&request).unwrap();
+        assert!(response == expected, "corpus_threads {corpus_threads}");
+        let stats = client.stats().unwrap();
+        assert_eq!(field(&stats, ["server", "corpus_threads"]), corpus_threads);
+        client.shutdown().unwrap();
+        handle.join().unwrap().unwrap();
+    }
+}

@@ -101,7 +101,7 @@ mod tests {
         let result = evaluate_rgx(&alpha, &doc).unwrap();
         // Three students (the paper's µ1, µ2, µ3), possibly with additional
         // sub-matches of the mail host; at least one mapping per line.
-        let lasts: std::collections::BTreeSet<&str> = result
+        let lasts: std::collections::BTreeSet<_> = result
             .iter()
             .filter_map(|m| m.get(&"last".into()))
             .map(|s| doc.slice(s))
@@ -111,7 +111,7 @@ mod tests {
         assert!(lasts.contains("Zosimov"));
         // µ2 (Zosimov) has no first name.
         assert!(result.iter().any(|m| {
-            m.get(&"last".into()).map(|s| doc.slice(s)) == Some("Zosimov")
+            m.get(&"last".into()).map(|s| doc.slice(s)).as_deref() == Some("Zosimov")
                 && !m.contains(&"first".into())
         }));
     }

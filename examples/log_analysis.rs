@@ -58,7 +58,7 @@ fn main() {
     );
     let t = Instant::now();
     let clean = evaluate_ra(&tree, &inst, &doc, RaOptions::default()).unwrap();
-    let clean_ips: BTreeSet<&str> = clean
+    let clean_ips: BTreeSet<_> = clean
         .iter()
         .filter_map(|m| m.get(&"ip".into()))
         .map(|s| doc.slice(s))

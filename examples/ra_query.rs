@@ -94,7 +94,7 @@ fn main() {
 }
 
 fn print_students(doc: &Document, result: &MappingSet) {
-    let mut names: Vec<&str> = result
+    let mut names: Vec<_> = result
         .iter()
         .filter_map(|m| m.get(&"student".into()))
         .map(|s| doc.slice(s))

@@ -45,6 +45,14 @@
 //!     assert!(!doc.slice(mail).ends_with(".uk"));
 //! }
 //! ```
+//!
+//! `difference_product_eval` is the paper's construction (Theorem 4.8),
+//! built per document: the *reference* the oracles hold the system to.
+//! What serves — the CLI's `diff` and `query`, the corpus engine, the
+//! daemon — is the executor:
+//! `PreparedQuery::prepare("/α1/ minus /α2/")?.evaluate(&doc)`, or
+//! `evaluate_ra` over `RaTree::difference(RaTree::leaf(0), RaTree::leaf(1))`,
+//! compiled once and milliseconds where the construction takes seconds.
 
 pub use spanner_algebra as algebra;
 pub use spanner_core as core;

@@ -179,11 +179,7 @@ fn run(args: &[String]) -> Result<(), String> {
         "diff" => {
             arity(command, operands, 2, 3)?;
             let doc = read_document(operands.get(2))?;
-            let a1 = compile(&parse(&operands[0]).map_err(|e| e.to_string())?);
-            let a2 = compile(&parse(&operands[1]).map_err(|e| e.to_string())?);
-            let result = difference_product_eval(&a1, &a2, &doc, DifferenceOptions::default())
-                .map_err(|e| e.to_string())?;
-            for mapping in result.iter() {
+            for mapping in diff(&operands[0], &operands[1], &doc)?.iter() {
                 print_mapping(&doc, mapping);
             }
             Ok(())
@@ -423,6 +419,19 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         other => Err(format!("unknown command `{other}`")),
     }
+}
+
+/// `Vα1 \ α2W(d)` through the executor every other command serves through:
+/// the difference of two leaves, lowered to a compiled plan like `corpus`
+/// lowers its pattern. (`difference_product_eval`, Theorem 4.8's
+/// construction, is the reference the oracles compare this against; built
+/// per document, it takes seconds where this takes milliseconds.)
+fn diff(alpha1: &str, alpha2: &str, doc: &Document) -> Result<MappingSet, String> {
+    let inst = Instantiation::new()
+        .with(0, parse(alpha1).map_err(|e| e.to_string())?)
+        .with(1, parse(alpha2).map_err(|e| e.to_string())?);
+    let tree = RaTree::difference(RaTree::leaf(0), RaTree::leaf(1));
+    evaluate_ra(&tree, &inst, doc, RaOptions::default()).map_err(|e| e.to_string())
 }
 
 /// Prepares a SpannerQL program, rendering errors with their source line
@@ -915,6 +924,26 @@ mod tests {
             Ok(())
         );
         handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn diff_serves_through_the_executor_and_agrees_with_the_reference() {
+        // Example 2.4 on the Figure 1 document: αinfo \ αUKm keeps the two
+        // students without a UK address.
+        let info =
+            r"(.*\n)?({first:\u\l+} )?{last:\u\l+} ({phone:\d+} )?{mail:\l+@\l+(\.\l+)+}\n.*";
+        let uk = r"(.*\s)?{mail:\l+@\l+(\.\l+)*\.uk}(\s.*)?";
+        let doc = document_spanners::workloads::students_figure_1();
+        let served = diff(info, uk, &doc).unwrap();
+        assert_eq!(served.len(), 2);
+        let query = prepare_program(&format!("/{info}/ minus /{uk}/")).unwrap();
+        assert_eq!(served, query.evaluate(&doc).unwrap());
+        let (a1, a2) = (compile(&parse(info).unwrap()), compile(&parse(uk).unwrap()));
+        let reference = difference_product_eval(&a1, &a2, &doc, DifferenceOptions::default());
+        assert_eq!(served, reference.unwrap());
+        // Bad operands are diagnosed, not panicked on.
+        assert!(diff("{x:(", uk, &doc).is_err());
+        assert!(diff(info, "({x:a})*", &doc).is_err());
     }
 
     #[test]

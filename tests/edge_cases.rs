@@ -88,6 +88,20 @@ fn unicode_documents_are_handled_bytewise() {
             doc.try_slice(span).is_some() || doc.text().as_bytes().get(span.as_range()).is_some()
         );
     }
+    // The `.` class matches one byte, so it binds each half of "é" on its
+    // own: six one-byte spans, two of them inside the character. Slicing
+    // those decodes the covered byte lossily instead of panicking; the spans
+    // stay byte offsets.
+    let result = evaluate_rgx(&parse(".*{x:.}.*").unwrap(), &doc).unwrap();
+    let texts: Vec<_> = (1..=6)
+        .map(|start| {
+            let span = Span::new(start, start + 1);
+            assert!(result.contains(&Mapping::from_pairs([("x", span)])));
+            doc.slice(span)
+        })
+        .collect();
+    assert_eq!(texts, ["h", "\u{fffd}", "\u{fffd}", "l", "l", "o"]);
+    assert_eq!(doc.slice(Span::new(1, 4)), "hé");
 }
 
 #[test]
