@@ -33,10 +33,10 @@
 //! *relation* level (the `spanner-core` operators, which are the paper's
 //! semantics by definition), while static subtrees keep the paper's
 //! automaton-level compilation (union / FPT join product / automaton
-//! projection). The ad-hoc constructions of Section 4
-//! (`difference_adhoc`, `difference_product`) remain available as library
-//! functions and as the differential baseline (`compile_ra`), but no plan
-//! evaluates through them anymore.
+//! projection). The ad-hoc constructions of Section 4 (Lemma 4.2, Theorem
+//! 4.8) and the whole-tree recipe `compile_ra` live in `spanner-paper`, the
+//! differential baseline; no plan evaluates through them and this crate
+//! does not depend on them.
 
 use crate::spanner::SpannerRef;
 use spanner_core::{Document, FxHashSet, Mapping, MappingSet, SpannerResult, VarSet};
@@ -886,7 +886,7 @@ mod tests {
     use super::*;
     use crate::blackbox::TokenizerSpanner;
     use crate::plan::CompiledPlan;
-    use crate::ratree::{evaluate_ra_materialized, Instantiation, RaOptions, RaTree};
+    use crate::ratree::{Instantiation, RaOptions, RaTree};
     use spanner_rgx::parse;
 
     fn assert_send_sync<T: Send + Sync>() {}
@@ -927,34 +927,6 @@ mod tests {
         assert!(is_fully_compiled(&physical));
         assert_eq!(physical.root().operator_count(), 1);
         assert!(physical.describe().starts_with("CompiledScan("));
-    }
-
-    #[test]
-    fn difference_lowers_to_anti_join_over_compiled_scans() {
-        let tree = RaTree::difference(
-            RaTree::join(RaTree::leaf(0), RaTree::leaf(1)),
-            RaTree::leaf(2),
-        );
-        let inst = Instantiation::new()
-            .with(0, parse("{x:a+}b*").unwrap())
-            .with(1, parse("{x:a+}{y:b*}").unwrap())
-            .with(2, parse("{x:a}b").unwrap());
-        let physical = lower(&tree, &inst);
-        assert!(!is_fully_compiled(&physical));
-        // The static join collapsed into one compiled scan; the difference
-        // is a physical anti-join over two scans, not a recomposed Vsa.
-        assert_eq!(physical.root().operator_count(), 3);
-        let outline = physical.describe();
-        assert!(outline.starts_with("Difference(anti-join)"), "{outline}");
-        assert_eq!(outline.matches("CompiledScan(").count(), 2, "{outline}");
-        for text in ["ab", "aab", "a", ""] {
-            let doc = Document::new(text);
-            assert_eq!(
-                physical.execute(&doc).unwrap(),
-                evaluate_ra_materialized(&tree, &inst, &doc).unwrap(),
-                "text {text:?}"
-            );
-        }
     }
 
     #[test]

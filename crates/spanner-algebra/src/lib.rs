@@ -6,18 +6,13 @@
 //! *Complexity Bounds for Relational Algebra over Document Spanners*
 //! (PODS 2019):
 //!
-//! * [`spanner`] — the [`Spanner`](trait@spanner::Spanner) trait and wrappers for
-//!   regex formulas, vset-automata, and materialized relations;
+//! * [`spanner`] — the [`Spanner`](trait@spanner::Spanner) trait black-box
+//!   extractors implement;
 //! * [`blackbox`] — tractable, degree-bounded black-box extractors
 //!   (tokenizer, dictionary, string equality, sentiment) usable inside RA
 //!   trees (Corollary 5.3);
-//! * [`adhoc`] — compilation of materialized relations into ad-hoc
-//!   (document-specific) automata;
-//! * [`difference`] — the difference operator: the naive filter baseline, the
-//!   Lemma 4.2 marker construction, and the Theorem 4.8-style product
-//!   construction;
-//! * [`ratree`] — RA trees, instantiations, the extraction-complexity
-//!   parameter of Theorem 5.2, and the ad-hoc compilation pipeline;
+//! * [`ratree`] — RA trees, instantiations and the extraction-complexity
+//!   parameter of Theorem 5.2;
 //! * [`plan`] — the logical plan optimizer (projection pushdown, union
 //!   flattening with canonical operand order, greedy join reordering) and
 //!   compiled plans ([`CompiledPlan`]) whose static subtrees are compiled
@@ -27,20 +22,28 @@
 //!   path (`evaluate_ra`, `CompiledPlan`, the corpus engine, SpannerQL)
 //!   runs through, with both materializing and pull-iterator operators.
 //!
+//! This crate is the planner and the executor — what serves. The paper's
+//! own constructions for the difference operator (the filter baseline,
+//! Lemma 4.2, Theorem 4.8), ad-hoc compilation of relations, the whole-tree
+//! recipe `compile_ra` and the materialized oracle are the *reference* the
+//! executor is held to and live in `spanner-paper`, which depends on this
+//! crate and not the other way round.
+//!
 //! # Example: the paper's Example 2.4
 //!
 //! ```
-//! use spanner_algebra::difference::{difference_product_eval, DifferenceOptions};
+//! use spanner_algebra::{evaluate_ra, Instantiation, RaOptions, RaTree};
 //! use spanner_core::Document;
 //! use spanner_rgx::parse;
-//! use spanner_vset::compile;
 //!
 //! // Extract (name, mail) pairs ...
-//! let info = compile(&parse(r".*{name:\u\l+} {mail:\l+@\l+\.\l+}.*").unwrap());
+//! let info = parse(r".*{name:\u\l+} {mail:\l+@\l+\.\l+}.*").unwrap();
 //! // ... and subtract the pairs whose mail address ends in ".uk".
-//! let uk = compile(&parse(r".*{mail:\l+@\l+\.uk}.*").unwrap());
+//! let uk = parse(r".*{mail:\l+@\l+\.uk}.*").unwrap();
+//! let tree = RaTree::difference(RaTree::leaf(0), RaTree::leaf(1));
+//! let inst = Instantiation::new().with(0, info).with(1, uk);
 //! let doc = Document::new("Ann ann@edu.uk Bob bob@edu.ru ");
-//! let kept = difference_product_eval(&info, &uk, &doc, DifferenceOptions::default()).unwrap();
+//! let kept = evaluate_ra(&tree, &inst, &doc, RaOptions::default()).unwrap();
 //! assert!(!kept.is_empty());
 //! assert!(kept
 //!     .iter()
@@ -49,25 +52,18 @@
 
 #![warn(missing_docs)]
 
-pub mod adhoc;
 pub mod blackbox;
-pub mod difference;
 pub mod exec;
 pub mod plan;
 pub mod ratree;
 pub mod spanner;
 
-pub use adhoc::mapping_set_to_vsa;
 pub use blackbox::{DictionarySpanner, SentimentSpanner, TokenEqualitySpanner, TokenizerSpanner};
-pub use difference::{
-    difference_adhoc, difference_adhoc_eval, difference_filter, difference_product,
-    difference_product_eval, DifferenceOptions,
-};
 pub use exec::{ExecTrace, NoTrace, Observer, OpStream, PhysOp, PhysicalPlan};
 pub use plan::{optimize_ra, optimize_ra_with_stats, CompiledPlan, PlanStats};
 pub use ratree::{
-    compile_ra, evaluate_ra, evaluate_ra_materialized, figure_2_tree, shared_variable_bound,
-    tree_vars, Atom, Instantiation, LeafId, RaOptions, RaTree,
+    evaluate_ra, figure_2_tree, shared_variable_bound, tree_vars, Atom, Instantiation, LeafId,
+    RaOptions, RaTree,
 };
-pub use spanner::{MaterializedSpanner, RgxSpanner, Spanner, SpannerRef, VsaSpanner};
+pub use spanner::{Spanner, SpannerRef};
 pub use spanner_vset::PreScan;

@@ -1,13 +1,13 @@
 //! Logical plan optimization and compiled physical plans for RA trees.
 //!
-//! [`compile_ra`](crate::compile_ra) evaluates an RA tree exactly as
-//! written. This module adds the query-planner layer on top:
+//! The paper's recipe (`spanner_paper::compile_ra`) evaluates an RA tree
+//! exactly as written. This module is the query-planner layer:
 //!
 //! * [`optimize_ra`] — a semantics-preserving rewrite pass over [`RaTree`]:
 //!   nested unions are flattened (and syntactically duplicate operands
 //!   dropped), projections are pushed below unions and joins down to the
-//!   leaves (where [`compile_ra`](crate::compile_ra) applies them at the
-//!   automaton level, before any product construction), nested projections
+//!   leaves (where plan compilation applies them at the automaton level,
+//!   before any product construction), nested projections
 //!   are collapsed, and join chains are reordered greedily by the
 //!   shared-variable estimate of Theorem 5.2. Projections are **not**
 //!   pushed through the difference operator: `π_Y(P1 \ P2)` and
@@ -576,8 +576,8 @@ impl CompiledPlan {
             RaTree::Difference(l, r) => {
                 // Difference is always a physical anti-join: both operands
                 // are lowered (compiling their static parts once) and the
-                // probe side is evaluated as a relation — the per-document
-                // `difference_product` recomposition is gone from plans.
+                // probe side is evaluated as a relation — no per-document
+                // product automaton (Theorem 4.8) is composed in a plan.
                 let left = Self::build(l, inst, options)?.into_op(options);
                 let right = Self::build(r, inst, options)?.into_op(options);
                 Built::Dynamic(PhysOp::Difference {
@@ -668,7 +668,7 @@ impl fmt::Debug for CompiledPlan {
 mod tests {
     use super::*;
     use crate::blackbox::TokenizerSpanner;
-    use crate::ratree::{evaluate_ra_materialized, figure_2_tree, shared_variable_bound};
+    use crate::ratree::{figure_2_tree, shared_variable_bound};
     use spanner_rgx::parse;
 
     fn assert_send_sync<T: Send + Sync>() {}
@@ -676,36 +676,6 @@ mod tests {
     #[test]
     fn compiled_plan_is_send_and_sync() {
         assert_send_sync::<CompiledPlan>();
-    }
-
-    #[test]
-    fn projection_is_pushed_below_union_and_join() {
-        // π_{x}((?0 ∪ ?1) ⋈ ?2): the projection must sink below the union
-        // operands and into the join, keeping the join variable x.
-        let tree = RaTree::project(
-            VarSet::from_iter(["x"]),
-            RaTree::join(
-                RaTree::union(RaTree::leaf(0), RaTree::leaf(1)),
-                RaTree::leaf(2),
-            ),
-        );
-        let inst = Instantiation::new()
-            .with(0, parse("{x:a}{y:b?}").unwrap())
-            .with(1, parse("{x:b}{z:a?}").unwrap())
-            .with(2, parse("{x:a|b}{w:b*}").unwrap());
-        let (optimized, stats) = optimize_ra_with_stats(&tree, &inst).unwrap();
-        assert!(stats.projections_pushed >= 1, "{stats:?}");
-        // y, z, w are gone before the join: every leaf sits under its own
-        // minimal projection.
-        assert_eq!(
-            tree_vars(&optimized, &inst).unwrap(),
-            VarSet::from_iter(["x"])
-        );
-        let doc = Document::new("ab");
-        assert_eq!(
-            evaluate_ra_materialized(&optimized, &inst, &doc).unwrap(),
-            evaluate_ra_materialized(&tree, &inst, &doc).unwrap()
-        );
     }
 
     #[test]
@@ -720,68 +690,6 @@ mod tests {
         let (optimized, stats) = optimize_ra_with_stats(&tree, &inst).unwrap();
         assert_eq!(stats.union_duplicates_removed, 1);
         assert_eq!(optimized.leaves(), vec![0, 1]);
-    }
-
-    #[test]
-    fn commuted_duplicate_union_operands_collapse() {
-        // ((?0 ∪ ?1) ⋈ ?2) ∪ ((?1 ∪ ?0) ⋈ ?2): the two join operands are the
-        // same subtree modulo the order of the nested union. Canonical union
-        // operand ordering makes them syntactically equal, so the n-ary
-        // union dedup collapses them.
-        let j1 = RaTree::join(
-            RaTree::union(RaTree::leaf(0), RaTree::leaf(1)),
-            RaTree::leaf(2),
-        );
-        let j2 = RaTree::join(
-            RaTree::union(RaTree::leaf(1), RaTree::leaf(0)),
-            RaTree::leaf(2),
-        );
-        let tree = RaTree::union(j1, j2);
-        let inst = Instantiation::new()
-            .with(0, parse("{x:a}b*").unwrap())
-            .with(1, parse("{x:b+}").unwrap())
-            .with(2, parse("{x:a|b+}{y:b*}").unwrap());
-        let optimized = optimize_ra(&tree, &inst).unwrap();
-        assert_eq!(
-            optimized.leaves().len(),
-            3,
-            "commuted duplicate must collapse: {optimized}"
-        );
-        assert_eq!(optimized, optimize_ra(&optimized, &inst).unwrap());
-        for text in ["ab", "b", "a", "abb", ""] {
-            let doc = Document::new(text);
-            assert_eq!(
-                evaluate_ra_materialized(&optimized, &inst, &doc).unwrap(),
-                evaluate_ra_materialized(&tree, &inst, &doc).unwrap(),
-                "text {text:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn join_chain_is_reordered_to_lower_the_bound() {
-        // (?0{x} ⋈ ?1{y}) ⋈ ?2{x,y}: as written the root join shares
-        // {x, y} (bound 2); joining ?2 second keeps every step at 1.
-        let tree = RaTree::join(
-            RaTree::join(RaTree::leaf(0), RaTree::leaf(1)),
-            RaTree::leaf(2),
-        );
-        let inst = Instantiation::new()
-            .with(0, parse("{x:a}b*").unwrap())
-            .with(1, parse("a{y:b+}").unwrap())
-            .with(2, parse("{x:a}{y:b+}").unwrap());
-        assert_eq!(shared_variable_bound(&tree, &inst).unwrap(), 2);
-        let (optimized, stats) = optimize_ra_with_stats(&tree, &inst).unwrap();
-        assert_eq!(stats.joins_reordered, 1, "{optimized}");
-        assert_eq!(shared_variable_bound(&optimized, &inst).unwrap(), 1);
-        for text in ["ab", "abb", "a", ""] {
-            let doc = Document::new(text);
-            assert_eq!(
-                evaluate_ra_materialized(&optimized, &inst, &doc).unwrap(),
-                evaluate_ra_materialized(&tree, &inst, &doc).unwrap(),
-                "text {text:?}"
-            );
-        }
     }
 
     #[test]
@@ -813,27 +721,6 @@ mod tests {
             shared_variable_bound(&once, &inst).unwrap()
                 <= shared_variable_bound(&tree, &inst).unwrap()
         );
-    }
-
-    #[test]
-    fn static_tree_compiles_to_static_plan() {
-        let tree = RaTree::project(
-            VarSet::from_iter(["x"]),
-            RaTree::union(RaTree::leaf(0), RaTree::leaf(1)),
-        );
-        let inst = Instantiation::new()
-            .with(0, parse("{x:a+}{y:b*}").unwrap())
-            .with(1, parse("{y:a*}{x:b+}").unwrap());
-        let plan = CompiledPlan::compile(&tree, &inst, RaOptions::default()).unwrap();
-        assert!(plan.is_static());
-        for text in ["ab", "aab", "b", "a", ""] {
-            let doc = Document::new(text);
-            assert_eq!(
-                plan.evaluate(&doc).unwrap(),
-                evaluate_ra_materialized(&tree, &inst, &doc).unwrap(),
-                "text {text:?}"
-            );
-        }
     }
 
     #[test]
@@ -903,32 +790,5 @@ mod tests {
         // A join needs both sides: the static side's literals remain.
         let join = lits(&RaTree::join(RaTree::leaf(0), RaTree::leaf(1)), &inst3);
         assert!(has(&join, b"foo"), "{join:?}");
-    }
-
-    #[test]
-    fn dynamic_plan_reuses_static_subtrees() {
-        // (?0 ⋈ ?1) \ ?2 with a black-box ?2: the join is static, the
-        // difference is per-document.
-        let tree = RaTree::difference(
-            RaTree::join(RaTree::leaf(0), RaTree::leaf(1)),
-            RaTree::leaf(2),
-        );
-        let inst = Instantiation::new()
-            .with(
-                0,
-                parse(r".* {t:\l+} .*|{t:\l+} .*|.* {t:\l+}|{t:\l+}").unwrap(),
-            )
-            .with(1, parse(r".*{t:\l+}.*").unwrap())
-            .with_black_box(2, TokenizerSpanner::new("t"));
-        let plan = CompiledPlan::compile(&tree, &inst, RaOptions::default()).unwrap();
-        assert!(!plan.is_static());
-        for text in ["alpha beta", "x", ""] {
-            let doc = Document::new(text);
-            assert_eq!(
-                plan.evaluate(&doc).unwrap(),
-                evaluate_ra_materialized(&tree, &inst, &doc).unwrap(),
-                "text {text:?}"
-            );
-        }
     }
 }

@@ -10,22 +10,19 @@
 //! the instantiation and the document as input. Theorem 5.2 / Corollary 5.3:
 //! if every join and difference node shares at most `k` variables between its
 //! subtrees, the instantiated tree can be evaluated with polynomial delay.
-//! [`compile_ra`] implements the paper's ad-hoc recipe literally: positive
-//! operators are compiled statically (automaton product / union /
-//! projection), the difference and black-box leaves use ad-hoc
-//! (document-dependent) compilation, and the final automaton is enumerated
-//! with the polynomial-delay enumerator. [`evaluate_ra`] — the production
-//! entry point — instead lowers the tree onto the physical operator
-//! executor ([`crate::exec`]) via [`crate::plan::CompiledPlan`], which keeps
-//! the static compilation but evaluates difference and black-box
-//! composition at the relation level, with no per-document recomposition.
+//! [`evaluate_ra`] lowers the tree onto the physical operator executor
+//! ([`crate::exec`]) via [`crate::plan::CompiledPlan`]: positive operators
+//! over automaton subtrees are compiled statically (automaton product /
+//! union / projection), difference and black-box composition are evaluated
+//! at the relation level, with no per-document recomposition. The paper's
+//! ad-hoc recipe taken literally — one document-dependent automaton for the
+//! whole tree — is `spanner_paper::compile_ra`, the reference this executor
+//! is held to.
 
-use crate::adhoc::mapping_set_to_vsa;
-use crate::difference::{difference_product, DifferenceOptions};
 use crate::spanner::{Spanner, SpannerRef};
 use spanner_core::{Document, MappingSet, SpannerError, SpannerResult, VarSet};
 use spanner_rgx::Rgx;
-use spanner_vset::{join, Vsa};
+use spanner_vset::Vsa;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -261,13 +258,13 @@ impl Instantiation {
 #[derive(Debug, Clone, Copy)]
 pub struct RaOptions {
     /// Bound on intermediate automaton sizes (the static FPT join product
-    /// during plan compilation, and every construction of the ad-hoc
-    /// [`compile_ra`] pipeline).
+    /// during plan compilation, and every construction of the reference
+    /// pipeline `spanner_paper::compile_ra`).
     pub max_states: usize,
     /// Bound on materialized intermediate relations in the physical
     /// executor (any relation feeding a dynamic operator — a difference's
     /// probe side, a join's build side, union/projection inputs), and on
-    /// the Lemma 4.2 signature materialization in the ad-hoc
+    /// the Lemma 4.2 signature materialization in `spanner_paper`'s ad-hoc
     /// constructions.
     pub max_signatures: usize,
     /// Run the logical plan optimizer ([`crate::plan::optimize_ra`]) before
@@ -334,27 +331,8 @@ pub fn shared_variable_bound(tree: &RaTree, inst: &Instantiation) -> SpannerResu
     })
 }
 
-/// Compiles an instantiated RA tree into an **ad-hoc** sequential VA for the
-/// given document (Theorem 5.2 / Corollary 5.3) and returns it.
-///
-/// Positive operators over automaton subtrees are compiled statically (the
-/// same construction would be valid for every document); difference nodes and
-/// black-box leaves force the compilation to become document-dependent.
-pub fn compile_ra(
-    tree: &RaTree,
-    inst: &Instantiation,
-    doc: &Document,
-    options: RaOptions,
-) -> SpannerResult<Vsa> {
-    if options.optimize {
-        let optimized = crate::plan::optimize_ra(tree, inst)?;
-        return compile_ra_node(&optimized, inst, doc, options);
-    }
-    compile_ra_node(tree, inst, doc, options)
-}
-
 /// Looks up the atom assigned to a placeholder.
-pub(crate) fn resolve_atom(inst: &Instantiation, id: LeafId) -> SpannerResult<&Atom> {
+pub fn resolve_atom(inst: &Instantiation, id: LeafId) -> SpannerResult<&Atom> {
     inst.atom(id)
         .ok_or_else(|| SpannerError::Instantiation(format!("placeholder ?{id} unassigned")))
 }
@@ -363,7 +341,7 @@ pub(crate) fn resolve_atom(inst: &Instantiation, id: LeafId) -> SpannerResult<&A
 /// automaton, checking sequentiality. Black boxes are rejected — they are
 /// inherently document-dependent, and each pipeline incorporates them its
 /// own way.
-pub(crate) fn compile_static_atom(id: LeafId, atom: &Atom) -> SpannerResult<Vsa> {
+pub fn compile_static_atom(id: LeafId, atom: &Atom) -> SpannerResult<Vsa> {
     match atom {
         Atom::Rgx(r) => {
             if !spanner_rgx::is_sequential(r) {
@@ -390,52 +368,6 @@ pub(crate) fn compile_static_atom(id: LeafId, atom: &Atom) -> SpannerResult<Vsa>
     }
 }
 
-/// [`compile_ra`] without the optimizer pass (the recursive worker).
-fn compile_ra_node(
-    tree: &RaTree,
-    inst: &Instantiation,
-    doc: &Document,
-    options: RaOptions,
-) -> SpannerResult<Vsa> {
-    let diff_options = DifferenceOptions {
-        max_states: options.max_states,
-        max_signatures: options.max_signatures,
-    };
-    Ok(match tree {
-        RaTree::Leaf(id) => match resolve_atom(inst, *id)? {
-            Atom::BlackBox(s) => {
-                // Ad-hoc incorporation of a black box: evaluate it on the
-                // document and compile the relation into a path automaton.
-                let relation = s.eval(doc)?;
-                mapping_set_to_vsa(&relation, doc)?
-            }
-            atom => compile_static_atom(*id, atom)?,
-        },
-        RaTree::Project(vars, child) => compile_ra_node(child, inst, doc, options)?.project(vars),
-        RaTree::Union(l, r) => {
-            let left = compile_ra_node(l, inst, doc, options)?;
-            let right = compile_ra_node(r, inst, doc, options)?;
-            left.union(&right)
-        }
-        RaTree::Join(l, r) => {
-            let left = compile_ra_node(l, inst, doc, options)?;
-            let right = compile_ra_node(r, inst, doc, options)?;
-            join::join_with_options(
-                &left,
-                &right,
-                join::JoinOptions {
-                    max_states: options.max_states,
-                },
-            )?
-        }
-        RaTree::Difference(l, r) => {
-            let left = compile_ra_node(l, inst, doc, options)?;
-            let right = compile_ra_node(r, inst, doc, options)?;
-            difference_product(&left, &right, doc, diff_options)?
-        }
-    })
-}
-
 /// Evaluates an instantiated RA tree on a document through the physical
 /// operator executor: the tree is optimized (per `options`), its static
 /// subtrees are compiled once, and the lowered plan runs on the one
@@ -444,10 +376,7 @@ fn compile_ra_node(
 ///
 /// To evaluate the same tree on many documents, compile the plan once with
 /// [`crate::plan::CompiledPlan::compile`] (or use `spanner-corpus`) instead
-/// of calling this per document. The ad-hoc compilation pipeline of
-/// Theorem 5.2 / Corollary 5.3 remains available as [`compile_ra`]; it is
-/// no longer an evaluation path, only a construction (and the differential
-/// baseline the executor is measured against).
+/// of calling this per document.
 pub fn evaluate_ra(
     tree: &RaTree,
     inst: &Instantiation,
@@ -455,36 +384,6 @@ pub fn evaluate_ra(
     options: RaOptions,
 ) -> SpannerResult<MappingSet> {
     crate::plan::CompiledPlan::compile(tree, inst, options)?.evaluate(doc)
-}
-
-/// Evaluates an instantiated RA tree by materializing every node — the
-/// semantic oracle for [`evaluate_ra`] (exponential in the worst case).
-pub fn evaluate_ra_materialized(
-    tree: &RaTree,
-    inst: &Instantiation,
-    doc: &Document,
-) -> SpannerResult<MappingSet> {
-    Ok(match tree {
-        RaTree::Leaf(id) => {
-            let atom = inst.atom(*id).ok_or_else(|| {
-                SpannerError::Instantiation(format!("placeholder ?{id} unassigned"))
-            })?;
-            match atom {
-                Atom::Rgx(r) => spanner_enum::evaluate_rgx(r, doc)?,
-                Atom::Vsa(a) => spanner_enum::evaluate(a, doc)?,
-                Atom::BlackBox(s) => s.eval(doc)?,
-            }
-        }
-        RaTree::Project(vars, child) => evaluate_ra_materialized(child, inst, doc)?.project(vars),
-        RaTree::Union(l, r) => {
-            evaluate_ra_materialized(l, inst, doc)?.union(&evaluate_ra_materialized(r, inst, doc)?)
-        }
-        RaTree::Join(l, r) => {
-            evaluate_ra_materialized(l, inst, doc)?.join(&evaluate_ra_materialized(r, inst, doc)?)
-        }
-        RaTree::Difference(l, r) => evaluate_ra_materialized(l, inst, doc)?
-            .difference(&evaluate_ra_materialized(r, inst, doc)?),
-    })
 }
 
 /// Builds the RA tree of the paper's Figure 2:
@@ -502,21 +401,10 @@ pub fn figure_2_tree(projected: impl Into<VarSet>) -> RaTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blackbox::{SentimentSpanner, TokenizerSpanner};
     use spanner_rgx::parse;
 
     fn opts() -> RaOptions {
         RaOptions::default()
-    }
-
-    /// Ad-hoc pipeline and materialized oracle must agree.
-    fn check(tree: &RaTree, inst: &Instantiation, texts: &[&str]) {
-        for text in texts {
-            let doc = Document::new(*text);
-            let expected = evaluate_ra_materialized(tree, inst, &doc).unwrap();
-            let actual = evaluate_ra(tree, inst, &doc, opts()).unwrap();
-            assert_eq!(actual, expected, "mismatch on {text:?} for {tree}");
-        }
     }
 
     #[test]
@@ -557,74 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn positive_tree_over_regex_formulas() {
-        // (emails ⋈ names) ∪ phones, projected.
-        let tree = RaTree::project(
-            VarSet::from_iter(["name", "mail", "phone"]),
-            RaTree::union(
-                RaTree::join(RaTree::leaf(0), RaTree::leaf(1)),
-                RaTree::leaf(2),
-            ),
-        );
-        let inst = Instantiation::new()
-            .with(0, parse(r".*{name:\u\l+} {mail:\l+@\l+}.*").unwrap())
-            .with(1, parse(r".*{name:\u\l+}.*").unwrap())
-            .with(2, parse(r".*{phone:\d\d\d}.*").unwrap());
-        check(&tree, &inst, &["Bob bob@edu 123", "Ann x@y", "42"]);
-    }
-
-    #[test]
-    fn figure_2_query_with_regex_atoms() {
-        // π_{student}((mail ⋈ phone) \ recommended)
-        let tree = figure_2_tree(VarSet::from_iter(["student"]));
-        let inst = Instantiation::new()
-            .with(0, parse(r".*{student:\u\l+} mail:{mail:\l+}.*").unwrap())
-            .with(
-                1,
-                parse(r".*{student:\u\l+} .*phone:{phone:\d+}.*").unwrap(),
-            )
-            .with(2, parse(r".*{student:\u\l+} .*rec:{rec:\l+}.*").unwrap());
-        check(
-            &tree,
-            &inst,
-            &[
-                "Bob mail:b phone:1 rec:good",
-                "Ann mail:a phone:2",
-                "Cid mail:c phone:3 rec:fine Ann mail:a phone:2",
-            ],
-        );
-    }
-
-    #[test]
-    fn black_box_leaf_via_adhoc_compilation() {
-        // Tokens that are not "student names" (difference with a black box on
-        // the right), Corollary 5.3 style.
-        let tree = RaTree::difference(RaTree::leaf(0), RaTree::leaf(1));
-        let inst = Instantiation::new()
-            .with(
-                0,
-                parse(r".* {tok:\l+} .*|{tok:\l+} .*|.* {tok:\l+}|{tok:\l+}").unwrap(),
-            )
-            .with_black_box(1, SentimentSpanner::new("tok", "rest", ["good"]));
-        check(&tree, &inst, &["alpha beta", "good beta", "x good y"]);
-    }
-
-    #[test]
-    fn black_box_tokenizer_join() {
-        // Join a tokenizer black box with a regex that extracts the token
-        // right after a marker word.
-        let tree = RaTree::join(RaTree::leaf(0), RaTree::leaf(1));
-        let inst = Instantiation::new()
-            .with_black_box(0, TokenizerSpanner::new("t"))
-            .with(1, parse(r".*important {t:\w+}.*").unwrap());
-        check(
-            &tree,
-            &inst,
-            &["this is important stuff here", "important x"],
-        );
-    }
-
-    #[test]
     fn shared_variable_bound_computation() {
         let tree = figure_2_tree(VarSet::from_iter(["student"]));
         let inst = Instantiation::new()
@@ -650,17 +470,5 @@ mod tests {
             evaluate_ra(&tree, &inst, &doc, opts()),
             Err(SpannerError::Requirement { .. })
         ));
-    }
-
-    #[test]
-    fn projection_and_union_compose() {
-        let tree = RaTree::project(
-            VarSet::from_iter(["x"]),
-            RaTree::union(RaTree::leaf(0), RaTree::leaf(1)),
-        );
-        let inst = Instantiation::new()
-            .with(0, parse("{x:a+}{y:b*}").unwrap())
-            .with(1, parse("{y:a*}{x:b+}").unwrap());
-        check(&tree, &inst, &["ab", "aab", "b", "a", ""]);
     }
 }

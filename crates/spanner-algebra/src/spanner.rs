@@ -1,10 +1,8 @@
 //! The schemaless-spanner abstraction.
 
 use spanner_core::{Document, MappingSet, SpannerResult, VarSet};
-use spanner_rgx::Rgx;
-use spanner_vset::{CompiledVsa, Vsa};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A schemaless document spanner: a function from documents to finite sets of
 /// mappings (Section 2.1).
@@ -38,189 +36,5 @@ impl fmt::Debug for dyn Spanner {
     }
 }
 
-/// A spanner defined by a sequential vset-automaton, evaluated with the
-/// polynomial-delay enumerator.
-///
-/// The automaton is compiled to a [`CompiledVsa`] on first evaluation and
-/// the compilation is shared by all clones, so evaluating the same spanner
-/// over many documents (the RA-tree and benchmark pattern) pays the
-/// compilation cost once.
-#[derive(Clone, Debug)]
-pub struct VsaSpanner {
-    name: String,
-    vsa: Vsa,
-    compiled: Arc<OnceLock<CompiledVsa>>,
-}
-
-impl VsaSpanner {
-    /// Wraps an automaton.
-    pub fn new(name: impl Into<String>, vsa: Vsa) -> Self {
-        VsaSpanner {
-            name: name.into(),
-            vsa,
-            compiled: Arc::new(OnceLock::new()),
-        }
-    }
-
-    /// The underlying automaton.
-    pub fn vsa(&self) -> &Vsa {
-        &self.vsa
-    }
-
-    /// The compiled form (compiled on first use).
-    pub fn compiled(&self) -> &CompiledVsa {
-        self.compiled
-            .get_or_init(|| CompiledVsa::compile(&self.vsa))
-    }
-}
-
-impl Spanner for VsaSpanner {
-    fn name(&self) -> String {
-        self.name.clone()
-    }
-
-    fn vars(&self) -> VarSet {
-        self.vsa.vars().clone()
-    }
-
-    fn eval(&self, doc: &Document) -> SpannerResult<MappingSet> {
-        spanner_enum::evaluate_compiled(self.compiled(), doc)
-    }
-}
-
-/// A spanner defined by a sequential regex formula (compiled to an automaton
-/// once, at construction time).
-#[derive(Clone, Debug)]
-pub struct RgxSpanner {
-    name: String,
-    formula: Rgx,
-    vsa: Vsa,
-    compiled: Arc<OnceLock<CompiledVsa>>,
-}
-
-impl RgxSpanner {
-    /// Compiles a regex formula into a spanner.
-    pub fn new(name: impl Into<String>, formula: Rgx) -> Self {
-        let vsa = spanner_vset::compile(&formula);
-        RgxSpanner {
-            name: name.into(),
-            formula,
-            vsa,
-            compiled: Arc::new(OnceLock::new()),
-        }
-    }
-
-    /// Parses and compiles a regex formula from its text syntax.
-    pub fn parse(name: impl Into<String>, pattern: &str) -> SpannerResult<Self> {
-        Ok(RgxSpanner::new(name, spanner_rgx::parse(pattern)?))
-    }
-
-    /// The regex formula.
-    pub fn formula(&self) -> &Rgx {
-        &self.formula
-    }
-
-    /// The compiled automaton.
-    pub fn vsa(&self) -> &Vsa {
-        &self.vsa
-    }
-
-    /// The compiled evaluation form (compiled on first use).
-    pub fn compiled(&self) -> &CompiledVsa {
-        self.compiled
-            .get_or_init(|| CompiledVsa::compile(&self.vsa))
-    }
-}
-
-impl Spanner for RgxSpanner {
-    fn name(&self) -> String {
-        self.name.clone()
-    }
-
-    fn vars(&self) -> VarSet {
-        self.formula.vars()
-    }
-
-    fn eval(&self, doc: &Document) -> SpannerResult<MappingSet> {
-        spanner_enum::evaluate_compiled(self.compiled(), doc)
-    }
-}
-
-/// A spanner backed by a fixed, pre-materialized relation (useful in tests
-/// and as the result of evaluating a black box).
-#[derive(Clone, Debug)]
-pub struct MaterializedSpanner {
-    name: String,
-    vars: VarSet,
-    mappings: MappingSet,
-}
-
-impl MaterializedSpanner {
-    /// Wraps a materialized relation.
-    pub fn new(name: impl Into<String>, mappings: MappingSet) -> Self {
-        let vars = mappings.active_domain();
-        MaterializedSpanner {
-            name: name.into(),
-            vars,
-            mappings,
-        }
-    }
-}
-
-impl Spanner for MaterializedSpanner {
-    fn name(&self) -> String {
-        self.name.clone()
-    }
-
-    fn vars(&self) -> VarSet {
-        self.vars.clone()
-    }
-
-    fn degree(&self) -> usize {
-        self.mappings.degree()
-    }
-
-    fn eval(&self, _doc: &Document) -> SpannerResult<MappingSet> {
-        Ok(self.mappings.clone())
-    }
-}
-
 /// A reference-counted spanner object, the form used inside RA trees.
 pub type SpannerRef = Arc<dyn Spanner>;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use spanner_core::{Mapping, Span};
-
-    #[test]
-    fn rgx_spanner_end_to_end() {
-        let s = RgxSpanner::parse("emails", r".*{user:\l+}@{host:\l+}.*").unwrap();
-        assert_eq!(s.vars(), VarSet::from_iter(["user", "host"]));
-        assert_eq!(s.degree(), 2);
-        let doc = Document::new("to bob@edu now");
-        let out = s.eval(&doc).unwrap();
-        assert!(out
-            .iter()
-            .any(|m| doc.slice(m.get(&"user".into()).unwrap()) == "bob"
-                && doc.slice(m.get(&"host".into()).unwrap()) == "edu"));
-    }
-
-    #[test]
-    fn vsa_spanner_delegates_to_enumerator() {
-        let vsa = spanner_vset::compile(&spanner_rgx::parse("{x:a+}").unwrap());
-        let s = VsaSpanner::new("as", vsa);
-        assert_eq!(s.name(), "as");
-        let out = s.eval(&Document::new("aaa")).unwrap();
-        assert_eq!(out.len(), 1);
-    }
-
-    #[test]
-    fn materialized_spanner_is_constant() {
-        let ms = MappingSet::from_mappings([Mapping::from_pairs([("x", Span::new(1, 2))])]);
-        let s = MaterializedSpanner::new("fixed", ms.clone());
-        assert_eq!(s.degree(), 1);
-        assert_eq!(s.eval(&Document::new("whatever")).unwrap(), ms);
-        assert_eq!(s.vars(), VarSet::from_iter(["x"]));
-    }
-}

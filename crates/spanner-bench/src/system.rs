@@ -5,11 +5,12 @@
 
 use crate::{ms, Run, NOISE_MADS, RUNS, TOLERANCE};
 use spanner_algebra::{
-    compile_ra, evaluate_ra, figure_2_tree, optimize_ra, shared_variable_bound, CompiledPlan,
-    Instantiation, RaOptions, RaTree,
+    evaluate_ra, figure_2_tree, optimize_ra, shared_variable_bound, CompiledPlan, Instantiation,
+    RaOptions, RaTree,
 };
 use spanner_core::{Document, VarSet};
 use spanner_corpus::{split_lines, CorpusEngine, CorpusResult, QueryView};
+use spanner_paper::compile_ra;
 use spanner_ql::PreparedQuery;
 use spanner_rgx::parse;
 use spanner_serve::{Client, Json, RouterOptions, ServeOptions, Server};

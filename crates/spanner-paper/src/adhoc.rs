@@ -97,7 +97,8 @@ fn emit_ops_at(out: &mut Vsa, mut cur: StateId, mapping: &Mapping, pos: u32) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spanner_vset::{analysis, interpret};
+    use crate::interpret::interpret;
+    use spanner_vset::analysis;
 
     fn sp(a: u32, b: u32) -> Span {
         Span::new(a, b)

@@ -8,8 +8,8 @@
 //! so that experiment E10 can measure that blow-up and contrast it with the
 //! ad-hoc (document-dependent) compilation of Lemma 4.2.
 
-use crate::automaton::{Label, StateId, Vsa};
 use spanner_core::{ByteClass, Document, SpannerError, SpannerResult};
+use spanner_vset::automaton::{Label, StateId, Vsa};
 use std::collections::{BTreeSet, HashMap};
 
 /// A deterministic finite automaton over the byte alphabet.
@@ -250,8 +250,8 @@ pub fn product_dfa(d1: &Dfa, d2: &Dfa, max_states: usize) -> SpannerResult<Dfa> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::thompson::compile;
     use spanner_rgx::parse;
+    use spanner_vset::compile;
 
     fn nfa(pattern: &str) -> Vsa {
         compile(&parse(pattern).unwrap())

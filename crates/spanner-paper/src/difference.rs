@@ -693,8 +693,9 @@ fn build_difference_group(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interpret::interpret;
     use spanner_rgx::parse;
-    use spanner_vset::{compile, interpret};
+    use spanner_vset::compile;
 
     fn compiled(pattern: &str) -> Vsa {
         compile(&parse(pattern).unwrap())

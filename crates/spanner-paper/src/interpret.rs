@@ -5,11 +5,11 @@
 //! mapping, open variables)`, so it is exponential in the number of variables
 //! and only suitable for small inputs. The production evaluation path lives
 //! in `spanner-enum`; this interpreter exists so that the automaton
-//! constructions in this crate can be validated independently of it.
+//! constructions of `spanner-vset` and of this crate can be validated
+//! independently of it.
 
-use crate::automaton::{Label, StateId, Vsa};
 use spanner_core::{Document, FxHashSet, Mapping, MappingSet, Span, VarId, Variable};
-use std::collections::BTreeMap;
+use spanner_vset::automaton::{Label, StateId, Vsa};
 use std::rc::Rc;
 
 /// The variable bookkeeping of a run, shared between configurations.
@@ -135,12 +135,6 @@ pub fn interpret_with_domain(a: &Vsa, doc: &Document, domain: &spanner_core::Var
 /// the document (brute force; for tests).
 pub fn interpret_nonempty(a: &Vsa, doc: &Document) -> bool {
     !interpret(a, doc).is_empty()
-}
-
-/// Converts a mapping into a canonical `BTreeMap<String, Span>` (handy for
-/// assertions in tests).
-pub fn mapping_to_map(m: &Mapping) -> BTreeMap<String, Span> {
-    m.iter().map(|(v, s)| (v.name().to_string(), s)).collect()
 }
 
 #[cfg(test)]

@@ -179,16 +179,51 @@ fn escape_byte(b: u8, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     }
 }
 
+/// Renders a class of two or more bytes in the bracket syntax: sorted,
+/// consecutive runs collapsed into ranges, the complement printed (`[^…]`)
+/// for dense classes. Inside brackets the parser gives `\`, `]`, `^` and
+/// `-` a meaning, so those are escaped wherever they stand.
+fn write_class(class: &ByteClass, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    fn member(b: u8, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match b {
+            b'\\' | b']' | b'^' | b'-' => write!(f, "\\{}", b as char),
+            _ if b.is_ascii_graphic() => write!(f, "{}", b as char),
+            _ => write!(f, "\\x{b:02x}"),
+        }
+    }
+    write!(f, "[")?;
+    let mut bytes: Vec<u8> = class.iter().collect();
+    if bytes.len() > 128 {
+        write!(f, "^")?;
+        bytes = class.complement().iter().collect();
+    }
+    let mut i = 0;
+    while i < bytes.len() {
+        let start = bytes[i];
+        while i + 1 < bytes.len() && bytes[i + 1] == bytes[i] + 1 {
+            i += 1;
+        }
+        member(start, f)?;
+        if bytes[i] > start {
+            write!(f, "-")?;
+            member(bytes[i], f)?;
+        }
+        i += 1;
+    }
+    write!(f, "]")
+}
+
 impl fmt::Display for Rgx {
     /// Prints the formula in the concrete syntax accepted by
-    /// [`crate::parser::parse`] (round-trips for parser-produced formulas).
+    /// [`crate::parser::parse`]: the output re-parses to an equivalent
+    /// formula.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Rgx::Empty => write!(f, "[]"),
             Rgx::Epsilon => write!(f, "()"),
             Rgx::Class(c) if *c == ByteClass::any() => write!(f, "."),
             Rgx::Class(c) if c.len() == 1 => escape_byte(c.iter().next().unwrap(), f),
-            Rgx::Class(c) => write!(f, "{c:?}"),
+            Rgx::Class(c) => write_class(c, f),
             Rgx::Concat(parts) => {
                 for p in parts {
                     match p {

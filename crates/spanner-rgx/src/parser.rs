@@ -403,6 +403,27 @@ mod tests {
     }
 
     #[test]
+    fn printed_classes_escape_the_bracket_syntax() {
+        // `\`, `]`, `^` and `-` mean something inside brackets; a class that
+        // contains them must print them escaped or it re-parses to another
+        // class (`[\^a]` used to print as `[^a]`, not-`a`).
+        for src in [
+            r"[\^a]",
+            r"[a\\]",
+            r"[\]a]",
+            r"[a\-c]",
+            r"[*\-a]",
+            r"[^a-c\\d]",
+            r"[^\]]",
+            r"[\x00 \xff]",
+        ] {
+            let first = parse(src).unwrap();
+            let printed = format!("{first}");
+            assert_eq!(parse(&printed).unwrap(), first, "{src:?} -> {printed:?}");
+        }
+    }
+
+    #[test]
     fn capture_span_positions() {
         let alpha = parse("a{x:b}c").unwrap();
         let doc = Document::new("abc");

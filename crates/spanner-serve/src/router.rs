@@ -542,7 +542,8 @@ impl Router {
     /// Routed `delete_docs`: validate ids in order against the map
     /// (first bad id aborts with the single-daemon error, earlier ones
     /// still apply), group the valid prefix per owning shard preserving
-    /// order, fan out, merge. Deletes are idempotent, so retried.
+    /// order, fan out, merge. Deletes are idempotent, so retried; `deleted`
+    /// is what the shards report — ids that were live — not the ids sent.
     fn delete_docs(&self, lines: &[u32]) -> Json {
         let mut corpus = self.corpus();
         let Some(corpus) = corpus.as_mut() else {
@@ -553,10 +554,7 @@ impl Router {
         let mut deleted = 0usize;
         for &id in lines {
             match corpus.map.locate(id as usize) {
-                Some((shard, local)) => {
-                    per_shard[shard].push(local as u32);
-                    deleted += 1;
-                }
+                Some((shard, local)) => per_shard[shard].push(local as u32),
                 None => {
                     bad = Some(id as usize);
                     break;
@@ -580,6 +578,7 @@ impl Router {
                 return response;
             }
             corpus.generations[shard] = field(&response, "generation") as u64;
+            deleted += field(&response, "deleted");
         }
         if let Some(id) = bad {
             return out_of_bounds(id, corpus.map.len());

@@ -1167,10 +1167,13 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
                 let mut failure = None;
                 // Applied in order; the first bad id aborts (earlier
                 // deletes stay applied — deletes are idempotent, so a
-                // client can safely retry the whole batch).
+                // client can safely retry the whole batch). Only an id that
+                // was live counts: a repeated delete moves neither the
+                // generation nor `deleted` nor the mutation counter.
                 for id in lines {
+                    let was_live = !store.is_deleted(id);
                     match store.delete(id) {
-                        Ok(()) => deleted += 1,
+                        Ok(()) => deleted += was_live as usize,
                         Err(e) => {
                             failure = Some(e);
                             break;

@@ -251,6 +251,51 @@ fn mutations_propagate_through_the_maintained_view() {
     handle.join().unwrap().unwrap();
 }
 
+/// `delete_docs` counts what it changed: an id that was already a
+/// tombstone moves neither `deleted`, nor the generation, nor the
+/// "mutations applied" counter — so the three per-op counters always sum
+/// to the generation.
+#[test]
+fn repeated_deletes_count_once() {
+    let (addr, handle) = start(ServeOptions::default());
+    let mut client = Client::connect(addr).unwrap();
+    let loaded = client.load_corpus("zero\none\ntwo").unwrap();
+    assert_eq!(loaded.get("generation").and_then(Json::as_usize), Some(0));
+
+    let first = client.delete_docs(&[0, 0, 0]).unwrap();
+    assert!(ok(&first), "{first}");
+    assert_eq!(first.get("deleted").and_then(Json::as_usize), Some(1));
+    assert_eq!(first.get("generation").and_then(Json::as_usize), Some(1));
+    let again = client.delete_docs(&[0, 2]).unwrap();
+    assert_eq!(again.get("deleted").and_then(Json::as_usize), Some(1));
+    assert_eq!(again.get("generation").and_then(Json::as_usize), Some(2));
+    let noop = client.delete_docs(&[2, 0]).unwrap();
+    assert!(ok(&noop), "{noop}");
+    assert_eq!(noop.get("deleted").and_then(Json::as_usize), Some(0));
+    assert_eq!(noop.get("generation").and_then(Json::as_usize), Some(2));
+    // A bad id still aborts the batch after its valid prefix.
+    let bad = client.delete_docs(&[1, 1, 9]).unwrap();
+    assert!(!ok(&bad), "{bad}");
+
+    assert!(ok(&client.append_docs("three\nfour").unwrap()));
+    assert!(ok(&client.update_doc(0, "zero again").unwrap()));
+    let stats = client.stats().unwrap();
+    assert_eq!(field(&stats, ["store", "generation"]), 6, "{stats}");
+    assert_eq!(field(&stats, ["store", "deleted"]), 2, "{stats}");
+    let metrics = client.metrics().unwrap();
+    let text = metrics.get("metrics").and_then(Json::as_str).unwrap();
+    for line in [
+        "spanner_store_mutations_total{op=\"append\"} 2",
+        "spanner_store_mutations_total{op=\"update\"} 1",
+        "spanner_store_mutations_total{op=\"delete\"} 3",
+    ] {
+        assert!(text.contains(line), "missing `{line}` in\n{text}");
+    }
+
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
 #[test]
 fn queries_stay_live_during_a_large_load_corpus() {
     use std::sync::atomic::{AtomicBool, Ordering};

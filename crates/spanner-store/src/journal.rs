@@ -297,6 +297,53 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Every truncation and every single-byte flip of a journal replays a
+    /// prefix or fails with a typed error, and the offset handed back never
+    /// leaves the file (ROADMAP item 4(iv)).
+    #[test]
+    fn read_survives_every_truncation_and_byte_flip() {
+        let path = tmp("fuzz");
+        std::fs::remove_file(&path).ok();
+        let mut journal = Journal::append(&path).unwrap();
+        for i in 0..12u32 {
+            let text = format!("line {i} é");
+            journal.record(&Mutation::Append { text }).unwrap();
+            let text = format!("rewritten {i}");
+            journal
+                .record(&Mutation::Update { id: i / 2, text })
+                .unwrap();
+            journal.record(&Mutation::Delete { id: i / 3 }).unwrap();
+        }
+        drop(journal);
+        let saved = std::fs::read(&path).unwrap();
+        let (all, end) = Journal::read_from(&path, 0).unwrap();
+        assert_eq!((all.len(), end as usize), (36, saved.len()));
+
+        let check = |bytes: &[u8], what: &str| {
+            std::fs::write(&path, bytes).unwrap();
+            match Journal::read_from(&path, 0) {
+                Ok((read, end)) => {
+                    assert!(end as usize <= bytes.len(), "{what}: offset past the end");
+                    assert!(read.len() <= 36, "{what}");
+                }
+                Err(StoreError::Format(_) | StoreError::Io(_)) => {}
+                Err(other) => panic!("{what}: untyped failure {other}"),
+            }
+        };
+        for cut in 0..saved.len() {
+            check(&saved[..cut], &format!("truncation at {cut}"));
+        }
+        let mut mutated = saved.clone();
+        for at in 0..saved.len() {
+            for mask in [0x01u8, 0x80, 0xff] {
+                mutated[at] = saved[at] ^ mask;
+                check(&mutated, &format!("byte {at} ^ {mask:#04x}"));
+            }
+            mutated[at] = saved[at];
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn torn_tail_is_tolerated_and_garbage_is_not() {
         let path = tmp("torn");

@@ -727,10 +727,14 @@ impl Store {
         let trigram_count = read_u32(&mut r)? as usize;
         let mut docs = Vec::with_capacity(doc_count.min(1 << 20));
         for i in 0..doc_count {
+            // Memory follows the bytes present, not the length declared: a
+            // corrupt length field is a `Format` error, not a 4 GiB buffer.
             let len = read_u32(&mut r)? as usize;
-            let mut bytes = vec![0u8; len];
-            r.read_exact(&mut bytes)
-                .map_err(|_| StoreError::Format(format!("document {i} truncated")))?;
+            let mut bytes = Vec::with_capacity(len.min(1 << 16));
+            r.by_ref().take(len as u64).read_to_end(&mut bytes)?;
+            if bytes.len() != len {
+                return Err(StoreError::Format(format!("document {i} truncated")));
+            }
             let text = String::from_utf8(bytes)
                 .map_err(|_| StoreError::Format(format!("document {i} is not valid UTF-8")))?;
             docs.push(Document::new(text));
@@ -953,6 +957,57 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(Store::load(&path), Err(StoreError::Format(_))));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Every truncation and every single-byte flip of a saved segment loads
+    /// or fails with a typed error: no panic, and no allocation sized by a
+    /// corrupt length field (ROADMAP item 4(iv)).
+    #[test]
+    fn load_survives_every_truncation_and_byte_flip() {
+        let texts: Vec<String> = (0..24)
+            .map(|i| format!("GET /p{i} status={} é", 200 + i % 5))
+            .collect();
+        let mut store =
+            Store::build(texts.iter().map(|t| Document::new(t.as_str())).collect()).unwrap();
+        store.append("a late line").unwrap();
+        store.delete(3).unwrap();
+        let path = tmp("fuzz");
+        store.save(&path).unwrap();
+        let saved = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(Store::load_from(saved.as_slice()).is_ok());
+
+        let typed = |bytes: &[u8], what: &str| match Store::load_from(bytes) {
+            Ok(loaded) => assert!(loaded.len() <= saved.len(), "{what}"),
+            Err(StoreError::Format(_) | StoreError::Io(_)) => {}
+            Err(other) => panic!("{what}: untyped failure {other}"),
+        };
+        for cut in 0..saved.len() {
+            assert!(
+                Store::load_from(&saved[..cut]).is_err(),
+                "truncation at {cut} of {} loaded",
+                saved.len()
+            );
+        }
+        let mut mutated = saved.clone();
+        for at in 0..saved.len() {
+            for mask in [0x01u8, 0x80, 0xff] {
+                mutated[at] = saved[at] ^ mask;
+                typed(&mutated, &format!("byte {at} ^ {mask:#04x}"));
+            }
+            mutated[at] = saved[at];
+        }
+
+        // One document declared `u32::MAX` bytes long, none of them present.
+        let mut hostile = Vec::new();
+        hostile.extend_from_slice(MAGIC);
+        hostile.extend_from_slice(&VERSION.to_le_bytes());
+        hostile.extend_from_slice(&1u32.to_le_bytes());
+        hostile.extend_from_slice(&0u32.to_le_bytes());
+        hostile.extend_from_slice(&u32::MAX.to_le_bytes());
+        let err = Store::load_from(hostile.as_slice()).unwrap_err();
+        assert!(matches!(err, StoreError::Format(_)), "{err}");
+        assert!(err.to_string().contains("truncated"), "{err}");
     }
 
     #[test]

@@ -256,16 +256,6 @@ pub fn is_synchronized(a: &Vsa, vars: &VarSet) -> bool {
     vars.iter().all(|x| is_synchronized_for(a, x))
 }
 
-/// Returns, for each state, the extended variable configuration for `x`
-/// (requires the automaton to be trimmed and sequential so that the
-/// configuration is well defined; returns `None` entries otherwise).
-pub fn extended_configs(a: &Vsa, x: &Variable) -> Vec<Option<ExtendedConfig>> {
-    reachable_statuses(a, x)
-        .into_iter()
-        .map(|s| s.extended_config())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -30,11 +30,6 @@ impl Label {
         Label::Class(ByteClass::single(b))
     }
 
-    /// Whether the label consumes an input symbol.
-    pub fn consumes_input(&self) -> bool {
-        matches!(self, Label::Class(_))
-    }
-
     /// Whether the label is a variable operation, and if so on which variable.
     pub fn variable(&self) -> Option<&Variable> {
         match self {
@@ -98,11 +93,6 @@ impl Vsa {
         self.transitions.len() - 1
     }
 
-    /// Adds `n` fresh states and returns their ids.
-    pub fn add_states(&mut self, n: usize) -> Vec<StateId> {
-        (0..n).map(|_| self.add_state()).collect()
-    }
-
     /// Adds a transition.
     pub fn add_transition(&mut self, from: StateId, label: Label, to: StateId) {
         assert!(from < self.transitions.len(), "unknown source state {from}");
@@ -116,12 +106,6 @@ impl Vsa {
     /// Marks a state as accepting (or not).
     pub fn set_accepting(&mut self, state: StateId, accepting: bool) {
         self.accepting[state] = accepting;
-    }
-
-    /// Changes the initial state.
-    pub fn set_initial(&mut self, state: StateId) {
-        assert!(state < self.transitions.len());
-        self.initial = state;
     }
 
     /// The initial state.

@@ -22,21 +22,19 @@
 //!   bitset state sets ([`StateSet`]);
 //! * [`tables`] — the per-automaton evaluation tables (a backward DFA over
 //!   useful / operations-ahead sets, forward op-closure and step tables)
-//!   that turn matching a document into table walks;
-//! * [`mod@interpret`] — a brute-force evaluator used as a test oracle;
-//! * [`boolean`] — NFA determinization/complementation used to demonstrate
-//!   why static compilation of the difference operator must blow up
-//!   (Section 4, experiment E10).
+//!   that turn matching a document into table walks.
 //!
 //! The production evaluation path (polynomial-delay enumeration) lives in
-//! `spanner-enum`; the difference operator and RA trees live in
-//! `spanner-algebra`.
+//! `spanner-enum`; RA trees, the planner and the executor live in
+//! `spanner-algebra`. The brute-force interpreter these constructions are
+//! validated against, and the static complement of experiment E10, are
+//! reference code and live in `spanner-paper` (which is why the oracle cases
+//! of `join`, `scan`, `thompson` and `semifunctional` are that crate's
+//! tests: it depends on this one, not the other way round).
 
 pub mod analysis;
 pub mod automaton;
-pub mod boolean;
 pub mod compiled;
-pub mod interpret;
 pub mod join;
 pub mod scan;
 pub mod semifunctional;
@@ -48,9 +46,7 @@ pub use analysis::{
     ExtendedConfig, VarStatus,
 };
 pub use automaton::{Label, StateId, Transition, Vsa};
-pub use boolean::{determinize, nfa_accepts, static_boolean_difference, Dfa};
 pub use compiled::{CompiledVsa, StateSet, VarOp};
-pub use interpret::interpret;
 pub use join::{
     assemble_disjunction, join, join_disjunctive_functional, join_with_options, JoinOptions,
 };

@@ -130,8 +130,9 @@ fn random_subset(rng: &mut StdRng, pool: &VarSet) -> VarSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spanner_algebra::{evaluate_ra, evaluate_ra_materialized, tree_vars, RaOptions};
+    use spanner_algebra::{evaluate_ra, tree_vars, RaOptions};
     use spanner_core::Document;
+    use spanner_paper::evaluate_ra_materialized;
 
     #[test]
     fn generation_is_deterministic() {

@@ -177,8 +177,9 @@ fn strip_vars(r: Rgx) -> Rgx {
 mod tests {
     use super::*;
     use spanner_core::Document;
+    use spanner_paper::interpret;
     use spanner_rgx::is_sequential as rgx_sequential;
-    use spanner_vset::{analysis, compile, interpret};
+    use spanner_vset::{analysis, compile};
 
     #[test]
     fn random_vsa_is_sequential_and_deterministic() {

@@ -7,10 +7,10 @@
 //!
 //! Run with: `cargo run --release --example hardness_demo [max_vars]`
 
-use document_spanners::prelude::*;
-use document_spanners::reductions::{
-    difference_hardness_instance, dpll, join_hardness_instance, random_3cnf,
+use document_spanners::paper::{
+    difference_hardness_instance, dpll, join_hardness_instance, nfa_accepts, random_3cnf,
 };
+use document_spanners::prelude::*;
 use std::time::Instant;
 
 fn main() {
@@ -45,8 +45,7 @@ fn main() {
         match document_spanners::vset::join_with_options(&gamma1, &gamma2, limits) {
             Ok(joined) => {
                 let boolean = joined.project(&VarSet::new());
-                let nonempty =
-                    document_spanners::vset::nfa_accepts(&boolean, &instance.doc).unwrap();
+                let nonempty = nfa_accepts(&boolean, &instance.doc).unwrap();
                 let spanner_time = t.elapsed();
                 println!(
                     "{:>5} {:>8} {:>6} {:>12?} {:>12?} {:>10}",

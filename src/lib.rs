@@ -15,11 +15,11 @@
 //! |---|---|---|
 //! | [`core`] | `spanner-core` | documents, spans, variables, mappings, materialized algebra |
 //! | [`rgx`] | `spanner-rgx` | regex formulas: parser, classification, reference semantics |
-//! | [`vset`] | `spanner-vset` | vset-automata: analyses, semi-functional transform, FPT join |
+//! | [`vset`] | `spanner-vset` | vset-automata: analyses, semi-functional transform, FPT join, compiled evaluation |
 //! | [`enumeration`] | `spanner-enum` | polynomial-delay enumeration (Theorem 2.5) |
-//! | [`algebra`] | `spanner-algebra` | difference operator, RA trees, black-box spanners |
+//! | [`algebra`] | `spanner-algebra` | RA trees, black-box spanners, the planner and the executor |
 //! | [`obs`] | `spanner-obs` | metrics registry, Prometheus exposition, execution traces |
-//! | [`reductions`] | `spanner-reductions` | SAT reductions for the lower bounds |
+//! | [`paper`] | `spanner-paper` | reference semantics: interpreter, difference constructions, `compile_ra`, static complement, SAT reductions |
 //! | [`workloads`] | `spanner-workloads` | synthetic corpora, extractor library, random spanners |
 //! | [`corpus`] | `spanner-corpus` | parallel multi-document evaluation of compiled plans |
 //! | [`ql`] | `spanner-ql` | SpannerQL: the declarative query-language front end |
@@ -47,8 +47,8 @@
 //! ```
 //!
 //! `difference_product_eval` is the paper's construction (Theorem 4.8),
-//! built per document: the *reference* the oracles hold the system to.
-//! What serves — the CLI's `diff` and `query`, the corpus engine, the
+//! built per document: the *reference* the oracles hold the system to
+//! ([`paper`] — the one crate here that no daemon links). What serves — the CLI's `diff` and `query`, the corpus engine, the
 //! daemon — is the executor:
 //! `PreparedQuery::prepare("/α1/ minus /α2/")?.evaluate(&doc)`, or
 //! `evaluate_ra` over `RaTree::difference(RaTree::leaf(0), RaTree::leaf(1))`,
@@ -59,8 +59,8 @@ pub use spanner_core as core;
 pub use spanner_corpus as corpus;
 pub use spanner_enum as enumeration;
 pub use spanner_obs as obs;
+pub use spanner_paper as paper;
 pub use spanner_ql as ql;
-pub use spanner_reductions as reductions;
 pub use spanner_rgx as rgx;
 pub use spanner_serve as serve;
 pub use spanner_store as store;
@@ -70,16 +70,18 @@ pub use spanner_workloads as workloads;
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
     pub use spanner_algebra::{
-        difference_adhoc_eval, difference_filter, difference_product_eval, evaluate_ra,
-        figure_2_tree, optimize_ra, Atom, CompiledPlan, DictionarySpanner, DifferenceOptions,
-        Instantiation, PlanStats, RaOptions, RaTree, RgxSpanner, SentimentSpanner, Spanner,
-        TokenEqualitySpanner, TokenizerSpanner, VsaSpanner,
+        evaluate_ra, figure_2_tree, optimize_ra, Atom, CompiledPlan, DictionarySpanner,
+        Instantiation, PlanStats, RaOptions, RaTree, SentimentSpanner, Spanner,
+        TokenEqualitySpanner, TokenizerSpanner,
     };
     pub use spanner_core::{Document, Mapping, MappingSet, Span, SpannerError, VarSet, Variable};
     pub use spanner_corpus::{
         split_lines, CorpusEngine, CorpusResult, CorpusStats, DeltaOutcome, QueryView, WorkerPool,
     };
     pub use spanner_enum::{count_mappings, evaluate, evaluate_rgx, is_nonempty, Enumerator};
+    pub use spanner_paper::{
+        difference_adhoc_eval, difference_filter, difference_product_eval, DifferenceOptions,
+    };
     pub use spanner_ql::{parse_program, PreparedQuery, QlError};
     pub use spanner_rgx::{parse, reference_eval, Rgx};
     pub use spanner_serve::{Client, QueryCache, ServeOptions, Server};

@@ -3,14 +3,14 @@
 //! Random sequential vset-automata (seeded, reproducible) are evaluated both
 //! through the production path — [`CompiledVsa`] + the polynomial-delay
 //! enumerator — and through the brute-force configuration-space interpreter
-//! `spanner_vset::interpret`, which materializes every run and serves as the
+//! `spanner_paper::interpret`, which materializes every run and serves as the
 //! semantic oracle. The two must agree exactly, on direct evaluation as well
 //! as through the join and difference operators.
 
-use spanner_algebra::{difference_adhoc_eval, difference_product_eval, DifferenceOptions};
 use spanner_core::{Document, MappingSet};
 use spanner_enum::{evaluate, evaluate_compiled, Enumerator};
-use spanner_vset::{interpret, join, CompiledVsa};
+use spanner_paper::{difference_adhoc_eval, difference_product_eval, interpret, DifferenceOptions};
+use spanner_vset::{join, CompiledVsa};
 use spanner_workloads::{random_sequential_vsa, RandomVsaConfig};
 
 /// Short documents over the generator's alphabet; the oracle is exponential,

@@ -3,8 +3,8 @@
 
 use document_spanners::prelude::*;
 use document_spanners::workloads;
-use spanner_algebra::evaluate_ra_materialized;
 use spanner_core::MappingSet;
+use spanner_paper::evaluate_ra_materialized;
 use std::sync::Arc;
 
 /// The Figure 2 student query over a per-line corpus — a dynamic plan (the

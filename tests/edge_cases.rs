@@ -1,10 +1,9 @@
 //! Edge cases and failure injection across the public API.
 
 use document_spanners::prelude::*;
-use spanner_algebra::{
-    difference_adhoc_eval, evaluate_ra_materialized, tree_vars, DifferenceOptions,
-};
+use spanner_algebra::tree_vars;
 use spanner_enum::MAX_VARS;
+use spanner_paper::evaluate_ra_materialized;
 use spanner_vset::JoinOptions;
 
 #[test]

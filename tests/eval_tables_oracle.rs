@@ -9,7 +9,8 @@
 
 use spanner_core::{Document, Mapping, MappingSet};
 use spanner_enum::Enumerator;
-use spanner_vset::{interpret, CompiledVsa, EvalTableStats};
+use spanner_paper::interpret;
+use spanner_vset::{CompiledVsa, EvalTableStats};
 use spanner_workloads::{random_sequential_vsa, RandomVsaConfig};
 
 const DOCS: [&str; 8] = ["", "a", "ab", "ba", "abab", "bbab", "aabba", "babab"];

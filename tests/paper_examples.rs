@@ -2,10 +2,11 @@
 
 use document_spanners::prelude::*;
 use spanner_core::ByteClass;
+use spanner_paper::interpret;
 use spanner_rgx::{
     is_disjunctive_functional, is_functional, is_sequential, to_disjunctive_functional,
 };
-use spanner_vset::{analysis, interpret, make_semi_functional, Label, Vsa};
+use spanner_vset::{analysis, make_semi_functional, Label, Vsa};
 
 /// Example 2.3: the sequential VA with the `q0 → q2` shortcut and its
 /// equivalent regex formula `(Σ* x{Σ*} Σ*) ∨ Σ⁺`.
@@ -148,11 +149,11 @@ fn example_2_4_difference_on_figure_1() {
     let doc = spanner_workloads::students_figure_1();
     let info = compile(&spanner_workloads::student_info_extractor().unwrap());
     let uk = compile(&spanner_workloads::uk_mail_extractor().unwrap());
-    let kept = spanner_algebra::difference_product_eval(
+    let kept = spanner_paper::difference_product_eval(
         &info,
         &uk,
         &doc,
-        spanner_algebra::DifferenceOptions::default(),
+        spanner_paper::DifferenceOptions::default(),
     )
     .unwrap();
     assert_eq!(kept.len(), 2);

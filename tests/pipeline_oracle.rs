@@ -2,12 +2,10 @@
 //! agree with the materialized reference semantics.
 
 use document_spanners::prelude::*;
-use spanner_algebra::{
-    difference_adhoc_eval, evaluate_ra_materialized, mapping_set_to_vsa, DifferenceOptions,
-};
 use spanner_core::MappingSet;
+use spanner_paper::{evaluate_ra_materialized, interpret, mapping_set_to_vsa};
 use spanner_rgx::to_disjunctive_functional;
-use spanner_vset::{assemble_disjunction, interpret, join_disjunctive_functional};
+use spanner_vset::{assemble_disjunction, join_disjunctive_functional};
 
 /// A pool of schemaless extractors exercising optional fields, shared
 /// variables, classes, stars and unions.

@@ -9,7 +9,8 @@
 //! `tests/compiled_oracle.rs`, one level up the stack.
 
 use document_spanners::prelude::*;
-use spanner_algebra::{evaluate_ra_materialized, optimize_ra, shared_variable_bound, tree_vars};
+use spanner_algebra::{optimize_ra, shared_variable_bound, tree_vars};
+use spanner_paper::evaluate_ra_materialized;
 use spanner_workloads::{random_ra_tree, RandomRaConfig};
 
 /// Short documents over the generator's alphabets (`ab` for automata,

@@ -360,6 +360,28 @@ fn router_resident_store_with_mutations_matches_single_daemon() {
                 assert_eq!(router, single, "seed {seed}: out-of-bounds delete diverged");
                 // The valid prefix was applied on both sides.
                 scratch[0] = String::new();
+
+                // Repeated and already-deleted ids: `deleted` is what
+                // changed, summed over the shards, not what was sent.
+                let live = scratch[1..3].iter().filter(|l| !l.is_empty()).count();
+                let repeats = Json::object([
+                    ("op", Json::string("delete_docs")),
+                    (
+                        "lines",
+                        Json::Array([1, 0, 2, 1, 2].map(Json::number).to_vec()),
+                    ),
+                ])
+                .to_string();
+                let (router, single) = cluster.both(&repeats);
+                assert_eq!(router, single, "seed {seed}: repeated delete diverged");
+                assert_eq!(
+                    Json::parse(&single)
+                        .unwrap()
+                        .get("deleted")
+                        .and_then(Json::as_usize),
+                    Some(live),
+                    "seed {seed}: {single}"
+                );
             }
             cluster.shutdown();
         }
