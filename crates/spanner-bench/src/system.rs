@@ -9,7 +9,7 @@ use spanner_algebra::{
     RaOptions, RaTree,
 };
 use spanner_core::{Document, VarSet};
-use spanner_corpus::{split_lines, CorpusEngine, CorpusResult, QueryView};
+use spanner_corpus::{split_lines, CorpusEngine, CorpusMatches, QueryView};
 use spanner_paper::compile_ra;
 use spanner_ql::PreparedQuery;
 use spanner_rgx::parse;
@@ -33,8 +33,8 @@ fn total(plan: &CompiledPlan, docs: &[Document]) -> usize {
 }
 
 /// The unindexed scan of `docs` on `threads` threads.
-fn scanned(engine: &CorpusEngine, docs: &[Document], threads: usize) -> CorpusResult {
-    engine.evaluate_with_threads(docs, threads).unwrap()
+fn scanned(engine: &CorpusEngine, docs: &[Document], threads: usize) -> CorpusMatches {
+    engine.scan(docs, threads).unwrap()
 }
 
 /// The CPUs a row that runs `threads` threads needs: one to spare once there
@@ -236,7 +236,7 @@ pub fn ql(run: &mut Run) {
         };
         let log = PreparedQuery::prepare(LOG_QUERY).unwrap();
         let docs = split_lines(access_log(1_000, 11).text());
-        let scan = || log.evaluate_corpus(&docs, threads).unwrap();
+        let scan = || log.scan_corpus(&docs, threads).unwrap();
         run.measure(&name, || scan().stats.mappings);
     }
 }
@@ -286,7 +286,7 @@ pub fn scan(run: &mut Run) {
     for (per_mille, [fastpath, baseline]) in RATES.into_iter().zip(&names) {
         let docs = email_corpus(per_mille);
         let (answer, expected) = (scanned(&fast, &docs, 1), scanned(&base, &docs, 1));
-        assert_eq!(answer.results, expected.results, "at {per_mille}/1000");
+        assert_eq!(answer.matches, expected.matches, "at {per_mille}/1000");
         // The static prefilters, not luck, do the skipping.
         let passed_over = answer.stats.docs_skipped + answer.stats.docs_rejected;
         assert!(per_mille > 0 || passed_over == docs.len());
@@ -321,7 +321,7 @@ pub fn incr(run: &mut Run) {
         let mut store = Store::build(needle_corpus(lines, 10, 42)).unwrap();
         let mut view = QueryView::unbounded();
         // The steady state of a served query is warm-with-mutations.
-        store.query_view(&engine, &mut view, 1).unwrap();
+        store.query_view_matches(&engine, &mut view, 1).unwrap();
 
         // Hot: apply `batch` scattered updates, then re-query through the
         // view; the upkeep is part of the cost, so it is inside the clock
@@ -344,27 +344,27 @@ pub fn incr(run: &mut Run) {
             }
             applies.push(start.elapsed().as_nanos() as u64);
             nth += 1;
-            let answer = store.query_view(&engine, &mut view, 1).unwrap();
+            let answer = store.query_view_matches(&engine, &mut view, 1).unwrap();
             delta_docs = answer.delta_docs;
             answer.output.stats.mappings
         });
         assert_eq!(delta_docs, batch, "a batch touches exactly its documents");
-        let by_index = || store.query(&engine, 1).unwrap().output;
+        let by_index = || store.query_matches(&engine, 1).unwrap().output;
         let indexed = run.measure(coldindexed, || by_index().stats.mappings);
         let full = || scanned(&engine, store.documents(), 1);
         let full_scan = run.measure(coldfull, || full().stats.mappings);
 
         // Bit-identical: view-backed == full pass == from-scratch rebuild.
-        let viewed = store.query_view(&engine, &mut view, 1).unwrap().output;
-        assert_eq!(viewed.results, full().results, "view != full scan");
+        let viewed = store.query_view_matches(&engine, &mut view, 1).unwrap();
+        let viewed = viewed.output.into_dense().results;
+        assert_eq!(viewed, full().into_dense().results, "view != full scan");
         let rebuilt = Store::build(store.documents().to_vec()).unwrap();
-        let rebuilt = rebuilt.query(&engine, 1).unwrap().output;
-        assert_eq!(viewed.results, rebuilt.results, "store != its rebuild");
+        let rebuilt = rebuilt.query_matches(&engine, 1).unwrap().output;
+        assert_eq!(viewed, rebuilt.into_dense().results, "store != its rebuild");
 
         // The index needs the batch applied as much as the view does, so the
-        // view's bar is the batch plus the cold indexed query. The two reads
-        // are close at 100k lines (both dominated by the dense result), so
-        // the bar is the gate's: past the tolerance and past the noise.
+        // view's bar is the batch plus the cold indexed query; the bar is the
+        // gate's: past the tolerance and past the noise.
         applies.sort_unstable();
         let apply_ns = applies[RUNS / 2];
         println!("    of hot, the batch alone: {} ms", ms(apply_ns));

@@ -10,10 +10,9 @@
 //!   `spanner-algebra::exec`) and then evaluates it over any number of
 //!   documents — every worker runs the same operator pipeline as
 //!   single-document evaluation and SpannerQL;
-//! * every entry point — the full scan
-//!   ([`CorpusEngine::evaluate_with_threads`]), its traced form, the
-//!   indexed scan over a candidate list and the incremental one
-//!   ([`CorpusEngine::evaluate_delta`]) — is **one** pass over a *document
+//! * every entry point — the full scan ([`CorpusEngine::scan`]), its traced
+//!   form, the indexed scan over a candidate list and the incremental one
+//!   ([`CorpusEngine::scan_delta`]) — is **one** pass over a *document
 //!   selection* (a sorted id list; the full scan selects every id), a
 //!   worker count and an executor [`Observer`]. There is one thread source:
 //!   workers are threads scoped to the call, which borrow the plan and the
@@ -26,8 +25,11 @@
 //!   count (each document is evaluated independently); a selection too
 //!   small to give a second worker its minimum share runs on the calling
 //!   thread;
-//! * [`CorpusResult`] carries the per-document relations plus aggregate
-//!   [`CorpusStats`].
+//! * [`CorpusMatches`] is what a pass answers with: the non-empty relations,
+//!   sorted by document id, plus aggregate [`CorpusStats`]. Nothing in it is
+//!   sized by the corpus — a pass costs what it evaluated and what matched.
+//!   The dense one-slot-per-document [`CorpusResult`] is
+//!   [`CorpusMatches::into_dense`], kept for the frozen `bench/` package.
 //!
 //! ```
 //! use spanner_algebra::{Instantiation, RaOptions, RaTree};
@@ -38,10 +40,11 @@
 //! let inst = Instantiation::new().with(0, spanner_rgx::parse("{x:a+}").unwrap());
 //! let engine = CorpusEngine::compile(&tree, &inst, RaOptions::default()).unwrap();
 //! let docs = vec![Document::new("aaa"), Document::new("b"), Document::new("a")];
-//! let out = engine.evaluate_with_threads(&docs, 2).unwrap();
-//! assert_eq!(out.results.len(), 3);
+//! let out = engine.scan(&docs, 2).unwrap();
 //! assert_eq!(out.stats.documents, 3);
-//! assert!(out.results[1].is_empty());
+//! let ids: Vec<u32> = out.matches.iter().map(|(id, _)| *id).collect();
+//! assert_eq!(ids, [0, 2]);
+//! assert!(out.get(1).is_none());
 //! ```
 
 use spanner_algebra::{
@@ -57,13 +60,14 @@ pub mod view;
 pub use pool::{resolve_pool_threads, WorkerPool};
 pub use view::{DeltaOutcome, QueryView};
 
-/// Aggregate statistics of one corpus evaluation.
+/// Aggregate statistics of one corpus evaluation. Every field is a tally of
+/// what the pass did or placed; the corpus's byte total is not one of them
+/// (a caller that reports throughput knows its input's size — the store
+/// keeps it, `Store::bytes`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CorpusStats {
     /// Number of documents evaluated.
     pub documents: usize,
-    /// Total corpus size in bytes.
-    pub bytes: usize,
     /// Total number of extracted mappings, over all documents.
     pub mappings: usize,
     /// Number of documents with at least one mapping.
@@ -83,20 +87,60 @@ pub struct CorpusStats {
     pub elapsed: Duration,
 }
 
-impl CorpusStats {
-    /// Corpus throughput in bytes per second (0 when nothing was timed).
-    pub fn bytes_per_second(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.bytes as f64 / secs
-        } else {
-            0.0
+/// The outcome of evaluating a corpus: the non-empty relations, sorted by
+/// document id, plus aggregate statistics. A document that is not listed
+/// has the empty relation.
+#[derive(Debug)]
+pub struct CorpusMatches {
+    /// `(document id, relation)` for every document with at least one
+    /// mapping, in corpus order.
+    pub matches: Vec<(u32, MappingSet)>,
+    /// Aggregate statistics.
+    pub stats: CorpusStats,
+}
+
+impl CorpusMatches {
+    /// Document `id`'s relation, when it is not empty.
+    pub fn get(&self, id: u32) -> Option<&MappingSet> {
+        let at = self.matches.binary_search_by_key(&id, |&(id, _)| id).ok()?;
+        Some(&self.matches[at].1)
+    }
+
+    /// The one-slot-per-document form: every slot starts as the empty
+    /// relation (which does not allocate) and the matches are placed. This
+    /// is the only `O(corpus)` step of a pass and no serving path takes it;
+    /// it is kept for the frozen `bench/` package, which reads
+    /// `CorpusResult.results`, and for the differential oracles' `==`.
+    /// ROADMAP item 1(i) deletes it with [`CorpusResult`].
+    pub fn into_dense(self) -> CorpusResult {
+        let mut results: Vec<MappingSet> = std::iter::repeat_with(MappingSet::new)
+            .take(self.stats.documents)
+            .collect();
+        for (id, set) in self.matches {
+            results[id as usize] = set;
+        }
+        CorpusResult {
+            results,
+            stats: self.stats,
         }
     }
 }
 
-/// The outcome of evaluating a corpus: one relation per document, in corpus
-/// order, plus aggregate statistics.
+impl AsRef<CorpusStats> for CorpusMatches {
+    fn as_ref(&self) -> &CorpusStats {
+        &self.stats
+    }
+}
+
+impl AsRef<CorpusStats> for CorpusResult {
+    fn as_ref(&self) -> &CorpusStats {
+        &self.stats
+    }
+}
+
+/// [`CorpusMatches`] with one relation per document, in corpus order — the
+/// shape the frozen `bench/` package reads (see
+/// [`CorpusMatches::into_dense`]).
 #[derive(Debug)]
 pub struct CorpusResult {
     /// Per-document results, indexed like the input corpus.
@@ -308,37 +352,35 @@ fn workers_for(requested: usize, docs: usize) -> usize {
     }
 }
 
-/// Assembles the dense [`CorpusResult`] from sparse relations: every slot
-/// starts as the empty relation (which does not allocate), only the
-/// non-empty `hits` (served without evaluation) and the pass's `matches`
-/// are placed, and the tallies follow the placements — beyond the one fill,
-/// the cost tracks the matches, not the corpus. `unread` documents were
-/// proven empty without being visited and count as skipped.
+/// Assembles a pass's answer over a corpus of `documents`: the `hits` (a
+/// view's retained relations, served without evaluation) and the pass's
+/// `matches` — two id-sorted runs over disjoint documents — merged in id
+/// order, with the tallies filled from what is placed. Nothing here is
+/// sized by the corpus. `unread` documents were proven empty without being
+/// visited and count as skipped.
 fn assemble<O>(
-    docs: &[Document],
+    documents: usize,
     unread: usize,
-    hits: impl Iterator<Item = (u32, MappingSet)>,
+    hits: Vec<(u32, MappingSet)>,
     pass: Shard<O>,
     start: Instant,
-) -> (CorpusResult, O) {
-    let mut results: Vec<MappingSet> = std::iter::repeat_with(MappingSet::new)
-        .take(docs.len())
-        .collect();
-    let mut stats = CorpusStats {
-        documents: docs.len(),
-        bytes: docs.iter().map(Document::len).sum(),
+) -> (CorpusMatches, O) {
+    let mut matches = pass.matches;
+    if !hits.is_empty() {
+        matches.extend(hits);
+        // Two sorted runs: the stable sort merges them in one pass.
+        matches.sort_by_key(|&(id, _)| id);
+    }
+    let stats = CorpusStats {
+        documents,
+        mappings: matches.iter().map(|(_, set)| set.len()).sum(),
+        matched_documents: matches.len(),
         threads: pass.workers,
         docs_skipped: unread + pass.skipped,
         docs_rejected: pass.rejected,
-        ..CorpusStats::default()
+        elapsed: start.elapsed(),
     };
-    for (id, set) in hits.chain(pass.matches) {
-        stats.mappings += set.len();
-        stats.matched_documents += 1;
-        results[id as usize] = set;
-    }
-    stats.elapsed = start.elapsed();
-    (CorpusResult { results, stats }, pass.observer)
+    (CorpusMatches { matches, stats }, pass.observer)
 }
 
 /// `CompiledPlan` is read-only after compilation; the engine shares it with
@@ -370,81 +412,65 @@ impl CorpusEngine {
 
     /// Evaluates the corpus on up to `threads` scoped workers (`0` = one
     /// per available CPU; fewer when the corpus is too short to give each
-    /// its minimum share). The per-document results are identical for
-    /// every `threads` value; only the wall-clock time changes.
-    pub fn evaluate_with_threads(
-        &self,
-        docs: &[Document],
-        threads: usize,
-    ) -> SpannerResult<CorpusResult> {
-        Ok(self.scan::<NoTrace>(docs, None, threads)?.0)
+    /// its minimum share). The matches are identical for every `threads`
+    /// value; only the wall-clock time changes.
+    pub fn scan(&self, docs: &[Document], threads: usize) -> SpannerResult<CorpusMatches> {
+        Ok(self.pass::<NoTrace>(docs, None, threads)?.0)
     }
 
-    /// [`CorpusEngine::evaluate_with_threads`] with per-operator
-    /// instrumentation: returns the corpus result together with one
-    /// [`ExecTrace`] aggregated over every document — per-document traces
-    /// merge into per-worker accumulators (all seeded from the same
-    /// [`Observer::skeleton`], so shapes always agree) and the workers'
-    /// traces merge at the end.
+    /// [`CorpusEngine::scan`] with per-operator instrumentation: returns
+    /// the matches together with one [`ExecTrace`] aggregated over every
+    /// document — per-document traces merge into per-worker accumulators
+    /// (all seeded from the same [`Observer::skeleton`], so shapes always
+    /// agree) and the workers' traces merge at the end.
     /// It is the same pass under a recording [`Observer`]: the relations
     /// and stats are bit-identical to the untraced call for every thread
     /// count; only wall time differs.
-    pub fn evaluate_traced_with_threads(
+    pub fn scan_traced(
         &self,
         docs: &[Document],
         threads: usize,
-    ) -> SpannerResult<(CorpusResult, ExecTrace)> {
-        self.scan(docs, None, threads)
+    ) -> SpannerResult<(CorpusMatches, ExecTrace)> {
+        self.pass(docs, None, threads)
     }
 
     /// Evaluates only the `candidates` subset of the corpus — the
     /// index-aware path: a corpus-level index (e.g. the trigram index of
     /// `spanner-store`) has already proven every other document's result
     /// empty, so non-candidates are counted as `docs_skipped` **without
-    /// being visited** (no byte of theirs is read). Results are returned
-    /// for the whole corpus, in corpus order, and are bit-identical to
-    /// [`CorpusEngine::evaluate_with_threads`] whenever the candidate set
-    /// is sound (it contains every document with a non-empty result).
+    /// being visited** (no byte of theirs is read). The answer covers the
+    /// whole corpus and is bit-identical to [`CorpusEngine::scan`] whenever
+    /// the candidate set is sound (it contains every document with a
+    /// non-empty result).
     ///
     /// `candidates` must be sorted, duplicate-free, in-bounds document
     /// indexes — the shape a posting-list intersection produces (a
     /// duplicate would be evaluated twice and double-counted in the
     /// stats).
-    pub fn evaluate_candidates_with_threads(
+    pub fn scan_candidates(
         &self,
         docs: &[Document],
         candidates: &[u32],
         threads: usize,
-    ) -> SpannerResult<CorpusResult> {
-        Ok(self.scan::<NoTrace>(docs, Some(candidates), threads)?.0)
-    }
-
-    /// [`CorpusEngine::evaluate_with_threads`] on `pool.threads()` workers.
-    /// A forward kept **by name only**, for the frozen `bench/` package (see
-    /// [`WorkerPool`]): there is no pool behind it.
-    pub fn evaluate_on_pool(
-        &self,
-        docs: &[Document],
-        pool: &WorkerPool,
-    ) -> SpannerResult<CorpusResult> {
-        self.evaluate_with_threads(docs, pool.threads())
+    ) -> SpannerResult<CorpusMatches> {
+        Ok(self.pass::<NoTrace>(docs, Some(candidates), threads)?.0)
     }
 
     /// A pass with nothing served from a view: evaluates the documents
     /// `ids` (every document when `None`) and assembles the whole-corpus
-    /// result; documents outside `ids` count as skipped, unread.
-    fn scan<O: Observer + Clone + Send>(
+    /// answer; documents outside `ids` count as skipped, unread.
+    fn pass<O: Observer + Clone + Send>(
         &self,
         docs: &[Document],
         ids: Option<&[u32]>,
         threads: usize,
-    ) -> SpannerResult<(CorpusResult, O)> {
+    ) -> SpannerResult<(CorpusMatches, O)> {
         let start = Instant::now();
         let every = || Cow::Owned((0..docs.len() as u32).collect());
         let ids: Cow<'_, [u32]> = ids.map_or_else(every, Cow::Borrowed);
         let pass = self.evaluate_selection(docs, &ids, threads)?;
         let unread = docs.len() - ids.len();
-        Ok(assemble(docs, unread, std::iter::empty(), pass, start))
+        Ok(assemble(docs.len(), unread, Vec::new(), pass, start))
     }
 
     /// The one evaluator behind every entry point: evaluates the documents
@@ -580,7 +606,7 @@ mod tests {
             Document::new("a"),
             Document::new(""),
         ];
-        let out = e.evaluate_with_threads(&docs, 2).unwrap();
+        let out = e.scan(&docs, 2).unwrap().into_dense();
         // Four documents are no work for a second thread.
         assert_eq!(out.stats.threads, 1);
         assert_eq!(out.results.len(), 4);
@@ -590,13 +616,12 @@ mod tests {
         assert!(out.results[3].is_empty());
         assert_eq!(out.stats.matched_documents, 2);
         assert_eq!(out.stats.mappings, 2);
-        assert_eq!(out.stats.bytes, 4);
     }
 
     #[test]
     fn empty_corpus_is_fine() {
         let e = engine("{x:a}");
-        let out = e.evaluate_with_threads(&[], 4).unwrap();
+        let out = e.scan(&[], 4).unwrap().into_dense();
         assert!(out.results.is_empty());
         assert_eq!(out.stats.documents, 0);
         assert_eq!(out.stats.mappings, 0);
@@ -614,7 +639,7 @@ mod tests {
         // Inline, then from a scoped worker.
         for len in [1, 2 * MIN_DOCS_PER_WORKER] {
             let docs = vec![Document::new("aaa"); len];
-            assert!(e.evaluate_with_threads(&docs, 2).is_err(), "{len} docs");
+            assert!(e.scan(&docs, 2).is_err(), "{len} docs");
         }
     }
 
@@ -623,21 +648,18 @@ mod tests {
         let pool = WorkerPool::new(2);
         let e = Arc::new(engine("{x:a}"));
         let empty: Arc<Vec<Document>> = Arc::new(Vec::new());
-        let out = e.evaluate_on_pool(&empty, &pool).unwrap();
-        assert!(out.results.is_empty());
+        let out = e.scan(&empty, pool.threads()).unwrap();
+        assert!(out.matches.is_empty());
 
         let mut parts = Vec::new();
         for i in 0..=spanner_enum::MAX_VARS {
             parts.push(format!("{{v{i:02}:a?}}"));
         }
         let failing = Arc::new(engine(&parts.concat()));
-        // Inline, then from a worker, through the forward `bench/` calls.
+        // Inline, then from a worker, on the count `bench/`'s pool resolves.
         for len in [2, 2 * MIN_DOCS_PER_WORKER] {
             let docs = Arc::new(vec![Document::new("aaa"); len]);
-            assert!(
-                failing.evaluate_on_pool(&docs, &pool).is_err(),
-                "{len} docs"
-            );
+            assert!(failing.scan(&docs, pool.threads()).is_err(), "{len} docs");
         }
     }
 
@@ -656,8 +678,11 @@ mod tests {
                 let share = (len / MIN_DOCS_PER_WORKER).max(1);
                 let pool = WorkerPool::new(threads.min(8));
                 for (out, offered) in [
-                    (e.evaluate_with_threads(&docs, threads).unwrap(), threads),
-                    (e.evaluate_on_pool(&docs, &pool).unwrap(), pool.threads()),
+                    (e.scan(&docs, threads).unwrap().into_dense(), threads),
+                    (
+                        e.scan(&docs, pool.threads()).unwrap().into_dense(),
+                        pool.threads(),
+                    ),
                 ] {
                     let stats = out.stats;
                     assert_eq!(out.results.len(), len, "len={len} threads={threads}");
@@ -690,7 +715,7 @@ mod tests {
         let repeats = MIN_DOCS_PER_WORKER;
         let docs: Vec<Document> = lines.iter().cycle().take(3 * repeats).cloned().collect();
         for threads in [1, 2, 3] {
-            let out = e.evaluate_with_threads(&docs, threads).unwrap();
+            let out = e.scan(&docs, threads).unwrap().into_dense();
             assert_eq!(out.stats.threads, threads);
             assert_eq!(out.stats.docs_skipped, repeats, "threads={threads}");
             assert_eq!(out.stats.docs_rejected, repeats, "threads={threads}");
@@ -712,7 +737,7 @@ mod tests {
             Document::new("bbbb"),
             Document::new("@aaa"),
         ];
-        let out = e.evaluate_with_threads(&docs, 2).unwrap();
+        let out = e.scan(&docs, 2).unwrap().into_dense();
         assert_eq!(out.stats.docs_skipped, 0);
         assert_eq!(out.stats.docs_rejected, 0);
         assert_eq!(out.stats.matched_documents, 1);
@@ -729,7 +754,7 @@ mod tests {
             .take(7 * MIN_DOCS_PER_WORKER / 2)
             .map(|t| Document::new(*t))
             .collect();
-        let full = e.evaluate_with_threads(&docs, 1).unwrap();
+        let full = e.scan(&docs, 1).unwrap().into_dense();
         // A sound candidate set: every doc with a non-empty result.
         let candidates: Vec<u32> = docs
             .iter()
@@ -739,8 +764,9 @@ mod tests {
             .collect();
         for threads in [1, 2, 4] {
             let out = e
-                .evaluate_candidates_with_threads(&docs, &candidates, threads)
-                .unwrap();
+                .scan_candidates(&docs, &candidates, threads)
+                .unwrap()
+                .into_dense();
             assert_eq!(out.results, full.results, "threads={threads}");
             assert_eq!(out.stats.threads, threads.min(2));
             assert_eq!(out.stats.documents, docs.len());
@@ -752,7 +778,7 @@ mod tests {
             );
         }
         // An empty candidate set touches nothing.
-        let out = e.evaluate_candidates_with_threads(&docs, &[], 4).unwrap();
+        let out = e.scan_candidates(&docs, &[], 4).unwrap().into_dense();
         assert!(out.results.iter().all(MappingSet::is_empty));
         assert_eq!(out.stats.docs_skipped, docs.len());
         assert_eq!(out.stats.threads, 1);
@@ -764,21 +790,23 @@ mod tests {
         let mut docs: Vec<Document> = (0..8 * MIN_DOCS_PER_WORKER)
             .map(|i| Document::new("a".repeat(i % 3)))
             .collect();
-        let full = e.evaluate_with_threads(&docs, 1).unwrap();
+        let full = e.scan(&docs, 1).unwrap().into_dense();
         let all: Vec<u32> = (0..docs.len() as u32).collect();
         // One document short of two full workers: not worth a spawn.
         for len in [1, MIN_DOCS_PER_WORKER - 1, 2 * MIN_DOCS_PER_WORKER - 1] {
             let out = e
-                .evaluate_candidates_with_threads(&docs, &all[..len], 8)
-                .unwrap();
+                .scan_candidates(&docs, &all[..len], 8)
+                .unwrap()
+                .into_dense();
             assert_eq!(out.stats.threads, 1, "{len} candidates");
             assert_eq!(out.results[..len], full.results[..len]);
         }
         // Enough for every requested worker: the selection shards.
         for (len, workers) in [(2 * MIN_DOCS_PER_WORKER, 2), (all.len(), 8)] {
             let out = e
-                .evaluate_candidates_with_threads(&docs, &all[..len], 8)
-                .unwrap();
+                .scan_candidates(&docs, &all[..len], 8)
+                .unwrap()
+                .into_dense();
             assert_eq!(out.stats.threads, workers, "{len} candidates");
             assert_eq!(out.results[..len], full.results[..len]);
         }
@@ -799,7 +827,7 @@ mod tests {
             .evaluate_delta(&docs, &hashes, None, &mut view, 8)
             .unwrap();
         assert_eq!((hot.delta_docs, hot.output.stats.threads), (3, 1));
-        let full = e.evaluate_with_threads(&docs, 1).unwrap();
+        let full = e.scan(&docs, 1).unwrap().into_dense();
         assert_eq!(hot.output.results, full.results);
     }
 

@@ -13,8 +13,7 @@ use std::num::NonZeroUsize;
 /// because the frozen `bench/` package constructs `WorkerPool::new(n)` and
 /// hands it to `PreparedQuery::evaluate_corpus_on_pool`. It spawns nothing
 /// and holds nothing but the count; the next `benchmark` PR (ROADMAP item
-/// 1(i)) deletes it with
-/// [`CorpusEngine::evaluate_on_pool`](crate::CorpusEngine::evaluate_on_pool).
+/// 1(i)) deletes both.
 #[derive(Debug, Clone, Copy)]
 pub struct WorkerPool {
     threads: usize,

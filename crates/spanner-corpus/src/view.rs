@@ -5,18 +5,20 @@
 //! when the view last evaluated it, plus a *sparse*, id-sorted table of the
 //! non-empty relations only — an empty relation (the overwhelming majority
 //! for a selective query) is retained by its hash alone.
-//! [`CorpusEngine::evaluate_delta`] compares the snapshot with the current
+//! [`CorpusEngine::scan_delta`] compares the snapshot with the current
 //! hashes, re-evaluates the documents that differ (appended, updated,
 //! deleted, or refused by the budget) and merges the retained relations for
 //! everything else — the semi-naive shape.
 //!
 //! **Cost of a repeat query** after `k` mutations, over `n` documents of
 //! which `m` match: one compare of two `u64` slices (`memcmp` speed;
-//! microseconds at 10k documents), `k` document evaluations, `m` relation
-//! clones into the answer, and the `n`-slot fill of the dense
-//! [`CorpusResult`] the API returns. A fresh view costs one copy of the
-//! hash slice on top of the candidate evaluations — what the indexed query
-//! costs.
+//! microseconds at 10k documents), `k` document evaluations and `m` relation
+//! clones into the answer — the answer is [`CorpusMatches`], which has no
+//! slot per document, so the compare is the only term that follows `n`. A
+//! fresh view costs one copy of the hash slice (8 bytes a document; what is
+//! allocated for it is [`QueryView::snapshot_bytes`], and the retention
+//! budget does not bound it)
+//! on top of the candidate evaluations — what the indexed query costs.
 //!
 //! **Soundness.** An entry is reused only when the snapshot hash equals the
 //! document's current content hash, and a spanner's result is a pure
@@ -34,7 +36,7 @@
 //! snapshot — every evaluation is cold — which the differential oracle uses
 //! to pin the delta path against the full scan.
 
-use crate::{assemble, intersect_sorted, CorpusEngine, CorpusResult};
+use crate::{assemble, intersect_sorted, CorpusEngine, CorpusMatches, CorpusResult};
 use spanner_algebra::NoTrace;
 use spanner_core::{Document, MappingSet, SpannerResult};
 use std::time::Instant;
@@ -92,6 +94,14 @@ impl QueryView {
     /// Number of retained mappings (≤ budget).
     pub fn retained_cost(&self) -> usize {
         self.retained_cost
+    }
+
+    /// Bytes allocated for the hash snapshot, whatever the budget (a budget
+    /// of `0` keeps no snapshot): 8 per document for a view filled in one
+    /// pass, and the vector's capacity — up to twice that — once appends
+    /// have grown it.
+    pub fn snapshot_bytes(&self) -> usize {
+        self.hashes.capacity() * std::mem::size_of::<u64>()
     }
 
     /// The store generation recorded at the last synchronization
@@ -160,11 +170,11 @@ impl QueryView {
 
     /// Records the delta's outcome: snapshots the `current` hash of every
     /// miss — the `stale` documents and everything past the snapshot — and
-    /// retains, in id order, the non-empty relations among the `evaluated`
-    /// documents' `results` the budget allows. (Any other miss was pruned
-    /// by the index or evaluated to nothing: it is retained as empty, by
-    /// hash alone.)
-    fn admit(&mut self, current: &[u64], stale: &[u32], evaluated: &[u32], results: &[MappingSet]) {
+    /// retains, in id order, the pass's `matches` (the non-empty relations
+    /// among the documents it evaluated) the budget allows. (Any other miss
+    /// was pruned by the index or evaluated to nothing: it is retained as
+    /// empty, by hash alone.)
+    fn admit(&mut self, current: &[u64], stale: &[u32], matches: &[(u32, MappingSet)]) {
         if self.budget == 0 {
             return;
         }
@@ -173,14 +183,13 @@ impl QueryView {
         }
         let known = self.hashes.len();
         self.hashes.extend_from_slice(&current[known..]);
-        for &id in evaluated {
-            let set = &results[id as usize];
+        for (id, set) in matches {
             // `retained_cost <= budget` always holds.
             if set.len() > self.budget - self.retained_cost {
-                self.refused.push(id);
-            } else if !set.is_empty() {
+                self.refused.push(*id);
+            } else {
                 self.retained_cost += set.len();
-                self.matches.push((id, set.clone()));
+                self.matches.push((*id, set.clone()));
             }
         }
         // At most two sorted runs: the stable sort merges them in one pass.
@@ -188,14 +197,13 @@ impl QueryView {
     }
 }
 
-/// The outcome of one delta evaluation: the full-corpus result (identical
+/// The outcome of one delta evaluation: the whole-corpus answer (identical
 /// to a cold evaluation) plus how much of it was served from the view.
 #[derive(Debug)]
-pub struct DeltaOutcome {
-    /// Per-document relations for the whole corpus, in corpus order, plus
-    /// aggregate stats — bit-identical to
-    /// [`CorpusEngine::evaluate_with_threads`].
-    pub output: CorpusResult,
+pub struct DeltaOutcome<R = CorpusMatches> {
+    /// The answer for the whole corpus, plus aggregate stats —
+    /// bit-identical to [`CorpusEngine::scan`].
+    pub output: R,
     /// Documents *not* served from the view (absent, hash-changed, or
     /// refused entries) — the documents the delta pass had to look at.
     pub delta_docs: usize,
@@ -210,10 +218,10 @@ impl CorpusEngine {
     /// Evaluates the corpus *incrementally* against a maintained
     /// [`QueryView`]: documents whose content hash matches the view's
     /// snapshot reuse the memoized relation; every other document (the
-    /// *delta*) is re-evaluated and its entry refreshed. Results cover the
-    /// whole corpus in order and are bit-identical to
-    /// [`CorpusEngine::evaluate_with_threads`] for every thread count and
-    /// budget. An evaluation error leaves the view as it was.
+    /// *delta*) is re-evaluated and its entry refreshed. The answer covers
+    /// the whole corpus and is bit-identical to [`CorpusEngine::scan`] for
+    /// every thread count and budget. An evaluation error leaves the view
+    /// as it was.
     ///
     /// `hashes` must hold one content hash per document (the store
     /// maintains them; `spanner_store::fnv1a64` is the reference
@@ -224,7 +232,7 @@ impl CorpusEngine {
     /// outside it are recorded as empty without being read, so a cold view
     /// over an indexed store stays as cheap as the indexed scan. Ids are
     /// positions: a corpus shorter than the view's snapshot resets the view.
-    pub fn evaluate_delta(
+    pub fn scan_delta(
         &self,
         docs: &[Document],
         hashes: &[u64],
@@ -261,15 +269,37 @@ impl CorpusEngine {
         };
         let pass = self.evaluate_selection::<NoTrace>(docs, &selection, threads)?;
         view.release(&stale);
+        // What is left of the view is exactly the hits.
+        let hits = view.matches.clone();
+        view.admit(hashes, &stale, &pass.matches);
         let unread = delta_docs - selection.len();
-        let hits = view.matches.iter().map(|(id, set)| (*id, set.clone()));
-        let (output, NoTrace) = assemble(docs, unread, hits, pass, start);
-        view.admit(hashes, &stale, &selection, &output.results);
+        let (output, NoTrace) = assemble(docs.len(), unread, hits, pass, start);
         Ok(DeltaOutcome {
             output,
             delta_docs,
             view_hits: docs.len() - delta_docs,
             invalidated,
+        })
+    }
+
+    /// [`CorpusEngine::scan_delta`], dense: kept for the frozen `bench/`
+    /// package, which calls it by this name and reads
+    /// `CorpusResult.results`; ROADMAP item 1(i) deletes it with
+    /// [`CorpusMatches::into_dense`].
+    pub fn evaluate_delta(
+        &self,
+        docs: &[Document],
+        hashes: &[u64],
+        candidates: Option<&[u32]>,
+        view: &mut QueryView,
+        threads: usize,
+    ) -> SpannerResult<DeltaOutcome<CorpusResult>> {
+        let sparse = self.scan_delta(docs, hashes, candidates, view, threads)?;
+        Ok(DeltaOutcome {
+            output: sparse.output.into_dense(),
+            delta_docs: sparse.delta_docs,
+            view_hits: sparse.view_hits,
+            invalidated: sparse.invalidated,
         })
     }
 }
@@ -311,7 +341,7 @@ mod tests {
             .map(|t| Document::new(*t))
             .collect();
         let h = hashes(&docs);
-        let full = e.evaluate_with_threads(&docs, 1).unwrap();
+        let full = e.scan(&docs, 1).unwrap().into_dense();
         let mut view = QueryView::unbounded();
         let cold = e.evaluate_delta(&docs, &h, None, &mut view, 2).unwrap();
         assert_eq!(cold.output.stats.threads, 2);
@@ -339,7 +369,7 @@ mod tests {
         docs.push(Document::new("a"));
         let h = hashes(&docs);
         let out = e.evaluate_delta(&docs, &h, None, &mut view, 1).unwrap();
-        let full = e.evaluate_with_threads(&docs, 1).unwrap();
+        let full = e.scan(&docs, 1).unwrap().into_dense();
         assert_eq!(out.output.results, full.results);
         assert_eq!(out.delta_docs, 2); // the update and the append
         assert_eq!(out.invalidated, 1); // only the update had an entry
@@ -377,7 +407,7 @@ mod tests {
         assert_eq!(view.refused, vec![3, 5]);
         let out = e.evaluate_delta(&docs, &h, None, &mut view, 1).unwrap();
         assert_eq!((out.view_hits, out.delta_docs, out.invalidated), (4, 2, 0));
-        let full = e.evaluate_with_threads(&docs, 1).unwrap();
+        let full = e.scan(&docs, 1).unwrap().into_dense();
         assert_eq!(out.output.results, full.results);
     }
 
@@ -411,7 +441,7 @@ mod tests {
             let out = e
                 .evaluate_delta(docs, &hashes(docs), Some(&candidates), view, threads)
                 .unwrap();
-            let full = e.evaluate_with_threads(docs, 1).unwrap();
+            let full = e.scan(docs, 1).unwrap().into_dense();
             assert_eq!(out.output.results, full.results);
             assert_eq!(out.output.stats.mappings, full.stats.mappings);
             assert_eq!(
@@ -462,7 +492,7 @@ mod tests {
         let out = e
             .evaluate_delta(&docs, &h, Some(&candidates), &mut view, 2)
             .unwrap();
-        let full = e.evaluate_with_threads(&docs, 2).unwrap();
+        let full = e.scan(&docs, 2).unwrap().into_dense();
         assert_eq!(out.output.results, full.results);
         // Pruned misses are skipped without being read — and still cached,
         // so the next pass serves them as hits.
@@ -504,8 +534,9 @@ mod tests {
             .evaluate_delta(&docs, &h, Some(&candidates(40)), &mut view, 1)
             .unwrap();
         let indexed = e
-            .evaluate_candidates_with_threads(&docs, &candidates(40)[..7], 1)
-            .unwrap();
+            .scan_candidates(&docs, &candidates(40)[..7], 1)
+            .unwrap()
+            .into_dense();
         same_pass(&fresh.output, &indexed);
         // 33 lines unread, and the prefilters skip the candidate line of hay.
         assert_eq!(fresh.output.stats.docs_skipped, 34);
@@ -529,7 +560,7 @@ mod tests {
         let grown = e
             .evaluate_delta(&docs, &h, Some(&candidates(60)), &mut view, 1)
             .unwrap();
-        let full = e.evaluate_with_threads(&docs, 1).unwrap();
+        let full = e.scan(&docs, 1).unwrap().into_dense();
         assert_eq!(grown.output.results, full.results);
         assert_eq!(
             (grown.delta_docs, grown.view_hits, grown.invalidated),
@@ -581,7 +612,7 @@ mod tests {
             .evaluate_delta(&grown, &hashes(&grown), None, &mut view, 1)
             .unwrap();
         assert_eq!((out.delta_docs, out.invalidated, out.view_hits), (2, 1, 1));
-        let full = e.evaluate_with_threads(&grown, 1).unwrap();
+        let full = e.scan(&grown, 1).unwrap().into_dense();
         assert_eq!(out.output.results, full.results);
     }
 }

@@ -17,7 +17,7 @@ use spanner_algebra::{
     RaOptions, RaTree,
 };
 use spanner_core::{Document, MappingSet, SpannerResult, VarSet};
-use spanner_corpus::{CorpusEngine, CorpusResult, WorkerPool};
+use spanner_corpus::{CorpusEngine, CorpusMatches, CorpusResult, WorkerPool};
 
 /// A compiled SpannerQL query, ready for repeated evaluation.
 ///
@@ -109,41 +109,40 @@ impl PreparedQuery {
     }
 
     /// Evaluates the query over a corpus, sharded across `threads` workers
-    /// (`0` = one per CPU). Results are in corpus order and bit-identical
-    /// for every thread count.
+    /// (`0` = one per CPU): the non-empty relations in corpus order,
+    /// bit-identical for every thread count.
+    pub fn scan_corpus(&self, docs: &[Document], threads: usize) -> SpannerResult<CorpusMatches> {
+        self.engine.scan(docs, threads)
+    }
+
+    /// [`PreparedQuery::scan_corpus`], dense: kept for the frozen `bench/`
+    /// package, which calls it by this name and reads
+    /// `CorpusResult.results`; ROADMAP item 1(i) deletes it (see
+    /// [`CorpusMatches::into_dense`]).
     pub fn evaluate_corpus(
         &self,
         docs: &[Document],
         threads: usize,
     ) -> SpannerResult<CorpusResult> {
-        self.engine.evaluate_with_threads(docs, threads)
+        self.scan_corpus(docs, threads)
+            .map(CorpusMatches::into_dense)
     }
 
     /// [`PreparedQuery::evaluate_corpus`] on `pool.threads()` workers: a
-    /// forward kept **by name only** because the frozen `bench/` package
-    /// calls it (see [`WorkerPool`]; ROADMAP item 1(i) deletes both names).
+    /// forward kept **by name only**, for the frozen `bench/` package (see
+    /// [`WorkerPool`]) — there is no pool behind it.
     pub fn evaluate_corpus_on_pool(
         &self,
         docs: &[Document],
         pool: &WorkerPool,
     ) -> SpannerResult<CorpusResult> {
-        self.engine.evaluate_on_pool(docs, pool)
-    }
-
-    /// [`PreparedQuery::evaluate_corpus`] with per-operator instrumentation
-    /// aggregated over every document
-    /// (see [`CorpusEngine::evaluate_traced_with_threads`]).
-    pub fn evaluate_corpus_traced(
-        &self,
-        docs: &[Document],
-        threads: usize,
-    ) -> SpannerResult<(CorpusResult, ExecTrace)> {
-        self.engine.evaluate_traced_with_threads(docs, threads)
+        self.evaluate_corpus(docs, pool.threads())
     }
 
     /// The corpus engine wrapping the compiled plan — the handle the
-    /// index-aware and incremental paths take (`spanner_store::Store::query`
-    /// / `query_view`, [`CorpusEngine::evaluate_delta`]).
+    /// index-aware and incremental paths take
+    /// (`spanner_store::Store::query_matches` / `query_view_matches`,
+    /// [`CorpusEngine::scan_delta`]).
     pub fn engine(&self) -> &CorpusEngine {
         &self.engine
     }
@@ -635,8 +634,8 @@ mod tests {
             assert!(trace.children.len() == 2 || trace.children.is_empty());
         }
         let docs = vec![Document::new("aab"), Document::new("bb")];
-        let (out, trace) = q.evaluate_corpus_traced(&docs, 2).unwrap();
-        assert_eq!(out.results, q.evaluate_corpus(&docs, 2).unwrap().results);
+        let (out, trace) = q.engine().scan_traced(&docs, 2).unwrap();
+        assert_eq!(out.matches, q.scan_corpus(&docs, 2).unwrap().matches);
         assert_eq!(trace.total_rows(), out.stats.mappings as u64);
     }
 

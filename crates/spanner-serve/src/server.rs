@@ -49,7 +49,7 @@ use crate::protocol::{error_response, mappings_to_json, Request};
 use crate::router::{Router, RouterOptions};
 use spanner_algebra::RaOptions;
 use spanner_core::Document;
-use spanner_corpus::{resolve_pool_threads, split_lines, CorpusResult, QueryView};
+use spanner_corpus::{resolve_pool_threads, split_lines, CorpusMatches, QueryView};
 use spanner_obs::{Counter, Exposition, Histogram, Registry, LATENCY_BUCKETS, RATIO_BUCKETS};
 use spanner_store::Store;
 use std::collections::HashMap;
@@ -434,12 +434,16 @@ struct ViewSlot {
     last_used: u64,
 }
 
-/// One maintained view, plus its retention cost as of its last query
-/// mirrored into an atomic — so a scrape reads the cost without waiting
-/// behind the query that holds the view.
+/// One maintained view, plus what it holds as of its last query mirrored
+/// into atomics — so a scrape reads them without waiting behind the query
+/// that holds the view.
 struct ViewHandle {
     view: Mutex<QueryView>,
+    /// Retained mappings: what `view_budget` bounds.
     retained_cost: AtomicUsize,
+    /// Bytes allocated for the hash snapshot (8 per document, up to twice
+    /// that after appends): bounded by no budget.
+    snapshot_bytes: AtomicUsize,
 }
 
 impl ViewHandle {
@@ -493,6 +497,7 @@ impl ViewSet {
         let handle = Arc::new(ViewHandle {
             view: Mutex::new(QueryView::new(self.budget)),
             retained_cost: AtomicUsize::new(0),
+            snapshot_bytes: AtomicUsize::new(0),
         });
         state.views.insert(
             key.to_string(),
@@ -509,17 +514,18 @@ impl ViewSet {
         self.state().views.len()
     }
 
-    /// Total retention cost across every resident view, as of each
-    /// view's last completed query. No view is locked: the set mutex is
-    /// what every `query_corpus` passes through, and must never be held
-    /// while waiting for one slow query.
-    fn retained_cost(&self) -> usize {
+    /// Total retained mappings and total hash-snapshot bytes across every
+    /// resident view, as of each view's last completed query. No view is
+    /// locked: the set mutex is what every `query_corpus` passes through,
+    /// and must never be held while waiting for one slow query.
+    fn held(&self) -> (usize, usize) {
         let state = self.state();
-        state
-            .views
-            .values()
-            .map(|slot| slot.handle.retained_cost.load(Ordering::Relaxed))
-            .sum()
+        state.views.values().fold((0, 0), |(cost, bytes), slot| {
+            (
+                cost + slot.handle.retained_cost.load(Ordering::Relaxed),
+                bytes + slot.handle.snapshot_bytes.load(Ordering::Relaxed),
+            )
+        })
     }
 }
 
@@ -601,6 +607,7 @@ impl Shared {
         }
         if let Some(resident) = self.resident() {
             let store = resident.counters();
+            let (retained_cost, snapshot_bytes) = resident.views.held();
             for (name, help, value) in [
                 (
                     "spanner_store_documents",
@@ -635,7 +642,12 @@ impl Shared {
                 (
                     "spanner_view_retained_cost",
                     "Total retention cost across the maintained query views",
-                    resident.views.retained_cost(),
+                    retained_cost,
+                ),
+                (
+                    "spanner_view_snapshot_bytes",
+                    "Bytes allocated for the per-document hash snapshots of the maintained query views",
+                    snapshot_bytes,
                 ),
             ] {
                 out.family(name, "gauge", help);
@@ -984,8 +996,8 @@ fn with_query(
     }
 }
 
-/// Builds the shared `query_corpus` success response from a full-corpus
-/// result: per-line mappings for matched documents, aggregate stats, plus
+/// Builds the shared `query_corpus` success response from a whole-corpus
+/// answer: per-line mappings for matched documents, aggregate stats, plus
 /// any path-specific fields (the store path appends candidate count and
 /// selectivity). Also accumulates the daemon-wide fast-path counters:
 /// a document is skipped, rejected, evaluated (it reached the executor)
@@ -995,7 +1007,7 @@ fn corpus_response(
     shared: &Shared,
     cached: bool,
     docs: &[Document],
-    out: &CorpusResult,
+    out: &CorpusMatches,
     view_hits: usize,
     extra: impl IntoIterator<Item = (&'static str, Json)>,
 ) -> Json {
@@ -1007,16 +1019,14 @@ fn corpus_response(
         .metrics
         .docs_evaluated
         .add(((out.stats.documents - view_hits) as u64).saturating_sub(skipped + rejected));
-    let results: Vec<Json> = docs
+    let results: Vec<Json> = out
+        .matches
         .iter()
-        .zip(&out.results)
-        .enumerate()
-        .filter(|(_, (_, set))| !set.is_empty())
-        .map(|(index, (doc, set))| {
+        .map(|(id, set)| {
             Json::object([
-                ("line", Json::number(index)),
+                ("line", Json::number(*id as usize)),
                 ("count", Json::number(set.len())),
-                ("mappings", mappings_to_json(doc, set)),
+                ("mappings", mappings_to_json(&docs[*id as usize], set)),
             ])
         })
         .collect();
@@ -1197,7 +1207,7 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
             text: Some(text),
         } => with_query(shared, &program, |query, cached| {
             let docs = split_lines(&text);
-            match query.evaluate_corpus(&docs, shared.options.corpus_threads) {
+            match query.scan_corpus(&docs, shared.options.corpus_threads) {
                 Err(e) => error_response(e),
                 Ok(out) => corpus_response(shared, cached, &docs, &out, 0, []),
             }
@@ -1221,12 +1231,16 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
                 let result = match &slot {
                     Some(slot) => {
                         let mut view = slot.lock();
-                        let result = store.query_view(query.engine(), &mut view, threads);
+                        let result = store.query_view_matches(query.engine(), &mut view, threads);
                         slot.retained_cost
                             .store(view.retained_cost(), Ordering::Relaxed);
+                        slot.snapshot_bytes
+                            .store(view.snapshot_bytes(), Ordering::Relaxed);
                         result
                     }
-                    None => store.query_view(query.engine(), &mut QueryView::new(0), threads),
+                    None => {
+                        store.query_view_matches(query.engine(), &mut QueryView::new(0), threads)
+                    }
                 };
                 match result {
                     Err(e) => error_response(e),
@@ -1445,19 +1459,20 @@ mod tests {
         let views = Arc::new(ViewSet::new(4, 1 << 10));
         let handle = views.get("hot").expect("views are enabled");
         handle.retained_cost.store(7, Ordering::Relaxed);
+        handle.snapshot_bytes.store(240, Ordering::Relaxed);
         // A slow query in flight: the view stays locked for the whole test.
         let in_flight = handle.lock();
         let (sender, receiver) = channel();
         let scraper = {
             let views = Arc::clone(&views);
-            std::thread::spawn(move || sender.send(views.retained_cost()))
+            std::thread::spawn(move || sender.send(views.held()))
         };
         // The timeout only turns a deadlock into a failure; a scrape that
         // does not touch the view lock answers at once.
-        let cost = receiver
+        let held = receiver
             .recv_timeout(Duration::from_secs(10))
             .expect("the scrape waited for the query holding the view");
-        assert_eq!(cost, 7);
+        assert_eq!(held, (7, 240));
         assert!(views.get("hot").is_some() && views.get("other").is_some());
         assert_eq!(views.entries(), 2);
         drop(in_flight);
@@ -1472,7 +1487,7 @@ mod tests {
         let store = Store::build(split_lines("aa\nb\na")).unwrap();
         let handle = views.get("hot").expect("views are enabled");
         let query = |handle: &ViewHandle| {
-            let outcome = store.query_view(engine.engine(), &mut handle.lock(), 1);
+            let outcome = store.query_view_matches(engine.engine(), &mut handle.lock(), 1);
             let outcome = outcome.unwrap();
             (outcome.view_hits, outcome.output.stats.matched_documents)
         };

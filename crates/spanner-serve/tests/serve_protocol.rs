@@ -296,6 +296,48 @@ fn repeated_deletes_count_once() {
     handle.join().unwrap().unwrap();
 }
 
+/// A deleted line is an empty line, not an absent one: a pattern that
+/// accepts the empty string still answers on it, exactly as it does on an
+/// empty line of shipped text. (Tombstones are not in the segment format;
+/// filtering them would change answers across a save/load.) The view that
+/// answered holds a hash snapshot no budget bounds, and `metrics` shows it.
+#[test]
+fn a_deleted_line_still_answers_a_nullable_pattern() {
+    let (addr, handle) = start(ServeOptions::default());
+    let mut client = Client::connect(addr).unwrap();
+    assert!(ok(&client.load_corpus("aa\nb\nc").unwrap()));
+    let deleted = client.delete_docs(&[0]).unwrap();
+    assert_eq!(deleted.get("deleted").and_then(Json::as_usize), Some(1));
+
+    let answer = client.query_store("/{x:a*}/").unwrap();
+    assert!(ok(&answer), "{answer}");
+    assert_eq!(answer.get("matched").and_then(Json::as_usize), Some(1));
+    let results = answer.get("results").unwrap();
+    assert_eq!(
+        results.to_string(),
+        r#"[{"line":0,"count":1,"mappings":[{"x":{"span":[1,1],"text":""}}]}]"#
+    );
+    let shipped = client.query_corpus("/{x:a*}/", "\nb\nc").unwrap();
+    assert_eq!(shipped.get("results"), Some(results));
+    // A pattern that needs a byte answers nothing there, deleted or empty.
+    let strict = client.query_store("/{x:a+}/").unwrap();
+    assert_eq!(strict.get("matched").and_then(Json::as_usize), Some(0));
+
+    let metrics = client.metrics().unwrap();
+    let text = metrics.get("metrics").and_then(Json::as_str).unwrap();
+    let snapshot_bytes: usize = text
+        .lines()
+        .find_map(|line| line.strip_prefix("spanner_view_snapshot_bytes "))
+        .unwrap_or_else(|| panic!("no spanner_view_snapshot_bytes in\n{text}"))
+        .parse()
+        .unwrap();
+    // Two views over three documents, 8 bytes a document at the least.
+    assert!((48..=128).contains(&snapshot_bytes), "{snapshot_bytes}");
+
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
 #[test]
 fn queries_stay_live_during_a_large_load_corpus() {
     use std::sync::atomic::{AtomicBool, Ordering};

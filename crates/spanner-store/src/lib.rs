@@ -17,7 +17,7 @@
 //!   accepted document must contain) are broken into trigrams and their
 //!   posting lists intersected into a candidate document set. Every
 //!   document outside it is provably result-free and is skipped without
-//!   reading a byte ([`CorpusEngine::evaluate_candidates_with_threads`]).
+//!   reading a byte ([`CorpusEngine::scan_candidates`]).
 //!
 //! Pruning is *sound, never required*: a query whose plan yields no
 //! literal of at least [`TRIGRAM_LEN`] bytes falls back to a full scan
@@ -39,10 +39,12 @@
 //! compacted in place. Each document also carries a 64-bit FNV-1a content
 //! hash ([`fnv1a64`]) and the store a monotone [`Store::generation`]
 //! counter — the keys the maintained query views of
-//! [`spanner_corpus::QueryView`] invalidate on (see [`Store::query_view`]).
+//! [`spanner_corpus::QueryView`] invalidate on (see
+//! [`Store::query_view_matches`]).
 //! Deleting a document replaces it with an empty one (document ids are
 //! stable — views and journals refer to them), so "rebuild" always means
-//! `Store::build(store.documents().to_vec())`.
+//! `Store::build(store.documents().to_vec())` — and a deleted slot answers
+//! a query exactly as the empty document does (see [`Store::delete`]).
 //!
 //! Mutations can be journaled to disk ([`journal::Journal`]) and replayed
 //! onto a loaded segment, so persistence is segment + journal.
@@ -60,7 +62,9 @@
 //! ```
 
 use spanner_core::{Document, FxHashMap, FxHashSet, SpannerResult};
-use spanner_corpus::{intersect_sorted, CorpusEngine, CorpusResult, QueryView};
+use spanner_corpus::{
+    intersect_sorted, CorpusEngine, CorpusMatches, CorpusResult, CorpusStats, QueryView,
+};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
@@ -168,14 +172,13 @@ pub struct Store {
     compactions: u64,
 }
 
-/// What one indexed query did: the full-corpus result plus how the
+/// What one indexed query did: the whole-corpus answer plus how the
 /// candidate set was obtained.
 #[derive(Debug)]
-pub struct StoreQueryOutcome {
-    /// Per-document relations for the *whole* corpus, in corpus order
-    /// (non-candidates are empty), plus aggregate stats — non-candidates
-    /// count as `docs_skipped`.
-    pub output: CorpusResult,
+pub struct StoreQueryOutcome<R = CorpusMatches> {
+    /// The answer for the *whole* corpus (non-candidates are empty), plus
+    /// aggregate stats — non-candidates count as `docs_skipped`.
+    pub output: R,
     /// Number of candidate documents the index produced; `None` when the
     /// plan had no usable literal and the store fell back to a full scan.
     pub candidates: Option<usize>,
@@ -183,24 +186,13 @@ pub struct StoreQueryOutcome {
     pub literals: Vec<Vec<u8>>,
 }
 
-impl StoreQueryOutcome {
-    /// Candidate-set selectivity: candidates / corpus size (`1.0` on the
-    /// full-scan fallback or an empty corpus).
-    pub fn selectivity(&self) -> f64 {
-        match (self.candidates, self.output.results.len()) {
-            (Some(c), n) if n > 0 => c as f64 / n as f64,
-            _ => 1.0,
-        }
-    }
-}
-
-/// What one view-backed query did: the full-corpus result plus how much
+/// What one view-backed query did: the whole-corpus answer plus how much
 /// came from the maintained view and how the delta was pruned.
 #[derive(Debug)]
-pub struct ViewQueryOutcome {
-    /// Per-document relations for the whole corpus, in corpus order —
-    /// bit-identical to [`Store::query`] and the unindexed paths.
-    pub output: CorpusResult,
+pub struct ViewQueryOutcome<R = CorpusMatches> {
+    /// The answer for the whole corpus — bit-identical to
+    /// [`Store::query_matches`] and the unindexed paths.
+    pub output: R,
     /// Documents not served from the view (the delta the query touched).
     pub delta_docs: usize,
     /// Documents whose retained relation was reused.
@@ -216,14 +208,27 @@ pub struct ViewQueryOutcome {
     pub generation: u64,
 }
 
-impl ViewQueryOutcome {
+/// Candidate-set selectivity: candidates / corpus size (`1.0` on the
+/// full-scan fallback or an empty corpus).
+fn selectivity(candidates: Option<usize>, documents: usize) -> f64 {
+    match candidates {
+        Some(c) if documents > 0 => c as f64 / documents as f64,
+        _ => 1.0,
+    }
+}
+
+impl<R: AsRef<CorpusStats>> StoreQueryOutcome<R> {
     /// Candidate-set selectivity: candidates / corpus size (`1.0` on the
     /// full-scan fallback or an empty corpus).
     pub fn selectivity(&self) -> f64 {
-        match (self.candidates, self.output.results.len()) {
-            (Some(c), n) if n > 0 => c as f64 / n as f64,
-            _ => 1.0,
-        }
+        selectivity(self.candidates, self.output.as_ref().documents)
+    }
+}
+
+impl<R: AsRef<CorpusStats>> ViewQueryOutcome<R> {
+    /// Candidate-set selectivity, as [`StoreQueryOutcome::selectivity`].
+    pub fn selectivity(&self) -> f64 {
+        selectivity(self.candidates, self.output.as_ref().documents)
     }
 }
 
@@ -387,10 +392,15 @@ impl Store {
         Ok(())
     }
 
-    /// Deletes document `id`: the slot becomes an empty document so ids
-    /// stay stable (results for it are empty, as for any empty document).
-    /// Idempotent — deleting a deleted document is a no-op that does *not*
-    /// bump the generation.
+    /// Deletes document `id`: the slot becomes the empty document, so ids
+    /// stay stable. To a query the slot *is* the empty document, exactly as
+    /// after `update(id, "")`: most patterns answer nothing for it, and a
+    /// pattern that accepts the empty string (`{x:a*}`) still answers one
+    /// mapping of empty spans on that line. The tombstone is not filtered
+    /// out because it is not in the segment format — a filter would change
+    /// answers across a `save`/`load` (ROADMAP item 7 is where a journaled
+    /// tombstone could change that). Idempotent — deleting a deleted
+    /// document is a no-op that does *not* bump the generation.
     pub fn delete(&mut self, id: u32) -> Result<(), StoreError> {
         let idx = id as usize;
         if idx >= self.docs.len() {
@@ -555,41 +565,37 @@ impl Store {
     /// Runs a compiled query against the store: extracts the plan's
     /// required literals, intersects their trigram postings into a
     /// candidate set, and evaluates only the candidates
-    /// ([`CorpusEngine::evaluate_candidates_with_threads`]); documents the
-    /// index prunes are counted as skipped without being read. Falls back
-    /// to the full corpus scan when no literal is usable. Results cover
-    /// the whole corpus in order and are bit-identical to the unindexed
-    /// path.
-    pub fn query(&self, engine: &CorpusEngine, threads: usize) -> SpannerResult<StoreQueryOutcome> {
+    /// ([`CorpusEngine::scan_candidates`]); documents the index prunes are
+    /// counted as skipped without being read. Falls back to the full corpus
+    /// scan when no literal is usable. The answer covers the whole corpus
+    /// and is bit-identical to the unindexed path.
+    pub fn query_matches(
+        &self,
+        engine: &CorpusEngine,
+        threads: usize,
+    ) -> SpannerResult<StoreQueryOutcome> {
         let literals = engine.plan().required_literals();
-        match self.candidates(&literals) {
-            Some(candidates) => {
-                let count = candidates.len();
-                let output =
-                    engine.evaluate_candidates_with_threads(&self.docs, &candidates, threads)?;
-                Ok(StoreQueryOutcome {
-                    output,
-                    candidates: Some(count),
-                    literals,
-                })
-            }
-            None => Ok(StoreQueryOutcome {
-                output: engine.evaluate_with_threads(&self.docs, threads)?,
-                candidates: None,
-                literals,
-            }),
-        }
+        let candidates = self.candidates(&literals);
+        let output = match &candidates {
+            Some(candidates) => engine.scan_candidates(&self.docs, candidates, threads)?,
+            None => engine.scan(&self.docs, threads)?,
+        };
+        Ok(StoreQueryOutcome {
+            output,
+            candidates: candidates.map(|c| c.len()),
+            literals,
+        })
     }
 
     /// Runs a compiled query *incrementally* through a maintained
     /// [`QueryView`]: documents whose content hash matches the view's
     /// snapshot are served from the view; the delta is pruned through the
-    /// trigram index and re-evaluated
-    /// ([`CorpusEngine::evaluate_delta`]). Results cover the whole corpus
-    /// in order and are bit-identical to [`Store::query`] — a repeat query
-    /// after `k` mutations evaluates `k` documents; what is left of `O(n)`
-    /// is one compare of the hash slices and the dense result's fill.
-    pub fn query_view(
+    /// trigram index and re-evaluated ([`CorpusEngine::scan_delta`]). The
+    /// answer covers the whole corpus and is bit-identical to
+    /// [`Store::query_matches`] — a repeat query after `k` mutations
+    /// evaluates `k` documents; what is left of `O(n)` is one compare of
+    /// the hash slices.
+    pub fn query_view_matches(
         &self,
         engine: &CorpusEngine,
         view: &mut QueryView,
@@ -597,7 +603,7 @@ impl Store {
     ) -> SpannerResult<ViewQueryOutcome> {
         let literals = engine.plan().required_literals();
         let candidates = self.candidates(&literals);
-        let delta = engine.evaluate_delta(
+        let delta = engine.scan_delta(
             &self.docs,
             &self.hashes,
             candidates.as_deref(),
@@ -613,6 +619,42 @@ impl Store {
             candidates: candidates.map(|c| c.len()),
             literals,
             generation: self.generation,
+        })
+    }
+
+    /// [`Store::query_matches`], dense. Kept for the frozen `bench/`
+    /// package, which calls it by this name and reads `.output.results`,
+    /// and for the differential oracles' `==`; ROADMAP item 1(i) deletes it
+    /// with [`CorpusMatches::into_dense`].
+    pub fn query(
+        &self,
+        engine: &CorpusEngine,
+        threads: usize,
+    ) -> SpannerResult<StoreQueryOutcome<CorpusResult>> {
+        let sparse = self.query_matches(engine, threads)?;
+        Ok(StoreQueryOutcome {
+            output: sparse.output.into_dense(),
+            candidates: sparse.candidates,
+            literals: sparse.literals,
+        })
+    }
+
+    /// [`Store::query_view_matches`], dense: kept like [`Store::query`].
+    pub fn query_view(
+        &self,
+        engine: &CorpusEngine,
+        view: &mut QueryView,
+        threads: usize,
+    ) -> SpannerResult<ViewQueryOutcome<CorpusResult>> {
+        let sparse = self.query_view_matches(engine, view, threads)?;
+        Ok(ViewQueryOutcome {
+            output: sparse.output.into_dense(),
+            delta_docs: sparse.delta_docs,
+            view_hits: sparse.view_hits,
+            invalidated: sparse.invalidated,
+            candidates: sparse.candidates,
+            literals: sparse.literals,
+            generation: sparse.generation,
         })
     }
 
@@ -1030,7 +1072,7 @@ mod tests {
         assert_eq!(outcome.output.stats.matched_documents, 5);
         assert!(outcome.output.stats.docs_skipped >= 45);
         // Bit-identical to the unindexed path.
-        let full = engine.evaluate_with_threads(store.documents(), 2).unwrap();
+        let full = engine.scan(store.documents(), 2).unwrap().into_dense();
         assert_eq!(outcome.output.results, full.results);
 
         // No usable literal → full scan, same results.
@@ -1039,7 +1081,7 @@ mod tests {
         let outcome = store.query(&engine, 2).unwrap();
         assert_eq!(outcome.candidates, None);
         assert_eq!(outcome.selectivity(), 1.0);
-        let full = engine.evaluate_with_threads(store.documents(), 2).unwrap();
+        let full = engine.scan(store.documents(), 2).unwrap().into_dense();
         assert_eq!(outcome.output.results, full.results);
     }
 
@@ -1217,7 +1259,7 @@ mod tests {
         let e = engine(".*needle{x: .*}");
         let mut view = QueryView::unbounded();
         let cold = store.query_view(&e, &mut view, 2).unwrap();
-        let full = e.evaluate_with_threads(store.documents(), 2).unwrap();
+        let full = e.scan(store.documents(), 2).unwrap().into_dense();
         assert_eq!(cold.output.results, full.results);
         assert_eq!(cold.view_hits, 0);
         assert_eq!(view.generation(), store.generation());
@@ -1232,7 +1274,7 @@ mod tests {
         let after = store.query_view(&e, &mut view, 2).unwrap();
         assert_eq!(after.delta_docs, 2);
         assert_eq!(after.invalidated, 1);
-        let full = e.evaluate_with_threads(store.documents(), 2).unwrap();
+        let full = e.scan(store.documents(), 2).unwrap().into_dense();
         assert_eq!(after.output.results, full.results);
         assert_eq!(view.generation(), store.generation());
     }

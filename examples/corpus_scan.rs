@@ -38,9 +38,9 @@ fn main() {
         }
     );
 
-    let mut baseline: Option<Vec<MappingSet>> = None;
+    let mut baseline: Option<Vec<(u32, MappingSet)>> = None;
     for threads in 1..=4 {
-        let out = engine.evaluate_with_threads(&docs, threads).unwrap();
+        let out = engine.scan(&docs, threads).unwrap();
         let s = out.stats;
         println!(
             "threads={}: {} mappings in {} docs, {:?} ({:.1} MiB/s)",
@@ -48,12 +48,12 @@ fn main() {
             s.mappings,
             s.matched_documents,
             s.elapsed,
-            s.bytes_per_second() / (1024.0 * 1024.0),
+            corpus.len() as f64 / s.elapsed.as_secs_f64() / (1024.0 * 1024.0),
         );
         match &baseline {
-            None => baseline = Some(out.results),
+            None => baseline = Some(out.matches),
             Some(expected) => assert_eq!(
-                expected, &out.results,
+                expected, &out.matches,
                 "thread count must not change the results"
             ),
         }

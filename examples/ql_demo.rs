@@ -57,7 +57,7 @@ fn main() {
     // A line corpus through the same prepared plan, in parallel.
     let corpus = "bob@edu.ru a\nadmin@edu.uk b\neve@dot.net c\nplain text\n";
     let docs = split_lines(corpus);
-    let out = query.evaluate_corpus(&docs, 2).unwrap();
+    let out = query.scan_corpus(&docs, 2).unwrap();
     println!(
         "\ncorpus: {} lines, {} matching, {} mappings in {:?}",
         out.stats.documents, out.stats.matched_documents, out.stats.mappings, out.stats.elapsed

@@ -76,7 +76,8 @@ pub mod prelude {
     };
     pub use spanner_core::{Document, Mapping, MappingSet, Span, SpannerError, VarSet, Variable};
     pub use spanner_corpus::{
-        split_lines, CorpusEngine, CorpusResult, CorpusStats, DeltaOutcome, QueryView, WorkerPool,
+        split_lines, CorpusEngine, CorpusMatches, CorpusResult, CorpusStats, DeltaOutcome,
+        QueryView, WorkerPool,
     };
     pub use spanner_enum::{count_mappings, evaluate, evaluate_rgx, is_nonempty, Enumerator};
     pub use spanner_paper::{

@@ -196,10 +196,8 @@ fn run(args: &[String]) -> Result<(), String> {
             let inst = Instantiation::new().with(0, alpha);
             let engine = CorpusEngine::compile(&RaTree::leaf(0), &inst, RaOptions::default())
                 .map_err(|e| e.to_string())?;
-            let out = engine
-                .evaluate_with_threads(&docs, threads)
-                .map_err(|e| e.to_string())?;
-            print_corpus_result(&docs, &out);
+            let out = engine.scan(&docs, threads).map_err(|e| e.to_string())?;
+            print_corpus_result(&docs, line_bytes(&docs), &out);
             Ok(())
         }
         "index" => {
@@ -278,9 +276,9 @@ fn run(args: &[String]) -> Result<(), String> {
                     }
                 };
                 let outcome = store
-                    .query(prepared.engine(), threads)
+                    .query_matches(prepared.engine(), threads)
                     .map_err(|e| e.to_string())?;
-                print_corpus_result(store.documents(), &outcome.output);
+                print_corpus_result(store.documents(), store.bytes(), &outcome.output);
                 match outcome.candidates {
                     Some(count) => eprintln!(
                         "index: {count} of {} documents are candidates \
@@ -311,9 +309,9 @@ fn run(args: &[String]) -> Result<(), String> {
                 let doc = read_document(operands.get(1))?;
                 let docs = split_lines(doc.text());
                 let out = prepared
-                    .evaluate_corpus(&docs, threads)
+                    .scan_corpus(&docs, threads)
                     .map_err(|e| e.to_string())?;
-                print_corpus_result(&docs, &out);
+                print_corpus_result(&docs, line_bytes(&docs), &out);
             } else {
                 let doc = read_document(operands.get(1))?;
                 let stream = prepared.stream(&doc).map_err(|e| e.to_string())?;
@@ -453,23 +451,29 @@ fn render_literals(literals: &[Vec<u8>]) -> String {
         .join(" ")
 }
 
-fn print_corpus_result(docs: &[Document], out: &CorpusResult) {
-    for (line, result) in docs.iter().zip(&out.results) {
-        if !result.is_empty() {
-            println!("{}\t{}", result.len(), line.text());
-        }
+/// Total length of a corpus shipped on the command line (the store keeps its
+/// own: `Store::bytes`).
+fn line_bytes(docs: &[Document]) -> usize {
+    docs.iter().map(Document::len).sum()
+}
+
+/// Prints the matching lines of `docs` (`bytes` long in total), then the
+/// pass's accounting on stderr.
+fn print_corpus_result(docs: &[Document], bytes: usize, out: &CorpusMatches) {
+    for (id, result) in &out.matches {
+        println!("{}\t{}", result.len(), docs[*id as usize].text());
     }
     let s = out.stats;
+    let secs = s.elapsed.as_secs_f64();
+    let mib_per_s = if secs > 0.0 {
+        bytes as f64 / secs / (1024.0 * 1024.0)
+    } else {
+        0.0
+    };
     eprintln!(
-        "{} documents ({} bytes), {} mappings in {} matching documents; \
-         {} threads, {:?} ({:.1} MiB/s)",
-        s.documents,
-        s.bytes,
-        s.mappings,
-        s.matched_documents,
-        s.threads,
-        s.elapsed,
-        s.bytes_per_second() / (1024.0 * 1024.0),
+        "{} documents ({bytes} bytes), {} mappings in {} matching documents; \
+         {} threads, {:?} ({mib_per_s:.1} MiB/s)",
+        s.documents, s.mappings, s.matched_documents, s.threads, s.elapsed,
     );
 }
 
@@ -484,7 +488,7 @@ fn run_watch(
 ) -> Result<(), String> {
     let mut view = QueryView::unbounded();
     let outcome = store
-        .query_view(prepared.engine(), &mut view, threads)
+        .query_view_matches(prepared.engine(), &mut view, threads)
         .map_err(|e| e.to_string())?;
     print_watch_tick(&store, &outcome);
     for line in ticks.lines() {
@@ -495,7 +499,7 @@ fn run_watch(
         let mutation = parse_mutation_line(&line)?;
         store.apply(&mutation).map_err(|e| e.to_string())?;
         let outcome = store
-            .query_view(prepared.engine(), &mut view, threads)
+            .query_view_matches(prepared.engine(), &mut view, threads)
             .map_err(|e| e.to_string())?;
         print_watch_tick(&store, &outcome);
     }
@@ -505,7 +509,7 @@ fn run_watch(
 /// Prints one watch tick: the matching lines, then the incremental
 /// accounting on stderr.
 fn print_watch_tick(store: &Store, outcome: &ViewQueryOutcome) {
-    print_corpus_result(store.documents(), &outcome.output);
+    print_corpus_result(store.documents(), store.bytes(), &outcome.output);
     eprintln!(
         "view: generation {}, {} of {} documents re-evaluated ({} served from the view, \
          {} invalidated)",

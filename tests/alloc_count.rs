@@ -1,0 +1,173 @@
+//! Counts the work, not the clock (ROADMAP item 6 in miniature): what a
+//! resident query allocates must follow what it evaluated and what matched,
+//! not the size of the corpus.
+//!
+//! This box moves wall-clock readings by 1.3–1.7x for seconds at a time;
+//! allocated bytes on one thread are exact. The whole file is one test, so
+//! nothing else allocates while it counts.
+//!
+//! * A **hot** re-query (one `update`, then the same query through its
+//!   maintained view) allocates the same at 5 000 and at 20 000 lines, up
+//!   to the index's own posting walk — the needle's trigrams also occur in
+//!   the padding of about one line in 200, four bytes each.
+//! * A **cold** query through a fresh view allocates the view's hash
+//!   snapshot, 8 bytes a document, and a constant.
+//!
+//! A dense result (`Vec<MappingSet>`, 24 bytes a document) fails both by
+//! 24 B × documents; the last assertion runs the dense forward kept for
+//! `bench/` to show that the counter would see it.
+
+use document_spanners::prelude::*;
+use spanner_workloads::{needle_corpus, needle_line};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+/// `System`, counting the calls and bytes of every allocation (a `realloc`
+/// counts as one call of its new size).
+struct Counting;
+
+static CALLS: AtomicUsize = AtomicUsize::new(0);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
+
+fn count(size: usize) {
+    CALLS.fetch_add(1, Relaxed);
+    BYTES.fetch_add(size, Relaxed);
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract is the caller's; the counters touch no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `work` and returns its value with the `(calls, bytes)` it allocated.
+fn counted<T>(work: impl FnOnce() -> T) -> (T, (usize, usize)) {
+    let before = (CALLS.load(Relaxed), BYTES.load(Relaxed));
+    let value = work();
+    let after = (CALLS.load(Relaxed), BYTES.load(Relaxed));
+    (value, (after.0 - before.0, after.1 - before.1))
+}
+
+/// Bytes of one slot of the dense result.
+const DENSE_SLOT: usize = std::mem::size_of::<MappingSet>();
+
+/// What one store's cold, hot and dense-forward queries allocated, in bytes
+/// (and for the hot one, in calls).
+struct Allocated {
+    cold: usize,
+    hot: usize,
+    hot_calls: usize,
+    hot_dense: usize,
+}
+
+/// A needle store of `lines` lines with 20 matching ones, queried on one
+/// thread: cold through a fresh view (the engine's own caches warmed by an
+/// earlier query), then hot through a maintained view after one update.
+fn resident_queries(lines: usize) -> Allocated {
+    let query = PreparedQuery::prepare("/.*{x:needle}.*/").unwrap();
+    let engine = query.engine();
+    let mut store = Store::build(needle_corpus(lines, 200_000 / lines, 42)).unwrap();
+    let mut view = QueryView::unbounded();
+    let warmed = store.query_view_matches(engine, &mut view, 1).unwrap();
+    assert_eq!(warmed.output.stats.matched_documents, 20);
+
+    let mut fresh = QueryView::unbounded();
+    let (cold, (_, cold_bytes)) = counted(|| store.query_view_matches(engine, &mut fresh, 1));
+    let cold = cold.unwrap();
+    assert_eq!((cold.view_hits, cold.delta_docs), (0, lines));
+    assert_eq!(cold.output.stats.matched_documents, 20);
+    assert_eq!(fresh.snapshot_bytes(), 8 * lines);
+
+    // The same line at both sizes: hay becomes a match.
+    let mut hot_query = |store: &mut Store, seed: u64, dense: bool| {
+        store.update(7, needle_line(true, seed).text()).unwrap();
+        let (stats, allocated) = counted(|| {
+            if dense {
+                let hot = store.query_view(engine, &mut view, 1).unwrap();
+                (hot.delta_docs, hot.output.stats.matched_documents)
+            } else {
+                let hot = store.query_view_matches(engine, &mut view, 1).unwrap();
+                (hot.delta_docs, hot.output.stats.matched_documents)
+            }
+        });
+        assert_eq!(stats, (1, 21));
+        allocated
+    };
+    let (hot_calls, hot) = hot_query(&mut store, 99, false);
+    let (_, hot_dense) = hot_query(&mut store, 100, true);
+    Allocated {
+        cold: cold_bytes,
+        hot,
+        hot_calls,
+        hot_dense,
+    }
+}
+
+#[test]
+fn a_resident_query_allocates_what_it_matched_not_the_corpus() {
+    let (small, large) = (5_000, 20_000);
+    let (at_small, at_large) = (resident_queries(small), resident_queries(large));
+    println!(
+        "bytes allocated at {small} / {large} lines: cold {} / {}, hot {} / {} \
+         (in {} / {} calls), hot through the dense forward {} / {}",
+        at_small.cold,
+        at_large.cold,
+        at_small.hot,
+        at_large.hot,
+        at_small.hot_calls,
+        at_large.hot_calls,
+        at_small.hot_dense,
+        at_large.hot_dense
+    );
+    let grown = large - small;
+
+    // Hot: 15 000 more documents, and nothing but the posting walk grows —
+    // under one byte a document, where a dense slot is 24.
+    let growth = at_large.hot.abs_diff(at_small.hot);
+    assert!(growth < grown, "a hot re-query grew by {growth} B");
+    assert_eq!(at_large.hot_calls, at_small.hot_calls);
+
+    // Cold: the snapshot and a constant — some 34 KB, evaluating the index's
+    // forty-odd candidates.
+    const CONSTANT: usize = 64 << 10;
+    for (lines, cold) in [(small, at_small.cold), (large, at_large.cold)] {
+        let over = cold.saturating_sub(8 * lines);
+        assert!(
+            over <= CONSTANT,
+            "a cold query over {lines} lines allocated {over} B past its snapshot"
+        );
+    }
+
+    // The counter sees a dense result when there is one.
+    for (lines, at) in [(small, &at_small), (large, &at_large)] {
+        let dense = at.hot_dense - at.hot;
+        assert!(
+            dense >= DENSE_SLOT * lines,
+            "the dense forward over {lines} lines allocated only {dense} B more"
+        );
+    }
+}

@@ -11,6 +11,9 @@
 //! random plans and mutation scripts over corpora that mix empty
 //! documents, multi-byte UTF-8, and planted literals.
 
+mod common;
+
+use common::assert_same_answer;
 use document_spanners::prelude::*;
 use document_spanners::workloads;
 use spanner_workloads::{random_mutations, random_ra_tree, RandomRaConfig};
@@ -87,6 +90,11 @@ fn mutated_store_and_views_match_scratch_rebuild_on_100_seeds() {
         // query exercises genuine hits, invalidations, and misses.
         let mut warm_view = QueryView::unbounded();
         store.query_view(&engine, &mut warm_view, 1).unwrap();
+        // Its twin answers through the sparse entry point, in lockstep.
+        let mut sparse_view = QueryView::unbounded();
+        store
+            .query_view_matches(&engine, &mut sparse_view, 1)
+            .unwrap();
 
         for m in random_mutations(docs.len(), 30, seed) {
             store.apply(&m).unwrap();
@@ -112,11 +120,16 @@ fn mutated_store_and_views_match_scratch_rebuild_on_100_seeds() {
                 mutated_q.candidates, rebuilt_q.candidates,
                 "seed {seed}, {threads} threads: candidate sets diverged"
             );
+            let context = format!("seed {seed}, {threads} threads, sparse: {tree}");
+            let sparse_q = store.query_matches(&engine, threads).unwrap();
+            assert_eq!(sparse_q.candidates, mutated_q.candidates, "{context}");
+            assert_same_answer(sparse_q.output, &mutated_q.output, &context);
 
             // (b) The delta path answers exactly like the full pass.
             let full = engine
-                .evaluate_with_threads(store.documents(), threads)
-                .unwrap();
+                .scan(store.documents(), threads)
+                .unwrap()
+                .into_dense();
             let warm = store.query_view(&engine, &mut warm_view, threads).unwrap();
             assert_eq!(
                 warm.output.results, full.results,
@@ -127,6 +140,15 @@ fn mutated_store_and_views_match_scratch_rebuild_on_100_seeds() {
                 store.len(),
                 "seed {seed}: every document is either a hit or delta"
             );
+            let sparse = store
+                .query_view_matches(&engine, &mut sparse_view, threads)
+                .unwrap();
+            assert_eq!(
+                (sparse.delta_docs, sparse.view_hits, sparse.invalidated),
+                (warm.delta_docs, warm.view_hits, warm.invalidated),
+                "{context}"
+            );
+            assert_same_answer(sparse.output, &warm.output, &context);
 
             // Budget 0 never retains anything: always the cold path, same
             // answer.
@@ -137,12 +159,27 @@ fn mutated_store_and_views_match_scratch_rebuild_on_100_seeds() {
                 "seed {seed}, {threads} threads (cold view): {tree}"
             );
             assert_eq!(cold.view_hits, 0, "seed {seed}: budget 0 cannot hit");
+            let sparse = store
+                .query_view_matches(&engine, &mut QueryView::new(0), threads)
+                .unwrap();
+            assert_eq!(sparse.view_hits, 0, "{context}");
+            assert_same_answer(sparse.output, &cold.output, &context);
 
             // A repeat on the warm view is served without re-evaluating
             // anything, still bit-identical.
             let again = store.query_view(&engine, &mut warm_view, threads).unwrap();
             assert_eq!(again.delta_docs, 0, "seed {seed}: unchanged corpus");
             assert_eq!(again.output.results, full.results, "seed {seed}");
+            let sparse = store
+                .query_view_matches(&engine, &mut sparse_view, threads)
+                .unwrap();
+            assert_eq!(sparse.delta_docs, 0, "{context}");
+            assert_same_answer(sparse.output, &again.output, &context);
+            assert_eq!(
+                (sparse_view.retained_cost(), sparse_view.snapshot_bytes()),
+                (warm_view.retained_cost(), warm_view.snapshot_bytes()),
+                "{context}"
+            );
         }
     }
 }

@@ -85,7 +85,7 @@ fn corpus_engine_agrees_with_oracle() {
     for seed in 0..25u64 {
         let (tree, inst) = random_ra_tree(cfg(seed), seed.wrapping_add(20_000));
         let engine = CorpusEngine::compile(&tree, &inst, RaOptions::default()).unwrap();
-        let out = engine.evaluate_with_threads(&docs, 3).unwrap();
+        let out = engine.scan(&docs, 3).unwrap().into_dense();
         for (doc, actual) in docs.iter().zip(&out.results) {
             let oracle = evaluate_ra_materialized(&tree, &inst, doc).unwrap();
             assert_eq!(actual, &oracle, "seed {seed} on {:?}: {tree}", doc.text());
@@ -136,7 +136,7 @@ fn physical_executor_matches_oracle_on_all_surfaces() {
             }
             let engine = CorpusEngine::from_plan(plan);
             for threads in [1usize, 3] {
-                let out = engine.evaluate_with_threads(&docs, threads).unwrap();
+                let out = engine.scan(&docs, threads).unwrap().into_dense();
                 for (i, oracle) in oracles.iter().enumerate() {
                     assert_eq!(
                         &out.results[i],

@@ -73,8 +73,8 @@ fn fast_path_is_invisible_on_100_random_plans() {
         // counters must stay zero when the fast path is disabled.
         let engine_on = CorpusEngine::from_plan(on);
         let engine_off = CorpusEngine::from_plan(off);
-        let out_on = engine_on.evaluate_with_threads(&docs, 2).unwrap();
-        let out_off = engine_off.evaluate_with_threads(&docs, 2).unwrap();
+        let out_on = engine_on.scan(&docs, 2).unwrap().into_dense();
+        let out_off = engine_off.scan(&docs, 2).unwrap().into_dense();
         assert_eq!(
             out_on.results, out_off.results,
             "seed {seed} corpus: {tree}"
@@ -116,8 +116,9 @@ fn adversarial_factor_present_documents_agree() {
         );
     }
     let out = CorpusEngine::from_plan(on)
-        .evaluate_with_threads(&docs, 3)
-        .unwrap();
+        .scan(&docs, 3)
+        .unwrap()
+        .into_dense();
     // "@a" and "@aaa" survive the factor filter and are killed by the
     // boolean pre-pass; "aa" (no '@') is skipped without it.
     assert!(out.stats.docs_rejected >= 2, "{:?}", out.stats);

@@ -3,13 +3,16 @@
 //! The store's literal pruning (see `spanner_store`) is an *optimization*:
 //! for any compiled plan, querying through [`Store::query`] must produce
 //! results bit-identical — relations, corpus order, match counts — to the
-//! unindexed [`CorpusEngine::evaluate_with_threads`] path. This suite pins
+//! unindexed [`CorpusEngine::scan`] path. This suite pins
 //! that down with 100 seeded random plans over corpora that mix empty
 //! documents, multi-byte UTF-8 content, and planted literals, plus the
 //! three query regimes the index has to get right: selective (few
 //! candidates), non-selective (most documents are candidates), and
 //! zero-literal (no usable literal — the full-scan fallback must engage).
 
+mod common;
+
+use common::assert_same_answer;
 use document_spanners::prelude::*;
 use document_spanners::workloads;
 use spanner_workloads::{random_ra_tree, RandomRaConfig};
@@ -67,7 +70,7 @@ fn indexed_store_is_invisible_on_100_random_plans() {
         let threads = 1 + (seed % 4) as usize;
 
         let indexed = store.query(&engine, threads).unwrap();
-        let full = engine.evaluate_with_threads(&docs, threads).unwrap();
+        let full = engine.scan(&docs, threads).unwrap().into_dense();
         assert_eq!(indexed.output.results, full.results, "seed {seed}: {tree}");
         assert_eq!(
             indexed.output.stats.matched_documents, full.stats.matched_documents,
@@ -78,6 +81,13 @@ fn indexed_store_is_invisible_on_100_random_plans() {
             docs.len(),
             "seed {seed}: the indexed result must cover the whole corpus"
         );
+        // The dense calls are forwards over the sparse ones.
+        let context = format!("seed {seed}, sparse: {tree}");
+        let sparse = store.query_matches(&engine, threads).unwrap();
+        assert_eq!(sparse.candidates, indexed.candidates, "{context}");
+        assert_eq!(sparse.selectivity(), indexed.selectivity(), "{context}");
+        assert_same_answer(sparse.output, &indexed.output, &context);
+        assert_same_answer(engine.scan(&docs, threads).unwrap(), &full, &context);
         if let Some(candidates) = indexed.candidates {
             // Everything outside the candidate set is skipped unread.
             assert!(
@@ -119,7 +129,7 @@ fn selectivity_regimes_agree_with_the_unindexed_path() {
         let inst = Instantiation::new().with(0, parse(pattern).unwrap());
         let engine = CorpusEngine::compile(&RaTree::leaf(0), &inst, RaOptions::default()).unwrap();
         let indexed = store.query(&engine, 3).unwrap();
-        let full = engine.evaluate_with_threads(&docs, 3).unwrap();
+        let full = engine.scan(&docs, 3).unwrap().into_dense();
         assert_eq!(indexed.output.results, full.results, "{pattern}");
         match expect_selective {
             Some(true) => {
@@ -162,9 +172,61 @@ fn persisted_store_queries_agree_after_reload() {
         let engine = CorpusEngine::compile(&RaTree::leaf(0), &inst, RaOptions::default()).unwrap();
         let from_loaded = loaded.query(&engine, 2).unwrap();
         let from_memory = store.query(&engine, 2).unwrap();
-        let full = engine.evaluate_with_threads(&docs, 2).unwrap();
+        let full = engine.scan(&docs, 2).unwrap().into_dense();
         assert_eq!(from_loaded.output.results, full.results, "{pattern}");
         assert_eq!(from_memory.output.results, full.results, "{pattern}");
         assert_eq!(from_loaded.candidates, from_memory.candidates, "{pattern}");
+    }
+}
+
+/// A deleted slot *is* the empty document: `delete(id)` and `update(id, "")`
+/// leave stores that answer every pattern alike — a nullable one included,
+/// which still answers one mapping of empty spans on that line — before and
+/// after a `save`/`load` (tombstones are not in the segment format, so a
+/// filter on them would change answers across a restart).
+#[test]
+fn a_deleted_slot_answers_as_the_empty_document() {
+    let docs: Vec<Document> = ["aa", "b needle", "c"].map(Document::new).into();
+    let mut deleted = Store::build(docs.clone()).unwrap();
+    deleted.delete(0).unwrap();
+    let mut emptied = Store::build(docs).unwrap();
+    emptied.update(0, "").unwrap();
+    assert!(deleted.is_deleted(0) && !emptied.is_deleted(0));
+    assert_eq!(deleted.documents(), emptied.documents());
+
+    let reload = |store: &Store, name: &str| {
+        let path = std::env::temp_dir().join(format!(
+            "spanner-store-oracle-{}-{name}.seg",
+            std::process::id()
+        ));
+        store.save(&path).unwrap();
+        let loaded = Store::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        loaded
+    };
+    let stores = [
+        reload(&deleted, "deleted"),
+        reload(&emptied, "emptied"),
+        deleted,
+        emptied,
+    ];
+    for (pattern, line_0) in [("{x:a*}", 1), (".*{x:needle}.*", 0), ("{x:a+}", 0)] {
+        let inst = Instantiation::new().with(0, parse(pattern).unwrap());
+        let engine = CorpusEngine::compile(&RaTree::leaf(0), &inst, RaOptions::default()).unwrap();
+        let full = engine.scan(stores[0].documents(), 1).unwrap().into_dense();
+        assert_eq!(full.results[0].len(), line_0, "{pattern}");
+        for store in &stores {
+            let indexed = store.query(&engine, 1).unwrap();
+            assert_eq!(indexed.output.results, full.results, "{pattern}");
+            let sparse = store.query_matches(&engine, 1).unwrap().output;
+            assert_eq!(
+                sparse.get(0).map_or(0, |set| set.len()),
+                line_0,
+                "{pattern}"
+            );
+            let mut view = QueryView::unbounded();
+            let viewed = store.query_view(&engine, &mut view, 1).unwrap();
+            assert_eq!(viewed.output.results, full.results, "{pattern}");
+        }
     }
 }

@@ -129,7 +129,8 @@ fn traced_corpus_tallies_agree_with_stats_for_every_thread_count() {
 
     let mut reference: Option<ExecTrace> = None;
     for threads in [1, 2, 4] {
-        let (out, trace) = query.evaluate_corpus_traced(&docs, threads).unwrap();
+        let (out, trace) = query.engine().scan_traced(&docs, threads).unwrap();
+        let out = out.into_dense();
         assert_eq!(out.results, plain.results, "{threads} threads");
         assert_eq!(out.stats.threads, threads, "the sharded path must have run");
         // Per-document outcome counters partition the corpus exactly as
