@@ -374,11 +374,7 @@ pub fn render(machine: &Machine, rows: &[Row]) -> String {
 /// pass for one with nothing to compare.
 pub fn parse(text: &str) -> Result<(Machine, Vec<Row>), String> {
     let json = Json::parse(text).map_err(|e| e.to_string())?;
-    // Nanoseconds outgrow `Json::as_usize`'s `u32` range in 4.3 s.
-    let nanos = |entry: &Json, key: &str| {
-        let value = entry.get(key)?.as_f64()?;
-        (value >= 0.0 && value.fract() == 0.0).then_some(value as u64)
-    };
+    let nanos = |entry: &Json, key: &str| Some(entry.get(key)?.as_usize()? as u64);
     let machine = |stamp: &Json| {
         let cpus = stamp.get("cpus")?.as_usize()?;
         let commit = stamp.get("commit")?.as_str()?.to_string();

@@ -79,13 +79,6 @@ impl Document {
     pub fn full_span(&self) -> Span {
         Span::new(1, self.len() as u32 + 1)
     }
-
-    /// Number of distinct spans of this document.
-    #[inline]
-    pub fn span_count(&self) -> usize {
-        let n = self.len();
-        (n + 1) * (n + 2) / 2
-    }
 }
 
 impl fmt::Debug for Document {
@@ -125,7 +118,6 @@ mod tests {
         assert_eq!(d.symbol_at(5), Some(b'e'));
         assert_eq!(d.symbol_at(6), None);
         assert_eq!(d.full_span(), Span::new(1, 6));
-        assert_eq!(d.span_count(), 21);
     }
 
     #[test]
@@ -158,6 +150,5 @@ mod tests {
         let d = Document::new("");
         assert!(d.is_empty());
         assert_eq!(d.full_span(), Span::new(1, 1));
-        assert_eq!(d.span_count(), 1);
     }
 }

@@ -189,12 +189,6 @@ impl Mapping {
                 .collect(),
         }
     }
-
-    /// Whether the domain equals exactly `vars` (the schema-based /
-    /// "complete" condition).
-    pub fn is_total_over(&self, vars: &VarSet) -> bool {
-        self.len() == vars.len() && vars.iter().all(|v| self.contains(v))
-    }
 }
 
 impl PartialOrd for Mapping {
@@ -320,14 +314,6 @@ mod tests {
         let r = m.restrict(&VarSet::from_iter(["x", "z", "unused"]));
         assert_eq!(r.domain(), VarSet::from_iter(["x", "z"]));
         assert_eq!(r.get(&var("z")), Some(sp(5, 5)));
-    }
-
-    #[test]
-    fn totality_check() {
-        let m = Mapping::from_pairs([("x", sp(1, 1)), ("y", sp(1, 2))]);
-        assert!(m.is_total_over(&VarSet::from_iter(["x", "y"])));
-        assert!(!m.is_total_over(&VarSet::from_iter(["x", "y", "z"])));
-        assert!(!m.is_total_over(&VarSet::from_iter(["x"])));
     }
 
     #[test]

@@ -115,13 +115,6 @@ impl From<(u32, u32)> for Span {
     }
 }
 
-/// Iterates over every span of a document of length `n`, in lexicographic
-/// order of `(start, end)`. There are `(n + 1)(n + 2) / 2` of them.
-pub fn all_spans(doc_len: usize) -> impl Iterator<Item = Span> {
-    let n = doc_len as u32;
-    (1..=n + 1).flat_map(move |i| (i..=n + 1).map(move |j| Span::new(i, j)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,20 +167,6 @@ mod tests {
             Some(Span::new(1, 7))
         );
         assert_eq!(Span::new(1, 3).concat(&Span::new(4, 7)), None);
-    }
-
-    #[test]
-    fn all_spans_count() {
-        // (n+1)(n+2)/2 spans for a document of length n.
-        for n in 0..6 {
-            let count = all_spans(n).count();
-            assert_eq!(count, (n + 1) * (n + 2) / 2, "n = {n}");
-        }
-        let spans: Vec<_> = all_spans(1).collect();
-        assert_eq!(
-            spans,
-            vec![Span::new(1, 1), Span::new(1, 2), Span::new(2, 2)]
-        );
     }
 
     #[test]

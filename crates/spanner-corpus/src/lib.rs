@@ -259,17 +259,6 @@ impl ShardMap {
         }
     }
 
-    /// The balanced contiguous partition of `len` documents over
-    /// `shards`, mirroring [`partition_ranges`].
-    pub fn partition(len: usize, shards: usize) -> ShardMap {
-        ShardMap::new(
-            partition_ranges(len, shards)
-                .iter()
-                .map(|r| r.len())
-                .collect(),
-        )
-    }
-
     /// Number of shards.
     pub fn shards(&self) -> usize {
         self.sizes.len()
@@ -566,7 +555,7 @@ mod tests {
 
     #[test]
     fn shard_map_locates_every_document() {
-        let map = ShardMap::partition(10, 3);
+        let map = ShardMap::new(vec![4, 3, 3]);
         assert_eq!(map.shards(), 3);
         assert_eq!(map.len(), 10);
         assert_eq!((map.size(0), map.size(1), map.size(2)), (4, 3, 3));
@@ -585,7 +574,7 @@ mod tests {
         assert_eq!(map.locate(4), Some((1, 0)));
         assert_eq!(map.locate(10), Some((2, 3)));
         // An empty corpus still has one (empty) shard to address.
-        let empty = ShardMap::partition(0, 2);
+        let empty = ShardMap::new(vec![0, 0]);
         assert_eq!(empty.shards(), 2);
         assert!(empty.is_empty());
         assert_eq!(empty.locate(0), None);

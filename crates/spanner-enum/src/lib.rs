@@ -37,4 +37,4 @@ pub use enumerate::{
     Enumerator,
 };
 pub use matchgraph::MatchGraph;
-pub use opset::{OpSet, OpTable, MAX_VARS};
+pub use opset::{OpSet, MAX_VARS};

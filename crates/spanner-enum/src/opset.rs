@@ -1,6 +1,6 @@
 //! Compact representation of sets of variable operations.
 
-use spanner_core::{Span, SpannerError, SpannerResult, VarSet, Variable};
+use spanner_core::{Span, SpannerError, SpannerResult, Variable};
 
 /// Maximum number of variables a single automaton may use with the bitset
 /// representation (open + close bits must fit into a `u64`).
@@ -9,8 +9,8 @@ pub const MAX_VARS: usize = 32;
 /// A set of variable operations (`x⊢` / `⊣x`), stored as a bitmask.
 ///
 /// Bit `2i` is the *open* operation of variable `i`, bit `2i + 1` its *close*
-/// operation, where `i` is the index of the variable in the sorted variable
-/// list of the automaton ([`OpTable`]).
+/// operation, where `i` is the index of the variable in the automaton's
+/// variable order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct OpSet(pub u64);
 
@@ -40,62 +40,6 @@ impl OpSet {
     #[inline]
     pub fn len(self) -> usize {
         self.0.count_ones() as usize
-    }
-}
-
-/// Maps the variables of an automaton to operation-bit indices.
-#[derive(Debug, Clone)]
-pub struct OpTable {
-    vars: Vec<Variable>,
-}
-
-impl OpTable {
-    /// Builds the table for a variable set.
-    ///
-    /// Fails if there are more than [`MAX_VARS`] variables.
-    pub fn new(vars: &VarSet) -> SpannerResult<OpTable> {
-        check_var_limit(vars.len())?;
-        Ok(OpTable {
-            vars: vars.to_vec(),
-        })
-    }
-
-    /// Number of variables.
-    pub fn len(&self) -> usize {
-        self.vars.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.vars.is_empty()
-    }
-
-    /// The bit for the open operation of `x`, if `x` is known.
-    pub fn open_bit(&self, x: &Variable) -> Option<u64> {
-        self.index(x).map(|i| 1u64 << (2 * i))
-    }
-
-    /// The bit for the close operation of `x`, if `x` is known.
-    pub fn close_bit(&self, x: &Variable) -> Option<u64> {
-        self.index(x).map(|i| 1u64 << (2 * i + 1))
-    }
-
-    /// The index of a variable.
-    pub fn index(&self, x: &Variable) -> Option<usize> {
-        self.vars.binary_search(x).ok()
-    }
-
-    /// The variables in index order.
-    pub fn vars(&self) -> &[Variable] {
-        &self.vars
-    }
-
-    /// `mapping_from_ops` over this table's variables.
-    pub fn mapping_from_positions(
-        &self,
-        ops_at: &[(u32, OpSet)],
-    ) -> SpannerResult<spanner_core::Mapping> {
-        mapping_from_ops(&self.vars, ops_at)
     }
 }
 
@@ -161,21 +105,9 @@ mod tests {
     use spanner_core::Mapping;
 
     #[test]
-    fn bit_assignment_is_stable() {
-        let vars = VarSet::from_iter(["b", "a", "c"]);
-        let table = OpTable::new(&vars).unwrap();
-        // Sorted order: a, b, c.
-        assert_eq!(table.open_bit(&"a".into()), Some(1));
-        assert_eq!(table.close_bit(&"a".into()), Some(2));
-        assert_eq!(table.open_bit(&"b".into()), Some(4));
-        assert_eq!(table.open_bit(&"z".into()), None);
-        assert_eq!(table.len(), 3);
-    }
-
-    #[test]
     fn too_many_variables_rejected() {
-        let vars: VarSet = (0..40).map(|i| Variable::new(format!("v{i:02}"))).collect();
-        assert!(OpTable::new(&vars).is_err());
+        assert!(check_var_limit(MAX_VARS).is_ok());
+        assert!(check_var_limit(40).is_err());
     }
 
     #[test]
@@ -190,17 +122,14 @@ mod tests {
 
     #[test]
     fn mapping_reconstruction() {
-        let vars = VarSet::from_iter(["x", "y"]);
-        let table = OpTable::new(&vars).unwrap();
-        let xo = table.open_bit(&"x".into()).unwrap();
-        let xc = table.close_bit(&"x".into()).unwrap();
-        let yo = table.open_bit(&"y".into()).unwrap();
-        let yc = table.close_bit(&"y".into()).unwrap();
+        // Bit `2i` opens variable `i`, bit `2i + 1` closes it.
+        let vars = [Variable::new("x"), Variable::new("y")];
+        let (xo, xc, yo, yc) = (1, 2, 4, 8);
         let ops = vec![
             (1, OpSet::EMPTY.with(xo)),
             (3, OpSet::EMPTY.with(xc).with(yo).with(yc)),
         ];
-        let m = table.mapping_from_positions(&ops).unwrap();
+        let m = mapping_from_ops(&vars, &ops).unwrap();
         assert_eq!(
             m,
             Mapping::from_pairs([("x", Span::new(1, 3)), ("y", Span::new(3, 3))])
@@ -208,6 +137,6 @@ mod tests {
 
         // Unclosed variable is an error.
         let bad = vec![(1, OpSet::EMPTY.with(xo))];
-        assert!(table.mapping_from_positions(&bad).is_err());
+        assert!(mapping_from_ops(&vars, &bad).is_err());
     }
 }

@@ -118,40 +118,6 @@ impl TraceNode {
             child.render_into(out, depth + 1);
         }
     }
-
-    /// Serializes the tree as a JSON object:
-    /// `{"label": .., "rows": .., "nanos": .., "counters": {..}, "children": [..]}`.
-    /// Counters keep their first-recorded order; the schema is documented
-    /// in `docs/OPS.md`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.json_into(&mut out);
-        out
-    }
-
-    fn json_into(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            r#"{{"label":{},"rows":{},"nanos":{},"counters":{{"#,
-            json_string(&self.label),
-            self.rows,
-            self.nanos
-        );
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{value}", json_string(name));
-        }
-        out.push_str("},\"children\":[");
-        for (i, child) in self.children.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            child.json_into(out);
-        }
-        out.push_str("]}");
-    }
 }
 
 /// Human-readable wall time: `412ns`, `3.2µs`, `1.7ms`, `2.41s`.
@@ -165,26 +131,6 @@ pub fn format_nanos(nanos: u64) -> String {
     } else {
         format!("{:.2}s", nanos as f64 / 1e9)
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -239,22 +185,6 @@ mod tests {
         assert!(lines[0].contains("time=10.0µs build_rows=2"), "{text}");
         assert!(lines[1].starts_with("  scan [compiled]"), "{text}");
         assert!(lines[2].starts_with("  scan [boxed]  rows=0"), "{text}");
-    }
-
-    #[test]
-    fn json_is_well_formed_and_escaped() {
-        let mut node = TraceNode::new("say \"hi\"\n");
-        node.add("k\\v", 1);
-        let json = node.to_json();
-        assert_eq!(
-            json,
-            r#"{"label":"say \"hi\"\n","rows":0,"nanos":0,"counters":{"k\\v":1},"children":[]}"#
-        );
-        let nested = sample().to_json();
-        assert!(
-            nested.contains(r#""children":[{"label":"scan [compiled]""#),
-            "{nested}"
-        );
     }
 
     #[test]

@@ -3,11 +3,10 @@
 //! The hardness results of the paper (Theorems 3.1, 4.1, 4.4 and
 //! Proposition 4.10) are reductions from (restricted) CNF satisfiability.
 //! This module provides the source side of those reductions: a CNF
-//! representation, a DIMACS parser, random instance generators, and a small
+//! representation, random instance generators, and a small
 //! DPLL solver used to cross-check that the reductions preserve
 //! satisfiability.
 
-use spanner_core::{SpannerError, SpannerResult};
 use std::fmt;
 
 /// A propositional literal: a 1-based variable index with a sign.
@@ -121,66 +120,6 @@ impl Cnf {
             }
         }
         counts
-    }
-
-    /// Parses a DIMACS CNF file.
-    pub fn parse_dimacs(input: &str) -> SpannerResult<Cnf> {
-        let mut num_vars = 0usize;
-        let mut clauses: Vec<Vec<Literal>> = Vec::new();
-        let mut current: Vec<Literal> = Vec::new();
-        for line in input.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('c') || line.starts_with('%') {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix('p') {
-                let parts: Vec<&str> = rest.split_whitespace().collect();
-                if parts.len() < 3 || parts[0] != "cnf" {
-                    return Err(SpannerError::parse("malformed DIMACS problem line", 0));
-                }
-                num_vars = parts[1]
-                    .parse()
-                    .map_err(|_| SpannerError::parse("bad variable count", 0))?;
-                continue;
-            }
-            for token in line.split_whitespace() {
-                let value: i64 = token
-                    .parse()
-                    .map_err(|_| SpannerError::parse(format!("bad literal {token}"), 0))?;
-                if value == 0 {
-                    clauses.push(std::mem::take(&mut current));
-                } else {
-                    current.push(Literal {
-                        var: value.unsigned_abs() as usize,
-                        positive: value > 0,
-                    });
-                }
-            }
-        }
-        if !current.is_empty() {
-            clauses.push(current);
-        }
-        let max_var = clauses.iter().flatten().map(|l| l.var).max().unwrap_or(0);
-        let mut cnf = Cnf::new(num_vars.max(max_var));
-        for c in clauses {
-            cnf.add_clause(c);
-        }
-        Ok(cnf)
-    }
-
-    /// Renders the formula in DIMACS format.
-    pub fn to_dimacs(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let _ = writeln!(s, "p cnf {} {}", self.num_vars, self.clauses.len());
-        for clause in &self.clauses {
-            for l in clause {
-                let v = l.var as i64;
-                let _ = write!(s, "{} ", if l.positive { v } else { -v });
-            }
-            let _ = writeln!(s, "0");
-        }
-        s
     }
 }
 
@@ -369,16 +308,6 @@ mod tests {
         let mut with_empty_clause = Cnf::new(1);
         with_empty_clause.add_clause([]);
         assert!(!is_satisfiable(&with_empty_clause));
-    }
-
-    #[test]
-    fn dimacs_round_trip() {
-        let text = "c example\np cnf 3 2\n1 -2 3 0\n-1 2 0\n";
-        let cnf = Cnf::parse_dimacs(text).unwrap();
-        assert_eq!(cnf.num_vars, 3);
-        assert_eq!(cnf.num_clauses(), 2);
-        let again = Cnf::parse_dimacs(&cnf.to_dimacs()).unwrap();
-        assert_eq!(cnf, again);
     }
 
     #[test]

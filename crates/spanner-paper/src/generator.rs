@@ -35,40 +35,6 @@ pub fn random_3cnf(num_vars: usize, ratio: f64, seed: u64) -> Cnf {
     random_kcnf(num_vars, num_clauses.max(1), 3, seed)
 }
 
-/// Generates a *satisfiable* random 3-CNF formula by planting a hidden
-/// assignment: every clause is guaranteed to contain at least one literal
-/// satisfied by the planted assignment.
-pub fn planted_3cnf(num_vars: usize, num_clauses: usize, seed: u64) -> Cnf {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let planted: Vec<bool> = (0..=num_vars).map(|_| rng.gen_bool(0.5)).collect();
-    let mut cnf = Cnf::new(num_vars);
-    for _ in 0..num_clauses {
-        let mut vars = Vec::with_capacity(3);
-        while vars.len() < 3.min(num_vars) {
-            let v = rng.gen_range(1..=num_vars);
-            if !vars.contains(&v) {
-                vars.push(v);
-            }
-        }
-        // Pick one literal to agree with the planted assignment.
-        let witness = rng.gen_range(0..vars.len());
-        let clause: Vec<Literal> = vars
-            .iter()
-            .enumerate()
-            .map(|(idx, &v)| {
-                let positive = if idx == witness {
-                    planted[v]
-                } else {
-                    rng.gen_bool(0.5)
-                };
-                Literal { var: v, positive }
-            })
-            .collect();
-        cnf.add_clause(clause);
-    }
-    cnf
-}
-
 /// Generates a CNF formula in the fragment of Proposition 4.10 (clauses of
 /// width 2 or 3, every variable occurring in at most 3 clauses).
 pub fn bounded_occurrence_cnf(num_vars: usize, seed: u64) -> Cnf {
@@ -111,7 +77,6 @@ pub fn bounded_occurrence_cnf(num_vars: usize, seed: u64) -> Cnf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cnf::is_satisfiable;
 
     #[test]
     fn random_kcnf_shape() {
@@ -122,14 +87,6 @@ mod tests {
         // Deterministic for a fixed seed.
         assert_eq!(cnf, random_kcnf(10, 30, 3, 7));
         assert_ne!(cnf, random_kcnf(10, 30, 3, 8));
-    }
-
-    #[test]
-    fn planted_formulas_are_satisfiable() {
-        for seed in 0..10 {
-            let cnf = planted_3cnf(12, 50, seed);
-            assert!(is_satisfiable(&cnf), "seed {seed}");
-        }
     }
 
     #[test]

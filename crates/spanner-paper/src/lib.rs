@@ -25,7 +25,7 @@
 //!   *static* compilation of the difference must blow up (Section 4,
 //!   experiment E10);
 //! * [`cnf`], [`generator`], [`reductions`] — the lower bounds made
-//!   executable: CNF formulas with a DPLL solver, random / planted /
+//!   executable: CNF formulas with a DPLL solver, random and
 //!   bounded-occurrence generators, and the constructions of Theorem 3.1
 //!   (join of sequential regex formulas), Theorem 4.1 (difference of
 //!   functional regex formulas), Theorem 4.4 (W\[1\]-hardness in the number
@@ -77,7 +77,7 @@ pub use difference::{
     difference_adhoc, difference_adhoc_eval, difference_filter, difference_product,
     difference_product_eval, DifferenceOptions,
 };
-pub use generator::{bounded_occurrence_cnf, planted_3cnf, random_3cnf, random_kcnf};
+pub use generator::{bounded_occurrence_cnf, random_3cnf, random_kcnf};
 pub use interpret::interpret;
 pub use ratree::{compile_ra, evaluate_ra_materialized};
 pub use reductions::{

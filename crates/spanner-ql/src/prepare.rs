@@ -200,19 +200,6 @@ impl PreparedQuery {
         &self.vars
     }
 
-    /// The Lemma 3.2 / Theorem 5.2 shared-variable bound of the tree as
-    /// written.
-    pub fn shared_variable_bound_before(&self) -> usize {
-        self.bound_before
-    }
-
-    /// The shared-variable bound after planning (never larger than
-    /// [`PreparedQuery::shared_variable_bound_before`] — the optimizer
-    /// guards every rewrite on it).
-    pub fn shared_variable_bound_after(&self) -> usize {
-        self.bound_after
-    }
-
     /// A human-readable explanation: the query as written, the leaf
     /// bindings, the optimized tree, the shared-variable bound before and
     /// after planning, whether the plan compiled statically, and the lowered
@@ -524,8 +511,6 @@ mod tests {
              (a join b) join c;",
         )
         .unwrap();
-        assert_eq!(q.shared_variable_bound_before(), 2);
-        assert_eq!(q.shared_variable_bound_after(), 1);
         let explain = q.explain();
         assert!(explain.contains("2 before planning, 1 after"), "{explain}");
         assert!(explain.contains("static"), "{explain}");
@@ -645,7 +630,8 @@ mod tests {
             "let a = /{x:a}{y:b?}/; let b = /{x:a}{z:b?}/; project x (a join b) minus a;",
         )
         .unwrap();
-        assert!(q.shared_variable_bound_after() <= q.shared_variable_bound_before());
+        let bound = |tree| shared_variable_bound(tree, q.instantiation()).unwrap();
+        assert!(bound(q.optimized_tree()) <= bound(q.tree()));
     }
 
     #[test]

@@ -42,4 +42,4 @@ pub use classify::{
 };
 pub use eval::{reference_eval, reference_eval_spans};
 pub use parser::parse;
-pub use rewrite::{to_disjunctive_functional, DEFAULT_DISJUNCT_LIMIT};
+pub use rewrite::to_disjunctive_functional;

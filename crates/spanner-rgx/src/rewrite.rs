@@ -11,9 +11,6 @@ use crate::ast::Rgx;
 use crate::classify::{is_functional, is_sequential};
 use spanner_core::{SpannerError, SpannerResult};
 
-/// Default bound on the number of generated disjuncts.
-pub const DEFAULT_DISJUNCT_LIMIT: usize = 1 << 20;
-
 /// Rewrites a *sequential* regex formula into an equivalent list of
 /// *functional* regex formulas (the disjuncts of a disjunctive-functional
 /// formula).
@@ -104,7 +101,7 @@ mod tests {
     /// Checks that the disjunction of the rewritten disjuncts is equivalent
     /// to the original on the given documents.
     fn assert_equivalent(alpha: &Rgx, docs: &[&str]) {
-        let disjuncts = to_disjunctive_functional(alpha, DEFAULT_DISJUNCT_LIMIT).unwrap();
+        let disjuncts = to_disjunctive_functional(alpha, 1 << 20).unwrap();
         for f in &disjuncts {
             assert!(is_functional(f), "disjunct {f} is not functional");
         }
@@ -146,7 +143,7 @@ mod tests {
                     Rgx::capture(format!("y{i}"), Rgx::any_string()),
                 ])
             }));
-            let d = to_disjunctive_functional(&alpha, DEFAULT_DISJUNCT_LIMIT).unwrap();
+            let d = to_disjunctive_functional(&alpha, 1 << 20).unwrap();
             assert_eq!(d.len(), 1 << n, "n = {n}");
         }
     }

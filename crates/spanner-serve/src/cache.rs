@@ -12,6 +12,7 @@
 use spanner_algebra::RaOptions;
 use spanner_ql::{PreparedQuery, QlError};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Counters describing a cache's lifetime behaviour.
@@ -39,29 +40,15 @@ pub struct CacheStats {
 /// while requests for other programs — cache hits in particular — are
 /// never stalled behind someone else's slow compile.
 pub struct QueryCache {
-    capacity: usize,
-    state: Mutex<CacheState>,
-}
-
-#[derive(Default)]
-struct CacheState {
-    entries: HashMap<String, CacheEntry>,
-    /// Monotonic recency clock; bumped on every touch.
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
+    slots: Lru<Arc<PrepareSlot>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 /// The per-program compilation slot: set exactly once, by whichever
 /// request got there first; everyone else blocks on it outside the map
 /// lock.
 type PrepareSlot = OnceLock<Result<Arc<PreparedQuery>, QlError>>;
-
-struct CacheEntry {
-    slot: Arc<PrepareSlot>,
-    last_used: u64,
-}
 
 /// The cache key: the trimmed program text *and* the compilation options.
 /// A plan compiled under one `RaOptions` (optimizer off, different state
@@ -81,21 +68,117 @@ pub(crate) fn cache_key(program: &str, options: RaOptions) -> String {
     )
 }
 
+/// A bounded least-recently-used map keyed by [`cache_key`]: the prepared
+/// query slots of [`QueryCache`] and the server's maintained views. Every
+/// touch bumps a recency clock; an insert at capacity evicts the entry
+/// touched longest ago. The mutex covers map and clock updates only, each
+/// valid on its own, so a poisoned lock is recovered as it stands.
+pub(crate) struct Lru<V> {
+    /// Maximum resident entries; `0` keeps none.
+    capacity: usize,
+    state: Mutex<LruState<V>>,
+}
+
+struct LruState<V> {
+    /// Each value with the tick of its last touch.
+    entries: HashMap<String, (V, u64)>,
+    /// Monotonic recency clock; bumped on every touch.
+    tick: u64,
+    evictions: u64,
+}
+
+impl<V: Clone> Lru<V> {
+    pub(crate) fn new(capacity: usize) -> Lru<V> {
+        Lru {
+            capacity,
+            state: Mutex::new(LruState {
+                entries: HashMap::new(),
+                tick: 0,
+                evictions: 0,
+            }),
+        }
+    }
+
+    pub(crate) fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    fn state(&self) -> MutexGuard<'_, LruState<V>> {
+        crate::lock_or_reset(&self.state, |_| ())
+    }
+
+    /// The value under `key` and `true`, bumping its recency; otherwise a
+    /// new value from `make` and `false`, kept resident — evicting the
+    /// least recently used entry at capacity — unless the capacity is 0.
+    pub(crate) fn get_or_insert_with(&self, key: &str, make: impl FnOnce() -> V) -> (V, bool) {
+        let mut state = self.state();
+        state.tick += 1;
+        let tick = state.tick;
+        if let Some((value, last_used)) = state.entries.get_mut(key) {
+            *last_used = tick;
+            return (value.clone(), true);
+        }
+        let value = make();
+        if self.capacity > 0 {
+            if state.entries.len() >= self.capacity {
+                let oldest = state
+                    .entries
+                    .iter()
+                    .min_by_key(|(_, (_, last_used))| *last_used)
+                    .map(|(k, _)| k.clone());
+                if let Some(oldest) = oldest {
+                    state.entries.remove(&oldest);
+                    state.evictions += 1;
+                }
+            }
+            state.entries.insert(key.to_string(), (value.clone(), tick));
+        }
+        (value, false)
+    }
+
+    /// Drops the entry under `key` if `stale` holds for its value.
+    pub(crate) fn remove_if(&self, key: &str, stale: impl FnOnce(&V) -> bool) {
+        let mut state = self.state();
+        if state
+            .entries
+            .get(key)
+            .is_some_and(|(value, _)| stale(value))
+        {
+            state.entries.remove(key);
+        }
+    }
+
+    /// Number of resident entries.
+    pub(crate) fn len(&self) -> usize {
+        self.state().entries.len()
+    }
+
+    /// Every resident value, cloned out so no caller holds the map lock.
+    pub(crate) fn values(&self) -> Vec<V> {
+        let state = self.state();
+        state
+            .entries
+            .values()
+            .map(|(value, _)| value.clone())
+            .collect()
+    }
+
+    /// Entries evicted to make room, over the map's lifetime.
+    pub(crate) fn evictions(&self) -> u64 {
+        self.state().evictions
+    }
+}
+
 impl QueryCache {
     /// A cache holding at most `capacity` prepared queries. Capacity `0`
     /// disables residency entirely — every request compiles (the cold
     /// baseline of the serve benchmark).
     pub fn new(capacity: usize) -> QueryCache {
         QueryCache {
-            capacity,
-            state: Mutex::new(CacheState::default()),
+            slots: Lru::new(capacity),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
-    }
-
-    /// The bookkeeping, locked. It is held for map and counter updates
-    /// only, each valid on its own, so a poisoned lock is simply recovered.
-    fn state(&self) -> MutexGuard<'_, CacheState> {
-        crate::lock_or_reset(&self.state, |_| ())
     }
 
     /// Returns the prepared form of `program`, compiling and caching it on
@@ -109,40 +192,9 @@ impl QueryCache {
         options: RaOptions,
     ) -> Result<(Arc<PreparedQuery>, bool), QlError> {
         let key = cache_key(program, options);
-        let (slot, hit) = {
-            let mut state = self.state();
-            state.tick += 1;
-            let tick = state.tick;
-            if let Some(entry) = state.entries.get_mut(&key) {
-                entry.last_used = tick;
-                let slot = Arc::clone(&entry.slot);
-                state.hits += 1;
-                (slot, true)
-            } else {
-                state.misses += 1;
-                let slot: Arc<PrepareSlot> = Arc::new(OnceLock::new());
-                if self.capacity > 0 {
-                    while state.entries.len() >= self.capacity {
-                        let oldest = state
-                            .entries
-                            .iter()
-                            .min_by_key(|(_, e)| e.last_used)
-                            .map(|(k, _)| k.clone())
-                            .expect("non-empty above capacity");
-                        state.entries.remove(&oldest);
-                        state.evictions += 1;
-                    }
-                    state.entries.insert(
-                        key.clone(),
-                        CacheEntry {
-                            slot: Arc::clone(&slot),
-                            last_used: tick,
-                        },
-                    );
-                }
-                (slot, false)
-            }
-        };
+        let (slot, hit) = self.slots.get_or_insert_with(&key, Default::default);
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
         // Compile (or wait for the compiling request) outside the lock.
         let result = slot
             .get_or_init(|| PreparedQuery::prepare_with_options(program, options).map(Arc::new));
@@ -152,34 +204,21 @@ impl QueryCache {
                 // Failed compilations are never served from the cache:
                 // drop the entry (only if it is still *this* slot — a
                 // concurrent retry may already have replaced it).
-                let mut state = self.state();
-                if let Some(entry) = state.entries.get(&key) {
-                    if Arc::ptr_eq(&entry.slot, &slot) {
-                        state.entries.remove(&key);
-                    }
-                }
+                self.slots
+                    .remove_if(&key, |entry| Arc::ptr_eq(entry, &slot));
                 Err(e.clone())
             }
         }
     }
 
-    /// Whether the program is resident under these options (does not touch
-    /// recency).
-    pub fn contains(&self, program: &str, options: RaOptions) -> bool {
-        self.state()
-            .entries
-            .contains_key(&cache_key(program, options))
-    }
-
     /// A snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
-        let state = self.state();
         CacheStats {
-            capacity: self.capacity,
-            entries: state.entries.len(),
-            hits: state.hits,
-            misses: state.misses,
-            evictions: state.evictions,
+            capacity: self.slots.capacity(),
+            entries: self.slots.len(),
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evictions: self.slots.evictions(),
         }
     }
 }
@@ -227,18 +266,13 @@ mod tests {
         cache.get_or_prepare("/{x:b}/", opts).unwrap(); // B
         cache.get_or_prepare("/{x:a}/", opts).unwrap(); // touch A: B is now LRU
         cache.get_or_prepare("/{x:c}/", opts).unwrap(); // C evicts B
-        assert!(
-            cache.contains("/{x:a}/", opts),
-            "recently-touched entry survives"
-        );
-        assert!(
-            !cache.contains("/{x:b}/", opts),
-            "least-recently-used is evicted"
-        );
-        assert!(cache.contains("/{x:c}/", opts));
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.entries, 2);
+        let hit = |program| cache.get_or_prepare(program, opts).unwrap().1;
+        assert!(hit("/{x:a}/"), "recently-touched entry survives");
+        assert!(hit("/{x:c}/"));
+        assert!(!hit("/{x:b}/"), "least-recently-used is evicted");
     }
 
     #[test]
@@ -254,11 +288,9 @@ mod tests {
         assert!(!hit_a && !hit_b, "distinct options compile separately");
         assert!(!Arc::ptr_eq(&a, &b), "each option set gets its own plan");
         assert_eq!(cache.stats().entries, 2);
-        assert!(cache.contains("/{x:a+}/", on));
-        assert!(cache.contains("/{x:a+}/", off));
         // And the same options still hit.
-        let (_, hit) = cache.get_or_prepare("/{x:a+}/", off).unwrap();
-        assert!(hit);
+        assert!(cache.get_or_prepare("/{x:a+}/", on).unwrap().1);
+        assert!(cache.get_or_prepare("/{x:a+}/", off).unwrap().1);
     }
 
     #[test]

@@ -131,11 +131,13 @@ impl Json {
     }
 
     /// The numeric payload as a non-negative integer count, when this is a
-    /// whole number in range.
+    /// whole number no larger than 2^53 — the range in which a double holds
+    /// every integer exactly, so a `u64` counter reads back as written.
     pub fn as_usize(&self) -> Option<usize> {
+        const EXACT: f64 = (1u64 << 53) as f64;
         match self {
-            Json::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u32::MAX as f64 => {
-                Some(*n as usize)
+            Json::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= EXACT => {
+                usize::try_from(*n as u64).ok()
             }
             _ => None,
         }
@@ -454,6 +456,11 @@ mod tests {
         assert_eq!(v.get("e").and_then(Json::as_usize), None);
         assert_eq!(v.get("e").and_then(Json::as_f64), Some(2.5));
         assert_eq!(v.get("missing"), None);
+        // Whole numbers read back up to 2^53, where a double stops holding
+        // every integer: past `u32` (a long-lived daemon's counters) too.
+        let big = Json::parse("[4294967296,9007199254740992,9007199254740994,-1]").unwrap();
+        let big: Vec<_> = big.as_array().unwrap().iter().map(Json::as_usize).collect();
+        assert_eq!(big, [Some(1 << 32), Some(1 << 53), None, None]);
     }
 
     #[test]

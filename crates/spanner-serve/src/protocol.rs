@@ -33,6 +33,7 @@
 
 use crate::json::Json;
 use spanner_core::{Document, MappingSet};
+use spanner_obs::TraceNode;
 
 /// A decoded protocol request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -340,6 +341,32 @@ pub fn mappings_to_json(doc: &Document, set: &MappingSet) -> Json {
     )
 }
 
+/// Renders an execution trace as the `explain` response's `trace` member:
+/// `{"label":…,"rows":…,"nanos":…,"counters":{…},"children":[…]}`, with
+/// counters in first-recorded order and children in plan order (the schema
+/// in `docs/OPS.md`).
+pub(crate) fn trace_to_json(trace: &TraceNode) -> Json {
+    Json::object([
+        ("label", Json::string(trace.label.as_str())),
+        ("rows", Json::Number(trace.rows as f64)),
+        ("nanos", Json::Number(trace.nanos as f64)),
+        (
+            "counters",
+            Json::Object(
+                trace
+                    .counters
+                    .iter()
+                    .map(|(name, value)| (name.clone(), Json::Number(*value as f64)))
+                    .collect(),
+            ),
+        ),
+        (
+            "children",
+            Json::Array(trace.children.iter().map(trace_to_json).collect()),
+        ),
+    ])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -572,6 +599,27 @@ mod tests {
         let rendered = mappings_to_json(&doc, &set).to_string();
         // x = [1,3⟩ covering "aa" in the 1-based convention.
         assert_eq!(rendered, r#"[{"x":{"span":[1,3],"text":"aa"}}]"#);
+    }
+
+    #[test]
+    fn trace_json_is_well_formed_and_escaped() {
+        let mut node = TraceNode::new("say \"hi\"\n");
+        node.add("k\\v", 1);
+        assert_eq!(
+            trace_to_json(&node).to_string(),
+            r#"{"label":"say \"hi\"\n","rows":0,"nanos":0,"counters":{"k\\v":1},"children":[]}"#
+        );
+        let mut join = TraceNode::new("⋈ (shared: x)");
+        join.rows = 4;
+        join.children = vec![
+            TraceNode::new("scan [compiled]"),
+            TraceNode::new("scan [boxed]"),
+        ];
+        let nested = trace_to_json(&join).to_string();
+        assert!(
+            nested.contains(r#""children":[{"label":"scan [compiled]""#),
+            "{nested}"
+        );
     }
 
     #[test]

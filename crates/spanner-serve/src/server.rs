@@ -40,19 +40,18 @@
 //!   worker finishes its in-flight request (and any input already
 //!   buffered on its connection) before the server exits.
 
-use crate::cache::{cache_key, QueryCache};
+use crate::cache::{cache_key, Lru, QueryCache};
 use crate::conn::{line_frame, Conn, Frame, Limits, POLL_INTERVAL};
 use crate::http::HttpCodec;
 use crate::json::Json;
 use crate::lock_or_reset;
-use crate::protocol::{error_response, mappings_to_json, Request};
+use crate::protocol::{error_response, mappings_to_json, trace_to_json, Request};
 use crate::router::{Router, RouterOptions};
 use spanner_algebra::RaOptions;
 use spanner_core::Document;
 use spanner_corpus::{resolve_pool_threads, split_lines, CorpusMatches, QueryView};
 use spanner_obs::{Counter, Exposition, Histogram, Registry, LATENCY_BUCKETS, RATIO_BUCKETS};
-use spanner_store::Store;
-use std::collections::HashMap;
+use spanner_store::{Mutation, Store};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -411,27 +410,14 @@ fn store_poisoned() -> Json {
     )
 }
 
-/// A bounded LRU map of maintained query views over one resident store,
-/// keyed exactly like the prepared-query cache (trimmed program text +
-/// compile options) so a view can never serve a plan it was not built by.
+/// The maintained query views of one resident store: an [`Lru`] keyed
+/// exactly like the prepared-query cache (trimmed program text + compile
+/// options), so a view can never serve a plan it was not built by.
 struct ViewSet {
-    state: Mutex<ViewSetState>,
-    /// Maximum resident views; `0` disables views.
-    capacity: usize,
+    /// Capacity `0` disables views.
+    views: Lru<Arc<ViewHandle>>,
     /// Retention budget handed to each new view.
     budget: usize,
-}
-
-#[derive(Default)]
-struct ViewSetState {
-    views: HashMap<String, ViewSlot>,
-    /// Monotonic recency clock; bumped on every touch.
-    tick: u64,
-}
-
-struct ViewSlot {
-    handle: Arc<ViewHandle>,
-    last_used: u64,
 }
 
 /// One maintained view, plus what it holds as of its last query mirrored
@@ -458,60 +444,31 @@ impl ViewHandle {
 impl ViewSet {
     fn new(capacity: usize, budget: usize) -> ViewSet {
         ViewSet {
-            state: Mutex::new(ViewSetState::default()),
-            capacity,
+            views: Lru::new(capacity),
             budget,
         }
-    }
-
-    /// The set's bookkeeping, locked: map and clock updates, each valid on
-    /// its own, so a poisoned lock is recovered as it stands.
-    fn state(&self) -> MutexGuard<'_, ViewSetState> {
-        lock_or_reset(&self.state, |_| ())
     }
 
     /// The view for `key`, creating it (and evicting the least recently
     /// used one past capacity) on first use; `None` when views are
     /// disabled. The returned handle is locked *outside* the set mutex.
     fn get(&self, key: &str) -> Option<Arc<ViewHandle>> {
-        if self.capacity == 0 {
+        if self.views.capacity() == 0 {
             return None;
         }
-        let mut state = self.state();
-        state.tick += 1;
-        let tick = state.tick;
-        if let Some(slot) = state.views.get_mut(key) {
-            slot.last_used = tick;
-            return Some(Arc::clone(&slot.handle));
-        }
-        if state.views.len() >= self.capacity {
-            if let Some(oldest) = state
-                .views
-                .iter()
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                state.views.remove(&oldest);
-            }
-        }
-        let handle = Arc::new(ViewHandle {
-            view: Mutex::new(QueryView::new(self.budget)),
-            retained_cost: AtomicUsize::new(0),
-            snapshot_bytes: AtomicUsize::new(0),
+        let (handle, _) = self.views.get_or_insert_with(key, || {
+            Arc::new(ViewHandle {
+                view: Mutex::new(QueryView::new(self.budget)),
+                retained_cost: AtomicUsize::new(0),
+                snapshot_bytes: AtomicUsize::new(0),
+            })
         });
-        state.views.insert(
-            key.to_string(),
-            ViewSlot {
-                handle: Arc::clone(&handle),
-                last_used: tick,
-            },
-        );
         Some(handle)
     }
 
     /// Number of resident views.
     fn entries(&self) -> usize {
-        self.state().views.len()
+        self.views.len()
     }
 
     /// Total retained mappings and total hash-snapshot bytes across every
@@ -519,13 +476,15 @@ impl ViewSet {
     /// locked: the set mutex is what every `query_corpus` passes through,
     /// and must never be held while waiting for one slow query.
     fn held(&self) -> (usize, usize) {
-        let state = self.state();
-        state.views.values().fold((0, 0), |(cost, bytes), slot| {
-            (
-                cost + slot.handle.retained_cost.load(Ordering::Relaxed),
-                bytes + slot.handle.snapshot_bytes.load(Ordering::Relaxed),
-            )
-        })
+        self.views
+            .values()
+            .iter()
+            .fold((0, 0), |(cost, bytes), handle| {
+                (
+                    cost + handle.retained_cost.load(Ordering::Relaxed),
+                    bytes + handle.snapshot_bytes.load(Ordering::Relaxed),
+                )
+            })
     }
 }
 
@@ -1044,6 +1003,39 @@ fn corpus_response(
     Json::object(fields)
 }
 
+/// Applies `mutations` to the resident store in order, under its write
+/// lock, up to the first error (earlier ones stay applied). `counter`
+/// counts those that changed the store — deleting a tombstone moves
+/// neither it nor the generation — and `count` names that number in the
+/// response, which ends with the store's `documents` and `generation`.
+fn mutate(
+    shared: &Shared,
+    mutations: impl IntoIterator<Item = Mutation>,
+    counter: &Counter,
+    count: Option<&'static str>,
+) -> Json {
+    let Some(resident) = shared.resident() else {
+        return error_response("no resident corpus (send `load_corpus` first)");
+    };
+    let Some(mut store) = resident.write() else {
+        return store_poisoned();
+    };
+    let mut applied = 0usize;
+    let outcome = mutations.into_iter().try_for_each(|mutation| {
+        let changes = !matches!(mutation, Mutation::Delete { id } if store.is_deleted(id));
+        store.apply(&mutation).map(|_| applied += changes as usize)
+    });
+    counter.add(applied as u64);
+    if let Err(e) = outcome {
+        return error_response(e);
+    }
+    let mut fields = vec![("ok", Json::Bool(true))];
+    fields.extend(count.map(|name| (name, Json::number(applied))));
+    fields.push(("documents", Json::number(store.len())));
+    fields.push(("generation", Json::number(store.generation() as usize)));
+    Json::object(fields)
+}
+
 /// Dispatches one decoded request: a router front end intercepts the
 /// corpus-level operations and fans them out to its backend shards;
 /// everything else (and everything, without a router) is handled
@@ -1119,89 +1111,28 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
                 }
             }
         }
-        Request::AppendDocs { text } => match shared.resident() {
-            None => error_response("no resident corpus (send `load_corpus` first)"),
-            Some(resident) => {
-                let Some(mut store) = resident.write() else {
-                    return store_poisoned();
-                };
-                let mut appended = 0usize;
-                let mut failure = None;
-                for line in text.lines() {
-                    match store.append(line) {
-                        Ok(_) => appended += 1,
-                        Err(e) => {
-                            failure = Some(e);
-                            break;
-                        }
-                    }
-                }
-                shared.metrics.store_appends.add(appended as u64);
-                match failure {
-                    Some(e) => error_response(e),
-                    None => Json::object([
-                        ("ok", Json::Bool(true)),
-                        ("appended", Json::number(appended)),
-                        ("documents", Json::number(store.len())),
-                        ("generation", Json::number(store.generation() as usize)),
-                    ]),
-                }
-            }
-        },
-        Request::UpdateDoc { line, text } => match shared.resident() {
-            None => error_response("no resident corpus (send `load_corpus` first)"),
-            Some(resident) => {
-                let Some(mut store) = resident.write() else {
-                    return store_poisoned();
-                };
-                match store.update(line, &text) {
-                    Err(e) => error_response(e),
-                    Ok(()) => {
-                        shared.metrics.store_updates.inc();
-                        Json::object([
-                            ("ok", Json::Bool(true)),
-                            ("documents", Json::number(store.len())),
-                            ("generation", Json::number(store.generation() as usize)),
-                        ])
-                    }
-                }
-            }
-        },
-        Request::DeleteDocs { lines } => match shared.resident() {
-            None => error_response("no resident corpus (send `load_corpus` first)"),
-            Some(resident) => {
-                let Some(mut store) = resident.write() else {
-                    return store_poisoned();
-                };
-                let mut deleted = 0usize;
-                let mut failure = None;
-                // Applied in order; the first bad id aborts (earlier
-                // deletes stay applied — deletes are idempotent, so a
-                // client can safely retry the whole batch). Only an id that
-                // was live counts: a repeated delete moves neither the
-                // generation nor `deleted` nor the mutation counter.
-                for id in lines {
-                    let was_live = !store.is_deleted(id);
-                    match store.delete(id) {
-                        Ok(()) => deleted += was_live as usize,
-                        Err(e) => {
-                            failure = Some(e);
-                            break;
-                        }
-                    }
-                }
-                shared.metrics.store_deletes.add(deleted as u64);
-                match failure {
-                    Some(e) => error_response(e),
-                    None => Json::object([
-                        ("ok", Json::Bool(true)),
-                        ("deleted", Json::number(deleted)),
-                        ("documents", Json::number(store.len())),
-                        ("generation", Json::number(store.generation() as usize)),
-                    ]),
-                }
-            }
-        },
+        Request::AppendDocs { text } => mutate(
+            shared,
+            text.lines()
+                .map(|line| Mutation::Append { text: line.into() }),
+            &shared.metrics.store_appends,
+            Some("appended"),
+        ),
+        Request::UpdateDoc { line, text } => mutate(
+            shared,
+            [Mutation::Update { id: line, text }],
+            &shared.metrics.store_updates,
+            None,
+        ),
+        // Applied in order; the first bad id aborts (earlier deletes stay
+        // applied — deletes are idempotent, so a client can safely retry
+        // the whole batch).
+        Request::DeleteDocs { lines } => mutate(
+            shared,
+            lines.into_iter().map(|id| Mutation::Delete { id }),
+            &shared.metrics.store_deletes,
+            Some("deleted"),
+        ),
         Request::QueryCorpus {
             program,
             text: Some(text),
@@ -1308,7 +1239,6 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
                 // One traced run feeds both the human rendering and the
                 // structured trace, so they can never disagree.
                 let (result, trace) = query.evaluate_traced(&document);
-                let trace_json = Json::parse(&trace.to_json()).expect("trace JSON is well-formed");
                 let ok = result.is_ok();
                 let mut fields = vec![
                     ("ok", Json::Bool(ok)),
@@ -1317,7 +1247,7 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
                         "explain",
                         Json::string(query.render_analyze(&document, &result, &trace)),
                     ),
-                    ("trace", trace_json),
+                    ("trace", trace_to_json(&trace)),
                 ];
                 match result {
                     Ok(set) => fields.push(("count", Json::number(set.len()))),

@@ -296,6 +296,28 @@ fn repeated_deletes_count_once() {
     handle.join().unwrap().unwrap();
 }
 
+/// Counters read back past `u32`, but a document id still may not: an
+/// `update_doc` line of 2^32 is the typed id error, not document 0.
+#[test]
+fn update_doc_refuses_an_id_past_u32() {
+    let (addr, handle) = start(ServeOptions::default());
+    let mut client = Client::connect(addr).unwrap();
+    assert!(ok(&client.load_corpus("zero\none").unwrap()));
+
+    let line = client
+        .request_line(r#"{"op":"update_doc","line":4294967296,"text":"x"}"#)
+        .unwrap();
+    let response = Json::parse(&line).unwrap();
+    assert!(!ok(&response), "{response}");
+    let error = response.get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("document-id `line`"), "{error}");
+    let stats = client.stats().unwrap();
+    assert_eq!(field(&stats, ["store", "generation"]), 0, "{stats}");
+
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
 /// A deleted line is an empty line, not an absent one: a pattern that
 /// accepts the empty string still answers on it, exactly as it does on an
 /// empty line of shipped text. (Tombstones are not in the segment format;

@@ -177,23 +177,6 @@ pub fn can_avoid(a: &Vsa, x: &Variable) -> bool {
         .any(|q| sets[q].unseen)
 }
 
-/// Whether some valid accepting run uses (opens and closes) the variable.
-pub fn can_use(a: &Vsa, x: &Variable) -> bool {
-    let sets = reachable_statuses(a, x);
-    a.states()
-        .filter(|&q| a.is_accepting(q))
-        .any(|q| sets[q].closed)
-}
-
-/// Whether every accepting run of a **sequential** automaton uses the
-/// variable (the automaton is "functional for x").
-pub fn must_use(a: &Vsa, x: &Variable) -> bool {
-    let sets = reachable_statuses(a, x);
-    a.states()
-        .filter(|&q| a.is_accepting(q))
-        .all(|q| !sets[q].unseen && !sets[q].open && !sets[q].bad)
-}
-
 /// Whether the automaton is *semi-functional* for `x` (Section 3.1): the
 /// extended configuration of every state is in `{u, o, c}` — never `d` or a
 /// mixture.
@@ -349,11 +332,8 @@ mod tests {
     #[test]
     fn usage_predicates() {
         let a = example_2_3();
-        assert!(can_use(&a, &v("x")));
         assert!(can_avoid(&a, &v("x")));
-        assert!(!must_use(&a, &v("x")));
         let b = example_2_3_functional();
-        assert!(must_use(&b, &v("x")));
         assert!(!can_avoid(&b, &v("x")));
     }
 

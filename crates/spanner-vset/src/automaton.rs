@@ -333,29 +333,6 @@ impl Vsa {
             vars,
         }
     }
-
-    /// Renders the automaton in Graphviz dot format (for debugging and
-    /// documentation).
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let _ = writeln!(s, "digraph vsa {{\n  rankdir=LR;");
-        let _ = writeln!(s, "  init [shape=point];");
-        for q in self.states() {
-            let shape = if self.is_accepting(q) {
-                "doublecircle"
-            } else {
-                "circle"
-            };
-            let _ = writeln!(s, "  q{q} [shape={shape}];");
-        }
-        let _ = writeln!(s, "  init -> q{};", self.initial);
-        for (src, label, tgt) in self.all_transitions() {
-            let _ = writeln!(s, "  q{src} -> q{tgt} [label=\"{label:?}\"];");
-        }
-        s.push_str("}\n");
-        s
-    }
 }
 
 impl Default for Vsa {
@@ -460,14 +437,5 @@ mod tests {
         let t = a.trim();
         assert_eq!(t.state_count(), 1);
         assert!(t.accepting_states().is_empty());
-    }
-
-    #[test]
-    fn dot_output_mentions_all_states() {
-        let a = example_2_3();
-        let dot = a.to_dot();
-        assert!(dot.contains("q0"));
-        assert!(dot.contains("doublecircle"));
-        assert!(dot.contains("x⊢"));
     }
 }

@@ -95,15 +95,6 @@ impl StateSet {
         }
     }
 
-    /// In-place intersection (`self ∩= other`).
-    #[inline]
-    pub fn intersect_with(&mut self, other: &StateSet) {
-        debug_assert_eq!(self.blocks.len(), other.blocks.len());
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a &= b;
-        }
-    }
-
     /// Whether the two sets share at least one state (no allocation).
     #[inline]
     pub fn intersects(&self, other: &StateSet) -> bool {
@@ -446,13 +437,6 @@ impl CompiledVsa {
         !self.var_ops[q].is_empty()
     }
 
-    /// Whether an accepting state is reachable from `q` without consuming
-    /// input.
-    #[inline]
-    pub fn accepts_without_input(&self, q: StateId) -> bool {
-        self.zero_closure[q].intersects(&self.accepting)
-    }
-
     /// Advances a frontier over one input byte: `out` receives every state
     /// reachable from `frontier` by a single consuming transition on `byte`.
     /// (`out` is cleared first; closures are *not* applied.)
@@ -504,8 +488,6 @@ mod tests {
         let mut u = s.clone();
         u.union_with(&t);
         assert_eq!(u.to_vec(), vec![0, 64, 129]);
-        u.intersect_with(&t);
-        assert_eq!(u.to_vec(), vec![64, 129]);
         u.clear();
         assert!(u.is_empty());
         assert!(!u.intersects(&t));
@@ -543,8 +525,6 @@ mod tests {
         assert_eq!(c.zero_closure(0).to_vec(), vec![0, 1, 2]);
         assert_eq!(c.zero_closure(1).to_vec(), vec![1, 2]);
         assert_eq!(c.zero_closure(2).to_vec(), vec![2]);
-        assert!(c.accepts_without_input(0));
-        assert!(c.accepts_without_input(1));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!
 //! The union over all mode vectors covers exactly the compatible pairs, and
 //! every emitted run is valid, so the result is again sequential. Impossible
-//! modes are pruned using the usage analysis (`must_use` / `can_avoid`), so
+//! modes are pruned using the usage analysis (`can_avoid`), so
 //! when both operands are functional over the shared variables — e.g. for
 //! the disjunctive-functional join of Proposition 3.12 — only the single
 //! `Sync` vector remains and the construction is polynomial with no

@@ -16,7 +16,11 @@ use spanner_core::{ByteClass, MappingSet};
 use spanner_paper::{evaluate_ra_materialized, interpret};
 use spanner_rgx::to_disjunctive_functional;
 use spanner_vset::{is_sequential as vsa_sequential, make_semi_functional};
-use spanner_workloads::{random_ra_tree, random_sequential_rgx, RandomRaConfig};
+use spanner_workloads::{
+    log_request_extractor, program_library, random_ra_tree, random_sequential_rgx,
+    student_info_extractor, RandomRaConfig,
+};
+use std::collections::BTreeSet;
 
 /// Seeds per property.
 const CASES: u64 = 96;
@@ -48,6 +52,18 @@ fn document(alphabet: &[u8], seed: u64) -> Document {
         .map(|_| alphabet[rng.gen_range(0..alphabet.len())] as char)
         .collect();
     Document::new(text)
+}
+
+/// The byte classes of a formula, in visit order: what a `Display` round
+/// trip must preserve.
+fn classes(r: &Rgx) -> Vec<ByteClass> {
+    let mut out = Vec::new();
+    r.visit(&mut |node| {
+        if let Rgx::Class(c) = node {
+            out.push(*c);
+        }
+    });
+    out
 }
 
 /// The random-plan shape used by the planner properties.
@@ -293,15 +309,6 @@ fn rgx_display_round_trips_through_the_parser() {
         let reparsed = parse(&printed).unwrap_or_else(|e| {
             panic!("seed {seed}: Display output {printed:?} failed to re-parse: {e}")
         });
-        let classes = |r: &Rgx| {
-            let mut out = Vec::new();
-            r.visit(&mut |node| {
-                if let Rgx::Class(c) = node {
-                    out.push(*c);
-                }
-            });
-            out
-        };
         assert_eq!(
             classes(&reparsed),
             classes(&alpha),
@@ -317,5 +324,76 @@ fn rgx_display_round_trips_through_the_parser() {
             "seed {seed}: round trip changed semantics on {:?}: {printed:?}",
             doc.text()
         );
+    }
+}
+
+/// The bytes the formula syntax gives a meaning to, every letter an escape
+/// gives one (`\d`, `\x41`, …), and a few plain letters and digits: the
+/// alphabet of the raw-input property below.
+const SYNTAX_BYTES: &[u8] = b"{}()[]|*+?.\\^-:adlnrstuwxzAZ09";
+
+/// The sources of the access-log and student-record extractors (their
+/// `Display` spells every `+` and `?` out, which triples the input).
+const LOG_REQUEST: &str = r#"(.*\n)?{ip:\d+\.\d+\.\d+\.\d+} - ({user:\l+}|-) \[[\d/]+\] "{method:\u+} {path:[\w/\.]+}" {status:\d\d\d} \d+\n.*"#;
+const STUDENT_INFO: &str =
+    r"(.*\n)?({first:\u\l+} )?{last:\u\l+} ({phone:\d+} )?{mail:\l+@\l+(\.\l+)+}\n.*";
+
+/// `parse` takes any text: every prefix and every single-byte substitution
+/// of the shipped formulas (the `/…/` literals of the serving program
+/// library, the access-log and student-record extractors), and seeded
+/// random strings over the same bytes, either parse or fail with an error —
+/// never a panic — and whatever parses prints to a formula that re-parses
+/// to the same classes.
+#[test]
+fn rgx_parse_survives_raw_bytes() {
+    let mut formulas = BTreeSet::new();
+    for program in program_library() {
+        // The `/…/` literals, with the delimiter escape `\/` undone.
+        let program = program.replace("\\/", "\u{1}");
+        for literal in program.split('/').skip(1).step_by(2) {
+            formulas.insert(literal.replace('\u{1}', "/"));
+        }
+    }
+    for (source, extractor) in [
+        (LOG_REQUEST, log_request_extractor()),
+        (STUDENT_INFO, student_info_extractor()),
+    ] {
+        assert_eq!(parse(source).ok(), extractor.ok(), "{source:?} is stale");
+        formulas.insert(source.to_string());
+    }
+    let mut inputs = BTreeSet::new();
+    for formula in &formulas {
+        assert!(parse(formula).is_ok(), "{formula:?} is a shipped formula");
+        let bytes = formula.as_bytes();
+        for end in 0..bytes.len() {
+            inputs.insert(bytes[..end].to_vec());
+            for &b in SYNTAX_BYTES {
+                let mut changed = bytes.to_vec();
+                changed[end] = b;
+                inputs.insert(changed);
+            }
+        }
+    }
+    let mut rng = StdRng::seed_from_u64(0xf022);
+    for _ in 0..4_000 {
+        let len = rng.gen_range(0..=24usize);
+        let text = (0..len).map(|_| SYNTAX_BYTES[rng.gen_range(0..SYNTAX_BYTES.len())]);
+        inputs.insert(text.collect());
+    }
+    for input in inputs {
+        let input = String::from_utf8(input).expect("ASCII");
+        let parsed = std::panic::catch_unwind(|| parse(&input))
+            .unwrap_or_else(|_| panic!("parse panicked on {input:?}"));
+        if let Ok(alpha) = parsed {
+            let printed = alpha.to_string();
+            let reparsed = parse(&printed).unwrap_or_else(|e| {
+                panic!("{input:?} printed as {printed:?}, which fails to re-parse: {e}")
+            });
+            assert_eq!(
+                classes(&reparsed),
+                classes(&alpha),
+                "{input:?}: round trip changed a class: {printed:?}"
+            );
+        }
     }
 }
