@@ -117,7 +117,6 @@ pub const FAMILIES: &[Family] = &[
     ("ql", "DESIGN §4: SpannerQL", system::ql),
     ("scan", "DESIGN §8: the scan fast path", system::scan),
     ("incr", "DESIGN §11: maintained views", system::incr),
-    ("shard", "DESIGN §12: the shard router", system::shard),
 ];
 
 /// What [`Run::measure`] recorded for one row.
@@ -571,7 +570,6 @@ mod tests {
             assert_eq!(index.matches(&format!("E{n} ")).count(), 1, "E{n}");
         }
         assert!(!index.contains("E12 "));
-        assert!(index.contains("  shard/query/2  needs 4 CPUs\n"), "{index}");
         assert!(
             index.contains("  planner/corpus/t4  needs 5 CPUs\n"),
             "{index}"

@@ -1,7 +1,7 @@
 //! The layers below the daemon: executor, planner, SpannerQL, scan fast
-//! path, maintained views, shard router. Row names and counts are the ones
-//! these experiments have always recorded, so the trajectory across PRs
-//! stays comparable; the daemon itself is measured end to end by `bench/`.
+//! path, maintained views. Row names and counts are the ones these
+//! experiments have always recorded, so the trajectory across PRs stays
+//! comparable; the daemon itself is measured end to end by `bench/`.
 
 use crate::{ms, Run, NOISE_MADS, RUNS, TOLERANCE};
 use spanner_algebra::{
@@ -13,10 +13,8 @@ use spanner_corpus::{split_lines, CorpusEngine, CorpusMatches, QueryView};
 use spanner_paper::compile_ra;
 use spanner_ql::PreparedQuery;
 use spanner_rgx::parse;
-use spanner_serve::{Client, Json, RouterOptions, ServeOptions, Server};
 use spanner_store::{Mutation, Store};
 use spanner_workloads::{access_log, needle_corpus, needle_line, random_text, student_records};
-use std::net::SocketAddr;
 use std::time::Instant;
 
 /// The engine as it was before the scan fast path: every prefilter off.
@@ -379,78 +377,4 @@ pub fn incr(run: &mut Run) {
         let selective = lines >= 100_000 && batch <= 10;
         assert!(!selective || lead >= 10, "view or index only {lead}x");
     }
-}
-
-/// Programs of different selectivity over the needle corpus: a selective
-/// literal extraction, a broader token scan, and a difference.
-const SHARD_PROGRAMS: [&str; 3] = [
-    "/.*{x:needle}.*/",
-    "/{x:[a-p]+}( .*)?/",
-    "/.*{x:needle}.*/ minus /.*{x:needle} q.*/",
-];
-
-/// `shard/*`: the same corpus and program stream against one daemon and
-/// against a router over 2 and 3 backend daemons, over the real TCP
-/// protocol. A timed run is 8 rounds of the three programs (24 resident
-/// `query_corpus` requests); the count is their mapping total, which must
-/// be identical at every shard count — the router's bit-identity contract.
-/// Router, backends and their corpus pools share the cores, so below four
-/// CPUs the comparison measures contention, not sharding: skipped there.
-pub fn shard(run: &mut Run) {
-    let names = ["single", "2", "3"].map(|shape| format!("shard/query/{shape}"));
-    let Some(names) = run.needs_cpus(4, names) else {
-        return;
-    };
-    let corpus = needle_corpus(3_000, 40, 14);
-    let lines: Vec<&str> = corpus.iter().map(|doc| doc.text()).collect();
-    let text = lines.join("\n");
-    let ok = |response: Json| {
-        let ok = response.get("ok").and_then(Json::as_bool);
-        assert_eq!(ok, Some(true), "{response}");
-        let mappings = response.get("mappings").and_then(Json::as_usize);
-        mappings.unwrap_or(0)
-    };
-    let backend = ServeOptions {
-        threads: 2,
-        ..ServeOptions::default()
-    };
-    let mut measured = Vec::new();
-    for (shards, name) in (1..).zip(&names) {
-        let bind = |_| Server::bind("127.0.0.1:0", backend).unwrap().spawn();
-        let (backends, mut handles): (Vec<SocketAddr>, Vec<_>) = (0..shards).map(bind).unzip();
-        // One daemon is measured bare, without a router in front.
-        let mut front = backends[0];
-        if shards > 1 {
-            let options = RouterOptions {
-                backends: backends.iter().map(SocketAddr::to_string).collect(),
-                ..RouterOptions::default()
-            };
-            let serve = ServeOptions::default();
-            let router = Server::bind_router("127.0.0.1:0", serve, options);
-            let (addr, handle) = router.unwrap().spawn();
-            front = addr;
-            handles.push(handle);
-        }
-        let mut client = Client::connect(front).unwrap();
-        ok(client.load_corpus(&text).unwrap());
-        let mut round = || {
-            let mut query = |program| ok(client.query_store(program).unwrap());
-            SHARD_PROGRAMS.map(&mut query).iter().sum::<usize>()
-        };
-        round(); // compiles every program on every shard outside the clock
-        measured.push(run.measure(name, || (0..8).map(|_| round()).sum()));
-        if shards > 1 {
-            client.shutdown().unwrap();
-        }
-        for addr in &backends {
-            Client::connect(addr).unwrap().shutdown().unwrap();
-        }
-        for handle in handles {
-            handle.join().expect("join").expect("clean exit");
-        }
-    }
-    let same = measured.iter().all(|m| m.count == measured[0].count);
-    assert!(same, "sharding changed a count: {measured:?}");
-    let speedup = measured[0].median_ns as f64 / measured[1].median_ns as f64;
-    assert!(speedup >= 1.7, "2 local shards: {speedup:.2}x (bar: 1.7x)");
 }

@@ -212,98 +212,6 @@ fn eval_chunk<O: Observer>(
     Ok(shard)
 }
 
-/// Partitions `0..len` into **exactly** `shards` contiguous, in-order
-/// ranges whose sizes differ by at most one (the first `len % shards`
-/// ranges carry the extra document). Unlike the internal per-worker split
-/// above, trailing ranges may be empty — a shard topology is fixed while
-/// a corpus can be arbitrarily small — and the range count always equals
-/// `shards`, which is what the serve-layer router needs to address
-/// backends positionally. `shards == 0` is treated as one shard.
-pub fn partition_ranges(len: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
-    let shards = shards.max(1);
-    let base = len / shards;
-    let extra = len % shards;
-    let mut start = 0;
-    (0..shards)
-        .map(|shard| {
-            let size = base + usize::from(shard < extra);
-            let range = start..start + size;
-            start += size;
-            range
-        })
-        .collect()
-}
-
-/// The document partition of a sharded corpus: which shard owns which
-/// contiguous slice of global document ids.
-///
-/// Global ids are corpus-order line numbers; each shard holds one
-/// contiguous slice, so locating a document is a prefix-sum walk and
-/// merging per-shard results back into corpus order is pure
-/// concatenation — the property the serve-layer router's bit-identity
-/// guarantee rests on. Appends always grow the **last** shard, keeping
-/// every earlier slice (and therefore every existing id) stable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardMap {
-    /// Documents per shard, in shard order.
-    sizes: Vec<usize>,
-}
-
-impl ShardMap {
-    /// A map over explicit per-shard document counts (one entry per
-    /// shard; entries may be zero). An empty `sizes` means one empty
-    /// shard, so the invariant "at least one shard" always holds.
-    pub fn new(sizes: Vec<usize>) -> ShardMap {
-        ShardMap {
-            sizes: if sizes.is_empty() { vec![0] } else { sizes },
-        }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.sizes.len()
-    }
-
-    /// Total documents across every shard.
-    pub fn len(&self) -> usize {
-        self.sizes.iter().sum()
-    }
-
-    /// Whether the corpus is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Documents on `shard`.
-    pub fn size(&self, shard: usize) -> usize {
-        self.sizes[shard]
-    }
-
-    /// The global id of `shard`'s first document (its corpus-order base
-    /// offset — the prefix sum of every earlier shard).
-    pub fn base(&self, shard: usize) -> usize {
-        self.sizes[..shard].iter().sum()
-    }
-
-    /// Locates a global document id: `(shard, local id)` — or `None`
-    /// when `id` is past the corpus.
-    pub fn locate(&self, id: usize) -> Option<(usize, usize)> {
-        let mut offset = id;
-        for (shard, &size) in self.sizes.iter().enumerate() {
-            if offset < size {
-                return Some((shard, offset));
-            }
-            offset -= size;
-        }
-        None
-    }
-
-    /// Records `count` documents appended to the last shard.
-    pub fn append(&mut self, count: usize) {
-        *self.sizes.last_mut().expect("at least one shard") += count;
-    }
-}
-
 /// Intersection of two sorted, duplicate-free id lists — candidate sets and
 /// deltas, the currency between the index and the evaluators.
 pub fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
@@ -528,58 +436,6 @@ pub fn split_lines(text: &str) -> Vec<Document> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-
-    #[test]
-    fn partition_ranges_are_exact_and_balanced() {
-        for len in 0..40usize {
-            for shards in 1..7usize {
-                let ranges = partition_ranges(len, shards);
-                assert_eq!(ranges.len(), shards, "len={len} shards={shards}");
-                // Contiguous, in order, covering 0..len exactly once.
-                let mut next = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, next);
-                    next = r.end;
-                }
-                assert_eq!(next, len);
-                // Balanced: sizes differ by at most one.
-                let sizes: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-                let min = sizes.iter().min().unwrap();
-                let max = sizes.iter().max().unwrap();
-                assert!(max - min <= 1, "len={len} shards={shards}: {sizes:?}");
-            }
-        }
-        // Zero shards degrades to one.
-        assert_eq!(partition_ranges(5, 0), vec![0..5]);
-    }
-
-    #[test]
-    fn shard_map_locates_every_document() {
-        let map = ShardMap::new(vec![4, 3, 3]);
-        assert_eq!(map.shards(), 3);
-        assert_eq!(map.len(), 10);
-        assert_eq!((map.size(0), map.size(1), map.size(2)), (4, 3, 3));
-        assert_eq!((map.base(0), map.base(1), map.base(2)), (0, 4, 7));
-        // locate agrees with base + local for every id; past-the-end is None.
-        for id in 0..10 {
-            let (shard, local) = map.locate(id).unwrap();
-            assert_eq!(map.base(shard) + local, id, "id={id}");
-            assert!(local < map.size(shard));
-        }
-        assert_eq!(map.locate(10), None);
-        // Appends grow the last shard only, keeping earlier ids stable.
-        let mut map = map;
-        map.append(2);
-        assert_eq!(map.len(), 12);
-        assert_eq!(map.locate(4), Some((1, 0)));
-        assert_eq!(map.locate(10), Some((2, 3)));
-        // An empty corpus still has one (empty) shard to address.
-        let empty = ShardMap::new(vec![0, 0]);
-        assert_eq!(empty.shards(), 2);
-        assert!(empty.is_empty());
-        assert_eq!(empty.locate(0), None);
-        assert_eq!(ShardMap::new(Vec::new()).shards(), 1);
-    }
 
     fn engine(pattern: &str) -> CorpusEngine {
         let inst = Instantiation::new().with(0, spanner_rgx::parse(pattern).unwrap());

@@ -2,15 +2,15 @@
 //!
 //! One [`Client`] wraps one TCP connection; every call writes one request
 //! line and reads one response line. The CLI `client` subcommand, the
-//! protocol tests, the shard router and the serve benchmark all drive the
-//! daemon through this type, and every typed method encodes its request
-//! with [`Request::to_json`], so the protocol has exactly one encoder.
+//! protocol tests and the serve benchmark all drive the daemon through
+//! this type, and every typed method encodes its request with
+//! [`Request::to_json`], so the protocol has exactly one encoder.
 
 use crate::conn::{line_frame, Conn, Frame, Limits, POLL_INTERVAL};
 use crate::json::Json;
 use crate::protocol::Request;
 use std::io;
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 /// A connected protocol client.
@@ -18,26 +18,15 @@ use std::time::{Duration, Instant};
 pub struct Client {
     conn: Conn,
     /// Overall per-request response deadline; `None` waits forever (the
-    /// interactive CLI default — the shard router always sets one).
+    /// interactive CLI default).
     deadline: Option<Duration>,
 }
 
 impl Client {
     /// Connects to a running daemon.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        Client::from_stream(TcpStream::connect(addr)?)
-    }
-
-    /// Connects with a bound on the TCP connect itself — the shape the
-    /// shard router uses, so one dead backend cannot stall a fan-out for
-    /// the OS's (minutes-long) connect timeout.
-    pub fn connect_with_timeout(addr: &SocketAddr, timeout: Duration) -> io::Result<Client> {
-        Client::from_stream(TcpStream::connect_timeout(addr, timeout)?)
-    }
-
-    fn from_stream(stream: TcpStream) -> io::Result<Client> {
         Ok(Client {
-            conn: Conn::new(stream)?,
+            conn: Conn::new(TcpStream::connect(addr)?)?,
             deadline: None,
         })
     }

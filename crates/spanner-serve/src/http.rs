@@ -8,8 +8,7 @@
 //! [`Request::from_json`], the decoder the line protocol uses; the loop
 //! dispatches and accounts for the request like any other, and the codec
 //! renders the response with an HTTP status. So the two transports share
-//! one validation path, one dispatch, one set of per-op metrics, and (on a
-//! router front end) one fan-out.
+//! one validation path, one dispatch and one set of per-op metrics.
 //!
 //! | method & path | op | notes |
 //! |---|---|---|
@@ -41,9 +40,8 @@
 //! oversized head, an unread body) closes it.
 //!
 //! Error responses carry the protocol's JSON error body: a plain error
-//! (bad program, bad field) is `400`; a router *degraded* response
-//! (`"degraded": true` — a backend shard stayed unreachable) is `503`; a
-//! request whose handling panicked (`"internal": true`) is `500`.
+//! (bad program, bad field) is `400`; a request whose handling panicked
+//! (`"internal": true`) is `500`.
 //!
 //! `POST /v1/query_corpus` streams its response with
 //! `Transfer-Encoding: chunked`, one chunk per matched document, and the
@@ -220,14 +218,11 @@ impl Codec for HttpCodec {
     ) -> io::Result<bool> {
         let keep_alive = self.keep_alive && !last;
         let flag = |name| response.get(name).and_then(Json::as_bool) == Some(true);
-        let status =
-            self.status
-                .unwrap_or(match (flag("ok"), flag("degraded"), flag("internal")) {
-                    (true, ..) => 200,
-                    (_, true, _) => 503,
-                    (_, _, true) => 500,
-                    _ => 400,
-                });
+        let status = self.status.unwrap_or(match (flag("ok"), flag("internal")) {
+            (true, _) => 200,
+            (_, true) => 500,
+            _ => 400,
+        });
         shared.metrics.http_classes[(status / 100 - 2) as usize].inc();
         let head = |out: &mut Vec<u8>, content_type: &str, length: Option<usize>| {
             write!(
@@ -387,7 +382,6 @@ fn reason(status: u16) -> &'static str {
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         501 => "Not Implemented",
-        503 => "Service Unavailable",
         _ => "Unknown",
     }
 }

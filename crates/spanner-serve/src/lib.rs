@@ -37,16 +37,6 @@
 //!   keep-alive, chunked streaming for corpus results, `/metrics`, and
 //!   `/healthz`, plus the matching [`HttpClient`].
 //!
-//! One more deployment shape sits on the same dispatch path:
-//!
-//! * [`router`] — a shard-router mode ([`Server::bind_router`]): one
-//!   front end partitions the corpus across N backend daemons, fans
-//!   corpus queries out in parallel, and merges per-document results in
-//!   corpus order, bit-identical to a single daemon. Backend calls are
-//!   bounded by connect/read timeouts with bounded retries on idempotent
-//!   ops; a backend that stays unreachable yields a typed degraded
-//!   response naming the failed shard instead of a hang.
-//!
 //! ```
 //! use spanner_serve::{Client, ServeOptions, Server};
 //!
@@ -70,7 +60,6 @@ mod conn;
 pub mod http;
 pub mod json;
 pub mod protocol;
-pub mod router;
 pub mod server;
 
 pub use cache::{CacheStats, QueryCache};
@@ -78,7 +67,6 @@ pub use client::Client;
 pub use http::{HttpClient, HttpResponse};
 pub use json::Json;
 pub use protocol::Request;
-pub use router::RouterOptions;
 pub use server::{ServeOptions, Server};
 
 use std::sync::{Mutex, MutexGuard};

@@ -215,8 +215,8 @@ impl Request {
     }
 
     /// Encodes this request as the object [`Request::parse`] decodes — the
-    /// one encoder: every typed [`crate::Client`] method and every shard
-    /// router payload is built here. Optional members are omitted when
+    /// one encoder: every typed [`crate::Client`] method is built on it.
+    /// Optional members are omitted when
     /// unset, so `from_json(to_json(r)) == r` for every request.
     pub fn to_json(&self) -> Json {
         let text = |s: &String| Json::string(s.as_str());

@@ -46,7 +46,6 @@ use crate::http::HttpCodec;
 use crate::json::Json;
 use crate::lock_or_reset;
 use crate::protocol::{error_response, mappings_to_json, trace_to_json, Request};
-use crate::router::{Router, RouterOptions};
 use spanner_algebra::RaOptions;
 use spanner_core::Document;
 use spanner_corpus::{resolve_pool_threads, split_lines, CorpusMatches, QueryView};
@@ -497,9 +496,6 @@ pub(crate) struct Shared {
     pub(crate) shutdown: AtomicBool,
     pub(crate) metrics: ServerMetrics,
     pub(crate) started: Instant,
-    /// The shard router, when this front end routes to backend daemons
-    /// instead of evaluating locally ([`Server::bind_router`]).
-    router: Option<Router>,
     /// The resident corpus: loaded by `load_corpus`, mutated in place by
     /// `append_docs`/`update_doc`/`delete_docs`, and queried by
     /// `query_corpus` requests that omit `text` — documents stay on the
@@ -653,27 +649,6 @@ impl Server {
     /// a free port, which [`Server::local_addr`] reports). The transport
     /// is chosen by [`ServeOptions::http`].
     pub fn bind(addr: &str, options: ServeOptions) -> io::Result<Server> {
-        Server::bind_inner(addr, options, None)
-    }
-
-    /// Binds a shard-router front end: corpus operations partition and
-    /// fan out across `router.backends` (see [`crate::router`]), while
-    /// single-document operations are served locally. The transport is
-    /// still chosen by [`ServeOptions::http`], so a router can also be
-    /// the HTTP edge of a cluster.
-    pub fn bind_router(
-        addr: &str,
-        options: ServeOptions,
-        router: RouterOptions,
-    ) -> io::Result<Server> {
-        Server::bind_inner(addr, options, Some(router))
-    }
-
-    fn bind_inner(
-        addr: &str,
-        options: ServeOptions,
-        router: Option<RouterOptions>,
-    ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         // Resolved here, once: resolving `0` reads cgroup files, which costs
@@ -682,11 +657,6 @@ impl Server {
             corpus_threads: resolve_pool_threads(options.corpus_threads),
             ..options
         };
-        let metrics = ServerMetrics::new();
-        let router = match router {
-            None => None,
-            Some(router_options) => Some(Router::new(router_options, &metrics.registry)?),
-        };
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
@@ -694,9 +664,8 @@ impl Server {
                 options,
                 addr,
                 shutdown: AtomicBool::new(false),
-                metrics,
+                metrics: ServerMetrics::new(),
                 started: Instant::now(),
-                router,
                 store: Mutex::new(None),
             }),
         })
@@ -827,7 +796,7 @@ fn serve_connection<C: Codec>(stream: TcpStream, shared: &Shared, mut codec: C) 
                 let op = decoded.as_ref().map_or(INVALID, Request::op_name);
                 metrics.begin_request(op);
                 let response = match decoded {
-                    Ok(request) => guarded(metrics, || dispatch_request(shared, request)),
+                    Ok(request) => guarded(metrics, || handle_request(shared, request)),
                     Err(reject) => reject,
                 };
                 metrics.finish_request(op, conn.framed_at.elapsed(), &response);
@@ -1036,21 +1005,8 @@ fn mutate(
     Json::object(fields)
 }
 
-/// Dispatches one decoded request: a router front end intercepts the
-/// corpus-level operations and fans them out to its backend shards;
-/// everything else (and everything, without a router) is handled
-/// locally. Both transports funnel through this one function, so the
-/// line-JSON and HTTP surfaces can never drift apart.
-pub(crate) fn dispatch_request(shared: &Shared, request: Request) -> Json {
-    if let Some(router) = &shared.router {
-        if let Some(response) = router.route(&request) {
-            return response;
-        }
-    }
-    handle_request(shared, request)
-}
-
-/// Handles one decoded request locally.
+/// Handles one decoded request. Both transports funnel through this one
+/// function, so the line-JSON and HTTP surfaces can never drift apart.
 fn handle_request(shared: &Shared, request: Request) -> Json {
     match request {
         Request::Prepare { program } => with_query(shared, &program, |query, cached| {
@@ -1258,14 +1214,6 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
         }
         Request::Stats => {
             let cache = shared.cache.stats();
-            // Deliberately local even on a router front end: a stats
-            // probe must answer when every backend is down, so the
-            // router section reports topology and transport counters
-            // without fanning out.
-            let router = match &shared.router {
-                None => Json::Null,
-                Some(router) => router.stats(),
-            };
             let store = match shared.resident() {
                 None => Json::Null,
                 Some(resident) => {
@@ -1357,7 +1305,6 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
                     ),
                 ),
                 ("store", store),
-                ("router", router),
             ])
         }
         Request::Metrics => Json::object([

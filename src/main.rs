@@ -42,12 +42,6 @@
 //! document-spanners serve    --http [addr [threads]] the same daemon behind an
 //!                                                    HTTP/1.1 front end (/v1/*,
 //!                                                    /metrics, /healthz)
-//! document-spanners route    <addr> <backend>...     shard-router front end:
-//!                                                    partition the corpus across
-//!                                                    N backend daemons, fan
-//!                                                    corpus queries out, merge
-//!                                                    in corpus order (--http for
-//!                                                    the HTTP front end)
 //! document-spanners client   <addr> [json-line]      send one request line to a
 //!                                                    daemon (stdin when omitted)
 //! ```
@@ -81,7 +75,6 @@ const USAGE: &str = "usage:
   document-spanners explain  <program>
   document-spanners explain  --analyze <program> [file]
   document-spanners serve    [--http] [addr [threads]]
-  document-spanners route    [--http] <addr> <backend> [backend ...]
   document-spanners client   <addr> [json-line]
 
 a file or store argument of `-` reads from standard input; `--watch`
@@ -123,8 +116,8 @@ fn arity(command: &str, operands: &[String], min: usize, max: usize) -> Result<(
     Ok(())
 }
 
-/// Strips a leading `--http` flag (the `serve`/`route` transport switch)
-/// from the operand list.
+/// Strips a leading `--http` flag (the `serve` transport switch) from the
+/// operand list.
 fn strip_http_flag(operands: &[String]) -> (bool, &[String]) {
     match operands.first() {
         Some(flag) if flag == "--http" => (true, &operands[1..]),
@@ -364,29 +357,6 @@ fn run(args: &[String]) -> Result<(), String> {
                     spanner_serve::Request::OPS.join(", "),
                 );
             }
-            server.run().map_err(|e| e.to_string())
-        }
-        "route" => {
-            let (http, operands) = strip_http_flag(operands);
-            arity(command, operands, 2, usize::MAX)?;
-            let addr = operands[0].as_str();
-            let router = spanner_serve::RouterOptions {
-                backends: operands[1..].to_vec(),
-                ..spanner_serve::RouterOptions::default()
-            };
-            let options = spanner_serve::ServeOptions {
-                http,
-                ..spanner_serve::ServeOptions::default()
-            };
-            let shards = router.backends.len();
-            let server = spanner_serve::Server::bind_router(addr, options, router)
-                .map_err(|e| format!("cannot start router on {addr}: {e}"))?;
-            eprintln!(
-                "routing on {}{} across {shards} backend shard{}",
-                if http { "http://" } else { "" },
-                server.local_addr(),
-                if shards == 1 { "" } else { "s" },
-            );
             server.run().map_err(|e| e.to_string())
         }
         "client" => {
@@ -654,9 +624,6 @@ mod tests {
             &["query", "--store", "--watch", "/a/"],
             &["explain", "--analyze"],
             &["query", "--trace"],
-            &["route"],
-            &["route", "127.0.0.1:0"],
-            &["route", "--http", "127.0.0.1:0"],
         ] {
             let err = run(&argv(case)).unwrap_err();
             assert!(err.contains("needs at least"), "{case:?}: {err}");
@@ -902,10 +869,6 @@ mod tests {
         // Port 1 is never listening in the test environment.
         let err = run(&argv(&["client", "127.0.0.1:1", "{}"])).unwrap_err();
         assert!(err.contains("cannot connect"), "{err}");
-        let err = run(&argv(&["route", "not an address", "127.0.0.1:1"])).unwrap_err();
-        assert!(err.contains("cannot start router"), "{err}");
-        let err = run(&argv(&["route", "127.0.0.1:0", "not an address"])).unwrap_err();
-        assert!(err.contains("cannot start router"), "{err}");
     }
 
     #[test]
