@@ -884,9 +884,9 @@ impl Iterator for OpStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blackbox::TokenizerSpanner;
     use crate::plan::CompiledPlan;
     use crate::ratree::{Instantiation, RaOptions, RaTree};
+    use crate::spanner::WholeDocument;
     use spanner_rgx::parse;
 
     fn assert_send_sync<T: Send + Sync>() {}
@@ -934,11 +934,11 @@ mod tests {
         let tree = RaTree::union(RaTree::leaf(0), RaTree::leaf(1));
         let inst = Instantiation::new()
             .with(0, parse(r"{t:\l+}").unwrap())
-            .with_black_box(1, TokenizerSpanner::new("t"));
+            .with_black_box(1, WholeDocument);
         let physical = lower(&tree, &inst);
         let outline = physical.describe();
         assert!(outline.contains("UnionAll(2 inputs, dedup)"), "{outline}");
-        assert!(outline.contains("BlackBoxScan(tokenize(t))"), "{outline}");
+        assert!(outline.contains("BlackBoxScan(whole(t))"), "{outline}");
     }
 
     #[test]

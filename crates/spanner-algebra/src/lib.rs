@@ -7,10 +7,8 @@
 //! (PODS 2019):
 //!
 //! * [`spanner`] — the [`Spanner`](trait@spanner::Spanner) trait black-box
-//!   extractors implement;
-//! * [`blackbox`] — tractable, degree-bounded black-box extractors
-//!   (tokenizer, dictionary, string equality, sentiment) usable inside RA
-//!   trees (Corollary 5.3);
+//!   extractors implement to sit inside RA trees (Corollary 5.3), lowered to
+//!   the executor's [`PhysOp::BlackBoxScan`];
 //! * [`ratree`] — RA trees, instantiations and the extraction-complexity
 //!   parameter of Theorem 5.2;
 //! * [`plan`] — the logical plan optimizer (projection pushdown, union
@@ -25,9 +23,10 @@
 //! This crate is the planner and the executor — what serves. The paper's
 //! own constructions for the difference operator (the filter baseline,
 //! Lemma 4.2, Theorem 4.8), ad-hoc compilation of relations, the whole-tree
-//! recipe `compile_ra` and the materialized oracle are the *reference* the
-//! executor is held to and live in `spanner-paper`, which depends on this
-//! crate and not the other way round.
+//! recipe `compile_ra`, the materialized oracle and the demo black boxes of
+//! the experiments (a tokenizer, a sentiment classifier) are the *reference*
+//! the executor is held to and live in `spanner-paper`, which depends on
+//! this crate and not the other way round.
 //!
 //! # Example: the paper's Example 2.4
 //!
@@ -52,13 +51,11 @@
 
 #![warn(missing_docs)]
 
-pub mod blackbox;
 pub mod exec;
 pub mod plan;
 pub mod ratree;
 pub mod spanner;
 
-pub use blackbox::{DictionarySpanner, SentimentSpanner, TokenEqualitySpanner, TokenizerSpanner};
 pub use exec::{ExecTrace, NoTrace, Observer, OpStream, PhysOp, PhysicalPlan};
 pub use plan::{optimize_ra, optimize_ra_with_stats, CompiledPlan, PlanStats};
 pub use ratree::{

@@ -667,8 +667,8 @@ impl fmt::Debug for CompiledPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blackbox::TokenizerSpanner;
     use crate::ratree::{figure_2_tree, shared_variable_bound};
+    use crate::spanner::WholeDocument;
     use spanner_rgx::parse;
 
     fn assert_send_sync<T: Send + Sync>() {}
@@ -727,10 +727,12 @@ mod tests {
     fn stream_matches_evaluate_on_static_and_dynamic_plans() {
         let static_tree = RaTree::union(RaTree::leaf(0), RaTree::leaf(1));
         let dynamic_tree = RaTree::difference(RaTree::leaf(0), RaTree::leaf(1));
+        let black_box_tree = RaTree::union(RaTree::leaf(0), RaTree::leaf(2));
         let inst = Instantiation::new()
             .with(0, parse("{x:a+}b*").unwrap())
-            .with(1, parse("{x:a}b").unwrap());
-        for tree in [static_tree, dynamic_tree] {
+            .with(1, parse("{x:a}b").unwrap())
+            .with_black_box(2, WholeDocument);
+        for tree in [static_tree, dynamic_tree, black_box_tree] {
             let plan = CompiledPlan::compile(&tree, &inst, RaOptions::default()).unwrap();
             for text in ["ab", "aab", "b", ""] {
                 let doc = Document::new(text);
@@ -784,7 +786,7 @@ mod tests {
         // A black-box operand constrains nothing, and poisons a union.
         let inst3 = Instantiation::new()
             .with(0, parse(".*foo{t:a+}.*").unwrap())
-            .with_black_box(1, TokenizerSpanner::new("t"));
+            .with_black_box(1, WholeDocument);
         assert!(lits(&RaTree::leaf(1), &inst3).is_empty());
         assert!(lits(&RaTree::union(RaTree::leaf(0), RaTree::leaf(1)), &inst3).is_empty());
         // A join needs both sides: the static side's literals remain.

@@ -38,3 +38,23 @@ impl fmt::Debug for dyn Spanner {
 
 /// A reference-counted spanner object, the form used inside RA trees.
 pub type SpannerRef = Arc<dyn Spanner>;
+
+/// The unit tests' black box: binds `t` to the whole document.
+#[cfg(test)]
+pub(crate) struct WholeDocument;
+
+#[cfg(test)]
+impl Spanner for WholeDocument {
+    fn name(&self) -> String {
+        "whole(t)".to_string()
+    }
+
+    fn vars(&self) -> VarSet {
+        VarSet::from_iter(["t"])
+    }
+
+    fn eval(&self, doc: &Document) -> SpannerResult<MappingSet> {
+        let whole = spanner_core::Mapping::from_pairs([("t", doc.full_span())]);
+        Ok([whole].into_iter().collect())
+    }
+}

@@ -8,18 +8,19 @@
 //! the quantity the claim is about.
 
 use crate::{log_log_slope, Run, RUNS};
-use spanner_algebra::{evaluate_ra, figure_2_tree, Instantiation, RaOptions, SentimentSpanner};
+use spanner_algebra::{evaluate_ra, figure_2_tree, Instantiation, RaOptions};
 use spanner_core::{ByteClass, Document, VarSet};
 use spanner_enum::{count_mappings, Enumerator};
 use spanner_paper::{
     bounded_occurrence_cnf, bounded_occurrence_difference_instance, difference_adhoc_eval,
     difference_filter, difference_hardness_instance, difference_product, difference_product_eval,
-    has_satisfying_assignment_of_weight, is_satisfiable, join_hardness_instance, nfa_accepts,
-    random_3cnf, static_boolean_difference, weighted_difference_instance, DifferenceInstance,
-    DifferenceOptions,
+    has_satisfying_assignment_of_weight, is_satisfiable, is_synchronized,
+    join_disjunctive_functional, join_hardness_instance, nfa_accepts, random_3cnf,
+    static_boolean_difference, to_disjunctive_functional, weighted_difference_instance,
+    DifferenceInstance, DifferenceOptions, SentimentSpanner,
 };
-use spanner_rgx::{parse, to_disjunctive_functional, Rgx};
-use spanner_vset::{compile, is_synchronized, join, join_disjunctive_functional, Vsa};
+use spanner_rgx::{parse, Rgx};
+use spanner_vset::{compile, join, Vsa};
 use spanner_workloads::{
     example_3_10_formula, student_info_extractor, student_records,
     student_records_with_recommendations, uk_mail_extractor,

@@ -76,14 +76,6 @@ impl Span {
         self.start <= other.start && other.end <= self.end
     }
 
-    /// Whether the two spans overlap in at least one position of content.
-    ///
-    /// Empty spans carry no content, so they never overlap anything.
-    #[inline]
-    pub fn overlaps(&self, other: &Span) -> bool {
-        !self.is_empty() && !other.is_empty() && self.start < other.end && other.start < self.end
-    }
-
     /// Concatenates two adjacent spans `[i, j⟩` and `[j, k⟩` into `[i, k⟩`.
     ///
     /// Returns `None` if the spans are not adjacent.
@@ -154,10 +146,6 @@ mod tests {
         let inner = Span::new(3, 5);
         assert!(outer.contains(&inner));
         assert!(!inner.contains(&outer));
-        assert!(outer.overlaps(&inner));
-        assert!(!Span::new(1, 3).overlaps(&Span::new(3, 5)));
-        // An empty span never overlaps anything (no content).
-        assert!(!Span::empty(4).overlaps(&Span::new(1, 10)));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use std::fmt::Write as _;
 
 /// Escapes a `# HELP` text: `\` → `\\`, newline → `\n`.
-pub fn escape_help(text: &str) -> String {
+fn escape_help(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     for c in text.chars() {
         match c {
@@ -28,7 +28,7 @@ pub fn escape_help(text: &str) -> String {
 }
 
 /// Escapes a label value: `\` → `\\`, `"` → `\"`, newline → `\n`.
-pub fn escape_label(value: &str) -> String {
+fn escape_label(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
     for c in value.chars() {
         match c {
@@ -43,7 +43,7 @@ pub fn escape_label(value: &str) -> String {
 
 /// Renders a sample value: integers without a trailing `.0`, `+Inf` for
 /// the histogram overflow bound, shortest-roundtrip floats otherwise.
-pub fn render_value(value: f64) -> String {
+fn render_value(value: f64) -> String {
     if value == f64::INFINITY {
         "+Inf".to_string()
     } else if value == f64::NEG_INFINITY {

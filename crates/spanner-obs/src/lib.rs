@@ -6,7 +6,7 @@
 //! zero dependencies, like the rest of the workspace. Three pieces:
 //!
 //! * [`metrics`] — a process-wide metrics [`Registry`] of atomic
-//!   [`Counter`]s, [`Gauge`]s, and fixed-bucket [`Histogram`]s. Recording
+//!   [`Counter`]s and fixed-bucket [`Histogram`]s. Recording
 //!   is one lock-free `fetch_add`; the registry mutex is touched only at
 //!   registration and render time, never on the hot path.
 //! * [`expo`] — the Prometheus text exposition format ([`Exposition`]):
@@ -20,12 +20,14 @@
 //!   an aggregate, which is how `explain --analyze` reports a corpus run.
 //!
 //! ```
-//! use spanner_obs::Registry;
+//! use spanner_obs::{Exposition, Registry};
 //!
 //! let registry = Registry::new();
 //! let requests = registry.counter("requests_total", "Requests served", &[("op", "query")]);
 //! requests.inc();
-//! let text = registry.render();
+//! let mut scrape = Exposition::new();
+//! registry.export_into(&mut scrape);
+//! let text = scrape.finish();
 //! assert!(text.contains(r#"requests_total{op="query"} 1"#));
 //! ```
 
@@ -37,5 +39,5 @@ pub mod metrics;
 pub mod trace;
 
 pub use expo::Exposition;
-pub use metrics::{Counter, Gauge, Histogram, Registry, LATENCY_BUCKETS, RATIO_BUCKETS};
+pub use metrics::{Counter, Histogram, Registry, LATENCY_BUCKETS, RATIO_BUCKETS};
 pub use trace::TraceNode;

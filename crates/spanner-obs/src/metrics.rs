@@ -1,6 +1,6 @@
 //! The atomic metrics registry.
 //!
-//! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are cheap `Arc` clones
+//! Handles ([`Counter`], [`Histogram`]) are cheap `Arc` clones
 //! around atomics: a caller registers once at startup, stores the handle,
 //! and records with one lock-free `fetch_add` per event — the registry
 //! [`Mutex`] is held only while registering and while rendering a scrape,
@@ -41,28 +41,6 @@ impl Counter {
     /// Adds `n`.
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge: a value that can go up and down (stored as `u64`; the
-/// workspace's gauges are all non-negative counts).
-#[derive(Debug, Clone, Default)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    /// A free-standing gauge.
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
-    /// Sets the value.
-    pub fn set(&self, value: u64) {
-        self.0.store(value, Ordering::Relaxed);
     }
 
     /// The current value.
@@ -155,7 +133,6 @@ impl Histogram {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
     Counter,
-    Gauge,
     Histogram,
 }
 
@@ -163,7 +140,6 @@ impl Kind {
     fn name(self) -> &'static str {
         match self {
             Kind::Counter => "counter",
-            Kind::Gauge => "gauge",
             Kind::Histogram => "histogram",
         }
     }
@@ -172,7 +148,6 @@ impl Kind {
 #[derive(Debug, Clone)]
 enum Metric {
     Counter(Counter),
-    Gauge(Gauge),
     Histogram(Histogram),
 }
 
@@ -216,11 +191,10 @@ impl Registry {
     }
 
     /// Registers one counter per value of a single label key — a whole
-    /// family at once, in value order. This is the shape of per-partition
-    /// families whose cardinality is only known at startup (one series
-    /// per backend shard, one per HTTP status class): the caller indexes
-    /// the returned handles positionally and never touches the registry
-    /// mutex again.
+    /// family at once, in value order. This is the shape of a family whose
+    /// label values are a fixed set known at startup (one series per HTTP
+    /// status class): the caller indexes the returned handles positionally
+    /// and never touches the registry mutex again.
     pub fn counters<S: AsRef<str>>(
         &self,
         name: &str,
@@ -232,16 +206,6 @@ impl Registry {
             .iter()
             .map(|value| self.counter(name, help, &[(key, value.as_ref())]))
             .collect()
-    }
-
-    /// Registers (or retrieves) a gauge.
-    pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-        match self.register(name, help, Kind::Gauge, labels, || {
-            Metric::Gauge(Gauge::new())
-        }) {
-            Metric::Gauge(g) => g,
-            _ => unreachable!("kind checked in register"),
-        }
     }
 
     /// Registers (or retrieves) a histogram over `bounds`.
@@ -318,7 +282,6 @@ impl Registry {
                     .collect();
                 match &series.metric {
                     Metric::Counter(c) => out.sample(&family.name, &labels, c.get() as f64),
-                    Metric::Gauge(g) => out.sample(&family.name, &labels, g.get() as f64),
                     Metric::Histogram(h) => {
                         let (bounds, cumulative, sum) = h.snapshot();
                         out.histogram(&family.name, &labels, &bounds, &cumulative, sum);
@@ -327,13 +290,6 @@ impl Registry {
             }
         }
     }
-
-    /// Renders the whole registry as Prometheus text.
-    pub fn render(&self) -> String {
-        let mut out = Exposition::new();
-        self.export_into(&mut out);
-        out.finish()
-    }
 }
 
 #[cfg(test)]
@@ -341,31 +297,35 @@ mod tests {
     use super::*;
     use crate::expo::check_exposition;
 
+    fn render(registry: &Registry) -> String {
+        let mut out = Exposition::new();
+        registry.export_into(&mut out);
+        out.finish()
+    }
+
     #[test]
     fn counter_families_register_per_label_value() {
         let registry = Registry::new();
-        let shards: Vec<String> = (0..3).map(|i| i.to_string()).collect();
+        let classes = ["2xx", "3xx", "4xx", "5xx"];
         let family = registry.counters(
-            "backend_requests_total",
-            "per-shard requests",
-            "shard",
-            &shards,
+            "http_requests_total",
+            "responses by status class",
+            "class",
+            &classes,
         );
-        assert_eq!(family.len(), 3);
-        family[1].add(5);
+        assert_eq!(family.len(), 4);
+        family[2].add(5);
         // Re-registering yields the same underlying series, positionally.
         let again = registry.counters(
-            "backend_requests_total",
-            "per-shard requests",
-            "shard",
-            &shards,
+            "http_requests_total",
+            "responses by status class",
+            "class",
+            &classes,
         );
-        assert_eq!(again[1].get(), 5);
+        assert_eq!(again[2].get(), 5);
         assert_eq!(again[0].get(), 0);
-        let mut out = Exposition::new();
-        registry.export_into(&mut out);
-        let rendered = out.finish();
-        assert!(rendered.contains("backend_requests_total{shard=\"1\"} 5"));
+        let rendered = render(&registry);
+        assert!(rendered.contains("http_requests_total{class=\"4xx\"} 5"));
         check_exposition(&rendered).unwrap();
     }
 
@@ -387,7 +347,7 @@ mod tests {
             }
         });
         assert_eq!(counter.get(), 8000);
-        assert!(registry.render().contains("hits_total 8000"));
+        assert!(render(&registry).contains("hits_total 8000"));
     }
 
     #[test]
@@ -437,11 +397,10 @@ mod tests {
         registry
             .counter("req_total", "requests", &[("op", "explain")])
             .inc();
-        registry.gauge("entries", "cache entries", &[]).set(7);
         registry
             .histogram("lat_seconds", "latency", &[("op", "query")], &[0.001, 0.1])
             .observe(0.05);
-        let text = registry.render();
+        let text = render(&registry);
         check_exposition(&text).unwrap();
         assert!(text.contains(r#"req_total{op="query"} 3"#), "{text}");
         assert!(text.contains(r#"req_total{op="explain"} 1"#), "{text}");
@@ -463,7 +422,7 @@ mod tests {
         b.inc();
         assert_eq!(a.get(), 2, "same handle behind both registrations");
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            registry.gauge("x_total", "x", &[]);
+            registry.histogram("x_total", "x", &[], LATENCY_BUCKETS);
         }));
         assert!(panic.is_err(), "kind mismatch must be a programmer error");
     }

@@ -3,11 +3,13 @@
 //! The ad-hoc compilation approach lets an RA tree incorporate *any*
 //! polynomial-time, degree-bounded extractor, including ones that are not
 //! expressible as RA expressions over regular spanners. This module provides
-//! the examples the paper mentions — string equality, dictionaries /
-//! gazetteers, tokenizers, and a toy sentiment classifier standing in for the
-//! `PosRec` black box of Example 5.4.
+//! the two that the experiments and examples plug into RA trees: a tokenizer,
+//! and a toy sentiment classifier standing in for the `PosRec` black box of
+//! Example 5.4. Nothing that serves can reach a black box: the executor's
+//! `BlackBoxScan` runs whatever [`Spanner`] an `Instantiation` carries, and
+//! SpannerQL has no syntax for one.
 
-use crate::spanner::Spanner;
+use spanner_algebra::Spanner;
 use spanner_core::{Document, Mapping, MappingSet, Span, SpannerResult, VarSet, Variable};
 use std::collections::BTreeSet;
 
@@ -79,122 +81,6 @@ impl Spanner for TokenizerSpanner {
             .into_iter()
             .map(|s| Mapping::from_pairs([(self.var.clone(), s)]))
             .collect())
-    }
-}
-
-/// A dictionary (gazetteer) lookup: binds its variable to every token whose
-/// text appears in the dictionary. Degree 1.
-#[derive(Clone, Debug)]
-pub struct DictionarySpanner {
-    var: Variable,
-    entries: BTreeSet<String>,
-    case_insensitive: bool,
-}
-
-impl DictionarySpanner {
-    /// Creates a dictionary spanner.
-    pub fn new<I, S>(var: impl Into<Variable>, entries: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        DictionarySpanner {
-            var: var.into(),
-            entries: entries.into_iter().map(Into::into).collect(),
-            case_insensitive: false,
-        }
-    }
-
-    /// Makes the lookup case-insensitive.
-    pub fn case_insensitive(mut self) -> Self {
-        self.entries = self.entries.iter().map(|e| e.to_lowercase()).collect();
-        self.case_insensitive = true;
-        self
-    }
-}
-
-impl Spanner for DictionarySpanner {
-    fn name(&self) -> String {
-        format!("dictionary({}, {} entries)", self.var, self.entries.len())
-    }
-
-    fn vars(&self) -> VarSet {
-        VarSet::from_iter([self.var.clone()])
-    }
-
-    fn degree(&self) -> usize {
-        1
-    }
-
-    fn eval(&self, doc: &Document) -> SpannerResult<MappingSet> {
-        Ok(token_spans(doc)
-            .into_iter()
-            .filter(|s| {
-                let text = doc.slice(*s);
-                if self.case_insensitive {
-                    self.entries.contains(&text.to_lowercase())
-                } else {
-                    self.entries.contains(&*text)
-                }
-            })
-            .map(|s| Mapping::from_pairs([(self.var.clone(), s)]))
-            .collect())
-    }
-}
-
-/// String equality over tokens: binds two variables to every pair of
-/// *distinct* token spans with equal text. Degree 2.
-///
-/// String equality is the paper's canonical example of a spanner that cannot
-/// be expressed as an RA expression over regular spanners (Section 5,
-/// citing Fagin et al.).
-#[derive(Clone, Debug)]
-pub struct TokenEqualitySpanner {
-    var_left: Variable,
-    var_right: Variable,
-}
-
-impl TokenEqualitySpanner {
-    /// Creates the spanner binding `(var_left, var_right)`.
-    pub fn new(var_left: impl Into<Variable>, var_right: impl Into<Variable>) -> Self {
-        TokenEqualitySpanner {
-            var_left: var_left.into(),
-            var_right: var_right.into(),
-        }
-    }
-}
-
-impl Spanner for TokenEqualitySpanner {
-    fn name(&self) -> String {
-        format!("token_eq({}, {})", self.var_left, self.var_right)
-    }
-
-    fn vars(&self) -> VarSet {
-        VarSet::from_iter([self.var_left.clone(), self.var_right.clone()])
-    }
-
-    fn degree(&self) -> usize {
-        2
-    }
-
-    fn eval(&self, doc: &Document) -> SpannerResult<MappingSet> {
-        let tokens = token_spans(doc);
-        let mut out = MappingSet::new();
-        for (i, &s1) in tokens.iter().enumerate() {
-            for &s2 in &tokens[i + 1..] {
-                if doc.slice(s1) == doc.slice(s2) {
-                    out.insert(Mapping::from_pairs([
-                        (self.var_left.clone(), s1),
-                        (self.var_right.clone(), s2),
-                    ]));
-                    out.insert(Mapping::from_pairs([
-                        (self.var_left.clone(), s2),
-                        (self.var_right.clone(), s1),
-                    ]));
-                }
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -321,31 +207,6 @@ mod tests {
             .collect();
         assert_eq!(texts, vec!["ab", "cd_7", "x"]);
         assert_eq!(s.degree(), 1);
-    }
-
-    #[test]
-    fn dictionary_matches_tokens_only() {
-        let s = DictionarySpanner::new("name", ["Pyotr", "Rodion"]);
-        let doc = Document::new("Pyotr Luzhin and rodion");
-        let out = s.eval(&doc).unwrap();
-        assert_eq!(out.len(), 1);
-        let ci = DictionarySpanner::new("name", ["Pyotr", "Rodion"]).case_insensitive();
-        assert_eq!(ci.eval(&doc).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn token_equality_pairs() {
-        let s = TokenEqualitySpanner::new("l", "r");
-        let doc = Document::new("aa bb aa cc bb");
-        let out = s.eval(&doc).unwrap();
-        // Pairs (ordered, both directions): aa@1↔aa@3, bb@2↔bb@5 → 4 mappings.
-        assert_eq!(out.len(), 4);
-        for m in out.iter() {
-            let l = doc.slice(m.get(&"l".into()).unwrap());
-            let r = doc.slice(m.get(&"r".into()).unwrap());
-            assert_eq!(l, r);
-        }
-        assert_eq!(s.degree(), 2);
     }
 
     #[test]

@@ -802,7 +802,7 @@ mod tests {
         let a3 = compiled("{a:\\d}{b:\\d}(){c:\\d}{d:[0-4]}");
         check_all(&a1, &a2, &["1234", "9234", "1334", "9999"]);
         check_all(&a1, &a3, &["1234", "1239", "0000"]);
-        assert!(analysis::is_synchronized(
+        assert!(crate::analysis::is_synchronized(
             &compiled("{a:\\d}{b:\\d}(){c:\\d}{d:[0-4]}"),
             &VarSet::from_iter(["a", "b", "c", "d"])
         ));

@@ -10,17 +10,17 @@
 //! evaluation pipelines. Use `spanner-enum` / `spanner-algebra` for real
 //! workloads.
 
-use crate::ast::Rgx;
 use spanner_core::{Document, Mapping, MappingSet, Span};
+use spanner_rgx::Rgx;
 use std::collections::BTreeSet;
 
 /// A set of `(span, mapping)` pairs — the denotation `[α](d)` of a
 /// sub-formula.
-pub type SpanMappingSet = BTreeSet<(Span, Mapping)>;
+type SpanMappingSet = BTreeSet<(Span, Mapping)>;
 
 /// Computes `[α](d)`: all pairs `(s, µ)` where `s` is a span of `d` matched
 /// by `α` and `µ` is the mapping produced by the captures along that match.
-pub fn reference_eval_spans(alpha: &Rgx, doc: &Document) -> SpanMappingSet {
+fn reference_eval_spans(alpha: &Rgx, doc: &Document) -> SpanMappingSet {
     let n = doc.len() as u32;
     match alpha {
         Rgx::Empty => BTreeSet::new(),

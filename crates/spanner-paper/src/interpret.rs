@@ -166,7 +166,8 @@ mod tests {
     fn equivalent_regex_formula_semantics() {
         // The paper states Example 2.3's automaton equals
         // (Σ* x{Σ*} Σ*) ∨ Σ+. Cross-check via the rgx reference evaluator.
-        use spanner_rgx::{parse, reference_eval};
+        use crate::eval::reference_eval;
+        use spanner_rgx::parse;
         let alpha = parse("(.*{x:.*}.*)|(.+)").unwrap();
         let a = example_2_3();
         for text in ["", "a", "ab", "aba"] {

@@ -2,11 +2,10 @@
 //! unit tests whose oracle is [`interpret`].
 
 use crate::interpret::interpret;
+use crate::rewrite::{assemble_disjunction, join_disjunctive_functional};
 use spanner_core::{Document, Variable};
 use spanner_rgx::parse;
-use spanner_vset::{
-    assemble_disjunction, compile, is_sequential, join, join_disjunctive_functional, Label, Vsa,
-};
+use spanner_vset::{compile, is_sequential, join, Label, Vsa};
 
 /// Oracle: the materialized join of the two interpreted relations.
 fn oracle_join(a1: &Vsa, a2: &Vsa, doc: &Document) -> spanner_core::MappingSet {

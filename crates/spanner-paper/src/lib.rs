@@ -13,6 +13,14 @@
 //!
 //! * [`mod@interpret`] — the brute-force configuration-space evaluator of
 //!   vset-automata, the oracle every compiled path is diffed against;
+//! * [`eval`] — [`reference_eval`], the schemaless semantics `[α](d)` of
+//!   regex formulas (Section 2.2) by structural recursion, the oracle of the
+//!   regex side;
+//! * [`rewrite`] — the disjunctive-functional pipeline: the sequential →
+//!   disjunctive-functional rewriting of Proposition 3.9 and the pairwise
+//!   join of Proposition 3.12;
+//! * [`analysis`] — the variable-configuration classifiers of Sections 3.1
+//!   and 4.2 (semi-functional, synchronized, the extended configuration);
 //! * [`adhoc`] — compilation of materialized relations into ad-hoc
 //!   (document-specific) automata;
 //! * [`difference`] — the difference operator three ways: the naive filter
@@ -21,6 +29,9 @@
 //! * [`ratree`] — [`compile_ra`], the ad-hoc recipe of Theorem 5.2 /
 //!   Corollary 5.3 taken literally, and [`evaluate_ra_materialized`], the
 //!   node-by-node semantics;
+//! * [`blackbox`] — the demo black boxes of Corollary 5.3 (a tokenizer and
+//!   the sentiment classifier of Example 5.4) that the experiments and
+//!   examples put into RA trees;
 //! * [`boolean`] — NFA determinization / complementation, demonstrating why
 //!   *static* compilation of the difference must blow up (Section 4,
 //!   experiment E10);
@@ -36,10 +47,11 @@
 //!   by DPLL.
 //!
 //! The engine crates' own unit cases that need one of these oracles
-//! (`spanner-vset`'s `join`, `scan`, `thompson`, `semifunctional`;
-//! `spanner-algebra`'s `plan`, `exec`, `ratree`) are tests of this crate,
-//! under the module paths they had: a dev-dependency from those crates back
-//! to this one would hand their unit tests a second copy of their own types.
+//! (`spanner-rgx`'s `parser`; `spanner-vset`'s `join`, `scan`, `thompson`,
+//! `semifunctional`; `spanner-enum`'s `enumerate`; `spanner-algebra`'s
+//! `plan`, `exec`, `ratree`) are tests of this crate, under the module paths
+//! they had: a dev-dependency from those crates back to this one would hand
+//! their unit tests a second copy of their own types.
 //!
 //! # Example: the paper's Example 2.4
 //!
@@ -62,21 +74,28 @@
 //! ```
 
 pub mod adhoc;
+pub mod analysis;
+pub mod blackbox;
 pub mod boolean;
 pub mod cnf;
 pub mod difference;
+pub mod eval;
 pub mod generator;
 pub mod interpret;
 pub mod ratree;
 pub mod reductions;
+pub mod rewrite;
 
 pub use adhoc::mapping_set_to_vsa;
+pub use analysis::{is_semi_functional, is_synchronized};
+pub use blackbox::{SentimentSpanner, TokenizerSpanner};
 pub use boolean::{determinize, nfa_accepts, static_boolean_difference, Dfa};
 pub use cnf::{dpll, has_satisfying_assignment_of_weight, is_satisfiable, Cnf, Literal};
 pub use difference::{
     difference_adhoc, difference_adhoc_eval, difference_filter, difference_product,
     difference_product_eval, DifferenceOptions,
 };
+pub use eval::reference_eval;
 pub use generator::{bounded_occurrence_cnf, random_3cnf, random_kcnf};
 pub use interpret::interpret;
 pub use ratree::{compile_ra, evaluate_ra_materialized};
@@ -84,16 +103,26 @@ pub use reductions::{
     bounded_occurrence_difference_instance, difference_hardness_instance, join_hardness_instance,
     weighted_difference_instance, DifferenceInstance, JoinInstance,
 };
+pub use rewrite::{assemble_disjunction, join_disjunctive_functional, to_disjunctive_functional};
 
-// The unit cases of `spanner-vset` (join, scan, semifunctional, thompson) and
-// `spanner-algebra` (exec, plan; `ratree`'s sit in `ratree::tests`) whose
-// oracle lives here, under the module paths they had there.
+// The unit cases of `spanner-rgx` (parser), `spanner-vset` (join, scan,
+// semifunctional, thompson), `spanner-enum` (enumerate) and `spanner-algebra`
+// (exec, plan; `ratree`'s sit in `ratree::tests`) whose oracle lives here,
+// under the module paths they had there.
+#[cfg(test)]
+mod enumerate {
+    mod tests;
+}
 #[cfg(test)]
 mod exec {
     mod tests;
 }
 #[cfg(test)]
 mod join {
+    mod tests;
+}
+#[cfg(test)]
+mod parser {
     mod tests;
 }
 #[cfg(test)]

@@ -2,10 +2,11 @@
 //! module's unit tests that need [`evaluate_ra_materialized`] (the optimizer
 //! preserves the semantics; compiled plans compute it).
 
+use crate::blackbox::TokenizerSpanner;
 use crate::ratree::evaluate_ra_materialized;
 use spanner_algebra::{
     optimize_ra, optimize_ra_with_stats, shared_variable_bound, tree_vars, CompiledPlan,
-    Instantiation, RaOptions, RaTree, TokenizerSpanner,
+    Instantiation, RaOptions, RaTree,
 };
 use spanner_core::{Document, VarSet};
 use spanner_rgx::parse;

@@ -112,7 +112,8 @@ pub fn evaluate_ra_materialized(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spanner_algebra::{evaluate_ra, figure_2_tree, SentimentSpanner, TokenizerSpanner};
+    use crate::blackbox::{SentimentSpanner, TokenizerSpanner};
+    use spanner_algebra::{evaluate_ra, figure_2_tree};
     use spanner_core::VarSet;
     use spanner_rgx::parse;
 

@@ -327,7 +327,8 @@ pub fn bounded_occurrence_difference_instance(cnf: &Cnf) -> DifferenceInstance {
 mod tests {
     use super::*;
     use crate::cnf::{dpll, has_satisfying_assignment_of_weight, is_satisfiable, Literal};
-    use spanner_rgx::{is_disjunction_free, is_functional, is_sequential, reference_eval};
+    use crate::eval::reference_eval;
+    use spanner_rgx::{is_disjunction_free, is_functional, is_sequential};
 
     fn clause(lits: &[i64]) -> Vec<Literal> {
         lits.iter()

@@ -1,15 +1,18 @@
-//! Sequential → disjunctive-functional rewriting (Proposition 3.9).
+//! The disjunctive-functional pipeline (Propositions 3.9 and 3.12).
 //!
 //! Every sequential regex formula is equivalent to a disjunction of
-//! functional regex formulas. The rewriting follows the recursive definition
-//! of the set `A(α)` in Appendix A.2 of the paper. Proposition 3.11 shows the
-//! number of disjuncts can be exponential in the size of the input — the
-//! `limit` argument guards against that blow-up, and experiment E4 measures
-//! it on the Example 3.10 family.
+//! functional regex formulas. [`to_disjunctive_functional`] follows the
+//! recursive definition of the set `A(α)` in Appendix A.2 of the paper.
+//! Proposition 3.11 shows the number of disjuncts can be exponential in the
+//! size of the input — the `limit` argument guards against that blow-up, and
+//! experiment E4 measures it on the Example 3.10 family. The disjuncts
+//! compile to functional automata, and [`join_disjunctive_functional`] joins
+//! two such unions pairwise (Proposition 3.12); [`assemble_disjunction`]
+//! turns the components back into one automaton.
 
-use crate::ast::Rgx;
-use crate::classify::{is_functional, is_sequential};
 use spanner_core::{SpannerError, SpannerResult};
+use spanner_rgx::{is_functional, is_sequential, Rgx};
+use spanner_vset::{join, Label, Vsa};
 
 /// Rewrites a *sequential* regex formula into an equivalent list of
 /// *functional* regex formulas (the disjuncts of a disjunctive-functional
@@ -91,12 +94,44 @@ fn rewrite(alpha: &Rgx, limit: usize) -> SpannerResult<Vec<Rgx>> {
     Ok(out)
 }
 
+/// Pairwise join of the functional components of two disjunctive-functional
+/// VAs (Proposition 3.12): returns the components of a disjunctive-functional
+/// VA equivalent to the join of the two inputs.
+pub fn join_disjunctive_functional(
+    components1: &[Vsa],
+    components2: &[Vsa],
+) -> SpannerResult<Vec<Vsa>> {
+    let mut out = Vec::with_capacity(components1.len() * components2.len());
+    for c1 in components1 {
+        for c2 in components2 {
+            let j = join(c1, c2)?;
+            // Skip trivially empty components.
+            if j.accepting_states().is_empty() {
+                continue;
+            }
+            out.push(j);
+        }
+    }
+    Ok(out)
+}
+
+/// Assembles a disjunctive-functional VA from its components: a fresh initial
+/// state with ε-transitions to every component's initial state.
+pub fn assemble_disjunction(components: &[Vsa]) -> Vsa {
+    let mut out = Vsa::new();
+    for c in components {
+        let offset = Vsa::copy_into(&mut out, c);
+        out.add_transition(0, Label::Epsilon, c.initial() + offset);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::reference_eval;
-    use crate::parser::parse;
     use spanner_core::Document;
+    use spanner_rgx::parse;
 
     /// Checks that the disjunction of the rewritten disjuncts is equivalent
     /// to the original on the given documents.

@@ -1,9 +1,10 @@
 //! `spanner_vset::semifunctional` (Lemma 3.6) against the interpreter: the
 //! cases of that module's unit tests whose oracle is [`interpret`].
 
+use crate::analysis::is_semi_functional;
 use crate::interpret::interpret;
 use spanner_core::{ByteClass, Document, VarSet, Variable};
-use spanner_vset::{is_semi_functional, is_sequential, make_semi_functional, Label, Vsa};
+use spanner_vset::{is_sequential, make_semi_functional, Label, Vsa};
 
 fn v(x: &str) -> Variable {
     Variable::new(x)

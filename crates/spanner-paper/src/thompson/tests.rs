@@ -1,10 +1,12 @@
-//! `spanner_vset::thompson` against the interpreter and the regex reference
-//! semantics: the cases of that module's unit tests whose oracle is
-//! [`interpret`].
+//! `spanner_vset::thompson` against the interpreter, the regex reference
+//! semantics and the synchronization classifier: the cases of that module's
+//! unit tests whose oracle lives in this crate.
 
+use crate::analysis::is_synchronized;
+use crate::eval::reference_eval;
 use crate::interpret::interpret;
-use spanner_core::Document;
-use spanner_rgx::{parse, reference_eval, Rgx};
+use spanner_core::{Document, VarSet};
+use spanner_rgx::{classify, parse, Rgx};
 use spanner_vset::compile;
 
 /// Compiled automaton and reference evaluation must agree.
@@ -49,4 +51,21 @@ fn empty_formula_compiles_to_empty_language() {
     let a = compile(&Rgx::Empty);
     assert!(interpret(&a, &Document::new("")).is_empty());
     assert!(interpret(&a, &Document::new("a")).is_empty());
+}
+
+#[test]
+fn synchronization_preservation() {
+    // Example 4.5: (x{Σ*} ∨ ε)·y{Σ*} is synchronized for y, not x;
+    // the compiled automaton behaves the same (Lemma 4.6).
+    let alpha = parse("({x:.*}|()){y:.*}").unwrap();
+    let a = compile(&alpha);
+    assert!(is_synchronized(&a, &VarSet::from_iter(["y"])));
+    assert!(!is_synchronized(&a, &VarSet::from_iter(["x"])));
+
+    // A formula synchronized for all its variables compiles to an
+    // automaton synchronized for all of them.
+    let alpha = parse("{x:a*}(b|c)*{y:\\d+}").unwrap();
+    assert!(classify::is_synchronized_for(&alpha, &alpha.vars()));
+    let a = compile(&alpha);
+    assert!(is_synchronized(&a, a.vars()));
 }

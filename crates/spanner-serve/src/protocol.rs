@@ -1,7 +1,9 @@
 //! The line-delimited JSON request/response protocol.
 //!
 //! Each request is one JSON object on one line; each response is one JSON
-//! object on one line. A connection carries any number of requests in
+//! object on one line. A request line must be UTF-8, as an HTTP JSON body
+//! must: anything else is answered `request line is not UTF-8` and counted
+//! under the `invalid` op. A connection carries any number of requests in
 //! sequence (the protocol is strictly request/response, no pipelining
 //! required on the client side, though the server answers in order).
 //!

@@ -859,17 +859,22 @@ impl Codec for LineCodec {
                 Frame::Expired => return Ok(None),
                 Frame::Eof if conn.input.is_empty() => return Ok(None),
                 // EOF: a final unterminated line still counts as a request.
-                Frame::Complete | Frame::Eof => {
-                    let line = String::from_utf8_lossy(&conn.input);
-                    // Minus its terminator: error positions count the bytes
-                    // the client wrote.
-                    let line = line.strip_suffix('\n').unwrap_or(&line);
-                    let line = line.strip_suffix('\r').unwrap_or(line);
-                    if line.trim().is_empty() {
-                        continue;
+                // A lossy decode would answer over a rewritten document (a
+                // U+FFFD's three bytes shift every span after it), so
+                // non-UTF-8 is refused, as an HTTP body is.
+                Frame::Complete | Frame::Eof => match std::str::from_utf8(&conn.input) {
+                    Err(_) => Err("request line is not UTF-8".to_string()),
+                    Ok(line) => {
+                        // Minus its terminator: error positions count the
+                        // bytes the client wrote.
+                        let line = line.strip_suffix('\n').unwrap_or(line);
+                        let line = line.strip_suffix('\r').unwrap_or(line);
+                        if line.trim().is_empty() {
+                            continue;
+                        }
+                        Request::parse(line)
                     }
-                    Request::parse(line)
-                }
+                },
                 Frame::Oversized => {
                     // Skip the rest of the line a capful at a time — never
                     // buffered whole — so the next request parses clean.

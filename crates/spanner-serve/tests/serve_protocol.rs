@@ -434,7 +434,33 @@ fn queries_stay_live_during_a_large_load_corpus() {
 
 #[test]
 fn malformed_requests_error_without_closing_the_connection() {
+    use std::io::{BufRead, BufReader, Write};
     let (addr, handle) = start(ServeOptions::default());
+
+    // A line that is not UTF-8 is refused, not decoded lossily into a
+    // different document, and counted as an invalid request; the raw
+    // connection keeps serving.
+    let mut raw = BufReader::new(std::net::TcpStream::connect(addr).unwrap());
+    let mut exchange = |line: &[u8]| {
+        raw.get_mut().write_all(line).unwrap();
+        let mut response = String::new();
+        raw.read_line(&mut response).unwrap();
+        Json::parse(&response).unwrap()
+    };
+    let refused = exchange(b"{\"op\":\"query\",\"program\":\"/{x:.*}/\",\"doc\":\"a\xffb\"}\n");
+    assert_eq!(
+        refused.get("error").and_then(Json::as_str),
+        Some("request line is not UTF-8"),
+        "{refused}"
+    );
+    assert!(ok(&exchange(
+        b"{\"op\":\"query\",\"program\":\"/{x:a}/\",\"doc\":\"a\"}\n"
+    )));
+    let stats = exchange(b"{\"op\":\"stats\"}\n");
+    let invalid = stats.get("ops").and_then(|ops| ops.get("invalid")).unwrap();
+    assert_eq!(invalid.get("requests").and_then(Json::as_usize), Some(1));
+    drop(raw);
+
     let mut client = Client::connect(addr).unwrap();
 
     for bad in [

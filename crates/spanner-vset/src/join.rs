@@ -1,4 +1,4 @@
-//! Static compilation of the natural join (Lemmas 3.2 / 3.8, Proposition 3.12).
+//! Static compilation of the natural join (Lemmas 3.2 / 3.8).
 //!
 //! [`join`] compiles the natural join of two sequential VAs into a single
 //! sequential VA. The construction is fixed-parameter tractable in the number
@@ -419,38 +419,6 @@ fn build_product(
         }
     }
     Ok(out)
-}
-
-/// Pairwise join of the functional components of two disjunctive-functional
-/// VAs (Proposition 3.12): returns the components of a disjunctive-functional
-/// VA equivalent to the join of the two inputs.
-pub fn join_disjunctive_functional(
-    components1: &[Vsa],
-    components2: &[Vsa],
-) -> SpannerResult<Vec<Vsa>> {
-    let mut out = Vec::with_capacity(components1.len() * components2.len());
-    for c1 in components1 {
-        for c2 in components2 {
-            let j = join(c1, c2)?;
-            // Skip trivially empty components.
-            if j.accepting_states().is_empty() {
-                continue;
-            }
-            out.push(j);
-        }
-    }
-    Ok(out)
-}
-
-/// Assembles a disjunctive-functional VA from its components: a fresh initial
-/// state with ε-transitions to every component's initial state.
-pub fn assemble_disjunction(components: &[Vsa]) -> Vsa {
-    let mut out = Vsa::new();
-    for c in components {
-        let offset = Vsa::copy_into(&mut out, c);
-        out.add_transition(0, Label::Epsilon, c.initial() + offset);
-    }
-    out
 }
 
 #[cfg(test)]

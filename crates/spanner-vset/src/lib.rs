@@ -7,13 +7,11 @@
 //!
 //! * [`automaton`] — the automaton representation, projection, union,
 //!   trimming;
-//! * [`analysis`] — sequentiality, functionality, semi-functionality,
-//!   synchronization, and the (extended) variable-configuration functions of
-//!   Section 3.1;
+//! * [`analysis`] — sequentiality, functionality, and the per-state
+//!   variable statuses of Section 3.1;
 //! * [`semifunctional`] — the semi-functional transformation of Lemma 3.6;
 //! * [`mod@join`] — static compilation of the natural join, FPT in the number of
-//!   shared variables (Lemma 3.2 / 3.8) and the pairwise
-//!   disjunctive-functional join (Proposition 3.12);
+//!   shared variables (Lemma 3.2 / 3.8);
 //! * [`thompson`] — linear-time compilation of regex formulas into VAs
 //!   (preserving sequentiality, functionality and synchronization,
 //!   Lemma 4.6);
@@ -27,10 +25,12 @@
 //! The production evaluation path (polynomial-delay enumeration) lives in
 //! `spanner-enum`; RA trees, the planner and the executor live in
 //! `spanner-algebra`. The brute-force interpreter these constructions are
-//! validated against, and the static complement of experiment E10, are
-//! reference code and live in `spanner-paper` (which is why the oracle cases
-//! of `join`, `scan`, `thompson` and `semifunctional` are that crate's
-//! tests: it depends on this one, not the other way round).
+//! validated against, the static complement of experiment E10, the
+//! disjunctive-functional join of Proposition 3.12 and the semi-functional /
+//! synchronized classifiers are reference code and live in `spanner-paper`
+//! (which is why the oracle cases of `join`, `scan`, `thompson` and
+//! `semifunctional` are that crate's tests: it depends on this one, not the
+//! other way round).
 
 pub mod analysis;
 pub mod automaton;
@@ -41,15 +41,10 @@ pub mod semifunctional;
 pub mod tables;
 pub mod thompson;
 
-pub use analysis::{
-    is_functional, is_functional_for, is_semi_functional, is_sequential, is_synchronized,
-    ExtendedConfig, VarStatus,
-};
+pub use analysis::{is_functional, is_sequential, VarStatus};
 pub use automaton::{Label, StateId, Transition, Vsa};
 pub use compiled::{CompiledVsa, StateSet, VarOp};
-pub use join::{
-    assemble_disjunction, join, join_disjunctive_functional, join_with_options, JoinOptions,
-};
+pub use join::{join, join_with_options, JoinOptions};
 pub use scan::{PreScan, ScanPlan};
 pub use semifunctional::{make_semi_functional, SemiFunctionalVsa};
 pub use tables::{BackId, EvalTableStats, EvalTables, SetId, EVAL_TABLE_BUDGET};

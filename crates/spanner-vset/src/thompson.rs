@@ -87,7 +87,7 @@ fn build(alpha: &Rgx, a: &mut Vsa, start: StateId) -> StateId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{is_functional, is_sequential, is_synchronized};
+    use crate::analysis::{is_functional, is_sequential};
     use spanner_core::VarSet;
     use spanner_rgx::{classify, parse};
 
@@ -113,23 +113,6 @@ mod tests {
             );
             assert_eq!(classify::is_functional(&alpha), functional);
         }
-    }
-
-    #[test]
-    fn synchronization_preservation() {
-        // Example 4.5: (x{Σ*} ∨ ε)·y{Σ*} is synchronized for y, not x;
-        // the compiled automaton behaves the same (Lemma 4.6).
-        let alpha = parse("({x:.*}|()){y:.*}").unwrap();
-        let a = compile(&alpha);
-        assert!(is_synchronized(&a, &VarSet::from_iter(["y"])));
-        assert!(!is_synchronized(&a, &VarSet::from_iter(["x"])));
-
-        // A formula synchronized for all its variables compiles to an
-        // automaton synchronized for all of them.
-        let alpha = parse("{x:a*}(b|c)*{y:\\d+}").unwrap();
-        assert!(classify::is_synchronized_for(&alpha, &alpha.vars()));
-        let a = compile(&alpha);
-        assert!(is_synchronized(&a, a.vars()));
     }
 
     #[test]

@@ -234,7 +234,7 @@ mod tests {
     #[test]
     fn random_rgx_matches_reference_semantics() {
         use spanner_enum::evaluate_rgx;
-        use spanner_rgx::reference_eval;
+        use spanner_paper::reference_eval;
         for seed in 0..10 {
             let r = random_sequential_rgx(3, 2, seed);
             for text in ["", "a", "ab", "abc"] {

@@ -14,12 +14,12 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`core`] | `spanner-core` | documents, spans, variables, mappings, materialized algebra |
-//! | [`rgx`] | `spanner-rgx` | regex formulas: parser, classification, reference semantics |
+//! | [`rgx`] | `spanner-rgx` | regex formulas: parser, classification |
 //! | [`vset`] | `spanner-vset` | vset-automata: analyses, semi-functional transform, FPT join, compiled evaluation |
 //! | [`enumeration`] | `spanner-enum` | polynomial-delay enumeration (Theorem 2.5) |
-//! | [`algebra`] | `spanner-algebra` | RA trees, black-box spanners, the planner and the executor |
+//! | [`algebra`] | `spanner-algebra` | RA trees, the `Spanner` trait, the planner and the executor |
 //! | [`obs`] | `spanner-obs` | metrics registry, Prometheus exposition, execution traces |
-//! | [`paper`] | `spanner-paper` | reference semantics: interpreter, difference constructions, `compile_ra`, static complement, SAT reductions |
+//! | [`paper`] | `spanner-paper` | reference semantics: interpreter, `reference_eval`, Propositions 3.9 / 3.12, configuration classifiers, difference constructions, `compile_ra`, demo black boxes, static complement, SAT reductions |
 //! | [`workloads`] | `spanner-workloads` | synthetic corpora, extractor library, random spanners |
 //! | [`corpus`] | `spanner-corpus` | parallel multi-document evaluation of compiled plans |
 //! | [`ql`] | `spanner-ql` | SpannerQL: the declarative query-language front end |
@@ -70,9 +70,8 @@ pub use spanner_workloads as workloads;
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
     pub use spanner_algebra::{
-        evaluate_ra, figure_2_tree, optimize_ra, Atom, CompiledPlan, DictionarySpanner,
-        Instantiation, PlanStats, RaOptions, RaTree, SentimentSpanner, Spanner,
-        TokenEqualitySpanner, TokenizerSpanner,
+        evaluate_ra, figure_2_tree, optimize_ra, Atom, CompiledPlan, Instantiation, PlanStats,
+        RaOptions, RaTree, Spanner,
     };
     pub use spanner_core::{Document, Mapping, MappingSet, Span, SpannerError, VarSet, Variable};
     pub use spanner_corpus::{
@@ -81,10 +80,11 @@ pub mod prelude {
     };
     pub use spanner_enum::{count_mappings, evaluate, evaluate_rgx, is_nonempty, Enumerator};
     pub use spanner_paper::{
-        difference_adhoc_eval, difference_filter, difference_product_eval, DifferenceOptions,
+        difference_adhoc_eval, difference_filter, difference_product_eval, reference_eval,
+        DifferenceOptions, SentimentSpanner, TokenizerSpanner,
     };
     pub use spanner_ql::{parse_program, PreparedQuery, QlError};
-    pub use spanner_rgx::{parse, reference_eval, Rgx};
+    pub use spanner_rgx::{parse, Rgx};
     pub use spanner_serve::{Client, QueryCache, ServeOptions, Server};
     pub use spanner_store::{
         fnv1a64, Journal, Mutation, Store, StoreError, StoreQueryOutcome, ViewQueryOutcome,

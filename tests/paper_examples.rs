@@ -2,10 +2,8 @@
 
 use document_spanners::prelude::*;
 use spanner_core::ByteClass;
-use spanner_paper::interpret;
-use spanner_rgx::{
-    is_disjunctive_functional, is_functional, is_sequential, to_disjunctive_functional,
-};
+use spanner_paper::{interpret, to_disjunctive_functional};
+use spanner_rgx::{is_disjunctive_functional, is_functional, is_sequential};
 use spanner_vset::{analysis, make_semi_functional, Label, Vsa};
 
 /// Example 2.3: the sequential VA with the `q0 → q2` shortcut and its
@@ -63,9 +61,9 @@ fn example_3_4_and_3_5_semi_functional_split() {
     // splits it into a closed copy and an unseen copy (4 states total).
     let a = example_2_3_automaton();
     let x = VarSet::from_iter(["x"]);
-    assert!(!spanner_vset::is_semi_functional(&a, &x));
+    assert!(!spanner_paper::is_semi_functional(&a, &x));
     let sf = make_semi_functional(&a, &x);
-    assert!(spanner_vset::is_semi_functional(&sf.vsa, &x));
+    assert!(spanner_paper::is_semi_functional(&sf.vsa, &x));
     assert_eq!(sf.vsa.state_count(), 4);
 }
 
@@ -116,8 +114,11 @@ fn example_4_5_synchronization() {
         &VarSet::from_iter(["x"])
     ));
     let a = compile(&alpha);
-    assert!(spanner_vset::is_synchronized(&a, &VarSet::from_iter(["y"])));
-    assert!(!spanner_vset::is_synchronized(
+    assert!(spanner_paper::is_synchronized(
+        &a,
+        &VarSet::from_iter(["y"])
+    ));
+    assert!(!spanner_paper::is_synchronized(
         &a,
         &VarSet::from_iter(["x"])
     ));
@@ -136,7 +137,7 @@ fn proposition_4_7_witness_language() {
     assert_eq!(m.get(&"x".into()), Some(Span::new(2, 2)));
     // The compiled automaton is (of course) not synchronized for x.
     let a = compile(&gamma);
-    assert!(!spanner_vset::is_synchronized(
+    assert!(!spanner_paper::is_synchronized(
         &a,
         &VarSet::from_iter(["x"])
     ));

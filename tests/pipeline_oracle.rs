@@ -3,9 +3,10 @@
 
 use document_spanners::prelude::*;
 use spanner_core::MappingSet;
-use spanner_paper::{evaluate_ra_materialized, interpret, mapping_set_to_vsa};
-use spanner_rgx::to_disjunctive_functional;
-use spanner_vset::{assemble_disjunction, join_disjunctive_functional};
+use spanner_paper::{
+    assemble_disjunction, evaluate_ra_materialized, interpret, join_disjunctive_functional,
+    mapping_set_to_vsa, to_disjunctive_functional,
+};
 
 /// A pool of schemaless extractors exercising optional fields, shared
 /// variables, classes, stars and unions.

@@ -13,8 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spanner_algebra::{shared_variable_bound, tree_vars};
 use spanner_core::{ByteClass, MappingSet};
-use spanner_paper::{evaluate_ra_materialized, interpret};
-use spanner_rgx::to_disjunctive_functional;
+use spanner_paper::{evaluate_ra_materialized, interpret, to_disjunctive_functional};
 use spanner_vset::{is_sequential as vsa_sequential, make_semi_functional};
 use spanner_workloads::{
     log_request_extractor, program_library, random_ra_tree, random_sequential_rgx,
