@@ -54,8 +54,9 @@ pub const VISITS: usize = 3;
 pub type Family = (&'static str, &'static str, fn(&mut Run));
 
 /// Every experiment: E1–E11 are the paper's results, the rest watch the
-/// layers below the daemon (which `bench/` measures end to end). Each
-/// function's documentation says what its rows show.
+/// layers below the daemon (which `bench/` measures end to end) and what
+/// the daemon's answers cost to render. Each function's documentation says
+/// what its rows show.
 pub const FAMILIES: &[Family] = &[
     (
         "paper/e1-enumeration",
@@ -117,6 +118,7 @@ pub const FAMILIES: &[Family] = &[
     ("ql", "DESIGN §4: SpannerQL", system::ql),
     ("scan", "DESIGN §8: the scan fast path", system::scan),
     ("incr", "DESIGN §11: maintained views", system::incr),
+    ("serve", "DESIGN §7: the serving layer", system::serve),
 ];
 
 /// What [`Run::measure`] recorded for one row.

@@ -1,20 +1,25 @@
 //! The layers below the daemon: executor, planner, SpannerQL, scan fast
-//! path, maintained views. Row names and counts are the ones these
-//! experiments have always recorded, so the trajectory across PRs stays
-//! comparable; the daemon itself is measured end to end by `bench/`.
+//! path, maintained views — and the daemon's response rendering. Row names
+//! and counts are the ones these experiments have always recorded, so the
+//! trajectory across PRs stays comparable; the daemon itself is measured
+//! end to end by `bench/`.
 
 use crate::{ms, Run, NOISE_MADS, RUNS, TOLERANCE};
 use spanner_algebra::{
     evaluate_ra, figure_2_tree, optimize_ra, shared_variable_bound, CompiledPlan, Instantiation,
     RaOptions, RaTree,
 };
-use spanner_core::{Document, VarSet};
+use spanner_core::{Document, MappingSet, VarSet};
 use spanner_corpus::{split_lines, CorpusEngine, CorpusMatches, QueryView};
 use spanner_paper::compile_ra;
 use spanner_ql::PreparedQuery;
 use spanner_rgx::parse;
+use spanner_serve::protocol::{mappings_to_json, write_mappings};
+use spanner_serve::Json;
 use spanner_store::{Mutation, Store};
-use spanner_workloads::{access_log, needle_corpus, needle_line, random_text, student_records};
+use spanner_workloads::{
+    access_log, needle_corpus, needle_line, program_library, random_text, student_records,
+};
 use std::time::Instant;
 
 /// The engine as it was before the scan fast path: every prefilter off.
@@ -376,5 +381,55 @@ pub fn incr(run: &mut Run) {
         let lead = full_scan.median_ns / hot.median_ns.max(indexed.median_ns);
         let selective = lines >= 100_000 && batch <= 10;
         assert!(!selective || lead >= 10, "view or index only {lead}x");
+    }
+}
+
+/// `serve/*`: what the daemon's answer costs to render — the mappings of
+/// one `point-hot` answer (the hot program on one document) and of a
+/// 64-line `scan-hit` answer (one mapping of two variables per line), as an
+/// array of per-line arrays — through the reference tree
+/// (`mappings_to_json` + `to_string`, how the daemon rendered until it
+/// wrote its answers) and through `write_mappings` into a warmed buffer,
+/// the daemon's writer. `count` is the bytes rendered; the two must agree
+/// on every one of them.
+pub fn serve(run: &mut Run) {
+    let named = |doc| move |how| format!("serve/render/{how}/{doc}");
+    let names = ["point", "scan"].map(|doc| ["tree", "write"].map(named(doc)));
+    let Some(names) = run.rows(names) else { return };
+    let hot = PreparedQuery::prepare(&program_library()[0]).unwrap();
+    let point = vec![Document::new("ann@mail.example.org wrote to the list")];
+    let point_sets = vec![hot.evaluate(&point[0]).unwrap()];
+    let scan = split_lines(access_log(64, 11).text());
+    let log = PreparedQuery::prepare(LOG_QUERY).unwrap();
+    let scan_sets = scan.iter().map(|doc| log.evaluate(doc).unwrap()).collect();
+    let answers: [(Vec<Document>, Vec<MappingSet>); 2] = [(point, point_sets), (scan, scan_sets)];
+    let mappings = |sets: &[MappingSet]| sets.iter().map(MappingSet::len).sum::<usize>();
+    assert_eq!((mappings(&answers[0].1), mappings(&answers[1].1)), (1, 64));
+    for ((docs, sets), [tree, write]) in answers.iter().zip(&names) {
+        let tree_rendered = || {
+            let render = |(doc, set)| mappings_to_json(doc, set);
+            Json::Array(docs.iter().zip(sets).map(render).collect()).to_string()
+        };
+        let write_into = |out: &mut Vec<u8>| {
+            out.push(b'[');
+            for (i, (doc, set)) in docs.iter().zip(sets).enumerate() {
+                if i > 0 {
+                    out.push(b',');
+                }
+                write_mappings(out, doc, set);
+            }
+            out.push(b']');
+        };
+        let mut out = Vec::new();
+        write_into(&mut out);
+        assert_eq!(out, tree_rendered().into_bytes(), "{write} != {tree}");
+        let tree = run.measure(tree, || tree_rendered().len());
+        let write = run.measure(write, || {
+            out.clear();
+            write_into(&mut out);
+            out.len()
+        });
+        let lead = tree.median_ns as f64 / write.median_ns.max(1) as f64;
+        assert!(lead >= 3.0, "the writer leads the tree by only {lead:.1}x");
     }
 }

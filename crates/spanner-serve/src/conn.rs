@@ -17,8 +17,9 @@ use std::time::{Duration, Instant};
 /// itself: the deadline must not restart with every byte.
 pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
-/// A buffer that grew past this to hold one large frame (a shipped corpus)
-/// is released after use instead of staying with an idle connection.
+/// A buffer that grew past this to hold one large frame (a shipped corpus,
+/// a large answer) is released after use instead of staying with an idle
+/// connection.
 const RETAINED_BYTES: usize = 64 << 10;
 
 /// What one frame read may cost.
@@ -177,8 +178,8 @@ impl std::fmt::Debug for Conn {
 }
 
 /// Empties a buffer for reuse, keeping its allocation unless one large
-/// frame inflated it.
-fn recycle(buffer: &mut Vec<u8>) {
+/// frame (or response) inflated it.
+pub(crate) fn recycle(buffer: &mut Vec<u8>) {
     if buffer.capacity() > RETAINED_BYTES {
         *buffer = Vec::new();
     } else {

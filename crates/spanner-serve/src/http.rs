@@ -41,10 +41,11 @@
 //!
 //! Error responses carry the protocol's JSON error body: a plain error
 //! (bad program, bad field) is `400`; a request whose handling panicked
-//! (`"internal": true`) is `500`.
+//! (`"internal": true`) is `500`. The status is read off the handler's
+//! outcome, never off the body it wrote.
 //!
-//! `POST /v1/query_corpus` streams its response with
-//! `Transfer-Encoding: chunked`, one chunk per matched document, and the
+//! A `POST /v1/query_corpus` success is sent with `Transfer-Encoding:
+//! chunked`, the written body in chunks of at most 32 KiB, and the
 //! reassembled body is **byte-identical** to the line-protocol response
 //! for the same request — pinned by the HTTP conformance tests.
 
@@ -53,7 +54,7 @@ use crate::json::Json;
 use crate::protocol::{error_response, Request};
 #[cfg_attr(not(doc), allow(unused_imports))] // doc links only
 use crate::server::ServeOptions;
-use crate::server::{Codec, Incoming, Shared};
+use crate::server::{Codec, Incoming, Outcome, Shared};
 use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
@@ -92,20 +93,23 @@ impl Head {
     }
 }
 
+/// The most body bytes one chunk of a streamed response carries.
+const CHUNK_BYTES: usize = 32 << 10;
+
 /// The HTTP/1.1 codec: what it decided about the response while reading
-/// the request, plus a reusable body buffer.
+/// the request.
 #[derive(Default)]
 pub(crate) struct HttpCodec {
     /// Whether the connection can be reused after the response. Stays
     /// `false` until the request is framed to its last body byte.
     keep_alive: bool,
     /// The status of a reject, fixed while reading; a dispatched request's
-    /// status is read off its response.
+    /// status is read off its [`Outcome`].
     status: Option<u16>,
     /// The `Allow` header of a `405`.
     allow: Option<&'static str>,
-    /// The rendered body (its length precedes it on the wire).
-    body: Vec<u8>,
+    /// Whether a success streams chunked: the request is a `query_corpus`.
+    chunked: bool,
 }
 
 impl HttpCodec {
@@ -124,10 +128,7 @@ impl HttpCodec {
 impl Codec for HttpCodec {
     fn read_request(&mut self, conn: &mut Conn, shared: &Shared) -> io::Result<Option<Incoming>> {
         let options = &shared.options;
-        *self = HttpCodec {
-            body: std::mem::take(&mut self.body),
-            ..HttpCodec::default()
-        };
+        *self = HttpCodec::default();
         match conn.read_frame(&shared.limits(options.max_head_bytes), head_frame)? {
             Frame::Complete => {}
             // The unread rest of the head is unframed garbage: close.
@@ -195,7 +196,10 @@ impl Codec for HttpCodec {
             ("POST", path) => match post_op(path) {
                 None => self.reject(404, "no such endpoint"),
                 Some(op) => match decode_body(&head, &conn.input, op) {
-                    Ok(request) => decoded(request),
+                    Ok(request) => {
+                        self.chunked = op == "query_corpus";
+                        decoded(request)
+                    }
                     Err(message) => self.reject(400, message),
                 },
             },
@@ -213,15 +217,15 @@ impl Codec for HttpCodec {
         &mut self,
         conn: &mut Conn,
         shared: &Shared,
-        response: &Json,
+        body: &[u8],
+        outcome: &Outcome,
         last: bool,
     ) -> io::Result<bool> {
         let keep_alive = self.keep_alive && !last;
-        let flag = |name| response.get(name).and_then(Json::as_bool) == Some(true);
-        let status = self.status.unwrap_or(match (flag("ok"), flag("internal")) {
-            (true, _) => 200,
-            (_, true) => 500,
-            _ => 400,
+        let status = self.status.unwrap_or(match outcome {
+            Outcome::Ok | Outcome::Metrics(_) => 200,
+            Outcome::Failed => 400,
+            Outcome::Internal => 500,
         });
         shared.metrics.http_classes[(status / 100 - 2) as usize].inc();
         let head = |out: &mut Vec<u8>, content_type: &str, length: Option<usize>| {
@@ -240,65 +244,35 @@ impl Codec for HttpCodec {
             let connection = if keep_alive { "keep-alive" } else { "close" };
             write!(out, "Connection: {connection}\r\n\r\n")
         };
-        let body = &mut self.body;
-        body.clear();
-        if let Some((before, results)) = split_results(response) {
-            // A `query_corpus` success streams: one chunk for everything
-            // before the `results` array, one per entry, one closing chunk
-            // — reassembled, the byte-identical line-protocol response.
-            head(&mut conn.output, "application/json", None)?;
-            let chunk = |out: &mut Vec<u8>, body: &mut Vec<u8>| -> io::Result<()> {
-                write!(out, "{:x}\r\n", body.len())?;
-                out.extend_from_slice(body);
-                out.extend_from_slice(b"\r\n");
-                body.clear();
-                Ok(())
-            };
-            write!(body, "{before}")?;
-            body.pop(); // strip '}' — the results array reopens the object
-            body.extend_from_slice(b",\"results\":[");
-            chunk(&mut conn.output, body)?;
-            for (i, entry) in results.iter().enumerate() {
-                if i > 0 {
-                    body.push(b',');
-                }
-                write!(body, "{entry}")?;
-                chunk(&mut conn.output, body)?;
-                // Chunks are coalesced into ~32 KiB writes.
-                if conn.output.len() >= 32 << 10 {
-                    conn.flush()?;
-                }
-            }
-            body.extend_from_slice(b"]}");
-            chunk(&mut conn.output, body)?;
-            conn.output.extend_from_slice(b"0\r\n\r\n");
-        } else if let Some(text) = response.get("metrics").and_then(Json::as_str) {
+        match outcome {
             // The `metrics` op (`GET /metrics`) is scraped, not decoded.
-            let content_type = "text/plain; version=0.0.4; charset=utf-8";
-            head(&mut conn.output, content_type, Some(text.len()))?;
-            conn.output.extend_from_slice(text.as_bytes());
-        } else {
-            write!(body, "{response}")?;
-            head(&mut conn.output, "application/json", Some(body.len()))?;
-            conn.output.extend_from_slice(body);
+            Outcome::Metrics(text) => {
+                let content_type = "text/plain; version=0.0.4; charset=utf-8";
+                head(&mut conn.output, content_type, Some(text.len()))?;
+                conn.output.extend_from_slice(text.as_bytes());
+            }
+            // A `query_corpus` success streams the written body in chunks,
+            // coalesced into writes of about a chunk each — reassembled, the
+            // byte-identical line-protocol response.
+            Outcome::Ok if self.chunked => {
+                head(&mut conn.output, "application/json", None)?;
+                for chunk in body.chunks(CHUNK_BYTES) {
+                    write!(conn.output, "{:x}\r\n", chunk.len())?;
+                    conn.output.extend_from_slice(chunk);
+                    conn.output.extend_from_slice(b"\r\n");
+                    if conn.output.len() >= CHUNK_BYTES {
+                        conn.flush()?;
+                    }
+                }
+                conn.output.extend_from_slice(b"0\r\n\r\n");
+            }
+            _ => {
+                head(&mut conn.output, "application/json", Some(body.len()))?;
+                conn.output.extend_from_slice(body);
+            }
         }
         conn.flush()?;
         Ok(keep_alive)
-    }
-}
-
-/// Splits a `query_corpus` success — the one response whose last member is
-/// a `results` array (see `corpus_response`) — into the object of the
-/// members before the array and the array's entries.
-fn split_results(response: &Json) -> Option<(Json, &[Json])> {
-    let Json::Object(fields) = response else {
-        return None;
-    };
-    match fields.split_last()? {
-        ((key, Json::Array(results)), before) if key == "results" => {
-            Some((Json::Object(before.to_vec()), results))
-        }
-        _ => None,
     }
 }
 

@@ -17,6 +17,7 @@
 //! ```
 
 use std::fmt;
+use std::io::Write as _;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,72 +151,131 @@ impl Json {
             _ => None,
         }
     }
+
+    /// Appends the compact single-line rendering to `out` — the one
+    /// serializer: [`Display`](fmt::Display) is this into a fresh buffer,
+    /// and the daemon's response writers share its string and integer
+    /// helpers.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        match self {
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
+            Json::Number(n) if n.fract() == 0.0 && n.abs() < 1e15 => write_int(out, *n as i64),
+            Json::Number(n) => {
+                // Writing into a `Vec` cannot fail.
+                let _ = write!(out, "{n}");
+            }
+            Json::Str(s) => write_str(out, s),
+            Json::Array(items) => {
+                out.push(b'[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(b',');
+                    }
+                    item.write_to(out);
+                }
+                out.push(b']');
+            }
+            Json::Object(pairs) => {
+                out.push(b'{');
+                write_members(out, pairs);
+                out.push(b'}');
+            }
+        }
+    }
 }
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Number(n) => {
-                if n.fract() == 0.0 && n.abs() < 1e15 {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
-            }
-            Json::Str(s) => write_escaped(f, s),
-            Json::Array(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Object(pairs) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        let mut out = Vec::new();
+        self.write_to(&mut out);
+        f.write_str(std::str::from_utf8(&out).expect("the serializer writes UTF-8"))
     }
 }
 
-/// Writes a JSON string literal with the mandatory escapes (quote,
-/// backslash, control characters). Unescaped stretches are written as
-/// one fragment each — per-character fragments would dominate the cost
-/// of rendering large document payloads.
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
+/// Appends an object's members, `"key":value` separated by commas, without
+/// the braces — so a writer can add members of its own before closing.
+pub(crate) fn write_members<K: AsRef<str>>(out: &mut Vec<u8>, members: &[(K, Json)]) {
+    for (i, (key, value)) in members.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        write_str(out, key.as_ref());
+        out.push(b':');
+        value.write_to(out);
+    }
+}
+
+/// Appends a whole number in decimal.
+pub(crate) fn write_int(out: &mut Vec<u8>, n: i64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        out.push(b'-');
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Appends a JSON string literal of `s`.
+pub(crate) fn write_str(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
+    escape_into(out, s);
+    out.push(b'"');
+}
+
+/// Appends a JSON string literal of `bytes` decoded as
+/// [`String::from_utf8_lossy`] decodes them — every invalid sequence is one
+/// U+FFFD — without building the decoded string.
+pub(crate) fn write_lossy_str(out: &mut Vec<u8>, bytes: &[u8]) {
+    out.push(b'"');
+    for chunk in bytes.utf8_chunks() {
+        escape_into(out, chunk.valid());
+        if !chunk.invalid().is_empty() {
+            out.extend_from_slice("\u{FFFD}".as_bytes());
+        }
+    }
+    out.push(b'"');
+}
+
+/// The one escaper: the mandatory escapes (quote, backslash, control
+/// characters), unescaped stretches appended one slice each — per-character
+/// appends would dominate the cost of rendering large document payloads.
+/// Every byte it escapes is ASCII, never part of a multi-byte character, so
+/// it scans bytes.
+fn escape_into(out: &mut Vec<u8>, s: &str) {
+    let bytes = s.as_bytes();
     let mut plain = 0; // start of the pending run of unescaped bytes
-    for (i, c) in s.char_indices() {
-        let escape: Option<&str> = match c {
-            '"' => Some("\\\""),
-            '\\' => Some("\\\\"),
-            '\n' => Some("\\n"),
-            '\r' => Some("\\r"),
-            '\t' => Some("\\t"),
-            c if (c as u32) < 0x20 => None, // \u escape, formatted below
+    for (i, &b) in bytes.iter().enumerate() {
+        let escape: Option<&[u8]> = match b {
+            b'"' => Some(b"\\\""),
+            b'\\' => Some(b"\\\\"),
+            b'\n' => Some(b"\\n"),
+            b'\r' => Some(b"\\r"),
+            b'\t' => Some(b"\\t"),
+            0..=0x1f => None, // \u escape, written below
             _ => continue,
         };
-        f.write_str(&s[plain..i])?;
+        out.extend_from_slice(&bytes[plain..i]);
         match escape {
-            Some(text) => f.write_str(text)?,
-            None => write!(f, "\\u{:04x}", c as u32)?,
+            Some(text) => out.extend_from_slice(text),
+            None => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                let (high, low) = (HEX[usize::from(b >> 4)], HEX[usize::from(b & 0xf)]);
+                out.extend_from_slice(&[b'\\', b'u', b'0', b'0', high, low]);
+            }
         }
-        plain = i + c.len_utf8();
+        plain = i + 1;
     }
-    f.write_str(&s[plain..])?;
-    f.write_str("\"")
+    out.extend_from_slice(&bytes[plain..]);
 }
 
 fn err(message: &str, position: usize) -> JsonError {
@@ -270,14 +330,51 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ASCII slice");
-    text.parse::<f64>()
-        .ok()
+    let run = &bytes[start..*pos];
+    let text = std::str::from_utf8(run).expect("ASCII slice");
+    // `f64::from_str` also takes `01`, `1.` and `-.5`, which JSON does not.
+    is_json_number(run)
+        .then(|| text.parse::<f64>())
+        .and_then(Result::ok)
         // Overflowing literals like 1e999 parse to infinity, which has no
         // JSON rendering — reject them so every accepted value round-trips.
         .filter(|n| n.is_finite())
         .map(Json::Number)
         .ok_or_else(|| err(&format!("invalid number `{text}`"), start))
+}
+
+/// Whether `run` is a number by RFC 8259 §6:
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
+fn is_json_number(run: &[u8]) -> bool {
+    /// Strips the leading digits of `rest`; how many there were.
+    fn digits(rest: &mut &[u8]) -> usize {
+        let n = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+        *rest = &rest[n..];
+        n
+    }
+    let mut rest = run.strip_prefix(b"-").unwrap_or(run);
+    let leading_zero = rest.first() == Some(&b'0');
+    let int = digits(&mut rest);
+    if int == 0 || (int > 1 && leading_zero) {
+        return false;
+    }
+    if let Some(fraction) = rest.strip_prefix(b".") {
+        rest = fraction;
+        if digits(&mut rest) == 0 {
+            return false;
+        }
+    }
+    if let Some(exponent) = rest.strip_prefix(b"e").or_else(|| rest.strip_prefix(b"E")) {
+        rest = exponent;
+        rest = rest
+            .strip_prefix(b"+")
+            .or_else(|| rest.strip_prefix(b"-"))
+            .unwrap_or(rest);
+        if digits(&mut rest) == 0 {
+            return false;
+        }
+    }
+    rest.is_empty()
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
@@ -432,10 +529,12 @@ mod tests {
 
     #[test]
     fn escapes_round_trip() {
-        let original = "line\nbreak\ttab \"quote\" back\\slash π∪⋈";
-        let rendered = Json::Str(original.to_string()).to_string();
+        let mut original = String::from("line\nbreak\ttab \"quote\" back\\slash π∪⋈ \u{7f}");
+        original.extend((0u8..0x20).map(char::from));
+        let rendered = Json::Str(original.clone()).to_string();
+        assert!(rendered.contains(r#"\u0001\u0002"#), "{rendered}");
         let parsed = Json::parse(&rendered).unwrap();
-        assert_eq!(parsed.as_str(), Some(original));
+        assert_eq!(parsed.as_str(), Some(original.as_str()));
         // Unicode escapes on input.
         assert_eq!(
             Json::parse(r#""\u03c0 \ud83d\ude00""#).unwrap().as_str(),
@@ -490,10 +589,21 @@ mod tests {
             "\"bad \\q escape\"",
             "\"\\u12",
             "\"\\ud800\"",
+            // RFC 8259 §6 numbers that `f64::from_str` would take.
+            "01",
+            "-01",
+            "00",
+            "1.",
+            "-.5",
+            "1.e5",
+            "[1,01]",
         ] {
             let e = Json::parse(text).unwrap_err();
             assert!(e.position <= text.len(), "{text:?}: {e}");
         }
+        // A malformed number is reported where it starts.
+        let e = Json::parse(r#"{"line":01}"#).unwrap_err();
+        assert_eq!((e.position, e.message.as_str()), (8, "invalid number `01`"));
     }
 
     #[test]
@@ -501,5 +611,62 @@ mod tests {
         assert_eq!(Json::number(42).to_string(), "42");
         assert_eq!(Json::Number(-1.5).to_string(), "-1.5");
         assert_eq!(Json::Number(0.0).to_string(), "0");
+        assert_eq!(Json::Number(-0.0).to_string(), "0");
+        assert_eq!(Json::Number(-1234.0).to_string(), "-1234");
+        assert_eq!(Json::Number(1e15).to_string(), "1000000000000000");
+    }
+
+    #[test]
+    fn grammatical_numbers_parse_and_every_rendered_number_reads_back() {
+        for (text, value) in [
+            ("0", 0.0),
+            ("-0", 0.0),
+            ("0.5", 0.5),
+            ("1e5", 1e5),
+            ("1E+5", 1e5),
+            ("-1.5e-3", -1.5e-3),
+            ("10", 10.0),
+            ("0e0", 0.0),
+        ] {
+            assert_eq!(Json::parse(text).unwrap().as_f64(), Some(value), "{text}");
+        }
+        // What the daemon renders — counts, selectivities, uptimes.
+        for n in [
+            0.0,
+            1.0,
+            0.25,
+            1.0 / 3.0,
+            7e-9,
+            123456.789,
+            2e15,
+            -0.5,
+            f64::MAX,
+        ] {
+            let rendered = Json::Number(n).to_string();
+            assert_eq!(Json::parse(&rendered), Ok(Json::Number(n)), "{rendered}");
+        }
+    }
+
+    #[test]
+    fn lossy_strings_and_integers_are_written_as_std_renders_them() {
+        // Invalid sequences become one U+FFFD each, as `from_utf8_lossy` has it.
+        for bytes in [
+            &b"a\xc3"[..],
+            b"\xa9b",
+            b"\xff\xfe\"",
+            b"\xe2\x82",
+            b"ok",
+            b"",
+        ] {
+            let mut lossy = Vec::new();
+            write_lossy_str(&mut lossy, bytes);
+            let expected = Json::string(String::from_utf8_lossy(bytes)).to_string();
+            assert_eq!(String::from_utf8(lossy).unwrap(), expected);
+        }
+        for n in [0, 7, -7, 10, i64::MAX, i64::MIN] {
+            let mut out = Vec::new();
+            write_int(&mut out, n);
+            assert_eq!(out, n.to_string().as_bytes());
+        }
     }
 }

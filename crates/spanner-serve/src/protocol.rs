@@ -33,7 +33,7 @@
 //! covered bytes decoded lossily — a split character renders as U+FFFD —
 //! while the span itself stays exact.
 
-use crate::json::Json;
+use crate::json::{self, Json};
 use spanner_core::{Document, MappingSet};
 use spanner_obs::TraceNode;
 
@@ -314,6 +314,11 @@ pub fn error_response(message: impl std::fmt::Display) -> Json {
 /// maps a variable name to `{"span":[start,end],"text":…}` with the
 /// 1-based span convention over bytes; `text` is [`Document::slice`], lossy
 /// where the span splits a character.
+///
+/// This is the *reference* renderer: the daemon never calls it. It writes
+/// the same bytes with [`write_mappings`], and the tests that hold the
+/// daemon's answers against in-process evaluation render the expected side
+/// through this tree, so the two renderers check each other.
 pub fn mappings_to_json(doc: &Document, set: &MappingSet) -> Json {
     Json::Array(
         set.iter()
@@ -341,6 +346,34 @@ pub fn mappings_to_json(doc: &Document, set: &MappingSet) -> Json {
             })
             .collect(),
     )
+}
+
+/// Appends the rendering of [`mappings_to_json`]`(doc, set)` to `out`
+/// without building it: no allocation beyond `out`'s own growth, however
+/// many mappings, spans and texts the relation holds.
+pub fn write_mappings(out: &mut Vec<u8>, doc: &Document, set: &MappingSet) {
+    out.push(b'[');
+    for (i, mapping) in set.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        out.push(b'{');
+        for (j, (var, span)) in mapping.iter().enumerate() {
+            if j > 0 {
+                out.push(b',');
+            }
+            json::write_str(out, var.name());
+            out.extend_from_slice(br#":{"span":["#);
+            json::write_int(out, span.start.into());
+            out.push(b',');
+            json::write_int(out, span.end.into());
+            out.extend_from_slice(br#"],"text":"#);
+            json::write_lossy_str(out, &doc.bytes()[span.as_range()]);
+            out.push(b'}');
+        }
+        out.push(b'}');
+    }
+    out.push(b']');
 }
 
 /// Renders an execution trace as the `explain` response's `trace` member:
@@ -584,6 +617,11 @@ mod tests {
             (r#"{"op":"update_doc","text":"x"}"#, "`line`"),
             (r#"{"op":"update_doc","line":-1,"text":"x"}"#, "`line`"),
             (r#"{"op":"update_doc","line":1.5,"text":"x"}"#, "`line`"),
+            // JSON has no leading zeros: not line 1.
+            (
+                r#"{"op":"update_doc","line":01,"text":"x"}"#,
+                "invalid number `01`",
+            ),
             (r#"{"op":"update_doc","line":0}"#, "`text`"),
             (r#"{"op":"delete_docs"}"#, "`lines`"),
             (r#"{"op":"delete_docs","lines":[0,"x"]}"#, "document ids"),
@@ -593,14 +631,49 @@ mod tests {
         }
     }
 
+    /// The writer and the reference tree render every relation to the same
+    /// bytes: escapes, multi-byte text, split characters, empty spans, many
+    /// variables, many mappings, no mappings.
     #[test]
     fn mappings_render_with_paper_spans() {
-        let q = PreparedQuery::prepare("/{x:a+}b/").unwrap();
-        let doc = Document::new("aab");
-        let set = q.evaluate(&doc).unwrap();
-        let rendered = mappings_to_json(&doc, &set).to_string();
-        // x = [1,3⟩ covering "aa" in the 1-based convention.
-        assert_eq!(rendered, r#"[{"x":{"span":[1,3],"text":"aa"}}]"#);
+        // The mapping count and the reference rendering, once the writer
+        // has been held to the same bytes (after a prefix it must keep).
+        let render = |program: &str, text: &str| {
+            let doc = Document::new(text);
+            let set = PreparedQuery::prepare(program)
+                .unwrap()
+                .evaluate(&doc)
+                .unwrap();
+            let reference = mappings_to_json(&doc, &set).to_string();
+            let mut written = b"prefix".to_vec();
+            write_mappings(&mut written, &doc, &set);
+            assert_eq!(written.strip_prefix(b"prefix"), Some(reference.as_bytes()));
+            (set.len(), reference)
+        };
+        for (program, text, expected) in [
+            // x = [1,3⟩ covering "aa" in the 1-based convention.
+            ("/{x:a+}b/", "aab", r#"[{"x":{"span":[1,3],"text":"aa"}}]"#),
+            // `.` is one byte: each span splits the character (U+FFFD).
+            (
+                "/.*{x:.}.*/",
+                "é",
+                r#"[{"x":{"span":[1,2],"text":"�"}},{"x":{"span":[2,3],"text":"�"}}]"#,
+            ),
+            ("/a{x:}b/", "ab", r#"[{"x":{"span":[2,2],"text":""}}]"#),
+            ("/{x:a}/", "b", "[]"),
+        ] {
+            assert_eq!(render(program, text).1, expected, "{program}");
+        }
+        let controls: String = (1u8..0x20).map(char::from).collect();
+        for (program, text, mappings) in [
+            ("/.*{x:[^a]+}a/", "q\"b\\c\td\ne a", 10),
+            ("/{x:.*}/", &controls, 1),
+            ("/{x:a}{y:.*}/", "aéé𝄞", 1),
+            ("/{x:a}{y:b}{z:c*}/", "abcc", 1),
+            ("/.*{x:a+}.*/", "aaa", 6),
+        ] {
+            assert_eq!(render(program, text).0, mappings, "{program}");
+        }
     }
 
     #[test]

@@ -41,17 +41,17 @@
 //!   buffered on its connection) before the server exits.
 
 use crate::cache::{cache_key, Lru, QueryCache};
-use crate::conn::{line_frame, Conn, Frame, Limits, POLL_INTERVAL};
+use crate::conn::{line_frame, recycle, Conn, Frame, Limits, POLL_INTERVAL};
 use crate::http::HttpCodec;
-use crate::json::Json;
+use crate::json::{self, Json};
 use crate::lock_or_reset;
-use crate::protocol::{error_response, mappings_to_json, trace_to_json, Request};
+use crate::protocol::{error_response, trace_to_json, write_mappings, Request};
 use spanner_algebra::RaOptions;
 use spanner_core::Document;
 use spanner_corpus::{resolve_pool_threads, split_lines, CorpusMatches, QueryView};
 use spanner_obs::{Counter, Exposition, Histogram, Registry, LATENCY_BUCKETS, RATIO_BUCKETS};
 use spanner_store::{Mutation, Store};
-use std::io::{self, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -345,12 +345,12 @@ impl ServerMetrics {
         self.op(op).requests.inc();
     }
 
-    /// Records the handled request's latency and — read off the response's
-    /// `ok` field, so the tally can never drift from what the client saw —
-    /// the error total.
-    fn finish_request(&self, op: &str, elapsed: Duration, response: &Json) {
+    /// Records the handled request's latency and — from its [`Outcome`],
+    /// the value the codec also writes the answer from, so the tally can
+    /// never drift from what the client saw — the error total.
+    fn finish_request(&self, op: &str, elapsed: Duration, outcome: &Outcome) {
         let m = self.op(op);
-        if response.get("ok").and_then(Json::as_bool) != Some(true) {
+        if !outcome.is_ok() {
             m.errors.inc();
         }
         m.latency.observe_duration(elapsed);
@@ -383,7 +383,7 @@ impl ResidentStore {
     /// The store for a query — or `None` once a mutation has panicked
     /// part-way through it (a panicking *query* poisons nothing): documents
     /// and index may disagree, so nothing is served from it and every query
-    /// and mutation is answered [`store_poisoned`] until `load_corpus`
+    /// and mutation is answered [`STORE_POISONED`] until `load_corpus`
     /// replaces the store.
     fn read(&self) -> Option<RwLockReadGuard<'_, Store>> {
         self.store.read().ok()
@@ -401,13 +401,9 @@ impl ResidentStore {
     }
 }
 
-/// The answer of a store whose lock a mutation died holding.
-fn store_poisoned() -> Json {
-    error_response(
-        "the resident corpus was left half-updated by a failed mutation \
-         (send `load_corpus` again)",
-    )
-}
+/// The error of a store whose lock a mutation died holding.
+const STORE_POISONED: &str = "the resident corpus was left half-updated by a failed mutation \
+                              (send `load_corpus` again)";
 
 /// The maintained query views of one resident store: an [`Lru`] keyed
 /// exactly like the prepared-query cache (trimmed program text + compile
@@ -758,6 +754,29 @@ pub(crate) enum Incoming {
     Probe(Json),
 }
 
+/// How a request was answered: what the error tally and the HTTP status
+/// are read off, never the written body.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Outcome {
+    /// `"ok":true`.
+    Ok,
+    /// `"ok":false`: refused, or failed to evaluate.
+    Failed,
+    /// The handler panicked: `"ok":false` with `"internal":true`.
+    Internal,
+    /// The `metrics` op's exposition text, with no body written: HTTP
+    /// serves it as it is, the line codec wraps it as
+    /// `{"ok":true,"metrics":…}`.
+    Metrics(String),
+}
+
+impl Outcome {
+    /// Whether the answer says `"ok":true`.
+    pub(crate) fn is_ok(&self) -> bool {
+        matches!(self, Outcome::Ok | Outcome::Metrics(_))
+    }
+}
+
 /// One transport's wire format: how bytes become requests and responses
 /// become bytes. Everything else about a connection is `serve_connection`.
 pub(crate) trait Codec {
@@ -765,14 +784,16 @@ pub(crate) trait Codec {
     /// the connection is over (EOF, idle deadline, shutdown while idle).
     fn read_request(&mut self, conn: &mut Conn, shared: &Shared) -> io::Result<Option<Incoming>>;
 
-    /// Writes the response to the request last read and reports whether
-    /// the connection stays open: never when `last` (the loop is about to
-    /// shut down), otherwise as the transport's framing allows.
+    /// Writes the answer to the request last read — `body`, the JSON the
+    /// handler wrote, and its `outcome` — and reports whether the
+    /// connection stays open: never when `last` (the loop is about to shut
+    /// down), otherwise as the transport's framing allows.
     fn write_response(
         &mut self,
         conn: &mut Conn,
         shared: &Shared,
-        response: &Json,
+        body: &[u8],
+        outcome: &Outcome,
         last: bool,
     ) -> io::Result<bool>;
 }
@@ -782,28 +803,36 @@ pub(crate) trait Codec {
 fn serve_connection<C: Codec>(stream: TcpStream, shared: &Shared, mut codec: C) -> io::Result<()> {
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
     let mut conn = Conn::new(stream)?;
+    // The answer under construction, reused like the connection's buffers.
+    let mut body = Vec::new();
     let metrics = &shared.metrics;
     while let Some(incoming) = codec.read_request(&mut conn, shared)? {
         metrics.bytes_read.add(std::mem::take(&mut conn.bytes_read));
         let shutdown = matches!(incoming, Incoming::Decoded(Ok(Request::Shutdown)));
-        let response = match incoming {
-            Incoming::Probe(response) => response,
+        let outcome = match incoming {
+            Incoming::Probe(response) => reply(&mut body, response),
             // The only place requests are counted and timed. The latency
-            // clock starts when the request's last byte was read: decoding
-            // and dispatch are handling time, the client's idle time before
-            // it is not.
+            // clock starts when the request's last byte was read: decoding,
+            // dispatch and writing the body are handling time, the client's
+            // idle time before it is not.
             Incoming::Decoded(decoded) => {
                 let op = decoded.as_ref().map_or(INVALID, Request::op_name);
                 metrics.begin_request(op);
-                let response = match decoded {
-                    Ok(request) => guarded(metrics, || handle_request(shared, request)),
-                    Err(reject) => reject,
+                let outcome = match decoded {
+                    Ok(request) => guarded(metrics, &mut body, |body| {
+                        handle_request(shared, request, body)
+                    }),
+                    Err(reject) => {
+                        reject.write_to(&mut body);
+                        Outcome::Failed
+                    }
                 };
-                metrics.finish_request(op, conn.framed_at.elapsed(), &response);
-                response
+                metrics.finish_request(op, conn.framed_at.elapsed(), &outcome);
+                outcome
             }
         };
-        let keep_open = codec.write_response(&mut conn, shared, &response, shutdown)?;
+        let keep_open = codec.write_response(&mut conn, shared, &body, &outcome, shutdown)?;
+        recycle(&mut body);
         metrics
             .bytes_written
             .add(std::mem::take(&mut conn.bytes_written));
@@ -824,24 +853,34 @@ fn serve_connection<C: Codec>(stream: TcpStream, shared: &Shared, mut codec: C) 
 /// dead worker: the workers are a fixed few, and a daemon that has lost
 /// each of them to a panicking request accepts connections and answers
 /// none. The panic becomes an `internal error` response (`500` over HTTP)
-/// counted in `spanner_panics_total`. What a panic can leave behind is
-/// shared state behind locks, every one of which is recovered or answered
-/// for when poisoned ([`lock_or_reset`], [`ResidentStore::read`]) — hence
-/// the `AssertUnwindSafe`.
-fn guarded(metrics: &ServerMetrics, handle: impl FnOnce() -> Json) -> Json {
-    catch_unwind(AssertUnwindSafe(handle)).unwrap_or_else(|payload| {
-        metrics.panics.inc();
-        let message = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-            .unwrap_or("panic without a message");
-        Json::object([
-            ("ok", Json::Bool(false)),
-            ("error", Json::string(format!("internal error: {message}"))),
-            ("internal", Json::Bool(true)),
-        ])
-    })
+/// counted in `spanner_panics_total`, and whatever part of a body the
+/// handler wrote into `body` before it died is dropped. What a panic can
+/// leave behind is shared state behind locks, every one of which is
+/// recovered or answered for when poisoned ([`lock_or_reset`],
+/// [`ResidentStore::read`]) — hence the `AssertUnwindSafe`.
+fn guarded(
+    metrics: &ServerMetrics,
+    body: &mut Vec<u8>,
+    handle: impl FnOnce(&mut Vec<u8>) -> Outcome,
+) -> Outcome {
+    let payload = match catch_unwind(AssertUnwindSafe(|| handle(body))) {
+        Ok(outcome) => return outcome,
+        Err(payload) => payload,
+    };
+    metrics.panics.inc();
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("panic without a message");
+    body.clear();
+    Json::object([
+        ("ok", Json::Bool(false)),
+        ("error", Json::string(format!("internal error: {message}"))),
+        ("internal", Json::Bool(true)),
+    ])
+    .write_to(body);
+    Outcome::Internal
 }
 
 /// The line-JSON transport: one request object per `\n`-terminated line,
@@ -896,23 +935,47 @@ impl Codec for LineCodec {
         &mut self,
         conn: &mut Conn,
         _shared: &Shared,
-        response: &Json,
+        body: &[u8],
+        outcome: &Outcome,
         last: bool,
     ) -> io::Result<bool> {
-        writeln!(conn.output, "{response}")?;
+        let out = &mut conn.output;
+        match outcome {
+            Outcome::Metrics(text) => {
+                out.extend_from_slice(br#"{"ok":true,"metrics":"#);
+                json::write_str(out, text);
+                out.push(b'}');
+            }
+            _ => out.extend_from_slice(body),
+        }
+        out.push(b'\n');
         conn.flush()?;
         Ok(!last)
     }
 }
 
-/// Looks `program` up in the cache (compiling on a miss) and builds the
-/// success response from the shared prepared query; compile errors become
-/// the standard error response with the caret rendering.
+/// Writes a response built as a tree — the small fixed-shape ones — and
+/// answers [`Outcome::Ok`].
+fn reply(out: &mut Vec<u8>, response: Json) -> Outcome {
+    response.write_to(out);
+    Outcome::Ok
+}
+
+/// Writes the standard failure response and answers [`Outcome::Failed`].
+fn fail(out: &mut Vec<u8>, message: impl std::fmt::Display) -> Outcome {
+    error_response(message).write_to(out);
+    Outcome::Failed
+}
+
+/// Looks `program` up in the cache (compiling on a miss) and has `answer`
+/// write the success response from the shared prepared query; compile
+/// errors become the standard error response with the caret rendering.
 fn with_query(
     shared: &Shared,
     program: &str,
-    build: impl FnOnce(std::sync::Arc<spanner_ql::PreparedQuery>, bool) -> Json,
-) -> Json {
+    out: &mut Vec<u8>,
+    answer: impl FnOnce(Arc<spanner_ql::PreparedQuery>, bool, &mut Vec<u8>) -> Outcome,
+) -> Outcome {
     let start = Instant::now();
     let prepared = shared
         .cache
@@ -924,57 +987,67 @@ fn with_query(
             .observe_duration(start.elapsed());
     }
     match prepared {
-        Err(e) => error_response(e.pretty(program)),
-        Ok((query, cached)) => build(query, cached),
+        Err(e) => fail(out, e.pretty(program)),
+        Ok((query, cached)) => answer(query, cached, out),
     }
 }
 
-/// Builds the shared `query_corpus` success response from a whole-corpus
-/// answer: per-line mappings for matched documents, aggregate stats, plus
-/// any path-specific fields (the store path appends candidate count and
-/// selectivity). Also accumulates the daemon-wide fast-path counters:
-/// a document is skipped, rejected, evaluated (it reached the executor)
-/// or — `view_hits` of them, on the resident path — served from a
-/// maintained view without being looked at.
+/// Writes the shared `query_corpus` success response from a whole-corpus
+/// answer: aggregate stats, any path-specific members (the store path
+/// appends candidate count and selectivity), then the per-line mappings of
+/// the matched documents, entry by entry. Also accumulates the daemon-wide
+/// fast-path counters: a document is skipped, rejected, evaluated (it
+/// reached the executor) or — `view_hits` of them, on the resident path —
+/// served from a maintained view without being looked at.
 fn corpus_response(
     shared: &Shared,
+    out: &mut Vec<u8>,
     cached: bool,
     docs: &[Document],
-    out: &CorpusMatches,
+    answer: &CorpusMatches,
     view_hits: usize,
-    extra: impl IntoIterator<Item = (&'static str, Json)>,
-) -> Json {
-    let skipped = out.stats.docs_skipped as u64;
-    let rejected = out.stats.docs_rejected as u64;
+    extra: &[(&str, Json)],
+) -> Outcome {
+    let stats = &answer.stats;
+    let skipped = stats.docs_skipped as u64;
+    let rejected = stats.docs_rejected as u64;
     shared.metrics.docs_skipped.add(skipped);
     shared.metrics.docs_rejected.add(rejected);
     shared
         .metrics
         .docs_evaluated
-        .add(((out.stats.documents - view_hits) as u64).saturating_sub(skipped + rejected));
-    let results: Vec<Json> = out
-        .matches
-        .iter()
-        .map(|(id, set)| {
-            Json::object([
-                ("line", Json::number(*id as usize)),
-                ("count", Json::number(set.len())),
-                ("mappings", mappings_to_json(&docs[*id as usize], set)),
-            ])
-        })
-        .collect();
-    let mut fields = vec![
-        ("ok", Json::Bool(true)),
-        ("cached", Json::Bool(cached)),
-        ("documents", Json::number(out.stats.documents)),
-        ("matched", Json::number(out.stats.matched_documents)),
-        ("mappings", Json::number(out.stats.mappings)),
-        ("skipped", Json::number(out.stats.docs_skipped)),
-        ("rejected", Json::number(out.stats.docs_rejected)),
-    ];
-    fields.extend(extra);
-    fields.push(("results", Json::Array(results)));
-    Json::object(fields)
+        .add(((stats.documents - view_hits) as u64).saturating_sub(skipped + rejected));
+    out.push(b'{');
+    json::write_members(
+        out,
+        &[
+            ("ok", Json::Bool(true)),
+            ("cached", Json::Bool(cached)),
+            ("documents", Json::number(stats.documents)),
+            ("matched", Json::number(stats.matched_documents)),
+            ("mappings", Json::number(stats.mappings)),
+            ("skipped", Json::number(stats.docs_skipped)),
+            ("rejected", Json::number(stats.docs_rejected)),
+        ],
+    );
+    if !extra.is_empty() {
+        out.push(b',');
+        json::write_members(out, extra);
+    }
+    out.extend_from_slice(br#","results":["#);
+    for (i, (id, set)) in answer.matches.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        out.push(b'{');
+        let (line, count) = (Json::number(*id as usize), Json::number(set.len()));
+        json::write_members(out, &[("line", line), ("count", count)]);
+        out.extend_from_slice(br#","mappings":"#);
+        write_mappings(out, &docs[*id as usize], set);
+        out.push(b'}');
+    }
+    out.extend_from_slice(b"]}");
+    Outcome::Ok
 }
 
 /// Applies `mutations` to the resident store in order, under its write
@@ -984,15 +1057,16 @@ fn corpus_response(
 /// response, which ends with the store's `documents` and `generation`.
 fn mutate(
     shared: &Shared,
+    out: &mut Vec<u8>,
     mutations: impl IntoIterator<Item = Mutation>,
     counter: &Counter,
     count: Option<&'static str>,
-) -> Json {
+) -> Outcome {
     let Some(resident) = shared.resident() else {
-        return error_response("no resident corpus (send `load_corpus` first)");
+        return fail(out, "no resident corpus (send `load_corpus` first)");
     };
     let Some(mut store) = resident.write() else {
-        return store_poisoned();
+        return fail(out, STORE_POISONED);
     };
     let mut applied = 0usize;
     let outcome = mutations.into_iter().try_for_each(|mutation| {
@@ -1001,56 +1075,63 @@ fn mutate(
     });
     counter.add(applied as u64);
     if let Err(e) = outcome {
-        return error_response(e);
+        return fail(out, e);
     }
     let mut fields = vec![("ok", Json::Bool(true))];
     fields.extend(count.map(|name| (name, Json::number(applied))));
     fields.push(("documents", Json::number(store.len())));
     fields.push(("generation", Json::number(store.generation() as usize)));
-    Json::object(fields)
+    reply(out, Json::object(fields))
 }
 
-/// Handles one decoded request. Both transports funnel through this one
-/// function, so the line-JSON and HTTP surfaces can never drift apart.
-fn handle_request(shared: &Shared, request: Request) -> Json {
+/// Handles one decoded request, writing its answer into `out`. Both
+/// transports funnel through this one function, so the line-JSON and HTTP
+/// surfaces can never drift apart.
+fn handle_request(shared: &Shared, request: Request, out: &mut Vec<u8>) -> Outcome {
     match request {
-        Request::Prepare { program } => with_query(shared, &program, |query, cached| {
-            Json::object([
-                ("ok", Json::Bool(true)),
-                ("cached", Json::Bool(cached)),
-                (
-                    "vars",
-                    Json::Array(
-                        query
-                            .vars()
-                            .iter()
-                            .map(|v| Json::string(v.to_string()))
-                            .collect(),
-                    ),
-                ),
-                ("static", Json::Bool(query.plan().is_static())),
-                ("outline", Json::string(query.plan_outline())),
-            ])
-        }),
-        Request::Query { program, doc } => with_query(shared, &program, |query, cached| {
-            let doc = Document::new(doc);
-            match query.evaluate(&doc) {
-                Err(e) => error_response(e),
-                Ok(set) => Json::object([
+        Request::Prepare { program } => with_query(shared, &program, out, |query, cached, out| {
+            let vars = query.vars().iter().map(|v| Json::string(v.to_string()));
+            reply(
+                out,
+                Json::object([
                     ("ok", Json::Bool(true)),
                     ("cached", Json::Bool(cached)),
-                    ("count", Json::number(set.len())),
-                    ("mappings", mappings_to_json(&doc, &set)),
+                    ("vars", Json::Array(vars.collect())),
+                    ("static", Json::Bool(query.plan().is_static())),
+                    ("outline", Json::string(query.plan_outline())),
                 ]),
-            }
+            )
         }),
+        Request::Query { program, doc } => {
+            with_query(shared, &program, out, |query, cached, out| {
+                let doc = Document::new(doc);
+                match query.evaluate(&doc) {
+                    Err(e) => fail(out, e),
+                    Ok(set) => {
+                        out.push(b'{');
+                        json::write_members(
+                            out,
+                            &[
+                                ("ok", Json::Bool(true)),
+                                ("cached", Json::Bool(cached)),
+                                ("count", Json::number(set.len())),
+                            ],
+                        );
+                        out.extend_from_slice(br#","mappings":"#);
+                        write_mappings(out, &doc, &set);
+                        out.push(b'}');
+                        Outcome::Ok
+                    }
+                }
+            })
+        }
         Request::LoadCorpus { text } => {
             // The build is the expensive part; it runs before any lock is
             // taken, so queries against the previous resident corpus stay
             // live until the one-pointer swap below.
             let build_started = Instant::now();
             match Store::build(split_lines(&text)) {
-                Err(e) => error_response(e),
+                Err(e) => fail(out, e),
                 Ok(store) => {
                     shared
                         .metrics
@@ -1068,12 +1149,13 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
                         views: ViewSet::new(shared.options.max_views, shared.options.view_budget),
                     });
                     *lock_or_reset(&shared.store, |_| ()) = Some(resident);
-                    response
+                    reply(out, response)
                 }
             }
         }
         Request::AppendDocs { text } => mutate(
             shared,
+            out,
             text.lines()
                 .map(|line| Mutation::Append { text: line.into() }),
             &shared.metrics.store_appends,
@@ -1081,6 +1163,7 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
         ),
         Request::UpdateDoc { line, text } => mutate(
             shared,
+            out,
             [Mutation::Update { id: line, text }],
             &shared.metrics.store_updates,
             None,
@@ -1090,6 +1173,7 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
         // the whole batch).
         Request::DeleteDocs { lines } => mutate(
             shared,
+            out,
             lines.into_iter().map(|id| Mutation::Delete { id }),
             &shared.metrics.store_deletes,
             Some("deleted"),
@@ -1097,21 +1181,21 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
         Request::QueryCorpus {
             program,
             text: Some(text),
-        } => with_query(shared, &program, |query, cached| {
+        } => with_query(shared, &program, out, |query, cached, out| {
             let docs = split_lines(&text);
             match query.scan_corpus(&docs, shared.options.corpus_threads) {
-                Err(e) => error_response(e),
-                Ok(out) => corpus_response(shared, cached, &docs, &out, 0, []),
+                Err(e) => fail(out, e),
+                Ok(answer) => corpus_response(shared, out, cached, &docs, &answer, 0, &[]),
             }
         }),
         Request::QueryCorpus {
             program,
             text: None,
         } => match shared.resident() {
-            None => error_response("no resident corpus (send `load_corpus` first)"),
-            Some(resident) => with_query(shared, &program, |query, cached| {
+            None => fail(out, "no resident corpus (send `load_corpus` first)"),
+            Some(resident) => with_query(shared, &program, out, |query, cached, out| {
                 let Some(store) = resident.read() else {
-                    return store_poisoned();
+                    return fail(out, STORE_POISONED);
                 };
                 let threads = shared.options.corpus_threads;
                 // One maintained view per (program, options) key; with
@@ -1135,7 +1219,7 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
                     }
                 };
                 match result {
-                    Err(e) => error_response(e),
+                    Err(e) => fail(out, e),
                     Ok(outcome) => {
                         let m = &shared.metrics;
                         m.store_selectivity.observe(outcome.selectivity());
@@ -1153,13 +1237,16 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
                             // Full-scan fallback: no usable literal.
                             None => Json::Null,
                         };
+                        // Written while the read guard is held: the
+                        // documents are the store's own.
                         corpus_response(
                             shared,
+                            out,
                             cached,
                             store.documents(),
                             &outcome.output,
                             outcome.view_hits,
-                            [
+                            &[
                                 ("candidates", candidates),
                                 ("selectivity", Json::Number(outcome.selectivity())),
                                 ("delta_docs", Json::number(outcome.delta_docs)),
@@ -1176,12 +1263,15 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
             program,
             analyze: false,
             ..
-        } => with_query(shared, &program, |query, cached| {
-            Json::object([
-                ("ok", Json::Bool(true)),
-                ("cached", Json::Bool(cached)),
-                ("explain", Json::string(query.explain())),
-            ])
+        } => with_query(shared, &program, out, |query, cached, out| {
+            reply(
+                out,
+                Json::object([
+                    ("ok", Json::Bool(true)),
+                    ("cached", Json::Bool(cached)),
+                    ("explain", Json::string(query.explain())),
+                ]),
+            )
         }),
         Request::Explain {
             program,
@@ -1191,11 +1281,12 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
             // The parser enforces `doc` whenever `analyze` is set; a
             // hand-built Request without one gets the same diagnosis.
             let Some(doc) = doc else {
-                return error_response(
+                return fail(
+                    out,
                     "`explain` with `\"analyze\": true` needs a `doc` field to run the query on",
                 );
             };
-            with_query(shared, &program, |query, cached| {
+            with_query(shared, &program, out, |query, cached, out| {
                 let document = Document::new(doc);
                 // One traced run feeds both the human rendering and the
                 // structured trace, so they can never disagree.
@@ -1214,7 +1305,12 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
                     Ok(set) => fields.push(("count", Json::number(set.len()))),
                     Err(e) => fields.push(("error", Json::string(e.to_string()))),
                 }
-                Json::object(fields)
+                Json::object(fields).write_to(out);
+                if ok {
+                    Outcome::Ok
+                } else {
+                    Outcome::Failed
+                }
             })
         }
         Request::Stats => {
@@ -1235,7 +1331,7 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
                     ])
                 }
             };
-            Json::object([
+            let response = Json::object([
                 ("ok", Json::Bool(true)),
                 (
                     "cache",
@@ -1310,16 +1406,18 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
                     ),
                 ),
                 ("store", store),
-            ])
+            ]);
+            reply(out, response)
         }
-        Request::Metrics => Json::object([
-            ("ok", Json::Bool(true)),
-            ("metrics", Json::string(shared.render_metrics())),
-        ]),
-        Request::Shutdown => Json::object([
-            ("ok", Json::Bool(true)),
-            ("shutting_down", Json::Bool(true)),
-        ]),
+        // HTTP serves the exposition as it is, so it is not escaped here.
+        Request::Metrics => Outcome::Metrics(shared.render_metrics()),
+        Request::Shutdown => reply(
+            out,
+            Json::object([
+                ("ok", Json::Bool(true)),
+                ("shutting_down", Json::Bool(true)),
+            ]),
+        ),
     }
 }
 
@@ -1375,14 +1473,18 @@ mod tests {
         };
         assert_eq!(query(&handle), (0, 2));
         assert_eq!(query(&handle), (3, 2));
-        // A request dies holding the view: an answer, counted, not a panic
-        // of the worker.
-        let response = guarded(&metrics, || {
+        // A request dies holding the view, half its body written: an
+        // answer, counted, not a panic of the worker — and nothing of the
+        // half body.
+        let mut body = Vec::new();
+        let outcome = guarded(&metrics, &mut body, |out| {
             let _view = handle.lock();
+            out.extend_from_slice(br#"{"ok":true,"cached":false,"results":[{"line":0,"#);
             panic!("boom at document {}", 7)
         });
+        assert_eq!(outcome, Outcome::Internal);
         assert_eq!(
-            response.to_string(),
+            String::from_utf8(body).unwrap(),
             r#"{"ok":false,"error":"internal error: boom at document 7","internal":true}"#
         );
         assert_eq!(metrics.panics.get(), 1);
@@ -1393,7 +1495,9 @@ mod tests {
         assert_eq!(query(&handle), (0, 2));
         assert!(!handle.view.is_poisoned());
         assert_eq!(query(&handle), (3, 2));
-        assert_eq!(guarded(&metrics, || Json::Null), Json::Null);
+        let mut body = Vec::new();
+        let outcome = guarded(&metrics, &mut body, |out| reply(out, Json::Null));
+        assert_eq!((outcome, body), (Outcome::Ok, b"null".to_vec()));
         assert_eq!(metrics.panics.get(), 1);
     }
 
@@ -1405,18 +1509,17 @@ mod tests {
             views: ViewSet::new(0, 0),
         };
         // A query that dies poisons nothing; a mutation that dies does.
-        guarded(&metrics, || {
+        guarded(&metrics, &mut Vec::new(), |_| {
             let _store = resident.read();
             panic!("mid-query")
         });
         assert!(resident.write().is_some());
-        guarded(&metrics, || {
+        guarded(&metrics, &mut Vec::new(), |_| {
             let _store = resident.write();
             panic!("mid-mutation")
         });
         assert!(resident.read().is_none() && resident.write().is_none());
-        let refused = store_poisoned().to_string();
-        assert!(refused.contains("load_corpus"), "{refused}");
+        assert!(STORE_POISONED.contains("load_corpus"));
         // `stats` and `metrics` still read its size.
         assert_eq!(resident.counters().len(), 2);
     }

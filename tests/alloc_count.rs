@@ -16,9 +16,17 @@
 //! A dense result (`Vec<MappingSet>`, 24 bytes a document) fails both by
 //! 24 B × documents; the last assertion runs the dense forward kept for
 //! `bench/` to show that the counter would see it.
+//!
+//! A second phase counts what the daemon's answer costs to render: a
+//! `scan-hit`-shaped relation (64 lines, one mapping of two variables
+//! each) written through `write_mappings` into a warmed buffer allocates
+//! nothing, while the reference tree (`mappings_to_json` + `to_string`)
+//! allocates at least once per span — the counter sees a tree when there
+//! is one.
 
 use document_spanners::prelude::*;
-use spanner_workloads::{needle_corpus, needle_line};
+use spanner_serve::protocol::{mappings_to_json, write_mappings};
+use spanner_workloads::{access_log, needle_corpus, needle_line};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -127,6 +135,51 @@ fn resident_queries(lines: usize) -> Allocated {
     }
 }
 
+/// The access-log extractor, projected to two columns: one mapping of two
+/// variables per line.
+const LOG_COLUMNS: &str = "\
+project path, status (/{ip:[0-9]+\\.[0-9]+\\.[0-9]+\\.[0-9]+} - ({user:[a-z]+}|-) \
+\\[[0-9\\/]+\\] \"{method:[A-Z]+} {path:[a-zA-Z0-9_\\/\\.]+}\" {status:[0-9][0-9][0-9]} [0-9]+/);";
+
+/// What rendering a 64-line answer allocated, in calls: through the writer
+/// into a warmed buffer, and through the reference tree.
+struct Rendered {
+    write_calls: usize,
+    tree_calls: usize,
+    spans: usize,
+}
+
+fn scan_hit_renders() -> Rendered {
+    let query = PreparedQuery::prepare(LOG_COLUMNS).unwrap();
+    let docs = split_lines(access_log(64, 11).text());
+    let sets: Vec<MappingSet> = docs.iter().map(|d| query.evaluate(d).unwrap()).collect();
+    assert!(sets.iter().all(|set| set.len() == 1));
+    let spans = sets
+        .iter()
+        .flat_map(MappingSet::iter)
+        .map(|m| m.iter().count());
+
+    let write = |out: &mut Vec<u8>| {
+        for (doc, set) in docs.iter().zip(&sets) {
+            write_mappings(out, doc, set);
+        }
+    };
+    let mut written = Vec::new();
+    write(&mut written); // the buffer grows once, as a connection's does
+    written.clear();
+    let ((), (write_calls, _)) = counted(|| write(&mut written));
+    let (tree, (tree_calls, _)) = counted(|| {
+        let render = |(doc, set)| mappings_to_json(doc, set).to_string();
+        docs.iter().zip(&sets).map(render).collect::<String>()
+    });
+    assert_eq!(String::from_utf8(written).unwrap(), tree);
+    Rendered {
+        write_calls,
+        tree_calls,
+        spans: spans.sum(),
+    }
+}
+
 #[test]
 fn a_resident_query_allocates_what_it_matched_not_the_corpus() {
     let (small, large) = (5_000, 20_000);
@@ -170,4 +223,18 @@ fn a_resident_query_allocates_what_it_matched_not_the_corpus() {
             "the dense forward over {lines} lines allocated only {dense} B more"
         );
     }
+
+    // Rendering: nothing per line, mapping, span or string on the writer.
+    let rendered = scan_hit_renders();
+    println!(
+        "allocations rendering 64 lines ({} spans): writer {}, reference tree {}",
+        rendered.spans, rendered.write_calls, rendered.tree_calls
+    );
+    assert_eq!(rendered.spans, 128);
+    assert_eq!(rendered.write_calls, 0, "the writer allocated");
+    assert!(
+        rendered.tree_calls >= rendered.spans,
+        "the tree allocated only {} times",
+        rendered.tree_calls
+    );
 }
