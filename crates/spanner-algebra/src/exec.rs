@@ -229,10 +229,20 @@ impl PhysOp {
     /// [`CompiledPlan`](crate::CompiledPlan)). The *root* result is not
     /// bounded: like the old pipeline's final enumeration, the caller asked
     /// for it.
+    ///
+    /// `prescanned` says that [`PhysOp::prescan_reject`] already walked this
+    /// operator on `doc` and proved nothing empty, so every fast-path scan
+    /// it reached accepted. Those scans take the verdict as given instead of
+    /// scanning again, and still report it (`prescan_accept` and the tier),
+    /// so a trace does not show the difference. The flag travels the way
+    /// the pre-pass walks: a projection's input, both sides of a join and a
+    /// difference's input get it; a union's inputs and a difference's probe
+    /// side, which the pre-pass does not prove, do not.
     pub fn execute<O: Observer>(
         &self,
         doc: &Document,
         limit: usize,
+        prescanned: bool,
         obs: &mut O,
     ) -> SpannerResult<MappingSet> {
         match self {
@@ -248,7 +258,11 @@ impl PhysOp {
                 // rejected without building enumeration machinery. Exact, so
                 // results are unchanged (see `spanner_vset::scan`).
                 if *fast_path {
-                    let verdict = compiled.prescan(doc);
+                    let verdict = if prescanned {
+                        PreScan::Accept
+                    } else {
+                        compiled.prescan(doc)
+                    };
                     // The pre-pass ran its boolean scan (unless a static
                     // prefilter skipped first); report which tier answered.
                     // `dfa_states` is the non-forcing probe, so recording
@@ -280,11 +294,13 @@ impl PhysOp {
                 Ok(MappingSet::from_mappings(mappings?))
             }
             PhysOp::BlackBoxScan(s) => s.eval(doc),
-            PhysOp::Project { keep, input } => Ok(input.input(doc, limit, obs)?.project(keep)),
+            PhysOp::Project { keep, input } => {
+                Ok(input.input(doc, limit, prescanned, obs)?.project(keep))
+            }
             PhysOp::UnionAll(inputs) => {
                 let mut out = MappingSet::builder();
                 for (i, op) in inputs.iter().enumerate() {
-                    match op.input(doc, limit, obs) {
+                    match op.input(doc, limit, false, obs) {
                         Ok(set) => out.extend(set),
                         Err(e) => {
                             // Keep the trace shape stable past the error.
@@ -298,7 +314,7 @@ impl PhysOp {
                 Ok(out.finish())
             }
             PhysOp::HashJoin { left, right } => {
-                let left = match left.input(doc, limit, obs) {
+                let left = match left.input(doc, limit, prescanned, obs) {
                     Ok(set) if set.is_empty() => {
                         // ∅ ⋈ R = ∅ — skip the build side.
                         obs.count("build_skipped", 1);
@@ -311,12 +327,12 @@ impl PhysOp {
                     }
                     Ok(set) => set,
                 };
-                let right = right.input(doc, limit, obs)?;
+                let right = right.input(doc, limit, prescanned, obs)?;
                 obs.count("build_rows", right.len() as u64);
                 Ok(left.join(&right))
             }
             PhysOp::Difference { input, probe } => {
-                let input = match input.input(doc, limit, obs) {
+                let input = match input.input(doc, limit, prescanned, obs) {
                     Ok(set) if set.is_empty() => {
                         // ∅ \ R = ∅ — skip the probe side entirely (with
                         // the scan pre-pass this makes misses on the input
@@ -331,7 +347,7 @@ impl PhysOp {
                     }
                     Ok(set) => set,
                 };
-                let probe = probe.input(doc, limit, obs)?;
+                let probe = probe.input(doc, limit, false, obs)?;
                 obs.count("probe_rows", probe.len() as u64);
                 Ok(input.anti_join(&probe))
             }
@@ -347,9 +363,10 @@ impl PhysOp {
         &self,
         doc: &Document,
         limit: usize,
+        prescanned: bool,
         parent: &mut O,
     ) -> SpannerResult<MappingSet> {
-        let (result, child) = O::observe(self, |obs| self.execute(doc, limit, obs));
+        let (result, child) = O::observe(self, |obs| self.execute(doc, limit, prescanned, obs));
         parent.adopt(child);
         let set = result?;
         if set.len() > limit {
@@ -413,7 +430,7 @@ impl PhysOp {
                 } else {
                     StreamKind::Join {
                         probe: Box::new(probe),
-                        build: RelationIndex::new(right.input(doc, limit, &mut NoTrace)?),
+                        build: RelationIndex::new(right.input(doc, limit, false, &mut NoTrace)?),
                         pending: VecDeque::new(),
                         seen: FxHashSet::default(),
                     }
@@ -427,7 +444,7 @@ impl PhysOp {
                 } else {
                     StreamKind::AntiJoin {
                         input: Box::new(input),
-                        probe: RelationIndex::new(probe.input(doc, limit, &mut NoTrace)?),
+                        probe: RelationIndex::new(probe.input(doc, limit, false, &mut NoTrace)?),
                     }
                 }
             }
@@ -492,7 +509,9 @@ impl PhysOp {
     /// and `π(∅)` are empty; a union is empty iff all inputs are) and only
     /// consults scans with the fast path enabled, so it returns `None`
     /// everywhere when [`RaOptions::scan_fast_path`](crate::RaOptions) is
-    /// off.
+    /// off. A `None` is also a proof that every fast-path scan this walk
+    /// reached accepted — what [`PhysOp::execute`]'s `prescanned` hands on,
+    /// along the same edges.
     pub fn prescan_reject(&self, doc: &Document) -> Option<PreScan> {
         match self {
             PhysOp::CompiledScan {
@@ -619,7 +638,8 @@ impl PhysicalPlan {
     /// Evaluates the plan on one document into a materialized relation
     /// (intermediate relations bounded by the plan's resource guard).
     pub fn execute(&self, doc: &Document) -> SpannerResult<MappingSet> {
-        self.root.execute(doc, self.max_intermediate, &mut NoTrace)
+        self.root
+            .execute(doc, self.max_intermediate, false, &mut NoTrace)
     }
 
     /// A zero-valued trace with this plan's shape
@@ -911,7 +931,7 @@ mod tests {
         doc: &Document,
     ) -> (SpannerResult<MappingSet>, ExecTrace) {
         let root = physical.root();
-        ExecTrace::observe(root, |obs| root.execute(doc, usize::MAX, obs))
+        ExecTrace::observe(root, |obs| root.execute(doc, usize::MAX, false, obs))
     }
 
     #[test]

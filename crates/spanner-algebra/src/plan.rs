@@ -445,7 +445,7 @@ fn build_left_deep(order: &[usize], operands: &mut [RaTree]) -> RaTree {
 // Compiled plans: lowering onto the physical operator executor.
 // ---------------------------------------------------------------------------
 
-use spanner_vset::{join, CompiledVsa, Vsa};
+use spanner_vset::{join, CompiledVsa, PreScan, Vsa};
 
 /// A compiled plan: the document-independent parts of an RA tree are
 /// compiled into shared automata once and the whole tree is lowered onto
@@ -460,6 +460,17 @@ pub struct CompiledPlan {
     physical: PhysicalPlan,
     tree: RaTree,
     options: RaOptions,
+}
+
+/// What [`CompiledPlan::evaluate_screened`] did with one document.
+#[derive(Debug)]
+pub enum Screened<O> {
+    /// The pre-pass proved the result empty without evaluating:
+    /// [`PreScan::Skip`] when a static prefilter fired, [`PreScan::Reject`]
+    /// when a boolean scan ran.
+    Empty(PreScan),
+    /// The document was evaluated: the result and the observation.
+    Evaluated(SpannerResult<MappingSet>, O),
 }
 
 /// Intermediate result of plan construction: either a static automaton
@@ -598,10 +609,34 @@ impl CompiledPlan {
     /// execution trace. The observation is returned alongside the result —
     /// also when evaluation fails, so limit trips stay observable.
     pub fn evaluate_observed<O: Observer>(&self, doc: &Document) -> (SpannerResult<MappingSet>, O) {
+        self.execute_observed(doc, false)
+    }
+
+    /// The per-document step of a multi-document pass: the plan's
+    /// document-level pre-pass ([`PhysOp::prescan_reject`]) first, and the
+    /// executor only for a document it could not prove empty. The executor
+    /// is told that the pre-pass already accepted the scans it walked, so
+    /// no document is prescanned twice; results and observations are those
+    /// of [`CompiledPlan::evaluate_observed`]. Without the scan fast path
+    /// every document is evaluated.
+    pub fn evaluate_screened<O: Observer>(&self, doc: &Document) -> Screened<O> {
+        match self.physical.root().prescan_reject(doc) {
+            Some(verdict) => Screened::Empty(verdict),
+            None => {
+                let (result, observed) = self.execute_observed(doc, true);
+                Screened::Evaluated(result, observed)
+            }
+        }
+    }
+
+    fn execute_observed<O: Observer>(
+        &self,
+        doc: &Document,
+        prescanned: bool,
+    ) -> (SpannerResult<MappingSet>, O) {
         let root = self.physical.root();
-        O::observe(root, |obs| {
-            root.execute(doc, self.options.max_signatures, obs)
-        })
+        let limit = self.options.max_signatures;
+        O::observe(root, |obs| root.execute(doc, limit, prescanned, obs))
     }
 
     /// Streams the plan's mappings on one document.
@@ -615,14 +650,6 @@ impl CompiledPlan {
         self.physical
             .root()
             .stream_bounded(doc, self.options.max_signatures)
-    }
-
-    /// Cheap document-level pre-pass: returns `Some(verdict)` when the scan
-    /// fast path can prove the plan's result on `doc` is empty without
-    /// evaluating it (see [`PhysOp::prescan_reject`]). `None` means
-    /// the document must be evaluated (or the fast path is disabled).
-    pub fn prescan_reject(&self, doc: &Document) -> Option<spanner_vset::PreScan> {
-        self.physical.root().prescan_reject(doc)
     }
 
     /// Byte strings every document with a non-empty result must contain

@@ -47,6 +47,7 @@
 //! assert!(out.get(1).is_none());
 //! ```
 
+use spanner_algebra::plan::Screened;
 use spanner_algebra::{
     CompiledPlan, ExecTrace, Instantiation, NoTrace, Observer, PreScan, RaOptions, RaTree,
 };
@@ -172,8 +173,9 @@ struct Shard<O> {
 /// is consulted first — a `Skip`/`Reject` verdict is a proof the result is
 /// empty, so such a document never reaches the executor and surfaces as a
 /// tally (and as `corpus_docs_skipped` / `corpus_docs_rejected` on the root
-/// of a recording observer); an evaluated document merges its per-operator
-/// observation into the worker's.
+/// of a recording observer). Any other document goes to the executor with
+/// the pre-pass's acceptance in hand, so it is scanned once, and merges its
+/// per-operator observation into the worker's.
 fn eval_chunk<O: Observer>(
     plan: &CompiledPlan,
     docs: &[Document],
@@ -189,17 +191,16 @@ fn eval_chunk<O: Observer>(
     };
     for &id in ids {
         let doc = &docs[id as usize];
-        match plan.prescan_reject(doc) {
-            Some(PreScan::Skip) => {
+        match plan.evaluate_screened::<O>(doc) {
+            Screened::Empty(PreScan::Skip) => {
                 shard.skipped += 1;
                 shard.observer.count("corpus_docs_skipped", 1);
             }
-            Some(PreScan::Reject) => {
+            Screened::Empty(_) => {
                 shard.rejected += 1;
                 shard.observer.count("corpus_docs_rejected", 1);
             }
-            _ => {
-                let (result, observed) = plan.evaluate_observed::<O>(doc);
+            Screened::Evaluated(result, observed) => {
                 shard.observer.merge(&observed);
                 shard.observer.count("corpus_docs_evaluated", 1);
                 let set = result?;

@@ -8,6 +8,17 @@
 //! by a polynomial in the document and the automaton for any fixed number of
 //! variables — see DESIGN.md §2 for how this substitutes for the
 //! combined-complexity algorithm of Amarilli et al. that the paper cites.
+//!
+//! The depth-first walk keeps a frame only at a *branch point*. Invariant:
+//! **every frame on the stack has an untried viable candidate.** A position
+//! whose chosen candidate was its last viable one is never resumed —
+//! backtracking to it would only pop it — so its frame gives way to its
+//! successor instead of staying beneath it. Order, duplicate-freeness and
+//! the delay bound are those of the frame-per-position walk; what changes is
+//! that the stack holds one frame per real alternative on the path, not one
+//! per position (on a `.*`-headed line ∅ is the only viable candidate at
+//! most positions), and that backtracking reaches the next alternative in
+//! O(1).
 
 use crate::matchgraph::MatchGraph;
 use crate::opset::{mapping_from_ops, OpSet};
@@ -25,19 +36,22 @@ use spanner_vset::{CompiledVsa, EvalTables, SetId, Vsa};
 /// graph's backward pass attached to the position.
 pub struct Enumerator<'a> {
     graph: MatchGraph<'a>,
-    /// DFS stack; one frame per document position on the current path.
+    /// DFS stack: one frame per branch point on the current path, and the
+    /// position being descended into (see the module docs).
     stack: Vec<Frame>,
     /// The non-empty operation sets chosen on the current path, with their
     /// positions.
     path: Vec<(u32, OpSet)>,
 }
 
+#[derive(Clone, Copy)]
 struct Frame {
     /// Position of this frame (1-based; `|d| + 1` is the final frame).
     pos: u32,
     /// The states reached after consuming the letter at `pos - 1`.
     frontier: SetId,
-    /// Index of the next candidate of `frontier` to try.
+    /// Index of `frontier`'s candidate list where the search for the next
+    /// viable candidate starts (after a first choice, that candidate's own).
     next: u32,
     /// Length of `path` before this frame's choice.
     path_len: u32,
@@ -86,19 +100,28 @@ impl<'a> Enumerator<'a> {
     fn next_mapping(&mut self) -> Option<SpannerResult<Mapping>> {
         let n = self.graph.doc.len() as u32;
         loop {
-            let frame = self.stack.last_mut()?;
-            let (pos, from) = (frame.pos, frame.next as usize);
-            let Some((i, set, reached)) = self.graph.next_candidate(pos, frame.frontier, from)
-            else {
-                // Backtrack.
-                self.stack.pop();
-                continue;
-            };
-            frame.next = i as u32 + 1;
+            let top = self.stack.len().checked_sub(1)?;
+            let Frame {
+                pos,
+                frontier,
+                next,
+                path_len,
+            } = self.stack[top];
+            let (set, reached, rest) = self
+                .graph
+                .next_candidate(pos, frontier, next as usize)
+                .expect("every frame on the stack has a viable candidate left");
             // Record the choice (replacing any previous choice at this depth).
-            self.path.truncate(frame.path_len as usize);
+            self.path.truncate(path_len as usize);
             if !set.is_empty() {
                 self.path.push((pos, set));
+            }
+            // Keep the frame only while it has a viable candidate left: a
+            // frame with none would never be resumed, so whatever comes next
+            // (a successor, or a backtrack to the branch below) replaces it.
+            match rest {
+                Some(i) => self.stack[top].next = i as u32,
+                None => self.stack.truncate(top),
             }
             if pos <= n {
                 // Consume the letter at `pos` and descend — unless the

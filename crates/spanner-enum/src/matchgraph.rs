@@ -116,8 +116,10 @@ impl<'a> MatchGraph<'a> {
     }
 
     /// The first *viable* candidate of `frontier` at position `pos`, at or
-    /// after index `from` of the frontier's candidate list: its index, its
-    /// operation set, and the states reached by performing exactly that set.
+    /// after index `from` of the frontier's candidate list: its operation
+    /// set, the states reached by performing exactly that set, and the index
+    /// of the next viable candidate after it — `None` when it is the last,
+    /// so the caller knows it will never come back to this frontier.
     /// Viable means some reached state is useful at `pos`, i.e. the choice
     /// extends to an accepted mapping. Candidates come in increasing
     /// operation-set order.
@@ -126,19 +128,21 @@ impl<'a> MatchGraph<'a> {
         pos: u32,
         frontier: SetId,
         from: usize,
-    ) -> Option<(usize, OpSet, SetId)> {
+    ) -> Option<(OpSet, SetId, Option<usize>)> {
         if self.tables.ops(frontier).is_none() {
             Arc::make_mut(&mut self.tables).fill_ops(&self.compiled, frontier);
         }
         let candidates = self.tables.ops(frontier).expect("filled above");
         let at = self.back[pos as usize - 1];
-        candidates[from..]
-            .iter()
-            .position(|&(_, reached)| self.tables.viable(reached, at))
-            .map(|offset| {
-                let (ops, reached) = candidates[from + offset];
-                (from + offset, OpSet(ops), reached)
-            })
+        let viable = |from: usize| {
+            candidates[from..]
+                .iter()
+                .position(|&(_, reached)| self.tables.viable(reached, at))
+                .map(|offset| from + offset)
+        };
+        let i = viable(from)?;
+        let (ops, reached) = candidates[i];
+        Some((OpSet(ops), reached, viable(i + 1)))
     }
 
     /// Advances a set of states over the letter at `pos` (1-based, `≤ |d|`).
@@ -211,10 +215,12 @@ mod tests {
         let doc = Document::new("a");
         let mut g = MatchGraph::build(&a, &doc).unwrap();
         let mut sets = Vec::new();
-        let mut from = 0;
-        while let Some((i, set, _)) = g.next_candidate(1, EvalTables::INITIAL, from) {
+        let mut from = Some(0);
+        while let Some((set, _, next)) =
+            from.and_then(|i| g.next_candidate(1, EvalTables::INITIAL, i))
+        {
             sets.push(set);
-            from = i + 1;
+            from = next;
         }
         assert_eq!(sets.len(), 2, "{sets:?}");
         assert!(sets[0].is_empty() && sets[0] < sets[1], "{sets:?}");

@@ -435,16 +435,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 }
                 *pos += 1;
             }
+            // RFC 8259 §7: U+0000–U+001F must be escaped inside a string.
+            Some(0..=0x1f) => return Err(err("unescaped control character", *pos)),
             Some(_) => {
                 // Consume the maximal run of unescaped bytes in one copy.
                 // The input is a &str, so the bytes are valid UTF-8 by
-                // construction, and `"` / `\` are ASCII — never part of a
-                // multi-byte character — so the run boundary is a char
-                // boundary. (Per-character consumption here would rescan
-                // the tail per char: quadratic on megabyte-sized
-                // `load_corpus` strings.)
+                // construction, and `"` / `\` / control bytes are ASCII —
+                // never part of a multi-byte character — so the run
+                // boundary is a char boundary. (Per-character consumption
+                // here would rescan the tail per char: quadratic on
+                // megabyte-sized `load_corpus` strings.)
                 let run = *pos;
-                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\' | 0..=0x1f) {
                     *pos += 1;
                 }
                 out.push_str(std::str::from_utf8(&bytes[run..*pos]).expect("input is UTF-8"));
@@ -597,10 +599,19 @@ mod tests {
             "-.5",
             "1.e5",
             "[1,01]",
+            // RFC 8259 §7 control characters, unescaped.
+            "\"raw\ttab\"",
+            "{\"doc\":\"a\u{1}b\"}",
         ] {
             let e = Json::parse(text).unwrap_err();
             assert!(e.position <= text.len(), "{text:?}: {e}");
         }
+        // An unescaped control character is reported where it stands.
+        let e = Json::parse("[\"ok\",\"a\tb\"]").unwrap_err();
+        assert_eq!(
+            (e.position, e.message.as_str()),
+            (8, "unescaped control character")
+        );
         // A malformed number is reported where it starts.
         let e = Json::parse(r#"{"line":01}"#).unwrap_err();
         assert_eq!((e.position, e.message.as_str()), (8, "invalid number `01`"));

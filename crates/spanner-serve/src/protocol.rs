@@ -625,6 +625,11 @@ mod tests {
             (r#"{"op":"update_doc","line":0}"#, "`text`"),
             (r#"{"op":"delete_docs"}"#, "`lines`"),
             (r#"{"op":"delete_docs","lines":[0,"x"]}"#, "document ids"),
+            // A raw tab inside a string: JSON requires `\t`.
+            (
+                "{\"op\":\"query\",\"program\":\"/a/\",\"doc\":\"a\tb\"}",
+                "unescaped control character",
+            ),
         ] {
             let err = Request::parse(line).unwrap_err();
             assert!(err.contains(needle), "{line:?}: {err}");

@@ -23,6 +23,12 @@
 //! nothing, while the reference tree (`mappings_to_json` + `to_string`)
 //! allocates at least once per span — the counter sees a tree when there
 //! is one.
+//!
+//! A third phase counts the enumerator's own stack: a warm evaluation of a
+//! `.*`-headed extractor makes the same number of allocation calls whether
+//! the head before its one branch point is 80, 800 or 8 000 bytes long. A
+//! stack with a frame per position grows by doubling and would show up as
+//! a call count that climbs with the logarithm of the head.
 
 use document_spanners::prelude::*;
 use spanner_serve::protocol::{mappings_to_json, write_mappings};
@@ -180,6 +186,18 @@ fn scan_hit_renders() -> Rendered {
     }
 }
 
+/// Allocation calls of one warm evaluation of the library's method
+/// extractor on a log line whose head before the quote is `head` bytes.
+fn method_evaluation_calls(head: usize) -> usize {
+    let query = PreparedQuery::prepare(r#"/.*"{method:[A-Z]+} .*/"#).unwrap();
+    let line = format!("{}\"GET /index HTTP/1.1\" 404 5120", "a ".repeat(head / 2));
+    let doc = Document::new(line);
+    assert_eq!(query.evaluate(&doc).unwrap().len(), 1); // warms the tables
+    let (set, (calls, _)) = counted(|| query.evaluate(&doc).unwrap());
+    assert_eq!(set.len(), 1);
+    calls
+}
+
 #[test]
 fn a_resident_query_allocates_what_it_matched_not_the_corpus() {
     let (small, large) = (5_000, 20_000);
@@ -236,5 +254,14 @@ fn a_resident_query_allocates_what_it_matched_not_the_corpus() {
         rendered.tree_calls >= rendered.spans,
         "the tree allocated only {} times",
         rendered.tree_calls
+    );
+
+    // Enumeration: the stack holds branch points, not positions.
+    let heads = [80, 800, 8_000];
+    let calls = heads.map(method_evaluation_calls);
+    println!("allocation calls evaluating after a head of {heads:?} bytes: {calls:?}");
+    assert!(
+        calls.iter().all(|&c| c == calls[0]),
+        "the calls grew with the head: {calls:?}"
     );
 }

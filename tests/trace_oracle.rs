@@ -120,7 +120,15 @@ fn fixed_plan_trace_shape_is_stable() {
 
 #[test]
 fn traced_corpus_tallies_agree_with_stats_for_every_thread_count() {
-    let query = PreparedQuery::prepare("/.*{x:a+}b.*/").unwrap();
+    // A scan at the root, and a difference whose probe side runs a pre-pass
+    // of its own.
+    for program in ["/.*{x:a+}b.*/", "/.*{x:a+}b.*/ minus /.*{x:aa}b.*/"] {
+        traced_corpus_tallies_agree(program);
+    }
+}
+
+fn traced_corpus_tallies_agree(program: &str) {
+    let query = PreparedQuery::prepare(program).unwrap();
     // Eight lines, repeated until four workers each get a share: a corpus
     // the engine runs on the calling thread would compare one path thrice.
     let corpus = "aab\nzzz\nab\n\nbbb\naabab\nqqq aab\nb\n".repeat(64);
@@ -143,7 +151,26 @@ fn traced_corpus_tallies_agree_with_stats_for_every_thread_count() {
             out.stats.documents as u64,
             "{threads} threads"
         );
-        assert_eq!(trace.total_rows(), out.stats.mappings as u64);
+        assert_eq!(trace.rows, out.stats.mappings as u64);
+        // The scan the corpus pre-pass accepted reports that acceptance, and
+        // the tier that gave it, once per evaluated document — whether the
+        // executor scanned again or was handed the verdict.
+        let scan = trace.children.first().unwrap_or(&trace);
+        let accepted = scan.counter("prescan_accept");
+        assert_eq!(accepted, evaluated, "{program}, {threads} threads");
+        let tiers = scan.counter("bool_dfa") + scan.counter("bool_nfa");
+        assert_eq!(tiers, evaluated, "{program}, {threads} threads");
+        // A probe side is not covered by the corpus pre-pass: it scans for
+        // itself on every document whose input side was not empty.
+        if let [_, probe] = &trace.children[..] {
+            let verdicts: u64 = ["prescan_skip", "prescan_reject", "prescan_accept"]
+                .map(|name| probe.counter(name))
+                .iter()
+                .sum();
+            let probed = evaluated - trace.counter("probe_skipped");
+            assert_eq!(verdicts, probed, "{program}, {threads} threads");
+            assert!(probe.counter("prescan_accept") > 0 && probe.counter("prescan_skip") > 0);
+        }
         // Modulo timing, the merged trace is identical no matter how the
         // corpus was sharded.
         let stripped = strip_nanos(&trace);
