@@ -8,10 +8,11 @@
 //!   [`PhysOp::CompiledScan`] (a static RA subtree compiled **once** into a
 //!   shared [`CompiledVsa`], enumerated with polynomial delay — Theorem 5.2)
 //!   and [`PhysOp::BlackBoxScan`] (a Corollary 5.3 black box). Inner nodes
-//!   are relational operators over mapping streams:
+//!   are relational operators over materialized relations:
 //!   [`PhysOp::HashJoin`], [`PhysOp::UnionAll`] (with set-semantics dedup),
-//!   [`PhysOp::Difference`] (an anti-join over a materialized probe side —
-//!   no per-document `Vsa` recomposition), and [`PhysOp::Project`].
+//!   [`PhysOp::Difference`] (an anti-join against one hashed compatibility
+//!   index over a materialized probe side — no per-document `Vsa`
+//!   recomposition), and [`PhysOp::Project`].
 //! * Lowering happens exactly once, in
 //!   [`CompiledPlan::compile`](crate::CompiledPlan::compile); the operators
 //!   share their automata through `Arc`, so the [`PhysicalPlan`] handle
@@ -23,11 +24,10 @@
 //!   [`NoTrace`] it is the serving path, with [`ExecTrace`] it is
 //!   `explain --analyze` — the same `match`, monomorphized twice, so the two
 //!   cannot drift and the untraced one pays nothing (DESIGN.md §10).
-//! * [`PhysOp::stream_bounded`] is the pull-iterator form ([`OpStream`]). A
-//!   fully static plan streams straight off its compiled automaton with
-//!   polynomial delay; a plan with a difference at the root streams too
-//!   (the probe side is materialized once, the input side is enumerated
-//!   lazily and filtered).
+//! * [`OpStream`] is the pull-iterator form, lazy only where laziness
+//!   exists (a compiled scan, a difference's input side); every other
+//!   operator is `execute`d once and drained, so no relational operator has
+//!   a second implementation.
 //!
 //! The executor evaluates difference and black-box composition at the
 //! *relation* level (the `spanner-core` operators, which are the paper's
@@ -39,11 +39,12 @@
 //! does not depend on them.
 
 use crate::spanner::SpannerRef;
-use spanner_core::{Document, FxHashSet, Mapping, MappingSet, SpannerResult, VarSet};
+use spanner_core::{
+    Document, FxHashSet, Mapping, MappingSet, SpannerError, SpannerResult, VarId, VarSet,
+};
 use spanner_enum::{enumerate_compiled, Enumerator};
 use spanner_vset::scan::contains_factor;
 use spanner_vset::{CompiledVsa, PreScan};
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -190,16 +191,17 @@ pub enum PhysOp {
     /// common-variable span vector whenever both inputs bind all common
     /// variables.
     HashJoin {
-        /// Probe side (streamed by [`PhysOp::stream_bounded`]).
+        /// Probe side.
         left: Box<PhysOp>,
-        /// Build side (always materialized).
+        /// Build side.
         right: Box<PhysOp>,
     },
     /// The paper's difference operator as an anti-join: the probe side is
-    /// materialized once and every input mapping survives iff it is
-    /// incompatible with all probe mappings. No automaton recomposition.
+    /// materialized once into a hashed compatibility index and every input
+    /// mapping survives iff it is incompatible with all probe mappings. No
+    /// automaton recomposition.
     Difference {
-        /// Input side (streamed by [`PhysOp::stream_bounded`]).
+        /// Input side (streamed by [`OpStream`]).
         input: Box<PhysOp>,
         /// Probe side (always materialized).
         probe: Box<PhysOp>,
@@ -349,7 +351,11 @@ impl PhysOp {
                 };
                 let probe = probe.input(doc, limit, false, obs)?;
                 obs.count("probe_rows", probe.len() as u64);
-                Ok(input.anti_join(&probe))
+                let mut probe = ProbeIndex::new(probe);
+                Ok(input
+                    .into_iter()
+                    .filter(|m| !probe.has_compatible(m))
+                    .collect())
             }
         }
     }
@@ -371,26 +377,15 @@ impl PhysOp {
         let set = result?;
         if set.len() > limit {
             parent.count("limit_trips", 1);
-            return Err(spanner_core::SpannerError::LimitExceeded {
-                what: "executor intermediate relation",
-                limit,
-                actual: set.len(),
-            });
+            return Err(over_limit(limit, set.len()));
         }
         Ok(set)
     }
 
-    /// Opens a pull iterator over the operator's mappings on one document,
-    /// with the [`PhysOp::execute`] resource guard applied to the sides the
-    /// stream materializes at open time (a join's build side, a
-    /// difference's probe side).
-    ///
-    /// The stream is duplicate-free. A [`PhysOp::CompiledScan`] streams with
-    /// polynomial delay; [`PhysOp::Difference`] and [`PhysOp::HashJoin`]
-    /// materialize only their probe/build side and stream the other;
-    /// [`PhysOp::Project`] and [`PhysOp::UnionAll`] stream their inputs
-    /// through a dedup filter.
-    pub fn stream_bounded<'a>(
+    /// Opens an [`OpStream`] over the operator's mappings on one document.
+    /// Whatever it materializes to feed a difference — the probe side, a
+    /// drained input side — passes the [`PhysOp::execute`] resource guard.
+    pub(crate) fn stream_bounded<'a>(
         &'a self,
         doc: &'a Document,
         limit: usize,
@@ -408,44 +403,26 @@ impl PhysOp {
                     StreamKind::Scan(Box::new(enumerate_compiled(compiled, doc)?))
                 }
             }
-            PhysOp::BlackBoxScan(s) => StreamKind::Drain(s.eval(doc)?.into_iter()),
-            PhysOp::Project { keep, input } => StreamKind::Project {
-                input: Box::new(input.stream_bounded(doc, limit)?),
-                keep,
-                seen: FxHashSet::default(),
-            },
-            PhysOp::UnionAll(inputs) => StreamKind::Union {
-                inputs: inputs
-                    .iter()
-                    .map(|op| op.stream_bounded(doc, limit))
-                    .collect::<SpannerResult<Vec<_>>>()?,
-                idx: 0,
-                seen: FxHashSet::default(),
-            },
-            PhysOp::HashJoin { left, right } => {
-                let probe = left.stream_bounded(doc, limit)?;
-                if matches!(probe.kind, StreamKind::Empty) {
-                    // ∅ ⋈ R = ∅ — skip materializing the build side.
-                    StreamKind::Empty
-                } else {
-                    StreamKind::Join {
-                        probe: Box::new(probe),
-                        build: RelationIndex::new(right.input(doc, limit, false, &mut NoTrace)?),
-                        pending: VecDeque::new(),
-                        seen: FxHashSet::default(),
-                    }
-                }
-            }
             PhysOp::Difference { input, probe } => {
                 let input = input.stream_bounded(doc, limit)?;
-                if matches!(input.kind, StreamKind::Empty) {
+                match &input.kind {
                     // ∅ \ R = ∅ — skip materializing the probe side.
+                    StreamKind::Empty => StreamKind::Empty,
+                    StreamKind::Drain(rows) if rows.len() > limit => {
+                        return Err(over_limit(limit, rows.len()))
+                    }
+                    _ => StreamKind::AntiJoin {
+                        input: Box::new(input),
+                        probe: ProbeIndex::new(probe.input(doc, limit, false, &mut NoTrace)?),
+                    },
+                }
+            }
+            _ => {
+                let rows = self.execute(doc, limit, false, &mut NoTrace)?;
+                if rows.is_empty() {
                     StreamKind::Empty
                 } else {
-                    StreamKind::AntiJoin {
-                        input: Box::new(input),
-                        probe: RelationIndex::new(probe.input(doc, limit, false, &mut NoTrace)?),
-                    }
+                    StreamKind::Drain(rows.into_iter())
                 }
             }
         };
@@ -591,6 +568,16 @@ impl PhysOp {
     }
 }
 
+/// The error of a relation that trips the resource guard of
+/// [`PhysOp::execute`].
+fn over_limit(limit: usize, actual: usize) -> SpannerError {
+    SpannerError::LimitExceeded {
+        what: "executor intermediate relation",
+        limit,
+        actual,
+    }
+}
+
 /// Keeps the longest literals, dropping duplicates and literals occurring
 /// inside a kept one (they constrain nothing extra).
 fn dedup_subsumed(literals: &mut Vec<Vec<u8>>) {
@@ -676,111 +663,70 @@ impl fmt::Debug for PhysicalPlan {
     }
 }
 
-/// A materialized relation with lazily-built hash indexes for compatibility
-/// lookups, keyed by the *overlap* — the variables a streamed mapping
-/// shares with the relation's active domain.
-///
-/// Two mappings are compatible iff they agree on their common variables;
-/// when every indexed mapping binds all of a given overlap set, agreement
-/// reduces to equality of the overlap's span vector, so the lookup is one
-/// hash probe (the streaming counterpart of the `MappingSet::join` /
-/// `anti_join` fast paths). Overlaps where some mapping misses a variable
-/// fall back to the wildcard-correct linear scan. One index is built per
-/// distinct overlap set encountered, each in one pass over the relation.
-struct RelationIndex {
+/// The one hashed compatibility test, probed by both forms of
+/// [`PhysOp::Difference`]: a materialized relation with a lazily built hash
+/// set per *overlap*, the variables a probing mapping shares with the
+/// relation's active domain. Where every mapping of the relation binds the
+/// whole overlap, compatibility is equality of the two restrictions to it,
+/// one lookup; an overlap some mapping misses a variable of (a schemaless
+/// relation: the missing variable is a wildcard) falls back to the linear
+/// compatibility scan, for that overlap only.
+struct ProbeIndex {
     mappings: Vec<Mapping>,
     /// Active domain of the relation (union of all mapping domains).
     domain: VarSet,
-    /// Per overlap set: a span-vector index, or `None` when some mapping
-    /// misses an overlap variable (scan fallback).
-    by_overlap: spanner_core::FxHashMap<VarSet, Option<OverlapIndex>>,
+    /// Per overlap met so far, as ascending variable ids (in practice one
+    /// or two, so a linear search finds them without building a key): the
+    /// mappings restricted to it, or `None` for the scan fallback.
+    by_overlap: Vec<(Vec<VarId>, Option<FxHashSet<Mapping>>)>,
 }
 
-type OverlapIndex = spanner_core::FxHashMap<Vec<spanner_core::Span>, Vec<u32>>;
-
-impl RelationIndex {
-    fn new(set: MappingSet) -> RelationIndex {
-        RelationIndex {
+impl ProbeIndex {
+    fn new(set: MappingSet) -> ProbeIndex {
+        ProbeIndex {
             domain: set.active_domain(),
             mappings: set.into_iter().collect(),
-            by_overlap: spanner_core::FxHashMap::default(),
+            by_overlap: Vec::new(),
         }
-    }
-
-    fn overlap_with(&self, m: &Mapping) -> VarSet {
-        m.domain().intersection(&self.domain)
-    }
-
-    /// Builds (once) and returns the index for `overlap`, or `None` when
-    /// hashing is unsound for it.
-    fn index_for(&mut self, overlap: &VarSet) -> Option<&OverlapIndex> {
-        let mappings = &self.mappings;
-        self.by_overlap
-            .entry(overlap.clone())
-            .or_insert_with(|| {
-                let total = mappings
-                    .iter()
-                    .all(|b| overlap.iter().all(|v| b.contains(v)));
-                total.then(|| {
-                    let mut idx = OverlapIndex::default();
-                    for (i, b) in mappings.iter().enumerate() {
-                        let key: Vec<spanner_core::Span> = overlap
-                            .iter()
-                            .map(|v| b.get(v).expect("checked total"))
-                            .collect();
-                        idx.entry(key).or_default().push(i as u32);
-                    }
-                    idx
-                })
-            })
-            .as_ref()
     }
 
     /// Whether some mapping of the relation is compatible with `m`.
     fn has_compatible(&mut self, m: &Mapping) -> bool {
-        let overlap = self.overlap_with(m);
-        let key: Vec<spanner_core::Span> = overlap
+        let key = m.restrict(&self.domain);
+        let ids = || key.iter().map(|(v, _)| v.id());
+        let at = match self
+            .by_overlap
             .iter()
-            .map(|v| m.get(v).expect("overlap ⊆ dom(m)"))
-            .collect();
-        if self.index_for(&overlap).is_some() {
-            let idx = self.by_overlap[&overlap].as_ref().expect("just built");
-            idx.contains_key(&key)
-        } else {
-            self.mappings.iter().any(|b| m.is_compatible_with(b))
-        }
-    }
-
-    /// Pushes the union of `m` with every compatible mapping through `emit`.
-    fn for_each_join(&mut self, m: &Mapping, mut emit: impl FnMut(Mapping)) {
-        let overlap = self.overlap_with(m);
-        let key: Vec<spanner_core::Span> = overlap
-            .iter()
-            .map(|v| m.get(v).expect("overlap ⊆ dom(m)"))
-            .collect();
-        if self.index_for(&overlap).is_some() {
-            let idx = self.by_overlap[&overlap].as_ref().expect("just built");
-            if let Some(matches) = idx.get(&key) {
-                for &i in matches {
-                    let u = m
-                        .union(&self.mappings[i as usize])
-                        .expect("indexed mappings agree on the whole overlap");
-                    emit(u);
-                }
+            .position(|(overlap, _)| overlap.iter().copied().eq(ids()))
+        {
+            Some(at) => at,
+            None => {
+                let overlap = key.domain();
+                let total = self
+                    .mappings
+                    .iter()
+                    .all(|b| overlap.iter().all(|v| b.contains(v)));
+                let index =
+                    total.then(|| self.mappings.iter().map(|b| b.restrict(&overlap)).collect());
+                self.by_overlap.push((ids().collect(), index));
+                self.by_overlap.len() - 1
             }
-        } else {
-            for b in &self.mappings {
-                if let Some(u) = m.union(b) {
-                    emit(u);
-                }
-            }
+        };
+        match &self.by_overlap[at].1 {
+            Some(index) => index.contains(&key),
+            None => self.mappings.iter().any(|b| m.is_compatible_with(b)),
         }
     }
 }
 
 /// A pull iterator over one operator's mappings (the item type matches the
 /// polynomial-delay [`Enumerator`]): duplicate-free, fused after the first
-/// error.
+/// error, and lazy only where laziness exists. A static plan, one compiled
+/// scan, enumerates with polynomial delay (Theorem 5.2). A difference
+/// streams its input side against a probe side materialized at open: its
+/// first answer comes early, but a run of removed inputs is a gap, so it
+/// has no delay bound beyond its input's. Any other operator was executed,
+/// under the resource guard, when the stream opened, and drains.
 pub struct OpStream<'a> {
     kind: StreamKind<'a>,
 }
@@ -790,33 +736,13 @@ enum StreamKind<'a> {
     Empty,
     /// Lazy polynomial-delay enumeration off a shared compiled automaton.
     Scan(Box<Enumerator<'a>>),
-    /// Drains a relation that was materialized when the stream opened.
+    /// Drains a non-empty relation that was executed when the stream opened.
     Drain(<MappingSet as IntoIterator>::IntoIter),
-    /// Restricts the input stream, deduplicating collapsed mappings.
-    Project {
-        input: Box<OpStream<'a>>,
-        keep: &'a VarSet,
-        seen: FxHashSet<Mapping>,
-    },
-    /// Chains the input streams, deduplicating across them.
-    Union {
-        inputs: Vec<OpStream<'a>>,
-        idx: usize,
-        seen: FxHashSet<Mapping>,
-    },
-    /// Streams the probe side against a materialized, hash-indexed build
-    /// side.
-    Join {
-        probe: Box<OpStream<'a>>,
-        build: RelationIndex,
-        pending: VecDeque<Mapping>,
-        seen: FxHashSet<Mapping>,
-    },
     /// Streams the input side, dropping every mapping compatible with some
-    /// mapping of the materialized, hash-indexed probe side.
+    /// mapping of the materialized probe side.
     AntiJoin {
         input: Box<OpStream<'a>>,
-        probe: RelationIndex,
+        probe: ProbeIndex,
     },
 }
 
@@ -826,64 +752,10 @@ impl OpStream<'_> {
             StreamKind::Empty => None,
             StreamKind::Scan(e) => e.next(),
             StreamKind::Drain(iter) => iter.next().map(Ok),
-            StreamKind::Project { input, keep, seen } => loop {
-                match input.next() {
-                    None => return None,
-                    Some(Err(e)) => return Some(Err(e)),
-                    Some(Ok(m)) => {
-                        let restricted = m.restrict(keep);
-                        if seen.insert(restricted.clone()) {
-                            return Some(Ok(restricted));
-                        }
-                    }
-                }
-            },
-            StreamKind::Union { inputs, idx, seen } => {
-                while *idx < inputs.len() {
-                    match inputs[*idx].next() {
-                        None => *idx += 1,
-                        Some(Err(e)) => return Some(Err(e)),
-                        Some(Ok(m)) => {
-                            if seen.insert(m.clone()) {
-                                return Some(Ok(m));
-                            }
-                        }
-                    }
-                }
-                None
-            }
-            StreamKind::Join {
-                probe,
-                build,
-                pending,
-                seen,
-            } => loop {
-                if let Some(m) = pending.pop_front() {
-                    return Some(Ok(m));
-                }
-                match probe.next() {
-                    None => return None,
-                    Some(Err(e)) => return Some(Err(e)),
-                    Some(Ok(m1)) => {
-                        build.for_each_join(&m1, |u| {
-                            if seen.insert(u.clone()) {
-                                pending.push_back(u);
-                            }
-                        });
-                    }
-                }
-            },
-            StreamKind::AntiJoin { input, probe } => loop {
-                match input.next() {
-                    None => return None,
-                    Some(Err(e)) => return Some(Err(e)),
-                    Some(Ok(m1)) => {
-                        if !probe.has_compatible(&m1) {
-                            return Some(Ok(m1));
-                        }
-                    }
-                }
-            },
+            StreamKind::AntiJoin { input, probe } => input.find(|item| match item {
+                Ok(m) => !probe.has_compatible(m),
+                Err(_) => true,
+            }),
         }
     }
 }
@@ -1008,15 +880,30 @@ mod tests {
         let plan = CompiledPlan::compile(&tree, &inst, tight).unwrap();
         let doc = Document::new("abcd");
         let err = plan.evaluate(&doc).unwrap_err();
-        assert!(
-            matches!(err, spanner_core::SpannerError::LimitExceeded { .. }),
-            "{err}"
-        );
+        assert!(matches!(err, SpannerError::LimitExceeded { .. }), "{err}");
         // A difference root only materializes its probe side (0 mappings
         // here, under the limit); the input side streams lazily, so the
         // stream opens and drains fine — the guard bounds materialization,
         // not lazy enumeration.
         assert!(plan.stream(&doc).is_ok());
+        // Under a projection the difference is an input, materialized by
+        // the projection's execution, so the stream fails as evaluate does.
+        // (The operands bind x and y: a `π_x` over x-only operands would be
+        // planned away, leaving the difference at the root.)
+        let inst_xy = Instantiation::new()
+            .with(0, parse(".*{x:.*}{y:.*}.*").unwrap())
+            .with(1, parse("{x:zz}").unwrap());
+        let projected = RaTree::project(VarSet::from_iter(["x"]), tree.clone());
+        let plan = CompiledPlan::compile(&projected, &inst_xy, tight).unwrap();
+        assert!(matches!(plan.physical().root(), PhysOp::Project { .. }));
+        assert!(matches!(
+            plan.evaluate(&doc),
+            Err(SpannerError::LimitExceeded { .. })
+        ));
+        assert!(matches!(
+            plan.stream(&doc),
+            Err(SpannerError::LimitExceeded { .. })
+        ));
         // A join build side past the limit fails at stream open.
         let join_tree = RaTree::join(
             RaTree::difference(RaTree::leaf(0), RaTree::leaf(1)),
@@ -1084,10 +971,7 @@ mod tests {
         let plan = CompiledPlan::compile(&tree, &inst, tight).unwrap();
         let doc = Document::new("abcd");
         let (result, trace) = plan.evaluate_observed::<ExecTrace>(&doc);
-        assert!(matches!(
-            result,
-            Err(spanner_core::SpannerError::LimitExceeded { .. })
-        ));
+        assert!(matches!(result, Err(SpannerError::LimitExceeded { .. })));
         assert_eq!(trace.counter("limit_trips"), 1, "{}", trace.render());
         assert_eq!(
             trace.children.len(),
@@ -1122,5 +1006,48 @@ mod tests {
         let doc = Document::new("aaa");
         assert!(physical.root().stream_bounded(&doc, usize::MAX).is_err());
         assert!(physical.execute(&doc).is_err());
+    }
+
+    fn m(pairs: &[(&str, (u32, u32))]) -> Mapping {
+        Mapping::from_pairs(
+            pairs
+                .iter()
+                .map(|(v, (a, b))| (*v, spanner_core::Span::new(*a, *b))),
+        )
+    }
+
+    /// The index's anti-join: what `execute` runs for a difference.
+    fn anti_join(input: &MappingSet, probe: &MappingSet) -> MappingSet {
+        let mut index = ProbeIndex::new(probe.clone());
+        input
+            .iter()
+            .filter(|m| !index.has_compatible(m))
+            .cloned()
+            .collect()
+    }
+
+    #[test]
+    fn anti_join_agrees_with_difference() {
+        // Hash path (both sides total over the common variable x).
+        let a = MappingSet::from_mappings([
+            m(&[("x", (1, 2)), ("y", (2, 3))]),
+            m(&[("x", (2, 3)), ("y", (1, 1))]),
+        ]);
+        let b = MappingSet::from_mappings([m(&[("x", (1, 2)), ("z", (5, 6))])]);
+        assert_eq!(anti_join(&a, &b), a.difference(&b));
+        assert_eq!(anti_join(&a, &b).len(), 1);
+        // Disjoint schemas: a nonempty probe side removes everything.
+        let c = MappingSet::from_mappings([m(&[("w", (1, 1))])]);
+        assert_eq!(anti_join(&a, &c), a.difference(&c));
+        assert!(anti_join(&a, &c).is_empty());
+        // Empty probe side is the identity.
+        assert_eq!(anti_join(&a, &MappingSet::new()), a);
+        // Schemaless fallback: a probe mapping missing the common variable
+        // acts as a wildcard and removes everything it is compatible with.
+        let d = MappingSet::from_mappings([m(&[("y", (2, 3))]), Mapping::new()]);
+        assert_eq!(anti_join(&a, &d), a.difference(&d));
+        assert!(anti_join(&a, &d).is_empty());
+        let e = MappingSet::from_mappings([m(&[("x", (9, 9))]), m(&[("y", (1, 1))])]);
+        assert_eq!(anti_join(&a, &e), a.difference(&e));
     }
 }

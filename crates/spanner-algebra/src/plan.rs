@@ -639,13 +639,13 @@ impl CompiledPlan {
         O::observe(root, |obs| root.execute(doc, limit, prescanned, obs))
     }
 
-    /// Streams the plan's mappings on one document.
-    ///
-    /// Fully static plans enumerate straight off the shared compiled
-    /// automaton with polynomial delay (Theorem 5.2) and never materialize
-    /// the result. Plans with dynamic operators stream through the executor
-    /// pipeline: a difference root materializes only its probe side and
-    /// streams the input side lazily.
+    /// Streams the plan's mappings on one document, lazily only where
+    /// laziness exists ([`OpStream`]): a static plan off its compiled
+    /// automaton with polynomial delay (Theorem 5.2); a difference root
+    /// against a probe side materialized at open, its first answer early
+    /// but with no delay bound beyond its input's; any other root evaluated
+    /// at open, under `max_signatures` as [`CompiledPlan::evaluate`] runs
+    /// it, and drained.
     pub fn stream<'a>(&'a self, doc: &'a Document) -> SpannerResult<OpStream<'a>> {
         self.physical
             .root()

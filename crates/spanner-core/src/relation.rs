@@ -5,7 +5,7 @@
 //! These definitions *are* the semantics of the paper's algebra; every
 //! automaton-level compilation in the workspace is tested against them.
 
-use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::fxhash::FxHashMap;
 use crate::mapping::Mapping;
 use crate::span::Span;
 use crate::variable::{VarSet, Variable};
@@ -172,6 +172,9 @@ impl MappingSet {
     /// Note that this is *not* set difference: a mapping `µ₁` is removed as
     /// soon as some `µ₂ ∈ other` is compatible with it — in particular any
     /// `µ₂` with a disjoint domain removes it.
+    ///
+    /// This is the deliberately naive oracle; the physical executor runs
+    /// the same semantics as a hashed anti-join.
     pub fn difference(&self, other: &MappingSet) -> MappingSet {
         MappingSet::from_mappings(
             self.mappings
@@ -179,51 +182,6 @@ impl MappingSet {
                 .filter(|m1| !other.mappings.iter().any(|m2| m1.is_compatible_with(m2)))
                 .cloned(),
         )
-    }
-
-    /// The anti-join over a probe side: semantically identical to
-    /// [`MappingSet::difference`], but evaluated with a hash probe when both
-    /// relations bind all their common variables (the schema-based case, and
-    /// the common case for compiled operator outputs): the probe side is
-    /// hashed once on its common-variable span vector and every mapping of
-    /// `self` survives iff its own key misses — `O(|self| + |other|)`
-    /// instead of the quadratic compatibility scan. Schemaless inputs where
-    /// a common variable may be absent fall back to the nested-loop
-    /// evaluation, whose "missing variable = wildcard" semantics a hash key
-    /// cannot express.
-    ///
-    /// [`MappingSet::difference`] stays the deliberately naive oracle; this
-    /// is the production operator the physical executor runs on.
-    pub fn anti_join(&self, other: &MappingSet) -> MappingSet {
-        if other.is_empty() {
-            return self.clone();
-        }
-        let common = self.active_domain().intersection(&other.active_domain());
-        if common.is_empty() {
-            // No variable occurs on both sides: every pair of mappings has
-            // disjoint domains and is therefore compatible, so a nonempty
-            // probe side removes everything.
-            return MappingSet::new();
-        }
-        let total = |m: &Mapping| common.iter().all(|v| m.contains(v));
-        if self.mappings.iter().all(total) && other.mappings.iter().all(total) {
-            let key = |m: &Mapping| -> Vec<Span> {
-                common
-                    .iter()
-                    .map(|v| m.get(v).expect("checked total"))
-                    .collect()
-            };
-            let probe: FxHashSet<Vec<Span>> = other.mappings.iter().map(key).collect();
-            return MappingSet {
-                mappings: self
-                    .mappings
-                    .iter()
-                    .filter(|m| !probe.contains(&key(m)))
-                    .cloned()
-                    .collect(),
-            };
-        }
-        self.difference(other)
     }
 
     /// A [`MappingSetBuilder`] accumulating mappings for one bulk
@@ -435,31 +393,6 @@ mod tests {
         ]);
         let j2 = a.join(&c);
         assert_eq!(j2.len(), 3);
-    }
-
-    #[test]
-    fn anti_join_agrees_with_difference() {
-        // Hash path (both sides total over the common variable x).
-        let a = MappingSet::from_mappings([
-            m(&[("x", (1, 2)), ("y", (2, 3))]),
-            m(&[("x", (2, 3)), ("y", (1, 1))]),
-        ]);
-        let b = MappingSet::from_mappings([m(&[("x", (1, 2)), ("z", (5, 6))])]);
-        assert_eq!(a.anti_join(&b), a.difference(&b));
-        assert_eq!(a.anti_join(&b).len(), 1);
-        // Disjoint schemas: a nonempty probe side removes everything.
-        let c = MappingSet::from_mappings([m(&[("w", (1, 1))])]);
-        assert_eq!(a.anti_join(&c), a.difference(&c));
-        assert!(a.anti_join(&c).is_empty());
-        // Empty probe side is the identity.
-        assert_eq!(a.anti_join(&MappingSet::new()), a);
-        // Schemaless fallback: a probe mapping missing the common variable
-        // acts as a wildcard and removes everything it is compatible with.
-        let d = MappingSet::from_mappings([m(&[("y", (2, 3))]), Mapping::new()]);
-        assert_eq!(a.anti_join(&d), a.difference(&d));
-        assert!(a.anti_join(&d).is_empty());
-        let e = MappingSet::from_mappings([m(&[("x", (9, 9))]), m(&[("y", (1, 1))])]);
-        assert_eq!(a.anti_join(&e), a.difference(&e));
     }
 
     #[test]

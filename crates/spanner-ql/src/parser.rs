@@ -19,10 +19,21 @@
 //! `a union b join c minus d` reads as `(a ∪ (b ⋈ c)) \ d`. Regex literals
 //! use the `spanner_rgx::parse` syntax between `/` delimiters; parse errors
 //! inside a literal are reported at their exact position in the program.
+//!
+//! An expression may nest at most 128 levels deep: a parenthesised
+//! sub-expression, a `project` and each binary operator's result add one.
+//! The parser, the lowering and every plan pass recurse once per level, so
+//! a deeper program is refused at the token that passes the bound.
 
 use crate::error::{QlError, SrcSpan};
 use crate::lexer::{tokenize, Tok, Token};
 use spanner_rgx::Rgx;
+
+/// The deepest an expression may nest (see the module docs).
+const MAX_DEPTH: usize = 128;
+
+/// A parsed expression and its height: the levels it nests below itself.
+type Parsed = (QlExpr, usize);
 
 /// A parsed `let` binding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,6 +81,7 @@ pub fn parse_program(src: &str) -> Result<Program, QlError> {
         tokens: &tokens,
         pos: 0,
         eof: SrcSpan::at(src.len()),
+        open: 0,
     };
     let mut bindings = Vec::new();
     while p.peek() == Some(&Tok::Let) {
@@ -85,7 +97,7 @@ pub fn parse_program(src: &str) -> Result<Program, QlError> {
             p.eof,
         ));
     }
-    let expr = p.parse_expr()?;
+    let (expr, _) = p.parse_expr()?;
     if p.peek() == Some(&Tok::Semi) {
         p.bump();
     }
@@ -102,6 +114,8 @@ struct Parser<'t> {
     tokens: &'t [Token],
     pos: usize,
     eof: SrcSpan,
+    /// Parentheses and `project`s open around the parse position.
+    open: usize,
 }
 
 impl<'t> Parser<'t> {
@@ -190,47 +204,79 @@ impl<'t> Parser<'t> {
         }
     }
 
-    fn parse_expr(&mut self) -> Result<QlExpr, QlError> {
-        let mut left = self.parse_joined()?;
+    /// The height of a node over a child `height` levels high, refused at
+    /// `at` when the node would sit deeper than [`MAX_DEPTH`].
+    fn raise(&self, height: usize, at: SrcSpan) -> Result<usize, QlError> {
+        if self.open + height + 1 > MAX_DEPTH {
+            return Err(QlError::new(
+                format!(
+                    "expression nests deeper than {MAX_DEPTH} levels \
+                     (parentheses, `project` and binary operators each add one)"
+                ),
+                at,
+            ));
+        }
+        Ok(height + 1)
+    }
+
+    /// Parses `inner` one level deeper: inside the parenthesis or under the
+    /// `project` at `at`, refused before it recurses past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        at: SrcSpan,
+        inner: impl FnOnce(&mut Self) -> Result<Parsed, QlError>,
+    ) -> Result<Parsed, QlError> {
+        self.raise(0, at)?;
+        self.open += 1;
+        let (expr, height) = inner(self)?;
+        self.open -= 1;
+        Ok((expr, self.raise(height, at)?))
+    }
+
+    fn parse_expr(&mut self) -> Result<Parsed, QlError> {
+        let (mut left, mut height) = self.parse_joined()?;
         loop {
-            match self.peek() {
-                Some(Tok::Union) => {
-                    self.bump();
-                    let right = self.parse_joined()?;
-                    left = QlExpr::Union(Box::new(left), Box::new(right));
-                }
-                Some(Tok::Minus) => {
-                    self.bump();
-                    let right = self.parse_joined()?;
-                    left = QlExpr::Minus(Box::new(left), Box::new(right));
-                }
-                _ => return Ok(left),
-            }
+            let op: fn(Box<QlExpr>, Box<QlExpr>) -> QlExpr = match self.peek() {
+                Some(Tok::Union) => QlExpr::Union,
+                Some(Tok::Minus) => QlExpr::Minus,
+                _ => return Ok((left, height)),
+            };
+            let at = self.span();
+            self.bump();
+            let (right, right_height) = self.parse_joined()?;
+            height = self.raise(height.max(right_height), at)?;
+            left = op(Box::new(left), Box::new(right));
         }
     }
 
-    fn parse_joined(&mut self) -> Result<QlExpr, QlError> {
-        let mut left = self.parse_primary()?;
+    fn parse_joined(&mut self) -> Result<Parsed, QlError> {
+        let (mut left, mut height) = self.parse_primary()?;
         while self.peek() == Some(&Tok::Join) {
+            let at = self.span();
             self.bump();
-            let right = self.parse_primary()?;
+            let (right, right_height) = self.parse_primary()?;
+            height = self.raise(height.max(right_height), at)?;
             left = QlExpr::Join(Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn parse_primary(&mut self) -> Result<QlExpr, QlError> {
+    fn parse_primary(&mut self) -> Result<Parsed, QlError> {
         match self.tokens.get(self.pos) {
             Some(Token {
-                tok: Tok::LParen, ..
+                tok: Tok::LParen,
+                span,
             }) => {
                 self.pos += 1;
-                let inner = self.parse_expr()?;
-                self.expect(Tok::RParen, "`)`")?;
-                Ok(inner)
+                self.nested(*span, |p| {
+                    let inner = p.parse_expr()?;
+                    p.expect(Tok::RParen, "`)`")?;
+                    Ok(inner)
+                })
             }
             Some(Token {
-                tok: Tok::Project, ..
+                tok: Tok::Project,
+                span,
             }) => {
                 self.pos += 1;
                 let mut vars = Vec::new();
@@ -245,22 +291,24 @@ impl<'t> Parser<'t> {
                         }
                     }
                 }
-                let child = self.parse_primary()?;
-                Ok(QlExpr::Project(vars, Box::new(child)))
+                self.nested(*span, |p| {
+                    let (child, height) = p.parse_primary()?;
+                    Ok((QlExpr::Project(vars, Box::new(child)), height))
+                })
             }
             Some(Token {
                 tok: Tok::Ident(name),
                 span,
             }) => {
                 self.pos += 1;
-                Ok(QlExpr::Name(name.clone(), *span))
+                Ok((QlExpr::Name(name.clone(), *span), 0))
             }
             Some(Token {
                 tok: Tok::Regex(content),
                 span,
             }) => {
                 self.pos += 1;
-                Ok(QlExpr::Regex(parse_regex(content, *span)?, *span))
+                Ok((QlExpr::Regex(parse_regex(content, *span)?, *span), 0))
             }
             Some(t) => Err(QlError::new(
                 format!(
@@ -386,5 +434,89 @@ mod tests {
             let span = err.span.expect("syntax errors carry spans");
             assert!(span.start <= src.len(), "{src:?}: {err}");
         }
+    }
+
+    /// `depth` parentheses around one atom.
+    fn parens(depth: usize) -> String {
+        format!("{}/{{x:a}}/{}", "(".repeat(depth), ")".repeat(depth))
+    }
+
+    /// A left-deep chain of `ops` binary operators.
+    fn chain(op: &str, ops: usize) -> String {
+        format!("/{{x:a+}}/{}", format!(" {op} /{{x:a}}/").repeat(ops))
+    }
+
+    /// `depth` nested projections of one atom.
+    fn projections(depth: usize) -> String {
+        format!("{}/{{x:a}}/", "project x ".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_span() {
+        for src in [
+            parens(MAX_DEPTH),
+            chain("minus", MAX_DEPTH),
+            chain("join", MAX_DEPTH),
+            projections(MAX_DEPTH),
+            // A parenthesis and an operator per level: half as many levels.
+            format!(
+                "{}/{{x:a}}/{}",
+                "(/{x:a}/ minus ".repeat(MAX_DEPTH / 2),
+                ")".repeat(MAX_DEPTH / 2)
+            ),
+        ] {
+            assert!(parse_program(&src).is_ok(), "{src}");
+        }
+        // One level more is refused at the token that opens it, and so are
+        // programs thousands of levels deep.
+        let past = |src: String, token: &str, n: usize| {
+            let at = src.match_indices(token).nth(n).unwrap().0;
+            (src, at)
+        };
+        for (src, at) in [
+            past(parens(MAX_DEPTH + 1), "(", MAX_DEPTH),
+            past(parens(4_000), "(", MAX_DEPTH),
+            past(chain("minus", MAX_DEPTH + 1), "minus", MAX_DEPTH),
+            past(chain("union", 5_000), "union", MAX_DEPTH),
+            past(chain("join", MAX_DEPTH + 1), "join", MAX_DEPTH),
+            past(projections(MAX_DEPTH + 1), "project", MAX_DEPTH),
+        ] {
+            let err = parse_program(&src).unwrap_err();
+            assert_eq!(err.span.unwrap().start, at, "{err}");
+            assert!(err.message.contains("nests deeper than 128"), "{err}");
+        }
+    }
+
+    #[test]
+    fn at_cap_programs_prepare_and_evaluate_on_a_small_stack() {
+        // A connection worker runs on a 2 MiB stack, so this does too,
+        // whatever the test harness's own stack is.
+        // The regex parser's own cap: 128 groups, each adding a union, a
+        // concatenation and a star to the formula.
+        let deep_regex = format!("/{{x:{}a{}}}/", "(a|b".repeat(127), ")*".repeat(127));
+        let programs = [
+            parens(MAX_DEPTH),
+            chain("minus", MAX_DEPTH),
+            chain("union", MAX_DEPTH),
+            projections(MAX_DEPTH),
+            // Both caps at once: the deepest regex at the bottom of the
+            // deepest expressions.
+            parens(MAX_DEPTH).replace("/{x:a}/", &deep_regex),
+            projections(MAX_DEPTH).replace("/{x:a}/", &deep_regex),
+            chain("minus", MAX_DEPTH).replace("/{x:a+}/", &deep_regex),
+        ];
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let doc = spanner_core::Document::new("aab");
+                for src in programs {
+                    let query = crate::PreparedQuery::prepare(&src).unwrap();
+                    query.evaluate(&doc).unwrap();
+                    assert!(query.stream(&doc).unwrap().all(|m| m.is_ok()));
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 }

@@ -20,15 +20,35 @@
 //! `[]` denotes the empty formula `∅`. Whitespace is significant (a space
 //! matches a space). The [`std::fmt::Display`] implementation of
 //! [`Rgx`] prints this syntax back.
+//!
+//! Two bounds keep a short pattern from exhausting a thread, and both are
+//! refused with a positioned error:
+//!
+//! * *Nesting.* Groups and captures may nest at most 128 deep, where each
+//!   postfix operator stacked on an atom counts as one more level (it wraps
+//!   the atom once more). The parser and every pass over the formula
+//!   recurse once per level.
+//! * *`+` copies.* `α+` is built as `α·α*`, a copy of `α`, so stacked or
+//!   nested `+` doubles the formula each time. A formula may copy at most
+//!   65 536 nodes through `+` in all; formulas without `+` parse at any
+//!   length.
 
 use crate::ast::Rgx;
 use spanner_core::{ByteClass, SpannerError, SpannerResult};
+
+/// The deepest nesting of groups, captures and stacked postfix operators.
+const MAX_NESTING: usize = 128;
+
+/// The most formula nodes all `+` operators of one formula may copy.
+const MAX_PLUS_COPIES: usize = 1 << 16;
 
 /// Parses a regex formula from its concrete syntax.
 pub fn parse(input: &str) -> SpannerResult<Rgx> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
+        copied: 0,
     };
     let formula = p.parse_alt()?;
     if p.pos != p.bytes.len() {
@@ -43,6 +63,10 @@ pub fn parse(input: &str) -> SpannerResult<Rgx> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Groups and captures open around the parse position.
+    depth: usize,
+    /// Formula nodes copied by `+` so far.
+    copied: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -99,26 +123,58 @@ impl<'a> Parser<'a> {
         Ok(Rgx::concat(items))
     }
 
+    /// Refuses, at `at`, a nesting level past [`MAX_NESTING`].
+    fn check_depth(&self, depth: usize, at: usize) -> SpannerResult<()> {
+        if depth > MAX_NESTING {
+            return Err(SpannerError::parse(
+                format!(
+                    "groups, captures and postfix operators nest deeper than {MAX_NESTING} levels"
+                ),
+                at,
+            ));
+        }
+        Ok(())
+    }
+
     fn parse_item(&mut self) -> SpannerResult<Rgx> {
         let mut atom = self.parse_atom()?;
-        loop {
-            match self.peek() {
-                Some(b'*') => {
-                    self.bump();
-                    atom = Rgx::star(atom);
+        let mut depth = self.depth;
+        while let Some(op @ (b'*' | b'+' | b'?')) = self.peek() {
+            depth += 1;
+            self.check_depth(depth, self.pos)?;
+            if op == b'+' {
+                // Count the copy before making it: past the budget, `atom`
+                // is about to double once more.
+                self.copied += atom.size();
+                if self.copied > MAX_PLUS_COPIES {
+                    return Err(SpannerError::parse(
+                        format!("`+` copies its operand, and these copies pass {MAX_PLUS_COPIES} formula nodes"),
+                        self.pos,
+                    ));
                 }
-                Some(b'+') => {
-                    self.bump();
-                    atom = Rgx::plus(atom);
-                }
-                Some(b'?') => {
-                    self.bump();
-                    atom = Rgx::opt(atom);
-                }
-                _ => break,
             }
+            self.bump();
+            atom = match op {
+                b'*' => Rgx::star(atom),
+                b'+' => Rgx::plus(atom),
+                _ => Rgx::opt(atom),
+            };
         }
         Ok(atom)
+    }
+
+    /// Parses `inner` one nesting level deeper: the body of the group or
+    /// capture opened at `at`.
+    fn nested<T>(
+        &mut self,
+        at: usize,
+        inner: impl FnOnce(&mut Self) -> SpannerResult<T>,
+    ) -> SpannerResult<T> {
+        self.depth += 1;
+        self.check_depth(self.depth, at)?;
+        let result = inner(self);
+        self.depth -= 1;
+        result
     }
 
     fn parse_atom(&mut self) -> SpannerResult<Rgx> {
@@ -130,11 +186,11 @@ impl<'a> Parser<'a> {
                     self.bump();
                     return Ok(Rgx::Epsilon);
                 }
-                let inner = self.parse_alt()?;
+                let inner = self.nested(start, Self::parse_alt)?;
                 self.expect(b')')?;
                 Ok(inner)
             }
-            Some(b'{') => self.parse_capture(),
+            Some(b'{') => self.nested(start, Self::parse_capture),
             Some(b'[') => self.parse_class(),
             Some(b'.') => Ok(Rgx::any_symbol()),
             Some(b'\\') => Ok(Rgx::Class(self.parse_escape()?)),
@@ -360,6 +416,68 @@ mod tests {
         assert!(parse("[a").is_err());
         assert!(parse("*a").is_err());
         assert!(parse(r"\x4").is_err());
+    }
+
+    /// `(a|b(a|b(…)*)*)*`, `depth` groups deep: every group adds a union, a
+    /// concatenation and a star to the formula.
+    fn nested_groups(depth: usize) -> String {
+        format!("{}a{}", "(a|b".repeat(depth), ")*".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_position() {
+        let at_cap = [
+            nested_groups(MAX_NESTING),
+            format!("{}a{}", "(".repeat(MAX_NESTING), ")".repeat(MAX_NESTING)),
+            format!("{}a{}", "{x:".repeat(MAX_NESTING), "}".repeat(MAX_NESTING)),
+            format!("a{}", "?".repeat(MAX_NESTING)),
+            format!("(a){}", "?*".repeat(MAX_NESTING / 2)),
+        ];
+        for src in &at_cap {
+            assert!(parse(src).is_ok(), "{src}");
+        }
+        // One level more is refused at the bracket or operator that opens
+        // it; so is a pattern 10 000 groups deep.
+        for (src, at) in [
+            (nested_groups(MAX_NESTING + 1), MAX_NESTING * 4),
+            (format!("{}a", "(".repeat(MAX_NESTING + 1)), MAX_NESTING),
+            (
+                format!("{}a", "{x:".repeat(MAX_NESTING + 1)),
+                MAX_NESTING * 3,
+            ),
+            (format!("a{}", "?".repeat(MAX_NESTING + 1)), MAX_NESTING + 1),
+            (format!("{}a", "(".repeat(10_000)), MAX_NESTING),
+        ] {
+            let e = parse(&src).unwrap_err();
+            let SpannerError::Parse { message, position } = e else {
+                panic!("{e}");
+            };
+            assert_eq!(position, at, "{src}");
+            assert!(message.contains("nest deeper than 128"), "{message}");
+        }
+    }
+
+    #[test]
+    fn plus_copies_are_capped() {
+        use std::time::{Duration, Instant};
+        // Each stacked `+` copies the formula built so far: 40 of them
+        // would build 2^40 nodes. The copy budget refuses it at once.
+        let start = Instant::now();
+        let src = format!("{{x:a{}}}", "+".repeat(40));
+        let e = parse(&src).unwrap_err();
+        assert!(start.elapsed() < Duration::from_secs(1));
+        let SpannerError::Parse { message, position } = e else {
+            panic!("{e}");
+        };
+        assert!(message.contains("`+` copies"), "{message}");
+        assert!((4..4 + 40).contains(&position), "{position}");
+        // Nested `+` and `?+` chains grow the same way.
+        assert!(parse(&format!("{}a{}", "(".repeat(40), ")+".repeat(40))).is_err());
+        assert!(parse(&format!("a{}", "?+".repeat(40))).is_err());
+        // A handful of stacked `+` is fine, and so is a long flat formula:
+        // each of these `+` copies one node.
+        assert!(parse(&format!("{{x:a{}}}", "+".repeat(8))).is_ok());
+        assert!(parse(&"a+b*".repeat(10_000)).is_ok());
     }
 
     #[test]

@@ -59,13 +59,19 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How many arrays and objects a parsed value may nest. The parser recurses
+/// once per level and a connection worker's stack is small, so a deeper
+/// request line is refused rather than allowed to overflow it. Protocol
+/// requests and responses nest fewer than ten levels.
+const MAX_NESTING: usize = 64;
+
 impl Json {
     /// Parses one JSON value from the whole input (trailing non-whitespace
-    /// is an error).
+    /// is an error). Arrays and objects may nest at most 64 deep.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(err("trailing characters after the value", pos));
@@ -291,12 +297,17 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses the value at `pos`, inside `depth` open arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err("unexpected end of input", *pos)),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_NESTING => Err(err(
+            &format!("arrays and objects nest deeper than {MAX_NESTING} levels"),
+            *pos,
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
@@ -455,7 +466,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -464,7 +475,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         return Ok(Json::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -477,7 +488,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     *pos += 1; // consume '{'
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -496,7 +507,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             return Err(err("expected `:` after the key", *pos));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -615,6 +626,19 @@ mod tests {
         // A malformed number is reported where it starts.
         let e = Json::parse(r#"{"line":01}"#).unwrap_err();
         assert_eq!((e.position, e.message.as_str()), (8, "invalid number `01`"));
+        // Nesting: 64 levels of arrays and objects parse, the 65th opening
+        // bracket is refused where it stands, and so is a line 10 000 deep.
+        let nested = |depth: usize| {
+            let open: String = (0..depth).map(|i| ["[", "{\"k\":"][i % 2]).collect();
+            let close: String = (0..depth).rev().map(|i| ["]", "}"][i % 2]).collect();
+            format!("{open}0{close}")
+        };
+        assert!(Json::parse(&nested(MAX_NESTING)).is_ok());
+        let e = Json::parse(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert_eq!(e.position, nested(MAX_NESTING).find('0').unwrap());
+        assert!(e.message.contains("nest deeper than 64"), "{e}");
+        let deep = format!(r#"{{"op":"stats","x":{}"#, "[".repeat(10_000));
+        assert_eq!(Json::parse(&deep).unwrap_err().position, 18 + 63);
     }
 
     #[test]

@@ -463,13 +463,32 @@ fn malformed_requests_error_without_closing_the_connection() {
 
     let mut client = Client::connect(addr).unwrap();
 
+    // Input that once recursed a connection worker off its stack, or made
+    // it build a formula of 2^40 nodes: a request line 10 000 arrays deep,
+    // a program of 4 000 nested parentheses, and 40 stacked `+`. Each is
+    // refused by its parser's bound.
+    let hostile = [
+        format!(r#"{{"op":"stats","x":{}"#, "[".repeat(10_000)),
+        format!(
+            r#"{{"op":"prepare","program":"{}/a/{}"}}"#,
+            "(".repeat(4_000),
+            ")".repeat(4_000)
+        ),
+        format!(
+            r#"{{"op":"prepare","program":"/{{x:a{}}}/"}}"#,
+            "+".repeat(40)
+        ),
+    ];
     for bad in [
         "not json",
         "[]",
         r#"{"op":"frobnicate"}"#,
         r#"{"op":"query"}"#,
         r#"{"op":"query","program":17,"doc":"x"}"#,
-    ] {
+    ]
+    .into_iter()
+    .chain(hostile.iter().map(String::as_str))
+    {
         let line = client.request_line(bad).unwrap();
         let response = Json::parse(&line).unwrap();
         assert_eq!(

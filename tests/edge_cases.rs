@@ -309,6 +309,25 @@ fn executor_difference_with_empty_probe_side() {
 }
 
 #[test]
+fn executor_difference_with_schemaless_input() {
+    // The optional captures give both sides mappings of two domains, {x}
+    // and {x, y}. Every probe mapping binds x, so an input mapping that
+    // shares only x with the probe side is tested by one hash lookup. Some
+    // probe mappings miss y, so an input mapping binding both falls back to
+    // the compatibility scan, where the missing y is a wildcard. On "aabb"
+    // both kinds survive and both kinds are removed.
+    let tree = RaTree::difference(RaTree::leaf(0), RaTree::leaf(1));
+    let inst = Instantiation::new()
+        .with(0, parse(".*{x:a+}({y:b})?b*").unwrap())
+        .with(1, parse("a*{x:a}({y:b})?b*").unwrap());
+    check_executor(
+        &tree,
+        &inst,
+        &["aabb", "aabbb", "abb", "abbb", "ab", "aab", "a", ""],
+    );
+}
+
+#[test]
 fn executor_projection_directly_over_difference() {
     // The projection cannot be pushed through the difference (unsound), so
     // the executor runs a Project operator over the anti-join — including
@@ -325,8 +344,9 @@ fn executor_projection_directly_over_difference() {
 
 #[test]
 fn executor_stream_equals_evaluate_on_dynamic_plans() {
-    // A join above a difference: the deepest dynamic shape — the join
-    // streams its probe side, the difference is an anti-join below it.
+    // A join above a difference: the deepest dynamic shape — the join is
+    // executed when the stream opens and drained, the difference is an
+    // anti-join below it.
     let tree = RaTree::join(
         RaTree::difference(RaTree::leaf(0), RaTree::leaf(1)),
         RaTree::leaf(2),
