@@ -11,7 +11,8 @@
 //! prints that table with every family's rows and is the experiment index.
 //! A family declares the rows it is about to measure ([`Run::rows`],
 //! [`Run::needs_cpus`]), sets up whatever state they share, and times each
-//! one through [`Run::measure`] — the only timing loop in the crate — so a
+//! one through [`Run::measure`] (or `measure_from`, its form for runs that
+//! begin with untimed set-up) — the only timing loop in the crate — so a
 //! stateful sweep stays ordinary Rust and a ratio bar stays a plain
 //! `assert!` over the [`Measured`] values it got back.
 //!
@@ -232,6 +233,17 @@ impl Run {
     /// a stateful closure's script is exactly its [`RUNS`] calls, and a
     /// median ignores a cold first one. What `f` drops is inside the clock.
     pub fn measure(&mut self, workload: &str, mut f: impl FnMut() -> usize) -> Measured {
+        self.measure_from(workload, |_| f())
+    }
+
+    /// [`Run::measure`] for a row whose runs each begin with untimed set-up:
+    /// `f` gets its run's start instant and restarts it (`*start =
+    /// Instant::now()`) where the timed part begins.
+    pub(crate) fn measure_from(
+        &mut self,
+        workload: &str,
+        mut f: impl FnMut(&mut Instant) -> usize,
+    ) -> Measured {
         let declared = self.declared.iter().position(|name| name == workload);
         let declared = declared.unwrap_or_else(|| panic!("{workload} was not declared"));
         self.declared.swap_remove(declared);
@@ -241,8 +253,8 @@ impl Run {
             let start = Instant::now();
             yardstick();
             units[run] = start.elapsed().as_nanos() as u64;
-            let start = Instant::now();
-            count = black_box(f());
+            let mut start = Instant::now();
+            count = black_box(f(&mut start));
             nanos[run] = start.elapsed().as_nanos() as u64;
         }
         let median_ns = median(&mut nanos);

@@ -345,37 +345,35 @@ pub fn scan(run: &mut Run) {
 /// mutation batch by re-evaluating only the changed documents. It is
 /// measured against the unindexed full scan and against the cold *indexed*
 /// query — the layer the view sits on, and the one it has to beat to earn
-/// its place. The three rows of a sweep point share one store.
+/// its place. `hotread` is the re-query alone: the same batch cycle as
+/// `hot`, applied before the clock starts. The four rows of a sweep point
+/// share one store.
 pub fn incr(run: &mut Run) {
     const LINES: [usize; 5] = [10_000, 10_000, 100_000, 100_000, 100_000];
     const BATCH: [usize; 5] = [1, 10, 1, 10, 100];
     let named = |i| move |read| format!("incr/lines-{}/batch-{}/{read}", LINES[i], BATCH[i]);
-    let reads = ["hot", "coldindexed", "coldfull"];
+    let reads = ["hot", "coldindexed", "coldfull", "hotread"];
     let names = [0, 1, 2, 3, 4].map(|i| reads.map(named(i)));
     let Some(names) = run.rows(names) else { return };
     let pattern = parse(".*needle {x:\\l+}.*").unwrap();
     let inst = Instantiation::new().with(0, pattern);
     let options = RaOptions::default();
     let engine = CorpusEngine::compile(&RaTree::leaf(0), &inst, options).unwrap();
-    for (i, [hot, coldindexed, coldfull]) in names.iter().enumerate() {
+    for (i, [hot, coldindexed, coldfull, hotread]) in names.iter().enumerate() {
         let (lines, batch) = (LINES[i], BATCH[i]);
         let mut store = Store::build(needle_corpus(lines, 10, 42)).unwrap();
         let mut view = QueryView::unbounded();
         // The steady state of a served query is warm-with-mutations.
         store.query_view_matches(&engine, &mut view, 1).unwrap();
 
-        // Hot: apply `batch` scattered updates, then re-query through the
-        // view; the upkeep is part of the cost, so it is inside the clock
-        // (and timed on its own as well, for the bar below). The runs cycle
-        // over three batches of documents, each turn writing a text salted
-        // by the turns still to come, so every run changes `batch` documents
-        // and the last three leave the corpus as the original three-run
-        // script did — the counts stay comparable across PRs.
-        let (mut nth, mut delta_docs) = (0, 0);
-        let mut applies = Vec::with_capacity(RUNS);
-        let hot = run.measure(hot, || {
+        // The `nth` run's batch of `batch` scattered updates. The runs
+        // cycle over three batches of documents, each turn writing a text
+        // salted by the turns still to come, so every run changes `batch`
+        // documents and the last three leave the corpus as the original
+        // three-run script did — the counts stay comparable across PRs, and
+        // a second cycle ends on the corpus the first one left.
+        let apply = |store: &mut Store, nth: u64| {
             let (slot, turns_left) = (nth % 3, (RUNS as u64 - 1 - nth) / 3);
-            let start = Instant::now();
             for i in 0..batch as u64 {
                 let id = ((slot * batch as u64 + i) * 37 % lines as u64) as u32;
                 let seed = 1_000 + slot * 131 + i + turns_left * 7_919;
@@ -383,6 +381,16 @@ pub fn incr(run: &mut Run) {
                 let text = line.text().to_string();
                 store.apply(&Mutation::Update { id, text }).unwrap();
             }
+        };
+
+        // Hot: apply the batch, then re-query through the view; the upkeep
+        // is part of the cost, so it is inside the clock (and timed on its
+        // own as well, for the bar below).
+        let (mut nth, mut delta_docs) = (0, 0);
+        let mut applies = Vec::with_capacity(RUNS);
+        let hot = run.measure(hot, || {
+            let start = Instant::now();
+            apply(&mut store, nth);
             applies.push(start.elapsed().as_nanos() as u64);
             nth += 1;
             let answer = store.query_view_matches(&engine, &mut view, 1).unwrap();
@@ -392,13 +400,31 @@ pub fn incr(run: &mut Run) {
         assert_eq!(delta_docs, batch, "a batch touches exactly its documents");
         let by_index = || store.query_matches(&engine, 1).unwrap().output;
         let indexed = run.measure(coldindexed, || by_index().stats.mappings);
-        let full = || scanned(&engine, store.documents(), 1);
-        let full_scan = run.measure(coldfull, || full().stats.mappings);
+        let full = |store: &Store| scanned(&engine, store.documents(), 1);
+        let full_scan = run.measure(coldfull, || full(&store).stats.mappings);
+
+        // Read alone: the same cycle again, the batch outside the clock.
+        let mut nth = 0;
+        let read = run.measure_from(hotread, |start| {
+            apply(&mut store, nth);
+            nth += 1;
+            *start = Instant::now();
+            let answer = store.query_view_matches(&engine, &mut view, 1).unwrap();
+            delta_docs = answer.delta_docs;
+            answer.output.stats.mappings
+        });
+        assert_eq!(delta_docs, batch, "a batch touches exactly its documents");
+        let ratio = indexed.median_ns as f64 / read.median_ns as f64;
+        println!("    cold indexed / hot read alone: {ratio:.2}x");
 
         // Bit-identical: view-backed == full pass == from-scratch rebuild.
         let viewed = store.query_view_matches(&engine, &mut view, 1).unwrap();
         let viewed = viewed.output.into_dense().results;
-        assert_eq!(viewed, full().into_dense().results, "view != full scan");
+        assert_eq!(
+            viewed,
+            full(&store).into_dense().results,
+            "view != full scan"
+        );
         let rebuilt = Store::build(store.documents().to_vec()).unwrap();
         let rebuilt = rebuilt.query_matches(&engine, 1).unwrap().output;
         assert_eq!(viewed, rebuilt.into_dense().results, "store != its rebuild");

@@ -107,17 +107,20 @@ impl<V: Clone> Lru<V> {
         crate::lock_or_reset(&self.state, |_| ())
     }
 
+    /// The value under `key`, bumping its recency; nothing is inserted.
+    pub(crate) fn get(&self, key: &str) -> Option<V> {
+        Self::touch(&mut self.state(), key)
+    }
+
     /// The value under `key` and `true`, bumping its recency; otherwise a
     /// new value from `make` and `false`, kept resident — evicting the
     /// least recently used entry at capacity — unless the capacity is 0.
     pub(crate) fn get_or_insert_with(&self, key: &str, make: impl FnOnce() -> V) -> (V, bool) {
         let mut state = self.state();
-        state.tick += 1;
-        let tick = state.tick;
-        if let Some((value, last_used)) = state.entries.get_mut(key) {
-            *last_used = tick;
-            return (value.clone(), true);
+        if let Some(value) = Self::touch(&mut state, key) {
+            return (value, true);
         }
+        let tick = state.tick;
         let value = make();
         if self.capacity > 0 {
             if state.entries.len() >= self.capacity {
@@ -134,6 +137,16 @@ impl<V: Clone> Lru<V> {
             state.entries.insert(key.to_string(), (value.clone(), tick));
         }
         (value, false)
+    }
+
+    /// Advances the clock and, if `key` is resident, stamps it with the new
+    /// tick and clones its value out.
+    fn touch(state: &mut LruState<V>, key: &str) -> Option<V> {
+        state.tick += 1;
+        let tick = state.tick;
+        let (value, last_used) = state.entries.get_mut(key)?;
+        *last_used = tick;
+        Some(value.clone())
     }
 
     /// Drops the entry under `key` if `stale` holds for its value.
@@ -273,6 +286,21 @@ mod tests {
         assert!(hit("/{x:a}/"), "recently-touched entry survives");
         assert!(hit("/{x:c}/"));
         assert!(!hit("/{x:b}/"), "least-recently-used is evicted");
+    }
+
+    #[test]
+    fn a_lookup_bumps_recency_and_inserts_nothing() {
+        let lru = Lru::new(2);
+        lru.get_or_insert_with("a", || 1);
+        lru.get_or_insert_with("b", || 2);
+        assert_eq!((lru.get("c"), lru.len()), (None, 2));
+        assert_eq!(lru.get("a"), Some(1)); // b is now least recently used
+        lru.get_or_insert_with("c", || 3);
+        assert_eq!(
+            (lru.get("a"), lru.get("b"), lru.get("c")),
+            (Some(1), None, Some(3))
+        );
+        assert_eq!(lru.evictions(), 1);
     }
 
     #[test]

@@ -65,7 +65,8 @@ pub struct ServeOptions {
     /// Connection worker threads (`0` = one per available CPU).
     pub threads: usize,
     /// Prepared-query cache capacity (`0` disables caching — every request
-    /// compiles; the cold baseline of the serve benchmark).
+    /// compiles; the cold baseline of the serve benchmark — and with it
+    /// every maintained view, see [`ServeOptions::max_views`]).
     pub cache_capacity: usize,
     /// Hard cap on one request line, in bytes; longer lines are rejected
     /// without being buffered.
@@ -90,8 +91,10 @@ pub struct ServeOptions {
     /// retention — every store query is a cold evaluation.
     pub view_budget: usize,
     /// Maximum number of maintained query views per resident store (one
-    /// per distinct prepared program); least-recently-used views are
-    /// dropped past it. `0` disables views entirely.
+    /// per program seen before: a store query builds a view only for a
+    /// program the prepared-query cache already held, so with
+    /// `cache_capacity: 0` no view is ever built); least-recently-used
+    /// views are dropped past it. `0` disables views entirely.
     pub max_views: usize,
     /// Serve HTTP/1.1 instead of the line-JSON protocol: the same
     /// operations behind `POST /v1/*` endpoints, plus `GET /healthz` and
@@ -187,15 +190,16 @@ pub(crate) struct ServerMetrics {
     store_appends: Counter,
     store_updates: Counter,
     store_deletes: Counter,
-    /// Maintained-view outcomes per resident-store query: documents served
+    /// Maintained-view outcomes per resident-store query a view answered
+    /// (a query without one records none of these five): documents served
     /// from a retained entry, documents re-evaluated (the delta), and
     /// retained entries dropped because their document changed.
     view_hits: Counter,
     view_misses: Counter,
     view_invalidations: Counter,
-    /// Delta size (documents touched) per resident-store query.
+    /// Delta size (documents touched) per view-answered query.
     view_delta_docs: Histogram,
-    /// Share of documents served from the view per resident-store query.
+    /// Share of documents served from the view per view-answered query.
     view_hit_ratio: Histogram,
 }
 
@@ -444,12 +448,16 @@ impl ViewSet {
         }
     }
 
-    /// The view for `key`, creating it (and evicting the least recently
-    /// used one past capacity) on first use; `None` when views are
-    /// disabled. The returned handle is locked *outside* the set mutex.
-    fn get(&self, key: &str) -> Option<Arc<ViewHandle>> {
-        if self.views.capacity() == 0 {
-            return None;
+    /// The view for `key`: an existing one in every case, its recency
+    /// bumped; a new one (evicting the least recently used one past
+    /// capacity) only when the daemon has `seen` the program before — a
+    /// view beats the index from its second query, so a one-off program
+    /// neither pays the hash snapshot nor pushes out a hot program's view.
+    /// `None` when views are disabled or the program has no view yet. The
+    /// returned handle is locked *outside* the set mutex.
+    fn get(&self, key: &str, seen: bool) -> Option<Arc<ViewHandle>> {
+        if !seen || self.views.capacity() == 0 {
+            return self.views.get(key);
         }
         let (handle, _) = self.views.get_or_insert_with(key, || {
             Arc::new(ViewHandle {
@@ -1198,12 +1206,13 @@ fn handle_request(shared: &Shared, request: Request, out: &mut Vec<u8>) -> Outco
                     return fail(out, STORE_POISONED);
                 };
                 let threads = shared.options.corpus_threads;
-                // One maintained view per (program, options) key; with
-                // views disabled a throwaway zero-budget view keeps the
-                // code path (and the response shape) identical.
+                // One maintained view per (program, options) key, built
+                // only once the cache held the program; without one a
+                // throwaway zero-budget view keeps the code path (and the
+                // response shape) identical.
                 let slot = resident
                     .views
-                    .get(&cache_key(&program, shared.options.ra_options));
+                    .get(&cache_key(&program, shared.options.ra_options), cached);
                 let result = match &slot {
                     Some(slot) => {
                         let mut view = slot.lock();
@@ -1223,14 +1232,18 @@ fn handle_request(shared: &Shared, request: Request, out: &mut Vec<u8>) -> Outco
                     Ok(outcome) => {
                         let m = &shared.metrics;
                         m.store_selectivity.observe(outcome.selectivity());
-                        m.view_hits.add(outcome.view_hits as u64);
-                        m.view_misses.add(outcome.delta_docs as u64);
-                        m.view_invalidations.add(outcome.invalidated as u64);
-                        m.view_delta_docs.observe(outcome.delta_docs as f64);
-                        let documents = outcome.output.stats.documents;
-                        if documents > 0 {
-                            m.view_hit_ratio
-                                .observe(outcome.view_hits as f64 / documents as f64);
+                        // The view families describe maintained views: a
+                        // query without one would only read as evictions.
+                        if slot.is_some() {
+                            m.view_hits.add(outcome.view_hits as u64);
+                            m.view_misses.add(outcome.delta_docs as u64);
+                            m.view_invalidations.add(outcome.invalidated as u64);
+                            m.view_delta_docs.observe(outcome.delta_docs as f64);
+                            let documents = outcome.output.stats.documents;
+                            if documents > 0 {
+                                m.view_hit_ratio
+                                    .observe(outcome.view_hits as f64 / documents as f64);
+                            }
                         }
                         let candidates = match outcome.candidates {
                             Some(count) => Json::number(count),
@@ -1437,7 +1450,7 @@ mod tests {
     #[test]
     fn a_scrape_during_a_held_view_blocks_neither_itself_nor_view_lookup() {
         let views = Arc::new(ViewSet::new(4, 1 << 10));
-        let handle = views.get("hot").expect("views are enabled");
+        let handle = views.get("hot", true).expect("views are enabled");
         handle.retained_cost.store(7, Ordering::Relaxed);
         handle.snapshot_bytes.store(240, Ordering::Relaxed);
         // A slow query in flight: the view stays locked for the whole test.
@@ -1453,7 +1466,7 @@ mod tests {
             .recv_timeout(Duration::from_secs(10))
             .expect("the scrape waited for the query holding the view");
         assert_eq!(held, (7, 240));
-        assert!(views.get("hot").is_some() && views.get("other").is_some());
+        assert!(views.get("hot", true).is_some() && views.get("other", true).is_some());
         assert_eq!(views.entries(), 2);
         drop(in_flight);
         scraper.join().expect("scraper").expect("receiver alive");
@@ -1465,7 +1478,7 @@ mod tests {
         let views = ViewSet::new(4, 1 << 10);
         let engine = spanner_ql::PreparedQuery::prepare("/{x:a+}/").unwrap();
         let store = Store::build(split_lines("aa\nb\na")).unwrap();
-        let handle = views.get("hot").expect("views are enabled");
+        let handle = views.get("hot", true).expect("views are enabled");
         let query = |handle: &ViewHandle| {
             let outcome = store.query_view_matches(engine.engine(), &mut handle.lock(), 1);
             let outcome = outcome.unwrap();

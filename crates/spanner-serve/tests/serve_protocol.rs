@@ -187,8 +187,10 @@ fn mutations_propagate_through_the_maintained_view() {
 
     // Cold query: every document is a view miss (the non-candidates are
     // recorded as empty without being read — all 50 here, since nothing
-    // contains the literal).
+    // contains the literal). The program is prepared first, so this query
+    // already builds its view.
     let program = "/.*needle{x: .*}/";
+    assert!(ok(&client.prepare(program).unwrap()));
     let cold = client.query_store(program).unwrap();
     assert!(ok(&cold), "{cold}");
     assert_eq!(cold.get("matched").and_then(Json::as_usize), Some(0));
@@ -330,6 +332,10 @@ fn a_deleted_line_still_answers_a_nullable_pattern() {
     assert!(ok(&client.load_corpus("aa\nb\nc").unwrap()));
     let deleted = client.delete_docs(&[0]).unwrap();
     assert_eq!(deleted.get("deleted").and_then(Json::as_usize), Some(1));
+    // Prepared, so each program's first store query builds its view.
+    for program in ["/{x:a*}/", "/{x:a+}/"] {
+        assert!(ok(&client.prepare(program).unwrap()));
+    }
 
     let answer = client.query_store("/{x:a*}/").unwrap();
     assert!(ok(&answer), "{answer}");
@@ -355,6 +361,92 @@ fn a_deleted_line_still_answers_a_nullable_pattern() {
         .unwrap();
     // Two views over three documents, 8 bytes a document at the least.
     assert!((48..=128).contains(&snapshot_bytes), "{snapshot_bytes}");
+
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+/// The value of the unlabelled (or fully labelled) sample `name` in a
+/// `metrics` scrape.
+fn metric(client: &mut Client, name: &str) -> f64 {
+    let metrics = client.metrics().unwrap();
+    let text = metrics.get("metrics").and_then(Json::as_str).unwrap();
+    text.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no `{name}` in\n{text}"))
+        .parse()
+        .unwrap()
+}
+
+/// A view is earned by a repeat: a store query for a program the daemon
+/// has never seen answers through no view, so a stream of one-off programs
+/// longer than both the view set and the prepared-query cache copies no
+/// hash snapshot and pushes out no hot program's view.
+#[test]
+fn one_off_programs_neither_build_nor_evict_views() {
+    const LINES: usize = 50;
+    let (addr, handle) = start(ServeOptions::default());
+    let mut client = Client::connect(addr).unwrap();
+    let corpus: String = (0..LINES).map(|i| format!("line {i}: nothing\n")).collect();
+    assert!(ok(&client.load_corpus(corpus.trim_end()).unwrap()));
+    let view_hits = |answer: &Json| answer.get("view_hits").and_then(Json::as_usize);
+
+    let hot = "/.*needle{x: .*}/";
+    assert!(ok(&client.prepare(hot).unwrap()));
+    assert_eq!(view_hits(&client.query_store(hot).unwrap()), Some(0));
+    assert_eq!(view_hits(&client.query_store(hot).unwrap()), Some(LINES));
+
+    // More one-offs than `max_views` (16) and the cache (64) hold.
+    for i in 0..70 {
+        let answer = client
+            .query_store(&format!("/.*line {i}:{{x: .*}}/"))
+            .unwrap();
+        assert!(ok(&answer), "{answer}");
+        let matched = answer.get("matched").and_then(Json::as_usize);
+        assert_eq!(matched, Some(usize::from(i < LINES)), "{answer}");
+        assert_eq!(view_hits(&answer), Some(0), "one-off {i}: {answer}");
+    }
+    let stats = client.stats().unwrap();
+    assert_eq!(field(&stats, ["store", "views"]), 1, "{stats}");
+    let snapshot = metric(&mut client, "spanner_view_snapshot_bytes");
+    assert_eq!(snapshot, (8 * LINES) as f64, "one view's hash snapshot");
+
+    // The one-offs pushed the hot program out of the cache, not its view.
+    let again = client.query_store(hot).unwrap();
+    assert_eq!(again.get("cached").and_then(Json::as_bool), Some(false));
+    assert_eq!(view_hits(&again), Some(LINES), "{again}");
+
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+/// The view metric families describe maintained views: a store query no
+/// view answered (here: views disabled) adds no miss and observes no hit
+/// ratio — which would read as views being evicted — while its response
+/// still carries the view members.
+#[test]
+fn a_query_without_a_view_records_no_view_metrics() {
+    let (addr, handle) = start(ServeOptions {
+        max_views: 0,
+        ..ServeOptions::default()
+    });
+    let mut client = Client::connect(addr).unwrap();
+    assert!(ok(&client.load_corpus("a needle\nmiss\nneedle b").unwrap()));
+    let program = "/.*{x:needle}.*/";
+    for _ in 0..2 {
+        let answer = client.query_store(program).unwrap();
+        assert_eq!(answer.get("matched").and_then(Json::as_usize), Some(2));
+        assert_eq!(answer.get("view_hits").and_then(Json::as_usize), Some(0));
+        assert_eq!(answer.get("delta_docs").and_then(Json::as_usize), Some(3));
+    }
+    for name in [
+        "spanner_view_docs_total{outcome=\"miss\"}",
+        "spanner_view_hit_ratio_count",
+        "spanner_view_delta_docs_count",
+    ] {
+        assert_eq!(metric(&mut client, name), 0.0, "{name}");
+    }
+    assert_eq!(metric(&mut client, "spanner_views"), 0.0);
 
     client.shutdown().unwrap();
     handle.join().unwrap().unwrap();
