@@ -328,8 +328,11 @@ fn decode_body(head: &Head, body: &[u8], op: &'static str) -> Result<Request, St
     let is_json = head
         .header("content-type")
         .is_some_and(|v| v.to_ascii_lowercase().contains("json"));
+    let utf8 = || std::str::from_utf8(body).map_err(|_| "request body is not UTF-8".to_string());
     if !is_json && matches!(op, "load_corpus" | "append_docs") {
-        let text = String::from_utf8_lossy(body).into_owned();
+        // Refused, not rewritten: a lossy decode would shift every span
+        // after the bad byte away from the client's own offsets.
+        let text = utf8()?.to_string();
         return Ok(match op {
             "load_corpus" => Request::LoadCorpus { text },
             _ => Request::AppendDocs { text },
@@ -338,8 +341,7 @@ fn decode_body(head: &Head, body: &[u8], op: &'static str) -> Result<Request, St
     if body.is_empty() {
         return Request::from_json(op, Json::Object(Vec::new()));
     }
-    let text = std::str::from_utf8(body).map_err(|_| "request body is not UTF-8".to_string())?;
-    match Json::parse(text).map_err(|e| e.to_string())? {
+    match Json::parse(utf8()?).map_err(|e| e.to_string())? {
         fields @ Json::Object(_) => Request::from_json(op, fields),
         _ => Err("request body must be a JSON object".to_string()),
     }

@@ -811,3 +811,36 @@ fn split_character_queries_leave_every_worker_alive() {
     assert_eq!(status_of(&health), Some(200));
     shutdown(addr, handle);
 }
+
+/// A raw ingest body that is not UTF-8 is refused with a 400, on both
+/// ingest endpoints, and the resident store is left as it was: decoding it
+/// lossily would turn `0xFF` (1 byte) into U+FFFD (3 bytes) and move every
+/// later span away from the client's own byte offsets.
+#[test]
+fn non_utf8_raw_ingest_is_refused_and_leaves_the_store_alone() {
+    let (addr, handle) = start_http(http_options());
+    let mut client = HttpClient::connect(addr).unwrap();
+    assert_eq!(
+        client.post_text("/v1/corpus", "abcd\ncd").unwrap().status,
+        200
+    );
+    let store = |client: &mut HttpClient| {
+        let stats = client.get("/v1/stats").unwrap().json().unwrap();
+        stats.get("store").unwrap().to_string()
+    };
+    let before = store(&mut client);
+    assert!(before.contains(r#""documents":2,"bytes":6"#), "{before}");
+    for path in ["/v1/corpus", "/v1/corpus/append"] {
+        let body = b"ab\xffcd\nabcd\n";
+        let request = format!(
+            "POST {path} HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+            body.len()
+        );
+        let response = raw_exchange(addr, &[request.as_bytes(), body].concat());
+        assert_eq!(status_of(&response), Some(400), "{path}");
+        let text = String::from_utf8(response).unwrap();
+        assert!(text.contains("request body is not UTF-8"), "{path}: {text}");
+        assert_eq!(store(&mut client), before, "{path}");
+    }
+    shutdown(addr, handle);
+}

@@ -1,107 +1,88 @@
-//! Differential tests for the compiled evaluation engine.
-//!
-//! Random sequential vset-automata (seeded, reproducible) are evaluated both
-//! through the production path — [`CompiledVsa`] + the polynomial-delay
-//! enumerator — and through the brute-force configuration-space interpreter
-//! `spanner_paper::interpret`, which materializes every run and serves as the
-//! semantic oracle. The two must agree exactly, on direct evaluation as well
-//! as through the join and difference operators.
+//! The compiled evaluation engine against the configuration-space
+//! interpreter: random sequential vset-automata — alone, joined and
+//! differenced — through the enumerator, compiled on the fly and ahead of
+//! time, the vset join and both Section-4 difference constructions.
 
-use spanner_core::{Document, MappingSet};
-use spanner_enum::{evaluate, evaluate_compiled, Enumerator};
-use spanner_paper::{difference_adhoc_eval, difference_product_eval, interpret, DifferenceOptions};
-use spanner_vset::{join, CompiledVsa};
-use spanner_workloads::{random_sequential_vsa, RandomVsaConfig};
+mod common;
 
-/// Short documents over the generator's alphabet; the oracle is exponential,
-/// so inputs must stay small.
-const DOCS: [&str; 6] = ["", "a", "ab", "ba", "abab", "bbab"];
+use common::*;
+use document_spanners::prelude::*;
+use spanner_core::SpannerResult;
+use spanner_enum::evaluate_compiled;
+use spanner_vset::CompiledVsa;
 
-fn small_cfg(num_vars: usize) -> RandomVsaConfig {
-    RandomVsaConfig {
-        layers: 4,
-        width: 2,
-        num_vars,
-        ..RandomVsaConfig::default()
-    }
+fn leaf(case: &Case) -> Option<Vsa> {
+    leaf_vsa(case, &case.tree)
 }
 
-/// ~100 random automata: compiled enumeration agrees with the oracle, both
-/// when compiling on the fly and when reusing a precompiled automaton.
+/// The automata under a binary root.
+fn operands(case: &Case) -> Option<(Vsa, Vsa)> {
+    let (RaTree::Join(l, r) | RaTree::Difference(l, r)) = &case.tree else {
+        return None;
+    };
+    Some((leaf_vsa(case, l)?, leaf_vsa(case, r)?))
+}
+
 #[test]
 fn compiled_enumeration_agrees_with_interpreter() {
-    for seed in 0..100u64 {
-        let cfg = small_cfg(1 + (seed % 3) as usize);
-        let vsa = random_sequential_vsa(cfg, seed);
-        let compiled = CompiledVsa::compile(&vsa);
-        for text in DOCS {
-            let doc = Document::new(text);
-            let oracle = interpret(&vsa, &doc);
-            let on_the_fly = evaluate(&vsa, &doc).unwrap();
-            let precompiled = evaluate_compiled(&compiled, &doc).unwrap();
-            assert_eq!(on_the_fly, oracle, "seed {seed} on {text:?}: {vsa:?}");
-            assert_eq!(precompiled, oracle, "seed {seed} on {text:?} (precompiled)");
-        }
-    }
+    let atoms = |seed| [(1 + seed as usize % 3, "v", seed)];
+    let cases = (0..100).map(|seed| vsa_case(RaTree::leaf(0), &atoms(seed)));
+    let fly = surface("evaluate", |case| {
+        let vsa = leaf(case)?;
+        case.each_doc(|doc| evaluate(&vsa, doc).unwrap())
+    });
+    let precompiled = surface("precompiled", |case| {
+        let compiled = CompiledVsa::compile(&leaf(case)?);
+        case.each_doc(|doc| evaluate_compiled(&compiled, doc).unwrap())
+    });
+    check_all(cases, &[interpreter(), fly, precompiled]);
 }
 
-/// The enumerator must yield every mapping exactly once.
 #[test]
 fn compiled_enumeration_is_duplicate_free() {
-    for seed in 0..25u64 {
-        let vsa = random_sequential_vsa(small_cfg(2), seed);
-        let compiled = CompiledVsa::compile(&vsa);
-        for text in DOCS {
-            let doc = Document::new(text);
-            let listed: Vec<_> = Enumerator::from_compiled(&compiled, &doc)
-                .unwrap()
-                .map(|m| m.unwrap())
-                .collect();
-            let set: MappingSet = listed.iter().cloned().collect();
-            assert_eq!(listed.len(), set.len(), "seed {seed} on {text:?}");
-        }
-    }
+    let cases = (0..25).map(|seed| vsa_case(RaTree::leaf(0), &[(2, "v", seed)]));
+    let once = surface("enumerator, each mapping once", |case| {
+        let compiled = CompiledVsa::compile(&leaf(case)?);
+        case.each_doc(|doc| streamed(Enumerator::from_compiled(&compiled, doc)))
+    });
+    check_all(cases, &[once]);
 }
 
-/// Join of random automata: the compiled product evaluated through the
-/// enumerator agrees with the materialized join of the oracle relations.
+/// Disjoint variables on odd seeds (disjoint-domain joins), shared on even
+/// seeds (synchronized joins).
 #[test]
 fn compiled_join_agrees_with_oracle() {
-    for seed in 0..25u64 {
-        // Distinct variable prefixes on odd seeds (disjoint-domain joins),
-        // shared on even seeds (synchronized joins).
-        let cfg1 = small_cfg(1 + (seed % 2) as usize);
-        let cfg2 = RandomVsaConfig {
-            var_prefix: if seed % 2 == 0 { "v" } else { "w" },
-            ..small_cfg(1)
-        };
-        let a1 = random_sequential_vsa(cfg1, seed);
-        let a2 = random_sequential_vsa(cfg2, seed.wrapping_add(1000));
+    let tree = RaTree::join(RaTree::leaf(0), RaTree::leaf(1));
+    let atoms = |seed: u64| {
+        let prefix = ["v", "w"][seed as usize % 2];
+        [(1 + seed as usize % 2, "v", seed), (1, prefix, seed + 1000)]
+    };
+    let cases = (0..25).map(|seed| vsa_case(tree.clone(), &atoms(seed)));
+    let joined = surface("vset join", |case| {
+        let (a1, a2) = operands(case)?;
         let joined = join(&a1, &a2).unwrap();
-        for text in DOCS {
-            let doc = Document::new(text);
-            let oracle = interpret(&a1, &doc).join(&interpret(&a2, &doc));
-            let actual = evaluate(&joined, &doc).unwrap();
-            assert_eq!(actual, oracle, "seed {seed} on {text:?}");
-        }
-    }
+        case.each_doc(|doc| evaluate(&joined, doc).unwrap())
+    });
+    check_all(cases, &[interpreter(), joined]);
 }
 
-/// Difference of random automata: both the product and the ad-hoc
-/// compilation agree with the oracle difference.
 #[test]
 fn compiled_difference_agrees_with_oracle() {
-    let opts = DifferenceOptions::default();
-    for seed in 0..25u64 {
-        let a1 = random_sequential_vsa(small_cfg(1 + (seed % 2) as usize), seed);
-        let a2 = random_sequential_vsa(small_cfg(1), seed.wrapping_add(500));
-        for text in DOCS {
-            let doc = Document::new(text);
-            let oracle = interpret(&a1, &doc).difference(&interpret(&a2, &doc));
-            let product = difference_product_eval(&a1, &a2, &doc, opts).unwrap();
-            let adhoc = difference_adhoc_eval(&a1, &a2, &doc, opts).unwrap();
-            assert_eq!(product, oracle, "seed {seed} on {text:?} (product)");
-            assert_eq!(adhoc, oracle, "seed {seed} on {text:?} (ad-hoc)");
-        }
-    }
+    let tree = RaTree::difference(RaTree::leaf(0), RaTree::leaf(1));
+    let atoms = |seed| [(1 + seed as usize % 2, "v", seed), (1, "v", seed + 500)];
+    let cases = (0..25).map(|seed| vsa_case(tree.clone(), &atoms(seed)));
+    type Construction = fn(&Vsa, &Vsa, &Document, DifferenceOptions) -> SpannerResult<MappingSet>;
+    let product: Construction = difference_product_eval;
+    let constructions = [
+        ("product construction", product),
+        ("ad-hoc construction", difference_adhoc_eval),
+    ];
+    let mut surfaces = vec![interpreter()];
+    surfaces.extend(constructions.map(|(name, eval)| {
+        surface(name, move |case| {
+            let (a1, a2) = operands(case)?;
+            case.each_doc(|doc| eval(&a1, &a2, doc, DifferenceOptions::default()).unwrap())
+        })
+    }));
+    check_all(cases, &surfaces);
 }

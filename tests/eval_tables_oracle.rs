@@ -1,128 +1,102 @@
-//! Differential tests for the per-automaton evaluation tables.
-//!
-//! The tables (`spanner_vset::tables`) outlive documents, so what a document
-//! sees depends on which documents came before it, on which thread, and on
-//! whether the byte budget dropped the tables in between. None of that may
-//! show: on random sequential automata (the generators of
-//! `compiled_oracle`), every history must produce the mappings of the
-//! brute-force interpreter, in the order a cold automaton produces them.
+//! The per-automaton evaluation tables (`spanner_vset::tables`) outlive
+//! documents, so what a document sees depends on which documents came
+//! before it, on which thread, and on whether the byte budget dropped the
+//! tables in between. None of that may show: on `compiled_oracle`'s random
+//! automata every history lists what a cold automaton lists, in its order.
 
-use spanner_core::{Document, Mapping, MappingSet};
-use spanner_enum::Enumerator;
-use spanner_paper::interpret;
+mod common;
+
+use common::*;
+use document_spanners::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use spanner_vset::{CompiledVsa, EvalTableStats};
-use spanner_workloads::{random_sequential_vsa, RandomVsaConfig};
 
-const DOCS: [&str; 8] = ["", "a", "ab", "ba", "abab", "bbab", "aabba", "babab"];
-
-fn cfg(seed: u64) -> RandomVsaConfig {
-    RandomVsaConfig {
-        layers: 4,
-        width: 2,
-        num_vars: 1 + (seed % 3) as usize,
-        ..RandomVsaConfig::default()
-    }
+fn cases(seeds: std::ops::Range<u64>) -> impl Iterator<Item = Case> {
+    seeds.map(|seed| vsa_case(RaTree::leaf(0), &[(1 + seed as usize % 3, "v", seed)]))
 }
 
 /// The mappings in enumeration order.
-fn listed(compiled: &CompiledVsa, text: &str) -> Vec<Mapping> {
-    Enumerator::from_compiled(compiled, &Document::new(text))
-        .unwrap()
-        .map(|m| m.unwrap())
-        .collect()
+fn listed(compiled: &CompiledVsa, doc: &Document) -> Vec<Mapping> {
+    let listing = Enumerator::from_compiled(compiled, doc).unwrap();
+    listing.map(Result::unwrap).collect()
 }
 
-/// `DOCS` in a seed-dependent order (Fisher–Yates over a xorshift stream).
-fn shuffled(seed: u64) -> Vec<&'static str> {
-    let mut docs = DOCS.to_vec();
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    for i in (1..docs.len()).rev() {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        docs.swap(i, (state % (i as u64 + 1)) as usize);
+/// `0..n` in an order drawn from the automaton and `salt`, so a shrunk case
+/// keeps its order.
+fn shuffled(n: usize, vsa: &Vsa, salt: u64) -> Vec<usize> {
+    let seed = (vsa.state_count() * 97 + vsa.transition_count()) as u64 + salt;
+    let (mut order, mut rng): (Vec<usize>, _) = ((0..n).collect(), StdRng::seed_from_u64(seed));
+    (1..n)
+        .rev()
+        .for_each(|i| order.swap(i, rng.gen_range(0..=i)));
+    order
+}
+
+/// `tables`' listings in the order `salt` draws, held to a cold automaton's.
+fn like_cold(vsa: &Vsa, tables: &CompiledVsa, docs: &[Document], salt: u64) {
+    for i in shuffled(docs.len(), vsa, salt) {
+        let cold = listed(&CompiledVsa::compile(vsa), &docs[i]);
+        assert_eq!(listed(tables, &docs[i]), cold, "on {:?}", docs[i].text());
     }
-    docs
 }
 
 #[test]
 fn warm_tables_enumerate_like_cold_ones_and_like_the_interpreter() {
-    for seed in 0..100u64 {
-        let vsa = random_sequential_vsa(cfg(seed), seed);
+    let warm = surface("warm tables, two shuffled passes", |case| {
+        let (vsa, docs) = (leaf_vsa(case, &case.tree)?, case.corpus());
         let warm = CompiledVsa::compile(&vsa);
-        // Two passes in different orders: the second runs on tables the
-        // first one filled.
-        for order in [shuffled(seed), shuffled(seed + 1000)] {
-            for text in order {
-                let cold = listed(&CompiledVsa::compile(&vsa), text);
-                assert_eq!(listed(&warm, text), cold, "seed {seed} on {text:?}");
-                let set: MappingSet = cold.iter().cloned().collect();
-                assert_eq!(set.len(), cold.len(), "seed {seed} on {text:?}: duplicates");
-                assert_eq!(
-                    set,
-                    interpret(&vsa, &Document::new(text)),
-                    "seed {seed} on {text:?}"
-                );
-            }
-        }
-        // The second pass found everything it needed.
+        // The second pass runs on tables the first one filled, and a third
+        // finds everything it needs.
+        like_cold(&vsa, &warm, &docs, 0);
+        like_cold(&vsa, &warm, &docs, 1000);
         let filled = warm.eval_table_stats();
-        for text in DOCS {
-            listed(&warm, text);
-        }
-        assert_eq!(
-            warm.eval_table_stats(),
-            filled,
-            "seed {seed}: warm run grew"
-        );
-    }
+        let sets = case.each_doc(|doc| distinct(listed(&warm, doc)));
+        assert_eq!(warm.eval_table_stats(), filled, "warm run grew");
+        sets
+    });
+    check_all(cases(0..100), &[interpreter(), warm]);
 }
 
+/// All four threads start on cold tables at once, each in its own order,
+/// so they grow and publish diverging copies concurrently.
 #[test]
 fn threads_sharing_one_automaton_agree() {
-    for seed in 0..25u64 {
-        let vsa = random_sequential_vsa(cfg(seed), seed);
-        let shared = std::sync::Arc::new(CompiledVsa::compile(&vsa));
-        let expected: Vec<Vec<Mapping>> = DOCS
-            .iter()
-            .map(|text| listed(&CompiledVsa::compile(&vsa), text))
-            .collect();
-        // All four start on cold tables at once, each in its own order, so
-        // they grow and publish diverging copies concurrently.
+    let shared = surface("four threads on one automaton", |case| {
+        let (vsa, docs) = (leaf_vsa(case, &case.tree)?, case.corpus());
+        let shared = CompiledVsa::compile(&vsa);
         let barrier = std::sync::Barrier::new(4);
         std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let (shared, expected, barrier) = (&shared, &expected, &barrier);
+            for salt in 0..4 {
+                let (vsa, shared, docs, barrier) = (&vsa, &shared, &docs, &barrier);
                 scope.spawn(move || {
                     barrier.wait();
-                    for text in shuffled(seed * 4 + t) {
-                        let i = DOCS.iter().position(|d| *d == text).unwrap();
-                        assert_eq!(listed(shared, text), expected[i], "seed {seed} on {text:?}");
-                    }
+                    like_cold(vsa, shared, docs, salt);
                 });
             }
         });
-    }
+        case.each_doc(|doc| distinct(listed(&shared, doc)))
+    });
+    check_all(cases(0..25), &[shared]);
 }
 
+/// No tables fit 64 bytes: every document that fills a cell publishes
+/// over-budget tables, which are dropped — the next one starts cold.
 #[test]
 fn a_tiny_budget_drops_and_regrows_the_tables_between_documents() {
-    for seed in 0..50u64 {
-        let vsa = random_sequential_vsa(cfg(seed), seed);
-        let roomy = CompiledVsa::compile(&vsa);
-        // No tables fit 64 bytes: every document that fills a cell publishes
-        // over-budget tables, which are dropped — the next one starts cold.
-        let tiny = CompiledVsa::compile(&vsa).with_eval_table_budget(64);
-        for text in shuffled(seed) {
-            assert_eq!(
-                listed(&tiny, text),
-                listed(&roomy, text),
-                "seed {seed} on {text:?}"
-            );
+    let tiny = surface("64-byte table budget", |case| {
+        let (vsa, docs) = (leaf_vsa(case, &case.tree)?, case.corpus());
+        let (roomy, tiny) = (CompiledVsa::compile(&vsa), CompiledVsa::compile(&vsa));
+        let tiny = tiny.with_eval_table_budget(64);
+        for i in shuffled(docs.len(), &vsa, 0) {
+            assert_eq!(listed(&tiny, &docs[i]), listed(&roomy, &docs[i]));
             assert_eq!(tiny.eval_table_stats(), EvalTableStats::default());
         }
-        assert!(roomy.eval_table_stats().sets > 0);
-    }
+        let sets: Vec<_> = docs.iter().map(|d| distinct(listed(&tiny, d))).collect();
+        let matched = sets.iter().any(|set| !set.is_empty());
+        assert!(!matched || roomy.eval_table_stats().sets > 0);
+        case.end([sets])
+    });
+    check_all(cases(0..50), &[tiny]);
 }
 
 #[test]
@@ -130,11 +104,12 @@ fn compiled_automata_are_shareable_and_clones_start_cold() {
     fn assert_send_sync_clone<T: Send + Sync + Clone>() {}
     assert_send_sync_clone::<CompiledVsa>();
 
-    let vsa = random_sequential_vsa(cfg(1), 1);
-    let compiled = CompiledVsa::compile(&vsa);
-    let first = listed(&compiled, "abab");
+    let case = cases(1..2).next().unwrap();
+    let compiled = CompiledVsa::compile(&leaf_vsa(&case, &case.tree).unwrap());
+    let doc = Document::new("abab");
+    let first = listed(&compiled, &doc);
     assert!(compiled.eval_table_stats().sets > 0);
     let clone = compiled.clone();
     assert_eq!(clone.eval_table_stats(), EvalTableStats::default());
-    assert_eq!(listed(&clone, "abab"), first);
+    assert_eq!(listed(&clone, &doc), first);
 }

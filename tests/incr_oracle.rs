@@ -1,213 +1,108 @@
-//! Differential tests for incremental evaluation.
-//!
-//! Mutations (`append`/`update`/`delete`) and maintained query views (see
-//! `spanner_store` and `spanner_corpus::QueryView`) are *optimizations*:
-//! after any interleaving of mutations, (a) the mutated store must answer
-//! exactly like a store rebuilt from scratch over the same documents —
-//! same relations, same candidate sets, same persisted bytes — and (b)
-//! the view-backed delta path must answer exactly like the full
-//! unindexed evaluation, bit-identical in corpus order, for every thread
-//! count and view budget. This suite pins both down with 100 seeded
-//! random plans and mutation scripts over corpora that mix empty
-//! documents, multi-byte UTF-8, and planted literals.
+//! Mutations (`append` / `update` / `delete`) and maintained query views
+//! (`spanner_store`, `spanner_corpus::QueryView`) are optimizations: after a
+//! script of random mutations, (a) the mutated store answers like a store
+//! rebuilt from scratch over the same documents — same relations, same
+//! candidate sets, same persisted bytes — and (b) a view warmed before the
+//! script answers as the reference, at every thread count and budget,
+//! through the dense and the sparse entry points alike.
 
 mod common;
 
-use common::assert_same_answer;
+use common::*;
 use document_spanners::prelude::*;
-use document_spanners::workloads;
-use spanner_workloads::{random_mutations, random_ra_tree, RandomRaConfig};
+use spanner_workloads::random_mutations;
 
-fn cfg(seed: u64) -> RandomRaConfig {
-    RandomRaConfig {
-        depth: 2 + (seed % 2) as usize,
-        leaves: 2 + (seed % 3) as usize,
-        vars_per_leaf: 2,
-        allow_difference: !seed.is_multiple_of(4),
-    }
+fn cases() -> impl Iterator<Item = Case> {
+    (0..100).map(|seed| {
+        let docs = store_corpus(seed);
+        ra_case(seed, 0, &docs).steps(random_mutations(docs.len(), 30, seed))
+    })
 }
 
-/// A small mixed corpus: empty documents, short fixed strings, random
-/// text, multi-byte UTF-8 lines, and a planted rare literal so selective
-/// plans have something to prune toward.
-fn corpus(seed: u64) -> Vec<Document> {
-    let mut docs: Vec<Document> = [
-        "",
-        "a",
-        "ab",
-        "bca",
-        "abab",
-        "",
-        "β-reduction over αβγ",
-        "naïve café décor",
-        "δδδ",
-        "aβb",
-    ]
-    .iter()
-    .map(|t| Document::new(*t))
-    .collect();
-    for i in 0..8u64 {
-        docs.push(workloads::random_text(
-            16 + (i as usize) * 3,
-            b"abc",
-            seed.wrapping_mul(31).wrapping_add(i),
-        ));
-    }
-    docs.push(Document::new("prefix needle suffix"));
-    docs.push(Document::new("aaneedlebb"));
-    docs
-}
-
-/// Saves both stores and compares the files byte for byte.
-fn assert_same_bytes(mutated: &Store, rebuilt: &Store, seed: u64) {
-    let dir = std::env::temp_dir();
-    let a = dir.join(format!("incr-oracle-{}-{seed}-mutated", std::process::id()));
-    let b = dir.join(format!("incr-oracle-{}-{seed}-rebuilt", std::process::id()));
-    mutated.save(&a).unwrap();
-    rebuilt.save(&b).unwrap();
-    let same = std::fs::read(&a).unwrap() == std::fs::read(&b).unwrap();
-    std::fs::remove_file(&a).ok();
-    std::fs::remove_file(&b).ok();
-    assert!(
-        same,
-        "seed {seed}: the mutated store persists different bytes than a scratch rebuild"
-    );
-}
-
-/// 100 random (plan, mutation script) pairs: after the script, the
-/// mutated store equals a scratch rebuild, and the view-backed delta
-/// path equals the full evaluation — warm, cold (budget 0), and on a
-/// repeat query — at 1 and 3 threads.
 #[test]
 fn mutated_store_and_views_match_scratch_rebuild_on_100_seeds() {
-    for seed in 0..100u64 {
-        let (tree, inst) = random_ra_tree(cfg(seed), seed);
-        let engine = CorpusEngine::compile(&tree, &inst, RaOptions::default()).unwrap();
-        let docs = corpus(seed);
-        let mut store = Store::build(docs.clone()).unwrap();
-
-        // Warm a view on the pre-mutation corpus so the post-mutation
-        // query exercises genuine hits, invalidations, and misses.
-        let mut warm_view = QueryView::unbounded();
-        store.query_view(&engine, &mut warm_view, 1).unwrap();
-        // Its twin answers through the sparse entry point, in lockstep.
-        let mut sparse_view = QueryView::unbounded();
-        store
-            .query_view_matches(&engine, &mut sparse_view, 1)
-            .unwrap();
-
-        for m in random_mutations(docs.len(), 30, seed) {
-            store.apply(&m).unwrap();
-        }
-
-        // (a) The mutated store is indistinguishable from a rebuild:
-        // same answers, same candidate pruning, same persisted bytes.
+    // Same documents, hashes and candidate sets; the sparse entry point
+    // answers as the dense one.
+    let rebuilt = surface("mutated store vs rebuild, 1 and 3 threads", |case| {
+        let (store, engine) = (case.store(case.script.len()), case.engine());
         let rebuilt = Store::build(store.documents().to_vec()).unwrap();
-        assert_eq!(store.len(), rebuilt.len(), "seed {seed}");
-        assert_eq!(store.doc_hashes(), rebuilt.doc_hashes(), "seed {seed}");
-        if seed % 10 == 0 {
-            assert_same_bytes(&store, &rebuilt, seed);
+        let hashes = store.doc_hashes();
+        assert!(store.len() == rebuilt.len() && hashes == rebuilt.doc_hashes());
+        let mut seen = Vec::new();
+        for threads in [1, 3] {
+            let [out, scratch] = [&store, &rebuilt].map(|s| s.query(&engine, threads).unwrap());
+            let sparse = store.query_matches(&engine, threads).unwrap();
+            assert!(out.candidates == scratch.candidates && out.candidates == sparse.candidates);
+            assert_same_answer(sparse.output, &out.output, "sparse");
+            seen.extend([out, scratch].map(|o| (case.script.len(), o.output.results)));
         }
-
-        for threads in [1usize, 3] {
-            let mutated_q = store.query(&engine, threads).unwrap();
-            let rebuilt_q = rebuilt.query(&engine, threads).unwrap();
-            assert_eq!(
-                mutated_q.output.results, rebuilt_q.output.results,
-                "seed {seed}, {threads} threads: {tree}"
-            );
-            assert_eq!(
-                mutated_q.candidates, rebuilt_q.candidates,
-                "seed {seed}, {threads} threads: candidate sets diverged"
-            );
-            let context = format!("seed {seed}, {threads} threads, sparse: {tree}");
-            let sparse_q = store.query_matches(&engine, threads).unwrap();
-            assert_eq!(sparse_q.candidates, mutated_q.candidates, "{context}");
-            assert_same_answer(sparse_q.output, &mutated_q.output, &context);
-
-            // (b) The delta path answers exactly like the full pass.
-            let full = engine
-                .scan(store.documents(), threads)
-                .unwrap()
-                .into_dense();
-            let warm = store.query_view(&engine, &mut warm_view, threads).unwrap();
-            assert_eq!(
-                warm.output.results, full.results,
-                "seed {seed}, {threads} threads (warm view): {tree}"
-            );
-            assert_eq!(
-                warm.view_hits + warm.delta_docs,
-                store.len(),
-                "seed {seed}: every document is either a hit or delta"
-            );
-            let sparse = store
-                .query_view_matches(&engine, &mut sparse_view, threads)
-                .unwrap();
-            assert_eq!(
-                (sparse.delta_docs, sparse.view_hits, sparse.invalidated),
-                (warm.delta_docs, warm.view_hits, warm.invalidated),
-                "{context}"
-            );
-            assert_same_answer(sparse.output, &warm.output, &context);
-
-            // Budget 0 never retains anything: always the cold path, same
-            // answer.
-            let mut cold_view = QueryView::new(0);
-            let cold = store.query_view(&engine, &mut cold_view, threads).unwrap();
-            assert_eq!(
-                cold.output.results, full.results,
-                "seed {seed}, {threads} threads (cold view): {tree}"
-            );
-            assert_eq!(cold.view_hits, 0, "seed {seed}: budget 0 cannot hit");
-            let sparse = store
-                .query_view_matches(&engine, &mut QueryView::new(0), threads)
-                .unwrap();
-            assert_eq!(sparse.view_hits, 0, "{context}");
-            assert_same_answer(sparse.output, &cold.output, &context);
-
-            // A repeat on the warm view is served without re-evaluating
-            // anything, still bit-identical.
-            let again = store.query_view(&engine, &mut warm_view, threads).unwrap();
-            assert_eq!(again.delta_docs, 0, "seed {seed}: unchanged corpus");
-            assert_eq!(again.output.results, full.results, "seed {seed}");
-            let sparse = store
-                .query_view_matches(&engine, &mut sparse_view, threads)
-                .unwrap();
-            assert_eq!(sparse.delta_docs, 0, "{context}");
-            assert_same_answer(sparse.output, &again.output, &context);
-            assert_eq!(
-                (sparse_view.retained_cost(), sparse_view.snapshot_bytes()),
-                (warm_view.retained_cost(), warm_view.snapshot_bytes()),
-                "{context}"
-            );
+        Some(seen)
+    });
+    // A view warmed before the script meets genuine hits, invalidations and
+    // misses after it; its twin answers through the sparse entry point.
+    let views = surface("views warmed before the script, 1 and 3 threads", |case| {
+        let (mut store, engine) = (case.store(0), case.engine());
+        let (mut warm, mut twin) = (QueryView::unbounded(), QueryView::unbounded());
+        store.query_view(&engine, &mut warm, 1).unwrap();
+        store.query_view_matches(&engine, &mut twin, 1).unwrap();
+        for m in case.script.iter().flatten() {
+            store.apply(m).unwrap();
         }
+        let mut seen = Vec::new();
+        for threads in [1, 3] {
+            let query = |view: &mut _| store.query_view(&engine, view, threads).unwrap();
+            let sparse = |view: &mut _| store.query_view_matches(&engine, view, threads).unwrap();
+            let (n, out) = (store.len(), query(&mut warm));
+            assert_eq!(out.view_hits + out.delta_docs, n, "a hit or delta");
+            let twin_out = sparse(&mut twin);
+            assert_eq!(served(&twin_out), served(&out));
+            assert_same_answer(twin_out.output, &out.output, "sparse");
+            // Budget 0 never retains anything: always the cold path.
+            let cold = query(&mut QueryView::new(0));
+            let cold_twin = sparse(&mut QueryView::new(0));
+            assert!(cold.view_hits + cold_twin.view_hits == 0, "budget 0 hit");
+            assert_same_answer(cold_twin.output, &cold.output, "sparse, cold");
+            // A repeat on the warm view re-evaluates nothing.
+            let (again, again_twin) = (query(&mut warm), sparse(&mut twin));
+            assert!(again.delta_docs + again_twin.delta_docs == 0, "a repeat");
+            assert_same_answer(again_twin.output, &again.output, "sparse, repeat");
+            assert_same_view(&twin, &warm, "twins");
+            let answers = [out, cold, again].map(|o| o.output.results);
+            seen.extend(answers.map(|sets| (case.script.len(), sets)));
+        }
+        Some(seen)
+    });
+    // One case in ten also compares the persisted files.
+    let bytes = surface("persisted bytes vs scratch rebuild", |case| {
+        let store = case.store(case.script.len());
+        let rebuilt = Store::build(store.documents().to_vec()).unwrap();
+        assert!(saved(&store).0 == saved(&rebuilt).0, "other bytes");
+        Some(Vec::new())
+    });
+    let surfaces = [rebuilt, views, bytes];
+    for (seed, case) in cases().enumerate() {
+        check(&case, &surfaces[..2 + usize::from(seed % 10 == 0)]);
     }
 }
 
-/// Journal round trip: recording a script while applying it directly,
-/// then replaying the journal from disk onto a fresh copy of the base
-/// corpus, reproduces the directly-mutated store exactly.
+/// Recording a script while applying it directly, then replaying the
+/// journal from disk onto a fresh copy of the base corpus, reproduces the
+/// directly mutated store exactly.
 #[test]
 fn journal_replay_reproduces_the_mutated_store() {
     for seed in [1u64, 7, 23, 58] {
-        let docs = corpus(seed);
-        let path =
-            std::env::temp_dir().join(format!("incr-oracle-journal-{}-{seed}", std::process::id()));
+        let case = Case::ql("//", &store_corpus(seed));
+        let name = format!("incr-oracle-journal-{}-{seed}", std::process::id());
+        let path = std::env::temp_dir().join(name);
         std::fs::remove_file(&path).ok();
-
-        let mut direct = Store::build(docs.clone()).unwrap();
-        let mut journal = Journal::append(&path).unwrap();
-        for m in random_mutations(docs.len(), 40, seed) {
+        let (mut direct, mut journal) = (case.store(0), Journal::append(&path).unwrap());
+        for m in random_mutations(case.docs.len(), 40, seed) {
             journal.record(&m).unwrap();
             direct.apply(&m).unwrap();
         }
-
         let (script, end) = Journal::read_from(&path, 0).unwrap();
         assert_eq!(end, std::fs::metadata(&path).unwrap().len());
-        let mut replayed = Store::build(docs).unwrap();
-        for m in &script {
-            replayed.apply(m).unwrap();
-        }
+        let replayed = case.script(vec![script]).store(1);
         assert_eq!(replayed.documents(), direct.documents(), "seed {seed}");
         assert_eq!(replayed.doc_hashes(), direct.doc_hashes(), "seed {seed}");
         assert_eq!(replayed.generation(), direct.generation(), "seed {seed}");

@@ -1,211 +1,101 @@
-//! Differential tests for the SpannerQL front end.
-//!
-//! Seeded random programs are generated *together with* the `RaTree` +
-//! `Instantiation` they must lower to (`spanner_workloads::random_ql`).
-//! Parsing + preparing the text must evaluate bit-identically to the
-//! programmatic pair through `evaluate_ra` — on single documents, and via
-//! the corpus engine with 1 and N worker threads. A fuzz-ish suite mutates
-//! program texts and checks that the whole pipeline reports spanned errors
-//! instead of panicking.
+//! The SpannerQL front end. Seeded random programs are generated together
+//! with the tree they must lower to (`random_ql_program`, held by
+//! `ql_case`); the prepared query — evaluated, streamed, and over a corpus
+//! at 1 and 3 workers — answers as the reference. A fuzz-ish suite mutates
+//! program texts: the pipeline reports spanned errors, never panics.
 
+mod common;
+
+use common::*;
 use document_spanners::prelude::*;
-use spanner_workloads::{random_ql_program, RandomQlConfig, RandomQlProgram};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
-/// Short documents over the random-formula alphabet (`abc`); evaluation
-/// through compiled joins is exponential in the worst case, so inputs stay
-/// small.
-const DOCS: [&str; 5] = ["", "a", "ab", "bca", "abab"];
-
-fn cfg(seed: u64) -> RandomQlConfig {
-    RandomQlConfig {
-        bindings: 2 + (seed % 2) as usize,
-        depth: 2 + (seed % 2) as usize,
-        vars_per_leaf: 2,
-        allow_difference: !seed.is_multiple_of(4),
-    }
+fn cases(seeds: u64, offset: u64, docs: &[String]) -> impl Iterator<Item = Case> + '_ {
+    (0..seeds).map(move |seed| ql_case(seed, offset, docs))
 }
 
-/// 120 random programs: the text lowers to exactly the programmatic tree,
-/// and `PreparedQuery` evaluation matches `evaluate_ra` on every document —
-/// with the planner on and off.
+fn prepared(case: &Case, optimize: bool) -> PreparedQuery {
+    let text = case.ql_text().unwrap();
+    let query = PreparedQuery::prepare_with_options(&text, ra_options(optimize));
+    query.unwrap_or_else(|e| panic!("{}", e.pretty(&text)))
+}
+
+/// The prepared query's `evaluate`, with the planner on or off.
+fn evaluated(optimize: bool) -> Surface<'static> {
+    surface(format!("prepared, optimize={optimize}"), move |case| {
+        let query = prepared(case, optimize);
+        case.each_doc(|doc| query.evaluate(doc).unwrap())
+    })
+}
+
 #[test]
 fn ql_evaluation_is_bit_identical_to_programmatic_ra() {
-    for seed in 0..120u64 {
-        let RandomQlProgram { text, tree, inst } = random_ql_program(cfg(seed), seed);
-        let lowered = parse_program(&text)
-            .unwrap_or_else(|e| panic!("seed {seed}: {}\n{text}", e.pretty(&text)))
-            .lower()
-            .unwrap_or_else(|e| panic!("seed {seed}: {}\n{text}", e.pretty(&text)));
-        assert_eq!(lowered.tree, tree, "seed {seed}:\n{text}");
-        assert_eq!(lowered.inst.len(), inst.len(), "seed {seed}:\n{text}");
-
-        for options in [RaOptions::default(), RaOptions::unoptimized()] {
-            let prepared = PreparedQuery::prepare_with_options(&text, options)
-                .unwrap_or_else(|e| panic!("seed {seed}: {}\n{text}", e.pretty(&text)));
-            for doc_text in DOCS {
-                let doc = Document::new(doc_text);
-                let expected = evaluate_ra(&tree, &inst, &doc, options).unwrap();
-                let actual = prepared.evaluate(&doc).unwrap();
-                assert_eq!(
-                    actual, expected,
-                    "seed {seed} on {doc_text:?} (optimize={}):\n{text}",
-                    options.optimize
-                );
-            }
-        }
-    }
+    let docs = strings(SHORT_DOCS);
+    check_all(cases(120, 0, &docs), &[evaluated(true), evaluated(false)]);
 }
 
-/// The prepared query's corpus path returns, for every document and every
-/// thread count, exactly what single-document evaluation returns.
+/// The short documents repeated until three workers each get a share.
 #[test]
 fn ql_corpus_evaluation_matches_single_document() {
-    // The documents repeated until three workers each get a share: below
-    // that the engine would run the "sharded" call on the calling thread.
-    let docs: Vec<Document> = DOCS
-        .iter()
-        .cycle()
-        .take(DOCS.len().max(400))
-        .map(|t| Document::new(*t))
-        .collect();
-    for seed in 0..30u64 {
-        let RandomQlProgram { text, tree, inst } = random_ql_program(cfg(seed), seed + 50_000);
-        let prepared = PreparedQuery::prepare(&text)
-            .unwrap_or_else(|e| panic!("seed {seed}: {}\n{text}", e.pretty(&text)));
-        let single = prepared.evaluate_corpus(&docs, 1).unwrap();
-        let sharded = prepared.evaluate_corpus(&docs, 3).unwrap();
-        assert_eq!((single.stats.threads, sharded.stats.threads), (1, 3));
-        let expected: Vec<MappingSet> = docs[..DOCS.len()]
-            .iter()
-            .map(|doc| evaluate_ra(&tree, &inst, doc, RaOptions::default()).unwrap())
-            .collect();
-        for i in 0..docs.len() {
-            let expected = &expected[i % DOCS.len()];
-            assert_eq!(&single.results[i], expected, "seed {seed} doc {i}:\n{text}");
-            assert_eq!(
-                &sharded.results[i], expected,
-                "seed {seed} doc {i}:\n{text}"
-            );
-        }
-    }
+    let pass = |threads| {
+        surface(format!("evaluate_corpus, {threads} threads"), move |case| {
+            let docs = case.corpus();
+            let out = prepared(case, true).evaluate_corpus(&docs, threads);
+            let out = out.unwrap();
+            assert_eq!(out.stats.threads, workers(threads, docs.len()));
+            case.end([out.results])
+        })
+    };
+    let docs = strings(SHORT_DOCS.iter().cycle().take(400));
+    check_all(cases(30, 50_000, &docs), &[pass(1), pass(3)]);
 }
 
-/// The prepared stream and the materialized evaluation agree mapping-for-
-/// mapping.
 #[test]
 fn ql_stream_agrees_with_evaluate() {
-    for seed in 0..20u64 {
-        let RandomQlProgram { text, .. } = random_ql_program(cfg(seed), seed + 90_000);
-        let prepared = PreparedQuery::prepare(&text).unwrap();
-        for doc_text in DOCS {
-            let doc = Document::new(doc_text);
-            let streamed: MappingSet = prepared
-                .stream(&doc)
-                .unwrap()
-                .collect::<Result<Vec<_>, _>>()
-                .unwrap()
-                .into_iter()
-                .collect();
-            assert_eq!(
-                streamed,
-                prepared.evaluate(&doc).unwrap(),
-                "seed {seed} on {doc_text:?}:\n{text}"
-            );
-        }
-    }
+    let streamed = surface("prepared stream", |case| {
+        let query = prepared(case, true);
+        case.each_doc(|doc| streamed(query.stream(doc)))
+    });
+    let docs = strings(SHORT_DOCS);
+    check_all(cases(20, 90_000, &docs), &[evaluated(true), streamed]);
 }
 
-/// Deterministic pseudo-random byte stream (no rand dependency needed for
-/// the mutator).
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
-/// Mutated programs (truncations, character flips, token insertions and
+/// Mutated programs (truncations, character flips, snippet insertions and
 /// deletions) either prepare cleanly or fail with an error whose span stays
 /// inside the source — the pipeline must never panic.
 #[test]
 fn mutated_programs_fail_gracefully_with_positions() {
-    const SNIPPETS: [&str; 12] = [
-        "/", "(", ")", ";", ",", "{", "}", "project", "join x", "let", "π", "\\",
+    let snippets = [
+        "/", "(", ")", ";", ",", "{", "}", "project", "join x", "let",
     ];
-    let mut rng = XorShift(0x5eed);
-    let mut prepared_ok = 0usize;
-    let mut spanned_errors = 0usize;
+    let snippets = [&snippets[..], &["π", "\\"]].concat();
+    let mut rng = StdRng::seed_from_u64(0x5eed);
+    let mut below = |n: usize| rng.gen_range(0..n);
+    let (mut prepared_ok, mut spanned_errors) = (0, 0);
     for seed in 0..60u64 {
-        let base = random_ql_program(cfg(seed), seed + 70_000).text;
+        let base = ql_case(seed, 70_000, &[""]).text.unwrap();
         for _ in 0..6 {
-            let mut mutated = base.clone();
-            match rng.below(4) {
-                0 => {
-                    // Truncate at a character boundary.
-                    let mut cut = rng.below(mutated.len() + 1);
-                    while !mutated.is_char_boundary(cut) {
-                        cut -= 1;
-                    }
-                    mutated.truncate(cut);
-                }
-                1 => {
-                    // Replace one character with a random ASCII one.
-                    let chars: Vec<char> = mutated.chars().collect();
-                    if !chars.is_empty() {
-                        let i = rng.below(chars.len());
-                        let replacement = (b' ' + rng.below(95) as u8) as char;
-                        mutated = chars
-                            .iter()
-                            .enumerate()
-                            .map(|(j, &c)| if j == i { replacement } else { c })
-                            .collect();
-                    }
-                }
-                2 => {
-                    // Insert a snippet at a character boundary.
-                    let mut at = rng.below(mutated.len() + 1);
-                    while !mutated.is_char_boundary(at) {
-                        at -= 1;
-                    }
-                    mutated.insert_str(at, SNIPPETS[rng.below(SNIPPETS.len())]);
-                }
-                _ => {
-                    // Delete one character.
-                    let chars: Vec<char> = mutated.chars().collect();
-                    if !chars.is_empty() {
-                        let i = rng.below(chars.len());
-                        mutated = chars
-                            .iter()
-                            .enumerate()
-                            .filter(|&(j, _)| j != i)
-                            .map(|(_, &c)| c)
-                            .collect();
-                    }
-                }
+            let mut chars: Vec<char> = base.chars().collect();
+            let (at, len) = (below(chars.len() + 1), chars.len());
+            match below(4) {
+                0 => chars.truncate(at),
+                1 if at < len => chars[at] = (b' ' + below(95) as u8) as char,
+                2 => drop(chars.splice(at..at, snippets[below(snippets.len())].chars())),
+                _ if at < len => drop(chars.remove(at)),
+                _ => {}
             }
-            match PreparedQuery::prepare(&mutated) {
-                Ok(_) => prepared_ok += 1,
-                Err(e) => {
-                    if let Some(span) = e.span {
-                        spanned_errors += 1;
-                        assert!(
-                            span.start <= mutated.len() && span.start <= span.end,
-                            "span {span:?} outside source (len {}): {e}\n{mutated}",
-                            mutated.len()
-                        );
-                    }
-                    // Rendering must not panic either.
-                    let _ = e.pretty(&mutated);
-                }
+            let mutated: String = chars.into_iter().collect();
+            let Err(e) = PreparedQuery::prepare(&mutated) else {
+                prepared_ok += 1;
+                continue;
+            };
+            if let Some(span) = e.span {
+                spanned_errors += 1;
+                let inside = span.start <= mutated.len() && span.start <= span.end;
+                assert!(inside, "span {span:?} outside source: {e}\n{mutated}");
             }
+            // Rendering must not panic either.
+            let _ = e.pretty(&mutated);
         }
     }
     // The mutator must exercise both outcomes to mean anything.
