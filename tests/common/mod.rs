@@ -48,14 +48,13 @@ pub fn strings<S: AsRef<str>>(docs: impl IntoIterator<Item = S>) -> Vec<String> 
 
 impl Case {
     pub fn ra<S: AsRef<str>>(tree: RaTree, inst: Instantiation, docs: &[S]) -> Case {
-        let (text, docs, script, origin) = (None, strings(docs), vec![], String::new());
         Case {
             tree,
             inst,
-            text,
-            docs,
-            script,
-            origin,
+            text: None,
+            docs: strings(docs),
+            script: vec![],
+            origin: String::new(),
         }
     }
 
@@ -146,14 +145,19 @@ pub struct Surface<'a> {
 pub type Run<'a> = Box<dyn Fn(&Case) -> Option<Seen> + 'a>;
 
 pub fn surface<'a>(name: impl ToString, run: impl Fn(&Case) -> Option<Seen> + 'a) -> Surface<'a> {
-    let (name, run) = (name.to_string(), Box::new(run));
-    Surface { name, run }
+    Surface {
+        name: name.to_string(),
+        run: Box::new(run),
+    }
 }
 
 // ------------------------------------------------------------ comparison
 
-/// A leaf automaton compiled once per case, listed by the enumerator as
-/// `evaluate_ra_materialized` lists the leaves it compiles per document.
+/// A leaf automaton compiled once per case and evaluated cold on every
+/// document, as `evaluate_ra_materialized` evaluates the leaves it compiles
+/// per document: with a zero table budget, the evaluation tables a document
+/// fills are dropped, never handed to the next, so warm tables are never on
+/// the reference side.
 struct Compiled(CompiledVsa, VarSet);
 
 impl Spanner for Compiled {
@@ -183,8 +187,8 @@ fn reference(case: &Case, (inst, sets): &mut Memo, text: &str) -> Option<Mapping
         for id in leaves(&case.tree) {
             let unsequential = matches!(case.inst.atom(id)?, Atom::Rgx(r) if !is_sequential(r));
             let a = leaf_vsa(case, &RaTree::leaf(id)).filter(|_| !unsequential)?;
-            let compiled = Compiled(CompiledVsa::compile(&a), a.vars().clone());
-            inst = inst.with_black_box(id, compiled);
+            let cold = CompiledVsa::compile(&a).with_eval_table_budget(0);
+            inst = inst.with_black_box(id, Compiled(cold, a.vars().clone()));
         }
         Some(inst)
     });
@@ -193,36 +197,55 @@ fn reference(case: &Case, (inst, sets): &mut Memo, text: &str) -> Option<Mapping
     sets.entry(text.into()).or_insert_with(eval).clone()
 }
 
-/// How a surface answers a case: `Ok(true)` as the reference does, `Err`
-/// otherwise; `Ok(false)` if the case is broken (a step names a document
-/// that is not there, or the reference fails).
-fn judge(case: &Case, surface: &Surface, memo: &mut Memo) -> Result<bool, String> {
+/// How a surface answered a case.
+enum Verdict {
+    /// As the reference, on every answer.
+    Agrees,
+    /// Not at all: a step names a document that is not there, or the
+    /// reference fails on a document.
+    Broken(String),
+    /// Otherwise: the first answer that differs, or the surface's panic.
+    Disagrees(String),
+}
+
+fn judge(case: &Case, surface: &Surface, memo: &mut Memo) -> Verdict {
     let mut reference = |text: &String| reference(case, memo, text);
-    let last = case.replay(case.script.len());
-    if last.is_none_or(|docs| docs.iter().any(|d| reference(d).is_none())) {
-        return Ok(false);
+    let Some(last) = case.replay(case.script.len()) else {
+        return Verdict::Broken("a mutation names a document that is not there".into());
+    };
+    if let Some(i) = last.iter().position(|d| reference(d).is_none()) {
+        let why = format!("the reference fails on document {i} {:?}", last[i]);
+        return Verdict::Broken(why);
     }
-    let seen = catch_unwind(AssertUnwindSafe(|| (surface.run)(case))).map_err(|panic| {
-        let text = panic.downcast_ref::<String>().cloned();
-        let text = text.or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()));
-        format!("panicked: {}", text.unwrap_or_default())
-    })?;
+    let seen = match catch_unwind(AssertUnwindSafe(|| (surface.run)(case))) {
+        Ok(seen) => seen,
+        Err(panic) => {
+            let text = panic.downcast_ref::<String>().cloned();
+            let text = text.or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()));
+            return Verdict::Disagrees(format!("panicked: {}", text.unwrap_or_default()));
+        }
+    };
     for (k, (step, sets)) in seen.unwrap_or_default().iter().enumerate() {
-        let docs = case.replay(*step).unwrap_or_default();
+        // A prefix of a script that replays replays too.
+        let docs = case.replay(*step).unwrap();
         let at = format!("answer {k}, after {step} steps");
         if sets.len() != docs.len() {
             let (n, m) = (sets.len(), docs.len());
-            return Err(format!("{at}: {n} relations for {m} documents"));
+            return Verdict::Disagrees(format!("{at}: {n} relations for {m} documents"));
         }
         for (i, (text, got)) in docs.iter().zip(sets).enumerate() {
-            let want = reference(text).unwrap_or_default();
+            let Some(want) = reference(text) else {
+                let why =
+                    format!("the reference fails on document {i} {text:?} after {step} steps");
+                return Verdict::Broken(why);
+            };
             if *got != want {
                 let why = format!("{at}, document {i} {text:?}:\n  answer    {got:?}");
-                return Err(format!("{why}\n  reference {want:?}"));
+                return Verdict::Disagrees(format!("{why}\n  reference {want:?}"));
             }
         }
     }
-    Ok(true)
+    Verdict::Agrees
 }
 
 /// `check` on every case.
@@ -234,23 +257,36 @@ pub fn check_all(cases: impl IntoIterator<Item = Case>, surfaces: &[Surface]) {
 /// the case shrunk.
 pub fn check(case: &Case, surfaces: &[Surface]) {
     if let Some((small, name, why)) = first_failure(case, surfaces) {
-        panic!("{}", repro(&small, &name, &why));
+        let headline = format!("surface {name:?} disagrees with the reference");
+        panic!("{}", repro(&small, &headline, &why));
     }
 }
 
 /// The first surface that disagrees on `case`: the case shrunk while that
-/// surface still disagrees, the surface's name and the disagreement.
+/// surface still disagrees, the surface's name and the disagreement. Panics
+/// if the reference cannot answer `case` itself; a shrinking candidate it
+/// cannot answer is only not a disagreement.
 pub fn first_failure(case: &Case, surfaces: &[Surface]) -> Option<(Case, String, String)> {
     let mut memo = Memo::default();
-    let failing = surfaces
+    let (failing, why) = surfaces
         .iter()
-        .find(|s| judge(case, s, &mut memo).is_err())?;
-    let disagrees = |c: &Case| quietly(|| judge(c, failing, &mut Memo::default()).err());
-    let mut small = case.clone();
-    while let Some(next) = smaller(&small).into_iter().find(|c| disagrees(c).is_some()) {
+        .find_map(|s| match judge(case, s, &mut memo) {
+            Verdict::Agrees => None,
+            Verdict::Broken(why) => panic!(
+                "{}",
+                repro(case, "the reference cannot answer the case", &why)
+            ),
+            Verdict::Disagrees(why) => Some((s, why)),
+        })?;
+    let disagrees = |c: Case| match quietly(|| judge(&c, failing, &mut Memo::default())) {
+        Verdict::Disagrees(why) => Some((c, why)),
+        _ => None,
+    };
+    let mut small = (case.clone(), why);
+    while let Some(next) = smaller(&small.0).into_iter().find_map(&disagrees) {
         small = next;
     }
-    let why = disagrees(&small).unwrap();
+    let (small, why) = small;
     Some((small, failing.name.clone(), why))
 }
 
@@ -435,7 +471,7 @@ fn rust_tree(tree: &RaTree) -> String {
 
 /// The case as a `#[test]`: QL text when every atom is a formula, else the
 /// tree over its origin's automata and its own formulas.
-fn repro(case: &Case, surface: &str, why: &str) -> String {
+fn repro(case: &Case, headline: &str, why: &str) -> String {
     let docs = format!("{:?}", case.docs).replace("[]", "[\"\"; 0]");
     let indent = "\n        ";
     let program = match case.ql_text() {
@@ -469,7 +505,7 @@ fn repro(case: &Case, surface: &str, why: &str) -> String {
         origin => format!(" ({origin})"),
     };
     format!(
-        "surface {surface:?} disagrees with the reference{from}:\n{why}\n\n#[test]\n\
+        "{headline}{from}:\n{why}\n\n#[test]\n\
          fn shrunk_case() {{\n    let case = {program}{script};\n    \
          // `surfaces`: the failing test's list.\n    check(&case, &surfaces);\n}}\n"
     )
@@ -579,15 +615,6 @@ pub fn streamed<E: std::fmt::Debug>(
     distinct(stream.unwrap().map(Result::unwrap).collect())
 }
 
-/// The workers a corpus pass offered `requested` threads (`0`: one per
-/// CPU) runs on: one unless each gets its share of 128 documents.
-pub fn workers(requested: usize, docs: usize) -> usize {
-    match docs / 128 {
-        0 | 1 => 1,
-        shares => spanner_corpus::resolve_pool_threads(requested).min(shares),
-    }
-}
-
 // -------------------------------------------------------------- surfaces
 
 /// The tree evaluated node by node with every leaf run through the
@@ -617,7 +644,9 @@ pub fn interpreter() -> Surface<'static> {
 /// pass skips and rejects nothing; the two streams list alike, in order.
 pub fn fast_path() -> Surface<'static> {
     surface("fast path on and off", |case| {
-        let (docs, mut listings, mut seen) = (case.corpus(), vec![], vec![]);
+        let docs = case.corpus();
+        let mut listings = vec![];
+        let mut seen = vec![];
         for scan_fast_path in [true, false] {
             let plan = case.plan(RaOptions {
                 scan_fast_path,
@@ -634,8 +663,8 @@ pub fn fast_path() -> Surface<'static> {
             assert!(scan_fast_path || untouched, "{stats:?}");
             seen.push(dense(pass).results);
         }
-        let same = listings[0] == listings[1];
-        assert!(same, "the streams list in different orders");
+        let order = "the streams list in different orders";
+        assert_eq!(listings[0], listings[1], "{order}");
         let end = case.script.len();
         Some(seen.into_iter().map(|sets| (end, sets)).collect())
     })
@@ -654,8 +683,9 @@ pub fn indexed(threads: usize) -> Surface<'static> {
         assert_same_answer(sparse.output, &out.output, "sparse");
         let stats = out.output.stats;
         let n = store.len();
+        assert_eq!(stats.documents, n);
         let skipped = out.candidates.is_none_or(|c| stats.docs_skipped >= n - c);
-        assert!(stats.documents == n && skipped, "{stats:?}");
+        assert!(skipped, "{:?} candidates: {stats:?}", out.candidates);
         case.end([out.output.results])
     })
 }
@@ -766,6 +796,7 @@ pub fn lines(docs: &[String]) -> String {
 pub fn relations(response: &Json, docs: &[String]) -> Vec<MappingSet> {
     let mut sets = vec![MappingSet::new(); docs.len()];
     let number = |n: &Json| n.as_usize().unwrap();
+    let mut next = 0;
     for result in response.get("results").and_then(Json::as_array).unwrap() {
         let span = |s: &Json| match s.get("span").and_then(Json::as_array) {
             Some([start, end]) => Span::new(number(start) as u32, number(end) as u32),
@@ -780,15 +811,17 @@ pub fn relations(response: &Json, docs: &[String]) -> Vec<MappingSet> {
         let mappings = result.get("mappings").and_then(Json::as_array).unwrap();
         let set: MappingSet = mappings.iter().map(mapping).collect();
         let line = number(result.get("line").unwrap());
+        // One result per matching line, in corpus order.
+        assert!(
+            line >= next && line < docs.len(),
+            "line {line} after {next}"
+        );
+        next = line + 1;
         let rendered = mappings_to_json(&Document::new(&docs[line]), &set);
         assert_eq!(result.get("mappings"), Some(&rendered), "line {line}");
         let count = result.get("count").map(number);
-        let counted = count == Some(set.len()) && count > Some(0);
-        assert!(
-            counted,
-            "line {line}: {} mappings for a count of {count:?}",
-            set.len()
-        );
+        assert_eq!(count, Some(set.len()), "line {line}: count");
+        assert!(!set.is_empty(), "line {line}: a result without mappings");
         sets[line] = set;
     }
     sets

@@ -7,6 +7,7 @@ use common::*;
 use document_spanners::prelude::*;
 use document_spanners::workloads::{access_log, student_records_with_recommendations};
 use spanner_algebra::ExecTrace;
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 type Docs = Arc<Vec<Document>>;
@@ -21,14 +22,15 @@ fn log_case(docs: &[String]) -> Case {
     Case::ql(&format!("project path, status (/{log}/)"), docs)
 }
 
-/// The corpus engine offered `threads` workers (`0`: one per CPU): it runs
-/// on as many as the corpus has shares for.
-fn scan(threads: usize) -> Surface<'static> {
+type Ran = RefCell<Vec<usize>>;
+
+/// The corpus engine offered `threads` workers (`0`: one per CPU); the
+/// count it ran on is pushed to `ran`, for the test to hold to what the
+/// whole corpus implies (a shrunk one implies fewer).
+fn scan(threads: usize, ran: &Ran) -> Surface<'_> {
     surface(format!("scan, {threads} threads"), move |case| {
-        let docs = case.corpus();
-        let out = dense(case.engine().scan(&docs, threads).unwrap());
-        let workers = workers(threads, docs.len());
-        assert_eq!(out.stats.threads, workers, "{threads} threads");
+        let out = dense(case.engine().scan(&case.corpus(), threads).unwrap());
+        ran.borrow_mut().push(out.stats.threads);
         case.end([out.results])
     })
 }
@@ -43,7 +45,15 @@ fn thread_count_does_not_change_results() {
     let engine = case.engine();
     assert!(engine.plan().is_static());
     assert!(engine.scan(&case.corpus(), 1).unwrap().stats.mappings > 0);
-    check(&case, &[1, 2, 3, 8, 1024].map(scan));
+    let ran = Ran::default();
+    check(&case, &[1, 2, 3, 8, 1024].map(|t| scan(t, &ran)));
+    // The sharded path really ran, and workers are never oversubscribed
+    // past the corpus size.
+    let ran = ran.take();
+    assert_eq!(ran[0], 1);
+    for threads in &ran[1..] {
+        assert!(*threads > 1 && *threads <= docs.len(), "{ran:?}");
+    }
 }
 
 /// The Figure 2 student query — a dynamic plan (the difference node
@@ -62,24 +72,34 @@ fn dynamic_plans_are_thread_safe_too() {
     let lines = lines_of(student_records_with_recommendations(40, 0.6, 7));
     let case = Case::ra(tree, inst, &strings(lines.iter().cycle().take(600)));
     assert!(!case.plan(RaOptions::default()).is_static());
-    check(&case, &[scan(1), scan(4)]);
+    let ran = Ran::default();
+    check(&case, &[scan(1, &ran), scan(4, &ran)]);
+    assert_eq!(ran.take(), [1, 4]);
 }
 
 #[test]
 fn empty_corpus_and_empty_documents() {
+    let ran = Ran::default();
     let empty = log_case(&[]);
-    check(&empty, &[scan(4)]);
+    check(&empty, &[scan(4, &ran)]);
     let stats = empty.engine().scan(&[], 4).unwrap().stats;
     let counts = (stats.documents, stats.mappings, stats.matched_documents);
-    let untouched = (counts, stats.docs_skipped, stats.docs_rejected) == ((0, 0, 0), 0, 0);
-    assert!(untouched, "{stats:?}");
-    check(&log_case(&strings(["", ""])), &[scan(2)]);
+    assert_eq!(counts, (0, 0, 0), "{stats:?}");
+    assert_eq!(
+        (stats.docs_skipped, stats.docs_rejected),
+        (0, 0),
+        "{stats:?}"
+    );
+    check(&log_case(&strings(["", ""])), &[scan(2, &ran)]);
 }
 
 /// Ten lines stay on the calling thread however many CPUs there are.
 #[test]
 fn zero_threads_means_auto() {
-    check(&log_case(&lines_of(access_log(10, 1))), &[scan(0), scan(1)]);
+    let ran = Ran::default();
+    let case = log_case(&lines_of(access_log(10, 1)));
+    check(&case, &[scan(0, &ran), scan(1, &ran)]);
+    assert_eq!(ran.take(), [1, 1]);
 }
 
 type Pass = (Result<CorpusResult, String>, Option<ExecTrace>);
@@ -153,7 +173,9 @@ fn every_entry_point_agrees() {
         elapsed: Default::default(),
         ..out.stats
     };
-    let (outcomes, mut tripped) = (std::cell::Cell::new([0; 3]), 0);
+    let outcomes = Cell::new([0; 3]);
+    let mut tripped = 0;
+    let ran = Ran::default();
     for program in programs {
         for threads in [1, 2, 3, 0] {
             // Every entry point answers as the reference and as the first,
@@ -164,7 +186,7 @@ fn every_entry_point_agrees() {
                 let passes =
                     every_entry_point(&case.ql_text()?, RaOptions::default(), &docs, threads);
                 let first = timeless(passes[0].1 .0.as_ref().unwrap());
-                assert_eq!(first.threads, workers(threads, docs.len()));
+                ran.borrow_mut().push(first.threads);
                 let add = [
                     first.docs_skipped,
                     first.docs_rejected,
@@ -193,6 +215,9 @@ fn every_entry_point_agrees() {
                 Some(seen)
             });
             check(&Case::ql(program, &lines), &[every]);
+            // 396 lines are three workers' minimum shares; `0` is one per CPU.
+            let offered = spanner_corpus::resolve_pool_threads(threads);
+            assert_eq!(ran.take(), [offered.min(3)], "{program:?}");
 
             // No intermediate relation may hold a mapping: a plan with a
             // relational operator trips on its first matching line, and

@@ -70,3 +70,22 @@ fn a_fast_path_blind_to_7_byte_documents_is_caught_and_shrunk() {
     });
     caught_and_shrunk(cases, faulty);
 }
+
+/// A case the reference cannot answer is a fault of the test, not a pass:
+/// here a mutation names a document the corpus does not have.
+#[test]
+#[should_panic(expected = "the reference cannot answer the case")]
+fn a_case_the_reference_cannot_answer_fails_the_test() {
+    let case = Case::ql("/{x:a}/", &["a"]).steps(vec![Mutation::Delete { id: 5 }]);
+    check(&case, &[interpreter()]);
+}
+
+/// So is a formula the reference refuses: a capture under a star is not
+/// sequential.
+#[test]
+#[should_panic(expected = "the reference cannot answer the case")]
+fn a_non_sequential_formula_fails_the_test() {
+    let inst = Instantiation::new().with(0, parse("({x:a})*").unwrap());
+    let case = Case::ra(RaTree::leaf(0), inst, &["aa"]);
+    check(&case, &[surface("no answer", |_| None)]);
+}

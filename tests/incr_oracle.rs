@@ -26,13 +26,17 @@ fn mutated_store_and_views_match_scratch_rebuild_on_100_seeds() {
     let rebuilt = surface("mutated store vs rebuild, 1 and 3 threads", |case| {
         let (store, engine) = (case.store(case.script.len()), case.engine());
         let rebuilt = Store::build(store.documents().to_vec()).unwrap();
-        let hashes = store.doc_hashes();
-        assert!(store.len() == rebuilt.len() && hashes == rebuilt.doc_hashes());
+        assert_eq!(store.len(), rebuilt.len());
+        assert_eq!(store.doc_hashes(), rebuilt.doc_hashes());
         let mut seen = Vec::new();
         for threads in [1, 3] {
             let [out, scratch] = [&store, &rebuilt].map(|s| s.query(&engine, threads).unwrap());
             let sparse = store.query_matches(&engine, threads).unwrap();
-            assert!(out.candidates == scratch.candidates && out.candidates == sparse.candidates);
+            assert_eq!(
+                out.candidates, scratch.candidates,
+                "candidate sets diverged"
+            );
+            assert_eq!(sparse.candidates, out.candidates, "sparse");
             assert_same_answer(sparse.output, &out.output, "sparse");
             seen.extend([out, scratch].map(|o| (case.script.len(), o.output.results)));
         }
@@ -60,11 +64,13 @@ fn mutated_store_and_views_match_scratch_rebuild_on_100_seeds() {
             // Budget 0 never retains anything: always the cold path.
             let cold = query(&mut QueryView::new(0));
             let cold_twin = sparse(&mut QueryView::new(0));
-            assert!(cold.view_hits + cold_twin.view_hits == 0, "budget 0 hit");
+            assert_eq!(cold.view_hits, 0, "budget 0 hit");
+            assert_eq!(cold_twin.view_hits, 0, "budget 0 hit, sparse");
             assert_same_answer(cold_twin.output, &cold.output, "sparse, cold");
             // A repeat on the warm view re-evaluates nothing.
             let (again, again_twin) = (query(&mut warm), sparse(&mut twin));
-            assert!(again.delta_docs + again_twin.delta_docs == 0, "a repeat");
+            assert_eq!(again.delta_docs, 0, "a repeat");
+            assert_eq!(again_twin.delta_docs, 0, "a repeat, sparse");
             assert_same_answer(again_twin.output, &again.output, "sparse, repeat");
             assert_same_view(&twin, &warm, "twins");
             let answers = [out, cold, again].map(|o| o.output.results);

@@ -1,14 +1,14 @@
-//! Required-literal extraction against an exhaustive reference.
+//! Differential tests for required-literal extraction.
 //!
 //! `spanner_vset::scan` derives the few bytes that can extend a literal
 //! from the shortest accepted document, follows forced chains unasked and
 //! bisects them, and tests requiredness by stepping one representative per
-//! byte group. The extractor it replaced — grow every seed by *trying every
-//! singleton byte*, test each try by stepping *all 256 bytes* from every
-//! product state, stop after 256 tries — is kept here as the reference:
-//! slow, and obviously exhaustive. Over the request-mix library, the
-//! benchmark's ad-hoc and hot programs, random formulas and random RA plans
-//! the suite pins
+//! byte group. The extractor it replaced — grow
+//! every seed by *trying every singleton byte*, test each try by stepping
+//! *all 256 bytes* from every product state, stop after 256 tries — is kept
+//! here, verbatim, as the reference: slow, and obviously exhaustive. Over
+//! the request-mix library, the benchmark's ad-hoc and hot programs, random
+//! formulas and random RA plans the suite pins
 //!
 //! * (a) the grouped requiredness test against the per-byte one, on every
 //!   (automaton, candidate) pair the old loop tries;
@@ -36,112 +36,164 @@ const OLD_VERIFY_BUDGET: usize = 256;
 /// The old extractor's state-count ceiling.
 const LITERAL_STATE_BUDGET: usize = 512;
 
-/// The KMP automaton of `needle`: from `k` matched bytes, on byte `b`.
-fn kmp_step(needle: &[u8], fail: &[usize], mut k: usize, b: u8) -> usize {
-    while k > 0 && needle[k] != b {
-        k = fail[k - 1];
-    }
-    if needle[k] == b {
-        k + 1
-    } else {
-        0
-    }
-}
-
 /// The old requiredness test: the NFA × KMP product, every byte stepped on
 /// its own.
 fn per_byte_is_required(compiled: &CompiledVsa, needle: &[u8]) -> bool {
     let m = needle.len();
+    assert!(m > 0);
     let mut fail = vec![0usize; m];
+    let mut k = 0;
     for i in 1..m {
-        fail[i] = kmp_step(needle, &fail, fail[i - 1], needle[i]);
-    }
-    let mut visited = vec![false; compiled.state_count() * m];
-    // Enters the ε-closure of `q` with `k` bytes matched; false on reaching
-    // an accepting state, a run that avoided the needle.
-    let mut enter = |q: usize, k: usize, stack: &mut Vec<(usize, usize)>| {
-        for r in compiled.zero_closure(q).iter() {
-            if compiled.is_accepting(r) {
-                return false;
-            }
-            if !std::mem::replace(&mut visited[r * m + k], true) {
-                stack.push((r, k));
-            }
+        while k > 0 && needle[i] != needle[k] {
+            k = fail[k - 1];
         }
-        true
+        if needle[i] == needle[k] {
+            k += 1;
+        }
+        fail[i] = k;
+    }
+    let kmp_next = |mut k: usize, b: u8| -> usize {
+        while k > 0 && needle[k] != b {
+            k = fail[k - 1];
+        }
+        if needle[k] == b {
+            k + 1
+        } else {
+            0
+        }
     };
-    let mut stack = Vec::new();
-    if !enter(compiled.initial(), 0, &mut stack) {
-        return false;
+
+    let states = compiled.state_count();
+    let mut visited = vec![false; states * m];
+    let mut stack: Vec<(usize, usize)> = Vec::new();
+    for q in compiled.zero_closure(compiled.initial()).iter() {
+        if compiled.is_accepting(q) {
+            return false;
+        }
+        if !visited[q * m] {
+            visited[q * m] = true;
+            stack.push((q, 0));
+        }
     }
     while let Some((q, k)) = stack.pop() {
         for b in 0..=255u8 {
-            let k2 = kmp_step(needle, &fail, k, b);
             let targets = compiled.byte_targets(q, compiled.class_of(b));
-            if k2 < m && targets.iter().any(|&t| !enter(t, k2, &mut stack)) {
-                return false;
+            if targets.is_empty() {
+                continue;
+            }
+            let k2 = kmp_next(k, b);
+            if k2 == m {
+                continue;
+            }
+            for &t in targets {
+                for r in compiled.zero_closure(t).iter() {
+                    if compiled.is_accepting(r) {
+                        return false;
+                    }
+                    if !visited[r * m + k2] {
+                        visited[r * m + k2] = true;
+                        stack.push((r, k2));
+                    }
+                }
             }
         }
     }
     true
 }
 
-type Lits = Vec<Vec<u8>>;
-type Tries = Vec<(Vec<u8>, bool)>;
-
 /// The old extractor: every seed grown right, then left, by trying every
 /// singleton byte; at most `budget` tries per automaton. Every candidate it
 /// puts to the test is appended to `tried` with the verdict.
-fn greedy_required_literals(compiled: &CompiledVsa, budget: usize, tried: &mut Tries) -> Lits {
+fn greedy_required_literals(
+    compiled: &CompiledVsa,
+    budget: usize,
+    tried: &mut Vec<(Vec<u8>, bool)>,
+) -> Vec<Vec<u8>> {
     let plan = compiled.scan_plan();
-    let classes = compiled.class_count();
-    let too_big = classes > 64 || compiled.state_count() > LITERAL_STATE_BUDGET;
-    if plan.min_len().is_none_or(|n| n == 0) || too_big {
+    if plan.min_len().is_none_or(|n| n == 0) {
         return Vec::new();
     }
-    let mut class_size = vec![0u16; classes];
-    (0..=255u8).for_each(|b| class_size[compiled.class_of(b)] += 1);
-    let singleton = |b: &u8| class_size[compiled.class_of(*b)] == 1;
-    let singletons: Vec<u8> = (0..=255u8).filter(singleton).collect();
-    let factors = plan.required_factors().iter().filter(|f| f.len() == 1);
-    let mut seeds: Vec<u8> = factors.filter_map(|f| f.iter().next()).collect();
-    if let Some(prefix) = plan.prefix_class().filter(|p| p.len() == 1) {
-        seeds.extend(prefix.iter().next());
+    let class_count = compiled.class_count();
+    if class_count > 64 || compiled.state_count() > LITERAL_STATE_BUDGET {
+        return Vec::new();
+    }
+    let mut class_size = vec![0u16; class_count];
+    for b in 0..=255u8 {
+        class_size[compiled.class_of(b)] += 1;
+    }
+    let singleton_bytes: Vec<u8> = (0..=255u8)
+        .filter(|&b| class_size[compiled.class_of(b)] == 1)
+        .collect();
+
+    let mut seeds: Vec<u8> = plan
+        .required_factors()
+        .iter()
+        .filter(|f| f.len() == 1)
+        .filter_map(|f| f.iter().next())
+        .collect();
+    if let Some(prefix) = plan.prefix_class() {
+        if prefix.len() == 1 {
+            seeds.extend(prefix.iter().next());
+        }
     }
     seeds.sort_unstable();
     seeds.dedup();
 
     let mut budget = budget;
-    let mut literals = Lits::new();
+    let mut literals: Vec<Vec<u8>> = Vec::new();
     for seed in seeds {
         let mut verify = |lit: &[u8]| {
-            budget = budget.checked_sub(1)?;
+            if budget == 0 {
+                return false;
+            }
+            budget -= 1;
             let verdict = per_byte_is_required(compiled, lit);
             tried.push((lit.to_vec(), verdict));
-            verdict.then_some(())
+            verdict
         };
-        if verify(&[seed]).is_none() {
+        if !verify(&[seed]) {
             continue;
         }
         let mut lit = vec![seed];
-        for right in [true, false] {
-            while lit.len() < MAX_LITERAL_LEN {
-                let grow = |&b: &u8| match right {
-                    true => [lit.as_slice(), &[b]].concat(),
-                    false => [&[b], lit.as_slice()].concat(),
-                };
-                let mut grown = singletons.iter().map(grow);
-                match grown.find(|l| verify(l).is_some()) {
-                    Some(grown) => lit = grown,
-                    None => break,
+        loop {
+            if lit.len() >= MAX_LITERAL_LEN {
+                break;
+            }
+            let mut grown = false;
+            for &b in &singleton_bytes {
+                lit.push(b);
+                if verify(&lit) {
+                    grown = true;
+                    break;
                 }
+                lit.pop();
+            }
+            if !grown {
+                break;
+            }
+        }
+        loop {
+            if lit.len() >= MAX_LITERAL_LEN {
+                break;
+            }
+            let mut grown = false;
+            for &b in &singleton_bytes {
+                lit.insert(0, b);
+                if verify(&lit) {
+                    grown = true;
+                    break;
+                }
+                lit.remove(0);
+            }
+            if !grown {
+                break;
             }
         }
         literals.push(lit);
     }
 
     literals.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
-    let mut kept = Lits::new();
+    let mut kept: Vec<Vec<u8>> = Vec::new();
     for lit in literals {
         if !kept.iter().any(|k| contains_factor(k, &lit)) {
             kept.push(lit);
@@ -163,44 +215,58 @@ const ADHOC_TEMPLATES: [&str; 6] = [
     "let a = /.*{x@:LIT}{y:[a-z ]}.*/; let b = /.*{x@:LIT}.*/; a join b;",
 ];
 
-type Scans = Vec<(String, Arc<CompiledVsa>)>;
+fn adhoc_program(template: usize, literal: &str) -> String {
+    ADHOC_TEMPLATES[template]
+        .replace("LIT", literal)
+        .replace('@', &template.to_string())
+}
 
-/// Every compiled scan under `op`, labelled for failure output.
-fn scans_of(op: &PhysOp, label: &str, out: &mut Scans) {
-    if let PhysOp::CompiledScan { compiled, .. } = op {
-        out.push((label.to_string(), Arc::clone(compiled)));
-    }
-    for child in op.children() {
-        scans_of(child, label, out);
+fn scans_of(op: &PhysOp, out: &mut Vec<Arc<CompiledVsa>>) {
+    match op {
+        PhysOp::CompiledScan { compiled, .. } => out.push(Arc::clone(compiled)),
+        PhysOp::BlackBoxScan(_) => {}
+        PhysOp::Project { input, .. } => scans_of(input, out),
+        PhysOp::UnionAll(inputs) => inputs.iter().for_each(|i| scans_of(i, out)),
+        PhysOp::HashJoin { left, right } => {
+            scans_of(left, out);
+            scans_of(right, out);
+        }
+        PhysOp::Difference { input, probe } => {
+            scans_of(input, out);
+            scans_of(probe, out);
+        }
     }
 }
 
-fn program_scans(program: &str, out: &mut Scans) {
+/// Every compiled scan of a SpannerQL program, labelled for failure output.
+fn program_scans(program: &str, out: &mut Vec<(String, Arc<CompiledVsa>)>) {
     let query = PreparedQuery::prepare(program).unwrap_or_else(|e| panic!("{program}: {e}"));
-    let before = out.len();
-    scans_of(query.plan().physical().root(), program, out);
-    assert!(out.len() > before, "{program}");
+    let mut scans = Vec::new();
+    scans_of(query.plan().physical().root(), &mut scans);
+    assert!(!scans.is_empty(), "{program}");
+    out.extend(scans.into_iter().map(|c| (program.to_string(), c)));
 }
 
 /// The whole suite: the request-mix library, the six ad-hoc templates over
 /// the planted needle and a 4- and a 5-letter literal, the eight hot
 /// programs of `store-churn`, 240 random formulas and 60 random RA plans
 /// (whose static subtrees compile to join and union automata).
-fn suite() -> Scans {
+fn suite() -> Vec<(String, Arc<CompiledVsa>)> {
     let mut out = Vec::new();
     for program in program_library() {
         program_scans(&program, &mut out);
     }
     for literal in ["needle", "qzvx", "kwjqx"] {
-        for (i, template) in ADHOC_TEMPLATES.iter().enumerate() {
-            let program = template.replace("LIT", literal);
-            program_scans(&program.replace('@', &i.to_string()), &mut out);
+        for template in 0..ADHOC_TEMPLATES.len() {
+            program_scans(&adhoc_program(template, literal), &mut out);
         }
     }
     // The two hot programs `store-churn` adds to the templates over the needle.
     program_scans("/.*{x:needle} {rest:[a-z ]*}/", &mut out);
-    let join = "let a = /.*{x:needle}.*/; let b = /{pre:[a-z ]*} needle.*/; a join b;";
-    program_scans(join, &mut out);
+    program_scans(
+        "let a = /.*{x:needle}.*/; let b = /{pre:[a-z ]*} needle.*/; a join b;",
+        &mut out,
+    );
     for seed in 0..240u64 {
         let rgx = random_sequential_rgx(2 + (seed % 3) as usize, 2, seed);
         let compiled = CompiledVsa::compile(&compile(&rgx));
@@ -208,8 +274,11 @@ fn suite() -> Scans {
     }
     for seed in 0..60u64 {
         let case = ra_case(seed, 0, &[""]);
-        let (label, plan) = (format!("random plan {seed}: {}", case.tree), case.engine());
-        scans_of(plan.plan().physical().root(), &label, &mut out);
+        let plan = case.plan(RaOptions::default());
+        let mut scans = Vec::new();
+        scans_of(plan.physical().root(), &mut scans);
+        let label = format!("random plan {seed}: {}", case.tree);
+        out.extend(scans.into_iter().map(|c| (label.clone(), c)));
     }
     out
 }
@@ -217,7 +286,7 @@ fn suite() -> Scans {
 fn show(literals: &[Vec<u8>]) -> Vec<String> {
     literals
         .iter()
-        .map(|l| String::from_utf8_lossy(l).into())
+        .map(|l| String::from_utf8_lossy(l).into_owned())
         .collect()
 }
 
@@ -225,7 +294,9 @@ fn show(literals: &[Vec<u8>]) -> Vec<String> {
 fn extraction_agrees_with_the_exhaustive_reference() {
     let suite = suite();
     assert!(suite.len() >= 300, "{}", suite.len());
-    let (mut with_literals, mut pairs, mut certificates) = (0usize, 0usize, 0usize);
+    let mut with_literals = 0usize;
+    let mut pairs = 0usize;
+    let mut certificates = 0usize;
     for (label, compiled) in &suite {
         let new = compiled.required_literals();
 
@@ -234,14 +305,20 @@ fn extraction_agrees_with_the_exhaustive_reference() {
         let old = greedy_required_literals(compiled, OLD_VERIFY_BUDGET, &mut tried);
         for (candidate, verdict) in &tried {
             let refuted = compiled.literal_counterexample(candidate);
-            let shown = String::from_utf8_lossy(candidate);
-            assert_eq!(refuted.is_none(), *verdict, "{label}: {shown:?}");
+            assert_eq!(
+                refuted.is_none(),
+                *verdict,
+                "{label}: {:?}",
+                String::from_utf8_lossy(candidate)
+            );
             // A refutation is a certificate: an accepted document without
             // the candidate (checked where its bytes make a `Document`).
             if let Some(Ok(text)) = refuted.map(String::from_utf8) {
                 assert!(!contains_factor(text.as_bytes(), candidate), "{label}");
-                let accepted = compiled.matches_anywhere(&Document::new(text.clone()));
-                assert!(accepted, "{label}: {text:?}");
+                assert!(
+                    compiled.matches_anywhere(&Document::new(text.clone())),
+                    "{label}: {text:?}"
+                );
                 certificates += 1;
             }
         }
@@ -249,15 +326,22 @@ fn extraction_agrees_with_the_exhaustive_reference() {
 
         // (b) Sound.
         for literal in new {
-            let required = per_byte_is_required(compiled, literal);
-            assert!(required, "{label}: {:?}", String::from_utf8_lossy(literal));
+            assert!(
+                per_byte_is_required(compiled, literal),
+                "{label}: {:?} is not required",
+                String::from_utf8_lossy(literal)
+            );
         }
 
         // (c) Never weaker than what shipped, and equal to it once its try
         // budget is lifted.
         for literal in &old {
-            let covered = new.iter().any(|n| contains_factor(n, literal));
-            assert!(covered, "{label}: old {:?} new {:?}", show(&old), show(new));
+            assert!(
+                new.iter().any(|n| contains_factor(n, literal)),
+                "{label}: old {:?} new {:?}",
+                show(&old),
+                show(new)
+            );
         }
         let unbudgeted = greedy_required_literals(compiled, usize::MAX, &mut Vec::new());
         assert_eq!(new, unbudgeted.as_slice(), "{label}");
@@ -267,11 +351,12 @@ fn extraction_agrees_with_the_exhaustive_reference() {
         // refutation — 3 on each benchmark template, where the old loop
         // made 82 to 118 tries.
         let total: usize = new.iter().map(Vec::len).sum();
-        let (explored, tries) = (compiled.literal_explorations(), tried.len());
-        let context = format!("{label}: {explored} explorations for {:?}", show(new));
         assert!(
-            explored <= 2 * total + 8,
-            "{context} (the old loop made {tries})"
+            compiled.literal_explorations() <= 2 * total + 8,
+            "{label}: {} explorations for {:?} (the old loop made {})",
+            compiled.literal_explorations(),
+            show(new),
+            tried.len()
         );
         with_literals += usize::from(!new.is_empty());
     }
