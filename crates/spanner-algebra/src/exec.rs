@@ -170,9 +170,9 @@ pub enum PhysOp {
         /// The compile-once evaluation form the enumerator runs on (and
         /// what schema, size and the empty-language fast path are read off).
         compiled: Arc<CompiledVsa>,
-        /// Whether the scan fast path (prefilters + lazy-DFA boolean
-        /// pre-pass) is consulted before enumeration
-        /// ([`RaOptions::scan_fast_path`](crate::RaOptions)).
+        /// Whether the scan fast path (prefilters + the boolean DFA
+        /// pre-pass, built whole on first use) is consulted before
+        /// enumeration ([`RaOptions::scan_fast_path`](crate::RaOptions)).
         fast_path: bool,
     },
     /// A tractable, degree-bounded black-box spanner (Corollary 5.3),
@@ -218,10 +218,11 @@ impl PhysOp {
     /// [`ExecTrace`] each node records `rows` (mappings produced), `nanos`
     /// (inclusive wall time) and operator-specific counters —
     /// `prescan_skip`/`prescan_reject`/`prescan_accept`, `bool_dfa`/
-    /// `bool_nfa` and `eval_table_cells` on compiled scans, `build_rows`/
-    /// `build_skipped` on joins, `probe_rows`/`probe_skipped` on
-    /// differences, `limit_trips` on the operator whose guard fired. Results,
-    /// errors and short-circuits are the same for every observer.
+    /// `bool_nfa`, `eval_table_cells`, `walk_steps` and `stretch_positions`
+    /// on compiled scans, `build_rows`/`build_skipped` on joins,
+    /// `probe_rows`/`probe_skipped` on differences, `limit_trips` on the
+    /// operator whose guard fired. Results, errors and short-circuits are
+    /// the same for every observer.
     ///
     /// `limit` is the resource guard: every relation that feeds a
     /// relational operator (a dynamic operator's input or probe/build side)
@@ -290,8 +291,12 @@ impl PhysOp {
                 let mappings: SpannerResult<Vec<Mapping>> = stream.by_ref().collect();
                 // Table cells this document had to compute: 0 once the
                 // automaton is warm, so a non-zero count marks a cold one.
+                // And what the walk did: candidate searches, and stretch
+                // positions crossed without one.
                 if O::RECORDS {
                     obs.count("eval_table_cells", stream.graph().table_cells());
+                    obs.count("walk_steps", stream.walk_steps());
+                    obs.count("stretch_positions", stream.stretch_positions());
                 }
                 Ok(MappingSet::from_mappings(mappings?))
             }

@@ -19,6 +19,24 @@
 //! per position (on a `.*`-headed line ∅ is the only viable candidate at
 //! most positions), and that backtracking reaches the next alternative in
 //! O(1).
+//!
+//! Nor does the walk search candidates where it cannot branch. A *stretch
+//! position* `p` of a frontier `F` is one where ∅ is `F`'s only viable
+//! candidate, the byte at `p` steps ∅'s reached set back to `F`, and `F`
+//! is not forced at `p + 1`: the frame-per-position walk would enter it,
+//! choose ∅, keep no frame, record nothing and enter `p + 1` with `F`
+//! again. [`Enumerator::next`] resumes the top frame once (the root
+//! frame, kept off the stack, first) and walks forward in one loop; after
+//! each letter step it crosses the stretch it enters ([`MatchGraph`]'s
+//! `cross`, a loop over the frontier's [`Stretch`](spanner_vset::Stretch)
+//! cell and the per-position backward states); a resumed frame's position
+//! is always searched. It is the same DFS with cheaper boring steps:
+//! answers, order, frames, duplicate-freeness and the delay bound are
+//! unchanged. Two
+//! counters say what the walk did — [`Enumerator::walk_steps`] candidate
+//! searches and [`Enumerator::stretch_positions`] positions crossed; their
+//! sum is the number of candidate searches the frame-per-position walk
+//! made.
 
 use crate::matchgraph::MatchGraph;
 use crate::opset::{mapping_from_ops, OpSet};
@@ -36,12 +54,20 @@ use spanner_vset::{CompiledVsa, EvalTables, SetId, Vsa};
 /// graph's backward pass attached to the position.
 pub struct Enumerator<'a> {
     graph: MatchGraph<'a>,
-    /// DFS stack: one frame per branch point on the current path, and the
-    /// position being descended into (see the module docs).
+    /// Whether the walk has yet to start from the root frame `(1,
+    /// {initial})`. The root is kept off the stack, so a document without
+    /// a branch point never allocates one.
+    root: bool,
+    /// DFS stack: one frame per branch point on the current path (see the
+    /// module docs).
     stack: Vec<Frame>,
     /// The non-empty operation sets chosen on the current path, with their
     /// positions.
     path: Vec<(u32, OpSet)>,
+    /// Candidate searches so far.
+    walk_steps: u64,
+    /// Stretch positions crossed so far.
+    stretch_positions: u64,
 }
 
 #[derive(Clone, Copy)]
@@ -76,20 +102,14 @@ impl<'a> Enumerator<'a> {
     }
 
     fn with_graph(graph: MatchGraph<'a>) -> SpannerResult<Self> {
-        let mut e = Enumerator {
+        Ok(Enumerator {
+            root: graph.is_nonempty(),
             graph,
             stack: Vec::new(),
             path: Vec::new(),
-        };
-        if e.graph.is_nonempty() {
-            e.stack.push(Frame {
-                pos: 1,
-                frontier: EvalTables::INITIAL,
-                next: 0,
-                path_len: 0,
-            });
-        }
-        Ok(e)
+            walk_steps: 0,
+            stretch_positions: 0,
+        })
     }
 
     /// The match graph driving the enumeration.
@@ -97,52 +117,77 @@ impl<'a> Enumerator<'a> {
         &self.graph
     }
 
+    /// Candidate searches made so far: one per position the walk entered
+    /// outside a stretch, and one per resumed frame.
+    pub fn walk_steps(&self) -> u64 {
+        self.walk_steps
+    }
+
+    /// Stretch positions crossed so far (see the module docs): positions
+    /// the walk passed with no candidate search.
+    pub fn stretch_positions(&self) -> u64 {
+        self.stretch_positions
+    }
+
     fn next_mapping(&mut self) -> Option<SpannerResult<Mapping>> {
         let n = self.graph.doc.len() as u32;
+        // Resume the top frame (the root, first), then walk forward to the
+        // next mapping.
+        let root = Frame {
+            pos: 1,
+            frontier: EvalTables::INITIAL,
+            next: 0,
+            path_len: 0,
+        };
+        let Frame {
+            mut pos,
+            mut frontier,
+            next,
+            path_len,
+        } = match self.stack.pop() {
+            Some(frame) => frame,
+            None if std::mem::take(&mut self.root) => root,
+            None => return None,
+        };
+        self.path.truncate(path_len as usize);
+        let mut from = next as usize;
         loop {
-            let top = self.stack.len().checked_sub(1)?;
-            let Frame {
-                pos,
-                frontier,
-                next,
-                path_len,
-            } = self.stack[top];
+            self.walk_steps += 1;
             let (set, reached, rest) = self
                 .graph
-                .next_candidate(pos, frontier, next as usize)
-                .expect("every frame on the stack has a viable candidate left");
-            // Record the choice (replacing any previous choice at this depth).
-            self.path.truncate(path_len as usize);
+                .next_candidate(pos, frontier, from)
+                .expect("a resumed frame, and every position walked into, has a viable candidate");
+            // Keep a frame only while it has a viable candidate left: a
+            // frame with none would never be resumed.
+            if let Some(i) = rest {
+                self.stack.push(Frame {
+                    pos,
+                    frontier,
+                    next: i as u32,
+                    path_len: self.path.len() as u32,
+                });
+            }
             if !set.is_empty() {
                 self.path.push((pos, set));
             }
-            // Keep the frame only while it has a viable candidate left: a
-            // frame with none would never be resumed, so whatever comes next
-            // (a successor, or a backtrack to the branch below) replaces it.
-            match rest {
-                Some(i) => self.stack[top].next = i as u32,
-                None => self.stack.truncate(top),
+            if pos > n {
+                break;
             }
-            if pos <= n {
-                // Consume the letter at `pos` and descend — unless the
-                // subtree below is forced: then the mapping is already
-                // determined by the path, so emit it without walking the
-                // suffix frame by frame (the dominant cost on
-                // `.*…​.*`-shaped extractors).
-                let frontier = self.graph.advance(pos, reached);
-                if !self.graph.forced(pos + 1, frontier) {
-                    self.stack.push(Frame {
-                        pos: pos + 1,
-                        frontier,
-                        next: 0,
-                        path_len: self.path.len() as u32,
-                    });
-                    continue;
-                }
+            // Consume the letter at `pos` and walk on — unless the rest is
+            // forced: then the mapping is already determined by the path,
+            // so emit it without walking the suffix (the dominant cost on
+            // `.*…​.*`-shaped extractors). Cross the stretch the walk
+            // enters, if any, without a candidate search.
+            frontier = self.graph.advance(pos, reached);
+            if self.graph.forced(pos + 1, frontier) {
+                break;
             }
-            let vars = self.graph.compiled().var_table().vars();
-            return Some(mapping_from_ops(vars, &self.path));
+            let entered = self.graph.cross(pos + 1, frontier);
+            self.stretch_positions += u64::from(entered - pos - 1);
+            (pos, from) = (entered, 0);
         }
+        let vars = self.graph.compiled().var_table().vars();
+        Some(mapping_from_ops(vars, &self.path))
     }
 }
 

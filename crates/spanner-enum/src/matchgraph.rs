@@ -159,6 +159,61 @@ impl<'a> MatchGraph<'a> {
         }
     }
 
+    /// Crosses the stretch of `frontier` that begins at `pos`: returns the
+    /// first position at or after `pos` that is not a stretch position of
+    /// `frontier` (see [`spanner_vset::Stretch`]), `|d| + 1` at the latest.
+    /// Every position crossed is one the walk would have entered with ∅ as
+    /// its only viable candidate and left with the same frontier, unforced.
+    ///
+    /// The common answer — no stretch begins here — is one test inline;
+    /// the loop behind it borrows the tables once and allocates nothing. A
+    /// cell it needs is filled and the loop resumes where it stopped, so
+    /// where a stretch ends does not depend on how warm the tables are.
+    #[inline]
+    pub(crate) fn cross(&mut self, pos: u32, frontier: SetId) -> u32 {
+        let bytes = self.doc.bytes();
+        let class = || self.compiled.class_of(bytes[pos as usize - 1]);
+        if pos as usize > bytes.len() || self.tables.no_stretch_at(frontier, class) {
+            return pos;
+        }
+        self.cross_stretch(pos as usize, frontier)
+    }
+
+    /// The loop of [`MatchGraph::cross`], kept out of line: the inline test
+    /// answers almost every call, and the walk's own loop stays small.
+    #[inline(never)]
+    fn cross_stretch(&mut self, mut pos: usize, frontier: SetId) -> u32 {
+        let bytes = self.doc.bytes();
+        loop {
+            // The stretch cell is filled with the frontier's candidates.
+            if self.tables.ops(frontier).is_none() {
+                Arc::make_mut(&mut self.tables).fill_ops(&self.compiled, frontier);
+            }
+            let Some(stretch) = self.tables.stretch(frontier) else {
+                return pos as u32;
+            };
+            let mut holds = Some(false);
+            while pos <= bytes.len() {
+                let class = self.compiled.class_of(bytes[pos - 1]);
+                holds = stretch.holds(self.back[pos - 1], class);
+                if holds != Some(true) {
+                    break;
+                }
+                debug_assert!(
+                    !self.forced(pos as u32 + 1, frontier),
+                    "a stretch is unforced"
+                );
+                pos += 1;
+            }
+            if holds.is_some() || pos > bytes.len() {
+                return pos as u32;
+            }
+            // ∅'s step over this byte is not filled yet.
+            let (empty, class) = (stretch.empty(), self.compiled.class_of(bytes[pos - 1]));
+            Arc::make_mut(&mut self.tables).fill_step(&self.compiled, empty, class);
+        }
+    }
+
     /// Whether the continuation of `frontier` at `pos` is *forced*: no
     /// accepting continuation performs another variable operation, so the
     /// subtree below holds exactly one mapping and adds nothing to it.

@@ -47,5 +47,5 @@ pub use compiled::{CompiledVsa, StateSet, VarOp};
 pub use join::{join, join_with_options, JoinOptions};
 pub use scan::{PreScan, ScanPlan};
 pub use semifunctional::{make_semi_functional, SemiFunctionalVsa};
-pub use tables::{BackId, EvalTableStats, EvalTables, SetId, EVAL_TABLE_BUDGET};
+pub use tables::{BackId, EvalTableStats, EvalTables, SetId, Stretch, EVAL_TABLE_BUDGET};
 pub use thompson::compile;

@@ -1,4 +1,5 @@
-//! The scan-core fast path: literal prefilters and a lazy boolean DFA.
+//! The scan-core fast path: literal prefilters and a boolean DFA built on
+//! first use.
 //!
 //! Most documents in a corpus match a given query *nowhere*. Full
 //! enumeration machinery (match-graph backward pass, op-closure DFS) costs
@@ -14,8 +15,9 @@
 //!    accepted document contains at least one byte of each (a class is
 //!    required iff forbidding its bytes empties the language). A document
 //!    failing any prefilter is skipped without scanning a single state.
-//! 2. **Lazy boolean DFA**: an on-demand subset construction over the
-//!    compiled byte classes, with variable operations treated as ε (which
+//! 2. **Boolean DFA**: a subset construction over the compiled byte
+//!    classes, built whole by the first prescan that needs it (not row by
+//!    row as bytes arrive), with variable operations treated as ε (which
 //!    is exact for boolean acceptance — they consume no input). The budget
 //!    [`DFA_CELL_BUDGET`] bounds `states × classes`; within it, scanning is
 //!    one table lookup per byte, with per-state acceleration: an accepting
@@ -97,7 +99,7 @@ enum Accel {
     SkipToClass(ByteClass),
 }
 
-/// The lazily built boolean DFA (tier 2 of the ladder).
+/// The boolean DFA (tier 2 of the ladder), built whole on first use.
 #[derive(Debug, Clone)]
 struct MatchDfa {
     class_count: usize,
@@ -213,14 +215,16 @@ impl ScanPlan {
 }
 
 impl CompiledVsa {
-    /// The compile-time scan analysis (prefilters + lazy-DFA handle).
+    /// The compile-time scan analysis (prefilters + the DFA's first-use
+    /// handle).
     pub fn scan_plan(&self) -> &ScanPlan {
         self.scan()
     }
 
     /// Runs the boolean pre-pass ladder on one document (see the module
-    /// docs): static prefilters, then the lazy DFA (NFA frontier fallback
-    /// past the state budget).
+    /// docs): static prefilters, then the boolean DFA, built whole by the
+    /// first call that reaches it (NFA frontier fallback past the state
+    /// budget).
     pub fn prescan(&self, doc: &Document) -> PreScan {
         let plan = self.scan();
         let bytes = doc.bytes();
@@ -831,9 +835,10 @@ fn build_dfa(compiled: &CompiledVsa) -> Option<MatchDfa> {
         table.extend_from_slice(&row);
     }
 
-    // Rows are built lazily above, so pad any states discovered after the
-    // last processed row (cannot happen — the worklist drains fully — but
-    // keep the invariant explicit).
+    // The worklist above drains the whole subset construction (every
+    // discovered subset gets its row) before the first scan reads the
+    // table: nothing here is built per row on demand, which is why the
+    // first prescan of an automaton pays for all of it.
     debug_assert_eq!(table.len(), subsets.len() * class_count);
 
     let accel = (0..subsets.len())

@@ -21,6 +21,14 @@
 //!   *viable* at a position is one `S ∩ U(p)` test, and whether the rest of
 //!   the document is *forced* (one mapping, no more operations) is one
 //!   `F ∩ O(p)` test.
+//! * **stretches** — filled with each `ops(F)` row, the frontier's
+//!   [`Stretch`] cell: ∅'s reached set `E` and the union of the other
+//!   candidates' reached sets, kept only for a frontier some byte steps `E`
+//!   back to. A position `p` only advances the walk — ∅ is the only viable
+//!   candidate, `step(E, d[p]) = F`, and `F` is not forced at `p + 1` —
+//!   when `E` meets `U(p)`, the union does not, and the `step` cell says
+//!   `F` (the third condition then follows), so the enumerator crosses
+//!   such positions in a loop of lookups (DESIGN §8, "Stretches").
 //!
 //! Cells are filled lazily — a miss costs what the per-document DP step or
 //! op-closure exploration used to cost, a hit is a lookup — so a
@@ -135,12 +143,27 @@ pub struct EvalTables {
     back: Vec<BackId>,
     /// `step[s * classes + c]`: the targets of `s` on a byte of class `c`.
     step: Vec<SetId>,
-    /// `ops[f]`: the candidates of frontier `f`, a range of `cands`.
-    ops: Vec<(u32, u32)>,
+    /// `ops[f]`: the candidates of frontier `f`, a range of `cands`, and
+    /// its stretch cell, a row of `others`.
+    ops: Vec<OpsRow>,
     /// `(operation-set bits, reached states)`, sorted by bits per frontier.
     cands: Vec<(u64, SetId)>,
+    /// `width` blocks per stretch cell: the union of the states the row's
+    /// candidates other than ∅ reach.
+    others: Vec<u64>,
     back_cells: u64,
     forward_cells: u64,
+}
+
+/// Where a frontier's candidates and its stretch cell are; `start` is
+/// [`UNFILLED`] until [`EvalTables::fill_ops`] ran.
+#[derive(Debug, Clone, Copy)]
+struct OpsRow {
+    start: u32,
+    len: u32,
+    /// The row of `others`; [`UNFILLED`] when no byte steps ∅'s reached
+    /// set back to the frontier, so no position is a stretch position.
+    others: u32,
 }
 
 /// A size report of one automaton's tables (for `explain`).
@@ -173,6 +196,7 @@ impl EvalTables {
             step: Vec::new(),
             ops: Vec::new(),
             cands: Vec::new(),
+            others: Vec::new(),
             back_cells: 0,
             forward_cells: 0,
         };
@@ -231,8 +255,9 @@ impl EvalTables {
             bytes: self.sets.bytes()
                 + self.pairs.bytes()
                 + 4 * (self.back.len() + self.step.len())
-                + 8 * self.ops.len()
-                + 16 * self.cands.len(),
+                + 12 * self.ops.len()
+                + 16 * self.cands.len()
+                + 8 * self.others.len(),
         }
     }
 
@@ -240,7 +265,11 @@ impl EvalTables {
         let (id, fresh) = self.sets.intern(set.blocks());
         if fresh {
             self.step.resize(self.step.len() + self.classes, UNFILLED);
-            self.ops.push((UNFILLED, 0));
+            self.ops.push(OpsRow {
+                start: UNFILLED,
+                len: 0,
+                others: 0,
+            });
         }
         id
     }
@@ -336,8 +365,68 @@ impl EvalTables {
     /// that cannot progress — they matter at later positions.
     #[inline]
     pub fn ops(&self, frontier: SetId) -> Option<&[(u64, SetId)]> {
-        let (start, len) = self.ops[frontier as usize];
+        let OpsRow { start, len, .. } = self.ops[frontier as usize];
         (start != UNFILLED).then(|| &self.cands[start as usize..][..len as usize])
+    }
+
+    /// Whether no stretch of `frontier` begins at a position holding a
+    /// byte of class `class()`, decided without borrowing the cell: the
+    /// frontier's row is filled, and it has no stretch cell or ∅'s step
+    /// over the class is filled and leads to another frontier. (`false` is
+    /// "maybe".) A walk asks after every letter step; this answers it
+    /// almost always, and reads the byte only for a frontier with a cell.
+    #[inline]
+    pub fn no_stretch_at(&self, frontier: SetId, class: impl FnOnce() -> usize) -> bool {
+        let OpsRow { start, others, .. } = self.ops[frontier as usize];
+        if start == UNFILLED {
+            return false;
+        }
+        if others == UNFILLED {
+            return true;
+        }
+        let empty = self.cands[start as usize].1;
+        let step = self.step[empty as usize * self.classes + class()];
+        step != UNFILLED && step != frontier
+    }
+
+    /// The stretch cell of a frontier: `None` until its [`EvalTables::ops`]
+    /// row is filled (the two are filled together), and for a frontier that
+    /// no byte steps ∅'s reached set back to.
+    #[inline]
+    pub fn stretch(&self, frontier: SetId) -> Option<Stretch<'_>> {
+        let OpsRow { start, others, .. } = self.ops[frontier as usize];
+        let width = self.sets.width;
+        if start == UNFILLED || others == UNFILLED {
+            return None;
+        }
+        let empty = self.cands[start as usize].1;
+        Some(Stretch {
+            tables: self,
+            frontier,
+            empty,
+            reached: self.sets.set(empty),
+            steps: &self.step[empty as usize * self.classes..][..self.classes],
+            others: &self.others[others as usize * width..][..width],
+        })
+    }
+
+    /// Whether a byte of some class steps `closure` — the states ∅ reaches
+    /// from `frontier` — to exactly `frontier`.
+    fn returns(&self, compiled: &CompiledVsa, frontier: SetId, closure: &StateSet) -> bool {
+        let members = self.sets.set(frontier);
+        let mut targets = StateSet::new(compiled.state_count());
+        (0..self.classes).any(|class| {
+            targets.clear();
+            for q in closure.iter() {
+                for &t in compiled.byte_targets(q, class) {
+                    if members[t / 64] & (1 << (t % 64)) == 0 {
+                        return false;
+                    }
+                    targets.insert(t);
+                }
+            }
+            targets.blocks() == members
+        })
     }
 
     /// Computes and stores [`EvalTables::ops`].
@@ -381,14 +470,84 @@ impl EvalTables {
                 }
             }
         }
+        // ∅ (the closure itself) sorts first.
         by_set.sort_by_key(|(set, _)| *set);
         let start = self.cands.len() as u32;
         for (set, reached) in &by_set {
             let id = self.intern_set(reached);
             self.cands.push((*set, id));
         }
-        self.ops[frontier as usize] = (start, by_set.len() as u32);
+        // The stretch cell, only where some byte steps ∅'s reached set back
+        // to the frontier: elsewhere no position is a stretch position.
+        let others = if self.returns(compiled, frontier, &by_set[0].1) {
+            let mut union = StateSet::new(states);
+            for (_, reached) in &by_set[1..] {
+                union.union_with(reached);
+            }
+            self.others.extend_from_slice(union.blocks());
+            (self.others.len() / self.sets.width - 1) as u32
+        } else {
+            UNFILLED
+        };
+        self.ops[frontier as usize] = OpsRow {
+            start,
+            len: by_set.len() as u32,
+            others,
+        };
         self.forward_cells += 1;
+    }
+}
+
+/// A frontier's stretch cell, borrowed with the tables: what decides, at a
+/// position `p`, that the walk only advances `p` (DESIGN §8, "Stretches").
+/// Position `p` with frontier `F` is a *stretch position* when ∅ is `F`'s
+/// only viable candidate there, the byte at `p` steps ∅'s reached set back
+/// to `F`, and `F` is not forced at `p + 1`. The cell is document
+/// independent: ∅'s reached set and the union of the other candidates'
+/// reached sets, so the first test is two intersections with `U(p)`; the
+/// second is the `step` cell.
+#[derive(Clone, Copy)]
+pub struct Stretch<'t> {
+    tables: &'t EvalTables,
+    frontier: SetId,
+    /// ∅'s reached set, its id and its row of `step`.
+    empty: SetId,
+    reached: &'t [u64],
+    steps: &'t [SetId],
+    /// The union of the other candidates' reached sets.
+    others: &'t [u64],
+}
+
+impl Stretch<'_> {
+    /// ∅'s reached set: the set a stretch position steps.
+    #[inline]
+    pub fn empty(&self) -> SetId {
+        self.empty
+    }
+
+    /// Whether a position in backward state `at`, holding a byte of `class`,
+    /// is a stretch position of the frontier, for a walk that stands there
+    /// with the frontier unforced (as a walk does wherever it stands);
+    /// `None` when ∅'s step over `class` is not filled yet and the answer
+    /// turns on it. The step is tested first: where a stretch ends, the
+    /// byte usually leads elsewhere.
+    ///
+    /// The third condition, `F` unforced at `p + 1`, follows from the first
+    /// two there and is not tested: a state of `F` with an operation ahead
+    /// performs it after `p` (at `p` it would make a candidate other than ∅
+    /// viable), so it reads the byte at `p` from ∅'s reached set and lands
+    /// in `step(E, d[p]) = F` with the operation still ahead.
+    #[inline]
+    pub fn holds(&self, at: BackId, class: usize) -> Option<bool> {
+        let step = self.steps[class];
+        if step != UNFILLED && step != self.frontier {
+            return Some(false);
+        }
+        let useful = self.tables.useful(at);
+        if !meet(self.reached, useful) || meet(self.others, useful) {
+            return Some(false);
+        }
+        (step != UNFILLED).then_some(true)
     }
 }
 
@@ -504,6 +663,28 @@ mod tests {
         assert!(t.viable(closed, at_b));
         let tail = t.fill_step(&c, closed, c.class_of(b'b'));
         assert!(t.forced(tail, EvalTables::ACCEPTING));
+    }
+
+    #[test]
+    fn a_stretch_cell_only_where_a_byte_steps_back_to_the_frontier() {
+        // a*{x:b}: after an `a` the frontier loops on `a`; the initial one
+        // is never re-entered.
+        let c = compiled("a*{x:b}");
+        let mut t = EvalTables::new(&c);
+        let (a, b) = (c.class_of(b'a'), c.class_of(b'b'));
+        t.fill_ops(&c, EvalTables::INITIAL);
+        assert!(t.stretch(EvalTables::INITIAL).is_none());
+        assert!(t.no_stretch_at(EvalTables::INITIAL, || a));
+        let empty = t.ops(EvalTables::INITIAL).unwrap()[0].1;
+        let looping = t.fill_step(&c, empty, a);
+        assert!(!t.no_stretch_at(looping, || a), "row not filled: maybe");
+        t.fill_ops(&c, looping);
+        let empty = t.stretch(looping).expect("`a` steps back").empty();
+        assert_eq!(t.fill_step(&c, empty, a), looping);
+        // A `b` leads out once its step is filled; until then, maybe.
+        assert!(!t.no_stretch_at(looping, || b));
+        t.fill_step(&c, empty, b);
+        assert!(t.no_stretch_at(looping, || b) && !t.no_stretch_at(looping, || a));
     }
 
     #[test]

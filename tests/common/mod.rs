@@ -6,24 +6,26 @@
 //! script: steps, each a batch of mutations. A [`Surface`] answers a case
 //! with the relation of every document after one or more steps, asserting
 //! on the way the tallies it promises; a panic is an answer too. [`check`]
-//! holds every answer to the reference, `spanner_paper`'s
-//! `evaluate_ra_materialized` over the corpus replayed to that step. On a
-//! disagreement it shrinks the case while the surface still disagrees, and
-//! panics with the smallest case as a ready-to-paste `#[test]`.
+//! holds every answer to the reference (`reference.rs`: the paper's
+//! configuration-space interpreter at the leaves, naive operators above
+//! them) over the corpus replayed to that step. On a disagreement it
+//! shrinks the case while the surface still disagrees, and panics with the
+//! smallest case as a ready-to-paste `#[test]`.
 #![allow(dead_code)] // each oracle uses the surfaces it needs
 
 use document_spanners::prelude::*;
 use document_spanners::workloads::random_text;
-use spanner_core::SpannerResult;
-use spanner_enum::evaluate_compiled;
-use spanner_paper::{evaluate_ra_materialized, interpret};
-use spanner_rgx::is_sequential;
+use spanner_algebra::{tree_vars, NoTrace, PhysOp};
+use spanner_paper::interpret;
 use spanner_serve::{protocol::mappings_to_json, Json};
 use spanner_vset::CompiledVsa;
 use spanner_workloads::{random_ql_program, random_ra_tree, random_sequential_vsa};
 use spanner_workloads::{RandomQlConfig, RandomRaConfig, RandomVsaConfig};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+
+mod reference;
 
 /// What a surface saw: after `.0` steps of the script, one relation per
 /// document.
@@ -153,47 +155,17 @@ pub fn surface<'a>(name: impl ToString, run: impl Fn(&Case) -> Option<Seen> + 'a
 
 // ------------------------------------------------------------ comparison
 
-/// A leaf automaton compiled once per case and evaluated cold on every
-/// document, as `evaluate_ra_materialized` evaluates the leaves it compiles
-/// per document: with a zero table budget, the evaluation tables a document
-/// fills are dropped, never handed to the next, so warm tables are never on
-/// the reference side.
-struct Compiled(CompiledVsa, VarSet);
-
-impl Spanner for Compiled {
-    fn name(&self) -> String {
-        "compiled leaf".into()
-    }
-
-    fn vars(&self) -> VarSet {
-        self.1.clone()
-    }
-
-    fn eval(&self, doc: &Document) -> SpannerResult<MappingSet> {
-        evaluate_compiled(&self.0, doc)
-    }
-}
-
-/// The reference on one case: its leaves compiled, and its relation by
-/// document (`None` where the reference fails).
+/// The reference on one case: its leaves' automata, and its relation by
+/// document (`None` where the reference cannot answer).
 type Memo = (
-    Option<Option<Instantiation>>,
+    Option<Option<reference::Leaves>>,
     HashMap<String, Option<MappingSet>>,
 );
 
-fn reference(case: &Case, (inst, sets): &mut Memo, text: &str) -> Option<MappingSet> {
-    let inst = inst.get_or_insert_with(|| {
-        let mut inst = Instantiation::new();
-        for id in leaves(&case.tree) {
-            let unsequential = matches!(case.inst.atom(id)?, Atom::Rgx(r) if !is_sequential(r));
-            let a = leaf_vsa(case, &RaTree::leaf(id)).filter(|_| !unsequential)?;
-            let cold = CompiledVsa::compile(&a).with_eval_table_budget(0);
-            inst = inst.with_black_box(id, Compiled(cold, a.vars().clone()));
-        }
-        Some(inst)
-    });
+fn reference(case: &Case, (leaves, sets): &mut Memo, text: &str) -> Option<MappingSet> {
+    let leaves = leaves.get_or_insert_with(|| reference::leaves(&case.tree, &case.inst));
     let doc = Document::new(text);
-    let eval = || evaluate_ra_materialized(&case.tree, inst.as_ref()?, &doc).ok();
+    let eval = || Some(reference::evaluate(&case.tree, leaves.as_ref()?, &doc));
     sets.entry(text.into()).or_insert_with(eval).clone()
 }
 
@@ -253,8 +225,8 @@ pub fn check_all(cases: impl IntoIterator<Item = Case>, surfaces: &[Surface]) {
     cases.into_iter().for_each(|case| check(&case, surfaces));
 }
 
-/// Every surface answers `case` as the reference does, or this panics with
-/// the case shrunk.
+/// Every surface — those given, then [`relational`] — answers `case` as
+/// the reference does, or this panics with the case shrunk.
 pub fn check(case: &Case, surfaces: &[Surface]) {
     if let Some((small, name, why)) = first_failure(case, surfaces) {
         let headline = format!("surface {name:?} disagrees with the reference");
@@ -262,22 +234,23 @@ pub fn check(case: &Case, surfaces: &[Surface]) {
     }
 }
 
-/// The first surface that disagrees on `case`: the case shrunk while that
-/// surface still disagrees, the surface's name and the disagreement. Panics
-/// if the reference cannot answer `case` itself; a shrinking candidate it
-/// cannot answer is only not a disagreement.
+/// The first surface that disagrees on `case` (the given ones, then
+/// [`relational`]): the case shrunk while that surface still disagrees,
+/// the surface's name and the disagreement. Panics if the reference cannot
+/// answer `case` itself; a shrinking candidate it cannot answer is only not
+/// a disagreement.
 pub fn first_failure(case: &Case, surfaces: &[Surface]) -> Option<(Case, String, String)> {
     let mut memo = Memo::default();
-    let (failing, why) = surfaces
-        .iter()
-        .find_map(|s| match judge(case, s, &mut memo) {
-            Verdict::Agrees => None,
-            Verdict::Broken(why) => panic!(
-                "{}",
-                repro(case, "the reference cannot answer the case", &why)
-            ),
-            Verdict::Disagrees(why) => Some((s, why)),
-        })?;
+    let relational = relational();
+    let mut all = surfaces.iter().chain([&relational]);
+    let (failing, why) = all.find_map(|s| match judge(case, s, &mut memo) {
+        Verdict::Agrees => None,
+        Verdict::Broken(why) => panic!(
+            "{}",
+            repro(case, "the reference cannot answer the case", &why)
+        ),
+        Verdict::Disagrees(why) => Some((s, why)),
+    })?;
     let disagrees = |c: Case| match quietly(|| judge(&c, failing, &mut Memo::default())) {
         Verdict::Disagrees(why) => Some((c, why)),
         _ => None,
@@ -558,6 +531,35 @@ pub fn vsa_case(tree: RaTree, atoms: &[(usize, &'static str, u64)]) -> Case {
     Case::ra(tree, inst, &AB_DOCS).from(origin)
 }
 
+/// Formulas with loops a letter steps back into, over documents with long
+/// runs: the cases where the enumerator crosses most positions instead of
+/// searching them (DESIGN §8, "Stretches") — to the end of the document,
+/// up to a branch, and broken by a letter that leaves the loop. The random
+/// automata of [`vsa_case`] are layered and almost never loop.
+pub fn stretch_cases() -> impl Iterator<Item = Case> {
+    const FORMULAS: [&str; 7] = [
+        ".*{x:a+}.*",
+        "{x:.*}b",
+        "a*{x:b*}a*",
+        ".*({y:c})?.*",
+        "(a|b)*{x:c+}.*",
+        ".*{x:a}.*{y:b}",
+        ".*{x:c.*}",
+    ];
+    const DOCS: [&str; 7] = [
+        "",
+        "a",
+        "aaaaaab",
+        "abababab",
+        "bbbbcbbbb",
+        "aaaccccab",
+        "aabbccaabbcc",
+    ];
+    FORMULAS
+        .map(|f| Case::ql(&format!("/{f}/"), &DOCS))
+        .into_iter()
+}
+
 /// The automaton of a leaf (a formula's Thompson automaton).
 pub fn leaf_vsa(case: &Case, tree: &RaTree) -> Option<Vsa> {
     let RaTree::Leaf(id) = tree else { return None };
@@ -574,7 +576,20 @@ pub fn ra_case<S: AsRef<str>>(seed: u64, offset: u64, docs: &[S]) -> Case {
     let mut config = RandomRaConfig::default();
     (config.depth, config.leaves) = (2 + seed as usize % 2, 2 + seed as usize % 3);
     config.allow_difference = !seed.is_multiple_of(4);
-    let (tree, inst) = random_ra_tree(config, seed + offset);
+    let (mut tree, mut inst) = random_ra_tree(config, seed + offset);
+    // The generator's leaves draw variables from two name pools, so its
+    // joins seldom meet on a variable two different leaves bind — where
+    // the vset product and `MappingSet::join` can go wrong. On a quarter of
+    // the seeds the tree is joined with a formula binding one of its
+    // variables to an `a`.
+    let var = tree_vars(&tree, &inst)
+        .ok()
+        .and_then(|v| v.iter().next().cloned());
+    if let Some(x) = var.filter(|_| seed % 4 == 1) {
+        let id = inst.len();
+        inst = inst.with(id, parse(&format!(".*{{{x}:a}}.*")).unwrap());
+        tree = RaTree::join(tree, RaTree::leaf(id));
+    }
     Case::ra(tree, inst, docs).from(format!("ra_case({seed}, {offset}, &[\"\"])"))
 }
 
@@ -636,6 +651,54 @@ pub fn interpreter() -> Surface<'static> {
     }
     surface("interpreter", |case| {
         case.each_doc(|d| eval(case, &case.tree, d))
+    })
+}
+
+/// Every node of the tree as the executor's relational operator — hash
+/// join, anti-join, union, projection — over one compiled scan per leaf,
+/// executed on every document after every step of the script. Lowering
+/// compiles a static join into one automaton and leaves `MappingSet`'s
+/// operators to the nodes above a dynamic one, which few random cases
+/// have; [`check`] holds this surface to the reference on every case, so
+/// those operators and the enumerator are checked everywhere.
+pub fn relational() -> Surface<'static> {
+    fn lower(case: &Case, tree: &RaTree) -> Option<PhysOp> {
+        let op = |t: &RaTree| lower(case, t).map(Box::new);
+        Some(match tree {
+            RaTree::Leaf(_) => PhysOp::CompiledScan {
+                compiled: Arc::new(CompiledVsa::compile(&leaf_vsa(case, tree)?)),
+                fast_path: true,
+            },
+            RaTree::Project(keep, c) => PhysOp::Project {
+                keep: keep.clone(),
+                input: op(c)?,
+            },
+            RaTree::Union(l, r) => PhysOp::UnionAll(vec![*op(l)?, *op(r)?]),
+            RaTree::Join(l, r) => PhysOp::HashJoin {
+                left: op(l)?,
+                right: op(r)?,
+            },
+            RaTree::Difference(l, r) => PhysOp::Difference {
+                input: op(l)?,
+                probe: op(r)?,
+            },
+        })
+    }
+    surface("every operator relational, after every step", |case| {
+        let root = lower(case, &case.tree)?;
+        let mut relations: HashMap<String, MappingSet> = HashMap::new();
+        let mut seen = Seen::new();
+        for step in 0..=case.script.len() {
+            let mut relation = |text: &String| {
+                let eval = || root.execute(&Document::new(text), usize::MAX, false, &mut NoTrace);
+                relations
+                    .entry(text.clone())
+                    .or_insert_with(|| eval().unwrap())
+                    .clone()
+            };
+            seen.push((step, case.replay(step)?.iter().map(&mut relation).collect()));
+        }
+        Some(seen)
     })
 }
 

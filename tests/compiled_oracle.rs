@@ -1,7 +1,8 @@
 //! The compiled evaluation engine against the configuration-space
 //! interpreter: random sequential vset-automata — alone, joined and
-//! differenced — through the enumerator, compiled on the fly and ahead of
-//! time, the vset join and both Section-4 difference constructions.
+//! differenced — and looping formulas through the enumerator, compiled on
+//! the fly and ahead of time, the vset join and both Section-4 difference
+//! constructions.
 
 mod common;
 
@@ -27,6 +28,7 @@ fn operands(case: &Case) -> Option<(Vsa, Vsa)> {
 fn compiled_enumeration_agrees_with_interpreter() {
     let atoms = |seed| [(1 + seed as usize % 3, "v", seed)];
     let cases = (0..100).map(|seed| vsa_case(RaTree::leaf(0), &atoms(seed)));
+    let cases = cases.chain(stretch_cases());
     let fly = surface("evaluate", |case| {
         let vsa = leaf(case)?;
         case.each_doc(|doc| evaluate(&vsa, doc).unwrap())

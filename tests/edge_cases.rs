@@ -387,3 +387,121 @@ fn long_document_smoke_test() {
     let count = count_mappings(&vsa, &doc, usize::MAX).unwrap();
     assert!(count > 0);
 }
+
+/// The enumerator's answers on `text`, in order, with its walk counters —
+/// held to the interpreter's answer, each mapping once, and the counters
+/// the same on cold tables and warm ones.
+fn stretch_walk(pattern: &str, text: &str) -> (Vec<Mapping>, u64, u64) {
+    let vsa = compile(&parse(pattern).unwrap());
+    let compiled = spanner_vset::CompiledVsa::compile(&vsa);
+    let doc = Document::new(text);
+    let walk = || {
+        let mut e = spanner_enum::enumerate_compiled(&compiled, &doc).unwrap();
+        let listed: Vec<Mapping> = e.by_ref().map(Result::unwrap).collect();
+        (listed, e.walk_steps(), e.stretch_positions())
+    };
+    let cold = walk();
+    let set = MappingSet::from_mappings(cold.0.clone());
+    assert_eq!(
+        set.len(),
+        cold.0.len(),
+        "{pattern} on {text:?}: a mapping twice"
+    );
+    let reference = spanner_paper::interpret(&vsa, &doc);
+    assert_eq!(set, reference, "{pattern} on {text:?}");
+    assert_eq!(
+        walk(),
+        cold,
+        "{pattern} on {text:?}: warm tables walk otherwise"
+    );
+    cold
+}
+
+fn spans(mapping: &Mapping) -> Vec<(String, u32, u32)> {
+    let pairs = mapping.iter();
+    pairs
+        .map(|(x, s)| (x.to_string(), s.start, s.end))
+        .collect()
+}
+
+#[test]
+fn a_stretch_runs_to_the_end_of_the_document() {
+    // Inside `{x:.*}` ∅ is the only viable candidate until x closes at
+    // |d| + 1: every position after the first letter of x is crossed.
+    let text = format!("a{}", "z".repeat(40));
+    let (listed, steps, crossed) = stretch_walk("a{x:.*}", &text);
+    assert_eq!(spans(&listed[0]), [("x".to_string(), 2, 42)]);
+    assert_eq!(steps + crossed, 42, "positions 1 to |d| + 1, each once");
+    assert!(
+        crossed >= 38 && steps <= 5,
+        "{steps} steps, {crossed} crossed"
+    );
+}
+
+#[test]
+fn a_stretch_ends_where_a_second_candidate_becomes_viable() {
+    // The head stretches up to the `z`, where ∅ and `y⊢` are both viable;
+    // the ∅ branch is forced right after it and emitted first.
+    let (listed, steps, crossed) = stretch_walk(".*({y:z})?.*", "aaaaazaaaa");
+    assert_eq!(listed.len(), 2);
+    assert!(listed[0].is_empty(), "{listed:?}");
+    assert_eq!(spans(&listed[1]), [("y".to_string(), 6, 7)]);
+    assert!(crossed >= 3, "{steps} steps, {crossed} crossed");
+}
+
+#[test]
+fn a_byte_that_leaves_the_frontier_breaks_the_stretch() {
+    // `a*` stretches, the first `b` leads into `b*`'s frontier (a general
+    // step), `b*` stretches again, and `x` opens at the `c`.
+    let (listed, steps, crossed) = stretch_walk("a*b*{x:c}", "aaaaabbbbbc");
+    assert_eq!(spans(&listed[0]), [("x".to_string(), 11, 12)]);
+    assert_eq!(steps + crossed, 12);
+    assert!(crossed >= 6, "{steps} steps, {crossed} crossed");
+}
+
+#[test]
+fn inside_a_dot_star_run_empty_is_not_always_viable() {
+    // At the last `a`, staying in `.*` cannot reach acceptance: ∅ is not
+    // viable there, and the walk must search, not cross.
+    let (listed, steps, crossed) = stretch_walk(".*{x:a}", "bbbbbbba");
+    assert_eq!(spans(&listed[0]), [("x".to_string(), 8, 9)]);
+    assert_eq!(steps + crossed, 9);
+    assert!(steps >= 2, "{steps} steps, {crossed} crossed");
+    // An `a` earlier in the run is a real alternative, never crossed.
+    let (listed, ..) = stretch_walk(".*{x:a}.*", "bbabbbab");
+    assert_eq!(listed.len(), 2);
+}
+
+#[test]
+fn nullable_patterns_on_the_empty_document() {
+    for pattern in ["{x:a*}", ".*", "{x:.*}{y:.*}", "(a|{x:()})"] {
+        let (listed, steps, crossed) = stretch_walk(pattern, "");
+        assert_eq!(listed.len(), 1, "{pattern}");
+        assert_eq!(
+            (steps, crossed),
+            (1, 0),
+            "{pattern}: one position, searched"
+        );
+    }
+}
+
+#[test]
+fn a_long_gap_between_two_answers_is_crossed_not_searched() {
+    // Theorem 2.5's delay on the case with few answers and long gaps: the
+    // walk's candidate searches do not grow with the gap.
+    let answers = |gap: usize| {
+        let text = format!("a{}a", "b".repeat(gap));
+        let (listed, steps, crossed) = stretch_walk(".*{x:a}.*", &text);
+        let listed: Vec<_> = listed.iter().map(spans).collect();
+        let n = gap as u32 + 2;
+        // ∅ before `x⊢`: the walk stays in `.*` first, so the later `a`
+        // comes first.
+        let want = [[("x".to_string(), n, n + 1)], [("x".to_string(), 1, 2)]];
+        assert_eq!(listed, want, "gap {gap}");
+        (steps, crossed)
+    };
+    let (short, _) = answers(40);
+    let (long, crossed) = answers(4000);
+    assert_eq!(short, long, "candidate searches grow with the gap");
+    assert!(crossed >= 3990, "{crossed} crossed");
+}

@@ -2,7 +2,8 @@
 //! documents, so what a document sees depends on which documents came
 //! before it, on which thread, and on whether the byte budget dropped the
 //! tables in between. None of that may show: on `compiled_oracle`'s random
-//! automata every history lists what a cold automaton lists, in its order.
+//! automata and looping formulas every history lists what a cold automaton
+//! lists, in its order.
 
 mod common;
 
@@ -11,8 +12,12 @@ use document_spanners::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use spanner_vset::{CompiledVsa, EvalTableStats};
 
+/// `compiled_oracle`'s random automata, then the looping formulas, whose
+/// stretches fill table cells mid-walk.
 fn cases(seeds: std::ops::Range<u64>) -> impl Iterator<Item = Case> {
-    seeds.map(|seed| vsa_case(RaTree::leaf(0), &[(1 + seed as usize % 3, "v", seed)]))
+    let automata =
+        seeds.map(|seed| vsa_case(RaTree::leaf(0), &[(1 + seed as usize % 3, "v", seed)]));
+    automata.chain(stretch_cases())
 }
 
 /// The mappings in enumeration order.
