@@ -32,11 +32,10 @@
 //! cell and the per-position backward states); a resumed frame's position
 //! is always searched. It is the same DFS with cheaper boring steps:
 //! answers, order, frames, duplicate-freeness and the delay bound are
-//! unchanged. Two
-//! counters say what the walk did — [`Enumerator::walk_steps`] candidate
-//! searches and [`Enumerator::stretch_positions`] positions crossed; their
-//! sum is the number of candidate searches the frame-per-position walk
-//! made.
+//! unchanged. Two counters say what the walk did —
+//! [`Enumerator::walk_steps`] candidate searches and
+//! [`Enumerator::stretch_positions`] positions crossed; their sum is the
+//! number of candidate searches the frame-per-position walk made.
 
 use crate::matchgraph::MatchGraph;
 use crate::opset::{mapping_from_ops, OpSet};

@@ -171,9 +171,11 @@ impl<'a> MatchGraph<'a> {
     /// where a stretch ends does not depend on how warm the tables are.
     #[inline]
     pub(crate) fn cross(&mut self, pos: u32, frontier: SetId) -> u32 {
-        let bytes = self.doc.bytes();
-        let class = || self.compiled.class_of(bytes[pos as usize - 1]);
-        if pos as usize > bytes.len() || self.tables.no_stretch_at(frontier, class) {
+        let Some(&byte) = self.doc.bytes().get(pos as usize - 1) else {
+            return pos;
+        };
+        let class = self.compiled.class_of(byte);
+        if self.tables.no_stretch_at(frontier, class) {
             return pos;
         }
         self.cross_stretch(pos as usize, frontier)
@@ -189,9 +191,7 @@ impl<'a> MatchGraph<'a> {
             if self.tables.ops(frontier).is_none() {
                 Arc::make_mut(&mut self.tables).fill_ops(&self.compiled, frontier);
             }
-            let Some(stretch) = self.tables.stretch(frontier) else {
-                return pos as u32;
-            };
+            let stretch = self.tables.stretch(frontier).expect("filled with the row");
             let mut holds = Some(false);
             while pos <= bytes.len() {
                 let class = self.compiled.class_of(bytes[pos - 1]);
@@ -205,7 +205,7 @@ impl<'a> MatchGraph<'a> {
                 );
                 pos += 1;
             }
-            if holds.is_some() || pos > bytes.len() {
+            if holds.is_some() {
                 return pos as u32;
             }
             // ∅'s step over this byte is not filled yet.

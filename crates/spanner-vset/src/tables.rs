@@ -23,12 +23,12 @@
 //!   `F ∩ O(p)` test.
 //! * **stretches** — filled with each `ops(F)` row, the frontier's
 //!   [`Stretch`] cell: ∅'s reached set `E` and the union of the other
-//!   candidates' reached sets, kept only for a frontier some byte steps `E`
-//!   back to. A position `p` only advances the walk — ∅ is the only viable
-//!   candidate, `step(E, d[p]) = F`, and `F` is not forced at `p + 1` —
-//!   when `E` meets `U(p)`, the union does not, and the `step` cell says
-//!   `F` (the third condition then follows), so the enumerator crosses
-//!   such positions in a loop of lookups (DESIGN §8, "Stretches").
+//!   candidates' reached sets. A position `p` only advances the walk — ∅
+//!   is the only viable candidate, `step(E, d[p]) = F`, and `F` is not
+//!   forced at `p + 1` — when `E` meets `U(p)`, the union does not, and
+//!   the `step` cell says `F` (the third condition then follows), so the
+//!   enumerator crosses such positions in a loop of lookups (DESIGN §8,
+//!   "Stretches").
 //!
 //! Cells are filled lazily — a miss costs what the per-document DP step or
 //! op-closure exploration used to cost, a hit is a lookup — so a
@@ -161,8 +161,7 @@ pub struct EvalTables {
 struct OpsRow {
     start: u32,
     len: u32,
-    /// The row of `others`; [`UNFILLED`] when no byte steps ∅'s reached
-    /// set back to the frontier, so no position is a stretch position.
+    /// The row of `others`.
     others: u32,
 }
 
@@ -370,33 +369,28 @@ impl EvalTables {
     }
 
     /// Whether no stretch of `frontier` begins at a position holding a
-    /// byte of class `class()`, decided without borrowing the cell: the
-    /// frontier's row is filled, and it has no stretch cell or ∅'s step
-    /// over the class is filled and leads to another frontier. (`false` is
-    /// "maybe".) A walk asks after every letter step; this answers it
-    /// almost always, and reads the byte only for a frontier with a cell.
+    /// byte of class `class`, decided without borrowing the cell: the
+    /// frontier's row is filled, and ∅'s step over the class is filled and
+    /// leads to another frontier. (`false` is "maybe".) A walk asks after
+    /// every letter step; this answers it almost always.
     #[inline]
-    pub fn no_stretch_at(&self, frontier: SetId, class: impl FnOnce() -> usize) -> bool {
-        let OpsRow { start, others, .. } = self.ops[frontier as usize];
+    pub fn no_stretch_at(&self, frontier: SetId, class: usize) -> bool {
+        let start = self.ops[frontier as usize].start;
         if start == UNFILLED {
             return false;
         }
-        if others == UNFILLED {
-            return true;
-        }
         let empty = self.cands[start as usize].1;
-        let step = self.step[empty as usize * self.classes + class()];
+        let step = self.step[empty as usize * self.classes + class];
         step != UNFILLED && step != frontier
     }
 
     /// The stretch cell of a frontier: `None` until its [`EvalTables::ops`]
-    /// row is filled (the two are filled together), and for a frontier that
-    /// no byte steps ∅'s reached set back to.
+    /// row is filled (the two are filled together).
     #[inline]
     pub fn stretch(&self, frontier: SetId) -> Option<Stretch<'_>> {
         let OpsRow { start, others, .. } = self.ops[frontier as usize];
         let width = self.sets.width;
-        if start == UNFILLED || others == UNFILLED {
+        if start == UNFILLED {
             return None;
         }
         let empty = self.cands[start as usize].1;
@@ -407,25 +401,6 @@ impl EvalTables {
             reached: self.sets.set(empty),
             steps: &self.step[empty as usize * self.classes..][..self.classes],
             others: &self.others[others as usize * width..][..width],
-        })
-    }
-
-    /// Whether a byte of some class steps `closure` — the states ∅ reaches
-    /// from `frontier` — to exactly `frontier`.
-    fn returns(&self, compiled: &CompiledVsa, frontier: SetId, closure: &StateSet) -> bool {
-        let members = self.sets.set(frontier);
-        let mut targets = StateSet::new(compiled.state_count());
-        (0..self.classes).any(|class| {
-            targets.clear();
-            for q in closure.iter() {
-                for &t in compiled.byte_targets(q, class) {
-                    if members[t / 64] & (1 << (t % 64)) == 0 {
-                        return false;
-                    }
-                    targets.insert(t);
-                }
-            }
-            targets.blocks() == members
         })
     }
 
@@ -477,18 +452,14 @@ impl EvalTables {
             let id = self.intern_set(reached);
             self.cands.push((*set, id));
         }
-        // The stretch cell, only where some byte steps ∅'s reached set back
-        // to the frontier: elsewhere no position is a stretch position.
-        let others = if self.returns(compiled, frontier, &by_set[0].1) {
-            let mut union = StateSet::new(states);
-            for (_, reached) in &by_set[1..] {
-                union.union_with(reached);
-            }
-            self.others.extend_from_slice(union.blocks());
-            (self.others.len() / self.sets.width - 1) as u32
-        } else {
-            UNFILLED
-        };
+        // The stretch cell: the union of the states the other candidates
+        // reach.
+        let mut union = StateSet::new(states);
+        for (_, reached) in &by_set[1..] {
+            union.union_with(reached);
+        }
+        let others = (self.others.len() / self.sets.width) as u32;
+        self.others.extend_from_slice(union.blocks());
         self.ops[frontier as usize] = OpsRow {
             start,
             len: by_set.len() as u32,
@@ -666,25 +637,32 @@ mod tests {
     }
 
     #[test]
-    fn a_stretch_cell_only_where_a_byte_steps_back_to_the_frontier() {
+    fn a_stretch_cell_is_filled_with_its_row() {
         // a*{x:b}: after an `a` the frontier loops on `a`; the initial one
         // is never re-entered.
         let c = compiled("a*{x:b}");
         let mut t = EvalTables::new(&c);
         let (a, b) = (c.class_of(b'a'), c.class_of(b'b'));
-        t.fill_ops(&c, EvalTables::INITIAL);
         assert!(t.stretch(EvalTables::INITIAL).is_none());
-        assert!(t.no_stretch_at(EvalTables::INITIAL, || a));
-        let empty = t.ops(EvalTables::INITIAL).unwrap()[0].1;
+        assert!(
+            !t.no_stretch_at(EvalTables::INITIAL, a),
+            "row not filled: maybe"
+        );
+        t.fill_ops(&c, EvalTables::INITIAL);
+        let empty = t.stretch(EvalTables::INITIAL).expect("filled").empty();
+        assert!(
+            !t.no_stretch_at(EvalTables::INITIAL, a),
+            "step not filled: maybe"
+        );
         let looping = t.fill_step(&c, empty, a);
-        assert!(!t.no_stretch_at(looping, || a), "row not filled: maybe");
+        assert!(t.no_stretch_at(EvalTables::INITIAL, a));
         t.fill_ops(&c, looping);
-        let empty = t.stretch(looping).expect("`a` steps back").empty();
+        let empty = t.stretch(looping).expect("filled").empty();
         assert_eq!(t.fill_step(&c, empty, a), looping);
         // A `b` leads out once its step is filled; until then, maybe.
-        assert!(!t.no_stretch_at(looping, || b));
+        assert!(!t.no_stretch_at(looping, b));
         t.fill_step(&c, empty, b);
-        assert!(t.no_stretch_at(looping, || b) && !t.no_stretch_at(looping, || a));
+        assert!(t.no_stretch_at(looping, b) && !t.no_stretch_at(looping, a));
     }
 
     #[test]

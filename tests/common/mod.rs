@@ -576,21 +576,30 @@ pub fn ra_case<S: AsRef<str>>(seed: u64, offset: u64, docs: &[S]) -> Case {
     let mut config = RandomRaConfig::default();
     (config.depth, config.leaves) = (2 + seed as usize % 2, 2 + seed as usize % 3);
     config.allow_difference = !seed.is_multiple_of(4);
-    let (mut tree, mut inst) = random_ra_tree(config, seed + offset);
-    // The generator's leaves draw variables from two name pools, so its
-    // joins seldom meet on a variable two different leaves bind — where
-    // the vset product and `MappingSet::join` can go wrong. On a quarter of
-    // the seeds the tree is joined with a formula binding one of its
-    // variables to an `a`.
-    let var = tree_vars(&tree, &inst)
+    let (tree, inst) = random_ra_tree(config, seed + offset);
+    Case::ra(tree, inst, docs).from(format!("ra_case({seed}, {offset}, &[\"\"])"))
+}
+
+/// [`ra_case`], and on a quarter of the seeds a second case: that tree
+/// joined with a formula binding one of its variables to an `a`. The
+/// generator's leaves draw variables from two name pools, so its joins
+/// seldom meet on a variable two different leaves bind — where the vset
+/// product and `MappingSet::join` can go wrong.
+pub fn ra_cases<S: AsRef<str>>(seed: u64, offset: u64, docs: &[S]) -> Vec<Case> {
+    let case = ra_case(seed, offset, docs);
+    let var = tree_vars(&case.tree, &case.inst)
         .ok()
         .and_then(|v| v.iter().next().cloned());
-    if let Some(x) = var.filter(|_| seed % 4 == 1) {
-        let id = inst.len();
-        inst = inst.with(id, parse(&format!(".*{{{x}:a}}.*")).unwrap());
-        tree = RaTree::join(tree, RaTree::leaf(id));
-    }
-    Case::ra(tree, inst, docs).from(format!("ra_case({seed}, {offset}, &[\"\"])"))
+    let joined = var.filter(|_| seed % 4 == 1).map(|x| {
+        let id = case.inst.len();
+        let formula = parse(&format!(".*{{{x}:a}}.*")).unwrap();
+        Case {
+            tree: RaTree::join(case.tree.clone(), RaTree::leaf(id)),
+            inst: case.inst.clone().with(id, formula),
+            ..case.clone()
+        }
+    });
+    [case].into_iter().chain(joined).collect()
 }
 
 /// A random SpannerQL program, checked to lower to exactly the tree its

@@ -13,9 +13,11 @@ use document_spanners::prelude::*;
 use spanner_workloads::random_mutations;
 
 fn cases() -> impl Iterator<Item = Case> {
-    (0..100).map(|seed| {
+    (0..100).flat_map(|seed| {
         let docs = store_corpus(seed);
-        ra_case(seed, 0, &docs).steps(random_mutations(docs.len(), 30, seed))
+        let script = random_mutations(docs.len(), 30, seed);
+        let cases = ra_cases(seed, 0, &docs).into_iter();
+        cases.map(move |case| case.steps(script.clone()))
     })
 }
 

@@ -11,7 +11,7 @@ use spanner_algebra::{optimize_ra, shared_variable_bound, tree_vars};
 use std::cell::Cell;
 
 fn cases(seeds: u64, offset: u64) -> impl Iterator<Item = Case> {
-    (0..seeds).map(move |seed| ra_case(seed, offset, &SHORT_DOCS))
+    (0..seeds).flat_map(move |seed| ra_cases(seed, offset, &SHORT_DOCS))
 }
 
 #[test]

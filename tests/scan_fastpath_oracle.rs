@@ -21,10 +21,10 @@ fn text(len: usize, alphabet: &[u8], seed: u64) -> String {
 
 #[test]
 fn fast_path_is_invisible_on_100_random_plans() {
-    let cases = (0..100).map(|seed| {
+    let cases = (0..100).flat_map(|seed| {
         let mut docs = strings(["", "a", "ab", "bca", "abab", "bbbb", "cacb"]);
         docs.extend([text(24, b"ab", seed), text(31, b"abc", seed + 1)]);
-        ra_case(seed, 0, &docs)
+        ra_cases(seed, 0, &docs)
     });
     check_all(cases, &[fast_path()]);
 }

@@ -27,7 +27,7 @@ fn reloaded() -> Surface<'static> {
 /// Under 256 documents every thread count runs on the calling thread.
 #[test]
 fn indexed_store_is_invisible_on_100_random_plans() {
-    let cases = (0..100).map(|seed| ra_case(seed, 0, &store_corpus(seed)));
+    let cases = (0..100).flat_map(|seed| ra_cases(seed, 0, &store_corpus(seed)));
     check_all(cases, &[indexed(3), unindexed(3)]);
 }
 

@@ -24,7 +24,7 @@ use spanner_workloads::random_mutations;
 /// random steps are followed, every ninth, by a same-content update, a
 /// double delete or a short-lived append (compactions are the surface's).
 fn cases() -> impl Iterator<Item = Case> {
-    (0..40).map(|seed| {
+    (0..40).flat_map(|seed| {
         let head = "|a|abab|aβb|prefix needle suffix|δδδ|";
         let docs = mixed(seed, head, (9, 12, 2, 17), "aaneedlebb");
         let mut case = ra_case(seed, 0, &docs);
@@ -44,7 +44,8 @@ fn cases() -> impl Iterator<Item = Case> {
                 _ => vec![],
             });
         }
-        case
+        let cases = ra_cases(seed, 0, &docs).into_iter();
+        cases.map(move |c| c.script(case.script.clone()))
     })
 }
 
