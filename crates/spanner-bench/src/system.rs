@@ -7,7 +7,7 @@
 use crate::{ms, Run, NOISE_MADS, RUNS, TOLERANCE};
 use spanner_algebra::{
     evaluate_ra, figure_2_tree, optimize_ra, shared_variable_bound, CompiledPlan, Instantiation,
-    RaOptions, RaTree,
+    PhysOp, RaOptions, RaTree,
 };
 use spanner_core::{Document, MappingSet, VarSet};
 use spanner_corpus::{split_lines, CorpusEngine, CorpusMatches, QueryView};
@@ -17,6 +17,7 @@ use spanner_rgx::parse;
 use spanner_serve::protocol::{mappings_to_json, write_mappings};
 use spanner_serve::Json;
 use spanner_store::{Mutation, Store};
+use spanner_vset::PreScan;
 use spanner_workloads::{
     access_log, needle_corpus, needle_line, program_library, random_text, student_records,
 };
@@ -248,9 +249,15 @@ const LOG_QUERY: &str = "\
 project path, status (/{ip:[0-9]+\\.[0-9]+\\.[0-9]+\\.[0-9]+} - ({user:[a-z]+}|-) \
 \\[[0-9\\/]+\\] \"{method:[A-Z]+} {path:[a-zA-Z0-9_\\/\\.]+}\" {status:[0-9][0-9][0-9]} [0-9]+/);";
 
+/// The literals of the `ql/adhoc/*` rows, cut to their lengths.
+const ADHOC_LITERAL: &str = "qzvxkwjpbmfyhdgc";
+
 /// `ql/*`: the three phases a SpannerQL user pays for — preparing a program
 /// (parse → lower → optimize → compile), evaluating it on one document, and
-/// scanning a line corpus through the shared plan.
+/// scanning a line corpus through the shared plan — and what a one-off
+/// program pays on the resident store's path, `ql/adhoc/lit-*`: `prepare`,
+/// `required_literals`, the first prescan and the first evaluation of one
+/// matching line, all on a fresh `/.*{x:LIT}.*/` every run.
 pub fn ql(run: &mut Run) {
     let programs = [USERS_QUERY, CHAIN_QUERY, LOG_QUERY];
     let prepare = ["users", "chain", "log"].map(|p| format!("ql/prepare/{p}"));
@@ -268,6 +275,23 @@ pub fn ql(run: &mut Run) {
         for ((source, doc), name) in sources.into_iter().zip(&docs).zip(&evaluate) {
             let query = PreparedQuery::prepare(source).unwrap();
             run.measure(name, || query.evaluate(doc).unwrap().len());
+        }
+    }
+    let lens = [4, 8, 16];
+    if let Some(adhoc) = run.rows(lens.map(|len| format!("ql/adhoc/lit-{len}"))) {
+        for (name, len) in adhoc.iter().zip(lens) {
+            let literal = &ADHOC_LITERAL[..len];
+            let program = format!("/.*{{x:{literal}}}.*/");
+            let doc = Document::new(format!("one line with {literal} in it"));
+            run.measure(name, || {
+                let query = PreparedQuery::prepare(&program).unwrap();
+                let PhysOp::CompiledScan { compiled, .. } = query.plan().physical().root() else {
+                    panic!("{program} lowers to one compiled scan");
+                };
+                assert_eq!(compiled.required_literals(), [literal.as_bytes()]);
+                assert_eq!(compiled.prescan(&doc), PreScan::Accept);
+                query.evaluate(&doc).unwrap().len()
+            });
         }
     }
     for threads in [1, 2] {

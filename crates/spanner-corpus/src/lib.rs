@@ -80,8 +80,9 @@ pub struct CorpusStats {
     /// the match automaton. Always `0` when
     /// [`RaOptions::scan_fast_path`] is disabled.
     pub docs_skipped: usize,
-    /// Documents rejected by the boolean match pre-pass (lazy DFA or NFA
-    /// frontier stepping) after the static prefilters passed. Always `0`
+    /// Documents rejected by the boolean match pre-pass (the boolean DFA,
+    /// built whole on first use, or NFA frontier stepping past its budget)
+    /// after the static prefilters passed. Always `0`
     /// when [`RaOptions::scan_fast_path`] is disabled.
     pub docs_rejected: usize,
     /// Wall-clock time of the evaluation (excluding plan compilation).

@@ -13,9 +13,9 @@
 //!   consumes no input);
 //! * **letter transitions** are re-indexed through a dense 256-entry
 //!   byte-to-class table: the distinct [`ByteClass`] labels of the automaton
-//!   partition the byte alphabet into equivalence classes, and each state
-//!   stores one flat target list per class;
-//! * **variable operations** are split into per-state lists with the
+//!   partition the byte alphabet into equivalence classes, and the sorted
+//!   target list of every `state × class` cell is a row of one flat array;
+//! * **variable operations** are split into per-state rows with the
 //!   variable resolved to a dense local index (via
 //!   [`spanner_core::VarTable`]), so downstream bitset code never touches a
 //!   name;
@@ -56,16 +56,13 @@ impl StateSet {
     /// Inserts a state; returns `true` if it was not already present.
     #[inline]
     pub fn insert(&mut self, q: StateId) -> bool {
-        let (block, bit) = (q / 64, 1u64 << (q % 64));
-        let fresh = self.blocks[block] & bit == 0;
-        self.blocks[block] |= bit;
-        fresh
+        insert(&mut self.blocks, q)
     }
 
     /// Whether the set contains `q`.
     #[inline]
     pub fn contains(&self, q: StateId) -> bool {
-        self.blocks[q / 64] & (1u64 << (q % 64)) != 0
+        contains(&self.blocks, q)
     }
 
     /// Removes every state.
@@ -90,9 +87,7 @@ impl StateSet {
     #[inline]
     pub fn union_with(&mut self, other: &StateSet) {
         debug_assert_eq!(self.blocks.len(), other.blocks.len());
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a |= b;
-        }
+        union(&mut self.blocks, &other.blocks);
     }
 
     /// Whether the two sets share at least one state (no allocation).
@@ -115,6 +110,29 @@ impl StateSet {
     /// The states as a sorted vector.
     pub fn to_vec(&self) -> Vec<StateId> {
         self.iter().collect()
+    }
+}
+
+/// Adds state `q` to a block slice; returns `true` if it was not there.
+#[inline]
+pub(crate) fn insert(blocks: &mut [u64], q: StateId) -> bool {
+    let (block, bit) = (q / 64, 1u64 << (q % 64));
+    let fresh = blocks[block] & bit == 0;
+    blocks[block] |= bit;
+    fresh
+}
+
+/// Whether a block slice holds state `q`.
+#[inline]
+pub(crate) fn contains(blocks: &[u64], q: StateId) -> bool {
+    blocks[q / 64] & (1u64 << (q % 64)) != 0
+}
+
+/// `into ∪= from`, block by block.
+#[inline]
+pub(crate) fn union(into: &mut [u64], from: &[u64]) {
+    for (a, b) in into.iter_mut().zip(from) {
+        *a |= b;
     }
 }
 
@@ -142,6 +160,37 @@ pub(crate) fn bits(blocks: &[u64]) -> impl Iterator<Item = StateId> + '_ {
 impl std::fmt::Debug for StateSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+/// Variable-length rows stored flat: row `i` is `items[start[i]..start[i + 1]]`.
+/// A row is built by pushing onto `items`, then closed with
+/// [`Rows::end_row`].
+#[derive(Debug, Clone)]
+pub(crate) struct Rows<T> {
+    start: Vec<u32>,
+    pub(crate) items: Vec<T>,
+}
+
+impl<T> Rows<T> {
+    /// No rows yet, with room for the offsets of `rows`.
+    pub(crate) fn with_rows(rows: usize) -> Self {
+        let mut start = Vec::with_capacity(rows + 1);
+        start.push(0);
+        Rows {
+            start,
+            items: Vec::new(),
+        }
+    }
+
+    /// Closes the current row: the items pushed since the last call.
+    pub(crate) fn end_row(&mut self) {
+        self.start.push(self.items.len() as u32);
+    }
+
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> &[T] {
+        &self.items[self.start[i] as usize..self.start[i + 1] as usize]
     }
 }
 
@@ -176,18 +225,22 @@ pub struct CompiledVsa {
     class_count: usize,
     /// The bytes of each class (never empty).
     class_bytes: Vec<ByteClass>,
-    /// Flattened `state × class → sorted target list` table.
-    byte_step: Vec<Vec<StateId>>,
-    /// Per-state variable operations with their targets.
-    var_ops: Vec<Vec<(VarOp, StateId)>>,
+    /// `state × class → sorted target list`, one row per cell.
+    byte_step: Rows<StateId>,
+    /// Per-state variable operations with their targets, one row per state.
+    var_ops: Rows<(VarOp, StateId)>,
     /// The states with at least one outgoing variable operation (lets
     /// evaluators skip operation-set exploration wholesale where no
     /// operation can occur — the overwhelmingly common case).
     states_with_var_ops: StateSet,
+    /// The states with at least one outgoing letter transition (the only
+    /// ones a byte steps).
+    consuming: StateSet,
     /// Whether the source automaton is sequential (checked once at compile
     /// time; enumeration requires it).
     sequential: bool,
-    /// The scan fast-path analysis (prefilters + lazy boolean DFA); see
+    /// The scan fast-path analysis: prefilters computed here, the boolean
+    /// DFA and the required literals built whole on first use; see
     /// [`crate::scan`].
     scan: crate::scan::ScanPlan,
     /// The published evaluation tables (lazily grown across documents; see
@@ -202,85 +255,107 @@ impl CompiledVsa {
         let n = vsa.state_count();
         let vars = VarTable::new(vsa.vars().iter().cloned());
 
-        // --- Byte classes: partition 0..=255 by the distinct Class labels.
-        let mut distinct: Vec<ByteClass> = Vec::new();
+        // --- Byte classes: refine {0..=255} by every Class label (a label
+        // seen before splits nothing), then number the classes by their
+        // smallest byte.
+        let mut class_bytes = vec![ByteClass::any()];
         for (_, label, _) in vsa.all_transitions() {
-            if let Label::Class(c) = label {
-                if !distinct.contains(c) {
-                    distinct.push(*c);
+            let Label::Class(label) = label else {
+                continue;
+            };
+            let complement = label.complement();
+            if label.is_empty() || complement.is_empty() {
+                continue;
+            }
+            for i in 0..class_bytes.len() {
+                let outside = class_bytes[i].intersect(&complement);
+                if !outside.is_empty() && outside != class_bytes[i] {
+                    class_bytes[i] = class_bytes[i].intersect(label);
+                    class_bytes.push(outside);
                 }
             }
         }
-        // Split every class by membership in each label in turn. Ids are
-        // handed out in byte order at every step, so classes stay numbered
-        // by their smallest byte.
+        let smallest = |class: &ByteClass| class.iter().next().expect("classes are never empty");
+        class_bytes.sort_unstable_by_key(smallest);
+        let class_count = class_bytes.len();
         let mut class_of = Box::new([0u16; 256]);
-        let mut class_count = 1usize;
-        for label in &distinct {
-            let mut split = [[u16::MAX; 2]; 256];
-            let mut next = 0u16;
-            for b in 0..=255u8 {
-                let slot =
-                    &mut split[class_of[b as usize] as usize][usize::from(label.contains(b))];
-                if *slot == u16::MAX {
-                    *slot = next;
-                    next += 1;
-                }
-                class_of[b as usize] = *slot;
+        let mut class_reps = [0u8; 256];
+        for (id, class) in class_bytes.iter().enumerate() {
+            class_reps[id] = smallest(class);
+            for b in class.iter() {
+                class_of[b as usize] = id as u16;
             }
-            class_count = next as usize;
         }
-        let mut class_bytes = vec![ByteClass::empty(); class_count];
-        for b in 0..=255u8 {
-            class_bytes[class_of[b as usize] as usize].insert(b);
-        }
-        let class_reps: Vec<u8> = class_bytes
-            .iter()
-            .filter_map(|class| class.iter().next())
-            .collect();
 
-        // --- Per-state transition tables.
-        let mut byte_step: Vec<Vec<StateId>> = vec![Vec::new(); n * class_count];
-        let mut var_ops: Vec<Vec<(VarOp, StateId)>> = vec![Vec::new(); n];
-        let mut eps_edges: Vec<Vec<StateId>> = vec![Vec::new(); n];
-        let mut zero_edges: Vec<Vec<StateId>> = vec![Vec::new(); n];
-        for (src, label, tgt) in vsa.all_transitions() {
-            match label {
-                Label::Epsilon => {
-                    eps_edges[src].push(tgt);
-                    zero_edges[src].push(tgt);
+        // --- Per-state transition rows, filled state by state.
+        let mut byte_step = Rows::with_rows(n * class_count);
+        let mut var_ops = Rows::with_rows(n);
+        let mut eps_edges = Rows::with_rows(n);
+        let mut zero_edges = Rows::with_rows(n);
+        let mut consuming = StateSet::new(n);
+        for src in 0..n {
+            let transitions = vsa.transitions_from(src);
+            let consumes = transitions
+                .iter()
+                .any(|t| matches!(t.label, Label::Class(_)));
+            let first = byte_step.items.len();
+            for &rep in &class_reps[..class_count] {
+                if !consumes {
+                    byte_step.end_row();
+                    continue;
                 }
-                Label::Class(c) => {
-                    for (cls, &rep) in class_reps.iter().enumerate() {
-                        if c.contains(rep) {
-                            byte_step[src * class_count + cls].push(tgt);
-                        }
+                let from = byte_step.items.len();
+                for t in transitions {
+                    if matches!(&t.label, Label::Class(c) if c.contains(rep)) {
+                        byte_step.items.push(t.target);
                     }
                 }
-                Label::Open(v) | Label::Close(v) => {
-                    let var = vars
-                        .index_of(v)
-                        .expect("automaton variable registered in its VarTable")
-                        as u16;
-                    let is_close = matches!(label, Label::Close(_));
-                    var_ops[src].push((VarOp { var, is_close }, tgt));
-                    zero_edges[src].push(tgt);
+                byte_step.items[from..].sort_unstable();
+                let mut kept = from;
+                for i in from..byte_step.items.len() {
+                    if i == from || byte_step.items[i] != byte_step.items[kept - 1] {
+                        byte_step.items[kept] = byte_step.items[i];
+                        kept += 1;
+                    }
+                }
+                byte_step.items.truncate(kept);
+                byte_step.end_row();
+            }
+            if byte_step.items.len() > first {
+                consuming.insert(src);
+            }
+            for t in transitions {
+                match &t.label {
+                    Label::Epsilon => {
+                        eps_edges.items.push(t.target);
+                        zero_edges.items.push(t.target);
+                    }
+                    Label::Class(_) => {}
+                    Label::Open(v) | Label::Close(v) => {
+                        let var = vars
+                            .index_of(v)
+                            .expect("automaton variable registered in its VarTable")
+                            as u16;
+                        let is_close = matches!(t.label, Label::Close(_));
+                        var_ops.items.push((VarOp { var, is_close }, t.target));
+                        zero_edges.items.push(t.target);
+                    }
                 }
             }
-        }
-        for targets in &mut byte_step {
-            targets.sort_unstable();
-            targets.dedup();
+            var_ops.end_row();
+            eps_edges.end_row();
+            zero_edges.end_row();
         }
 
-        let closure = |edges: &[Vec<StateId>]| -> Vec<StateSet> {
+        let mut stack = Vec::new();
+        let mut closure = |edges: &Rows<StateId>| -> Vec<StateSet> {
             (0..n)
                 .map(|q| {
                     let mut set = StateSet::new(n);
                     set.insert(q);
-                    let mut stack = vec![q];
+                    stack.push(q);
                     while let Some(s) = stack.pop() {
-                        for &t in &edges[s] {
+                        for &t in edges.row(s) {
                             if set.insert(t) {
                                 stack.push(t);
                             }
@@ -295,7 +370,7 @@ impl CompiledVsa {
 
         let accepting = StateSet::from_states(n, vsa.states().filter(|&q| vsa.is_accepting(q)));
         let states_with_var_ops =
-            StateSet::from_states(n, (0..n).filter(|&q| !var_ops[q].is_empty()));
+            StateSet::from_states(n, (0..n).filter(|&q| !var_ops.row(q).is_empty()));
 
         let mut out = CompiledVsa {
             state_count: n,
@@ -310,6 +385,7 @@ impl CompiledVsa {
             byte_step,
             var_ops,
             states_with_var_ops,
+            consuming,
             sequential: is_sequential(vsa),
             scan: crate::scan::ScanPlan::placeholder(),
             eval: crate::tables::EvalCache::new(crate::tables::EVAL_TABLE_BUDGET),
@@ -404,7 +480,7 @@ impl CompiledVsa {
     /// The targets of `q` under any byte of class `class`.
     #[inline]
     pub fn byte_targets(&self, q: StateId, class: usize) -> &[StateId] {
-        &self.byte_step[q * self.class_count + class]
+        self.byte_step.row(q * self.class_count + class)
     }
 
     /// The ε-only closure of `q` (contains `q`).
@@ -422,7 +498,7 @@ impl CompiledVsa {
     /// The compiled variable operations leaving `q`.
     #[inline]
     pub fn var_ops(&self, q: StateId) -> &[(VarOp, StateId)] {
-        &self.var_ops[q]
+        self.var_ops.row(q)
     }
 
     /// The states with at least one outgoing variable operation.
@@ -431,10 +507,16 @@ impl CompiledVsa {
         &self.states_with_var_ops
     }
 
+    /// The states with at least one outgoing letter transition.
+    #[inline]
+    pub(crate) fn consuming(&self) -> &StateSet {
+        &self.consuming
+    }
+
     /// Whether `q` has an outgoing variable operation.
     #[inline]
     pub fn has_var_ops(&self, q: StateId) -> bool {
-        !self.var_ops[q].is_empty()
+        !self.var_ops.row(q).is_empty()
     }
 
     /// Advances a frontier over one input byte: `out` receives every state

@@ -46,8 +46,9 @@
 //!
 //! [`MatchGraph`]: ../spanner_enum/matchgraph/struct.MatchGraph.html
 
-use crate::compiled::{CompiledVsa, StateSet};
-use spanner_core::{ByteClass, Document, FxHashMap};
+use crate::compiled::{bits, meet, union, CompiledVsa, Rows, StateSet};
+use crate::tables::Interner;
+use spanner_core::{ByteClass, Document};
 use std::sync::OnceLock;
 
 /// Maximum number of required factors kept by the analysis.
@@ -316,6 +317,9 @@ fn shortest_accepted(compiled: &CompiledVsa) -> Option<Vec<u8>> {
             doc.reverse();
             return Some(doc);
         }
+        if !compiled.consuming().contains(q) {
+            continue;
+        }
         for (class, &rep) in reps.iter().enumerate() {
             for &t in compiled.byte_targets(q, class) {
                 for r in compiled.zero_closure(t).iter() {
@@ -352,34 +356,60 @@ fn prefix_class(compiled: &CompiledVsa) -> Option<ByteClass> {
 /// nothing. Candidates are the compiled byte-class partition (skipping
 /// classes no transition consumes). Kept rarest-first, at most
 /// [`MAX_FACTORS`].
+///
+/// Every consuming step is listed once, with the zero closure of its
+/// targets folded in: `q` reaches `r` on a byte of any class in a mask.
+/// Forbidding a class then only drops the steps whose mask holds nothing
+/// else, so each class's search walks the list instead of every class of
+/// every state.
 fn required_factors(compiled: &CompiledVsa) -> Vec<ByteClass> {
     let class_count = compiled.class_count();
     if class_count > 64 {
         return Vec::new();
     }
+    let states = compiled.state_count();
+    let mut masks = vec![0u64; states];
+    let mut touched: Vec<usize> = Vec::new();
+    let mut steps = Rows::with_rows(states);
+    for q in 0..states {
+        for class in 0..class_count {
+            for &t in compiled.byte_targets(q, class) {
+                for r in compiled.zero_closure(t).iter() {
+                    if masks[r] == 0 {
+                        touched.push(r);
+                    }
+                    masks[r] |= 1 << class;
+                }
+            }
+        }
+        for r in touched.drain(..) {
+            steps.items.push((r, std::mem::take(&mut masks[r])));
+        }
+        steps.end_row();
+    }
+
     let mut factors: Vec<ByteClass> = Vec::new();
+    let start = compiled.zero_closure(compiled.initial());
+    let mut reach = start.clone();
+    let mut stack: Vec<usize> = Vec::new();
     for avoid in 0..class_count {
         // Is any accepting state reachable using only classes != `avoid`?
-        let mut reach = compiled.zero_closure(compiled.initial()).clone();
-        let mut stack: Vec<usize> = reach.iter().collect();
+        let others = !(1u64 << avoid);
+        reach.clear();
+        reach.union_with(start);
+        stack.clear();
+        stack.extend(start.iter());
         let mut alive = reach.intersects(compiled.accepting());
         while let Some(q) = stack.pop() {
             if alive {
                 break;
             }
-            for class in 0..class_count {
-                if class == avoid {
-                    continue;
-                }
-                for &t in compiled.byte_targets(q, class) {
-                    for r in compiled.zero_closure(t).iter() {
-                        if reach.insert(r) {
-                            if compiled.is_accepting(r) {
-                                alive = true;
-                            }
-                            stack.push(r);
-                        }
+            for &(r, mask) in steps.row(q) {
+                if mask & others != 0 && reach.insert(r) {
+                    if compiled.is_accepting(r) {
+                        alive = true;
                     }
+                    stack.push(r);
                 }
             }
         }
@@ -635,13 +665,6 @@ impl<'a> LiteralTest<'a> {
     fn new(compiled: &'a CompiledVsa) -> Self {
         let states = compiled.state_count();
         let classes = 0..compiled.class_count();
-        let consumes: Vec<bool> = (0..states)
-            .map(|q| {
-                classes
-                    .clone()
-                    .any(|c| !compiled.byte_targets(q, c).is_empty())
-            })
-            .collect();
         let mut moves = Vec::with_capacity(states);
         let mut moves_from = Vec::with_capacity(states + 1);
         moves_from.push(0);
@@ -658,7 +681,7 @@ impl<'a> LiteralTest<'a> {
                     entered.union_with(compiled.zero_closure(t));
                 }
                 let from = next.len();
-                next.extend(entered.iter().filter(|&r| consumes[r]));
+                next.extend(entered.iter().filter(|&r| compiled.consuming().contains(r)));
                 moves.push(Move {
                     class,
                     accepts: entered.intersects(compiled.accepting()),
@@ -787,63 +810,59 @@ fn kmp_failure(needle: &[u8]) -> Vec<usize> {
 
 /// Bounded subset construction over the compiled byte classes, variable
 /// operations as ε (exact for boolean acceptance). `None` past the budget.
+///
+/// Subsets are interned in one slab and numbered in discovery order; each
+/// step is closed into one scratch row, so no subset, cell or key is
+/// allocated on its own.
 fn build_dfa(compiled: &CompiledVsa) -> Option<MatchDfa> {
     let class_count = compiled.class_count().max(1);
-    let states = compiled.state_count();
-    let start = compiled.zero_closure(compiled.initial()).clone();
-
-    let mut index: FxHashMap<StateSet, u32> = FxHashMap::default();
-    let mut subsets: Vec<StateSet> = vec![start.clone()];
+    let width = compiled.state_count().div_ceil(64);
+    let mut subsets = Interner::new(width);
+    let start = compiled.zero_closure(compiled.initial());
+    subsets.intern(start.blocks());
     let mut accepting: Vec<bool> = vec![start.intersects(compiled.accepting())];
     let mut table: Vec<u32> = Vec::new();
-    index.insert(start, 0);
+    let mut closed = vec![0u64; width];
 
-    let mut next_subset = 0usize;
-    while next_subset < subsets.len() {
-        let from = next_subset;
-        next_subset += 1;
-        let mut row = vec![DEAD; class_count];
-        for (class, slot) in row.iter_mut().enumerate() {
-            let mut next = StateSet::new(states);
-            for q in subsets[from].iter() {
+    // The worklist drains the whole subset construction (every discovered
+    // subset gets its row) before the first scan reads the table: nothing
+    // here is built per row on demand, which is why the first prescan of
+    // an automaton pays for all of it.
+    let mut movers: Vec<usize> = Vec::new();
+    let mut from = 0u32;
+    while (from as usize) < subsets.len() {
+        // Only the subset's consuming states step; the rest are looked at
+        // once per subset, not once per class.
+        movers.clear();
+        movers.extend(bits(subsets.set(from)).filter(|&q| compiled.consuming().contains(q)));
+        for class in 0..class_count {
+            closed.fill(0);
+            for &q in &movers {
                 for &t in compiled.byte_targets(q, class) {
-                    next.insert(t);
+                    union(&mut closed, compiled.zero_closure(t).blocks());
                 }
             }
-            if next.is_empty() {
+            if closed.iter().all(|&b| b == 0) {
+                table.push(DEAD);
                 continue;
             }
-            let mut closed = StateSet::new(states);
-            for t in next.iter() {
-                closed.union_with(compiled.zero_closure(t));
-            }
-            let id = match index.get(&closed) {
-                Some(&id) => id,
-                None => {
-                    if (subsets.len() + 1) * class_count > DFA_CELL_BUDGET {
-                        return None;
-                    }
-                    let id = subsets.len() as u32;
-                    accepting.push(closed.intersects(compiled.accepting()));
-                    subsets.push(closed.clone());
-                    index.insert(closed, id);
-                    id
+            let (id, fresh) = subsets.intern(&closed);
+            if fresh {
+                if subsets.len() * class_count > DFA_CELL_BUDGET {
+                    return None;
                 }
-            };
-            *slot = id;
+                accepting.push(meet(&closed, compiled.accepting().blocks()));
+            }
+            table.push(id);
         }
-        table.extend_from_slice(&row);
+        from += 1;
     }
-
-    // The worklist above drains the whole subset construction (every
-    // discovered subset gets its row) before the first scan reads the
-    // table: nothing here is built per row on demand, which is why the
-    // first prescan of an automaton pays for all of it.
     debug_assert_eq!(table.len(), subsets.len() * class_count);
 
-    let accel = (0..subsets.len())
-        .map(|q| {
-            let row = &table[q * class_count..(q + 1) * class_count];
+    let accel = table
+        .chunks(class_count)
+        .enumerate()
+        .map(|(q, row)| {
             let self_loops = row.iter().filter(|&&t| t == q as u32).count();
             if self_loops == 0 {
                 return Accel::None;
@@ -851,12 +870,10 @@ fn build_dfa(compiled: &CompiledVsa) -> Option<MatchDfa> {
             if accepting[q] && self_loops == class_count {
                 return Accel::AcceptSink;
             }
-            // Stop bytes: those that leave the state.
+            // Stop bytes: those of the classes that leave the state.
             let mut stop = ByteClass::empty();
-            for b in 0..=255u8 {
-                if row[compiled.class_of(b)] != q as u32 {
-                    stop.insert(b);
-                }
+            for (class, _) in row.iter().enumerate().filter(|&(_, &t)| t != q as u32) {
+                stop = stop.union(compiled.class_bytes(class));
             }
             match stop.len() {
                 0 => Accel::None, // non-accepting total self-loop: dead in
@@ -1126,6 +1143,73 @@ mod tests {
         text.push_str(&"y".repeat(10_000));
         assert!(c.matches_anywhere(&Document::new(text)));
         assert!(!c.matches_anywhere(&Document::new("x".repeat(10_000))));
+    }
+
+    /// A xorshift stream for the random formulas below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    /// A random sequential formula over `a`, `b`, `[ab]`, `.`, `*` and `|`
+    /// with captures: every capture has a fresh name, and none sits under
+    /// a star.
+    fn random_formula(rng: &mut Rng, depth: usize, vars: &mut usize, starred: bool) -> String {
+        let pick = rng.below(if depth == 0 { 4 } else { 8 });
+        let mut sub = |rng: &mut Rng, starred| random_formula(rng, depth - 1, vars, starred);
+        match pick {
+            0 => "a".to_string(),
+            1 => "b".to_string(),
+            2 => "[ab]".to_string(),
+            3 => ".".to_string(),
+            4 => format!("{}{}", sub(rng, starred), sub(rng, starred)),
+            5 => format!("({}|{})", sub(rng, starred), sub(rng, starred)),
+            6 => format!("({})*", sub(rng, true)),
+            _ if starred => sub(rng, starred),
+            _ => {
+                let body = sub(rng, starred);
+                *vars += 1;
+                format!("{{v{vars}:{body}}}")
+            }
+        }
+    }
+
+    #[test]
+    fn dfa_and_nfa_tiers_agree_on_random_formulas() {
+        let mut rng = Rng(0x2545_f491_4f6c_dd1d);
+        let (mut accepted, mut rejected) = (0, 0);
+        for _ in 0..150 {
+            let depth = 2 + rng.below(4) as usize;
+            let pattern = random_formula(&mut rng, depth, &mut 0, false);
+            let (_, c) = compiled(&pattern);
+            assert!(c.is_sequential(), "{pattern}");
+            let dfa = build_dfa(&c).expect("a small formula fits the budget");
+            for _ in 0..24 {
+                let len = rng.below(12) as usize;
+                let doc: Vec<u8> = (0..len)
+                    .map(|_| b"aaabbbc"[rng.below(7) as usize])
+                    .collect();
+                let verdict = dfa_scan(&c, &dfa, &doc);
+                assert_eq!(
+                    verdict,
+                    nfa_scan(&c, &doc),
+                    "{pattern} on {:?}",
+                    String::from_utf8_lossy(&doc)
+                );
+                if verdict {
+                    accepted += 1;
+                } else {
+                    rejected += 1;
+                }
+            }
+        }
+        assert!(accepted > 500 && rejected > 500, "{accepted} / {rejected}");
     }
 
     #[test]

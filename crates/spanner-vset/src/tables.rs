@@ -38,7 +38,7 @@
 //! through an `Arc` and copy on the first miss of a document
 //! ([`CompiledVsa::eval_tables`] / [`CompiledVsa::publish_eval_tables`]).
 
-use crate::compiled::{bits, meet, CompiledVsa, StateSet};
+use crate::compiled::{bits, contains, insert, meet, union, CompiledVsa, StateSet};
 use spanner_core::fxhash::FxHasher;
 use std::hash::Hasher;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -58,9 +58,10 @@ pub type SetId = u32;
 /// Id of a backward-DFA state: an interned `(U, O)` pair.
 pub type BackId = u32;
 
-/// A slab of interned fixed-width bit sets.
+/// A slab of interned fixed-width bit sets (the evaluation tables' sets,
+/// and the boolean DFA's subsets in [`crate::scan`]).
 #[derive(Debug, Clone)]
-struct Interner {
+pub(crate) struct Interner {
     /// `u64` blocks per set.
     width: usize,
     /// Set `s` is `blocks[s * width..][..width]`.
@@ -71,7 +72,7 @@ struct Interner {
 }
 
 impl Interner {
-    fn new(width: usize) -> Interner {
+    pub(crate) fn new(width: usize) -> Interner {
         Interner {
             width,
             blocks: Vec::new(),
@@ -79,17 +80,17 @@ impl Interner {
         }
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.blocks.len() / self.width
     }
 
     #[inline]
-    fn set(&self, id: u32) -> &[u64] {
+    pub(crate) fn set(&self, id: u32) -> &[u64] {
         &self.blocks[id as usize * self.width..][..self.width]
     }
 
     /// The id of `set`, and whether this call added it.
-    fn intern(&mut self, set: &[u64]) -> (u32, bool) {
+    pub(crate) fn intern(&mut self, set: &[u64]) -> (u32, bool) {
         debug_assert_eq!(set.len(), self.width);
         let mut slot = self.slot_of(set);
         loop {
@@ -153,6 +154,39 @@ pub struct EvalTables {
     others: Vec<u64>,
     back_cells: u64,
     forward_cells: u64,
+    scratch: Scratch,
+}
+
+/// The rows the fills compute into before interning, reused from fill to
+/// fill. Not part of the tables' value: a clone starts without them, and
+/// [`EvalTables::stats`] does not count them.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Four rows of `width` blocks: a work row, then a backward state's
+    /// `U` and `O` (contiguous, as interned), then its `via` states.
+    rows: Vec<u64>,
+    /// [`EvalTables::fill_ops`]: the operation sets found, the states each
+    /// reaches (`width` blocks apiece), the search stack and the order
+    /// the sets are interned in.
+    op_sets: Vec<u64>,
+    reached: Vec<u64>,
+    stack: Vec<(usize, u64)>,
+    order: Vec<usize>,
+}
+
+impl Scratch {
+    /// The four rows of `width` blocks, cleared.
+    fn rows(&mut self, width: usize) -> &mut [u64] {
+        self.rows.clear();
+        self.rows.resize(4 * width, 0);
+        &mut self.rows
+    }
+}
+
+impl Clone for Scratch {
+    fn clone(&self) -> Scratch {
+        Scratch::default()
+    }
 }
 
 /// Where a frontier's candidates and its stretch cell are; `start` is
@@ -185,8 +219,7 @@ impl EvalTables {
     pub const INITIAL: SetId = 0;
 
     fn new(compiled: &CompiledVsa) -> EvalTables {
-        let states = compiled.state_count();
-        let width = states.div_ceil(64);
+        let width = compiled.state_count().div_ceil(64);
         let mut tables = EvalTables {
             classes: compiled.class_count(),
             sets: Interner::new(width),
@@ -198,9 +231,16 @@ impl EvalTables {
             others: Vec::new(),
             back_cells: 0,
             forward_cells: 0,
+            scratch: Scratch::default(),
         };
-        let accepting = tables.intern_pair(compiled, compiled.accepting(), StateSet::new(states));
-        let initial = tables.intern_set(&StateSet::from_states(states, [compiled.initial()]));
+        let mut scratch = std::mem::take(&mut tables.scratch);
+        let (initial, rest) = scratch.rows(width).split_at_mut(width);
+        let (pair, via) = rest.split_at_mut(2 * width);
+        pair[..width].copy_from_slice(compiled.accepting().blocks());
+        let accepting = tables.intern_pair(compiled, pair, via);
+        insert(initial, compiled.initial());
+        let initial = tables.intern_set(initial);
+        tables.scratch = scratch;
         debug_assert_eq!((accepting, initial), (Self::ACCEPTING, Self::INITIAL));
         tables
     }
@@ -260,8 +300,8 @@ impl EvalTables {
         }
     }
 
-    fn intern_set(&mut self, set: &StateSet) -> SetId {
-        let (id, fresh) = self.sets.intern(set.blocks());
+    fn intern_set(&mut self, set: &[u64]) -> SetId {
+        let (id, fresh) = self.sets.intern(set);
         if fresh {
             self.step.resize(self.step.len() + self.classes, UNFILLED);
             self.ops.push(OpsRow {
@@ -273,30 +313,26 @@ impl EvalTables {
         id
     }
 
-    /// Interns the backward state with useful set `useful`, given `via`: the
-    /// states whose letter transition enters a state that still has an
-    /// operation ahead (empty at `|d| + 1`).
-    fn intern_pair(
-        &mut self,
-        compiled: &CompiledVsa,
-        useful: &StateSet,
-        mut via: StateSet,
-    ) -> BackId {
-        let states = compiled.state_count();
+    /// Interns the backward state whose useful set `U` is the first half of
+    /// `pair`, given `via`: the states whose letter transition enters a
+    /// state that still has an operation ahead (empty at `|d| + 1`). Fills
+    /// the second half, `O`, and adds to `via` on the way.
+    fn intern_pair(&mut self, compiled: &CompiledVsa, pair: &mut [u64], via: &mut [u64]) -> BackId {
+        let (useful, ops_ahead) = pair.split_at_mut(self.sets.width);
         // An operation ahead of `q`: its zero closure reaches a state of
         // `via`, or one whose operation leads on to a useful state.
         for r in compiled.states_with_var_ops().iter() {
             let mut targets = compiled.var_ops(r).iter();
-            if targets.any(|&(_, t)| compiled.zero_closure(t).intersects(useful)) {
-                via.insert(r);
+            if targets.any(|&(_, t)| meet(compiled.zero_closure(t).blocks(), useful)) {
+                insert(via, r);
             }
         }
-        let ops_ahead = StateSet::from_states(
-            states,
-            (0..states).filter(|&q| compiled.zero_closure(q).intersects(&via)),
-        );
-        let pair = [useful.blocks(), ops_ahead.blocks()].concat();
-        let (id, fresh) = self.pairs.intern(&pair);
+        for q in 0..compiled.state_count() {
+            if meet(compiled.zero_closure(q).blocks(), via) {
+                insert(ops_ahead, q);
+            }
+        }
+        let (id, fresh) = self.pairs.intern(pair);
         if fresh {
             self.back.resize(self.back.len() + self.classes, UNFILLED);
         }
@@ -313,26 +349,30 @@ impl EvalTables {
     /// Computes and stores the backward step: from the state of position
     /// `p + 1` to that of position `p`, across a byte of `class`.
     pub fn fill_back(&mut self, compiled: &CompiledVsa, at: BackId, class: usize) -> BackId {
-        let states = compiled.state_count();
+        let width = self.sets.width;
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let (coaccessible, rest) = scratch.rows(width).split_at_mut(width);
+        let (pair, via) = rest.split_at_mut(2 * width);
         // Co-accessible at p + 1: the zero closure reaches a useful state.
-        let coaccessible = StateSet::from_states(
-            states,
-            (0..states).filter(|&q| self.coaccessible(compiled.zero_closure(q), at)),
-        );
+        for q in 0..compiled.state_count() {
+            if self.coaccessible(compiled.zero_closure(q), at) {
+                insert(coaccessible, q);
+            }
+        }
         // Useful at p: a letter transition into a co-accessible state.
-        let mut useful = StateSet::new(states);
-        let mut via = StateSet::new(states);
-        for r in 0..states {
+        let ops_ahead = self.ops_ahead(at);
+        for r in 0..compiled.state_count() {
             for &t in compiled.byte_targets(r, class) {
-                if coaccessible.contains(t) {
-                    useful.insert(r);
+                if contains(coaccessible, t) {
+                    insert(pair, r);
                 }
-                if self.ops_ahead(at)[t / 64] & (1 << (t % 64)) != 0 {
-                    via.insert(r);
+                if contains(ops_ahead, t) {
+                    insert(via, r);
                 }
             }
         }
-        let id = self.intern_pair(compiled, &useful, via);
+        let id = self.intern_pair(compiled, pair, via);
+        self.scratch = scratch;
         self.back[at as usize * self.classes + class] = id;
         self.back_cells += 1;
         id
@@ -347,11 +387,16 @@ impl EvalTables {
 
     /// Computes and stores [`EvalTables::step`].
     pub fn fill_step(&mut self, compiled: &CompiledVsa, set: SetId, class: usize) -> SetId {
-        let targets = StateSet::from_states(
-            compiled.state_count(),
-            bits(self.sets.set(set)).flat_map(|q| compiled.byte_targets(q, class).iter().copied()),
-        );
-        let id = self.intern_set(&targets);
+        let width = self.sets.width;
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let targets = &mut scratch.rows(width)[..width];
+        for q in bits(self.sets.set(set)) {
+            for &t in compiled.byte_targets(q, class) {
+                insert(targets, t);
+            }
+        }
+        let id = self.intern_set(targets);
+        self.scratch = scratch;
         self.step[set as usize * self.classes + class] = id;
         self.forward_cells += 1;
         id
@@ -406,11 +451,23 @@ impl EvalTables {
 
     /// Computes and stores [`EvalTables::ops`].
     pub fn fill_ops(&mut self, compiled: &CompiledVsa, frontier: SetId) {
-        let states = compiled.state_count();
-        // The ε-closure of the frontier: reachable with no operation.
-        let mut closure = StateSet::new(states);
+        let width = self.sets.width;
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let Scratch {
+            op_sets,
+            reached,
+            stack,
+            order,
+            ..
+        } = &mut scratch;
+        // ∅'s reached set is the ε-closure of the frontier: reachable with
+        // no operation.
+        op_sets.clear();
+        op_sets.push(0);
+        reached.clear();
+        reached.resize(width, 0);
         for q in bits(self.sets.set(frontier)) {
-            closure.union_with(compiled.eps_closure(q));
+            union(reached, compiled.eps_closure(q).blocks());
         }
         // Explore (state, operation set) pairs. Visited states are tracked
         // per operation set (a linear scan — the number of distinct sets
@@ -418,12 +475,12 @@ impl EvalTables {
         // precomputed closures, so the stack only carries operation steps.
         // Away from match boundaries no reached state has an operation and
         // the stack starts empty: the only candidate is ∅.
-        let mut stack: Vec<(usize, u64)> = closure
-            .iter()
-            .filter(|&q| compiled.has_var_ops(q))
-            .map(|q| (q, 0))
-            .collect();
-        let mut by_set: Vec<(u64, StateSet)> = vec![(0, closure)];
+        stack.clear();
+        stack.extend(
+            bits(reached)
+                .filter(|&q| compiled.has_var_ops(q))
+                .map(|q| (q, 0)),
+        );
         while let Some((q, set)) = stack.pop() {
             for &(op, target) in compiled.var_ops(q) {
                 let bit = 1u64 << (2 * op.var as u64 + u64::from(op.is_close));
@@ -431,40 +488,47 @@ impl EvalTables {
                     continue;
                 }
                 let next_set = set | bit;
-                let slot = match by_set.iter().position(|(s, _)| *s == next_set) {
+                let slot = match op_sets.iter().position(|&s| s == next_set) {
                     Some(slot) => slot,
                     None => {
-                        by_set.push((next_set, StateSet::new(states)));
-                        by_set.len() - 1
+                        op_sets.push(next_set);
+                        reached.resize(reached.len() + width, 0);
+                        op_sets.len() - 1
                     }
                 };
+                let row = &mut reached[slot * width..][..width];
                 for r in compiled.eps_closure(target).iter() {
-                    if by_set[slot].1.insert(r) && compiled.has_var_ops(r) {
+                    if insert(row, r) && compiled.has_var_ops(r) {
                         stack.push((r, next_set));
                     }
                 }
             }
         }
-        // ∅ (the closure itself) sorts first.
-        by_set.sort_by_key(|(set, _)| *set);
+        // ∅ sorts first.
+        order.clear();
+        order.extend(0..op_sets.len());
+        order.sort_unstable_by_key(|&i| op_sets[i]);
         let start = self.cands.len() as u32;
-        for (set, reached) in &by_set {
-            let id = self.intern_set(reached);
-            self.cands.push((*set, id));
+        for &i in order.iter() {
+            let id = self.intern_set(&reached[i * width..][..width]);
+            self.cands.push((op_sets[i], id));
         }
         // The stretch cell: the union of the states the other candidates
         // reach.
-        let mut union = StateSet::new(states);
-        for (_, reached) in &by_set[1..] {
-            union.union_with(reached);
+        let others = self.others.len() / width;
+        self.others.resize(self.others.len() + width, 0);
+        for &i in &order[1..] {
+            union(
+                &mut self.others[others * width..],
+                &reached[i * width..][..width],
+            );
         }
-        let others = (self.others.len() / self.sets.width) as u32;
-        self.others.extend_from_slice(union.blocks());
         self.ops[frontier as usize] = OpsRow {
             start,
-            len: by_set.len() as u32,
-            others,
+            len: op_sets.len() as u32,
+            others: others as u32,
         };
+        self.scratch = scratch;
         self.forward_cells += 1;
     }
 }

@@ -29,9 +29,20 @@
 //! the head before its one branch point is 80, 800 or 8 000 bytes long. A
 //! stack with a frame per position grows by doubling and would show up as
 //! a call count that climbs with the logarithm of the head.
+//!
+//! A fourth phase counts the cold path of a one-off program,
+//! `/.*{x:LIT}.*/` over a 4-, 8- and 16-byte literal: `prepare`,
+//! `required_literals`, the first prescan (which builds the boolean DFA)
+//! and the first evaluation of one matching line (which fills the
+//! evaluation tables). The longer literal has more states, DFA states and
+//! table cells, but the prescan and the evaluation may only allocate more
+//! as their slabs double — a set, cell or row allocated on its own shows
+//! up as a count that grows with the literal.
 
 use document_spanners::prelude::*;
+use spanner_algebra::PhysOp;
 use spanner_serve::protocol::{mappings_to_json, write_mappings};
+use spanner_vset::PreScan;
 use spanner_workloads::{access_log, needle_corpus, needle_line};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -198,6 +209,26 @@ fn method_evaluation_calls(head: usize) -> usize {
     calls
 }
 
+/// Allocation calls of the cold path of a fresh `/.*{x:LIT}.*/` whose
+/// literal is `len` bytes: `prepare`, `required_literals`, the first
+/// prescan and the first evaluation of one matching line.
+fn cold_path_calls(len: usize) -> [usize; 4] {
+    let literal = &"qzvxkwjpbmfyhdgc"[..len];
+    let program = format!("/.*{{x:{literal}}}.*/");
+    let (query, (prepare, _)) = counted(|| PreparedQuery::prepare(&program).unwrap());
+    let PhysOp::CompiledScan { compiled, .. } = query.plan().physical().root() else {
+        panic!("{program} lowers to one compiled scan");
+    };
+    let (literals, (literal_calls, _)) = counted(|| compiled.required_literals().to_vec());
+    assert_eq!(literals, [literal.as_bytes().to_vec()]);
+    let doc = Document::new(format!("one line with {literal} in it"));
+    let (verdict, (prescan, _)) = counted(|| compiled.prescan(&doc));
+    assert_eq!(verdict, PreScan::Accept);
+    let (set, (evaluation, _)) = counted(|| query.evaluate(&doc).unwrap());
+    assert_eq!(set.len(), 1);
+    [prepare, literal_calls, prescan, evaluation]
+}
+
 #[test]
 fn a_resident_query_allocates_what_it_matched_not_the_corpus() {
     let (small, large) = (5_000, 20_000);
@@ -264,4 +295,20 @@ fn a_resident_query_allocates_what_it_matched_not_the_corpus() {
         calls.iter().all(|&c| c == calls[0]),
         "the calls grew with the head: {calls:?}"
     );
+
+    // The cold path: per slab, not per state, subset or cell.
+    let lens = [4, 8, 16];
+    let [short, medium, long] = lens.map(cold_path_calls);
+    println!(
+        "allocation calls of prepare / required_literals / first prescan / \
+         first evaluation at literals of {lens:?} bytes: {short:?} {medium:?} {long:?}"
+    );
+    for (step, name) in [(2, "first prescan"), (3, "first evaluation")] {
+        assert!(
+            long[step] <= short[step] + 16,
+            "the {name} grew with the literal: {} calls at 4 bytes, {} at 16",
+            short[step],
+            long[step]
+        );
+    }
 }

@@ -948,3 +948,21 @@ pub fn assert_same_view(sparse: &QueryView, dense: &QueryView, context: &str) {
     let held = |v: &QueryView| (v.retained_cost(), v.snapshot_bytes(), v.generation());
     assert_eq!(held(sparse), held(dense), "{context}");
 }
+
+/// Every compiled scan of a physical plan, in plan order.
+pub fn scans_of(op: &PhysOp, out: &mut Vec<Arc<CompiledVsa>>) {
+    match op {
+        PhysOp::CompiledScan { compiled, .. } => out.push(Arc::clone(compiled)),
+        PhysOp::BlackBoxScan(_) => {}
+        PhysOp::Project { input, .. } => scans_of(input, out),
+        PhysOp::UnionAll(inputs) => inputs.iter().for_each(|i| scans_of(i, out)),
+        PhysOp::HashJoin { left, right } => {
+            scans_of(left, out);
+            scans_of(right, out);
+        }
+        PhysOp::Difference { input, probe } => {
+            scans_of(input, out);
+            scans_of(probe, out);
+        }
+    }
+}

@@ -21,9 +21,8 @@
 
 mod common;
 
-use common::ra_case;
+use common::{ra_case, scans_of};
 use document_spanners::prelude::*;
-use spanner_algebra::PhysOp;
 use spanner_vset::scan::{contains_factor, MAX_LITERALS, MAX_LITERAL_LEN};
 use spanner_vset::CompiledVsa;
 use spanner_workloads::{program_library, random_sequential_rgx};
@@ -219,23 +218,6 @@ fn adhoc_program(template: usize, literal: &str) -> String {
     ADHOC_TEMPLATES[template]
         .replace("LIT", literal)
         .replace('@', &template.to_string())
-}
-
-fn scans_of(op: &PhysOp, out: &mut Vec<Arc<CompiledVsa>>) {
-    match op {
-        PhysOp::CompiledScan { compiled, .. } => out.push(Arc::clone(compiled)),
-        PhysOp::BlackBoxScan(_) => {}
-        PhysOp::Project { input, .. } => scans_of(input, out),
-        PhysOp::UnionAll(inputs) => inputs.iter().for_each(|i| scans_of(i, out)),
-        PhysOp::HashJoin { left, right } => {
-            scans_of(left, out);
-            scans_of(right, out);
-        }
-        PhysOp::Difference { input, probe } => {
-            scans_of(input, out);
-            scans_of(probe, out);
-        }
-    }
 }
 
 /// Every compiled scan of a SpannerQL program, labelled for failure output.
