@@ -293,32 +293,19 @@ impl CompiledVsa {
         let mut eps_edges = Rows::with_rows(n);
         let mut zero_edges = Rows::with_rows(n);
         let mut consuming = StateSet::new(n);
+        let mut cell: Vec<StateId> = Vec::new();
         for src in 0..n {
             let transitions = vsa.transitions_from(src);
-            let consumes = transitions
-                .iter()
-                .any(|t| matches!(t.label, Label::Class(_)));
             let first = byte_step.items.len();
             for &rep in &class_reps[..class_count] {
-                if !consumes {
-                    byte_step.end_row();
-                    continue;
-                }
-                let from = byte_step.items.len();
-                for t in transitions {
-                    if matches!(&t.label, Label::Class(c) if c.contains(rep)) {
-                        byte_step.items.push(t.target);
-                    }
-                }
-                byte_step.items[from..].sort_unstable();
-                let mut kept = from;
-                for i in from..byte_step.items.len() {
-                    if i == from || byte_step.items[i] != byte_step.items[kept - 1] {
-                        byte_step.items[kept] = byte_step.items[i];
-                        kept += 1;
-                    }
-                }
-                byte_step.items.truncate(kept);
+                cell.clear();
+                cell.extend(transitions.iter().filter_map(|t| match &t.label {
+                    Label::Class(c) if c.contains(rep) => Some(t.target),
+                    _ => None,
+                }));
+                cell.sort_unstable();
+                cell.dedup();
+                byte_step.items.extend_from_slice(&cell);
                 byte_step.end_row();
             }
             if byte_step.items.len() > first {

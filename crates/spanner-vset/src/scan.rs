@@ -317,9 +317,6 @@ fn shortest_accepted(compiled: &CompiledVsa) -> Option<Vec<u8>> {
             doc.reverse();
             return Some(doc);
         }
-        if !compiled.consuming().contains(q) {
-            continue;
-        }
         for (class, &rep) in reps.iter().enumerate() {
             for &t in compiled.byte_targets(q, class) {
                 for r in compiled.zero_closure(t).iter() {
@@ -356,45 +353,17 @@ fn prefix_class(compiled: &CompiledVsa) -> Option<ByteClass> {
 /// nothing. Candidates are the compiled byte-class partition (skipping
 /// classes no transition consumes). Kept rarest-first, at most
 /// [`MAX_FACTORS`].
-///
-/// Every consuming step is listed once, with the zero closure of its
-/// targets folded in: `q` reaches `r` on a byte of any class in a mask.
-/// Forbidding a class then only drops the steps whose mask holds nothing
-/// else, so each class's search walks the list instead of every class of
-/// every state.
 fn required_factors(compiled: &CompiledVsa) -> Vec<ByteClass> {
     let class_count = compiled.class_count();
     if class_count > 64 {
         return Vec::new();
     }
-    let states = compiled.state_count();
-    let mut masks = vec![0u64; states];
-    let mut touched: Vec<usize> = Vec::new();
-    let mut steps = Rows::with_rows(states);
-    for q in 0..states {
-        for class in 0..class_count {
-            for &t in compiled.byte_targets(q, class) {
-                for r in compiled.zero_closure(t).iter() {
-                    if masks[r] == 0 {
-                        touched.push(r);
-                    }
-                    masks[r] |= 1 << class;
-                }
-            }
-        }
-        for r in touched.drain(..) {
-            steps.items.push((r, std::mem::take(&mut masks[r])));
-        }
-        steps.end_row();
-    }
-
     let mut factors: Vec<ByteClass> = Vec::new();
     let start = compiled.zero_closure(compiled.initial());
     let mut reach = start.clone();
     let mut stack: Vec<usize> = Vec::new();
     for avoid in 0..class_count {
         // Is any accepting state reachable using only classes != `avoid`?
-        let others = !(1u64 << avoid);
         reach.clear();
         reach.union_with(start);
         stack.clear();
@@ -404,12 +373,19 @@ fn required_factors(compiled: &CompiledVsa) -> Vec<ByteClass> {
             if alive {
                 break;
             }
-            for &(r, mask) in steps.row(q) {
-                if mask & others != 0 && reach.insert(r) {
-                    if compiled.is_accepting(r) {
-                        alive = true;
+            for class in 0..class_count {
+                if class == avoid {
+                    continue;
+                }
+                for &t in compiled.byte_targets(q, class) {
+                    for r in compiled.zero_closure(t).iter() {
+                        if reach.insert(r) {
+                            if compiled.is_accepting(r) {
+                                alive = true;
+                            }
+                            stack.push(r);
+                        }
                     }
-                    stack.push(r);
                 }
             }
         }
@@ -650,9 +626,8 @@ struct Move {
 /// run walks states that read a byte and nothing else.
 struct LiteralTest<'a> {
     compiled: &'a CompiledVsa,
-    /// State `q` owns `moves[moves_from[q]..moves_from[q + 1]]`.
-    moves: Vec<Move>,
-    moves_from: Vec<usize>,
+    /// The moves of state `q` are row `q`.
+    moves: Rows<Move>,
     /// The successor lists of every move: the consuming states among the
     /// zero-closures of its targets.
     next: Vec<usize>,
@@ -665,9 +640,8 @@ impl<'a> LiteralTest<'a> {
     fn new(compiled: &'a CompiledVsa) -> Self {
         let states = compiled.state_count();
         let classes = 0..compiled.class_count();
-        let mut moves = Vec::with_capacity(states);
-        let mut moves_from = Vec::with_capacity(states + 1);
-        moves_from.push(0);
+        let mut moves = Rows::with_rows(states);
+        moves.items.reserve(states);
         let mut next = Vec::with_capacity(2 * states);
         let mut entered = StateSet::new(states);
         for q in 0..states {
@@ -682,18 +656,17 @@ impl<'a> LiteralTest<'a> {
                 }
                 let from = next.len();
                 next.extend(entered.iter().filter(|&r| compiled.consuming().contains(r)));
-                moves.push(Move {
+                moves.items.push(Move {
                     class,
                     accepts: entered.intersects(compiled.accepting()),
                     next: from..next.len(),
                 });
             }
-            moves_from.push(moves.len());
+            moves.end_row();
         }
         LiteralTest {
             compiled,
             moves,
-            moves_from,
             next,
             via: Vec::new(),
             stack: Vec::new(),
@@ -762,7 +735,7 @@ impl<'a> LiteralTest<'a> {
             self.stack.push((q, 0));
         }
         while let Some((q, k)) = self.stack.pop() {
-            for mv in &self.moves[self.moves_from[q]..self.moves_from[q + 1]] {
+            for mv in self.moves.row(q) {
                 for &(_, byte) in groups.iter().filter(|&&(c, _)| c == mv.class) {
                     let k2 = kmp_next(k, byte);
                     if k2 == m {
