@@ -268,22 +268,15 @@ impl PreparedQuery {
         out
     }
 
-    /// [`PreparedQuery::explain`], then actually *runs* the query on `doc`
-    /// through the traced executor and appends the measured per-operator
-    /// tree — rows produced, inclusive wall time, prescan verdicts,
-    /// boolean-scan tier, join build sizes, limit trips. A failing
-    /// evaluation still reports its (partial) trace, with the error on the
-    /// `analyze` line, so `LimitExceeded` trips stay diagnosable.
-    pub fn explain_analyze(&self, doc: &Document) -> String {
-        let (result, trace) = self.evaluate_traced(doc);
-        self.render_analyze(doc, &result, &trace)
-    }
-
-    /// Renders the [`PreparedQuery::explain_analyze`] text from an
-    /// already-measured run — the serving layer evaluates once through
-    /// [`PreparedQuery::evaluate_traced`] and feeds the same trace to both
-    /// this rendering and the structured trace JSON, so the two reports
-    /// can never disagree.
+    /// The `explain --analyze` text of a run of the query on `doc`:
+    /// [`PreparedQuery::explain`], then the measured per-operator tree —
+    /// rows produced, inclusive wall time, prescan verdicts, boolean-scan
+    /// tier, join build sizes, limit trips. A failing evaluation still
+    /// reports its (partial) trace, with the error on the `analyze` line,
+    /// so `LimitExceeded` trips stay diagnosable. The serving layer
+    /// evaluates once through [`PreparedQuery::evaluate_traced`] and feeds
+    /// the same trace to both this rendering and the structured trace
+    /// JSON, so the two reports can never disagree.
     pub fn render_analyze(
         &self,
         doc: &Document,
@@ -586,7 +579,12 @@ mod tests {
             "let a = /{x:a+}{y:b*}/; let b = /{x:a}b/; project x (a minus b);",
         )
         .unwrap();
-        let text = q.explain_analyze(&Document::new("aab"));
+        let analyze = |text: &str| {
+            let doc = Document::new(text);
+            let (result, trace) = q.evaluate_traced(&doc);
+            q.render_analyze(&doc, &result, &trace)
+        };
+        let text = analyze("aab");
         // Everything `explain` prints, plus the measured section.
         assert!(text.contains("physical   :"), "{text}");
         assert!(text.contains("analyze    : "), "{text}");
@@ -597,11 +595,11 @@ mod tests {
         // (`explain` runs before the evaluation); the second finds them.
         assert!(text.contains("eval tables: cold"), "{text}");
         assert!(!text.contains("eval_table_cells=0"), "{text}");
-        let warm = q.explain_analyze(&Document::new("aab"));
+        let warm = analyze("aab");
         assert!(warm.contains("backward + "), "{warm}");
         assert!(warm.contains("eval_table_cells=0"), "{warm}");
         // A document the pre-pass rejects reports the verdict, not rows.
-        let miss = q.explain_analyze(&Document::new("zzz"));
+        let miss = analyze("zzz");
         assert!(
             miss.contains("prescan_skip=1") || miss.contains("prescan_reject=1"),
             "{miss}"

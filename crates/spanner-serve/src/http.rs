@@ -127,7 +127,7 @@ impl HttpCodec {
 
 impl Codec for HttpCodec {
     fn read_request(&mut self, conn: &mut Conn, shared: &Shared) -> io::Result<Option<Incoming>> {
-        let options = &shared.options;
+        let options = &shared.handler.options;
         *self = HttpCodec::default();
         match conn.read_frame(&shared.limits(options.max_head_bytes), head_frame)? {
             Frame::Complete => {}
@@ -188,7 +188,7 @@ impl Codec for HttpCodec {
                 ("ok", Json::Bool(true)),
                 (
                     "uptime_s",
-                    Json::Number(shared.started.elapsed().as_secs_f64()),
+                    Json::Number(shared.handler.started.elapsed().as_secs_f64()),
                 ),
             ])))),
             ("GET", "/metrics") => decoded(Request::Metrics),
@@ -227,7 +227,7 @@ impl Codec for HttpCodec {
             Outcome::Failed => 400,
             Outcome::Internal => 500,
         });
-        shared.metrics.http_classes[(status / 100 - 2) as usize].inc();
+        shared.handler.metrics.http_classes[(status / 100 - 2) as usize].inc();
         let head = |out: &mut Vec<u8>, content_type: &str, length: Option<usize>| {
             write!(
                 out,

@@ -1,11 +1,11 @@
 //! A long-running query service over document spanners.
 //!
-//! Every CLI entry point re-parses, re-plans, and re-compiles its program
-//! per invocation, discarding exactly the compile-once amortization the
-//! engine is built around (the paper's evaluation model compiles the
-//! spanner once and evaluates many documents). This crate keeps the
-//! compiled form *resident*: a std-only TCP daemon speaking a
-//! line-delimited JSON protocol, backed by
+//! The paper's evaluation model compiles the spanner once and evaluates
+//! many documents. This crate answers that question behind one
+//! [`Handler`]: the CLI answers each of its evaluating commands through a
+//! handler in process, and a std-only TCP daemon shares one between its
+//! connection workers, keeping the compiled form *resident* and speaking
+//! a line-delimited JSON protocol. The handler is backed by
 //!
 //! * a shared LRU [`QueryCache`] holding `Arc<PreparedQuery>` — concurrent
 //!   requests for the same program evaluate against one compiled plan with
@@ -67,7 +67,7 @@ pub use client::Client;
 pub use http::{HttpClient, HttpResponse};
 pub use json::Json;
 pub use protocol::Request;
-pub use server::{ServeOptions, Server};
+pub use server::{Handler, ServeOptions, Server};
 
 use std::sync::{Mutex, MutexGuard};
 

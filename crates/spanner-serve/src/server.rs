@@ -3,16 +3,18 @@
 //! [`Server`] binds a TCP listener and serves the protocol of
 //! [`crate::protocol`] from a fixed pool of connection workers — the only
 //! long-lived threads the daemon has besides the accept loop. All workers
-//! share one [`QueryCache`] (so a hot program is compiled once, ever, per
-//! process). A corpus request is evaluated on the worker that read it,
-//! exactly like the CLI `corpus` command: a corpus of a few hundred lines
-//! stays on that thread, a larger one is split across up to
-//! [`ServeOptions::corpus_threads`] threads scoped to the request, which
-//! are gone when it is answered.
+//! share one [`Handler`]: one [`QueryCache`] (so a hot program is compiled
+//! once, ever, per process), the resident store and the metrics. The CLI
+//! answers through a `Handler` of its own, in process, so a command and a
+//! request are one code path. A corpus request is evaluated on the thread
+//! that asked: a corpus of a few hundred lines stays on that thread, a
+//! larger one is split across up to [`ServeOptions::corpus_threads`]
+//! threads scoped to the request, which are gone when it is answered.
 //!
 //! Every connection, whatever it speaks, runs the one loop
-//! `serve_connection`: read a request, decode it, account for it,
-//! dispatch it, write the answer, decide whether the connection goes on.
+//! `serve_connection`: read a request, decode it, hand it to the
+//! handler's dispatch (account, guard, answer), write the answer, decide
+//! whether the connection goes on.
 //! What differs between the line-JSON and HTTP transports is a `Codec` —
 //! how bytes become a [`Request`] (or a reject) and how a response becomes
 //! bytes — chosen once per connection from [`ServeOptions::http`]. Both
@@ -59,7 +61,7 @@ use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-/// Configuration of a [`Server`].
+/// Configuration of a [`Server`] and its [`Handler`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
     /// Connection worker threads (`0` = one per available CPU).
@@ -343,23 +345,6 @@ impl ServerMetrics {
         &self.ops[known.unwrap_or(Request::OPS.len())]
     }
 
-    /// Counts a request as soon as it is decoded — before dispatch, so a
-    /// `stats` or `metrics` response includes the request that asked.
-    fn begin_request(&self, op: &str) {
-        self.op(op).requests.inc();
-    }
-
-    /// Records the handled request's latency and — from its [`Outcome`],
-    /// the value the codec also writes the answer from, so the tally can
-    /// never drift from what the client saw — the error total.
-    fn finish_request(&self, op: &str, elapsed: Duration, outcome: &Outcome) {
-        let m = self.op(op);
-        if !outcome.is_ok() {
-            m.errors.inc();
-        }
-        m.latency.observe_duration(elapsed);
-    }
-
     /// Total requests across every op — derived from the per-op counters,
     /// never tracked separately (one source of truth).
     fn total_requests(&self) -> u64 {
@@ -491,16 +476,19 @@ impl ViewSet {
     }
 }
 
-/// State shared by the accept loop and every connection worker.
-pub(crate) struct Shared {
+/// The daemon's request handler: the prepared-query cache, the resident
+/// store and the metrics. A [`Server`] shares one between its connection
+/// workers; the CLI answers through one in process, each request counted,
+/// timed and panic-guarded by the same dispatch.
+pub struct Handler {
     cache: QueryCache,
-    /// As given to `bind`, except that `corpus_threads` is resolved.
+    /// As given to [`Handler::new`], except that `corpus_threads` is
+    /// resolved.
     pub(crate) options: ServeOptions,
-    pub(crate) addr: SocketAddr,
-    pub(crate) shutdown: AtomicBool,
     pub(crate) metrics: ServerMetrics,
     pub(crate) started: Instant,
-    /// The resident corpus: loaded by `load_corpus`, mutated in place by
+    /// The resident corpus: loaded by `load_corpus` (or
+    /// [`Handler::install`]), mutated in place by
     /// `append_docs`/`update_doc`/`delete_docs`, and queried by
     /// `query_corpus` requests that omit `text` — documents stay on the
     /// server, selective queries prune through the trigram index, and
@@ -508,16 +496,78 @@ pub(crate) struct Shared {
     store: Mutex<Option<Arc<ResidentStore>>>,
 }
 
-impl Shared {
-    /// The limits of one frame read on a served connection: at most `cap`
-    /// bytes, [`ServeOptions::idle_timeout`] from now to complete it, and
-    /// the shutdown flag to end idle waits.
-    pub(crate) fn limits(&self, cap: usize) -> Limits<'_> {
-        Limits {
-            cap,
-            deadline: Instant::now().checked_add(self.options.idle_timeout),
-            stop: Some(&self.shutdown),
+impl Handler {
+    /// A handler with an empty cache and no resident store.
+    /// `corpus_threads` is resolved here, once: resolving `0` reads cgroup
+    /// files, which costs more than a small corpus request does.
+    pub fn new(options: ServeOptions) -> Handler {
+        let options = ServeOptions {
+            corpus_threads: resolve_pool_threads(options.corpus_threads),
+            ..options
+        };
+        Handler {
+            cache: QueryCache::new(options.cache_capacity),
+            options,
+            metrics: ServerMetrics::new(),
+            started: Instant::now(),
+            store: Mutex::new(None),
         }
+    }
+
+    /// Answers `request`, appending the response object to `out` exactly
+    /// as the line-JSON transport writes it (without the newline), and
+    /// returns whether it says `"ok":true`. `shutdown` is answered but
+    /// stops nothing: a handler has no accept loop to stop.
+    pub fn answer(&self, request: Request, out: &mut Vec<u8>) -> bool {
+        let outcome = self.dispatch(Ok(request), Instant::now(), out);
+        if let Outcome::Metrics(text) = &outcome {
+            metrics_object(out, text);
+        }
+        outcome.is_ok()
+    }
+
+    /// Makes `store` the resident corpus, with no views yet. Queries
+    /// against the previous one finish on it: the swap is one pointer
+    /// store.
+    pub fn install(&self, store: Store) {
+        let resident = Arc::new(ResidentStore {
+            store: RwLock::new(store),
+            views: ViewSet::new(self.options.max_views, self.options.view_budget),
+        });
+        *lock_or_reset(&self.store, |_| ()) = Some(resident);
+    }
+
+    /// Answers one decoded request — or input that did not decode, as
+    /// [`INVALID`] — into `body`: the one dispatch behind both transports
+    /// and [`Handler::answer`]. The request is counted before it is
+    /// handled, so a `stats` or `metrics` answer includes the request that
+    /// asked; its latency from `framed_at`, and its error from the
+    /// [`Outcome`] the answer is written from, so the tally never drifts
+    /// from what the client saw.
+    fn dispatch(
+        &self,
+        decoded: Result<Request, Json>,
+        framed_at: Instant,
+        body: &mut Vec<u8>,
+    ) -> Outcome {
+        let op = self
+            .metrics
+            .op(decoded.as_ref().map_or(INVALID, Request::op_name));
+        op.requests.inc();
+        let outcome = match decoded {
+            Ok(request) => guarded(&self.metrics, body, |body| {
+                handle_request(self, request, body)
+            }),
+            Err(reject) => {
+                reject.write_to(body);
+                Outcome::Failed
+            }
+        };
+        if !outcome.is_ok() {
+            op.errors.inc();
+        }
+        op.latency.observe_duration(framed_at.elapsed());
+        outcome
     }
 
     /// The current resident store, if any (cheap pointer clone; the
@@ -528,7 +578,7 @@ impl Shared {
 
     /// Renders the whole registry plus the scrape-time families (cache,
     /// resident store, uptime) as one Prometheus text exposition.
-    pub(crate) fn render_metrics(&self) -> String {
+    fn render_metrics(&self) -> String {
         let mut out = Exposition::new();
         self.metrics.registry.export_into(&mut out);
         let cache = self.cache.stats();
@@ -642,6 +692,27 @@ impl Shared {
     }
 }
 
+/// A [`Server`]'s state: its [`Handler`], shared by the connection
+/// workers, and what only a listening daemon has.
+pub(crate) struct Shared {
+    pub(crate) handler: Handler,
+    pub(crate) addr: SocketAddr,
+    pub(crate) shutdown: AtomicBool,
+}
+
+impl Shared {
+    /// The limits of one frame read on a served connection: at most `cap`
+    /// bytes, [`ServeOptions::idle_timeout`] from now to complete it, and
+    /// the shutdown flag to end idle waits.
+    pub(crate) fn limits(&self, cap: usize) -> Limits<'_> {
+        Limits {
+            cap,
+            deadline: Instant::now().checked_add(self.handler.options.idle_timeout),
+            stop: Some(&self.shutdown),
+        }
+    }
+}
+
 /// A bound, not-yet-running query daemon.
 pub struct Server {
     listener: TcpListener,
@@ -655,22 +726,12 @@ impl Server {
     pub fn bind(addr: &str, options: ServeOptions) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        // Resolved here, once: resolving `0` reads cgroup files, which costs
-        // more than a small corpus request does.
-        let options = ServeOptions {
-            corpus_threads: resolve_pool_threads(options.corpus_threads),
-            ..options
-        };
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
-                cache: QueryCache::new(options.cache_capacity),
-                options,
+                handler: Handler::new(options),
                 addr,
                 shutdown: AtomicBool::new(false),
-                metrics: ServerMetrics::new(),
-                started: Instant::now(),
-                store: Mutex::new(None),
             }),
         })
     }
@@ -686,7 +747,7 @@ impl Server {
     pub fn run(&self) -> io::Result<()> {
         // A huge `serve [addr [threads]]` argument degrades to the corpus
         // engine's ceiling instead of aborting when the OS refuses to spawn.
-        let threads = resolve_pool_threads(self.shared.options.threads);
+        let threads = resolve_pool_threads(self.shared.handler.options.threads);
         let (sender, receiver) = channel::<TcpStream>();
         let receiver = Arc::new(Mutex::new(receiver));
         let workers: Vec<_> = (0..threads)
@@ -698,10 +759,10 @@ impl Server {
                         Ok(stream) => stream,
                         Err(_) => return, // accept loop closed the queue
                     };
-                    shared.metrics.connections.inc();
+                    shared.handler.metrics.connections.inc();
                     // Connection-level I/O errors (peer reset, timeout on a
                     // dead socket) end that connection only.
-                    let _ = if shared.options.http {
+                    let _ = if shared.handler.options.http {
                         serve_connection(stream, &shared, HttpCodec::default())
                     } else {
                         serve_connection(stream, &shared, LineCodec)
@@ -724,7 +785,7 @@ impl Server {
                 // would take the resident store and every open connection
                 // with it. Pause so a full descriptor table is not spun on.
                 Err(_) => {
-                    self.shared.metrics.accept_errors.inc();
+                    self.shared.handler.metrics.accept_errors.inc();
                     std::thread::sleep(POLL_INTERVAL);
                 }
             }
@@ -813,30 +874,17 @@ fn serve_connection<C: Codec>(stream: TcpStream, shared: &Shared, mut codec: C) 
     let mut conn = Conn::new(stream)?;
     // The answer under construction, reused like the connection's buffers.
     let mut body = Vec::new();
-    let metrics = &shared.metrics;
+    let metrics = &shared.handler.metrics;
     while let Some(incoming) = codec.read_request(&mut conn, shared)? {
         metrics.bytes_read.add(std::mem::take(&mut conn.bytes_read));
         let shutdown = matches!(incoming, Incoming::Decoded(Ok(Request::Shutdown)));
         let outcome = match incoming {
             Incoming::Probe(response) => reply(&mut body, response),
-            // The only place requests are counted and timed. The latency
-            // clock starts when the request's last byte was read: decoding,
-            // dispatch and writing the body are handling time, the client's
-            // idle time before it is not.
+            // The latency clock starts when the request's last byte was
+            // read: decoding, dispatch and writing the body are handling
+            // time, the client's idle time before it is not.
             Incoming::Decoded(decoded) => {
-                let op = decoded.as_ref().map_or(INVALID, Request::op_name);
-                metrics.begin_request(op);
-                let outcome = match decoded {
-                    Ok(request) => guarded(metrics, &mut body, |body| {
-                        handle_request(shared, request, body)
-                    }),
-                    Err(reject) => {
-                        reject.write_to(&mut body);
-                        Outcome::Failed
-                    }
-                };
-                metrics.finish_request(op, conn.framed_at.elapsed(), &outcome);
-                outcome
+                shared.handler.dispatch(decoded, conn.framed_at, &mut body)
             }
         };
         let keep_open = codec.write_response(&mut conn, shared, &body, &outcome, shutdown)?;
@@ -897,7 +945,7 @@ struct LineCodec;
 
 impl Codec for LineCodec {
     fn read_request(&mut self, conn: &mut Conn, shared: &Shared) -> io::Result<Option<Incoming>> {
-        let cap = shared.options.max_line_bytes;
+        let cap = shared.handler.options.max_line_bytes;
         loop {
             // The cap admits the terminator; the deadline restarts with
             // every line, so an active client may idle between requests.
@@ -949,17 +997,21 @@ impl Codec for LineCodec {
     ) -> io::Result<bool> {
         let out = &mut conn.output;
         match outcome {
-            Outcome::Metrics(text) => {
-                out.extend_from_slice(br#"{"ok":true,"metrics":"#);
-                json::write_str(out, text);
-                out.push(b'}');
-            }
+            Outcome::Metrics(text) => metrics_object(out, text),
             _ => out.extend_from_slice(body),
         }
         out.push(b'\n');
         conn.flush()?;
         Ok(!last)
     }
+}
+
+/// Writes the line-JSON answer to `metrics`: the exposition `text` as a
+/// string member, since a line carries one JSON object.
+fn metrics_object(out: &mut Vec<u8>, text: &str) {
+    out.extend_from_slice(br#"{"ok":true,"metrics":"#);
+    json::write_str(out, text);
+    out.push(b'}');
 }
 
 /// Writes a response built as a tree — the small fixed-shape ones — and
@@ -979,17 +1031,17 @@ fn fail(out: &mut Vec<u8>, message: impl std::fmt::Display) -> Outcome {
 /// write the success response from the shared prepared query; compile
 /// errors become the standard error response with the caret rendering.
 fn with_query(
-    shared: &Shared,
+    handler: &Handler,
     program: &str,
     out: &mut Vec<u8>,
     answer: impl FnOnce(Arc<spanner_ql::PreparedQuery>, bool, &mut Vec<u8>) -> Outcome,
 ) -> Outcome {
     let start = Instant::now();
-    let prepared = shared
+    let prepared = handler
         .cache
-        .get_or_prepare(program, shared.options.ra_options);
+        .get_or_prepare(program, handler.options.ra_options);
     if !matches!(prepared, Ok((_, true))) {
-        shared
+        handler
             .metrics
             .prepare_seconds
             .observe_duration(start.elapsed());
@@ -1008,7 +1060,7 @@ fn with_query(
 /// reached the executor) or — `view_hits` of them, on the resident path —
 /// served from a maintained view without being looked at.
 fn corpus_response(
-    shared: &Shared,
+    handler: &Handler,
     out: &mut Vec<u8>,
     cached: bool,
     docs: &[Document],
@@ -1019,9 +1071,9 @@ fn corpus_response(
     let stats = &answer.stats;
     let skipped = stats.docs_skipped as u64;
     let rejected = stats.docs_rejected as u64;
-    shared.metrics.docs_skipped.add(skipped);
-    shared.metrics.docs_rejected.add(rejected);
-    shared
+    handler.metrics.docs_skipped.add(skipped);
+    handler.metrics.docs_rejected.add(rejected);
+    handler
         .metrics
         .docs_evaluated
         .add(((stats.documents - view_hits) as u64).saturating_sub(skipped + rejected));
@@ -1064,13 +1116,13 @@ fn corpus_response(
 /// neither it nor the generation — and `count` names that number in the
 /// response, which ends with the store's `documents` and `generation`.
 fn mutate(
-    shared: &Shared,
+    handler: &Handler,
     out: &mut Vec<u8>,
     mutations: impl IntoIterator<Item = Mutation>,
     counter: &Counter,
     count: Option<&'static str>,
 ) -> Outcome {
-    let Some(resident) = shared.resident() else {
+    let Some(resident) = handler.resident() else {
         return fail(out, "no resident corpus (send `load_corpus` first)");
     };
     let Some(mut store) = resident.write() else {
@@ -1093,11 +1145,11 @@ fn mutate(
 }
 
 /// Handles one decoded request, writing its answer into `out`. Both
-/// transports funnel through this one function, so the line-JSON and HTTP
-/// surfaces can never drift apart.
-fn handle_request(shared: &Shared, request: Request, out: &mut Vec<u8>) -> Outcome {
+/// transports and [`Handler::answer`] funnel through this one function, so
+/// the line-JSON, HTTP and in-process surfaces can never drift apart.
+fn handle_request(handler: &Handler, request: Request, out: &mut Vec<u8>) -> Outcome {
     match request {
-        Request::Prepare { program } => with_query(shared, &program, out, |query, cached, out| {
+        Request::Prepare { program } => with_query(handler, &program, out, |query, cached, out| {
             let vars = query.vars().iter().map(|v| Json::string(v.to_string()));
             reply(
                 out,
@@ -1111,7 +1163,7 @@ fn handle_request(shared: &Shared, request: Request, out: &mut Vec<u8>) -> Outco
             )
         }),
         Request::Query { program, doc } => {
-            with_query(shared, &program, out, |query, cached, out| {
+            with_query(handler, &program, out, |query, cached, out| {
                 let doc = Document::new(doc);
                 match query.evaluate(&doc) {
                     Err(e) => fail(out, e),
@@ -1141,7 +1193,7 @@ fn handle_request(shared: &Shared, request: Request, out: &mut Vec<u8>) -> Outco
             match Store::build(split_lines(&text)) {
                 Err(e) => fail(out, e),
                 Ok(store) => {
-                    shared
+                    handler
                         .metrics
                         .store_build_seconds
                         .observe_duration(build_started.elapsed());
@@ -1152,67 +1204,63 @@ fn handle_request(shared: &Shared, request: Request, out: &mut Vec<u8>) -> Outco
                         ("trigrams", Json::number(store.trigram_count())),
                         ("generation", Json::number(store.generation() as usize)),
                     ]);
-                    let resident = Arc::new(ResidentStore {
-                        store: RwLock::new(store),
-                        views: ViewSet::new(shared.options.max_views, shared.options.view_budget),
-                    });
-                    *lock_or_reset(&shared.store, |_| ()) = Some(resident);
+                    handler.install(store);
                     reply(out, response)
                 }
             }
         }
         Request::AppendDocs { text } => mutate(
-            shared,
+            handler,
             out,
             text.lines()
                 .map(|line| Mutation::Append { text: line.into() }),
-            &shared.metrics.store_appends,
+            &handler.metrics.store_appends,
             Some("appended"),
         ),
         Request::UpdateDoc { line, text } => mutate(
-            shared,
+            handler,
             out,
             [Mutation::Update { id: line, text }],
-            &shared.metrics.store_updates,
+            &handler.metrics.store_updates,
             None,
         ),
         // Applied in order; the first bad id aborts (earlier deletes stay
         // applied — deletes are idempotent, so a client can safely retry
         // the whole batch).
         Request::DeleteDocs { lines } => mutate(
-            shared,
+            handler,
             out,
             lines.into_iter().map(|id| Mutation::Delete { id }),
-            &shared.metrics.store_deletes,
+            &handler.metrics.store_deletes,
             Some("deleted"),
         ),
         Request::QueryCorpus {
             program,
             text: Some(text),
-        } => with_query(shared, &program, out, |query, cached, out| {
+        } => with_query(handler, &program, out, |query, cached, out| {
             let docs = split_lines(&text);
-            match query.scan_corpus(&docs, shared.options.corpus_threads) {
+            match query.scan_corpus(&docs, handler.options.corpus_threads) {
                 Err(e) => fail(out, e),
-                Ok(answer) => corpus_response(shared, out, cached, &docs, &answer, 0, &[]),
+                Ok(answer) => corpus_response(handler, out, cached, &docs, &answer, 0, &[]),
             }
         }),
         Request::QueryCorpus {
             program,
             text: None,
-        } => match shared.resident() {
+        } => match handler.resident() {
             None => fail(out, "no resident corpus (send `load_corpus` first)"),
-            Some(resident) => with_query(shared, &program, out, |query, cached, out| {
+            Some(resident) => with_query(handler, &program, out, |query, cached, out| {
                 let Some(store) = resident.read() else {
                     return fail(out, STORE_POISONED);
                 };
-                let threads = shared.options.corpus_threads;
+                let threads = handler.options.corpus_threads;
                 // One maintained view per (program, options) key, built
                 // only once the cache held the program; without one a
                 // throwaway zero-budget view keeps the code path (and the
                 // response shape) identical.
                 let slot = resident
                     .views
-                    .get(&cache_key(&program, shared.options.ra_options), cached);
+                    .get(&cache_key(&program, handler.options.ra_options), cached);
                 let result = match &slot {
                     Some(slot) => {
                         let mut view = slot.lock();
@@ -1230,7 +1278,7 @@ fn handle_request(shared: &Shared, request: Request, out: &mut Vec<u8>) -> Outco
                 match result {
                     Err(e) => fail(out, e),
                     Ok(outcome) => {
-                        let m = &shared.metrics;
+                        let m = &handler.metrics;
                         m.store_selectivity.observe(outcome.selectivity());
                         // The view families describe maintained views: a
                         // query without one would only read as evictions.
@@ -1253,7 +1301,7 @@ fn handle_request(shared: &Shared, request: Request, out: &mut Vec<u8>) -> Outco
                         // Written while the read guard is held: the
                         // documents are the store's own.
                         corpus_response(
-                            shared,
+                            handler,
                             out,
                             cached,
                             store.documents(),
@@ -1276,7 +1324,7 @@ fn handle_request(shared: &Shared, request: Request, out: &mut Vec<u8>) -> Outco
             program,
             analyze: false,
             ..
-        } => with_query(shared, &program, out, |query, cached, out| {
+        } => with_query(handler, &program, out, |query, cached, out| {
             reply(
                 out,
                 Json::object([
@@ -1299,7 +1347,7 @@ fn handle_request(shared: &Shared, request: Request, out: &mut Vec<u8>) -> Outco
                     "`explain` with `\"analyze\": true` needs a `doc` field to run the query on",
                 );
             };
-            with_query(shared, &program, out, |query, cached, out| {
+            with_query(handler, &program, out, |query, cached, out| {
                 let document = Document::new(doc);
                 // One traced run feeds both the human rendering and the
                 // structured trace, so they can never disagree.
@@ -1327,8 +1375,8 @@ fn handle_request(shared: &Shared, request: Request, out: &mut Vec<u8>) -> Outco
             })
         }
         Request::Stats => {
-            let cache = shared.cache.stats();
-            let store = match shared.resident() {
+            let cache = handler.cache.stats();
+            let store = match handler.resident() {
                 None => Json::Null,
                 Some(resident) => {
                     let store = resident.counters();
@@ -1356,7 +1404,7 @@ fn handle_request(shared: &Shared, request: Request, out: &mut Vec<u8>) -> Outco
                         ("evictions", Json::number(cache.evictions as usize)),
                         (
                             "prepare_seconds",
-                            Json::Number(shared.metrics.prepare_seconds.sum()),
+                            Json::Number(handler.metrics.prepare_seconds.sum()),
                         ),
                     ]),
                 ),
@@ -1365,35 +1413,35 @@ fn handle_request(shared: &Shared, request: Request, out: &mut Vec<u8>) -> Outco
                     Json::object([
                         (
                             "requests_total",
-                            Json::number(shared.metrics.total_requests() as usize),
+                            Json::number(handler.metrics.total_requests() as usize),
                         ),
                         (
                             "errors_total",
-                            Json::number(shared.metrics.total_errors() as usize),
+                            Json::number(handler.metrics.total_errors() as usize),
                         ),
                         (
                             "uptime_s",
-                            Json::Number(shared.started.elapsed().as_secs_f64()),
+                            Json::Number(handler.started.elapsed().as_secs_f64()),
                         ),
                         (
                             "connections",
-                            Json::number(shared.metrics.connections.get() as usize),
+                            Json::number(handler.metrics.connections.get() as usize),
                         ),
                         (
                             "corpus_threads",
-                            Json::number(shared.options.corpus_threads),
+                            Json::number(handler.options.corpus_threads),
                         ),
                         (
                             "docs_skipped",
-                            Json::number(shared.metrics.docs_skipped.get() as usize),
+                            Json::number(handler.metrics.docs_skipped.get() as usize),
                         ),
                         (
                             "docs_rejected",
-                            Json::number(shared.metrics.docs_rejected.get() as usize),
+                            Json::number(handler.metrics.docs_rejected.get() as usize),
                         ),
                         (
                             "docs_evaluated",
-                            Json::number(shared.metrics.docs_evaluated.get() as usize),
+                            Json::number(handler.metrics.docs_evaluated.get() as usize),
                         ),
                     ]),
                 ),
@@ -1402,7 +1450,7 @@ fn handle_request(shared: &Shared, request: Request, out: &mut Vec<u8>) -> Outco
                     // per operation (the same counters `metrics` renders).
                     "ops",
                     Json::Object(
-                        shared
+                        handler
                             .metrics
                             .ops
                             .iter()
@@ -1423,7 +1471,7 @@ fn handle_request(shared: &Shared, request: Request, out: &mut Vec<u8>) -> Outco
             reply(out, response)
         }
         // HTTP serves the exposition as it is, so it is not escaped here.
-        Request::Metrics => Outcome::Metrics(shared.render_metrics()),
+        Request::Metrics => Outcome::Metrics(handler.render_metrics()),
         Request::Shutdown => reply(
             out,
             Json::object([
@@ -1512,6 +1560,58 @@ mod tests {
         let outcome = guarded(&metrics, &mut body, |out| reply(out, Json::Null));
         assert_eq!((outcome, body), (Outcome::Ok, b"null".to_vec()));
         assert_eq!(metrics.panics.get(), 1);
+    }
+
+    #[test]
+    fn a_handler_answers_and_counts_as_a_fresh_daemon_does() {
+        let requests = [
+            r#"{"op":"query","program":"/{x:a+}b/","doc":"aab"}"#,
+            r#"{"op":"query","program":"/{x:a+}b/","doc":"aab"}"#,
+            r#"{"op":"query_corpus","program":"/.*{x:b}.*/","text":"ab\nc\nbb\n"}"#,
+            r#"{"op":"load_corpus","text":"a needle\nmiss\n"}"#,
+            r#"{"op":"append_docs","text":"needle two\n"}"#,
+            r#"{"op":"query_corpus","program":"/.*{x:needle}.*/"}"#,
+            r#"{"op":"query_corpus","program":"/.*{x:needle}.*/"}"#,
+            r#"{"op":"explain","program":"/{x:a+}b/"}"#,
+            r#"{"op":"query","program":"let a = /x/; b","doc":""}"#,
+            r#"{"op":"delete_docs","lines":[9]}"#,
+        ];
+        let server = Server::bind("127.0.0.1:0", ServeOptions::default()).unwrap();
+        let (addr, handle) = server.spawn();
+        let mut client = crate::Client::connect(addr).unwrap();
+        let handler = Handler::new(ServeOptions::default());
+        let answer = |request| {
+            let mut body = Vec::new();
+            let ok = handler.answer(request, &mut body);
+            (ok, String::from_utf8(body).unwrap())
+        };
+        for line in requests {
+            let served = client.request_line(line).unwrap();
+            let (ok, body) = answer(Request::parse(line).unwrap());
+            assert_eq!(body, served, "{line}");
+            assert_eq!(ok, served.starts_with(r#"{"ok":true"#), "{line}");
+        }
+        // Counted alike, by op and by outcome, the asking `stats` included.
+        let ops = |body: &str| Json::parse(body).unwrap().get("ops").cloned();
+        let served = client.request_line(r#"{"op":"stats"}"#).unwrap();
+        assert_eq!(ops(&answer(Request::Stats).1), ops(&served));
+        let (ok, metrics) = answer(Request::Metrics);
+        assert!(ok && metrics.starts_with(r##"{"ok":true,"metrics":"# HELP "##));
+        client.shutdown().unwrap();
+        handle.join().unwrap().unwrap();
+        // An installed store answers as a loaded one.
+        let fresh = || Handler::new(ServeOptions::default());
+        let (loaded, installed) = (fresh(), fresh());
+        let text = "a needle\nmiss\nneedle two";
+        loaded.answer(Request::LoadCorpus { text: text.into() }, &mut Vec::new());
+        installed.install(Store::build(split_lines(text)).unwrap());
+        let query = || Request::QueryCorpus {
+            program: "/.*{x:needle}.*/".into(),
+            text: None,
+        };
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        assert!(loaded.answer(query(), &mut a) && installed.answer(query(), &mut b));
+        assert_eq!(String::from_utf8(a), String::from_utf8(b));
     }
 
     #[test]
