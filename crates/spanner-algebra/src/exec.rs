@@ -217,9 +217,8 @@ impl PhysOp {
     /// plain recursion (no branch, no `Option`, no dyn call); with
     /// [`ExecTrace`] each node records `rows` (mappings produced), `nanos`
     /// (inclusive wall time) and operator-specific counters —
-    /// `prescan_skip`/`prescan_reject`/`prescan_accept`, `bool_dfa`/
-    /// `bool_nfa`, `eval_table_cells`, `walk_steps` and `stretch_positions`
-    /// on compiled scans, `build_rows`/`build_skipped` on joins,
+    /// `prescan_skip`/`prescan_accept`, `eval_table_cells`, `walk_steps`
+    /// and `stretch_positions` on compiled scans, `build_rows`/`build_skipped` on joins,
     /// `probe_rows`/`probe_skipped` on differences, `limit_trips` on the
     /// operator whose guard fired. Results, errors and short-circuits are
     /// the same for every observer.
@@ -233,10 +232,10 @@ impl PhysOp {
     /// bounded: like the old pipeline's final enumeration, the caller asked
     /// for it.
     ///
-    /// `prescanned` says that [`PhysOp::prescan_reject`] already walked this
+    /// `prescanned` says that [`PhysOp::prescan_skips`] already walked this
     /// operator on `doc` and proved nothing empty, so every fast-path scan
     /// it reached accepted. Those scans take the verdict as given instead of
-    /// scanning again, and still report it (`prescan_accept` and the tier),
+    /// checking the prefilters again, and still report it (`prescan_accept`),
     /// so a trace does not show the difference. The flag travels the way
     /// the pre-pass walks: a projection's input, both sides of a join and a
     /// difference's input get it; a union's inputs and a difference's probe
@@ -257,35 +256,16 @@ impl PhysOp {
                     obs.count("prescan_skip", 1);
                     return Ok(MappingSet::new());
                 }
-                // The boolean pre-pass: documents with no accepting run are
-                // rejected without building enumeration machinery. Exact, so
-                // results are unchanged (see `spanner_vset::scan`).
+                // The static prefilters: a document they rule out is
+                // answered without building enumeration machinery. Sound, so
+                // results are unchanged (see `spanner_vset::scan`); every
+                // other document is decided by the backward pass below.
                 if *fast_path {
-                    let verdict = if prescanned {
-                        PreScan::Accept
-                    } else {
-                        compiled.prescan(doc)
-                    };
-                    // The pre-pass ran its boolean scan (unless a static
-                    // prefilter skipped first); report which tier answered.
-                    // `dfa_states` is the non-forcing probe, so recording
-                    // never builds machinery an unobserved run would not.
-                    if O::RECORDS && verdict != PreScan::Skip {
-                        match compiled.scan_plan().dfa_states() {
-                            Some(Some(_)) => obs.count("bool_dfa", 1),
-                            Some(None) => obs.count("bool_nfa", 1),
-                            None => {}
-                        }
-                    }
-                    let counter = match verdict {
-                        PreScan::Skip => "prescan_skip",
-                        PreScan::Reject => "prescan_reject",
-                        PreScan::Accept => "prescan_accept",
-                    };
-                    obs.count(counter, 1);
-                    if verdict != PreScan::Accept {
+                    if !prescanned && compiled.prescan(doc) == PreScan::Skip {
+                        obs.count("prescan_skip", 1);
                         return Ok(MappingSet::new());
                     }
+                    obs.count("prescan_accept", 1);
                 }
                 let mut stream = enumerate_compiled(compiled, doc)?;
                 let mappings: SpannerResult<Vec<Mapping>> = stream.by_ref().collect();
@@ -401,7 +381,7 @@ impl PhysOp {
                 fast_path,
             } => {
                 if compiled.accepting().is_empty()
-                    || (*fast_path && compiled.prescan(doc) != PreScan::Accept)
+                    || (*fast_path && compiled.prescan(doc) == PreScan::Skip)
                 {
                     StreamKind::Empty
                 } else {
@@ -482,58 +462,33 @@ impl PhysOp {
             .sum::<usize>()
     }
 
-    /// Document-level boolean pre-pass for multi-document engines: returns
-    /// `Some(verdict)` when the pre-pass *proves* the operator yields no
-    /// mappings on `doc` ([`PreScan::Skip`] = a static prefilter fired
-    /// without scanning a state, [`PreScan::Reject`] = a boolean scan ran
-    /// and rejected), or `None` when the document must be evaluated. The
-    /// proof composes through the relational operators (`∅ \ R`, `∅ ⋈ R`
-    /// and `π(∅)` are empty; a union is empty iff all inputs are) and only
-    /// consults scans with the fast path enabled, so it returns `None`
-    /// everywhere when [`RaOptions::scan_fast_path`](crate::RaOptions) is
-    /// off. A `None` is also a proof that every fast-path scan this walk
-    /// reached accepted — what [`PhysOp::execute`]'s `prescanned` hands on,
-    /// along the same edges.
-    pub fn prescan_reject(&self, doc: &Document) -> Option<PreScan> {
+    /// Document-level pre-pass for multi-document engines: whether the
+    /// static prefilters *prove* the operator yields no mappings on `doc`
+    /// (`false` = the document must be evaluated). The proof composes
+    /// through the relational operators (`∅ \ R`, `∅ ⋈ R` and `π(∅)` are
+    /// empty; a union is empty iff all inputs are) and only consults scans
+    /// with the fast path enabled, so it is `false` everywhere when
+    /// [`RaOptions::scan_fast_path`](crate::RaOptions) is off. A `false` is
+    /// also a proof that every fast-path scan this walk reached accepted —
+    /// what [`PhysOp::execute`]'s `prescanned` hands on, along the same
+    /// edges.
+    pub fn prescan_skips(&self, doc: &Document) -> bool {
         match self {
             PhysOp::CompiledScan {
                 compiled,
                 fast_path,
-            } => {
-                if !*fast_path {
-                    return None;
-                }
-                if compiled.accepting().is_empty() {
-                    return Some(PreScan::Skip);
-                }
-                match compiled.prescan(doc) {
-                    PreScan::Accept => None,
-                    verdict => Some(verdict),
-                }
-            }
-            PhysOp::BlackBoxScan(_) => None,
-            PhysOp::Project { input, .. } => input.prescan_reject(doc),
-            PhysOp::UnionAll(inputs) => {
-                // Empty iff every input is provably empty; report Reject if
-                // any input needed an actual scan to prove it.
-                let mut verdict = PreScan::Skip;
-                for op in inputs {
-                    if op.prescan_reject(doc)? == PreScan::Reject {
-                        verdict = PreScan::Reject;
-                    }
-                }
-                Some(verdict)
-            }
-            PhysOp::HashJoin { left, right } => left
-                .prescan_reject(doc)
-                .or_else(|| right.prescan_reject(doc)),
-            PhysOp::Difference { input, .. } => input.prescan_reject(doc),
+            } => *fast_path && compiled.prescan(doc) == PreScan::Skip,
+            PhysOp::BlackBoxScan(_) => false,
+            PhysOp::Project { input, .. } => input.prescan_skips(doc),
+            PhysOp::UnionAll(inputs) => inputs.iter().all(|op| op.prescan_skips(doc)),
+            PhysOp::HashJoin { left, right } => left.prescan_skips(doc) || right.prescan_skips(doc),
+            PhysOp::Difference { input, .. } => input.prescan_skips(doc),
         }
     }
 
     /// Byte strings that every document with a *non-empty* result must
     /// contain as a factor — the document-independent counterpart of
-    /// [`PhysOp::prescan_reject`], consumed by corpus-level indexes to
+    /// [`PhysOp::prescan_skips`], consumed by corpus-level indexes to
     /// prune documents without visiting them. The proof composes the same
     /// way: a join result needs both sides non-empty (union of the sides'
     /// literals), a union result needs some input non-empty (a literal
@@ -952,8 +907,8 @@ mod tests {
             assert_eq!(trace.label, skeleton.label, "on {text:?}");
         }
         assert_eq!(merged.label, skeleton.label);
-        // "zzz" and "" must have been pruned or rejected by the scan
-        // pre-pass somewhere in the tree; "aab" survives to enumeration.
+        // "zzz" and "" must have been pruned by the scan pre-pass somewhere
+        // in the tree; "aab" survives to enumeration.
         let flat = merged.render();
         assert!(flat.contains("prescan_accept"), "{flat}");
         assert!(merged.total_rows() > 0 && flat.contains("rows="), "{flat}");
@@ -984,18 +939,12 @@ mod tests {
             "skeleton keeps the skipped probe side: {}",
             trace.render()
         );
-        // A scan that the pre-pass rejects reports the verdict and which
-        // boolean tier answered.
+        // A scan whose prefilters rule the document out reports the skip.
         let miss = Instantiation::new().with(0, parse("q{x:a+}").unwrap());
         let physical = lower(&RaTree::leaf(0), &miss);
         let (result, trace) = execute_traced(&physical, &Document::new("aaa"));
         assert!(result.unwrap().is_empty());
-        assert_eq!(
-            trace.counter("prescan_skip") + trace.counter("prescan_reject"),
-            1,
-            "{}",
-            trace.render()
-        );
+        assert_eq!(trace.counter("prescan_skip"), 1, "{}", trace.render());
     }
 
     #[test]

@@ -37,9 +37,9 @@ use crate::exec::{NoTrace, Observer, OpStream, PhysOp, PhysicalPlan};
 use crate::ratree::{
     compile_static_atom, resolve_atom, tree_vars, Atom, Instantiation, LeafId, RaOptions, RaTree,
 };
-use spanner_core::{Document, MappingSet, SpannerResult, VarSet};
+use spanner_core::{Document, MappingSet, SpannerError, SpannerResult, VarSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Counters describing what [`optimize_ra_with_stats`] did to a tree.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -445,7 +445,8 @@ fn build_left_deep(order: &[usize], operands: &mut [RaTree]) -> RaTree {
 // Compiled plans: lowering onto the physical operator executor.
 // ---------------------------------------------------------------------------
 
-use spanner_vset::{join, CompiledVsa, PreScan, Vsa};
+use spanner_vset::scan::contains_factor;
+use spanner_vset::{join, CompiledVsa, Vsa};
 
 /// A compiled plan: the document-independent parts of an RA tree are
 /// compiled into shared automata once and the whole tree is lowered onto
@@ -460,15 +461,16 @@ pub struct CompiledPlan {
     physical: PhysicalPlan,
     tree: RaTree,
     options: RaOptions,
+    /// [`CompiledPlan::required_literals`], worked out by the first
+    /// screened document.
+    literals: OnceLock<Vec<Vec<u8>>>,
 }
 
 /// What [`CompiledPlan::evaluate_screened`] did with one document.
 #[derive(Debug)]
 pub enum Screened<O> {
-    /// The pre-pass proved the result empty without evaluating:
-    /// [`PreScan::Skip`] when a static prefilter fired, [`PreScan::Reject`]
-    /// when a boolean scan ran.
-    Empty(PreScan),
+    /// The pre-pass proved the result empty without evaluating.
+    Empty,
     /// The document was evaluated: the result and the observation.
     Evaluated(SpannerResult<MappingSet>, O),
 }
@@ -485,20 +487,38 @@ impl Built {
     /// Finalizes into a physical operator; a static subtree becomes a
     /// compiled scan here, which is the only place automata are compiled —
     /// every leaf of the operator tree is therefore compiled exactly once.
-    fn into_op(self, options: RaOptions) -> PhysOp {
+    fn into_op(self, options: RaOptions) -> SpannerResult<PhysOp> {
         match self {
             Built::Static(vsa) => compiled_scan(&vsa, options),
-            Built::Dynamic(op) => op,
+            Built::Dynamic(op) => Ok(op),
         }
     }
 }
 
-/// Wraps a static automaton as a compiled-scan operator.
-fn compiled_scan(vsa: &Vsa, options: RaOptions) -> PhysOp {
-    PhysOp::CompiledScan {
+/// The most bytes the two dense closures of one compiled automaton may
+/// take: 256 MiB, about 32 768 states.
+const MAX_CLOSURE_BYTES: usize = 256 << 20;
+
+/// Wraps a static automaton as a compiled-scan operator. `compile` keeps
+/// an ε closure and a zero closure per state, each a dense `|Q|`-bit set,
+/// so an automaton whose closures would pass [`MAX_CLOSURE_BYTES`] is
+/// refused before they are allocated.
+fn compiled_scan(vsa: &Vsa, options: RaOptions) -> SpannerResult<PhysOp> {
+    let states = vsa.state_count();
+    let bytes = states
+        .saturating_mul(states.div_ceil(64))
+        .saturating_mul(16);
+    if bytes > MAX_CLOSURE_BYTES {
+        return Err(SpannerError::LimitExceeded {
+            what: "compiled closure bytes",
+            limit: MAX_CLOSURE_BYTES,
+            actual: bytes,
+        });
+    }
+    Ok(PhysOp::CompiledScan {
         compiled: Arc::new(CompiledVsa::compile(vsa)),
         fast_path: options.scan_fast_path,
-    }
+    })
 }
 
 /// Appends a lowered union input, splicing nested unions into one n-ary
@@ -524,7 +544,7 @@ impl CompiledPlan {
         } else {
             tree.clone()
         };
-        let root = Self::build(&tree, inst, options)?.into_op(options);
+        let root = Self::build(&tree, inst, options)?.into_op(options)?;
         Ok(CompiledPlan {
             // `max_signatures` bounds the executor's materialized
             // intermediate relations, the successor of its old role as the
@@ -532,6 +552,7 @@ impl CompiledPlan {
             physical: PhysicalPlan::with_limit(root, options.max_signatures),
             tree,
             options,
+            literals: OnceLock::new(),
         })
     }
 
@@ -558,8 +579,8 @@ impl CompiledPlan {
                     (Built::Static(a), Built::Static(b)) => Built::Static(a.union(&b)),
                     (left, right) => {
                         let mut inputs = Vec::new();
-                        push_union_input(left.into_op(options), &mut inputs);
-                        push_union_input(right.into_op(options), &mut inputs);
+                        push_union_input(left.into_op(options)?, &mut inputs);
+                        push_union_input(right.into_op(options)?, &mut inputs);
                         Built::Dynamic(PhysOp::UnionAll(inputs))
                     }
                 }
@@ -579,8 +600,8 @@ impl CompiledPlan {
                         },
                     )?),
                     (left, right) => Built::Dynamic(PhysOp::HashJoin {
-                        left: Box::new(left.into_op(options)),
-                        right: Box::new(right.into_op(options)),
+                        left: Box::new(left.into_op(options)?),
+                        right: Box::new(right.into_op(options)?),
                     }),
                 }
             }
@@ -589,8 +610,8 @@ impl CompiledPlan {
                 // are lowered (compiling their static parts once) and the
                 // probe side is evaluated as a relation — no per-document
                 // product automaton (Theorem 4.8) is composed in a plan.
-                let left = Self::build(l, inst, options)?.into_op(options);
-                let right = Self::build(r, inst, options)?.into_op(options);
+                let left = Self::build(l, inst, options)?.into_op(options)?;
+                let right = Self::build(r, inst, options)?.into_op(options)?;
                 Built::Dynamic(PhysOp::Difference {
                     input: Box::new(left),
                     probe: Box::new(right),
@@ -613,20 +634,27 @@ impl CompiledPlan {
     }
 
     /// The per-document step of a multi-document pass: the plan's
-    /// document-level pre-pass ([`PhysOp::prescan_reject`]) first, and the
-    /// executor only for a document it could not prove empty. The executor
-    /// is told that the pre-pass already accepted the scans it walked, so
-    /// no document is prescanned twice; results and observations are those
-    /// of [`CompiledPlan::evaluate_observed`]. Without the scan fast path
+    /// document-level pre-pass first, and the executor only for a document
+    /// it could not prove empty. The pre-pass is the scans' static
+    /// prefilters ([`PhysOp::prescan_skips`]) and the plan's required
+    /// literals ([`CompiledPlan::required_literals`], worked out once per
+    /// plan): a document that lacks one has no mapping. The executor is
+    /// told that the pre-pass already accepted the scans it walked, so no
+    /// prefilter is checked twice; results and observations are those of
+    /// [`CompiledPlan::evaluate_observed`]. Without the scan fast path
     /// every document is evaluated.
     pub fn evaluate_screened<O: Observer>(&self, doc: &Document) -> Screened<O> {
-        match self.physical.root().prescan_reject(doc) {
-            Some(verdict) => Screened::Empty(verdict),
-            None => {
-                let (result, observed) = self.execute_observed(doc, true);
-                Screened::Evaluated(result, observed)
-            }
+        let root = self.physical.root();
+        if self.options.scan_fast_path
+            && (root.prescan_skips(doc)
+                || (self.literals.get_or_init(|| root.required_literals()))
+                    .iter()
+                    .any(|literal| !contains_factor(doc.bytes(), literal)))
+        {
+            return Screened::Empty;
         }
+        let (result, observed) = self.execute_observed(doc, true);
+        Screened::Evaluated(result, observed)
     }
 
     fn execute_observed<O: Observer>(

@@ -271,11 +271,14 @@ pub struct RaOptions {
     /// compiling. On by default; turn off to evaluate the tree exactly as
     /// written (the differential tests do).
     pub optimize: bool,
-    /// Enable the scan-core fast path (literal prefilters + lazy boolean
-    /// DFA pre-pass on every compiled scan; see `spanner_vset::scan`). On by
-    /// default; semantics-invariant either way — turning it off only
-    /// removes the boolean reject shortcut (the differential oracle in
-    /// `tests/scan_fastpath_oracle.rs` runs both ways).
+    /// Enable the scan-core fast path: every compiled scan checks its
+    /// static prefilters (length, anchored prefix, required factors; see
+    /// `spanner_vset::scan`) and answers a document they rule out empty
+    /// without building its match graph. On by default; semantics-invariant
+    /// either way, since the prefilters are sound — turning it off only
+    /// sends every document to the backward pass. The oracles use the off
+    /// setting as their reference (`tests/scan_fastpath_oracle.rs` runs
+    /// both ways).
     pub scan_fast_path: bool,
 }
 

@@ -49,7 +49,7 @@
 
 use spanner_algebra::plan::Screened;
 use spanner_algebra::{
-    CompiledPlan, ExecTrace, Instantiation, NoTrace, Observer, PreScan, RaOptions, RaTree,
+    CompiledPlan, ExecTrace, Instantiation, NoTrace, Observer, RaOptions, RaTree,
 };
 use spanner_core::{Document, MappingSet, SpannerResult};
 use std::borrow::Cow;
@@ -75,15 +75,17 @@ pub struct CorpusStats {
     pub matched_documents: usize,
     /// Number of worker threads actually used.
     pub threads: usize,
-    /// Documents skipped by the scan fast path's static prefilters
-    /// (length / prefix-class / required-factor checks) without touching
-    /// the match automaton. Always `0` when
+    /// Documents skipped by the scan fast path without touching the match
+    /// automaton: a static prefilter (length / prefix-class /
+    /// required-factor check) ruled them out, or they lack one of the
+    /// plan's required literals. Always `0` when
     /// [`RaOptions::scan_fast_path`] is disabled.
     pub docs_skipped: usize,
-    /// Documents rejected by the boolean match pre-pass (the boolean DFA,
-    /// built whole on first use, or NFA frontier stepping past its budget)
-    /// after the static prefilters passed. Always `0`
-    /// when [`RaOptions::scan_fast_path`] is disabled.
+    /// Always `0`: the boolean pre-pass tier that rejected documents after
+    /// the static prefilters is gone, and the executor's backward pass
+    /// decides every document they accept. Kept only because the frozen
+    /// `bench/` package names it; ROADMAP item 1 (in item 12's shape)
+    /// deletes it.
     pub docs_rejected: usize,
     /// Wall-clock time of the evaluation (excluding plan compilation).
     pub elapsed: Duration,
@@ -164,19 +166,18 @@ pub struct CorpusEngine {
 struct Shard<O> {
     matches: Vec<(u32, MappingSet)>,
     skipped: usize,
-    rejected: usize,
     observer: O,
     workers: usize,
 }
 
 /// The one per-document loop: evaluates the documents `ids` of `docs` in
 /// order, stopping at the first error. The plan's document-level pre-pass
-/// is consulted first — a `Skip`/`Reject` verdict is a proof the result is
-/// empty, so such a document never reaches the executor and surfaces as a
-/// tally (and as `corpus_docs_skipped` / `corpus_docs_rejected` on the root
-/// of a recording observer). Any other document goes to the executor with
-/// the pre-pass's acceptance in hand, so it is scanned once, and merges its
-/// per-operator observation into the worker's.
+/// is consulted first — a skip is a proof the result is empty, so such a
+/// document never reaches the executor and surfaces as a tally (and as
+/// `corpus_docs_skipped` on the root of a recording observer). Any other
+/// document goes to the executor with the pre-pass's acceptance in hand, so
+/// its prefilters are checked once, and merges its per-operator observation
+/// into the worker's.
 fn eval_chunk<O: Observer>(
     plan: &CompiledPlan,
     docs: &[Document],
@@ -186,20 +187,15 @@ fn eval_chunk<O: Observer>(
     let mut shard = Shard {
         matches: Vec::new(),
         skipped: 0,
-        rejected: 0,
         observer,
         workers: 1,
     };
     for &id in ids {
         let doc = &docs[id as usize];
         match plan.evaluate_screened::<O>(doc) {
-            Screened::Empty(PreScan::Skip) => {
+            Screened::Empty => {
                 shard.skipped += 1;
                 shard.observer.count("corpus_docs_skipped", 1);
-            }
-            Screened::Empty(_) => {
-                shard.rejected += 1;
-                shard.observer.count("corpus_docs_rejected", 1);
             }
             Screened::Evaluated(result, observed) => {
                 shard.observer.merge(&observed);
@@ -276,7 +272,7 @@ fn assemble<O>(
         matched_documents: matches.len(),
         threads: pass.workers,
         docs_skipped: unread + pass.skipped,
-        docs_rejected: pass.rejected,
+        docs_rejected: 0,
         elapsed: start.elapsed(),
     };
     (CorpusMatches { matches, stats }, pass.observer)
@@ -413,7 +409,6 @@ impl CorpusEngine {
             let shard = shard?;
             pass.matches.extend(shard.matches);
             pass.skipped += shard.skipped;
-            pass.rejected += shard.rejected;
             pass.observer.merge(&shard.observer);
             pass.workers += shard.workers;
         }
@@ -534,7 +529,7 @@ mod tests {
                     let stats = out.stats;
                     assert_eq!(out.results.len(), len, "len={len} threads={threads}");
                     assert_eq!(
-                        stats.matched_documents + stats.docs_skipped + stats.docs_rejected,
+                        stats.matched_documents + stats.docs_skipped,
                         len,
                         "len={len} threads={threads}: {stats:?}"
                     );
@@ -547,27 +542,30 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_counters_track_skipped_and_rejected_documents() {
-        // ".*{x:a+}@.*" has required factors {a} and {@}: a document missing
-        // either is skipped by the static prefilters; "@@@" carries the
-        // factors' bytes only partially... use a doc with both factor bytes
-        // present but no match to exercise the boolean reject tier.
-        let e = engine(".*{x:a+}@.*");
+    fn fast_path_counters_track_skipped_and_evaluated_documents() {
+        // ".*{x:a+}@b" has required factors {a}, {@} and {b}: a document
+        // missing one is skipped by the static prefilters, and so is one
+        // without the required literal "a@b". One with both but no match
+        // reaches the executor, whose backward pass answers it empty.
+        let e = engine(".*{x:a+}@b");
         let lines = [
-            Document::new("xxa@yy"), // match: evaluated
-            Document::new("bbbb"),   // no '@', no 'a': skipped by factors
-            Document::new("@aaa"),   // factors present, '@' before 'a': rejected
+            Document::new("xxa@b"), // match: evaluated
+            Document::new("bbbb"),  // no '@', no 'a': skipped by factors
+            Document::new("a@bc"),  // "a@b", but not at the end: evaluated
+            Document::new("b@ba"),  // factors, no "a@b": skipped by the literal
         ];
         // Repeated until three workers each get a share.
         let repeats = MIN_DOCS_PER_WORKER;
-        let docs: Vec<Document> = lines.iter().cycle().take(3 * repeats).cloned().collect();
+        let docs: Vec<Document> = lines.iter().cycle().take(4 * repeats).cloned().collect();
         for threads in [1, 2, 3] {
-            let out = e.scan(&docs, threads).unwrap().into_dense();
+            let (out, trace) = e.scan_traced(&docs, threads).unwrap();
+            let out = out.into_dense();
             assert_eq!(out.stats.threads, threads);
-            assert_eq!(out.stats.docs_skipped, repeats, "threads={threads}");
-            assert_eq!(out.stats.docs_rejected, repeats, "threads={threads}");
+            assert_eq!(out.stats.docs_skipped, 2 * repeats, "threads={threads}");
+            let evaluated = trace.counter("corpus_docs_evaluated");
+            assert_eq!(evaluated, 2 * repeats as u64, "threads={threads}");
             assert_eq!(out.stats.matched_documents, repeats);
-            assert!(out.results[1].is_empty() && out.results[2].is_empty());
+            assert!(out.results[1..4].iter().all(MappingSet::is_empty));
         }
     }
 
@@ -586,7 +584,6 @@ mod tests {
         ];
         let out = e.scan(&docs, 2).unwrap().into_dense();
         assert_eq!(out.stats.docs_skipped, 0);
-        assert_eq!(out.stats.docs_rejected, 0);
         assert_eq!(out.stats.matched_documents, 1);
     }
 

@@ -270,8 +270,8 @@ impl PreparedQuery {
 
     /// The `explain --analyze` text of a run of the query on `doc`:
     /// [`PreparedQuery::explain`], then the measured per-operator tree —
-    /// rows produced, inclusive wall time, prescan verdicts, boolean-scan
-    /// tier, join build sizes, limit trips. A failing evaluation still
+    /// rows produced, inclusive wall time, prescan verdicts, join build
+    /// sizes, limit trips. A failing evaluation still
     /// reports its (partial) trace, with the error on the `analyze` line,
     /// so `LimitExceeded` trips stay diagnosable. The serving layer
     /// evaluates once through [`PreparedQuery::evaluate_traced`] and feeds
@@ -306,8 +306,8 @@ impl PreparedQuery {
 /// Appends one line per [`PhysOp::CompiledScan`] in the operator tree (in
 /// operator order): the static prefilters the scan fast path derived at
 /// compile time — minimum accepted length, anchored-prefix byte class,
-/// required byte factors — and whether the boolean pre-pass runs on a lazy
-/// DFA or fell back to NFA frontier stepping (state budget exceeded).
+/// required byte factors — its required literals, and how far its
+/// evaluation tables have grown.
 fn scan_plan_lines(op: &PhysOp, out: &mut Vec<String>) {
     match op {
         PhysOp::CompiledScan {
@@ -340,15 +340,8 @@ fn scan_plan_lines(op: &PhysOp, out: &mut Vec<String>) {
                     .collect();
                 parts.push(format!("literals={}", literals.join(" ")));
             }
-            match compiled.boolean_dfa_states() {
-                Some(n) => parts.push(format!(
-                    "lazy DFA: {n} state{}",
-                    if n == 1 { "" } else { "s" }
-                )),
-                None => parts.push("lazy DFA: over budget, NFA fallback".to_string()),
-            }
-            // Unlike the DFA, the evaluation tables are reported as they
-            // are, not forced: they only ever grow from matching documents.
+            // The evaluation tables are reported as they are, not forced:
+            // they only ever grow from matching documents.
             let tables = compiled.eval_table_stats();
             parts.push(if tables.sets == 0 {
                 "eval tables: cold".to_string()
@@ -539,7 +532,6 @@ mod tests {
         // Both scans require an 'a' and an '@' somewhere in the document.
         assert!(explain.contains("factors=[@][a]"), "{explain}");
         assert!(explain.contains("min_len="), "{explain}");
-        assert!(explain.contains("lazy DFA:"), "{explain}");
         // Nothing has matched yet, so no evaluation table cell exists.
         assert!(explain.contains("eval tables: cold"), "{explain}");
     }
@@ -584,6 +576,9 @@ mod tests {
             let (result, trace) = q.evaluate_traced(&doc);
             q.render_analyze(&doc, &result, &trace)
         };
+        // Nothing has been evaluated yet: every scan's tables are cold.
+        let explain = q.explain();
+        assert_eq!(explain.matches("eval tables: cold").count(), 2, "{explain}");
         let text = analyze("aab");
         // Everything `explain` prints, plus the measured section.
         assert!(text.contains("physical   :"), "{text}");
@@ -591,19 +586,15 @@ mod tests {
         assert!(text.contains("rows="), "{text}");
         assert!(text.contains("time="), "{text}");
         assert!(text.contains("prescan_accept=1"), "{text}");
-        // The first matching document fills the scans' evaluation tables
-        // (`explain` runs before the evaluation); the second finds them.
-        assert!(text.contains("eval tables: cold"), "{text}");
+        // The first document fills the scans' evaluation tables; the second
+        // finds them.
         assert!(!text.contains("eval_table_cells=0"), "{text}");
         let warm = analyze("aab");
         assert!(warm.contains("backward + "), "{warm}");
         assert!(warm.contains("eval_table_cells=0"), "{warm}");
-        // A document the pre-pass rejects reports the verdict, not rows.
+        // A document the prefilters rule out reports the verdict, not rows.
         let miss = analyze("zzz");
-        assert!(
-            miss.contains("prescan_skip=1") || miss.contains("prescan_reject=1"),
-            "{miss}"
-        );
+        assert!(miss.contains("prescan_skip=1"), "{miss}");
         assert!(miss.contains("analyze    : 0 mappings"), "{miss}");
     }
 

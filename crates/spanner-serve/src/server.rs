@@ -176,10 +176,9 @@ pub(crate) struct ServerMetrics {
     /// compile counts): the cache/prepare phase of an ad-hoc query.
     prepare_seconds: Histogram,
     /// Corpus documents by fast-path outcome, accumulated over every
-    /// `query_corpus` request: skipped (static prefilters), rejected
-    /// (boolean pre-pass), evaluated (reached the executor).
+    /// `query_corpus` request: skipped (static prefilters, a missing
+    /// required literal), evaluated (reached the executor).
     docs_skipped: Counter,
-    docs_rejected: Counter,
     docs_evaluated: Counter,
     /// Trigram-index selectivity (candidates / documents) per resident
     /// store query; full-scan fallbacks observe 1.0.
@@ -278,7 +277,6 @@ impl ServerMetrics {
                 LATENCY_BUCKETS,
             ),
             docs_skipped: docs("skipped"),
-            docs_rejected: docs("rejected"),
             docs_evaluated: docs("evaluated"),
             store_selectivity: registry.histogram(
                 "spanner_store_selectivity",
@@ -1056,8 +1054,8 @@ fn with_query(
 /// answer: aggregate stats, any path-specific members (the store path
 /// appends candidate count and selectivity), then the per-line mappings of
 /// the matched documents, entry by entry. Also accumulates the daemon-wide
-/// fast-path counters: a document is skipped, rejected, evaluated (it
-/// reached the executor) or — `view_hits` of them, on the resident path —
+/// fast-path counters: a document is skipped, evaluated (it reached the
+/// executor) or — `view_hits` of them, on the resident path —
 /// served from a maintained view without being looked at.
 fn corpus_response(
     handler: &Handler,
@@ -1070,13 +1068,11 @@ fn corpus_response(
 ) -> Outcome {
     let stats = &answer.stats;
     let skipped = stats.docs_skipped as u64;
-    let rejected = stats.docs_rejected as u64;
     handler.metrics.docs_skipped.add(skipped);
-    handler.metrics.docs_rejected.add(rejected);
     handler
         .metrics
         .docs_evaluated
-        .add(((stats.documents - view_hits) as u64).saturating_sub(skipped + rejected));
+        .add(((stats.documents - view_hits) as u64).saturating_sub(skipped));
     out.push(b'{');
     json::write_members(
         out,
@@ -1087,7 +1083,6 @@ fn corpus_response(
             ("matched", Json::number(stats.matched_documents)),
             ("mappings", Json::number(stats.mappings)),
             ("skipped", Json::number(stats.docs_skipped)),
-            ("rejected", Json::number(stats.docs_rejected)),
         ],
     );
     if !extra.is_empty() {
@@ -1434,10 +1429,6 @@ fn handle_request(handler: &Handler, request: Request, out: &mut Vec<u8>) -> Out
                         (
                             "docs_skipped",
                             Json::number(handler.metrics.docs_skipped.get() as usize),
-                        ),
-                        (
-                            "docs_rejected",
-                            Json::number(handler.metrics.docs_rejected.get() as usize),
                         ),
                         (
                             "docs_evaluated",

@@ -1,4 +1,9 @@
-//! The mutation journal: durable append/update/delete records.
+//! The mutation journal: append/update/delete records.
+//!
+//! [`Journal::record`] hands each record to the operating system in one
+//! `write_all` and never syncs it: a record survives a crash of the
+//! writing process, not necessarily one of the machine (ROADMAP item 7
+//! decides on syncing).
 //!
 //! A segment file ([`crate::Store::save`]) is a point-in-time snapshot;
 //! the journal is the tail: every mutation appended through
@@ -70,8 +75,12 @@ pub struct Journal {
 
 impl Journal {
     /// Opens `path` for appending, creating it (with a fresh header) if
-    /// missing or empty; an existing file's header is validated first.
+    /// missing or empty. An existing file is read first: its header and
+    /// records are validated, and a torn tail record (what a crashed writer
+    /// leaves) is cut off, since a record appended after it would be read
+    /// as its continuation.
     pub fn append(path: impl AsRef<Path>) -> Result<Journal, StoreError> {
+        let path = path.as_ref();
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -83,14 +92,14 @@ impl Journal {
             file.write_all(JOURNAL_MAGIC)?;
             file.write_all(&JOURNAL_VERSION.to_le_bytes())?;
         } else {
-            file.seek(SeekFrom::Start(0))?;
-            read_header(&mut file)?;
-            file.seek(SeekFrom::End(0))?;
+            let (_, end) = Journal::read_from(path, 0)?;
+            file.set_len(end)?;
+            file.seek(SeekFrom::Start(end))?;
         }
         Ok(Journal { file })
     }
 
-    /// Appends one mutation record and flushes it.
+    /// Appends one mutation record.
     pub fn record(&mut self, mutation: &Mutation) -> Result<(), StoreError> {
         // One buffered write per record: a torn record can only be a
         // truncated tail, which `read_from` tolerates.
@@ -341,6 +350,29 @@ mod tests {
             }
             mutated[at] = saved[at];
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn reopening_after_a_torn_tail_keeps_every_complete_record() {
+        let path = tmp("reopen-torn");
+        std::fs::remove_file(&path).ok();
+        let [one, two, three] =
+            ["one", "two", "three"].map(|text| Mutation::Append { text: text.into() });
+        let mut journal = Journal::append(&path).unwrap();
+        journal.record(&one).unwrap();
+        journal.record(&two).unwrap();
+        drop(journal);
+        // A crash in the middle of the second record.
+        let len = std::fs::metadata(&path).unwrap().len();
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(len - 4).unwrap();
+        drop(file);
+        let mut journal = Journal::append(&path).unwrap();
+        journal.record(&three).unwrap();
+        let (read, end) = Journal::read_from(&path, 0).unwrap();
+        assert_eq!(read, [one, three]);
+        assert_eq!(end, std::fs::metadata(&path).unwrap().len());
         std::fs::remove_file(&path).ok();
     }
 

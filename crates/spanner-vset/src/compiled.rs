@@ -239,9 +239,8 @@ pub struct CompiledVsa {
     /// Whether the source automaton is sequential (checked once at compile
     /// time; enumeration requires it).
     sequential: bool,
-    /// The scan fast-path analysis: prefilters computed here, the boolean
-    /// DFA and the required literals built whole on first use; see
-    /// [`crate::scan`].
+    /// The scan fast-path analysis: prefilters computed here, the required
+    /// literals on first request; see [`crate::scan`].
     scan: crate::scan::ScanPlan,
     /// The published evaluation tables (lazily grown across documents; see
     /// [`crate::tables`]).
@@ -505,19 +504,6 @@ impl CompiledVsa {
     pub fn has_var_ops(&self, q: StateId) -> bool {
         !self.var_ops.row(q).is_empty()
     }
-
-    /// Advances a frontier over one input byte: `out` receives every state
-    /// reachable from `frontier` by a single consuming transition on `byte`.
-    /// (`out` is cleared first; closures are *not* applied.)
-    pub fn step_frontier(&self, frontier: &StateSet, byte: u8, out: &mut StateSet) {
-        out.clear();
-        let class = self.class_of(byte);
-        for q in frontier.iter() {
-            for &t in self.byte_targets(q, class) {
-                out.insert(t);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -618,17 +604,5 @@ mod tests {
                 is_close: true
             }
         );
-    }
-
-    #[test]
-    fn frontier_stepping() {
-        let c = CompiledVsa::compile(&example_2_3());
-        let frontier = StateSet::from_states(3, [0, 1]);
-        let mut next = StateSet::new(3);
-        c.step_frontier(&frontier, b'a', &mut next);
-        assert_eq!(next.to_vec(), vec![0, 1, 2]);
-        let only_q2 = StateSet::from_states(3, [2]);
-        c.step_frontier(&only_q2, b'a', &mut next);
-        assert_eq!(next.to_vec(), vec![2]);
     }
 }

@@ -1,53 +1,33 @@
-//! The scan-core fast path: literal prefilters and a boolean DFA built on
-//! first use.
+//! The scan-core fast path: static prefilters and required literals.
 //!
-//! Most documents in a corpus match a given query *nowhere*. Full
-//! enumeration machinery (match-graph backward pass, op-closure DFS) costs
-//! `O(|d| · states)` just to discover that, so [`CompiledVsa`] carries a
-//! [`ScanPlan`] — a boolean pre-pass with a ladder of successively stronger
-//! (and successively more expensive) tiers:
+//! Most documents in a corpus match a given query *nowhere*. [`CompiledVsa`]
+//! carries a [`ScanPlan`], computed once at compile time, whose static
+//! prefilters refuse many such documents without scanning a single state:
+//! the shortest accepted document length, the class of possible first bytes
+//! (formulas are anchored, so the first byte of an accepted document must
+//! start some consuming transition out of the initial closure), and up to
+//! [`MAX_FACTORS`] *required factors* — byte classes such that every
+//! accepted document contains at least one byte of each (a class is
+//! required iff forbidding its bytes empties the language). A document
+//! failing any prefilter is [`PreScan::Skip`]ped; any other is
+//! [`PreScan::Accept`]ed, which means "not ruled out": the match graph's
+//! backward pass (Theorem 2.5's linear preprocessing) decides whether it
+//! has a mapping. [`CompiledVsa::prescan`] builds nothing on first use.
 //!
-//! 1. **Static prefilters**, computed once at compile time: the shortest
-//!    accepted document length, the class of possible first bytes (formulas
-//!    are anchored, so the first byte of an accepted document must start
-//!    some consuming transition out of the initial closure), and up to
-//!    [`MAX_FACTORS`] *required factors* — byte classes such that every
-//!    accepted document contains at least one byte of each (a class is
-//!    required iff forbidding its bytes empties the language). A document
-//!    failing any prefilter is skipped without scanning a single state.
-//! 2. **Boolean DFA**: a subset construction over the compiled byte
-//!    classes, built whole by the first prescan that needs it (not row by
-//!    row as bytes arrive), with variable operations treated as ε (which
-//!    is exact for boolean acceptance — they consume no input). The budget
-//!    [`DFA_CELL_BUDGET`] bounds `states × classes`; within it, scanning is
-//!    one table lookup per byte, with per-state acceleration: an accepting
-//!    state that loops on every class accepts the rest of the document
-//!    immediately, and a state that self-loops on most bytes skips ahead
-//!    with a memchr-style stop-byte loop.
-//! 3. **NFA fallback**: when the subset construction exceeds the budget,
-//!    the pre-pass steps a [`StateSet`] frontier byte-by-byte with an
-//!    empty-frontier early exit — never slower than the enumeration path it
-//!    guards.
+//! Beside the prefilters, the plan answers one question for corpus-level
+//! passes: which byte strings does every accepted document contain
+//! ([`CompiledVsa::required_literals`])? Only a corpus pass (an indexed
+//! store's candidates, a scan's per-document screen) and `explain` ask, so
+//! the answer is worked out on first request and a one-document evaluation
+//! never pays for it. Candidates are read off the shortest accepted document and each
+//! is settled by an exact test over the automaton
+//! ([`CompiledVsa::literal_counterexample`]).
 //!
-//! Beside the ladder, the plan answers one question for corpus-level
-//! indexes: which byte strings does every accepted document contain
-//! ([`CompiledVsa::required_literals`])? Only an indexed store asks, so the
-//! answer is worked out on first request — like the DFA — and a plain
-//! evaluation never pays for it. Candidates are read off the shortest
-//! accepted document and each is settled by an exact test over the
-//! automaton ([`CompiledVsa::literal_counterexample`]).
-//!
-//! Results are unchanged by construction: the pre-pass answers exactly the
-//! boolean question "does the automaton have an accepting run on `d`?",
-//! which for the sequential automata the enumerator accepts coincides with
-//! "is there at least one mapping" ([`MatchGraph`]'s nonemptiness uses the
-//! same state-level reachability). The executor consults the pre-pass only
-//! to return an empty result early.
-//!
-//! [`MatchGraph`]: ../spanner_enum/matchgraph/struct.MatchGraph.html
+//! Results are unchanged by construction: every prefilter is sound (a
+//! skipped document has no accepting run, so no mapping), and the executor
+//! consults the pre-pass only to return an empty result early.
 
-use crate::compiled::{bits, meet, union, CompiledVsa, Rows, StateSet};
-use crate::tables::Interner;
+use crate::compiled::{CompiledVsa, Rows, StateSet};
 use spanner_core::{ByteClass, Document};
 use std::sync::OnceLock;
 
@@ -64,50 +44,15 @@ pub const MAX_LITERALS: usize = 4;
 /// automata past it — literals are an optimization, never a requirement.
 const LITERAL_STATE_BUDGET: usize = 512;
 
-/// Budget on boolean-DFA table cells (`states × byte classes`); the subset
-/// construction aborts past it and the pre-pass falls back to NFA stepping.
-pub const DFA_CELL_BUDGET: usize = 1 << 17;
-
-/// Dead-state marker in the DFA transition table.
-const DEAD: u32 = u32::MAX;
-
 /// The verdict of [`CompiledVsa::prescan`] on one document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PreScan {
     /// A static prefilter (length / first byte / required factor) proved the
     /// document cannot match — no states were scanned.
     Skip,
-    /// The boolean scan (DFA or NFA frontier) ran and rejected.
-    Reject,
-    /// The automaton has an accepting run on the document (for sequential
-    /// automata: at least one mapping exists).
+    /// No prefilter ruled the document out; whether it has a mapping is
+    /// the executor's backward pass to decide.
     Accept,
-}
-
-/// Per-state scan acceleration of the boolean DFA.
-#[derive(Debug, Clone)]
-enum Accel {
-    /// No acceleration: one table lookup per byte.
-    None,
-    /// Accepting state looping on every class: the rest of the document is
-    /// irrelevant, accept immediately.
-    AcceptSink,
-    /// The state self-loops on every byte except this single stop byte:
-    /// skip ahead with a vectorizable byte search.
-    SkipToByte(u8),
-    /// The state self-loops on every byte outside the stop class: skip
-    /// ahead with a bitmap test per byte.
-    SkipToClass(ByteClass),
-}
-
-/// The boolean DFA (tier 2 of the ladder), built whole on first use.
-#[derive(Debug, Clone)]
-struct MatchDfa {
-    class_count: usize,
-    /// `table[q * class_count + class]` = successor, or [`DEAD`].
-    table: Vec<u32>,
-    accepting: Vec<bool>,
-    accel: Vec<Accel>,
 }
 
 /// The required literals of one automaton, and what finding them cost.
@@ -133,12 +78,9 @@ pub struct ScanPlan {
     required_factors: Vec<ByteClass>,
     /// Byte strings that every accepted document must contain as a factor,
     /// extracted on first request ([`CompiledVsa::required_literals`]):
-    /// only corpus-level indexes read them, and a plain evaluation never
-    /// asks.
+    /// only corpus-level passes read them, and a one-document evaluation
+    /// never asks.
     literals: OnceLock<LiteralSet>,
-    /// The boolean DFA, built on first use; `None` inside means the subset
-    /// construction exceeded [`DFA_CELL_BUDGET`] (NFA fallback).
-    dfa: OnceLock<Option<MatchDfa>>,
 }
 
 impl ScanPlan {
@@ -150,7 +92,6 @@ impl ScanPlan {
             prefix_class: None,
             required_factors: Vec::new(),
             literals: OnceLock::new(),
-            dfa: OnceLock::new(),
         }
     }
 
@@ -165,7 +106,6 @@ impl ScanPlan {
             prefix_class: prefix_class(compiled),
             required_factors: required_factors(compiled),
             literals: OnceLock::new(),
-            dfa: OnceLock::new(),
         }
     }
 
@@ -185,18 +125,9 @@ impl ScanPlan {
         &self.required_factors
     }
 
-    /// Whether the boolean DFA has been built yet, and with how many states:
-    /// `None` = not built yet, `Some(None)` = budget exceeded (NFA
-    /// fallback), `Some(Some(n))` = built with `n` states.
-    pub fn dfa_states(&self) -> Option<Option<usize>> {
-        self.dfa
-            .get()
-            .map(|d| d.as_ref().map(|d| d.accepting.len()))
-    }
-
-    /// Whether the static prefilters alone reject the document (tier 1; no
-    /// state is scanned). Exact refusals only: `false` means "scan needed",
-    /// not "matches".
+    /// Whether the static prefilters reject the document (no state is
+    /// scanned). Sound refusals only: `false` means "not ruled out", not
+    /// "matches".
     fn filters_reject(&self, bytes: &[u8]) -> bool {
         let Some(min_len) = self.min_len() else {
             return true; // empty language
@@ -216,39 +147,20 @@ impl ScanPlan {
 }
 
 impl CompiledVsa {
-    /// The compile-time scan analysis (prefilters + the DFA's first-use
-    /// handle).
+    /// The compile-time scan analysis (the static prefilters).
     pub fn scan_plan(&self) -> &ScanPlan {
         self.scan()
     }
 
-    /// Runs the boolean pre-pass ladder on one document (see the module
-    /// docs): static prefilters, then the boolean DFA, built whole by the
-    /// first call that reaches it (NFA frontier fallback past the state
-    /// budget).
+    /// Runs the static prefilters on one document (see the module docs):
+    /// [`PreScan::Skip`] proves the document has no mapping,
+    /// [`PreScan::Accept`] only that it is not ruled out.
     pub fn prescan(&self, doc: &Document) -> PreScan {
-        let plan = self.scan();
-        let bytes = doc.bytes();
-        if plan.filters_reject(bytes) {
-            return PreScan::Skip;
-        }
-        let accepted = match plan.dfa.get_or_init(|| build_dfa(self)) {
-            Some(dfa) => dfa_scan(self, dfa, bytes),
-            None => nfa_scan(self, bytes),
-        };
-        if accepted {
-            PreScan::Accept
+        if self.scan().filters_reject(doc.bytes()) {
+            PreScan::Skip
         } else {
-            PreScan::Reject
+            PreScan::Accept
         }
-    }
-
-    /// Whether the automaton has an accepting run on the document — the
-    /// boolean projection of evaluation, without touching the variable-op
-    /// machinery. For sequential automata this is exactly "the mapping set
-    /// is nonempty".
-    pub fn matches_anywhere(&self, doc: &Document) -> bool {
-        self.prescan(doc) == PreScan::Accept
     }
 
     /// The required literals: byte strings every accepted document contains
@@ -275,17 +187,6 @@ impl CompiledVsa {
 
     fn literal_set(&self) -> &LiteralSet {
         self.scan().literals.get_or_init(|| required_literals(self))
-    }
-
-    /// Forces the boolean DFA to build and reports its state count; `None`
-    /// means the subset construction exceeded [`DFA_CELL_BUDGET`] and the
-    /// pre-pass runs on the NFA frontier fallback.
-    pub fn boolean_dfa_states(&self) -> Option<usize> {
-        self.scan()
-            .dfa
-            .get_or_init(|| build_dfa(self))
-            .as_ref()
-            .map(|d| d.accepting.len())
     }
 }
 
@@ -606,9 +507,16 @@ impl Extraction<'_> {
     }
 }
 
-/// Whether `needle` occurs in `haystack` as a contiguous factor.
+/// Whether `needle` occurs in `haystack` as a contiguous factor: a byte
+/// loop for the needle's first byte, and a compare only where it occurs.
 pub fn contains_factor(haystack: &[u8], needle: &[u8]) -> bool {
-    haystack.windows(needle.len()).any(|w| w == needle)
+    let Some((&first, rest)) = needle.split_first() else {
+        return true;
+    };
+    let Some(last) = haystack.len().checked_sub(needle.len()) else {
+        return false;
+    };
+    (0..=last).any(|at| haystack[at] == first && haystack[at + 1..][..rest.len()] == *rest)
 }
 
 /// One consuming move of the ε-free automaton behind [`LiteralTest`]: on a
@@ -781,141 +689,6 @@ fn kmp_failure(needle: &[u8]) -> Vec<usize> {
     fail
 }
 
-/// Bounded subset construction over the compiled byte classes, variable
-/// operations as ε (exact for boolean acceptance). `None` past the budget.
-///
-/// Subsets are interned in one slab and numbered in discovery order; each
-/// step is closed into one scratch row, so no subset, cell or key is
-/// allocated on its own.
-fn build_dfa(compiled: &CompiledVsa) -> Option<MatchDfa> {
-    let class_count = compiled.class_count().max(1);
-    let width = compiled.state_count().div_ceil(64);
-    let mut subsets = Interner::new(width);
-    let start = compiled.zero_closure(compiled.initial());
-    subsets.intern(start.blocks());
-    let mut accepting: Vec<bool> = vec![start.intersects(compiled.accepting())];
-    let mut table: Vec<u32> = Vec::new();
-    let mut closed = vec![0u64; width];
-
-    // The worklist drains the whole subset construction (every discovered
-    // subset gets its row) before the first scan reads the table: nothing
-    // here is built per row on demand, which is why the first prescan of
-    // an automaton pays for all of it.
-    let mut movers: Vec<usize> = Vec::new();
-    let mut from = 0u32;
-    while (from as usize) < subsets.len() {
-        // Only the subset's consuming states step; the rest are looked at
-        // once per subset, not once per class.
-        movers.clear();
-        movers.extend(bits(subsets.set(from)).filter(|&q| compiled.consuming().contains(q)));
-        for class in 0..class_count {
-            closed.fill(0);
-            for &q in &movers {
-                for &t in compiled.byte_targets(q, class) {
-                    union(&mut closed, compiled.zero_closure(t).blocks());
-                }
-            }
-            if closed.iter().all(|&b| b == 0) {
-                table.push(DEAD);
-                continue;
-            }
-            let (id, fresh) = subsets.intern(&closed);
-            if fresh {
-                if subsets.len() * class_count > DFA_CELL_BUDGET {
-                    return None;
-                }
-                accepting.push(meet(&closed, compiled.accepting().blocks()));
-            }
-            table.push(id);
-        }
-        from += 1;
-    }
-    debug_assert_eq!(table.len(), subsets.len() * class_count);
-
-    let accel = table
-        .chunks(class_count)
-        .enumerate()
-        .map(|(q, row)| {
-            let self_loops = row.iter().filter(|&&t| t == q as u32).count();
-            if self_loops == 0 {
-                return Accel::None;
-            }
-            if accepting[q] && self_loops == class_count {
-                return Accel::AcceptSink;
-            }
-            // Stop bytes: those of the classes that leave the state.
-            let mut stop = ByteClass::empty();
-            for (class, _) in row.iter().enumerate().filter(|&(_, &t)| t != q as u32) {
-                stop = stop.union(compiled.class_bytes(class));
-            }
-            match stop.len() {
-                0 => Accel::None, // non-accepting total self-loop: dead in
-                // practice (can never leave), plain stepping is fine.
-                1 => Accel::SkipToByte(stop.iter().next().expect("one stop byte")),
-                2..=64 => Accel::SkipToClass(stop),
-                _ => Accel::None,
-            }
-        })
-        .collect();
-
-    Some(MatchDfa {
-        class_count,
-        table,
-        accepting,
-        accel,
-    })
-}
-
-/// Runs the boolean DFA over the document bytes.
-fn dfa_scan(compiled: &CompiledVsa, dfa: &MatchDfa, bytes: &[u8]) -> bool {
-    let cc = dfa.class_count;
-    let mut q = 0usize;
-    let mut i = 0usize;
-    let n = bytes.len();
-    while i < n {
-        match &dfa.accel[q] {
-            Accel::AcceptSink => return true,
-            Accel::SkipToByte(stop) => match bytes[i..].iter().position(|&b| b == *stop) {
-                Some(off) => i += off,
-                None => return dfa.accepting[q],
-            },
-            Accel::SkipToClass(stop) => match bytes[i..].iter().position(|&b| stop.contains(b)) {
-                Some(off) => i += off,
-                None => return dfa.accepting[q],
-            },
-            Accel::None => {}
-        }
-        let t = dfa.table[q * cc + compiled.class_of(bytes[i])];
-        if t == DEAD {
-            return false;
-        }
-        q = t as usize;
-        i += 1;
-    }
-    dfa.accepting[q]
-}
-
-/// NFA frontier stepping with zero-closures (the budget-exhaustion
-/// fallback): exact boolean acceptance, early exit on an empty frontier.
-fn nfa_scan(compiled: &CompiledVsa, bytes: &[u8]) -> bool {
-    let states = compiled.state_count();
-    let mut current = compiled.zero_closure(compiled.initial()).clone();
-    let mut next = StateSet::new(states);
-    let mut closed = StateSet::new(states);
-    for &b in bytes {
-        compiled.step_frontier(&current, b, &mut next);
-        if next.is_empty() {
-            return false;
-        }
-        closed.clear();
-        for t in next.iter() {
-            closed.union_with(compiled.zero_closure(t));
-        }
-        std::mem::swap(&mut current, &mut closed);
-    }
-    current.intersects(compiled.accepting())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -955,8 +728,9 @@ mod tests {
         );
         assert_eq!(c.prescan(&Document::new("aaaa")), PreScan::Skip);
         assert_eq!(c.prescan(&Document::new("aa@x")), PreScan::Accept);
-        // Adversarial: factors present but no match — the DFA rejects.
-        assert_eq!(c.prescan(&Document::new("@aaa")), PreScan::Reject);
+        // Factors present but no match: not ruled out, so the executor's
+        // backward pass decides.
+        assert_eq!(c.prescan(&Document::new("@aaa")), PreScan::Accept);
     }
 
     #[test]
@@ -997,7 +771,7 @@ mod tests {
     #[test]
     fn literals_are_extracted_on_first_request_only() {
         let (_, c) = compiled(".*needle.*");
-        assert!(c.matches_anywhere(&Document::new("a needle")));
+        assert_eq!(c.prescan(&Document::new("a needle")), PreScan::Accept);
         assert!(
             c.scan_plan().literals.get().is_none(),
             "evaluation never asks"
@@ -1055,6 +829,15 @@ mod tests {
     }
 
     #[test]
+    fn contains_factor_checks_every_position() {
+        assert!(contains_factor(b"abcabd", b"abd"));
+        assert!(contains_factor(b"abd", b"abd"));
+        assert!(!contains_factor(b"abcab", b"abd"));
+        assert!(!contains_factor(b"ab", b"abd"));
+        assert!(contains_factor(b"", b""));
+    }
+
+    #[test]
     fn requiredness_is_exact() {
         let (_, c) = compiled(".*ab.*abc.*");
         // Neither the first nor the last "ab" need be followed by 'c'.
@@ -1099,103 +882,12 @@ mod tests {
     }
 
     #[test]
-    fn dfa_is_built_lazily_and_within_budget() {
-        let (_, c) = compiled(".*{x:a+}.*");
-        assert_eq!(c.scan_plan().dfa_states(), None, "not built yet");
-        assert!(c.matches_anywhere(&Document::new("xxax")));
-        let states = c.scan_plan().dfa_states().expect("built now");
-        assert!(states.is_some(), "small automaton fits the budget");
-        assert_eq!(c.boolean_dfa_states(), states);
-    }
-
-    #[test]
-    fn accept_sink_short_circuits_long_documents() {
-        let (_, c) = compiled(".*needle.*");
-        let mut text = "x".repeat(10_000);
-        text.push_str("needle");
-        text.push_str(&"y".repeat(10_000));
-        assert!(c.matches_anywhere(&Document::new(text)));
-        assert!(!c.matches_anywhere(&Document::new("x".repeat(10_000))));
-    }
-
-    /// A xorshift stream for the random formulas below.
-    struct Rng(u64);
-
-    impl Rng {
-        fn below(&mut self, n: u64) -> u64 {
-            self.0 ^= self.0 << 13;
-            self.0 ^= self.0 >> 7;
-            self.0 ^= self.0 << 17;
-            self.0 % n
-        }
-    }
-
-    /// A random sequential formula over `a`, `b`, `[ab]`, `.`, `*` and `|`
-    /// with captures: every capture has a fresh name, and none sits under
-    /// a star.
-    fn random_formula(rng: &mut Rng, depth: usize, vars: &mut usize, starred: bool) -> String {
-        let pick = rng.below(if depth == 0 { 4 } else { 8 });
-        let mut sub = |rng: &mut Rng, starred| random_formula(rng, depth - 1, vars, starred);
-        match pick {
-            0 => "a".to_string(),
-            1 => "b".to_string(),
-            2 => "[ab]".to_string(),
-            3 => ".".to_string(),
-            4 => format!("{}{}", sub(rng, starred), sub(rng, starred)),
-            5 => format!("({}|{})", sub(rng, starred), sub(rng, starred)),
-            6 => format!("({})*", sub(rng, true)),
-            _ if starred => sub(rng, starred),
-            _ => {
-                let body = sub(rng, starred);
-                *vars += 1;
-                format!("{{v{vars}:{body}}}")
-            }
-        }
-    }
-
-    #[test]
-    fn dfa_and_nfa_tiers_agree_on_random_formulas() {
-        let mut rng = Rng(0x2545_f491_4f6c_dd1d);
-        let (mut accepted, mut rejected) = (0, 0);
-        for _ in 0..150 {
-            let depth = 2 + rng.below(4) as usize;
-            let pattern = random_formula(&mut rng, depth, &mut 0, false);
-            let (_, c) = compiled(&pattern);
-            assert!(c.is_sequential(), "{pattern}");
-            let dfa = build_dfa(&c).expect("a small formula fits the budget");
-            for _ in 0..24 {
-                let len = rng.below(12) as usize;
-                let doc: Vec<u8> = (0..len)
-                    .map(|_| b"aaabbbc"[rng.below(7) as usize])
-                    .collect();
-                let verdict = dfa_scan(&c, &dfa, &doc);
-                assert_eq!(
-                    verdict,
-                    nfa_scan(&c, &doc),
-                    "{pattern} on {:?}",
-                    String::from_utf8_lossy(&doc)
-                );
-                if verdict {
-                    accepted += 1;
-                } else {
-                    rejected += 1;
-                }
-            }
-        }
-        assert!(accepted > 500 && rejected > 500, "{accepted} / {rejected}");
-    }
-
-    #[test]
     fn scan_plan_survives_clone() {
         let (_, c) = compiled(".*{x:a+}.*");
-        assert!(c.matches_anywhere(&Document::new("a")));
+        assert_eq!(c.required_literals(), [b"a".to_vec()]);
         let cloned = c.clone();
-        assert!(cloned
-            .scan_plan()
-            .dfa_states()
-            .expect("cloned built DFA")
-            .is_some());
-        assert!(cloned.matches_anywhere(&Document::new("a")));
-        assert!(!cloned.matches_anywhere(&Document::new("b")));
+        assert_eq!(cloned.required_literals(), [b"a".to_vec()]);
+        assert_eq!(cloned.prescan(&Document::new("a")), PreScan::Accept);
+        assert_eq!(cloned.prescan(&Document::new("b")), PreScan::Skip);
     }
 }

@@ -58,10 +58,9 @@ pub type SetId = u32;
 /// Id of a backward-DFA state: an interned `(U, O)` pair.
 pub type BackId = u32;
 
-/// A slab of interned fixed-width bit sets (the evaluation tables' sets,
-/// and the boolean DFA's subsets in [`crate::scan`]).
+/// A slab of interned fixed-width bit sets (the evaluation tables' sets).
 #[derive(Debug, Clone)]
-pub(crate) struct Interner {
+struct Interner {
     /// `u64` blocks per set.
     width: usize,
     /// Set `s` is `blocks[s * width..][..width]`.
@@ -72,7 +71,7 @@ pub(crate) struct Interner {
 }
 
 impl Interner {
-    pub(crate) fn new(width: usize) -> Interner {
+    fn new(width: usize) -> Interner {
         Interner {
             width,
             blocks: Vec::new(),
@@ -80,17 +79,17 @@ impl Interner {
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.blocks.len() / self.width
     }
 
     #[inline]
-    pub(crate) fn set(&self, id: u32) -> &[u64] {
+    fn set(&self, id: u32) -> &[u64] {
         &self.blocks[id as usize * self.width..][..self.width]
     }
 
     /// The id of `set`, and whether this call added it.
-    pub(crate) fn intern(&mut self, set: &[u64]) -> (u32, bool) {
+    fn intern(&mut self, set: &[u64]) -> (u32, bool) {
         debug_assert_eq!(set.len(), self.width);
         let mut slot = self.slot_of(set);
         loop {

@@ -710,7 +710,7 @@ mod tests {
             ])
             .unwrap(),
             "{\"ok\":true,\"cached\":false,\"documents\":1,\"matched\":1,\"mappings\":1,\
-             \"skipped\":0,\"rejected\":0,\"results\":[{\"line\":0,\"count\":1,\
+             \"skipped\":0,\"results\":[{\"line\":0,\"count\":1,\
              \"mappings\":[{\"x\":{\"span\":[1,3],\"text\":\"aa\"}}]}]}\n"
         );
     }
@@ -760,7 +760,7 @@ mod tests {
             "{explain}"
         );
         assert!(explain.contains("fast path on"), "{explain}");
-        assert!(explain.contains("lazy DFA:"), "{explain}");
+        assert!(explain.contains("eval tables: cold"), "{explain}");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use common::*;
 use document_spanners::prelude::*;
 use spanner_core::SpannerResult;
 use spanner_enum::evaluate_compiled;
-use spanner_vset::CompiledVsa;
+use spanner_vset::{CompiledVsa, PreScan};
 
 fn leaf(case: &Case) -> Option<Vsa> {
     leaf_vsa(case, &case.tree)
@@ -35,7 +35,14 @@ fn compiled_enumeration_agrees_with_interpreter() {
     });
     let precompiled = surface("precompiled", |case| {
         let compiled = CompiledVsa::compile(&leaf(case)?);
-        case.each_doc(|doc| evaluate_compiled(&compiled, doc).unwrap())
+        case.each_doc(|doc| {
+            let found = evaluate_compiled(&compiled, doc).unwrap();
+            // The prefilters are sound, not exact: a document they skip
+            // has no mapping; one they accept may have none.
+            let skipped = compiled.prescan(doc) == PreScan::Skip;
+            assert!(!skipped || found.is_empty(), "the prescan skipped {doc:?}");
+            found
+        })
     });
     check_all(cases, &[interpreter(), fly, precompiled]);
 }

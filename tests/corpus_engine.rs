@@ -85,11 +85,7 @@ fn empty_corpus_and_empty_documents() {
     let stats = empty.engine().scan(&[], 4).unwrap().stats;
     let counts = (stats.documents, stats.mappings, stats.matched_documents);
     assert_eq!(counts, (0, 0, 0), "{stats:?}");
-    assert_eq!(
-        (stats.docs_skipped, stats.docs_rejected),
-        (0, 0),
-        "{stats:?}"
-    );
+    assert_eq!(stats.docs_skipped, 0, "{stats:?}");
     check(&log_case(&strings(["", ""])), &[scan(2, &ran)]);
 }
 
@@ -154,8 +150,8 @@ fn every_entry_point(program: &str, options: RaOptions, docs: &Docs, threads: us
 }
 
 /// `trace_oracle`'s programs — every physical operator — over lines the
-/// static prefilters skip, lines the boolean scan rejects and lines that
-/// match, repeated until three workers each get a share.
+/// static prefilters skip, lines they pass that have no match, and lines
+/// that match, repeated until three workers each get a share.
 #[test]
 fn every_entry_point_agrees() {
     let programs = [
@@ -173,7 +169,7 @@ fn every_entry_point_agrees() {
         elapsed: Default::default(),
         ..out.stats
     };
-    let outcomes = Cell::new([0; 3]);
+    let outcomes = Cell::new([0; 2]);
     let mut tripped = 0;
     let ran = Ran::default();
     for program in programs {
@@ -187,11 +183,7 @@ fn every_entry_point_agrees() {
                     every_entry_point(&case.ql_text()?, RaOptions::default(), &docs, threads);
                 let first = timeless(passes[0].1 .0.as_ref().unwrap());
                 ran.borrow_mut().push(first.threads);
-                let add = [
-                    first.docs_skipped,
-                    first.docs_rejected,
-                    first.matched_documents,
-                ];
+                let add = [first.docs_skipped, first.matched_documents];
                 outcomes.set(std::array::from_fn(|i| outcomes.get()[i] + add[i]));
                 let mut seen = Vec::new();
                 for (name, (out, trace)) in passes {
@@ -200,9 +192,8 @@ fn every_entry_point_agrees() {
                     assert_eq!(timeless(&out), first, "{name}");
                     if let Some(trace) = trace {
                         let tally = |counter| trace.counter(counter) as usize;
-                        let evaluated = stats.documents - stats.docs_skipped - stats.docs_rejected;
-                        let counted = [tally("corpus_docs_skipped"), tally("corpus_docs_rejected")];
-                        assert_eq!(counted, [stats.docs_skipped, stats.docs_rejected]);
+                        let evaluated = stats.documents - stats.docs_skipped;
+                        assert_eq!(tally("corpus_docs_skipped"), stats.docs_skipped);
                         assert_eq!(tally("corpus_docs_evaluated"), evaluated);
                         // The root operator produced the answer; in a
                         // one-scan plan it is the whole trace.
@@ -239,7 +230,7 @@ fn every_entry_point_agrees() {
             tripped += usize::from(first.is_err());
         }
     }
-    // The corpus exercised every outcome, and the guard tripped wherever a
+    // The corpus was skipped and matched in places, and the guard tripped wherever a
     // plan has a relational operator: the two `minus` programs (union, join
     // and projection over static leaves fuse into one scan), at each of the
     // four thread counts.

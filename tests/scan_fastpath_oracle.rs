@@ -1,19 +1,15 @@
-//! The scan-core fast path (static prefilters + lazy-DFA boolean pre-pass,
-//! `spanner_vset::scan`) is an optimization: with
+//! The scan-core fast path (the static prefilters, `spanner_vset::scan`,
+//! and a corpus pass's required-literal screen) is an optimization: with
 //! [`RaOptions::scan_fast_path`] on or off, `evaluate`, `stream` and the
-//! corpus engine answer alike, and as the reference. Pinned on 100 seeded
-//! random plans and on the two adversarial regimes of the pre-pass ladder:
-//! documents that carry every required byte factor yet have no match (the
-//! boolean tier must catch what the literal tier cannot), and automata
-//! whose subset construction exceeds the DFA state budget (the NFA frontier
-//! fallback must still answer exactly).
+//! corpus engine answer alike, and as the reference. Pinned on 100 seeded random plans and on two adversarial
+//! regimes: documents that carry every required byte factor, and even the
+//! required literal, yet have no match (the executor must answer them
+//! empty), and an automaton whose subset construction is exponential.
 
 mod common;
 
 use common::*;
-use document_spanners::prelude::*;
 use document_spanners::workloads::random_text;
-use spanner_algebra::PhysOp;
 
 fn text(len: usize, alphabet: &[u8], seed: u64) -> String {
     random_text(len, alphabet, seed).text().to_string()
@@ -30,8 +26,10 @@ fn fast_path_is_invisible_on_100_random_plans() {
 }
 
 /// `.*{x:a+}@.*` requires an 'a' and an '@'; `@a` has both, in the wrong
-/// order: it passes every static prefilter, and the boolean tier must
-/// reject it.
+/// order: it passes every static prefilter, and the corpus pass skips it
+/// for lacking the required literal `a@`. `.*{x:a+}@b` requires `a@b`,
+/// which `a@bc` carries without matching: it reaches the executor and is
+/// answered empty.
 #[test]
 fn adversarial_factor_present_documents_agree() {
     let docs = [
@@ -40,30 +38,28 @@ fn adversarial_factor_present_documents_agree() {
     let case = Case::ql("/.*{x:a+}@.*/", &docs);
     check(&case, &[fast_path()]);
     let stats = case.engine().scan(&case.corpus(), 3).unwrap().stats;
-    // "@a" and "@aaa" are killed by the boolean pre-pass; "aa" (no '@') is
-    // skipped without it.
-    assert!(
-        stats.docs_rejected >= 2 && stats.docs_skipped >= 1,
-        "{stats:?}"
-    );
+    // Only the three matches carry "a@".
+    assert_eq!(stats.docs_skipped, 6, "{stats:?}");
+
+    let case = Case::ql("/.*{x:a+}@b/", &["a@bc", "xa@b", "b@ba", "a@", "ba@bb@"]);
+    check(&case, &[fast_path()]);
+    let (out, trace) = case.engine().scan_traced(&case.corpus(), 1).unwrap();
+    // "b@ba" lacks "a@b" and "a@" is too short; "a@bc" and "ba@bb@" are
+    // evaluated and empty.
+    assert_eq!(out.stats.docs_skipped, 2, "{:?}", out.stats);
+    assert_eq!(trace.counter("corpus_docs_evaluated"), 3);
+    assert_eq!(out.stats.matched_documents, 1);
 }
 
-/// `(a|b)* a (a|b)^17` needs ≥ 2^17 DFA states — past the cell budget, so
-/// the pre-pass runs on the NFA frontier fallback.
+/// `(a|b)* a (a|b)^17` needs ≥ 2^17 subset-construction states; the
+/// executor's backward pass steps it in linear time all the same.
 #[test]
-fn dfa_budget_exhaustion_fallback_agrees() {
+fn exponential_subset_automata_agree() {
     let program = format!("/(a|b)*{{x:a}}{}/", "(a|b)".repeat(17));
     let b17 = "b".repeat(17);
     let mut docs = vec!["a".repeat(18), format!("b{b17}"), format!("bba{b17}")];
     docs.extend(["ab".repeat(40), String::new()]);
     docs.extend((0..20).map(|seed| text(60, b"ab", seed + 500)));
     let case = Case::ql(&program, &docs);
-    // The compiled scan really is past the budget (otherwise this test
-    // exercises the wrong tier).
-    let plan = case.plan(RaOptions::default());
-    let PhysOp::CompiledScan { compiled, .. } = plan.physical().root() else {
-        panic!("a single-leaf plan lowers to one compiled scan");
-    };
-    assert_eq!(compiled.boolean_dfa_states(), None, "within the budget");
     check(&case, &[fast_path()]);
 }

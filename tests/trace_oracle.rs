@@ -144,26 +144,23 @@ fn traced_corpus_tallies_agree(program: &str) {
         // Per-document outcome counters partition the corpus exactly as
         // the engine statistics do.
         let skipped = trace.counter("corpus_docs_skipped");
-        let rejected = trace.counter("corpus_docs_rejected");
         let evaluated = trace.counter("corpus_docs_evaluated");
         assert_eq!(
-            skipped + rejected + evaluated,
+            skipped + evaluated,
             out.stats.documents as u64,
             "{threads} threads"
         );
         assert_eq!(trace.rows, out.stats.mappings as u64);
-        // The scan the corpus pre-pass accepted reports that acceptance, and
-        // the tier that gave it, once per evaluated document — whether the
-        // executor scanned again or was handed the verdict.
+        // The scan the corpus pre-pass accepted reports that acceptance
+        // once per evaluated document — whether the executor checked again
+        // or was handed the verdict.
         let scan = trace.children.first().unwrap_or(&trace);
         let accepted = scan.counter("prescan_accept");
         assert_eq!(accepted, evaluated, "{program}, {threads} threads");
-        let tiers = scan.counter("bool_dfa") + scan.counter("bool_nfa");
-        assert_eq!(tiers, evaluated, "{program}, {threads} threads");
         // A probe side is not covered by the corpus pre-pass: it scans for
         // itself on every document whose input side was not empty.
         if let [_, probe] = &trace.children[..] {
-            let verdicts: u64 = ["prescan_skip", "prescan_reject", "prescan_accept"]
+            let verdicts: u64 = ["prescan_skip", "prescan_accept"]
                 .map(|name| probe.counter(name))
                 .iter()
                 .sum();
