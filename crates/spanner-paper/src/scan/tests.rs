@@ -3,6 +3,7 @@
 
 use crate::interpret::interpret_nonempty;
 use spanner_core::Document;
+use spanner_enum::enumerate_compiled;
 use spanner_rgx::parse;
 use spanner_vset::{compile, CompiledVsa, PreScan, Vsa};
 
@@ -90,5 +91,33 @@ fn required_literals_are_sound_on_random_matches() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn budget_exhaustion_falls_back_to_nfa_stepping() {
+    // (a|b)* a (a|b)^{n-1} needs ≥ 2^{n-1} subset states, so no boolean
+    // automaton is built for it: the pre-pass only filters, and the match
+    // graph's backward pass, which steps the NFA, decides the document —
+    // and still answers exactly.
+    let n = 18;
+    let suffix = "(a|b)".repeat(n - 1);
+    let (vsa, c) = compiled(&format!("(a|b)*a{suffix}"));
+    for text in [
+        "a".repeat(n),
+        "b".repeat(n),
+        format!("bba{}", "b".repeat(n - 1)),
+        "ab".repeat(4),
+    ] {
+        let doc = Document::new(&text);
+        let nonempty = interpret_nonempty(&vsa, &doc);
+        if c.prescan(&doc) == PreScan::Skip {
+            assert!(!nonempty, "skipped {text:?}");
+        }
+        assert_eq!(
+            enumerate_compiled(&c, &doc).unwrap().graph().is_nonempty(),
+            nonempty,
+            "{text:?}"
+        );
     }
 }
