@@ -495,24 +495,19 @@ impl Built {
     }
 }
 
-/// The most bytes the two dense closures of one compiled automaton may
-/// take: 256 MiB, about 32 768 states.
-const MAX_CLOSURE_BYTES: usize = 256 << 20;
+/// The most states one compiled automaton may have. Its evaluation
+/// tables hold `|Q|`-bit sets, and a document may intern a new one at
+/// every position: the cap keeps each set at 4 KiB.
+const MAX_STATES: usize = 32_768;
 
-/// Wraps a static automaton as a compiled-scan operator. `compile` keeps
-/// an ε closure and a zero closure per state, each a dense `|Q|`-bit set,
-/// so an automaton whose closures would pass [`MAX_CLOSURE_BYTES`] is
-/// refused before they are allocated.
+/// Wraps a static automaton as a compiled-scan operator; an automaton past
+/// [`MAX_STATES`] is refused before it is compiled.
 fn compiled_scan(vsa: &Vsa, options: RaOptions) -> SpannerResult<PhysOp> {
-    let states = vsa.state_count();
-    let bytes = states
-        .saturating_mul(states.div_ceil(64))
-        .saturating_mul(16);
-    if bytes > MAX_CLOSURE_BYTES {
+    if vsa.state_count() > MAX_STATES {
         return Err(SpannerError::LimitExceeded {
-            what: "compiled closure bytes",
-            limit: MAX_CLOSURE_BYTES,
-            actual: bytes,
+            what: "compiled automaton states",
+            limit: MAX_STATES,
+            actual: vsa.state_count(),
         });
     }
     Ok(PhysOp::CompiledScan {

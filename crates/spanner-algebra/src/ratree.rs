@@ -276,9 +276,9 @@ pub struct RaOptions {
     /// `spanner_vset::scan`) and answers a document they rule out empty
     /// without building its match graph. On by default; semantics-invariant
     /// either way, since the prefilters are sound — turning it off only
-    /// sends every document to the backward pass. The oracles use the off
-    /// setting as their reference (`tests/scan_fastpath_oracle.rs` runs
-    /// both ways).
+    /// sends every document to the backward pass. Both settings answer to
+    /// the oracles' reference, `tests/common/reference.rs`
+    /// (`tests/scan_fastpath_oracle.rs` runs both ways).
     pub scan_fast_path: bool,
 }
 

@@ -205,14 +205,12 @@ pub fn e6_hardness_difference(run: &mut Run) {
 /// relations — and the adversarial pair whose left side has Θ(n²) mappings
 /// and whose difference is empty.
 ///
-/// The realistic sweep stops at 16 lines (545 bytes) so that no timed run
-/// exceeds a quarter of a second: with its one common variable the marker
-/// construction takes 1.5 ms, 19 ms and 0.12 s at 4, 8 and 16 lines, then
-/// 4 s at 32 lines and 338 s at 64, and the product 0.3 s and 2.8 s there.
-/// That growth is an open finding about the reference implementation
-/// (DESIGN §6, ROADMAP item 5), not something a benchmark should sit in.
+/// The realistic sweep runs to 64 lines (2 149 bytes), where the marker
+/// construction takes about a second and the product a tenth of one; at
+/// 128 lines (4 264 bytes) the marker construction takes 11 s and peaks at
+/// some 800 MB, so the sweep stops short of it (DESIGN §6).
 pub fn e7_difference(run: &mut Run) {
-    const LINES: [usize; 3] = [4, 8, 16];
+    const LINES: [usize; 5] = [4, 8, 16, 32, 64];
     const EMPTY: [usize; 4] = [16, 32, 64, 128];
     let named = |sweep, n| move |path| format!("paper/e7-difference/{sweep}{path}-{n}");
     let realistic = ["filter/lines", "product/lines", "lemma42/lines"];

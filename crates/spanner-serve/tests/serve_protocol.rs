@@ -676,8 +676,8 @@ fn hostile_query_fails_fast_with_the_request_limits() {
 }
 
 /// One 300 KB `prepare` line of 100 000 alternatives: its automaton's
-/// dense closures would take some 20 GB, so the compile is refused before
-/// they are allocated, and the daemon goes on answering.
+/// 300 004 states are past the compiled-automaton cap, so the compile is
+/// refused, and the daemon goes on answering.
 #[test]
 fn a_program_past_the_closure_budget_is_refused_and_the_daemon_answers() {
     let (addr, handle) = start(ServeOptions::default());
@@ -689,7 +689,7 @@ fn a_program_past_the_closure_budget_is_refused_and_the_daemon_answers() {
     assert!(!ok(&response), "{response}");
     let error = response.get("error").and_then(Json::as_str).unwrap();
     assert!(
-        error.contains("compiled closure bytes limit exceeded"),
+        error.contains("compiled automaton states limit exceeded"),
         "{error}"
     );
     let stats = client.stats().unwrap();

@@ -8,9 +8,9 @@
 //! and keeping state sets as sorted `Vec<StateId>`. [`CompiledVsa`] is the
 //! document-independent compilation that removes all of that:
 //!
-//! * **ε-closures** are precomputed per state, both the pure-ε closure and
-//!   the *zero closure* (ε and variable operations — everything that
-//!   consumes no input);
+//! * **non-consuming edges** (ε and variable operations) are linear rows,
+//!   forward and reversed: evaluators walk them, and the one closure kept
+//!   is the initial state's;
 //! * **letter transitions** are re-indexed through a dense 256-entry
 //!   byte-to-class table: the distinct [`ByteClass`] labels of the automaton
 //!   partition the byte alphabet into equivalence classes, and the sorted
@@ -194,6 +194,21 @@ impl<T> Rows<T> {
     }
 }
 
+impl Rows<StateId> {
+    /// The same edges reversed: row `t` lists the `q` whose row holds `t`.
+    fn reversed(&self) -> Rows<StateId> {
+        let n = self.start.len() - 1;
+        let mut edges: Vec<_> = (0..n)
+            .flat_map(|q| self.row(q).iter().map(move |&t| (t, q)))
+            .collect();
+        edges.sort_unstable();
+        let start = (0..=n).map(|t| edges.partition_point(|e| e.0 < t) as u32);
+        let start = start.collect();
+        let items = edges.into_iter().map(|e| e.1).collect();
+        Rows { start, items }
+    }
+}
+
 /// A variable operation in compiled form: dense local variable index plus
 /// open/close flag. The local index is the variable's position in the
 /// automaton's [`VarTable`] (name order).
@@ -215,11 +230,13 @@ pub struct CompiledVsa {
     initial: StateId,
     accepting: StateSet,
     vars: VarTable,
-    /// ε-only closure of each state (always contains the state itself).
-    eps_closure: Vec<StateSet>,
-    /// Closure over ε *and* variable operations (= states reachable without
-    /// consuming input); always contains the state itself.
-    zero_closure: Vec<StateSet>,
+    /// Per-state ε targets; targets of ε *and* variable operations (the
+    /// moves that consume no input), and those reversed.
+    eps_edges: Rows<StateId>,
+    zero_edges: Rows<StateId>,
+    zero_sources: Rows<StateId>,
+    /// The states reachable from the initial state without consuming input.
+    initial_closure: StateSet,
     /// Dense byte → byte-class dispatch table.
     class_of: Box<[u16; 256]>,
     class_count: usize,
@@ -248,8 +265,7 @@ pub struct CompiledVsa {
 }
 
 impl CompiledVsa {
-    /// Compiles an automaton. `O(states × transitions)` worst case (the
-    /// closure computation), linear in practice for sparse automata.
+    /// Compiles an automaton: `O(states × classes + transitions)`.
     pub fn compile(vsa: &Vsa) -> CompiledVsa {
         let n = vsa.state_count();
         let vars = VarTable::new(vsa.vars().iter().cloned());
@@ -333,27 +349,6 @@ impl CompiledVsa {
             zero_edges.end_row();
         }
 
-        let mut stack = Vec::new();
-        let mut closure = |edges: &Rows<StateId>| -> Vec<StateSet> {
-            (0..n)
-                .map(|q| {
-                    let mut set = StateSet::new(n);
-                    set.insert(q);
-                    stack.push(q);
-                    while let Some(s) = stack.pop() {
-                        for &t in edges.row(s) {
-                            if set.insert(t) {
-                                stack.push(t);
-                            }
-                        }
-                    }
-                    set
-                })
-                .collect()
-        };
-        let eps_closure = closure(&eps_edges);
-        let zero_closure = closure(&zero_edges);
-
         let accepting = StateSet::from_states(n, vsa.states().filter(|&q| vsa.is_accepting(q)));
         let states_with_var_ops =
             StateSet::from_states(n, (0..n).filter(|&q| !var_ops.row(q).is_empty()));
@@ -363,8 +358,10 @@ impl CompiledVsa {
             initial: vsa.initial(),
             accepting,
             vars,
-            eps_closure,
-            zero_closure,
+            zero_sources: zero_edges.reversed(),
+            eps_edges,
+            zero_edges,
+            initial_closure: StateSet::new(n),
             class_of,
             class_count,
             class_bytes,
@@ -376,6 +373,7 @@ impl CompiledVsa {
             scan: crate::scan::ScanPlan::placeholder(),
             eval: crate::tables::EvalCache::new(crate::tables::EVAL_TABLE_BUDGET),
         };
+        out.initial_closure = out.zero_closure(out.initial);
         out.scan = crate::scan::ScanPlan::analyze(&out);
         out
     }
@@ -469,16 +467,56 @@ impl CompiledVsa {
         self.byte_step.row(q * self.class_count + class)
     }
 
-    /// The ε-only closure of `q` (contains `q`).
+    /// The ε targets of `q`.
     #[inline]
-    pub fn eps_closure(&self, q: StateId) -> &StateSet {
-        &self.eps_closure[q]
+    pub(crate) fn eps_targets(&self, q: StateId) -> &[StateId] {
+        self.eps_edges.row(q)
     }
 
-    /// The closure of `q` over all non-consuming transitions (contains `q`).
+    /// The targets of `q`'s ε and variable-operation transitions.
     #[inline]
-    pub fn zero_closure(&self, q: StateId) -> &StateSet {
-        &self.zero_closure[q]
+    pub(crate) fn zero_targets(&self, q: StateId) -> &[StateId] {
+        self.zero_edges.row(q)
+    }
+
+    /// The states with a non-consuming transition into `q`.
+    #[inline]
+    pub(crate) fn zero_sources(&self, q: StateId) -> &[StateId] {
+        self.zero_sources.row(q)
+    }
+
+    /// The states reachable from the initial state without consuming input
+    /// (contains it).
+    #[inline]
+    pub fn initial_closure(&self) -> &StateSet {
+        &self.initial_closure
+    }
+
+    /// The closure of `q` over all non-consuming transitions (contains
+    /// `q`), walked on request: `O(|Q| / 64 + reached edges)`.
+    pub fn zero_closure(&self, q: StateId) -> StateSet {
+        let mut set = StateSet::new(self.state_count);
+        self.close_zero(&[q], &mut Vec::new(), |t| set.insert(t));
+        set
+    }
+
+    /// Sets `states`, in increasing order, to the states reachable from
+    /// `from` without reading a byte, through states `fresh` admits (and
+    /// marks seen) only.
+    pub(crate) fn close_zero(
+        &self,
+        from: &[StateId],
+        states: &mut Vec<StateId>,
+        mut fresh: impl FnMut(StateId) -> bool,
+    ) {
+        states.clear();
+        states.extend(from.iter().copied().filter(|&q| fresh(q)));
+        let mut i = 0;
+        while let Some(&q) = states.get(i) {
+            i += 1;
+            states.extend(self.zero_targets(q).iter().copied().filter(|&t| fresh(t)));
+        }
+        states.sort_unstable();
     }
 
     /// The compiled variable operations leaving `q`.
@@ -497,12 +535,6 @@ impl CompiledVsa {
     #[inline]
     pub(crate) fn consuming(&self) -> &StateSet {
         &self.consuming
-    }
-
-    /// Whether `q` has an outgoing variable operation.
-    #[inline]
-    pub fn has_var_ops(&self, q: StateId) -> bool {
-        !self.var_ops.row(q).is_empty()
     }
 }
 
@@ -572,14 +604,16 @@ mod tests {
     #[test]
     fn closures_distinguish_eps_from_var_ops() {
         let c = CompiledVsa::compile(&example_2_3());
-        // No ε-transitions: ε-closures are singletons.
+        // No ε-transitions: no ε targets.
         for q in 0..3 {
-            assert_eq!(c.eps_closure(q).to_vec(), vec![q]);
+            assert_eq!(c.eps_targets(q), &[] as &[StateId]);
         }
         // Zero closures follow the variable operations.
         assert_eq!(c.zero_closure(0).to_vec(), vec![0, 1, 2]);
         assert_eq!(c.zero_closure(1).to_vec(), vec![1, 2]);
         assert_eq!(c.zero_closure(2).to_vec(), vec![2]);
+        assert_eq!(c.initial_closure().to_vec(), vec![0, 1, 2]);
+        assert_eq!(c.zero_sources(2), &[1]);
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! * [`thompson`] — linear-time compilation of regex formulas into VAs
 //!   (preserving sequentiality, functionality and synchronization,
 //!   Lemma 4.6);
-//! * [`compiled`] — the compile-once evaluation engine: precomputed
-//!   ε-closures, byte-class dispatch tables, dense variable indices, and
-//!   bitset state sets ([`StateSet`]);
+//! * [`compiled`] — the compile-once evaluation engine: linear edge rows
+//!   (no stored closures), byte-class dispatch tables, dense variable
+//!   indices, and bitset state sets ([`StateSet`]);
 //! * [`tables`] — the per-automaton evaluation tables (a backward DFA over
 //!   useful / operations-ahead sets, forward op-closure and step tables)
 //!   that turn matching a document into table walks.

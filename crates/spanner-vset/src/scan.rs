@@ -27,7 +27,7 @@
 //! skipped document has no accepting run, so no mapping), and the executor
 //! consults the pre-pass only to return an empty result early.
 
-use crate::compiled::{CompiledVsa, Rows, StateSet};
+use crate::compiled::{CompiledVsa, Rows};
 use spanner_core::{ByteClass, Document};
 use std::sync::OnceLock;
 
@@ -202,10 +202,11 @@ fn shortest_accepted(compiled: &CompiledVsa) -> Option<Vec<u8>> {
         .filter_map(|class| compiled.class_bytes(class).iter().next())
         .collect();
     let mut queue = std::collections::VecDeque::new();
-    for q in compiled.zero_closure(compiled.initial()).iter() {
+    for q in compiled.initial_closure().iter() {
         via[q] = Some((q, 0));
         queue.push_back(q);
     }
+    let (mut seen, mut entered) = (compiled.initial_closure().clone(), Vec::new());
     while let Some(q) = queue.pop_front() {
         if compiled.is_accepting(q) {
             // BFS: the first accepting state found is at minimum distance.
@@ -220,11 +221,10 @@ fn shortest_accepted(compiled: &CompiledVsa) -> Option<Vec<u8>> {
         }
         for (class, &rep) in reps.iter().enumerate() {
             for &t in compiled.byte_targets(q, class) {
-                for r in compiled.zero_closure(t).iter() {
-                    if via[r].is_none() {
-                        via[r] = Some((q, rep));
-                        queue.push_back(r);
-                    }
+                compiled.close_zero(&[t], &mut entered, |r| seen.insert(r));
+                for &r in &entered {
+                    via[r] = Some((q, rep));
+                    queue.push_back(r);
                 }
             }
         }
@@ -236,7 +236,7 @@ fn shortest_accepted(compiled: &CompiledVsa) -> Option<Vec<u8>> {
 /// initial zero-closure — an overapproximation of the first byte of any
 /// accepted non-empty document. `None` when every byte is possible.
 fn prefix_class(compiled: &CompiledVsa) -> Option<ByteClass> {
-    let start = compiled.zero_closure(compiled.initial());
+    let start = compiled.initial_closure();
     let mut class = ByteClass::empty();
     for c in 0..compiled.class_count() {
         if start
@@ -260,7 +260,7 @@ fn required_factors(compiled: &CompiledVsa) -> Vec<ByteClass> {
         return Vec::new();
     }
     let mut factors: Vec<ByteClass> = Vec::new();
-    let start = compiled.zero_closure(compiled.initial());
+    let start = compiled.initial_closure();
     let mut reach = start.clone();
     let mut stack: Vec<usize> = Vec::new();
     for avoid in 0..class_count {
@@ -274,19 +274,12 @@ fn required_factors(compiled: &CompiledVsa) -> Vec<ByteClass> {
             if alive {
                 break;
             }
-            for class in 0..class_count {
-                if class == avoid {
-                    continue;
-                }
-                for &t in compiled.byte_targets(q, class) {
-                    for r in compiled.zero_closure(t).iter() {
-                        if reach.insert(r) {
-                            if compiled.is_accepting(r) {
-                                alive = true;
-                            }
-                            stack.push(r);
-                        }
-                    }
+            let letters = (0..class_count).filter(|&class| class != avoid);
+            let letters = letters.flat_map(|class| compiled.byte_targets(q, class));
+            for &r in compiled.zero_targets(q).iter().chain(letters) {
+                if reach.insert(r) {
+                    alive |= compiled.is_accepting(r);
+                    stack.push(r);
                 }
             }
         }
@@ -551,22 +544,22 @@ impl<'a> LiteralTest<'a> {
         let mut moves = Rows::with_rows(states);
         moves.items.reserve(states);
         let mut next = Vec::with_capacity(2 * states);
-        let mut entered = StateSet::new(states);
+        // `mark[r]`: the last move whose targets' zero closures entered `r`.
+        let (mut reach, mut mark) = (Vec::new(), vec![usize::MAX; states]);
         for q in 0..states {
             for class in classes.clone() {
                 let targets = compiled.byte_targets(q, class);
                 if targets.is_empty() {
                     continue;
                 }
-                entered.clear();
-                for &t in targets {
-                    entered.union_with(compiled.zero_closure(t));
-                }
+                let id = moves.items.len();
+                let fresh = |r: usize| std::mem::replace(&mut mark[r], id) != id;
+                compiled.close_zero(targets, &mut reach, fresh);
                 let from = next.len();
-                next.extend(entered.iter().filter(|&r| compiled.consuming().contains(r)));
+                next.extend(reach.iter().filter(|&&r| compiled.consuming().contains(r)));
                 moves.items.push(Move {
                     class,
-                    accepts: entered.intersects(compiled.accepting()),
+                    accepts: reach.iter().any(|&r| compiled.is_accepting(r)),
                     next: from..next.len(),
                 });
             }
@@ -605,7 +598,7 @@ impl<'a> LiteralTest<'a> {
         if m == 0 {
             return None;
         }
-        let start = compiled.zero_closure(compiled.initial());
+        let start = compiled.initial_closure();
         if start.intersects(compiled.accepting()) {
             // A document can end here with the needle unmatched.
             return Some(Vec::new());

@@ -12,8 +12,8 @@
 //!   accepting continuation that still performs a variable operation. The
 //!   step `(U, O)(p + 1), class of d[p] → (U, O)(p)` is a pure function of
 //!   the automaton, so the backward pass is a DFA over interned pairs: one
-//!   table lookup per byte. (The co-accessible set is derived — `q` is
-//!   co-accessible at `p` iff its zero closure meets `U(p)`.)
+//!   table lookup per byte. (The co-accessible set is derived: a fill
+//!   closes `U(p)` backward over the reversed edges that read no byte.)
 //! * **forward** — the enumerator's two steps. `ops(F)` lists every
 //!   `(operation set, reached states)` pair from a frontier `F`, in
 //!   operation-set order; `step(S, class)` is the frontier after `S`
@@ -38,6 +38,7 @@
 //! through an `Arc` and copy on the first miss of a document
 //! ([`CompiledVsa::eval_tables`] / [`CompiledVsa::publish_eval_tables`]).
 
+use crate::automaton::StateId;
 use crate::compiled::{bits, contains, insert, meet, union, CompiledVsa, StateSet};
 use spanner_core::fxhash::FxHasher;
 use std::hash::Hasher;
@@ -164,21 +165,33 @@ struct Scratch {
     /// Four rows of `width` blocks: a work row, then a backward state's
     /// `U` and `O` (contiguous, as interned), then its `via` states.
     rows: Vec<u64>,
+    /// The stack of a backward walk ([`close_back`]).
+    walk: Vec<StateId>,
     /// [`EvalTables::fill_ops`]: the operation sets found, the states each
-    /// reaches (`width` blocks apiece), the search stack and the order
-    /// the sets are interned in.
+    /// reaches (`width` blocks apiece), the search stack of (state,
+    /// operation set) slots and the order the sets are interned in.
     op_sets: Vec<u64>,
     reached: Vec<u64>,
-    stack: Vec<(usize, u64)>,
+    stack: Vec<(StateId, usize)>,
     order: Vec<usize>,
 }
 
 impl Scratch {
-    /// The four rows of `width` blocks, cleared.
-    fn rows(&mut self, width: usize) -> &mut [u64] {
+    /// The four rows of `width` blocks, cleared, and the walk stack.
+    fn rows(&mut self, width: usize) -> (&mut [u64], &mut Vec<StateId>) {
         self.rows.clear();
         self.rows.resize(4 * width, 0);
-        &mut self.rows
+        (&mut self.rows, &mut self.walk)
+    }
+}
+
+/// Closes `set` backward over the transitions that read no byte: adds
+/// every state whose zero closure meets it.
+fn close_back(compiled: &CompiledVsa, set: &mut [u64], walk: &mut Vec<StateId>) {
+    walk.clear();
+    walk.extend(bits(set));
+    while let Some(q) = walk.pop() {
+        walk.extend(compiled.zero_sources(q).iter().filter(|&&s| insert(set, s)));
     }
 }
 
@@ -233,10 +246,9 @@ impl EvalTables {
             scratch: Scratch::default(),
         };
         let mut scratch = std::mem::take(&mut tables.scratch);
-        let (initial, rest) = scratch.rows(width).split_at_mut(width);
-        let (pair, via) = rest.split_at_mut(2 * width);
-        pair[..width].copy_from_slice(compiled.accepting().blocks());
-        let accepting = tables.intern_pair(compiled, pair, via);
+        scratch.rows(width).0[width..2 * width].copy_from_slice(compiled.accepting().blocks());
+        let accepting = tables.intern_pair(compiled, &mut scratch);
+        let initial = &mut scratch.rows(width).0[..width];
         insert(initial, compiled.initial());
         let initial = tables.intern_set(initial);
         tables.scratch = scratch;
@@ -271,11 +283,11 @@ impl EvalTables {
         !meet(self.sets.set(frontier), self.ops_ahead(at))
     }
 
-    /// Whether a state with zero closure `closure` is co-accessible at a
-    /// position in backward state `at`.
+    /// Whether a set closed under the moves that read no byte (such as
+    /// [`CompiledVsa::initial_closure`]) meets `U` at backward state `at`.
     #[inline]
-    pub fn coaccessible(&self, closure: &StateSet, at: BackId) -> bool {
-        meet(closure.blocks(), self.useful(at))
+    pub fn coaccessible(&self, closed: &StateSet, at: BackId) -> bool {
+        meet(closed.blocks(), self.useful(at))
     }
 
     /// Cells filled so far (the progress measure publication compares).
@@ -312,25 +324,27 @@ impl EvalTables {
         id
     }
 
-    /// Interns the backward state whose useful set `U` is the first half of
-    /// `pair`, given `via`: the states whose letter transition enters a
-    /// state that still has an operation ahead (empty at `|d| + 1`). Fills
-    /// the second half, `O`, and adds to `via` on the way.
-    fn intern_pair(&mut self, compiled: &CompiledVsa, pair: &mut [u64], via: &mut [u64]) -> BackId {
-        let (useful, ops_ahead) = pair.split_at_mut(self.sets.width);
+    /// Interns the backward state whose `U` is the second scratch row,
+    /// given `via` in the fourth: the states whose letter transition enters
+    /// a state that still has an operation ahead (empty at `|d| + 1`).
+    /// Fills the third row, `O`, and adds to `via` on the way.
+    fn intern_pair(&mut self, compiled: &CompiledVsa, scratch: &mut Scratch) -> BackId {
+        let width = self.sets.width;
+        let Scratch { rows, walk, .. } = scratch;
+        let (work, rest) = rows.split_at_mut(width);
+        let (pair, via) = rest.split_at_mut(2 * width);
+        let (useful, ops_ahead) = pair.split_at_mut(width);
         // An operation ahead of `q`: its zero closure reaches a state of
-        // `via`, or one whose operation leads on to a useful state.
+        // `via`, or one whose operation leads on to a co-accessible state.
+        work.copy_from_slice(useful);
+        close_back(compiled, work, walk);
         for r in compiled.states_with_var_ops().iter() {
-            let mut targets = compiled.var_ops(r).iter();
-            if targets.any(|&(_, t)| meet(compiled.zero_closure(t).blocks(), useful)) {
+            if compiled.var_ops(r).iter().any(|&(_, t)| contains(work, t)) {
                 insert(via, r);
             }
         }
-        for q in 0..compiled.state_count() {
-            if meet(compiled.zero_closure(q).blocks(), via) {
-                insert(ops_ahead, q);
-            }
-        }
+        ops_ahead.copy_from_slice(via);
+        close_back(compiled, ops_ahead, walk);
         let (id, fresh) = self.pairs.intern(pair);
         if fresh {
             self.back.resize(self.back.len() + self.classes, UNFILLED);
@@ -350,14 +364,12 @@ impl EvalTables {
     pub fn fill_back(&mut self, compiled: &CompiledVsa, at: BackId, class: usize) -> BackId {
         let width = self.sets.width;
         let mut scratch = std::mem::take(&mut self.scratch);
-        let (coaccessible, rest) = scratch.rows(width).split_at_mut(width);
+        let (rows, walk) = scratch.rows(width);
+        let (coaccessible, rest) = rows.split_at_mut(width);
         let (pair, via) = rest.split_at_mut(2 * width);
         // Co-accessible at p + 1: the zero closure reaches a useful state.
-        for q in 0..compiled.state_count() {
-            if self.coaccessible(compiled.zero_closure(q), at) {
-                insert(coaccessible, q);
-            }
-        }
+        coaccessible.copy_from_slice(self.useful(at));
+        close_back(compiled, coaccessible, walk);
         // Useful at p: a letter transition into a co-accessible state.
         let ops_ahead = self.ops_ahead(at);
         for r in 0..compiled.state_count() {
@@ -370,7 +382,7 @@ impl EvalTables {
                 }
             }
         }
-        let id = self.intern_pair(compiled, pair, via);
+        let id = self.intern_pair(compiled, &mut scratch);
         self.scratch = scratch;
         self.back[at as usize * self.classes + class] = id;
         self.back_cells += 1;
@@ -388,7 +400,7 @@ impl EvalTables {
     pub fn fill_step(&mut self, compiled: &CompiledVsa, set: SetId, class: usize) -> SetId {
         let width = self.sets.width;
         let mut scratch = std::mem::take(&mut self.scratch);
-        let targets = &mut scratch.rows(width)[..width];
+        let targets = &mut scratch.rows(width).0[..width];
         for q in bits(self.sets.set(set)) {
             for &t in compiled.byte_targets(q, class) {
                 insert(targets, t);
@@ -464,42 +476,36 @@ impl EvalTables {
         op_sets.clear();
         op_sets.push(0);
         reached.clear();
-        reached.resize(width, 0);
-        for q in bits(self.sets.set(frontier)) {
-            union(reached, compiled.eps_closure(q).blocks());
-        }
-        // Explore (state, operation set) pairs. Visited states are tracked
-        // per operation set (a linear scan — the number of distinct sets
-        // per frontier is small); ε-moves are collapsed through the
-        // precomputed closures, so the stack only carries operation steps.
-        // Away from match boundaries no reached state has an operation and
-        // the stack starts empty: the only candidate is ∅.
+        reached.extend_from_slice(self.sets.set(frontier));
+        // Explore (state, operation set) pairs, following ε edges and
+        // operations on one stack. Visited states are tracked per operation
+        // set, in its slot (found by a linear scan — the number of distinct
+        // sets per frontier is small).
         stack.clear();
-        stack.extend(
-            bits(reached)
-                .filter(|&q| compiled.has_var_ops(q))
-                .map(|q| (q, 0)),
-        );
-        while let Some((q, set)) = stack.pop() {
+        stack.extend(bits(reached).map(|q| (q, 0)));
+        while let Some((q, slot)) = stack.pop() {
+            for &t in compiled.eps_targets(q) {
+                if insert(&mut reached[slot * width..][..width], t) {
+                    stack.push((t, slot));
+                }
+            }
+            let set = op_sets[slot];
             for &(op, target) in compiled.var_ops(q) {
                 let bit = 1u64 << (2 * op.var as u64 + u64::from(op.is_close));
                 if set & bit != 0 {
                     continue;
                 }
                 let next_set = set | bit;
-                let slot = match op_sets.iter().position(|&s| s == next_set) {
-                    Some(slot) => slot,
+                let next = match op_sets.iter().position(|&s| s == next_set) {
+                    Some(next) => next,
                     None => {
                         op_sets.push(next_set);
                         reached.resize(reached.len() + width, 0);
                         op_sets.len() - 1
                     }
                 };
-                let row = &mut reached[slot * width..][..width];
-                for r in compiled.eps_closure(target).iter() {
-                    if insert(row, r) && compiled.has_var_ops(r) {
-                        stack.push((r, next_set));
-                    }
+                if insert(&mut reached[next * width..][..width], target) {
+                    stack.push((target, next));
                 }
             }
         }

@@ -39,6 +39,12 @@
 //! evaluation may only allocate more as its slabs double — a set, cell or
 //! row allocated on its own shows up as a count that grows with the
 //! literal.
+//!
+//! A fifth phase weighs the compiled automaton itself: `prepare` of
+//! `/{x:ab|…|ab}/` and `/{x:(ab|…|ab)*}/` at 1 000, 2 000, 4 000 and 8 000
+//! alternatives. Its peak live bytes may grow at most 2.3x per doubling —
+//! linear in the states, with room for a vector's doubling. A per-state
+//! set of states (a stored closure) grows 4x.
 
 use document_spanners::prelude::*;
 use spanner_algebra::PhysOp;
@@ -49,15 +55,26 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// `System`, counting the calls and bytes of every allocation (a `realloc`
-/// counts as one call of its new size).
+/// counts as one call of its new size), and tracking the live bytes and
+/// their peak.
 struct Counting;
 
 static CALLS: AtomicUsize = AtomicUsize::new(0);
 static BYTES: AtomicUsize = AtomicUsize::new(0);
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
 
 fn count(size: usize) {
     CALLS.fetch_add(1, Relaxed);
     BYTES.fetch_add(size, Relaxed);
+    live(size, 0);
+}
+
+/// Moves the live bytes by `grown - freed` and raises the peak to them.
+fn live(grown: usize, freed: usize) {
+    let now = LIVE.fetch_add(grown, Relaxed) + grown;
+    LIVE.fetch_sub(freed, Relaxed);
+    PEAK.fetch_max(now, Relaxed);
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, whose
@@ -76,12 +93,15 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
+        CALLS.fetch_add(1, Relaxed);
+        BYTES.fetch_add(new_size, Relaxed);
+        live(new_size, layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(0, layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -96,6 +116,15 @@ fn counted<T>(work: impl FnOnce() -> T) -> (T, (usize, usize)) {
     let value = work();
     let after = (CALLS.load(Relaxed), BYTES.load(Relaxed));
     (value, (after.0 - before.0, after.1 - before.1))
+}
+
+/// Runs `work` and returns its value with the most bytes it held live at
+/// once (what it allocated and had not freed yet).
+fn peak<T>(work: impl FnOnce() -> T) -> (T, usize) {
+    let before = LIVE.load(Relaxed);
+    PEAK.store(before, Relaxed);
+    let value = work();
+    (value, PEAK.load(Relaxed) - before)
 }
 
 /// Bytes of one slot of the dense result.
@@ -230,6 +259,20 @@ fn cold_path_calls(len: usize) -> [usize; 4] {
     [prepare, literal_calls, prescan, evaluation]
 }
 
+/// The peak live bytes of `prepare` of `/{x:ab|…|ab}/` (`starred`:
+/// `/{x:(ab|…|ab)*}/`) over `alternatives` alternatives.
+fn compile_peak(alternatives: usize, starred: bool) -> usize {
+    let body = format!("ab{}", "|ab".repeat(alternatives - 1));
+    let program = if starred {
+        format!("/{{x:({body})*}}/")
+    } else {
+        format!("/{{x:{body}}}/")
+    };
+    let (query, bytes) = peak(|| PreparedQuery::prepare(&program).unwrap());
+    drop(query);
+    bytes
+}
+
 #[test]
 fn a_resident_query_allocates_what_it_matched_not_the_corpus() {
     let (small, large) = (5_000, 20_000);
@@ -313,4 +356,18 @@ fn a_resident_query_allocates_what_it_matched_not_the_corpus() {
         short[3],
         long[3]
     );
+
+    // The compiled automaton: linear in its states.
+    let alternatives = [1_000, 2_000, 4_000, 8_000];
+    for starred in [false, true] {
+        let peaks = alternatives.map(|n| compile_peak(n, starred));
+        println!("peak live bytes of prepare at {alternatives:?} alternatives (starred {starred}): {peaks:?}");
+        for pair in peaks.windows(2) {
+            assert!(
+                pair[1] as f64 <= 2.3 * pair[0] as f64,
+                "prepare's peak grew {:.2}x in one doubling: {peaks:?}",
+                pair[1] as f64 / pair[0] as f64
+            );
+        }
+    }
 }

@@ -713,7 +713,9 @@ pub fn relational() -> Surface<'static> {
 
 /// The compiled plan with the scan fast path on, then off, each through
 /// `evaluate`, `stream` and a two-thread corpus pass: six answers. Off, the
-/// pass skips and rejects nothing; the two streams list alike, in order.
+/// pass skips nothing (and on or off, no pre-pass rejects a document: one
+/// it does not skip goes to the backward pass); the two streams list
+/// alike, in order.
 pub fn fast_path() -> Surface<'static> {
     surface("fast path on and off", |case| {
         let docs = case.corpus();
