@@ -65,8 +65,8 @@ pub use spanner_obs::TraceNode as ExecTrace;
 /// every one of them.
 pub trait Observer: Sized {
     /// Whether anything is recorded — a constant, so a measurement that is
-    /// itself work (reading a table size, probing the DFA) is compiled out
-    /// of the unobserved executor rather than branched around.
+    /// itself work (reading a table size or a walk counter) is compiled
+    /// out of the unobserved executor rather than branched around.
     const RECORDS: bool;
 
     /// Observes one evaluation of `op`: opens its record, runs `eval`
@@ -170,9 +170,9 @@ pub enum PhysOp {
         /// The compile-once evaluation form the enumerator runs on (and
         /// what schema, size and the empty-language fast path are read off).
         compiled: Arc<CompiledVsa>,
-        /// Whether the scan fast path (prefilters + the boolean DFA
-        /// pre-pass, built whole on first use) is consulted before
-        /// enumeration ([`RaOptions::scan_fast_path`](crate::RaOptions)).
+        /// Whether the scan fast path (the static prefilters, which build
+        /// nothing) is consulted before enumeration
+        /// ([`RaOptions::scan_fast_path`](crate::RaOptions)).
         fast_path: bool,
     },
     /// A tractable, degree-bounded black-box spanner (Corollary 5.3),

@@ -495,7 +495,9 @@ impl Built {
     }
 }
 
-/// The most states one compiled automaton may have. Its evaluation
+/// The most states one compiled automaton may have, and the planner's one
+/// automaton bound: a static join product stops growing past it, and
+/// [`compiled_scan`] refuses any other automaton past it. Its evaluation
 /// tables hold `|Q|`-bit sets, and a document may intern a new one at
 /// every position: the cap keeps each set at 4 KiB.
 const MAX_STATES: usize = 32_768;
@@ -585,13 +587,13 @@ impl CompiledPlan {
                 let right = Self::build(r, inst, options)?;
                 match (left, right) {
                     // Static joins keep the paper's FPT product (Lemma 3.2):
-                    // the automaton compiles once and the shared-variable
-                    // bound governs its size.
+                    // the automaton compiles once, the shared-variable bound
+                    // governs its size and `MAX_STATES` caps its build.
                     (Built::Static(a), Built::Static(b)) => Built::Static(join::join_with_options(
                         &a,
                         &b,
                         join::JoinOptions {
-                            max_states: options.max_states,
+                            max_states: MAX_STATES,
                         },
                     )?),
                     (left, right) => Built::Dynamic(PhysOp::HashJoin {

@@ -257,10 +257,6 @@ impl Instantiation {
 /// Options controlling RA-tree evaluation.
 #[derive(Debug, Clone, Copy)]
 pub struct RaOptions {
-    /// Bound on intermediate automaton sizes (the static FPT join product
-    /// during plan compilation, and every construction of the reference
-    /// pipeline `spanner_paper::compile_ra`).
-    pub max_states: usize,
     /// Bound on materialized intermediate relations in the physical
     /// executor (any relation feeding a dynamic operator — a difference's
     /// probe side, a join's build side, union/projection inputs), and on
@@ -285,7 +281,6 @@ pub struct RaOptions {
 impl Default for RaOptions {
     fn default() -> Self {
         RaOptions {
-            max_states: 4_000_000,
             max_signatures: 1_000_000,
             optimize: true,
             scan_fast_path: true,

@@ -24,6 +24,9 @@ use spanner_vset::{join, Vsa};
 /// Positive operators over automaton subtrees are compiled statically (the
 /// same construction would be valid for every document); difference nodes and
 /// black-box leaves force the compilation to become document-dependent.
+/// Its products are bounded by the constructions' own defaults
+/// ([`join::JoinOptions`], [`DifferenceOptions`]); `options` contributes
+/// the optimizer switch and the signature bound.
 pub fn compile_ra(
     tree: &RaTree,
     inst: &Instantiation,
@@ -45,8 +48,8 @@ fn compile_ra_node(
     options: RaOptions,
 ) -> SpannerResult<Vsa> {
     let diff_options = DifferenceOptions {
-        max_states: options.max_states,
         max_signatures: options.max_signatures,
+        ..DifferenceOptions::default()
     };
     Ok(match tree {
         RaTree::Leaf(id) => match resolve_atom(inst, *id)? {
@@ -67,13 +70,7 @@ fn compile_ra_node(
         RaTree::Join(l, r) => {
             let left = compile_ra_node(l, inst, doc, options)?;
             let right = compile_ra_node(r, inst, doc, options)?;
-            join::join_with_options(
-                &left,
-                &right,
-                join::JoinOptions {
-                    max_states: options.max_states,
-                },
-            )?
+            join::join(&left, &right)?
         }
         RaTree::Difference(l, r) => {
             let left = compile_ra_node(l, inst, doc, options)?;

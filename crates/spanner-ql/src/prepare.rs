@@ -185,11 +185,6 @@ impl PreparedQuery {
         &self.lowered.tree
     }
 
-    /// The optimized RA tree the plan was compiled from.
-    pub fn optimized_tree(&self) -> &RaTree {
-        self.engine.plan().tree()
-    }
-
     /// The atom assignment shared by both trees.
     pub fn instantiation(&self) -> &Instantiation {
         &self.lowered.inst
@@ -620,21 +615,20 @@ mod tests {
         )
         .unwrap();
         let bound = |tree| shared_variable_bound(tree, q.instantiation()).unwrap();
-        assert!(bound(q.optimized_tree()) <= bound(q.tree()));
+        assert!(bound(q.plan().tree()) <= bound(q.tree()));
     }
 
     #[test]
     fn compile_errors_surface_as_ql_errors() {
-        // A sequential program whose automaton-level compilation exceeds the
-        // configured state limit.
-        let result = PreparedQuery::prepare_with_options(
-            "let a = /{x:a+}{y:a+}/; a join a",
-            RaOptions {
-                max_states: 1,
-                ..RaOptions::default()
-            },
+        // A sequential program whose static join product passes the
+        // planner's automaton state cap while it is built.
+        let class = "[ab]".repeat(1000);
+        let program = format!("let a = /.*{{x:{class}}}.*/; let b = /.*{{y:{class}}}.*/; a join b");
+        let err = PreparedQuery::prepare(&program).unwrap_err();
+        assert!(
+            err.message
+                .contains("join product states limit exceeded: 32769 > 32768"),
+            "{err}"
         );
-        let err = result.unwrap_err();
-        assert!(err.message.contains("limit"), "{err}");
     }
 }

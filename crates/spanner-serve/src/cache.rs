@@ -51,16 +51,16 @@ pub struct QueryCache {
 type PrepareSlot = OnceLock<Result<Arc<PreparedQuery>, QlError>>;
 
 /// The cache key: the trimmed program text *and* the compilation options.
-/// A plan compiled under one `RaOptions` (optimizer off, different state
-/// budgets, fast path off) is not interchangeable with one compiled under
+/// A plan compiled under one `RaOptions` (optimizer off, another signature
+/// budget, fast path off) is not interchangeable with one compiled under
 /// another — keying on the pair keeps the cache correct if per-request
-/// options ever reach the daemon. The server's maintained query views key
-/// on the same string, so a view can never be shared across plans that
-/// could disagree.
+/// options ever reach the daemon. The automaton-size bound is the
+/// planner's constant, the same for every plan, so it is not in the key.
+/// The server's maintained query views key on the same string, so a view
+/// can never be shared across plans that could disagree.
 pub(crate) fn cache_key(program: &str, options: RaOptions) -> String {
     format!(
-        "{}:{}:{}:{}\n{}",
-        options.max_states,
+        "{}:{}:{}\n{}",
         options.max_signatures,
         options.optimize,
         options.scan_fast_path,

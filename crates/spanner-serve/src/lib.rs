@@ -14,9 +14,9 @@
 //!   threads: a corpus request is evaluated on the worker that read it,
 //!   split across threads scoped to the request when it is large enough
 //!   ([`server`]);
-//! * per-request resource limits (`RaOptions::max_states` /
-//!   `max_signatures`), so a hostile query fails fast with an error
-//!   response instead of taking the process down — and a request whose
+//! * per-request resource limits (the planner's automaton state cap and
+//!   `RaOptions::max_signatures`), so a hostile query fails fast with an
+//!   error response instead of taking the process down — and a request whose
 //!   handling panics anyway is answered with an internal error while its
 //!   connection and its worker live on.
 //!

@@ -26,9 +26,11 @@
 //! * request lines are read through a hard byte cap
 //!   ([`ServeOptions::max_line_bytes`]) — an oversized line is drained and
 //!   answered with an error without ever being buffered whole;
-//! * per-request evaluation limits come from the configured
-//!   [`RaOptions`] (`max_states`, `max_signatures`), so a hostile query
-//!   fails fast with an error response instead of exhausting the process;
+//! * a hostile query fails fast with an error response instead of
+//!   exhausting the process: the planner refuses any automaton past its
+//!   state cap (a join product as soon as its build passes it), and the
+//!   configured [`RaOptions::max_signatures`] bounds every materialized
+//!   relation;
 //! * a failing `accept` (the process is out of file descriptors) is
 //!   counted and retried, never fatal: the resident store and the
 //!   connections already open outlive a flood;

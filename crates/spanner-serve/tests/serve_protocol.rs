@@ -698,6 +698,28 @@ fn a_program_past_the_closure_budget_is_refused_and_the_daemon_answers() {
     handle.join().unwrap().unwrap();
 }
 
+/// An 8 KB join whose product would pass a million states stops at the
+/// planner's state cap while it is built.
+#[test]
+fn a_join_product_past_the_state_cap_is_refused_while_it_is_built() {
+    let (addr, handle) = start(ServeOptions::default());
+    let mut client = Client::connect(addr).unwrap();
+    let class = "[ab]".repeat(1000);
+    let program = format!("let a = /.*{{x:{class}}}.*/; let b = /.*{{y:{class}}}.*/; a join b");
+    let line = format!(r#"{{"op":"prepare","program":"{program}"}}"#);
+    let response = Json::parse(&client.request_line(&line).unwrap()).unwrap();
+    assert!(!ok(&response), "{response}");
+    let error = response.get("error").and_then(Json::as_str).unwrap();
+    assert!(
+        error.contains("join product states limit exceeded: 32769 > 32768"),
+        "{error}"
+    );
+    let stats = client.stats().unwrap();
+    assert!(ok(&stats), "{stats}");
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
 #[test]
 fn concurrent_clients_share_one_cache_entry() {
     const PROGRAM: &str = "let a = /{x:a+}b*/; project x (a);";
