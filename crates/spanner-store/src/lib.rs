@@ -6,11 +6,13 @@
 //! but still linear in corpus size. [`Store`] makes document touch
 //! sub-linear for selective queries:
 //!
-//! * **Segment file**: the corpus is persisted as a compact
-//!   length-prefixed segment file and loaded back into an in-memory
-//!   document table.
+//! * **Segment file**: the corpus is persisted as a length-prefixed
+//!   table of its documents and loaded back into an in-memory document
+//!   table. Nothing derived from the documents is on disk.
 //! * **Trigram posting index**: every document's byte trigrams are
-//!   inverted into sorted posting lists (delta-varint encoded on disk).
+//!   inverted into sorted posting lists — by one function, whether the
+//!   documents came from [`Store::build`], [`Store::load`] or a
+//!   compaction, so the index is always exactly the documents' index.
 //! * **Literal pruning**: at query time, the *required literals* a
 //!   compiled plan extracts from its automata (see
 //!   `spanner_vset::CompiledVsa::required_literals` — byte strings every
@@ -31,10 +33,11 @@
 //! segment (the postings as of the last build/compaction), a small sorted
 //! **delta** segment holding the postings of mutated documents, and a
 //! **tombstone mask** marking base postings that died. A document's live
-//! postings are always entirely in one segment, and every read path
-//! (candidates, save) merges `base − tombstones` with the delta, so a
-//! mutated store is query- and byte-identical to a from-scratch rebuild
-//! over the same documents (pinned by the `incr_oracle` suite). When the
+//! postings are always entirely in one segment, and the read path
+//! ([`Store::candidates`]) merges `base − tombstones` with the delta, so
+//! a mutated store answers exactly as a from-scratch rebuild over the
+//! same documents, and saves the same bytes, since a segment is its
+//! documents (pinned by the `incr_oracle` suite). When the
 //! pending delta outgrows the base ([`COMPACT_GRACE`]), the index is
 //! compacted in place. Each document also carries a 64-bit FNV-1a content
 //! hash ([`fnv1a64`]) and the store a monotone [`Store::generation`]
@@ -76,7 +79,7 @@ pub use journal::{Journal, Mutation};
 pub const MAGIC: &[u8; 8] = b"SPANSTOR";
 
 /// Segment file format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// Length of the indexed n-grams. Literals shorter than this cannot be
 /// pruned on and force a full scan.
@@ -233,7 +236,9 @@ impl<R: AsRef<CorpusStats>> ViewQueryOutcome<R> {
 }
 
 /// Inverts every document's trigrams into sorted posting lists; returns
-/// the map and the total number of posting entries.
+/// the map and the total number of posting entries. The one builder of a
+/// base segment: [`Store::build`] (and so [`Store::load`]) and
+/// [`Store::compact`] all call it.
 fn index_documents(docs: &[Document]) -> (FxHashMap<[u8; 3], Vec<u32>>, usize) {
     let mut postings: FxHashMap<[u8; 3], Vec<u32>> = FxHashMap::default();
     let mut total = 0usize;
@@ -490,8 +495,8 @@ impl Store {
 
     /// Rebuilds the base segment from the current documents, clearing the
     /// delta and the tombstones. Normally threshold-triggered; public so
-    /// callers can force a fully compacted index (e.g. before `save` of a
-    /// long-lived segment).
+    /// callers can force a fully compacted index (e.g. ahead of a
+    /// read-heavy stretch: candidates then merge no delta).
     pub fn compact(&mut self) {
         let (base, base_postings) = index_documents(&self.docs);
         self.base = base;
@@ -658,20 +663,18 @@ impl Store {
         })
     }
 
-    /// Persists the store as one segment file (documents + index):
+    /// Persists the store as one segment file — its documents, nothing
+    /// derived from them:
     ///
     /// ```text
-    /// magic "SPANSTOR" · version u32 · doc_count u32 · trigram_count u32
+    /// magic "SPANSTOR" · version u32 · doc_count u32
     /// doc_count × ( byte_len u32 · utf-8 bytes )
-    /// trigram_count × ( 3 trigram bytes · posting_count u32
-    ///                   · posting_count × varint doc-id delta )
     /// ```
     ///
-    /// All integers little-endian; posting lists are sorted and stored as
-    /// varint-encoded gaps (first entry is the id itself). The *live*
-    /// (merged, tombstone-free) index is written, so the bytes are
-    /// identical to saving `Store::build(store.documents().to_vec())` —
-    /// mutations never leak into the segment format.
+    /// All integers little-endian. The trigram index is not written:
+    /// [`Store::load`] rebuilds it from the documents, so mutations never
+    /// leak into the segment format and a mutated store saves the bytes of
+    /// `Store::build(store.documents().to_vec())`.
     ///
     /// The save is atomic: the segment is written to a sibling temporary
     /// file (`<path>.tmp`), synced, and renamed over `path`, so a crash or
@@ -700,41 +703,13 @@ impl Store {
 
     /// Writes the segment of [`Store::save`] to `path` and syncs it.
     fn write_segment(&self, path: &Path) -> Result<(), StoreError> {
-        // Deterministic on-disk order: sorted by trigram; dead keys
-        // (tombstoned everywhere, nothing in the delta) are dropped.
-        let mut keys: Vec<[u8; 3]> = self.base.keys().copied().collect();
-        keys.extend(
-            self.delta
-                .keys()
-                .copied()
-                .filter(|k| !self.base.contains_key(k)),
-        );
-        keys.sort_unstable();
-        let mut entries: Vec<([u8; 3], Vec<u32>)> = Vec::with_capacity(keys.len());
-        for key in keys {
-            let list = self.effective(&key);
-            if !list.is_empty() {
-                entries.push((key, list));
-            }
-        }
         let mut w = BufWriter::new(std::fs::File::create(path)?);
         w.write_all(MAGIC)?;
         w.write_all(&VERSION.to_le_bytes())?;
         w.write_all(&(self.docs.len() as u32).to_le_bytes())?;
-        w.write_all(&(entries.len() as u32).to_le_bytes())?;
         for doc in &self.docs {
             w.write_all(&(doc.len() as u32).to_le_bytes())?;
             w.write_all(doc.bytes())?;
-        }
-        for (key, list) in &entries {
-            w.write_all(key.as_slice())?;
-            w.write_all(&(list.len() as u32).to_le_bytes())?;
-            let mut prev = 0u32;
-            for (i, &id) in list.iter().enumerate() {
-                let delta = if i == 0 { id } else { id - prev };
-                write_varint(&mut w, delta)?;
-                prev = id;
-            }
         }
         let file = w.into_inner().map_err(|e| e.into_error())?;
         file.sync_all()?;
@@ -742,10 +717,11 @@ impl Store {
     }
 
     /// Loads a segment file written by [`Store::save`] back into a resident
-    /// store: the document table is read once, whole; the posting lists are
-    /// decoded and validated (sortedness, bounds). Content hashes are
-    /// recomputed; the generation restarts at `0` (deletion tombstones are
-    /// not persisted — a deleted slot loads as an empty document).
+    /// store: the document table is read once, whole, and validated; the
+    /// index is built from it by [`Store::build`], as for a fresh corpus, so
+    /// a loaded store cannot disagree with its documents. The generation
+    /// restarts at `0` (deletion tombstones are not persisted — a deleted
+    /// slot loads as an empty document).
     pub fn load(path: impl AsRef<Path>) -> Result<Store, StoreError> {
         Store::load_from(std::fs::File::open(path)?)
     }
@@ -766,7 +742,6 @@ impl Store {
             )));
         }
         let doc_count = read_u32(&mut r)? as usize;
-        let trigram_count = read_u32(&mut r)? as usize;
         let mut docs = Vec::with_capacity(doc_count.min(1 << 20));
         for i in 0..doc_count {
             // Memory follows the bytes present, not the length declared: a
@@ -781,60 +756,14 @@ impl Store {
                 .map_err(|_| StoreError::Format(format!("document {i} is not valid UTF-8")))?;
             docs.push(Document::new(text));
         }
-        let mut postings: FxHashMap<[u8; 3], Vec<u32>> = FxHashMap::default();
-        let mut total = 0usize;
-        for _ in 0..trigram_count {
-            let mut key = [0u8; 3];
-            r.read_exact(&mut key)
-                .map_err(|_| StoreError::Format("trigram table truncated".into()))?;
-            let count = read_u32(&mut r)? as usize;
-            let mut list = Vec::with_capacity(count.min(1 << 20));
-            let mut prev = 0u32;
-            for i in 0..count {
-                let delta = read_varint(&mut r)?;
-                let id = if i == 0 {
-                    delta
-                } else {
-                    prev.checked_add(delta)
-                        .ok_or_else(|| StoreError::Format("posting id overflow".into()))?
-                };
-                if i > 0 && delta == 0 {
-                    return Err(StoreError::Format("unsorted posting list".into()));
-                }
-                if id as usize >= doc_count {
-                    return Err(StoreError::Format(format!(
-                        "posting id {id} out of bounds (doc count {doc_count})"
-                    )));
-                }
-                list.push(id);
-                prev = id;
-            }
-            total += list.len();
-            if postings.insert(key, list).is_some() {
-                return Err(StoreError::Format("duplicate trigram entry".into()));
-            }
-        }
         // Trailing garbage means the file is not what `save` wrote.
         let mut rest = [0u8; 1];
         if r.read(&mut rest)? != 0 {
-            return Err(StoreError::Format("trailing bytes after the index".into()));
+            return Err(StoreError::Format(
+                "trailing bytes after the document table".into(),
+            ));
         }
-        let hashes = docs.iter().map(|d| fnv1a64(d.bytes())).collect();
-        Ok(Store {
-            base_len: docs.len(),
-            stale: vec![false; docs.len()],
-            bytes: docs.iter().map(Document::len).sum(),
-            docs,
-            hashes,
-            base: postings,
-            base_postings: total,
-            delta: FxHashMap::default(),
-            delta_postings: 0,
-            stale_count: 0,
-            deleted: FxHashSet::default(),
-            generation: 0,
-            compactions: 0,
-        })
+        Store::build(docs)
     }
 }
 
@@ -849,37 +778,6 @@ impl std::fmt::Debug for Store {
             self.generation,
             self.delta_postings,
         )
-    }
-}
-
-/// LEB128-style unsigned varint.
-fn write_varint(w: &mut impl Write, mut v: u32) -> io::Result<()> {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            return w.write_all(&[byte]);
-        }
-        w.write_all(&[byte | 0x80])?;
-    }
-}
-
-fn read_varint(r: &mut impl Read) -> Result<u32, StoreError> {
-    let mut v: u32 = 0;
-    let mut shift = 0u32;
-    loop {
-        let mut byte = [0u8; 1];
-        r.read_exact(&mut byte)
-            .map_err(|_| StoreError::Format("varint truncated".into()))?;
-        let low = (byte[0] & 0x7f) as u32;
-        if shift > 28 || (shift == 28 && low > 0xf) {
-            return Err(StoreError::Format("varint overflows u32".into()));
-        }
-        v |= low << shift;
-        if byte[0] & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
     }
 }
 
@@ -986,15 +884,19 @@ mod tests {
         let path = tmp("corrupt");
         std::fs::write(&path, b"not a store").unwrap();
         assert!(matches!(Store::load(&path), Err(StoreError::Format(_))));
-        std::fs::write(&path, b"SPANSTOR\x02\x00\x00\x00").unwrap();
+        // Version 1, the format that also persisted the postings.
+        std::fs::write(&path, b"SPANSTOR\x01\x00\x00\x00").unwrap();
         let err = Store::load(&path).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
+        assert!(
+            err.to_string()
+                .contains("unsupported version 1 (expected 2)"),
+            "{err}"
+        );
         // Truncated document table.
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC);
         bytes.extend_from_slice(&VERSION.to_le_bytes());
         bytes.extend_from_slice(&2u32.to_le_bytes()); // 2 docs
-        bytes.extend_from_slice(&0u32.to_le_bytes()); // 0 trigrams
         bytes.extend_from_slice(&100u32.to_le_bytes()); // 100-byte doc, missing
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(Store::load(&path), Err(StoreError::Format(_))));
@@ -1003,7 +905,8 @@ mod tests {
 
     /// Every truncation and every single-byte flip of a saved segment loads
     /// or fails with a typed error: no panic, and no allocation sized by a
-    /// corrupt length field (ROADMAP item 4(iv)).
+    /// corrupt length field (ROADMAP item 4(iv)). A flip that loads yields
+    /// the index of the documents it loaded, never a stale one.
     #[test]
     fn load_survives_every_truncation_and_byte_flip() {
         let texts: Vec<String> = (0..24)
@@ -1019,8 +922,21 @@ mod tests {
         std::fs::remove_file(&path).ok();
         assert!(Store::load_from(saved.as_slice()).is_ok());
 
+        let literals = [&b"GET"[..], b"/p1", b"status=204"].map(|l| vec![l.to_vec()]);
         let typed = |bytes: &[u8], what: &str| match Store::load_from(bytes) {
-            Ok(loaded) => assert!(loaded.len() <= saved.len(), "{what}"),
+            Ok(loaded) => {
+                assert!(loaded.len() <= saved.len(), "{what}");
+                let rebuilt = Store::build(loaded.documents().to_vec()).unwrap();
+                assert_eq!(loaded.trigram_count(), rebuilt.trigram_count(), "{what}");
+                for literal in &literals {
+                    assert_eq!(
+                        loaded.candidates(literal),
+                        rebuilt.candidates(literal),
+                        "{what}: candidates for {:?}",
+                        String::from_utf8_lossy(&literal[0])
+                    );
+                }
+            }
             Err(StoreError::Format(_) | StoreError::Io(_)) => {}
             Err(other) => panic!("{what}: untyped failure {other}"),
         };
@@ -1045,7 +961,6 @@ mod tests {
         hostile.extend_from_slice(MAGIC);
         hostile.extend_from_slice(&VERSION.to_le_bytes());
         hostile.extend_from_slice(&1u32.to_le_bytes());
-        hostile.extend_from_slice(&0u32.to_le_bytes());
         hostile.extend_from_slice(&u32::MAX.to_le_bytes());
         let err = Store::load_from(hostile.as_slice()).unwrap_err();
         assert!(matches!(err, StoreError::Format(_)), "{err}");
