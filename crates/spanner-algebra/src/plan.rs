@@ -41,24 +41,6 @@ use spanner_core::{Document, MappingSet, SpannerError, SpannerResult, VarSet};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-/// Counters describing what [`optimize_ra_with_stats`] did to a tree.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PlanStats {
-    /// Projections pushed below at least one union or join node.
-    pub projections_pushed: usize,
-    /// Projection nodes that disappeared (no-ops, or merged into a child
-    /// projection).
-    pub projections_removed: usize,
-    /// Union nodes whose operand lists were flattened into one n-ary union.
-    pub unions_flattened: usize,
-    /// Syntactically duplicate union operands dropped.
-    pub union_duplicates_removed: usize,
-    /// Join chains whose operand order changed.
-    pub joins_reordered: usize,
-    /// Projections that stopped at a difference node (the blocked rewrite).
-    pub projections_blocked_at_difference: usize,
-}
-
 /// Rewrites an instantiated RA tree into an equivalent, cheaper-to-compile
 /// plan (see the module documentation for the rule set).
 ///
@@ -84,43 +66,26 @@ pub struct PlanStats {
 /// assert_eq!(shared_variable_bound(&optimized, &inst).unwrap(), 1);
 /// ```
 pub fn optimize_ra(tree: &RaTree, inst: &Instantiation) -> SpannerResult<RaTree> {
-    Ok(optimize_ra_with_stats(tree, inst)?.0)
-}
-
-/// [`optimize_ra`], also returning counters of the rewrites applied (from
-/// the initial rewrite pass, which does the bulk of the work).
-///
-/// A single pass can expose new opportunities — e.g. a projection that
-/// dissolves uncovers a nested union or join chain — so the rewrite runs to
-/// a fixed point (each follow-up pass only flattens/dedups further, and
-/// those steps are monotone, so the loop terminates; the size-based cap is
-/// a safety net).
-pub fn optimize_ra_with_stats(
-    tree: &RaTree,
-    inst: &Instantiation,
-) -> SpannerResult<(RaTree, PlanStats)> {
-    let mut stats = PlanStats::default();
-    let mut current = rewrite(tree, inst, None, &mut stats)?;
+    // A single pass can expose new opportunities — e.g. a projection that
+    // dissolves uncovers a nested union or join chain — so the rewrite runs
+    // to a fixed point (each follow-up pass only flattens/dedups further,
+    // and those steps are monotone, so the loop terminates; the size-based
+    // cap is a safety net).
+    let mut current = rewrite(tree, inst, None)?;
     for _ in 0..4 + tree.size() {
-        let mut ignored = PlanStats::default();
-        let next = rewrite(&current, inst, None, &mut ignored)?;
+        let next = rewrite(&current, inst, None)?;
         if next == current {
             break;
         }
         current = next;
     }
-    Ok((current, stats))
+    Ok(current)
 }
 
 /// Rewrites `tree` under a projection context: the result is equivalent to
 /// `π_ctx(tree)` (or to `tree` when `ctx` is `None`), and its declared
 /// variable set is exactly `tree_vars(tree) ∩ ctx`.
-fn rewrite(
-    tree: &RaTree,
-    inst: &Instantiation,
-    ctx: Option<&VarSet>,
-    stats: &mut PlanStats,
-) -> SpannerResult<RaTree> {
+fn rewrite(tree: &RaTree, inst: &Instantiation, ctx: Option<&VarSet>) -> SpannerResult<RaTree> {
     match tree {
         RaTree::Leaf(id) => {
             let vars = tree_vars(tree, inst)?;
@@ -134,30 +99,19 @@ fn rewrite(
             }
             if child_vars.is_subset(&inner) {
                 // The projection keeps everything: drop it entirely.
-                stats.projections_removed += 1;
-                return rewrite(child, inst, ctx, stats);
+                return rewrite(child, inst, ctx);
             }
-            match child.as_ref() {
-                // The projection cannot sink any further; keep it here (with
-                // a canonical, intersected variable set).
-                RaTree::Leaf(_) | RaTree::Difference(_, _) => {}
-                RaTree::Project(_, _) => stats.projections_removed += 1,
-                RaTree::Union(_, _) | RaTree::Join(_, _) => stats.projections_pushed += 1,
-            }
-            rewrite(child, inst, Some(&inner), stats)
+            rewrite(child, inst, Some(&inner))
         }
         RaTree::Union(_, _) => {
             let mut operands = Vec::new();
             collect_union_operands(tree, &mut operands);
-            if operands.len() > 2 {
-                stats.unions_flattened += 1;
-            }
             let mut rewritten: Vec<RaTree> = Vec::with_capacity(operands.len());
             for op in operands {
-                let op = rewrite(op, inst, ctx, stats)?;
+                let op = rewrite(op, inst, ctx)?;
                 // Rewriting can expose nested unions (a projection that
                 // dissolved); flatten those into the operand list too.
-                push_union_operand(op, &mut rewritten, stats);
+                push_union_operand(op, &mut rewritten);
             }
             // Canonical operand order (union is commutative): the same set
             // of operands always rebuilds the same tree, so union subtrees
@@ -172,17 +126,14 @@ fn rewrite(
             let first = iter.next().expect("union has at least one operand");
             Ok(iter.fold(first, RaTree::union))
         }
-        RaTree::Join(_, _) => rewrite_join_chain(tree, inst, ctx, stats),
+        RaTree::Join(_, _) => rewrite_join_chain(tree, inst, ctx),
         RaTree::Difference(left, right) => {
             // π does not distribute over difference (see the module docs);
             // both operands are rewritten without a projection context and
             // the context materializes as a projection *above* this node.
             let vars = tree_vars(tree, inst)?;
-            if ctx.is_some_and(|keep| !vars.is_subset(keep)) {
-                stats.projections_blocked_at_difference += 1;
-            }
-            let left = rewrite(left, inst, None, stats)?;
-            let right = rewrite(right, inst, None, stats)?;
+            let left = rewrite(left, inst, None)?;
+            let right = rewrite(right, inst, None)?;
             Ok(wrap_projection(RaTree::difference(left, right), &vars, ctx))
         }
     }
@@ -200,16 +151,14 @@ fn wrap_projection(tree: RaTree, vars: &VarSet, ctx: Option<&VarSet>) -> RaTree 
 
 /// Appends a rewritten operand to a union's operand list, flattening nested
 /// unions and dropping syntactic duplicates.
-fn push_union_operand(op: RaTree, out: &mut Vec<RaTree>, stats: &mut PlanStats) {
+fn push_union_operand(op: RaTree, out: &mut Vec<RaTree>) {
     match op {
         RaTree::Union(l, r) => {
-            push_union_operand(*l, out, stats);
-            push_union_operand(*r, out, stats);
+            push_union_operand(*l, out);
+            push_union_operand(*r, out);
         }
         other => {
-            if out.contains(&other) {
-                stats.union_duplicates_removed += 1;
-            } else {
+            if !out.contains(&other) {
                 out.push(other);
             }
         }
@@ -248,7 +197,6 @@ fn rewrite_join_chain(
     tree: &RaTree,
     inst: &Instantiation,
     ctx: Option<&VarSet>,
-    stats: &mut PlanStats,
 ) -> SpannerResult<RaTree> {
     let mut operands = Vec::new();
     collect_join_operands(tree, &mut operands);
@@ -276,7 +224,7 @@ fn rewrite_join_chain(
     let mut new_vars = Vec::with_capacity(n);
     for i in 0..n {
         let inner = ctx.map(|keep| keep.union(&shared[i]).intersection(&vars[i]));
-        rewritten.push(rewrite(operands[i], inst, inner.as_ref(), stats)?);
+        rewritten.push(rewrite(operands[i], inst, inner.as_ref())?);
         new_vars.push(match inner {
             Some(keep) => keep,
             None => vars[i].clone(),
@@ -290,9 +238,6 @@ fn rewrite_join_chain(
     // `shared_variable_bound`.
     let order: Vec<usize> = best_join_order(&new_vars);
     let joined = if chain_bound(&new_vars, &order) <= shape_bound(tree, &new_vars) {
-        if order.iter().enumerate().any(|(pos, &i)| i != pos) {
-            stats.joins_reordered += 1;
-        }
         build_left_deep(&order, &mut rewritten)
     } else {
         rebuild_shape(tree, &mut rewritten.iter_mut())
@@ -739,8 +684,7 @@ mod tests {
         let inst = Instantiation::new()
             .with(0, parse("{x:a}").unwrap())
             .with(1, parse("{x:b}").unwrap());
-        let (optimized, stats) = optimize_ra_with_stats(&tree, &inst).unwrap();
-        assert_eq!(stats.union_duplicates_removed, 1);
+        let optimized = optimize_ra(&tree, &inst).unwrap();
         assert_eq!(optimized.leaves(), vec![0, 1]);
     }
 
@@ -751,8 +695,7 @@ mod tests {
             .with(0, parse("{student:a}{mail:b}").unwrap())
             .with(1, parse("{student:a}{phone:b?}").unwrap())
             .with(2, parse("{student:a}{rec:b}").unwrap());
-        let (optimized, stats) = optimize_ra_with_stats(&tree, &inst).unwrap();
-        assert_eq!(stats.projections_blocked_at_difference, 1);
+        let optimized = optimize_ra(&tree, &inst).unwrap();
         assert!(
             matches!(&optimized, RaTree::Project(_, child) if matches!(child.as_ref(), RaTree::Difference(_, _))),
             "projection must stay above the difference: {optimized}"

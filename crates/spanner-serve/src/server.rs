@@ -75,9 +75,10 @@ pub struct ServeOptions {
     /// Hard cap on one request line, in bytes; longer lines are rejected
     /// without being buffered.
     pub max_line_bytes: usize,
-    /// Per-request evaluation limits (automaton states, materialized
-    /// intermediate relations) — the fail-fast guard against hostile
-    /// queries.
+    /// Per-request evaluation limits (materialized intermediate relations)
+    /// — the fail-fast guard against hostile queries. The compiled
+    /// automaton's state bound is the planner's own constant, not an
+    /// option.
     pub ra_options: RaOptions,
     /// The most threads one `query_corpus` request is split across (`0` =
     /// one per CPU, resolved once when the server binds). They are scoped

@@ -45,12 +45,12 @@
 //! [`spanner_corpus::QueryView`] invalidate on (see
 //! [`Store::query_view_matches`]).
 //! Deleting a document replaces it with an empty one (document ids are
-//! stable — views and journals refer to them), so "rebuild" always means
+//! stable), so "rebuild" always means
 //! `Store::build(store.documents().to_vec())` — and a deleted slot answers
 //! a query exactly as the empty document does (see [`Store::delete`]).
 //!
-//! Mutations can be journaled to disk ([`journal::Journal`]) and replayed
-//! onto a loaded segment, so persistence is segment + journal.
+//! The segment is the one on-disk format: mutations live in memory until
+//! the next [`Store::save`].
 //!
 //! ```
 //! use spanner_core::Document;
@@ -70,10 +70,6 @@ use spanner_corpus::{
 };
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
-
-pub mod journal;
-
-pub use journal::{Journal, Mutation};
 
 /// Magic bytes opening every segment file.
 pub const MAGIC: &[u8; 8] = b"SPANSTOR";
@@ -122,8 +118,8 @@ impl From<io::Error> for StoreError {
 }
 
 /// The 64-bit FNV-1a hash of `bytes` — the store's per-document content
-/// hash. Std-only, stable across platforms and versions: view entries and
-/// journal replays compare these across process boundaries.
+/// hash. Std-only, stable across platforms and versions: view entries
+/// compare these.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x100_0000_01b3;
@@ -133,6 +129,28 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(PRIME);
     }
     hash
+}
+
+/// One corpus mutation — the argument of [`Store::apply`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Mutation {
+    /// Append a new document at the next id.
+    Append {
+        /// The new document's text.
+        text: String,
+    },
+    /// Replace document `id`'s content.
+    Update {
+        /// The document to rewrite.
+        id: u32,
+        /// Its new text.
+        text: String,
+    },
+    /// Tombstone document `id` (its slot becomes an empty document).
+    Delete {
+        /// The document to delete.
+        id: u32,
+    },
 }
 
 /// A trigram-indexed corpus: built in memory with [`Store::build`],
@@ -342,11 +360,6 @@ impl Store {
         self.delta_postings
     }
 
-    /// Base documents whose postings are tombstoned (pending compaction).
-    pub fn stale_count(&self) -> usize {
-        self.stale_count
-    }
-
     /// Documents tombstoned by [`Store::delete`] since build/load.
     pub fn deleted_count(&self) -> usize {
         self.deleted.len()
@@ -403,9 +416,10 @@ impl Store {
     /// pattern that accepts the empty string (`{x:a*}`) still answers one
     /// mapping of empty spans on that line. The tombstone is not filtered
     /// out because it is not in the segment format — a filter would change
-    /// answers across a `save`/`load` (ROADMAP item 7 is where a journaled
-    /// tombstone could change that). Idempotent — deleting a deleted
-    /// document is a no-op that does *not* bump the generation.
+    /// answers across a `save`/`load`; [`Store::is_deleted`] and
+    /// [`Store::deleted_count`] only count deletions since build/load.
+    /// Idempotent — deleting a deleted document is a no-op that does *not*
+    /// bump the generation.
     pub fn delete(&mut self, id: u32) -> Result<(), StoreError> {
         let idx = id as usize;
         if idx >= self.docs.len() {
@@ -427,8 +441,7 @@ impl Store {
         Ok(())
     }
 
-    /// Applies one [`Mutation`] (the journal's replay unit); returns the
-    /// affected document id.
+    /// Applies one [`Mutation`]; returns the affected document id.
     pub fn apply(&mut self, mutation: &Mutation) -> Result<u32, StoreError> {
         match mutation {
             Mutation::Append { text } => self.append(text),
@@ -1108,7 +1121,7 @@ mod tests {
         assert!(store.compactions() > 0, "no compaction after bulk appends");
         // Pending work stays at or below the trigger threshold.
         assert!(
-            store.delta_postings() + store.stale_count()
+            store.delta_postings() + store.stale_count
                 <= COMPACT_GRACE.max(store.base_postings / 2)
         );
         let rebuilt = Store::build(store.documents().to_vec()).unwrap();
@@ -1121,7 +1134,7 @@ mod tests {
         store.compact();
         assert_eq!(store.compactions(), before + 1);
         assert_eq!(store.delta_postings(), 0);
-        assert_eq!(store.stale_count(), 0);
+        assert_eq!(store.stale_count, 0);
     }
 
     #[test]

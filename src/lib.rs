@@ -70,8 +70,8 @@ pub use spanner_workloads as workloads;
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
     pub use spanner_algebra::{
-        evaluate_ra, figure_2_tree, optimize_ra, Atom, CompiledPlan, Instantiation, PlanStats,
-        RaOptions, RaTree, Spanner,
+        evaluate_ra, figure_2_tree, optimize_ra, Atom, CompiledPlan, Instantiation, RaOptions,
+        RaTree, Spanner,
     };
     pub use spanner_core::{Document, Mapping, MappingSet, Span, SpannerError, VarSet, Variable};
     pub use spanner_corpus::{
@@ -87,7 +87,7 @@ pub mod prelude {
     pub use spanner_rgx::{parse, Rgx};
     pub use spanner_serve::{Client, QueryCache, ServeOptions, Server};
     pub use spanner_store::{
-        fnv1a64, Journal, Mutation, Store, StoreError, StoreQueryOutcome, ViewQueryOutcome,
+        fnv1a64, Mutation, Store, StoreError, StoreQueryOutcome, ViewQueryOutcome,
     };
     pub use spanner_vset::{compile, join, Vsa};
 }

@@ -92,28 +92,3 @@ fn mutated_store_and_views_match_scratch_rebuild_on_100_seeds() {
         check(&case, &surfaces[..2 + usize::from(seed % 10 == 0)]);
     }
 }
-
-/// Recording a script while applying it directly, then replaying the
-/// journal from disk onto a fresh copy of the base corpus, reproduces the
-/// directly mutated store exactly.
-#[test]
-fn journal_replay_reproduces_the_mutated_store() {
-    for seed in [1u64, 7, 23, 58] {
-        let case = Case::ql("//", &store_corpus(seed));
-        let name = format!("incr-oracle-journal-{}-{seed}", std::process::id());
-        let path = std::env::temp_dir().join(name);
-        std::fs::remove_file(&path).ok();
-        let (mut direct, mut journal) = (case.store(0), Journal::append(&path).unwrap());
-        for m in random_mutations(case.docs.len(), 40, seed) {
-            journal.record(&m).unwrap();
-            direct.apply(&m).unwrap();
-        }
-        let (script, end) = Journal::read_from(&path, 0).unwrap();
-        assert_eq!(end, std::fs::metadata(&path).unwrap().len());
-        let replayed = case.script(vec![script]).store(1);
-        assert_eq!(replayed.documents(), direct.documents(), "seed {seed}");
-        assert_eq!(replayed.doc_hashes(), direct.doc_hashes(), "seed {seed}");
-        assert_eq!(replayed.generation(), direct.generation(), "seed {seed}");
-        std::fs::remove_file(&path).ok();
-    }
-}
