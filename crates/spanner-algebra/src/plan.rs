@@ -407,7 +407,7 @@ pub struct CompiledPlan {
     tree: RaTree,
     options: RaOptions,
     /// [`CompiledPlan::required_literals`], worked out by the first
-    /// screened document.
+    /// caller: a store query, `explain` or a screened document.
     literals: OnceLock<Vec<Vec<u8>>>,
 }
 
@@ -589,7 +589,8 @@ impl CompiledPlan {
         let root = self.physical.root();
         if self.options.scan_fast_path
             && (root.prescan_skips(doc)
-                || (self.literals.get_or_init(|| root.required_literals()))
+                || self
+                    .required_literals()
                     .iter()
                     .any(|literal| !contains_factor(doc.bytes(), literal)))
         {
@@ -624,9 +625,11 @@ impl CompiledPlan {
 
     /// Byte strings every document with a non-empty result must contain
     /// (see [`PhysOp::required_literals`]); empty = no constraint. Corpus
-    /// indexes use these to prune documents without visiting them.
-    pub fn required_literals(&self) -> Vec<Vec<u8>> {
-        self.physical.root().required_literals()
+    /// indexes use these to prune documents without visiting them. Worked
+    /// out once per plan.
+    pub fn required_literals(&self) -> &[Vec<u8>] {
+        self.literals
+            .get_or_init(|| self.physical.root().required_literals())
     }
 
     /// Whether the whole plan compiled into one static automaton (no
@@ -749,6 +752,7 @@ mod tests {
             CompiledPlan::compile(tree, inst, RaOptions::default())
                 .unwrap()
                 .required_literals()
+                .to_vec()
         };
         // A single scan surfaces its automaton's literals.
         let inst = Instantiation::new()

@@ -84,11 +84,14 @@ impl Head {
         }
     }
 
-    /// The declared body length; `Err` marks an unparseable value.
+    /// The declared body length; `Err` marks a value that is not
+    /// `1*DIGIT` (RFC 9110 §8.6: `usize::from_str` would also take `+5`)
+    /// or does not fit.
     fn content_length(&self) -> Result<Option<usize>, ()> {
-        match self.header("content-length") {
+        match self.header("content-length").map(str::trim) {
             None => Ok(None),
-            Some(v) => v.trim().parse::<usize>().map(Some).map_err(|_| ()),
+            Some(v) if v.bytes().all(|b| b.is_ascii_digit()) => v.parse().map(Some).map_err(|_| ()),
+            Some(_) => Err(()),
         }
     }
 }

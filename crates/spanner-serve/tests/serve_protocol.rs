@@ -454,6 +454,74 @@ fn a_query_without_a_view_records_no_view_metrics() {
     handle.join().unwrap().unwrap();
 }
 
+/// `stats` and `/metrics` list the cache and store readings separately;
+/// after loads, mutations (enough to compact), cache evictions and store
+/// queries that build a view, every reading is the same number in both.
+#[test]
+fn stats_and_metrics_report_the_same_readings() {
+    let (addr, handle) = start(ServeOptions {
+        cache_capacity: 2,
+        ..ServeOptions::default()
+    });
+    let mut client = Client::connect(addr).unwrap();
+    let corpus: String = (0..50).map(|i| format!("line {i}: nothing\n")).collect();
+    assert!(ok(&client.load_corpus(corpus.trim_end()).unwrap()));
+
+    let hot = "/.*needle{x: .*}/";
+    assert!(ok(&client.prepare(hot).unwrap()));
+    assert!(ok(&client.query_store(hot).unwrap()));
+    // Distinct text, so the delta outgrows the compaction grace.
+    let appended: Vec<String> = (0..40)
+        .map(|i| {
+            let text: String = (0..60)
+                .map(|j| char::from(b'a' + ((i * 7 + j * j) % 26) as u8))
+                .collect();
+            format!("needle {i} {text}")
+        })
+        .collect();
+    assert!(ok(&client.append_docs(&appended.join("\n")).unwrap()));
+    assert!(ok(&client.update_doc(3, "line 3: needle now").unwrap()));
+    assert!(ok(&client.delete_docs(&[10, 11]).unwrap()));
+    for program in [hot, "/.*{x:line 7}.*/", "/.*{x:line 8}.*/", hot] {
+        assert!(ok(&client.query_store(program).unwrap()));
+    }
+    assert!(ok(&client.append_docs("one more needle").unwrap()));
+
+    let stats = client.stats().unwrap();
+    assert!(field(&stats, ["cache", "evictions"]) > 0, "{stats}");
+    assert!(field(&stats, ["store", "compactions"]) > 0, "{stats}");
+    assert!(field(&stats, ["store", "views"]) > 0, "{stats}");
+    for (path, sample) in [
+        (["cache", "capacity"], "spanner_cache_capacity"),
+        (["cache", "entries"], "spanner_cache_entries"),
+        (["cache", "hits"], "spanner_cache_hits_total"),
+        (["cache", "misses"], "spanner_cache_misses_total"),
+        (["cache", "evictions"], "spanner_cache_evictions_total"),
+        (["store", "documents"], "spanner_store_documents"),
+        (["store", "bytes"], "spanner_store_bytes"),
+        (["store", "trigrams"], "spanner_store_trigrams"),
+        (["store", "generation"], "spanner_store_generation"),
+        (["store", "deleted"], "spanner_store_deleted_documents"),
+        (["store", "delta_postings"], "spanner_store_delta_postings"),
+        (["store", "compactions"], "spanner_store_compactions_total"),
+        (["store", "views"], "spanner_views"),
+        (
+            ["server", "docs_skipped"],
+            r#"spanner_corpus_docs_total{outcome="skipped"}"#,
+        ),
+        (
+            ["server", "docs_evaluated"],
+            r#"spanner_corpus_docs_total{outcome="evaluated"}"#,
+        ),
+    ] {
+        let reading = field(&stats, path) as f64;
+        assert_eq!(reading, metric(&mut client, sample), "{path:?} vs {sample}");
+    }
+
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
 #[test]
 fn queries_stay_live_during_a_large_load_corpus() {
     use std::sync::atomic::{AtomicBool, Ordering};

@@ -203,8 +203,6 @@ pub struct StoreQueryOutcome<R = CorpusMatches> {
     /// Number of candidate documents the index produced; `None` when the
     /// plan had no usable literal and the store fell back to a full scan.
     pub candidates: Option<usize>,
-    /// The literals the candidate set was intersected from.
-    pub literals: Vec<Vec<u8>>,
 }
 
 /// What one view-backed query did: the whole-corpus answer plus how much
@@ -223,8 +221,6 @@ pub struct ViewQueryOutcome<R = CorpusMatches> {
     /// Size of the trigram candidate set (`None` = full-scan fallback),
     /// as in [`StoreQueryOutcome::candidates`].
     pub candidates: Option<usize>,
-    /// The literals the candidate set was intersected from.
-    pub literals: Vec<Vec<u8>>,
     /// The store generation the view now reflects.
     pub generation: u64,
 }
@@ -592,8 +588,7 @@ impl Store {
         engine: &CorpusEngine,
         threads: usize,
     ) -> SpannerResult<StoreQueryOutcome> {
-        let literals = engine.plan().required_literals();
-        let candidates = self.candidates(&literals);
+        let candidates = self.candidates(engine.plan().required_literals());
         let output = match &candidates {
             Some(candidates) => engine.scan_candidates(&self.docs, candidates, threads)?,
             None => engine.scan(&self.docs, threads)?,
@@ -601,7 +596,6 @@ impl Store {
         Ok(StoreQueryOutcome {
             output,
             candidates: candidates.map(|c| c.len()),
-            literals,
         })
     }
 
@@ -619,8 +613,7 @@ impl Store {
         view: &mut QueryView,
         threads: usize,
     ) -> SpannerResult<ViewQueryOutcome> {
-        let literals = engine.plan().required_literals();
-        let candidates = self.candidates(&literals);
+        let candidates = self.candidates(engine.plan().required_literals());
         let delta = engine.scan_delta(
             &self.docs,
             &self.hashes,
@@ -635,7 +628,6 @@ impl Store {
             view_hits: delta.view_hits,
             invalidated: delta.invalidated,
             candidates: candidates.map(|c| c.len()),
-            literals,
             generation: self.generation,
         })
     }
@@ -653,7 +645,6 @@ impl Store {
         Ok(StoreQueryOutcome {
             output: sparse.output.into_dense(),
             candidates: sparse.candidates,
-            literals: sparse.literals,
         })
     }
 
@@ -671,7 +662,6 @@ impl Store {
             view_hits: sparse.view_hits,
             invalidated: sparse.invalidated,
             candidates: sparse.candidates,
-            literals: sparse.literals,
             generation: sparse.generation,
         })
     }
