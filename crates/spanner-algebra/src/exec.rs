@@ -43,7 +43,7 @@ use spanner_core::{
     Document, FxHashSet, Mapping, MappingSet, SpannerError, SpannerResult, VarId, VarSet,
 };
 use spanner_enum::{enumerate_compiled, Enumerator};
-use spanner_vset::scan::contains_factor;
+use spanner_vset::scan::{contains_factor, dedup_subsumed};
 use spanner_vset::{CompiledVsa, PreScan};
 use std::fmt;
 use std::sync::Arc;
@@ -536,19 +536,6 @@ fn over_limit(limit: usize, actual: usize) -> SpannerError {
         limit,
         actual,
     }
-}
-
-/// Keeps the longest literals, dropping duplicates and literals occurring
-/// inside a kept one (they constrain nothing extra).
-fn dedup_subsumed(literals: &mut Vec<Vec<u8>>) {
-    literals.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
-    let mut kept: Vec<Vec<u8>> = Vec::new();
-    for lit in literals.drain(..) {
-        if !kept.iter().any(|k| contains_factor(k, &lit)) {
-            kept.push(lit);
-        }
-    }
-    *literals = kept;
 }
 
 impl fmt::Debug for PhysOp {

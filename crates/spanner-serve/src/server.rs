@@ -156,9 +156,9 @@ struct OpMetrics {
 /// The daemon's metrics: one [`Registry`] plus pre-registered handles for
 /// everything recorded on the hot path, so serving a request never takes
 /// the registry mutex — recording is `fetch_add` only. Scrape-time values
-/// (cache stats, store size, uptime) are appended to the rendered
-/// exposition by [`Shared::render_metrics`] instead of being mirrored
-/// into yet another set of counters.
+/// (cache stats, store size, uptime) are read at scrape time from one list,
+/// `Handler::readings`, instead of being mirrored into yet another set of
+/// counters.
 pub(crate) struct ServerMetrics {
     registry: Registry,
     /// Per-op request/error/latency: one entry per [`Request::OPS`] label,
@@ -240,6 +240,20 @@ impl ServerMetrics {
                 &[("outcome", outcome)],
             )
         };
+        let mutations = |op| {
+            registry.counter(
+                "spanner_store_mutations_total",
+                "Resident-store mutations applied, by op",
+                &[("op", op)],
+            )
+        };
+        let view_docs = |outcome| {
+            registry.counter(
+                "spanner_view_docs_total",
+                "Documents per resident-store query, by view outcome",
+                &[("outcome", outcome)],
+            )
+        };
         ServerMetrics {
             ops,
             connections: registry.counter(
@@ -293,31 +307,11 @@ impl ServerMetrics {
                 &[],
                 LATENCY_BUCKETS,
             ),
-            store_appends: registry.counter(
-                "spanner_store_mutations_total",
-                "Resident-store mutations applied, by op",
-                &[("op", "append")],
-            ),
-            store_updates: registry.counter(
-                "spanner_store_mutations_total",
-                "Resident-store mutations applied, by op",
-                &[("op", "update")],
-            ),
-            store_deletes: registry.counter(
-                "spanner_store_mutations_total",
-                "Resident-store mutations applied, by op",
-                &[("op", "delete")],
-            ),
-            view_hits: registry.counter(
-                "spanner_view_docs_total",
-                "Documents per resident-store query, by view outcome",
-                &[("outcome", "hit")],
-            ),
-            view_misses: registry.counter(
-                "spanner_view_docs_total",
-                "Documents per resident-store query, by view outcome",
-                &[("outcome", "miss")],
-            ),
+            store_appends: mutations("append"),
+            store_updates: mutations("update"),
+            store_deletes: mutations("delete"),
+            view_hits: view_docs("hit"),
+            view_misses: view_docs("miss"),
             view_invalidations: registry.counter(
                 "spanner_view_invalidations_total",
                 "Retained view entries dropped because their document changed",
@@ -577,119 +571,177 @@ impl Handler {
         lock_or_reset(&self.store, |_| ()).clone()
     }
 
-    /// Renders the whole registry plus the scrape-time families (cache,
-    /// resident store, uptime) as one Prometheus text exposition.
+    /// Every scrape-time reading, by `stats` section in wire order: `stats`
+    /// is written from this list and `/metrics` appends its families to the
+    /// registry's, so the two surfaces cannot disagree. A section of `None`
+    /// (`store`, before `load_corpus`) is `null` in `stats`.
+    fn readings(&self) -> [(&'static str, Option<Vec<Reading>>); 4] {
+        let (cache_stats, m) = (self.cache.stats(), &self.metrics);
+        let count = |n: u64| Json::number(n as usize);
+        let ops = m.ops.iter().map(|op| {
+            let value = Json::object([
+                ("requests", count(op.requests.get())),
+                ("errors", count(op.errors.get())),
+            ]);
+            Reading::stat(op.label, value)
+        });
+        let store = self.resident().map(|resident| {
+            let store = resident.counters();
+            let (retained_cost, snapshot_bytes) = resident.views.held();
+            vec![
+                Reading::stat("documents", Json::number(store.len()))
+                    .gauge("spanner_store_documents", "Documents in the resident store"),
+                Reading::stat("bytes", Json::number(store.bytes()))
+                    .gauge("spanner_store_bytes", "Bytes in the resident store"),
+                Reading::stat("trigrams", Json::number(store.trigram_count())).gauge(
+                    "spanner_store_trigrams",
+                    "Distinct trigrams in the resident store's index",
+                ),
+                Reading::stat("generation", count(store.generation())).counter(
+                    "spanner_store_generation",
+                    "Mutations applied to the resident store since load",
+                ),
+                Reading::stat("deleted", Json::number(store.deleted_count())).gauge(
+                    "spanner_store_deleted_documents",
+                    "Resident documents tombstoned since load",
+                ),
+                Reading::stat("delta_postings", Json::number(store.delta_postings())).gauge(
+                    "spanner_store_delta_postings",
+                    "Posting entries in the resident store's delta segment",
+                ),
+                Reading::stat("compactions", count(store.compactions())).counter(
+                    "spanner_store_compactions_total",
+                    "Trigram-index compactions of the resident store",
+                ),
+                Reading::stat("views", Json::number(resident.views.entries())).gauge(
+                    "spanner_views",
+                    "Maintained query views over the resident store",
+                ),
+                Reading::unlisted(Json::number(retained_cost)).gauge(
+                    "spanner_view_retained_cost",
+                    "Total retention cost across the maintained query views",
+                ),
+                Reading::unlisted(Json::number(snapshot_bytes)).gauge(
+                    "spanner_view_snapshot_bytes",
+                    "Bytes allocated for the per-document hash snapshots of the maintained query views",
+                ),
+            ]
+        });
+        let cache = vec![
+            Reading::stat("capacity", Json::number(cache_stats.capacity)).gauge(
+                "spanner_cache_capacity",
+                "Configured prepared-query cache capacity",
+            ),
+            Reading::stat("entries", Json::number(cache_stats.entries)).gauge(
+                "spanner_cache_entries",
+                "Prepared queries resident in the cache",
+            ),
+            Reading::stat("hits", count(cache_stats.hits)).counter(
+                "spanner_cache_hits_total",
+                "Cache lookups served from a resident entry",
+            ),
+            Reading::stat("misses", count(cache_stats.misses)).counter(
+                "spanner_cache_misses_total",
+                "Cache lookups that compiled the program",
+            ),
+            Reading::stat("evictions", count(cache_stats.evictions)).counter(
+                "spanner_cache_evictions_total",
+                "Entries evicted to make room",
+            ),
+            Reading::stat("prepare_seconds", Json::Number(m.prepare_seconds.sum())),
+        ];
+        let server = vec![
+            Reading::stat("requests_total", count(m.total_requests())),
+            Reading::stat("errors_total", count(m.total_errors())),
+            Reading::stat(
+                "uptime_s",
+                Json::Number(self.started.elapsed().as_secs_f64()),
+            )
+            .gauge("spanner_uptime_seconds", "Seconds since the daemon started"),
+            Reading::stat("connections", count(m.connections.get())),
+            Reading::stat("corpus_threads", Json::number(self.options.corpus_threads)),
+            Reading::stat("docs_skipped", count(m.docs_skipped.get())),
+            Reading::stat("docs_evaluated", count(m.docs_evaluated.get())),
+        ];
+        [
+            ("cache", Some(cache)),
+            ("server", Some(server)),
+            // Per-op request/error totals, so rates are computable per
+            // operation (the counters the registry renders).
+            ("ops", Some(ops.collect())),
+            ("store", store),
+        ]
+    }
+
+    /// The `stats` answer: every reading with a `stats` member.
+    fn stats(&self) -> Json {
+        let sections = self.readings().map(|(section, readings)| {
+            let members = readings.map(|readings| {
+                Json::object(
+                    readings
+                        .into_iter()
+                        .filter_map(|r| Some((r.member?, r.value))),
+                )
+            });
+            (section, members.unwrap_or(Json::Null))
+        });
+        Json::object([("ok", Json::Bool(true))].into_iter().chain(sections))
+    }
+
+    /// The whole registry plus every reading with a family of its own, as
+    /// one Prometheus text exposition.
     fn render_metrics(&self) -> String {
         let mut out = Exposition::new();
         self.metrics.registry.export_into(&mut out);
-        let cache = self.cache.stats();
-        out.family(
-            "spanner_cache_entries",
-            "gauge",
-            "Prepared queries resident in the cache",
-        );
-        out.sample("spanner_cache_entries", &[], cache.entries as f64);
-        out.family(
-            "spanner_cache_capacity",
-            "gauge",
-            "Configured prepared-query cache capacity",
-        );
-        out.sample("spanner_cache_capacity", &[], cache.capacity as f64);
-        for (name, help, value) in [
-            (
-                "spanner_cache_hits_total",
-                "Cache lookups served from a resident entry",
-                cache.hits,
-            ),
-            (
-                "spanner_cache_misses_total",
-                "Cache lookups that compiled the program",
-                cache.misses,
-            ),
-            (
-                "spanner_cache_evictions_total",
-                "Entries evicted to make room",
-                cache.evictions,
-            ),
-        ] {
-            out.family(name, "counter", help);
-            out.sample(name, &[], value as f64);
-        }
-        if let Some(resident) = self.resident() {
-            let store = resident.counters();
-            let (retained_cost, snapshot_bytes) = resident.views.held();
-            for (name, help, value) in [
-                (
-                    "spanner_store_documents",
-                    "Documents in the resident store",
-                    store.len(),
-                ),
-                (
-                    "spanner_store_bytes",
-                    "Bytes in the resident store",
-                    store.bytes(),
-                ),
-                (
-                    "spanner_store_trigrams",
-                    "Distinct trigrams in the resident store's index",
-                    store.trigram_count(),
-                ),
-                (
-                    "spanner_store_delta_postings",
-                    "Posting entries in the resident store's delta segment",
-                    store.delta_postings(),
-                ),
-                (
-                    "spanner_store_deleted_documents",
-                    "Resident documents tombstoned since load",
-                    store.deleted_count(),
-                ),
-                (
-                    "spanner_views",
-                    "Maintained query views over the resident store",
-                    resident.views.entries(),
-                ),
-                (
-                    "spanner_view_retained_cost",
-                    "Total retention cost across the maintained query views",
-                    retained_cost,
-                ),
-                (
-                    "spanner_view_snapshot_bytes",
-                    "Bytes allocated for the per-document hash snapshots of the maintained query views",
-                    snapshot_bytes,
-                ),
-            ] {
-                out.family(name, "gauge", help);
-                out.sample(name, &[], value as f64);
-            }
-            for (name, help, value) in [
-                (
-                    "spanner_store_generation",
-                    "Mutations applied to the resident store since load",
-                    store.generation(),
-                ),
-                (
-                    "spanner_store_compactions_total",
-                    "Trigram-index compactions of the resident store",
-                    store.compactions(),
-                ),
-            ] {
-                out.family(name, "counter", help);
-                out.sample(name, &[], value as f64);
+        for reading in self.readings().into_iter().flat_map(|(_, r)| r).flatten() {
+            if let (Some((name, kind, help)), Json::Number(value)) = (reading.family, reading.value)
+            {
+                out.family(name, kind, help);
+                out.sample(name, &[], value);
             }
         }
-        out.family(
-            "spanner_uptime_seconds",
-            "gauge",
-            "Seconds since the daemon started",
-        );
-        out.sample(
-            "spanner_uptime_seconds",
-            &[],
-            self.started.elapsed().as_secs_f64(),
-        );
         out.finish()
+    }
+}
+
+/// One scrape-time reading: the value `stats` and `/metrics` both report.
+struct Reading {
+    /// Its member in its `stats` section; `None` for one `stats` omits.
+    member: Option<&'static str>,
+    value: Json,
+    /// The name, Prometheus type and help of its own `/metrics` family;
+    /// `None` when the registry renders its family, or it has none.
+    family: Option<(&'static str, &'static str, &'static str)>,
+}
+
+impl Reading {
+    /// A `stats` member, with no family of its own until [`Reading::gauge`]
+    /// or [`Reading::counter`] gives it one.
+    fn stat(member: &'static str, value: Json) -> Reading {
+        Reading {
+            member: Some(member),
+            value,
+            family: None,
+        }
+    }
+
+    /// A reading only `/metrics` reports.
+    fn unlisted(value: Json) -> Reading {
+        Reading {
+            member: None,
+            value,
+            family: None,
+        }
+    }
+
+    fn gauge(self, name: &'static str, help: &'static str) -> Reading {
+        let family = Some((name, "gauge", help));
+        Reading { family, ..self }
+    }
+
+    fn counter(self, name: &'static str, help: &'static str) -> Reading {
+        let family = Some((name, "counter", help));
+        Reading { family, ..self }
     }
 }
 
@@ -1372,98 +1424,7 @@ fn handle_request(handler: &Handler, request: Request, out: &mut Vec<u8>) -> Out
                 }
             })
         }
-        Request::Stats => {
-            let cache = handler.cache.stats();
-            let store = match handler.resident() {
-                None => Json::Null,
-                Some(resident) => {
-                    let store = resident.counters();
-                    Json::object([
-                        ("documents", Json::number(store.len())),
-                        ("bytes", Json::number(store.bytes())),
-                        ("trigrams", Json::number(store.trigram_count())),
-                        ("generation", Json::number(store.generation() as usize)),
-                        ("deleted", Json::number(store.deleted_count())),
-                        ("delta_postings", Json::number(store.delta_postings())),
-                        ("compactions", Json::number(store.compactions() as usize)),
-                        ("views", Json::number(resident.views.entries())),
-                    ])
-                }
-            };
-            let response = Json::object([
-                ("ok", Json::Bool(true)),
-                (
-                    "cache",
-                    Json::object([
-                        ("capacity", Json::number(cache.capacity)),
-                        ("entries", Json::number(cache.entries)),
-                        ("hits", Json::number(cache.hits as usize)),
-                        ("misses", Json::number(cache.misses as usize)),
-                        ("evictions", Json::number(cache.evictions as usize)),
-                        (
-                            "prepare_seconds",
-                            Json::Number(handler.metrics.prepare_seconds.sum()),
-                        ),
-                    ]),
-                ),
-                (
-                    "server",
-                    Json::object([
-                        (
-                            "requests_total",
-                            Json::number(handler.metrics.total_requests() as usize),
-                        ),
-                        (
-                            "errors_total",
-                            Json::number(handler.metrics.total_errors() as usize),
-                        ),
-                        (
-                            "uptime_s",
-                            Json::Number(handler.started.elapsed().as_secs_f64()),
-                        ),
-                        (
-                            "connections",
-                            Json::number(handler.metrics.connections.get() as usize),
-                        ),
-                        (
-                            "corpus_threads",
-                            Json::number(handler.options.corpus_threads),
-                        ),
-                        (
-                            "docs_skipped",
-                            Json::number(handler.metrics.docs_skipped.get() as usize),
-                        ),
-                        (
-                            "docs_evaluated",
-                            Json::number(handler.metrics.docs_evaluated.get() as usize),
-                        ),
-                    ]),
-                ),
-                (
-                    // Per-op request/error totals, so rates are computable
-                    // per operation (the same counters `metrics` renders).
-                    "ops",
-                    Json::Object(
-                        handler
-                            .metrics
-                            .ops
-                            .iter()
-                            .map(|m| {
-                                (
-                                    m.label.to_string(),
-                                    Json::object([
-                                        ("requests", Json::number(m.requests.get() as usize)),
-                                        ("errors", Json::number(m.errors.get() as usize)),
-                                    ]),
-                                )
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("store", store),
-            ]);
-            reply(out, response)
-        }
+        Request::Stats => reply(out, handler.stats()),
         // HTTP serves the exposition as it is, so it is not escaped here.
         Request::Metrics => Outcome::Metrics(handler.render_metrics()),
         Request::Shutdown => reply(

@@ -4,6 +4,7 @@
 //! and graceful shutdown draining in-flight work.
 
 use spanner_serve::{Client, Json, ServeOptions, Server};
+use std::collections::BTreeSet;
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
 
@@ -517,6 +518,91 @@ fn stats_and_metrics_report_the_same_readings() {
         let reading = field(&stats, path) as f64;
         assert_eq!(reading, metric(&mut client, sample), "{path:?} vs {sample}");
     }
+
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+/// docs/OPS.md §1's table of exported families lists exactly the families
+/// a daemon with a resident store renders, one backticked name per family
+/// (a row may name several, split on ` / `).
+#[test]
+fn the_ops_family_table_lists_every_scraped_family() {
+    let (addr, handle) = start(ServeOptions::default());
+    let mut client = Client::connect(addr).unwrap();
+    assert!(ok(&client.load_corpus("a needle\nmiss").unwrap()));
+    let metrics = client.metrics().unwrap();
+    let text = metrics.get("metrics").and_then(Json::as_str).unwrap();
+    let scraped: BTreeSet<&str> = text
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE ")?.split(' ').next())
+        .collect();
+    let ops =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/OPS.md")).unwrap();
+    let documented: BTreeSet<&str> = ops
+        .lines()
+        .skip_while(|line| !line.starts_with("| family |"))
+        .skip(2)
+        .take_while(|line| line.starts_with('|'))
+        .flat_map(|row| row.split('|').nth(1).unwrap().split(" / "))
+        .map(|cell| cell.trim().trim_matches('`'))
+        .collect();
+    assert_eq!(scraped, documented);
+
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+/// The `stats` layout — its sections and their members, in order — before
+/// and after `load_corpus`. Values are not compared.
+#[test]
+fn stats_keeps_its_sections_and_members_in_order() {
+    fn layout(value: &Json) -> String {
+        match value {
+            Json::Object(members) => {
+                let members: Vec<String> = members
+                    .iter()
+                    .map(|(name, value)| format!("{name}{}", layout(value)))
+                    .collect();
+                format!("{{{}}}", members.join(" "))
+            }
+            Json::Null => ":null".into(),
+            _ => String::new(),
+        }
+    }
+    let ops: Vec<String> = [
+        "prepare",
+        "query",
+        "load_corpus",
+        "append_docs",
+        "update_doc",
+        "delete_docs",
+        "query_corpus",
+        "explain",
+        "stats",
+        "metrics",
+        "shutdown",
+        "invalid",
+    ]
+    .iter()
+    .map(|op| format!("{op}{{requests errors}}"))
+    .collect();
+    let expected = |store: &str| {
+        format!(
+            "{{ok cache{{capacity entries hits misses evictions prepare_seconds}} \
+             server{{requests_total errors_total uptime_s connections corpus_threads \
+             docs_skipped docs_evaluated}} ops{{{}}} store{store}}}",
+            ops.join(" ")
+        )
+    };
+    let (addr, handle) = start(ServeOptions::default());
+    let mut client = Client::connect(addr).unwrap();
+    assert_eq!(layout(&client.stats().unwrap()), expected(":null"));
+    assert!(ok(&client.load_corpus("a needle\nmiss").unwrap()));
+    assert_eq!(
+        layout(&client.stats().unwrap()),
+        expected("{documents bytes trigrams generation deleted delta_postings compactions views}")
+    );
 
     client.shutdown().unwrap();
     handle.join().unwrap().unwrap();

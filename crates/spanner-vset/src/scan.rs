@@ -345,17 +345,10 @@ fn required_literals(compiled: &CompiledVsa) -> LiteralSet {
         }
     }
 
-    // Longest first; drop duplicates and substrings of longer literals.
-    literals.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
-    let mut kept: Vec<Vec<u8>> = Vec::new();
-    for lit in literals {
-        if !kept.iter().any(|k| contains_factor(k, &lit)) {
-            kept.push(lit);
-        }
-    }
-    kept.truncate(MAX_LITERALS);
+    dedup_subsumed(&mut literals);
+    literals.truncate(MAX_LITERALS);
     LiteralSet {
-        literals: kept,
+        literals,
         explorations: extraction.explorations,
     }
 }
@@ -510,6 +503,20 @@ pub fn contains_factor(haystack: &[u8], needle: &[u8]) -> bool {
         return false;
     };
     (0..=last).any(|at| haystack[at] == first && haystack[at + 1..][..rest.len()] == *rest)
+}
+
+/// Sorts `literals` longest first, then by bytes, and drops every literal
+/// that occurs inside a kept one — duplicates included: it constrains
+/// nothing extra.
+pub fn dedup_subsumed(literals: &mut Vec<Vec<u8>>) {
+    literals.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
+    let mut kept: Vec<Vec<u8>> = Vec::new();
+    for lit in literals.drain(..) {
+        if !kept.iter().any(|k| contains_factor(k, &lit)) {
+            kept.push(lit);
+        }
+    }
+    *literals = kept;
 }
 
 /// One consuming move of the ε-free automaton behind [`LiteralTest`]: on a
