@@ -613,6 +613,10 @@ impl Handler {
                     "spanner_store_compactions_total",
                     "Trigram-index compactions of the resident store",
                 ),
+                Reading::unlisted(Json::number(store.index_bytes())).gauge(
+                    "spanner_store_index_bytes",
+                    "Heap bytes of the resident store's trigram index",
+                ),
                 Reading::stat("views", Json::number(resident.views.entries())).gauge(
                     "spanner_views",
                     "Maintained query views over the resident store",
@@ -929,6 +933,9 @@ fn serve_connection<C: Codec>(stream: TcpStream, shared: &Shared, mut codec: C) 
     let mut body = Vec::new();
     let metrics = &shared.handler.metrics;
     while let Some(incoming) = codec.read_request(&mut conn, shared)? {
+        // The request is decoded: a large frame's buffer is not held
+        // through its handling (a `load_corpus` line through the build).
+        recycle(&mut conn.input);
         metrics.bytes_read.add(std::mem::take(&mut conn.bytes_read));
         let shutdown = matches!(incoming, Incoming::Decoded(Ok(Request::Shutdown)));
         let outcome = match incoming {
@@ -1240,7 +1247,10 @@ fn handle_request(handler: &Handler, request: Request, out: &mut Vec<u8>) -> Out
             // taken, so queries against the previous resident corpus stay
             // live until the one-pointer swap below.
             let build_started = Instant::now();
-            match Store::build(split_lines(&text)) {
+            let docs = split_lines(&text);
+            // The text is in the documents now: not held through the build.
+            drop(text);
+            match Store::build(docs) {
                 Err(e) => fail(out, e),
                 Ok(store) => {
                     handler

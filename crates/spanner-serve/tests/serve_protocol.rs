@@ -455,9 +455,10 @@ fn a_query_without_a_view_records_no_view_metrics() {
     handle.join().unwrap().unwrap();
 }
 
-/// `stats` and `/metrics` list the cache and store readings separately;
-/// after loads, mutations (enough to compact), cache evictions and store
-/// queries that build a view, every reading is the same number in both.
+/// `stats` and `/metrics` are rendered from one list of readings: after
+/// loads, mutations (enough to compact), cache evictions and store queries
+/// that build a view, every reading that has both a `stats` member and a
+/// sample is the same number in both.
 #[test]
 fn stats_and_metrics_report_the_same_readings() {
     let (addr, handle) = start(ServeOptions {

@@ -83,7 +83,7 @@ pub const TRIGRAM_LEN: usize = 3;
 
 /// Compaction threshold grace: the index is compacted when the pending
 /// work (delta postings + tombstoned base postings) exceeds
-/// `max(COMPACT_GRACE, base_postings / 2)`. The grace keeps small stores
+/// `max(COMPACT_GRACE, base postings / 2)`. The grace keeps small stores
 /// from compacting on every mutation; the ratio keeps amortized mutation
 /// cost constant (geometric rebuild schedule).
 pub const COMPACT_GRACE: usize = 1024;
@@ -164,17 +164,15 @@ pub struct Store {
     bytes: usize,
     /// Per-document FNV-1a content hashes, indexed like `docs`.
     hashes: Vec<u64>,
-    /// Base segment: sorted, duplicate-free posting lists per byte trigram
-    /// covering documents `0..base_len` as of the last build/compaction.
-    base: FxHashMap<[u8; 3], Vec<u32>>,
+    /// Base segment: the posting lists of documents `0..base_len` as of
+    /// the last build/compaction.
+    base: Base,
     /// Documents covered by the base segment.
     base_len: usize,
-    /// Total posting entries in the base segment (at compaction time).
-    base_postings: usize,
     /// Delta segment: sorted posting lists of documents mutated since the
     /// last compaction. A document's live postings are entirely in the
     /// base xor entirely in the delta.
-    delta: FxHashMap<[u8; 3], Vec<u32>>,
+    delta: FxHashMap<u32, Vec<u32>>,
     /// Total posting entries currently in the delta.
     delta_postings: usize,
     /// Tombstone mask over `0..base_len`: `true` = this document's base
@@ -249,26 +247,100 @@ impl<R: AsRef<CorpusStats>> ViewQueryOutcome<R> {
     }
 }
 
-/// Inverts every document's trigrams into sorted posting lists; returns
-/// the map and the total number of posting entries. The one builder of a
+/// `bytes`' trigrams in order, repeats included. A trigram is keyed as its
+/// three bytes read as a big-endian `u32`: one word to hash, and ordered
+/// as the bytes are.
+fn trigrams(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes
+        .windows(TRIGRAM_LEN)
+        .map(|w| u32::from_be_bytes([0, w[0], w[1], w[2]]))
+}
+
+/// The base segment: every trigram's posting list laid end to end in one
+/// id array. `keys` is sorted and `ids[starts[i]..starts[i + 1]]` is
+/// `keys[i]`'s sorted, duplicate-free list, so a lookup is a binary search
+/// and a slice, and the segment is three allocations whatever the number of
+/// trigrams: 4 bytes a posting and 12 bytes a trigram. The offsets are
+/// `usize`: a document has at most one posting a byte, so they cannot wrap.
+#[derive(Default)]
+struct Base {
+    keys: Vec<u32>,
+    starts: Vec<usize>,
+    ids: Vec<u32>,
+}
+
+impl Base {
+    /// `key`'s posting list (empty when no document has the trigram).
+    fn get(&self, key: u32) -> &[u32] {
+        match self.keys.binary_search(&key) {
+            Ok(i) => &self.ids[self.starts[i]..self.starts[i + 1]],
+            Err(_) => &[],
+        }
+    }
+
+    /// Heap bytes of the three arrays.
+    fn bytes(&self) -> usize {
+        self.keys.capacity() * std::mem::size_of::<u32>()
+            + self.starts.capacity() * std::mem::size_of::<usize>()
+            + self.ids.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+/// Inverts every document's trigrams into a [`Base`]. The one builder of a
 /// base segment: [`Store::build`] (and so [`Store::load`]) and
-/// [`Store::compact`] all call it.
-fn index_documents(docs: &[Document]) -> (FxHashMap<[u8; 3], Vec<u32>>, usize) {
-    let mut postings: FxHashMap<[u8; 3], Vec<u32>> = FxHashMap::default();
-    let mut total = 0usize;
+/// [`Store::compact`] all call it. Two passes over the documents, so every
+/// array is allocated once at its final size: the first counts each
+/// trigram's documents, the second writes each id at its trigram's cursor.
+/// Besides the result it holds one slot per trigram. The caller keeps
+/// `docs.len()` within `u32` ids.
+fn index_documents(docs: &[Document]) -> Base {
+    /// A trigram's document count (pass 1), then its write cursor (pass 2);
+    /// `last` is the last document counted, as windows repeat a trigram.
+    struct Slot {
+        count: usize,
+        last: u32,
+    }
+    // `u32::MAX` is no document's id: the caller keeps ids below it.
+    const NONE: u32 = u32::MAX;
+    let mut slots: FxHashMap<u32, Slot> = FxHashMap::default();
     for (id, doc) in docs.iter().enumerate() {
-        for w in doc.bytes().windows(TRIGRAM_LEN) {
-            let key: [u8; 3] = w.try_into().expect("window of TRIGRAM_LEN");
-            let list = postings.entry(key).or_default();
-            // Windows arrive in order, so a repeated trigram within one
-            // document is the tail entry.
-            if list.last() != Some(&(id as u32)) {
-                list.push(id as u32);
-                total += 1;
+        let id = id as u32;
+        for key in trigrams(doc.bytes()) {
+            let slot = slots.entry(key).or_insert(Slot {
+                count: 0,
+                last: NONE,
+            });
+            if slot.last != id {
+                slot.last = id;
+                slot.count += 1;
             }
         }
     }
-    (postings, total)
+    let mut keys: Vec<u32> = slots.keys().copied().collect();
+    keys.sort_unstable();
+    let mut starts = Vec::with_capacity(keys.len() + 1);
+    let mut total = 0;
+    starts.push(total);
+    for key in &keys {
+        let slot = slots.get_mut(key).expect("a key of the slots");
+        let count = std::mem::replace(&mut slot.count, total);
+        slot.last = NONE;
+        total += count;
+        starts.push(total);
+    }
+    let mut ids = vec![0u32; total];
+    for (id, doc) in docs.iter().enumerate() {
+        let id = id as u32;
+        for key in trigrams(doc.bytes()) {
+            let slot = slots.get_mut(&key).expect("counted in the first pass");
+            if slot.last != id {
+                slot.last = id;
+                ids[slot.count] = id;
+                slot.count += 1;
+            }
+        }
+    }
+    Base { keys, starts, ids }
 }
 
 impl Store {
@@ -281,7 +353,7 @@ impl Store {
                 docs.len()
             )));
         }
-        let (base, base_postings) = index_documents(&docs);
+        let base = index_documents(&docs);
         let hashes = docs.iter().map(|d| fnv1a64(d.bytes())).collect();
         let base_len = docs.len();
         Ok(Store {
@@ -290,7 +362,6 @@ impl Store {
             hashes,
             base,
             base_len,
-            base_postings,
             delta: FxHashMap::default(),
             delta_postings: 0,
             stale: vec![false; base_len],
@@ -327,12 +398,20 @@ impl Store {
     /// an upper bound (tombstoned trigrams are counted until the next
     /// compaction); exact right after build/load/compaction.
     pub fn trigram_count(&self) -> usize {
-        self.base.len()
+        self.base.keys.len()
             + self
                 .delta
                 .keys()
-                .filter(|k| !self.base.contains_key(*k))
+                .filter(|k| self.base.keys.binary_search(k).is_err())
                 .count()
+    }
+
+    /// Heap bytes of the trigram index: the base segment's three arrays,
+    /// and the delta segment's table and posting lists.
+    pub fn index_bytes(&self) -> usize {
+        let entry = std::mem::size_of::<(u32, Vec<u32>)>();
+        let lists: usize = self.delta.values().map(Vec::capacity).sum();
+        self.base.bytes() + self.delta.capacity() * entry + lists * std::mem::size_of::<u32>()
     }
 
     /// Total corpus size in bytes.
@@ -463,11 +542,7 @@ impl Store {
             return;
         }
         // The document's postings (if any) live in the delta.
-        let keys: Vec<[u8; 3]> = self.docs[idx]
-            .bytes()
-            .windows(TRIGRAM_LEN)
-            .map(|w| w.try_into().expect("window of TRIGRAM_LEN"))
-            .collect();
+        let keys: Vec<u32> = trigrams(self.docs[idx].bytes()).collect();
         for key in keys {
             if let Some(list) = self.delta.get_mut(&key) {
                 if let Ok(pos) = list.binary_search(&id) {
@@ -484,8 +559,7 @@ impl Store {
     /// Inserts `bytes`' trigrams into the delta segment for `id` (sorted,
     /// duplicate-free).
     fn add_delta_postings(&mut self, id: u32, bytes: &[u8]) {
-        for w in bytes.windows(TRIGRAM_LEN) {
-            let key: [u8; 3] = w.try_into().expect("window of TRIGRAM_LEN");
+        for key in trigrams(bytes) {
             let list = self.delta.entry(key).or_default();
             if let Err(pos) = list.binary_search(&id) {
                 list.insert(pos, id);
@@ -497,7 +571,7 @@ impl Store {
     /// Compacts when the pending work outgrows the base (see
     /// [`COMPACT_GRACE`]).
     fn maybe_compact(&mut self) {
-        if self.delta_postings + self.stale_count > COMPACT_GRACE.max(self.base_postings / 2) {
+        if self.delta_postings + self.stale_count > COMPACT_GRACE.max(self.base.ids.len() / 2) {
             self.compact();
         }
     }
@@ -507,12 +581,13 @@ impl Store {
     /// callers can force a fully compacted index (e.g. ahead of a
     /// read-heavy stretch: candidates then merge no delta).
     pub fn compact(&mut self) {
-        let (base, base_postings) = index_documents(&self.docs);
-        self.base = base;
-        self.base_postings = base_postings;
-        self.base_len = self.docs.len();
+        // The old segments go before the new base is built, so the peak
+        // is one base, not two; under `&mut self` no reader sees the gap.
+        self.base = Base::default();
         self.delta.clear();
         self.delta_postings = 0;
+        self.base = index_documents(&self.docs);
+        self.base_len = self.docs.len();
         self.stale = vec![false; self.base_len];
         self.stale_count = 0;
         self.compactions += 1;
@@ -520,9 +595,9 @@ impl Store {
 
     /// The live posting list for `key`: base entries that are not
     /// tombstoned, merged with the delta. Sorted and duplicate-free.
-    fn effective(&self, key: &[u8; 3]) -> Vec<u32> {
-        let base = self.base.get(key).map_or(&[][..], Vec::as_slice);
-        let delta = self.delta.get(key).map_or(&[][..], Vec::as_slice);
+    fn effective(&self, key: u32) -> Vec<u32> {
+        let base = self.base.get(key);
+        let delta = self.delta.get(&key).map_or(&[][..], Vec::as_slice);
         let mut out = Vec::with_capacity(base.len() + delta.len());
         let (mut i, mut j) = (0, 0);
         while i < base.len() && j < delta.len() {
@@ -560,10 +635,9 @@ impl Store {
     pub fn candidates(&self, literals: &[Vec<u8>]) -> Option<Vec<u32>> {
         let mut result: Option<Vec<u32>> = None;
         for literal in literals {
-            for w in literal.windows(TRIGRAM_LEN) {
-                let key: [u8; 3] = w.try_into().expect("window of TRIGRAM_LEN");
+            for key in trigrams(literal) {
                 // A trigram absent from the index matches no document.
-                let list = self.effective(&key);
+                let list = self.effective(key);
                 result = Some(match result {
                     None => list,
                     Some(acc) => intersect_sorted(&acc, &list),
@@ -1112,7 +1186,7 @@ mod tests {
         // Pending work stays at or below the trigger threshold.
         assert!(
             store.delta_postings() + store.stale_count
-                <= COMPACT_GRACE.max(store.base_postings / 2)
+                <= COMPACT_GRACE.max(store.base.ids.len() / 2)
         );
         let rebuilt = Store::build(store.documents().to_vec()).unwrap();
         assert_eq!(

@@ -45,6 +45,16 @@
 //! alternatives. Its peak live bytes may grow at most 2.3x per doubling —
 //! linear in the states, with room for a vector's doubling. A per-state
 //! set of states (a stored closure) grows 4x.
+//!
+//! A sixth phase weighs the store's trigram index: `Store::build` over
+//! `store-adhoc`'s 30 000 needle lines may hold 4 bytes a posting, 16 a
+//! trigram and 16 a document beyond the documents themselves (the ids, the
+//! keys and their offsets, the content hashes and the tombstone mask), and
+//! may peak at most 48 bytes a trigram above that while it builds. A
+//! growable list per trigram holds some 1.8x its ids. `compact()` after a
+//! batch of updates may peak at one base plus the delta and the same
+//! per-trigram build slack: building the new base beside the old one peaks
+//! at two.
 
 use document_spanners::prelude::*;
 use spanner_algebra::PhysOp;
@@ -273,6 +283,65 @@ fn compile_peak(alternatives: usize, starred: bool) -> usize {
     bytes
 }
 
+/// What `Store::build` of a needle store of `lines` lines and one
+/// explicit `compact()` after `updates` updates held live, in bytes beyond
+/// the documents, and the shape of the index it built.
+struct Weighed {
+    documents: usize,
+    postings: usize,
+    trigrams: usize,
+    /// Held by the built store.
+    held: usize,
+    /// The most held at once during the build.
+    build_peak: usize,
+    /// What the updates added (the delta segment and the documents'
+    /// change in size).
+    delta: usize,
+    /// The most held at once during the compaction.
+    compact_peak: usize,
+    /// `Store::index_bytes` after the build and before the compaction.
+    index_bytes: (usize, usize),
+}
+
+fn weigh_store(lines: usize, updates: usize) -> Weighed {
+    let docs = needle_corpus(lines, 10, 12);
+    let postings = docs
+        .iter()
+        .map(|doc| {
+            let mut trigrams: Vec<&[u8]> = doc.bytes().windows(3).collect();
+            trigrams.sort_unstable();
+            trigrams.dedup();
+            trigrams.len()
+        })
+        .sum();
+    let before = LIVE.load(Relaxed);
+    let (mut store, build_peak) = peak(|| Store::build(docs).unwrap());
+    let held = LIVE.load(Relaxed) - before;
+    let built_index = store.index_bytes();
+    for i in 0..updates {
+        let line = needle_line(false, 1_000 + i as u64);
+        store.update((i * 29 % lines) as u32, line.text()).unwrap();
+    }
+    assert_eq!(
+        store.compactions(),
+        0,
+        "the updates stay under the threshold"
+    );
+    let updated = LIVE.load(Relaxed) - before;
+    let updated_index = store.index_bytes();
+    let ((), rise) = peak(|| store.compact());
+    Weighed {
+        documents: lines,
+        postings,
+        trigrams: store.trigram_count(),
+        held,
+        build_peak,
+        delta: updated - held,
+        compact_peak: updated + rise,
+        index_bytes: (built_index, updated_index),
+    }
+}
+
 #[test]
 fn a_resident_query_allocates_what_it_matched_not_the_corpus() {
     let (small, large) = (5_000, 20_000);
@@ -370,4 +439,42 @@ fn a_resident_query_allocates_what_it_matched_not_the_corpus() {
             );
         }
     }
+
+    // The store's index: one id array, not a list per trigram.
+    let w = weigh_store(30_000, 1_000);
+    println!(
+        "store of {} lines ({} postings, {} trigrams): holds {} B, peaks at {} B \
+         building; {} B of updates, compaction peaks at {} B; index_bytes {:?}",
+        w.documents,
+        w.postings,
+        w.trigrams,
+        w.held,
+        w.build_peak,
+        w.delta,
+        w.compact_peak,
+        w.index_bytes
+    );
+    let resident = 4 * w.postings + 16 * w.trigrams + 16 * w.documents;
+    assert!(
+        w.held <= resident,
+        "the store holds {} B past its documents, over {resident} B",
+        w.held
+    );
+    let slack = 48 * w.trigrams;
+    assert!(
+        w.build_peak <= w.held + slack,
+        "the build peaked at {} B for a store of {} B",
+        w.build_peak,
+        w.held
+    );
+    assert!(
+        w.compact_peak <= w.held + w.delta + slack,
+        "the compaction peaked at {} B: one base and the delta are {} B",
+        w.compact_peak,
+        w.held + w.delta
+    );
+    // The gauge covers the ids and grows with the delta.
+    let (built, updated) = w.index_bytes;
+    assert!(4 * w.postings <= built && built <= w.held);
+    assert!(built < updated && updated - built <= w.delta);
 }
