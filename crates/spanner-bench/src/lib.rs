@@ -118,7 +118,11 @@ pub const FAMILIES: &[Family] = &[
     ("planner", "DESIGN §3: the plan optimizer", system::planner),
     ("ql", "DESIGN §4: SpannerQL", system::ql),
     ("scan", "DESIGN §8: the scan fast path", system::scan),
-    ("incr", "DESIGN §11: maintained views", system::incr),
+    (
+        "incr",
+        "DESIGN §9, §11: index upkeep, maintained views",
+        system::incr,
+    ),
     ("serve", "DESIGN §7: the serving layer", system::serve),
 ];
 

@@ -1,8 +1,8 @@
 //! The layers below the daemon: executor, planner, SpannerQL, scan fast
-//! path, maintained views — and the daemon's response rendering. Row names
-//! and counts are the ones these experiments have always recorded, so the
-//! trajectory across PRs stays comparable; the daemon itself is measured
-//! end to end by `bench/`.
+//! path, the trigram index's upkeep, maintained views — and the daemon's
+//! response rendering. Row names and counts are the ones these experiments
+//! have always recorded, so the trajectory across PRs stays comparable; the
+//! daemon itself is measured end to end by `bench/`.
 
 use crate::{ms, Run, NOISE_MADS, RUNS, TOLERANCE};
 use spanner_algebra::{
@@ -364,6 +364,50 @@ pub fn scan(run: &mut Run) {
     }
 }
 
+/// `incr/build/*` and `incr/compact/*`: what the trigram index costs to
+/// keep. `build` is [`Store::build`] over a needle corpus, which every
+/// `load_corpus` pays once the text is split. `compact` is one
+/// [`Store::compact`] after a batch of 1 000 updates, which the write that
+/// crosses the compaction threshold pays. `count` is the index's postings.
+fn index_upkeep(run: &mut Run) {
+    const BUILD: [usize; 2] = [10_000, 30_000];
+    const COMPACT: [usize; 2] = [10_000, 100_000];
+    const UPDATES: usize = 1_000;
+    let names = (
+        BUILD.map(|lines| format!("incr/build/lines-{lines}")),
+        COMPACT.map(|lines| format!("incr/compact/lines-{lines}")),
+    );
+    let Some((build, compact)) = run.rows(names) else {
+        return;
+    };
+    for (lines, name) in BUILD.into_iter().zip(&build) {
+        let docs = needle_corpus(lines, 10, 12);
+        let mut built = None;
+        run.measure_from(name, |start| {
+            let docs = docs.clone();
+            drop(built.take());
+            *start = Instant::now();
+            built.insert(Store::build(docs).unwrap()).postings()
+        });
+    }
+    for (lines, name) in COMPACT.into_iter().zip(&compact) {
+        let mut store = Store::build(needle_corpus(lines, 10, 12)).unwrap();
+        let mut compactions = 0u64;
+        run.measure_from(name, |start| {
+            // Two texts a slot, alternating, so every batch changes them all.
+            for i in 0..UPDATES {
+                let line = needle_line(false, 1_000 + i as u64 + compactions % 2 * 7_919);
+                store.update((i * 29 % lines) as u32, line.text()).unwrap();
+            }
+            assert_eq!(store.compactions(), compactions, "the batch compacted");
+            *start = Instant::now();
+            store.compact();
+            compactions += 1;
+            store.postings()
+        });
+    }
+}
+
 /// `incr/*`: a maintained [`QueryView`] answers the hot re-query after a
 /// mutation batch by re-evaluating only the changed documents. It is
 /// measured against the unindexed full scan and against the cold *indexed*
@@ -372,6 +416,7 @@ pub fn scan(run: &mut Run) {
 /// `hot`, applied before the clock starts. The four rows of a sweep point
 /// share one store.
 pub fn incr(run: &mut Run) {
+    index_upkeep(run);
     const LINES: [usize; 5] = [10_000, 10_000, 100_000, 100_000, 100_000];
     const BATCH: [usize; 5] = [1, 10, 1, 10, 100];
     let named = |i| move |read| format!("incr/lines-{}/batch-{}/{read}", LINES[i], BATCH[i]);

@@ -50,11 +50,15 @@
 //! `store-adhoc`'s 30 000 needle lines may hold 4 bytes a posting, 16 a
 //! trigram and 16 a document beyond the documents themselves (the ids, the
 //! keys and their offsets, the content hashes and the tombstone mask), and
-//! may peak at most 48 bytes a trigram above that while it builds. A
-//! growable list per trigram holds some 1.8x its ids. `compact()` after a
-//! batch of updates may peak at one base plus the delta and the same
-//! per-trigram build slack: building the new base beside the old one peaks
-//! at two.
+//! may peak at most 48 bytes a trigram above that while it builds, and on
+//! this corpus at most 16, since the build ranks trigrams in a bitset
+//! instead of hashing them (a map from trigram to slot peaks at 28). The
+//! 16 is this corpus' bound, not every build's: the bitset and its ranks
+//! grow with the alphabet (6 KB for these 27 byte values, 3 MB past 128),
+//! not with the trigrams. A growable list per trigram holds some 1.8x its
+//! ids. `compact()` after a batch of updates
+//! may peak at one base plus the delta and the same per-trigram build
+//! slack: building the new base beside the old one peaks at two.
 
 use document_spanners::prelude::*;
 use spanner_algebra::PhysOp;
@@ -465,6 +469,16 @@ fn a_resident_query_allocates_what_it_matched_not_the_corpus() {
         w.build_peak <= w.held + slack,
         "the build peaked at {} B for a store of {} B",
         w.build_peak,
+        w.held
+    );
+    // Built without a map from trigram to slot: besides the arrays it
+    // returns, the build holds 8 B a trigram and a bitset with its ranks,
+    // 6 KB over this corpus' 27 byte values.
+    let tight = 16 * w.trigrams;
+    assert!(
+        w.build_peak <= w.held + tight,
+        "the build peaked {} B above a store of {} B, over {tight} B",
+        w.build_peak.saturating_sub(w.held),
         w.held
     );
     assert!(
