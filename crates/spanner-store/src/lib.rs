@@ -256,22 +256,26 @@ fn trigrams(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
         .map(|w| u32::from_be_bytes([0, w[0], w[1], w[2]]))
 }
 
-/// The base segment: every trigram's posting list laid end to end in one
-/// id array. `keys` is sorted and `ids[starts[i]..starts[i + 1]]` is
-/// `keys[i]`'s sorted, duplicate-free list, so a lookup is a binary search
-/// and a slice, and the segment is three allocations whatever the number of
-/// trigrams: 4 bytes a posting and 12 bytes a trigram. The offsets are
-/// `usize`: a document has at most one posting a byte, so they cannot wrap.
-#[derive(Default)]
-struct Base {
+/// Documents one block of the base segment covers: a block stores its
+/// documents' ids as `u16` offsets from its first id.
+const BLOCK: usize = 1 << 16;
+
+/// One block of the base segment: the posting lists of up to [`BLOCK`]
+/// consecutive documents laid end to end in one id array. `keys` is sorted
+/// and `ids[starts[i]..starts[i + 1]]` is `keys[i]`'s sorted,
+/// duplicate-free list of offsets from the block's first id, so a lookup
+/// is a binary search and a slice: 2 bytes a posting and 12 bytes a
+/// trigram. The offsets into `ids` are `usize`: a document has at most one
+/// posting a byte, so they cannot wrap.
+struct Block {
     keys: Vec<u32>,
     starts: Vec<usize>,
-    ids: Vec<u32>,
+    ids: Vec<u16>,
 }
 
-impl Base {
+impl Block {
     /// `key`'s posting list (empty when no document has the trigram).
-    fn get(&self, key: u32) -> &[u32] {
+    fn get(&self, key: u32) -> &[u16] {
         match self.keys.binary_search(&key) {
             Ok(i) => &self.ids[self.starts[i]..self.starts[i + 1]],
             Err(_) => &[],
@@ -282,7 +286,45 @@ impl Base {
     fn bytes(&self) -> usize {
         self.keys.capacity() * std::mem::size_of::<u32>()
             + self.starts.capacity() * std::mem::size_of::<usize>()
-            + self.ids.capacity() * std::mem::size_of::<u32>()
+            + self.ids.capacity() * std::mem::size_of::<u16>()
+    }
+}
+
+/// The base segment: block `b` indexes documents `b << 16` up to
+/// `(b + 1) << 16`, so document `b << 16 | offset` is `offset` in block
+/// `b`. A trigram's list is its list in each block in turn, and the segment
+/// is three allocations a block whatever the number of trigrams.
+#[derive(Default)]
+struct Base {
+    blocks: Vec<Block>,
+    /// Posting entries over every block.
+    postings: usize,
+    /// Distinct trigrams over every block.
+    trigrams: usize,
+}
+
+impl Base {
+    /// `key`'s posting list in each block, in block order: the block's
+    /// first document id and the list's offsets from it.
+    fn lists(&self, key: u32) -> impl Iterator<Item = (u32, &[u16])> + '_ {
+        // The store holds at most `u32::MAX` documents, so `b << 16` fits.
+        self.blocks
+            .iter()
+            .enumerate()
+            .map(move |(b, block)| ((b << 16) as u32, block.get(key)))
+    }
+
+    /// Whether some document has the trigram `key`.
+    fn contains(&self, key: u32) -> bool {
+        self.blocks
+            .iter()
+            .any(|b| b.keys.binary_search(&key).is_ok())
+    }
+
+    /// Heap bytes of every block's arrays and of the block list.
+    fn bytes(&self) -> usize {
+        self.blocks.capacity() * std::mem::size_of::<Block>()
+            + self.blocks.iter().map(Block::bytes).sum::<usize>()
     }
 }
 
@@ -344,24 +386,48 @@ impl Alphabet {
     }
 }
 
-/// Inverts every document's trigrams into a [`Base`]. The one builder of a
-/// base segment: [`Store::build`] (and so [`Store::load`]) and
-/// [`Store::compact`] all call it. Nothing is hashed: each trigram's three
-/// bytes are packed into a dense key over the corpus' [`Alphabet`], a
-/// bitset over the dense keys marks the trigrams that occur, and a running
-/// count of set bits per word ranks each one to its slot; the set bits read
-/// in order are the sorted keys. Then two passes: the first counts each
-/// trigram's documents, the second walks the documents backwards and
-/// writes each id just below its trigram's end, so the ends become the
-/// starts. Every returned array is allocated once at its final size.
-/// Besides them the build holds 8 bytes a trigram and the bitset with its
-/// ranks, which grow with the alphabet, not the corpus: 6 KB for
-/// `store-adhoc`'s 27 byte values, at most 2^24 bits and 2^18 `u32` (3 MB)
-/// past 128, where zeroing and walking them costs about 1 ms a build. On
-/// `store-adhoc`'s 30 000 lines it builds in about half the time of a hash
-/// probe per window (`spanner-bench`'s `incr/build/*` rows). The caller
+/// Inverts every document's trigrams into a [`Base`], one [`Block`] per
+/// [`BLOCK`] documents. The one builder of a base segment: [`Store::build`]
+/// (and so [`Store::load`]) and [`Store::compact`] all call it. The caller
 /// keeps `docs.len()` within `u32` ids.
 fn index_documents(docs: &[Document]) -> Base {
+    let blocks: Vec<Block> = docs.chunks(BLOCK).map(index_block).collect();
+    let trigrams = match blocks.as_slice() {
+        [] => 0,
+        [block] => block.keys.len(),
+        _ => {
+            let mut keys: Vec<u32> = blocks.iter().flat_map(|b| b.keys.iter().copied()).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            keys.len()
+        }
+    };
+    Base {
+        postings: blocks.iter().map(|b| b.ids.len()).sum(),
+        trigrams,
+        blocks,
+    }
+}
+
+/// Inverts the trigrams of at most [`BLOCK`] documents into a [`Block`].
+/// Nothing is hashed: each trigram's three bytes are packed into a dense
+/// key over the documents' [`Alphabet`], a bitset over the dense keys marks
+/// the trigrams that occur, and a running count of set bits per word ranks
+/// each one to its slot; the set bits read in order are the sorted keys.
+/// Then two passes: the first counts each trigram's documents, the second
+/// walks the documents backwards and writes each id just below its
+/// trigram's end, so the ends become the starts. Every returned array is
+/// allocated once at its final size. Besides them the build holds 8 bytes
+/// a trigram and the bitset with its ranks, which grow with the alphabet,
+/// not the corpus: 6 KB for `store-adhoc`'s 27 byte values, at most 2^24
+/// bits and 2^18 `u32` (3 MB) past 128, where zeroing and walking them
+/// costs about 1 ms a build. On `store-adhoc`'s 30 000 lines (one block)
+/// it builds in about 70–80 ms (`spanner-bench`'s `incr/build/*` rows).
+fn index_block(docs: &[Document]) -> Block {
+    assert!(
+        docs.len() <= BLOCK,
+        "a block holds at most {BLOCK} documents"
+    );
     let alphabet = Alphabet::of(docs);
     let mut bits = vec![0u64; alphabet.key_space().div_ceil(64)];
     for doc in docs {
@@ -425,7 +491,7 @@ fn index_documents(docs: &[Document]) -> Base {
         slot.last = NONE;
     }
     starts.push(total);
-    let mut ids = vec![0u32; total];
+    let mut ids = vec![0u16; total];
     for (id, doc) in docs.iter().enumerate().rev() {
         let id = id as u32;
         for key in alphabet.windows(doc.bytes()) {
@@ -433,11 +499,12 @@ fn index_documents(docs: &[Document]) -> Base {
             if slots[i].last != id {
                 slots[i].last = id;
                 starts[i] -= 1;
-                ids[starts[i]] = id;
+                // Below `BLOCK`, asserted above.
+                ids[starts[i]] = id as u16;
             }
         }
     }
-    Base { keys, starts, ids }
+    Block { keys, starts, ids }
 }
 
 impl Store {
@@ -495,16 +562,17 @@ impl Store {
     /// an upper bound (tombstoned trigrams are counted until the next
     /// compaction); exact right after build/load/compaction.
     pub fn trigram_count(&self) -> usize {
-        self.base.keys.len()
+        self.base.trigrams
             + self
                 .delta
                 .keys()
-                .filter(|k| self.base.keys.binary_search(k).is_err())
+                .filter(|&&k| !self.base.contains(k))
                 .count()
     }
 
-    /// Heap bytes of the trigram index: the base segment's three arrays,
-    /// and the delta segment's table and posting lists.
+    /// Heap bytes of the trigram index: the base segment's blocks (2 bytes
+    /// a posting and 12 a trigram in each), and the delta segment's table
+    /// and posting lists.
     pub fn index_bytes(&self) -> usize {
         let entry = std::mem::size_of::<(u32, Vec<u32>)>();
         let lists: usize = self.delta.values().map(Vec::capacity).sum();
@@ -530,7 +598,7 @@ impl Store {
     /// Posting entries in the index: the base segment's (tombstoned ones
     /// included until the next compaction) and the delta's.
     pub fn postings(&self) -> usize {
-        self.base.ids.len() + self.delta_postings
+        self.base.postings + self.delta_postings
     }
 
     /// Posting entries currently in the delta segment.
@@ -674,7 +742,7 @@ impl Store {
     /// Compacts when the pending work outgrows the base (see
     /// [`COMPACT_GRACE`]).
     fn maybe_compact(&mut self) {
-        if self.delta_postings + self.stale_count > COMPACT_GRACE.max(self.base.ids.len() / 2) {
+        if self.delta_postings + self.stale_count > COMPACT_GRACE.max(self.base.postings / 2) {
             self.compact();
         }
     }
@@ -699,31 +767,25 @@ impl Store {
     /// The live posting list for `key`: base entries that are not
     /// tombstoned, merged with the delta. Sorted and duplicate-free.
     fn effective(&self, key: u32) -> Vec<u32> {
-        let base = self.base.get(key);
         let delta = self.delta.get(&key).map_or(&[][..], Vec::as_slice);
-        let mut out = Vec::with_capacity(base.len() + delta.len());
-        let (mut i, mut j) = (0, 0);
-        while i < base.len() && j < delta.len() {
-            let (b, d) = (base[i], delta[j]);
-            if b < d {
-                if !self.stale[b as usize] {
+        let base: usize = self.base.lists(key).map(|(_, list)| list.len()).sum();
+        let mut out = Vec::with_capacity(base + delta.len());
+        let mut j = 0;
+        for (first, list) in self.base.lists(key) {
+            for &offset in list {
+                let b = first | offset as u32;
+                while j < delta.len() && delta[j] < b {
+                    out.push(delta[j]);
+                    j += 1;
+                }
+                if j < delta.len() && delta[j] == b {
+                    // Same id in both: the base entry is tombstoned (a
+                    // document's live postings are in exactly one segment).
+                    out.push(b);
+                    j += 1;
+                } else if !self.stale[b as usize] {
                     out.push(b);
                 }
-                i += 1;
-            } else if d < b {
-                out.push(d);
-                j += 1;
-            } else {
-                // Same id in both: the base entry is tombstoned (a
-                // document's live postings are in exactly one segment).
-                out.push(d);
-                i += 1;
-                j += 1;
-            }
-        }
-        for &b in &base[i..] {
-            if !self.stale[b as usize] {
-                out.push(b);
             }
         }
         out.extend_from_slice(&delta[j..]);
@@ -972,6 +1034,7 @@ fn read_u32(r: &mut impl Read) -> Result<u32, StoreError> {
 mod tests {
     use super::*;
     use spanner_algebra::{Instantiation, RaOptions, RaTree};
+    use std::collections::BTreeMap;
 
     fn docs(texts: &[&str]) -> Vec<Document> {
         texts.iter().map(|t| Document::new(*t)).collect()
@@ -1040,37 +1103,57 @@ mod tests {
         out
     }
 
-    /// `index_documents` equals the obvious construction — a sorted map from
-    /// each trigram to the ids of the documents holding it — laid out as
-    /// keys, offsets and ids; and the alphabet packs a trigram into the
-    /// fewest bits.
-    fn assert_indexed_as_the_reference(docs: &[Document]) {
-        let mut reference: std::collections::BTreeMap<[u8; 3], Vec<u32>> = Default::default();
-        for (id, doc) in docs.iter().enumerate() {
+    /// A sorted map from each trigram of `docs` to the ids of the documents
+    /// holding it: the obvious construction.
+    fn reference_index(docs: &[Document]) -> BTreeMap<[u8; 3], Vec<u32>> {
+        let mut reference: BTreeMap<[u8; 3], Vec<u32>> = BTreeMap::new();
+        for (id, doc) in (0..).zip(docs) {
             for w in doc.bytes().windows(3) {
                 let list = reference.entry([w[0], w[1], w[2]]).or_default();
-                if list.last() != Some(&(id as u32)) {
-                    list.push(id as u32);
+                if list.last() != Some(&id) {
+                    list.push(id);
                 }
             }
         }
+        reference
+    }
+
+    /// `index_documents` equals the reference: each block is its
+    /// documents' reference laid out as keys, offsets and ids, every array
+    /// at its exact size; each trigram's lists decode to the whole corpus'
+    /// list; and the alphabet packs a trigram into the fewest bits.
+    fn assert_indexed_as_the_reference(docs: &[Document]) {
         let base = index_documents(docs);
-        let keys: Vec<u32> = reference
-            .keys()
-            .map(|&[a, b, c]| u32::from_be_bytes([0, a, b, c]))
-            .collect();
-        let mut starts = vec![0];
-        for list in reference.values() {
-            starts.push(starts.last().unwrap() + list.len());
+        assert_eq!(base.blocks.len(), docs.len().div_ceil(BLOCK));
+        for (block, chunk) in base.blocks.iter().zip(docs.chunks(BLOCK)) {
+            let reference = reference_index(chunk);
+            let keys: Vec<u32> = reference
+                .keys()
+                .map(|&[a, b, c]| u32::from_be_bytes([0, a, b, c]))
+                .collect();
+            let mut starts = vec![0];
+            for list in reference.values() {
+                starts.push(starts.last().unwrap() + list.len());
+            }
+            let ids: Vec<u16> = reference.values().flatten().map(|&id| id as u16).collect();
+            assert_eq!(block.keys, keys);
+            assert_eq!(block.starts, starts);
+            assert_eq!(block.ids, ids);
+            // Every returned array was allocated at its final size.
+            assert_eq!(block.keys.capacity(), keys.len());
+            assert_eq!(block.starts.capacity(), starts.len());
+            assert_eq!(block.ids.capacity(), ids.len());
         }
-        let ids: Vec<u32> = reference.values().flatten().copied().collect();
-        assert_eq!(base.keys, keys);
-        assert_eq!(base.starts, starts);
-        assert_eq!(base.ids, ids);
-        // Every returned array was allocated at its final size.
-        assert_eq!(base.keys.capacity(), keys.len());
-        assert_eq!(base.starts.capacity(), starts.len());
-        assert_eq!(base.ids.capacity(), ids.len());
+        let reference = reference_index(docs);
+        for (&[a, b, c], list) in &reference {
+            let decoded: Vec<u32> = base
+                .lists(u32::from_be_bytes([0, a, b, c]))
+                .flat_map(|(first, list)| list.iter().map(move |&o| first | o as u32))
+                .collect();
+            assert_eq!(&decoded, list);
+        }
+        assert_eq!(base.trigrams, reference.len());
+        assert_eq!(base.postings, reference.values().map(Vec::len).sum());
         let mut seen = [false; 256];
         docs.iter()
             .flat_map(|d| d.bytes())
@@ -1371,6 +1454,75 @@ mod tests {
         assert_eq!(b1, b2, "segment bytes differ from a scratch rebuild");
     }
 
+    /// Every trigram's live list and the needle's candidates equal a
+    /// reference over the store's documents, and a trigram no document has
+    /// has an empty list.
+    fn assert_lists_as_the_reference(store: &Store) {
+        let reference = reference_index(store.documents());
+        for (&[a, b, c], list) in &reference {
+            assert_eq!(&store.effective(u32::from_be_bytes([0, a, b, c])), list);
+        }
+        assert!(store
+            .effective(u32::from_be_bytes([0, b'z', b'z', b'z']))
+            .is_empty());
+        let needles: Vec<u32> = (0..)
+            .zip(store.documents())
+            .filter(|(_, d)| d.bytes().windows(6).any(|w| w == b"needle"))
+            .map(|(id, _)| id)
+            .collect();
+        assert_eq!(store.candidates(&[b"needle".to_vec()]), Some(needles));
+    }
+
+    #[test]
+    fn ids_cross_the_block_boundaries() {
+        // Three blocks; hex numbers share their trigrams across all three,
+        // and the needle sits on each side of each boundary and last.
+        let needles = [65_535, 65_536, 131_071, 131_072, 139_999];
+        let texts: Vec<String> = (0..140_000u32)
+            .map(|i| match needles.contains(&i) {
+                true => format!("needle {i:x}"),
+                false => format!("{i:x}"),
+            })
+            .collect();
+        let docs: Vec<Document> = texts.iter().map(|t| Document::new(t.as_str())).collect();
+        assert_indexed_as_the_reference(&docs);
+        let mut store = Store::build(docs).unwrap();
+        assert_eq!(store.base.blocks.len(), 3);
+        assert_eq!(
+            store.candidates(&[b"needle".to_vec()]),
+            Some(needles.to_vec())
+        );
+        assert_lists_as_the_reference(&store);
+        assert_eq!(
+            store.trigram_count(),
+            reference_index(store.documents()).len()
+        );
+
+        for id in [65_535, 131_072] {
+            store.update(id, "plain").unwrap();
+        }
+        for id in [65_534, 131_073, 139_998] {
+            store.update(id, "needle moved in").unwrap();
+        }
+        store.delete(65_536).unwrap();
+        store.delete(131_071).unwrap();
+        store.update(65_537, "one more needle").unwrap();
+        let appended = store.append("needle appended").unwrap();
+        store.append("needle after it").unwrap();
+        store.update(appended, "no longer").unwrap();
+        store.update(131_073, "needle moved again").unwrap();
+        assert_eq!(store.compactions(), 0, "the delta merges with the base");
+        assert_lists_as_the_reference(&store);
+
+        store.compact();
+        assert_eq!(store.base.blocks.len(), 3);
+        assert_lists_as_the_reference(&store);
+        assert_eq!(
+            store.trigram_count(),
+            reference_index(store.documents()).len()
+        );
+    }
+
     #[test]
     fn compaction_triggers_and_preserves_results() {
         let mut store = Store::build(Vec::new()).unwrap();
@@ -1385,7 +1537,7 @@ mod tests {
         // Pending work stays at or below the trigger threshold.
         assert!(
             store.delta_postings() + store.stale_count
-                <= COMPACT_GRACE.max(store.base.ids.len() / 2)
+                <= COMPACT_GRACE.max(store.base.postings / 2)
         );
         let rebuilt = Store::build(store.documents().to_vec()).unwrap();
         assert_eq!(

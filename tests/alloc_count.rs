@@ -47,7 +47,7 @@
 //! set of states (a stored closure) grows 4x.
 //!
 //! A sixth phase weighs the store's trigram index: `Store::build` over
-//! `store-adhoc`'s 30 000 needle lines may hold 4 bytes a posting, 16 a
+//! `store-adhoc`'s 30 000 needle lines may hold 2 bytes a posting, 16 a
 //! trigram and 16 a document beyond the documents themselves (the ids, the
 //! keys and their offsets, the content hashes and the tombstone mask), and
 //! may peak at most 48 bytes a trigram above that while it builds, and on
@@ -458,7 +458,7 @@ fn a_resident_query_allocates_what_it_matched_not_the_corpus() {
         w.compact_peak,
         w.index_bytes
     );
-    let resident = 4 * w.postings + 16 * w.trigrams + 16 * w.documents;
+    let resident = 2 * w.postings + 16 * w.trigrams + 16 * w.documents;
     assert!(
         w.held <= resident,
         "the store holds {} B past its documents, over {resident} B",
@@ -489,6 +489,6 @@ fn a_resident_query_allocates_what_it_matched_not_the_corpus() {
     );
     // The gauge covers the ids and grows with the delta.
     let (built, updated) = w.index_bytes;
-    assert!(4 * w.postings <= built && built <= w.held);
+    assert!(2 * w.postings <= built && built <= w.held);
     assert!(built < updated && updated - built <= w.delta);
 }
