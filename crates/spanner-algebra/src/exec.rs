@@ -13,8 +13,9 @@
 //!   [`PhysOp::Difference`] (an anti-join against one hashed compatibility
 //!   index over a materialized probe side — no per-document `Vsa`
 //!   recomposition), and [`PhysOp::Project`].
-//! * Lowering happens exactly once, in
-//!   [`CompiledPlan::compile`](crate::CompiledPlan::compile); the operators
+//! * Lowering happens in
+//!   [`CompiledPlan::compile`](crate::CompiledPlan::compile), and once more
+//!   where the plan builds a join product it deferred; the operators
 //!   share their automata through `Arc`, so the [`PhysicalPlan`] handle
 //!   ([`CompiledPlan::physical`](crate::CompiledPlan::physical)) is cheap
 //!   to clone.
@@ -546,8 +547,10 @@ impl fmt::Debug for PhysOp {
 
 /// The lowered, executable form of a [`CompiledPlan`](crate::CompiledPlan): a shared physical
 /// operator tree (see the module docs) and the resource guard it runs
-/// under. Lowering happens exactly once, inside [`CompiledPlan::compile`](crate::CompiledPlan::compile);
-/// [`CompiledPlan::physical`](crate::CompiledPlan::physical) hands out this handle.
+/// under. Lowering happens inside [`CompiledPlan::compile`](crate::CompiledPlan::compile),
+/// and again when the plan builds its deferred join products;
+/// [`CompiledPlan::physical`](crate::CompiledPlan::physical) hands out the
+/// current one.
 #[derive(Clone)]
 pub struct PhysicalPlan {
     root: Arc<PhysOp>,

@@ -57,7 +57,7 @@ pub mod ratree;
 pub mod spanner;
 
 pub use exec::{ExecTrace, NoTrace, Observer, OpStream, PhysOp, PhysicalPlan};
-pub use plan::{optimize_ra, CompiledPlan};
+pub use plan::{optimize_ra, CompiledPlan, Tier, BUILD_AT_DOCS};
 pub use ratree::{
     evaluate_ra, figure_2_tree, shared_variable_bound, tree_vars, Atom, Instantiation, LeafId,
     RaOptions, RaTree,

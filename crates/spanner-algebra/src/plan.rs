@@ -39,7 +39,7 @@ use crate::ratree::{
 };
 use spanner_core::{Document, MappingSet, SpannerError, SpannerResult, VarSet};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Rewrites an instantiated RA tree into an equivalent, cheaper-to-compile
 /// plan (see the module documentation for the rule set).
@@ -394,24 +394,63 @@ use spanner_vset::scan::contains_factor;
 use spanner_vset::{join, CompiledVsa, Vsa};
 
 /// A compiled plan: the document-independent parts of an RA tree are
-/// compiled into shared automata once and the whole tree is lowered onto
-/// the physical operator executor ([`crate::exec`]), so evaluating the plan
+/// compiled into shared automata and the whole tree is lowered onto the
+/// physical operator executor ([`crate::exec`]), so evaluating the plan
 /// over many documents only pays relational work — never per-document
 /// automaton composition.
 ///
-/// `CompiledPlan` is `Send + Sync`: after [`CompiledPlan::compile`] it is
-/// read-only, so one plan can be shared by any number of worker threads
-/// (the `spanner-corpus` engine does exactly that).
+/// [`CompiledPlan::compile`] does not build a static join whose Lemma 3.2
+/// product provably fits [`MAX_STATES`]: the join runs as a
+/// [`PhysOp::HashJoin`] over its operands' compiled scans until the plan
+/// has been asked for [`BUILD_AT_DOCS`] documents, or until
+/// [`CompiledPlan::build_products`]. Then every deferred product is built,
+/// once, and evaluation moves to the lowering with each static subtree one
+/// automaton. A one-shot program over a few documents never pays for a
+/// product. [`CompiledPlan::prepare`] builds every product at compile time,
+/// for a program kept for reuse.
+///
+/// The lowering a plan compiled to is its *screen* for life: the document
+/// pre-pass and the required literals a store prunes on are its, before
+/// the build and after, so a plan's tallies and candidate sets do not
+/// change when its products are built. Answers are the same from either
+/// lowering.
+///
+/// `CompiledPlan` is `Send + Sync`: one plan can be shared by any number
+/// of worker threads (the `spanner-corpus` engine does exactly that).
 pub struct CompiledPlan {
-    physical: PhysicalPlan,
     tree: RaTree,
     options: RaOptions,
+    is_static: bool,
+    /// The lowering the plan compiled to, and its screen.
+    compiled: PhysicalPlan,
     /// [`CompiledPlan::required_literals`], worked out by the first
     /// caller: a store query, `explain` or a screened document.
     literals: OnceLock<Vec<Vec<u8>>>,
+    /// The lowering with every product built: a handle on `compiled` when
+    /// nothing was deferred, else set by the build.
+    built: OnceLock<PhysicalPlan>,
+    /// While products are deferred, what their build needs; `None` once
+    /// they are built, and when nothing was deferred.
+    deferred: Mutex<Option<Deferred>>,
 }
 
-/// What [`CompiledPlan::evaluate_screened`] did with one document.
+/// The join products a plan has yet to build (see [`CompiledPlan`]).
+struct Deferred {
+    /// The instantiation the products are built from.
+    inst: Instantiation,
+    /// Documents the plan has been asked to evaluate so far.
+    docs: usize,
+}
+
+/// What a selection of documents is evaluated on
+/// ([`CompiledPlan::select`]): the plan's screen and its current lowering.
+#[derive(Clone, Copy)]
+pub struct Tier<'a> {
+    plan: &'a CompiledPlan,
+    lowering: &'a PhysicalPlan,
+}
+
+/// What [`Tier::evaluate_screened`] did with one document.
 #[derive(Debug)]
 pub enum Screened<O> {
     /// The pre-pass proved the result empty without evaluating.
@@ -420,11 +459,19 @@ pub enum Screened<O> {
     Evaluated(SpannerResult<MappingSet>, O),
 }
 
-/// Intermediate result of plan construction: either a static automaton
-/// (document-independent so far, still growable by further static algebra)
-/// or an already-lowered physical operator.
+/// Intermediate result of plan construction: a static automaton
+/// (document-independent so far, still growable by further static
+/// algebra), a static subtree lowered with its join products deferred, or
+/// an already-lowered physical operator.
 enum Built {
     Static(Vsa),
+    /// The subtree's hash-join lowering, its variables, and a bound on the
+    /// states of the automaton the build makes of it.
+    Deferred {
+        op: PhysOp,
+        vars: VarSet,
+        states: usize,
+    },
     Dynamic(PhysOp),
 }
 
@@ -435,7 +482,17 @@ impl Built {
     fn into_op(self, options: RaOptions) -> SpannerResult<PhysOp> {
         match self {
             Built::Static(vsa) => compiled_scan(&vsa, options),
-            Built::Dynamic(op) => Ok(op),
+            Built::Deferred { op, .. } | Built::Dynamic(op) => Ok(op),
+        }
+    }
+
+    /// A static subtree's variables and (a bound on) its automaton's
+    /// states; `None` for a dynamic one.
+    fn static_shape(&self) -> Option<(&VarSet, usize)> {
+        match self {
+            Built::Static(vsa) => Some((vsa.vars(), vsa.state_count())),
+            Built::Deferred { vars, states, .. } => Some((vars, *states)),
+            Built::Dynamic(_) => None,
         }
     }
 }
@@ -446,6 +503,39 @@ impl Built {
 /// tables hold `|Q|`-bit sets, and a document may intern a new one at
 /// every position: the cap keeps each set at 4 KiB.
 const MAX_STATES: usize = 32_768;
+
+/// The documents after which a plan builds its deferred join products:
+/// once it has been asked for this many in all, the selection that
+/// reaches it included, the products are built before that selection is
+/// evaluated. On `store-adhoc`'s join template over matching lines,
+/// building the product, compiling it and extracting its literals costs
+/// ≈ 75 µs, and a line ≈ 3.7 µs on the hash join against ≈ 1.3 µs on the
+/// product: the two break even at 31 lines, and the product won from 32
+/// on (DESIGN §3 has the table). A constant, not an option: it follows
+/// the engine, not the query.
+pub const BUILD_AT_DOCS: usize = 32;
+
+/// The most states the Lemma 3.2 product of operands of `left` and `right`
+/// states sharing `shared` variables can have. A product state pairs two
+/// operand states with, per shared variable, each operand's pending open
+/// and close (two bits each) and the variable's mode (four values): 64 per
+/// shared variable. The product adds its own initial state. `None` past
+/// `usize`.
+fn product_bound(left: usize, right: usize, shared: usize) -> Option<usize> {
+    64usize
+        .checked_pow(u32::try_from(shared).ok()?)?
+        .checked_mul(left)?
+        .checked_mul(right)?
+        .checked_add(1)
+}
+
+/// The variables of the product of two static subtrees and a bound on its
+/// states, when that bound provably fits [`MAX_STATES`].
+fn product_fits(left: &Built, right: &Built) -> Option<(VarSet, usize)> {
+    let ((lv, ls), (rv, rs)) = left.static_shape().zip(right.static_shape())?;
+    let states = product_bound(ls, rs, lv.intersection(rv).len())?;
+    (states <= MAX_STATES).then(|| (lv.union(rv), states))
+}
 
 /// Wraps a static automaton as a compiled-scan operator; an automaton past
 /// [`MAX_STATES`] is refused before it is compiled.
@@ -475,76 +565,145 @@ fn push_union_input(op: PhysOp, out: &mut Vec<PhysOp>) {
 
 impl CompiledPlan {
     /// Optimizes (unless `options.optimize` is off) and compiles an
-    /// instantiated RA tree, lowering it onto the physical executor.
+    /// instantiated RA tree, lowering it onto the physical executor with
+    /// its provably small join products deferred.
     pub fn compile(
         tree: &RaTree,
         inst: &Instantiation,
         options: RaOptions,
+    ) -> SpannerResult<CompiledPlan> {
+        Self::lower(tree, inst, options, true)
+    }
+
+    /// [`CompiledPlan::compile`] with every join product built now: the
+    /// plan of a program kept for reuse, whose screen is the products'.
+    pub fn prepare(
+        tree: &RaTree,
+        inst: &Instantiation,
+        options: RaOptions,
+    ) -> SpannerResult<CompiledPlan> {
+        Self::lower(tree, inst, options, false)
+    }
+
+    fn lower(
+        tree: &RaTree,
+        inst: &Instantiation,
+        options: RaOptions,
+        defer: bool,
     ) -> SpannerResult<CompiledPlan> {
         let tree = if options.optimize {
             optimize_ra(tree, inst)?
         } else {
             tree.clone()
         };
-        let root = Self::build(&tree, inst, options)?.into_op(options)?;
+        let mut deferring = false;
+        let root = Self::build(&tree, inst, options, defer.then_some(&mut deferring))?;
+        let is_static = root.static_shape().is_some();
+        let compiled = Self::physical_plan(root.into_op(options)?, options);
+        let (built, deferred) = match deferring {
+            true => {
+                let inst = inst.clone();
+                (OnceLock::new(), Some(Deferred { inst, docs: 0 }))
+            }
+            false => (OnceLock::from(compiled.clone()), None),
+        };
         Ok(CompiledPlan {
-            // `max_signatures` bounds the executor's materialized
-            // intermediate relations, the successor of its old role as the
-            // Lemma 4.2 signature cap in the recomposition path.
-            physical: PhysicalPlan::with_limit(root, options.max_signatures),
             tree,
             options,
+            is_static,
+            compiled,
             literals: OnceLock::new(),
+            built,
+            deferred: Mutex::new(deferred),
         })
     }
 
-    fn build(tree: &RaTree, inst: &Instantiation, options: RaOptions) -> SpannerResult<Built> {
+    fn physical_plan(root: PhysOp, options: RaOptions) -> PhysicalPlan {
+        // `max_signatures` bounds the executor's materialized intermediate
+        // relations, the successor of its old role as the Lemma 4.2
+        // signature cap in the recomposition path.
+        PhysicalPlan::with_limit(root, options.max_signatures)
+    }
+
+    /// Lowers `tree`. While `deferring`, a join of two static operands
+    /// whose product provably fits [`MAX_STATES`] is lowered as a hash join
+    /// of their compiled scans, and the flag is set. Otherwise every static
+    /// subtree becomes one automaton, and a product past the cap is refused
+    /// while it is built.
+    fn build(
+        tree: &RaTree,
+        inst: &Instantiation,
+        options: RaOptions,
+        mut deferring: Option<&mut bool>,
+    ) -> SpannerResult<Built> {
         Ok(match tree {
             RaTree::Leaf(id) => match resolve_atom(inst, *id)? {
                 Atom::BlackBox(s) => Built::Dynamic(PhysOp::BlackBoxScan(Arc::clone(s))),
                 atom => Built::Static(compile_static_atom(*id, atom)?),
             },
-            RaTree::Project(keep, child) => match Self::build(child, inst, options)? {
-                // Static projection happens at the automaton level, before
-                // any product construction (the planner pushed it down for
-                // exactly that reason).
-                Built::Static(vsa) => Built::Static(vsa.project(keep)),
-                Built::Dynamic(op) => Built::Dynamic(PhysOp::Project {
-                    keep: keep.clone(),
-                    input: Box::new(op),
-                }),
-            },
+            RaTree::Project(keep, child) => {
+                match Self::build(child, inst, options, deferring)? {
+                    // Static projection happens at the automaton level,
+                    // before any product construction (the planner pushed
+                    // it down for exactly that reason).
+                    Built::Static(vsa) => Built::Static(vsa.project(keep)),
+                    Built::Deferred { op, vars, states } => Built::Deferred {
+                        op: project_op(keep, op),
+                        vars: vars.intersection(keep),
+                        states,
+                    },
+                    Built::Dynamic(op) => Built::Dynamic(project_op(keep, op)),
+                }
+            }
             RaTree::Union(l, r) => {
-                let left = Self::build(l, inst, options)?;
-                let right = Self::build(r, inst, options)?;
+                let left = Self::build(l, inst, options, deferring.as_deref_mut())?;
+                let right = Self::build(r, inst, options, deferring)?;
                 match (left, right) {
                     (Built::Static(a), Built::Static(b)) => Built::Static(a.union(&b)),
                     (left, right) => {
+                        // The automaton union adds one initial state.
+                        let shape = left.static_shape().zip(right.static_shape());
+                        let shape = shape.map(|((lv, ls), (rv, rs))| (lv.union(rv), ls + rs + 1));
                         let mut inputs = Vec::new();
                         push_union_input(left.into_op(options)?, &mut inputs);
                         push_union_input(right.into_op(options)?, &mut inputs);
-                        Built::Dynamic(PhysOp::UnionAll(inputs))
+                        let op = PhysOp::UnionAll(inputs);
+                        match shape {
+                            Some((vars, states)) => Built::Deferred { op, vars, states },
+                            None => Built::Dynamic(op),
+                        }
                     }
                 }
             }
             RaTree::Join(l, r) => {
-                let left = Self::build(l, inst, options)?;
-                let right = Self::build(r, inst, options)?;
+                let left = Self::build(l, inst, options, deferring.as_deref_mut())?;
+                let right = Self::build(r, inst, options, deferring.as_deref_mut())?;
+                if let Some(deferred) = deferring {
+                    if let Some((vars, states)) = product_fits(&left, &right) {
+                        *deferred = true;
+                        let op = hash_join(left.into_op(options)?, right.into_op(options)?);
+                        return Ok(Built::Deferred { op, vars, states });
+                    }
+                }
                 match (left, right) {
                     // Static joins keep the paper's FPT product (Lemma 3.2):
                     // the automaton compiles once, the shared-variable bound
                     // governs its size and `MAX_STATES` caps its build.
-                    (Built::Static(a), Built::Static(b)) => Built::Static(join::join_with_options(
-                        &a,
-                        &b,
-                        join::JoinOptions {
+                    (Built::Static(a), Built::Static(b)) => {
+                        let options = join::JoinOptions {
                             max_states: MAX_STATES,
-                        },
-                    )?),
-                    (left, right) => Built::Dynamic(PhysOp::HashJoin {
-                        left: Box::new(left.into_op(options)?),
-                        right: Box::new(right.into_op(options)?),
-                    }),
+                        };
+                        Built::Static(join::join_with_options(&a, &b, options)?)
+                    }
+                    (left, right)
+                        if left.static_shape().is_none() || right.static_shape().is_none() =>
+                    {
+                        Built::Dynamic(hash_join(left.into_op(options)?, right.into_op(options)?))
+                    }
+                    // A deferred operand of a product that may not fit: the
+                    // subtree's products are built now, as when nothing is
+                    // deferred.
+                    _ => return Self::build(tree, inst, options, None),
                 }
             }
             RaTree::Difference(l, r) => {
@@ -552,14 +711,76 @@ impl CompiledPlan {
                 // are lowered (compiling their static parts once) and the
                 // probe side is evaluated as a relation — no per-document
                 // product automaton (Theorem 4.8) is composed in a plan.
-                let left = Self::build(l, inst, options)?.into_op(options)?;
-                let right = Self::build(r, inst, options)?.into_op(options)?;
+                let left = Self::build(l, inst, options, deferring.as_deref_mut())?;
+                let right = Self::build(r, inst, options, deferring)?;
                 Built::Dynamic(PhysOp::Difference {
-                    input: Box::new(left),
-                    probe: Box::new(right),
+                    input: Box::new(left.into_op(options)?),
+                    probe: Box::new(right.into_op(options)?),
                 })
             }
         })
+    }
+
+    /// Builds the deferred join products, if any are left: what `prepare`
+    /// and `explain` ask for of a program compiled for one request, so
+    /// that it runs — and is described as — the lowering with every
+    /// product built. Called once or many times, by one thread or several,
+    /// the products are built once.
+    pub fn build_products(&self) {
+        if self.built.get().is_none() {
+            self.build_deferred(&mut self.lock_deferred());
+        }
+    }
+
+    /// Builds the products `deferred` holds the inputs of, under its lock.
+    fn build_deferred(&self, deferred: &mut Option<Deferred>) {
+        let Some(Deferred { inst, .. }) = deferred.as_ref() else {
+            return;
+        };
+        let root = Self::build(&self.tree, inst, self.options, None)
+            .and_then(|root| root.into_op(self.options))
+            .expect("a deferred product is bounded under MAX_STATES when the plan compiles");
+        // Set under the lock, before the inputs go: a caller that finds no
+        // inputs finds the built lowering.
+        let _ = self.built.set(Self::physical_plan(root, self.options));
+        *deferred = None;
+    }
+
+    fn lock_deferred(&self) -> MutexGuard<'_, Option<Deferred>> {
+        // Every update leaves the inputs valid: a count that grew, or a
+        // build that set the lowering before the inputs went.
+        self.deferred.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// What to evaluate a selection of `docs` more documents on, counting
+    /// them: the hash-join lowering while products are deferred — until
+    /// the plan has been asked for [`BUILD_AT_DOCS`] documents in all,
+    /// this selection included. That selection builds the products before
+    /// it is evaluated, so a large one-shot scan runs on them from its
+    /// first document.
+    pub fn select(&self, docs: usize) -> Tier<'_> {
+        let lowering = match self.built.get() {
+            Some(built) => built,
+            None => self.count(docs),
+        };
+        Tier {
+            plan: self,
+            lowering,
+        }
+    }
+
+    /// [`CompiledPlan::select`] on a plan whose products were not built
+    /// when it was asked.
+    fn count(&self, docs: usize) -> &PhysicalPlan {
+        let mut deferred = self.lock_deferred();
+        if let Some(waiting) = deferred.as_mut() {
+            waiting.docs = waiting.docs.saturating_add(docs);
+            if waiting.docs < BUILD_AT_DOCS {
+                return &self.compiled;
+            }
+            self.build_deferred(&mut deferred);
+        }
+        self.built.get().expect("built before the inputs went")
     }
 
     /// Evaluates the plan on one document through the physical executor.
@@ -572,75 +793,42 @@ impl CompiledPlan {
     /// execution trace. The observation is returned alongside the result —
     /// also when evaluation fails, so limit trips stay observable.
     pub fn evaluate_observed<O: Observer>(&self, doc: &Document) -> (SpannerResult<MappingSet>, O) {
-        self.execute_observed(doc, false)
-    }
-
-    /// The per-document step of a multi-document pass: the plan's
-    /// document-level pre-pass first, and the executor only for a document
-    /// it could not prove empty. The pre-pass is the scans' static
-    /// prefilters ([`PhysOp::prescan_skips`]) and the plan's required
-    /// literals ([`CompiledPlan::required_literals`], worked out once per
-    /// plan): a document that lacks one has no mapping. The executor is
-    /// told that the pre-pass already accepted the scans it walked, so no
-    /// prefilter is checked twice; results and observations are those of
-    /// [`CompiledPlan::evaluate_observed`]. Without the scan fast path
-    /// every document is evaluated.
-    pub fn evaluate_screened<O: Observer>(&self, doc: &Document) -> Screened<O> {
-        let root = self.physical.root();
-        if self.options.scan_fast_path
-            && (root.prescan_skips(doc)
-                || self
-                    .required_literals()
-                    .iter()
-                    .any(|literal| !contains_factor(doc.bytes(), literal)))
-        {
-            return Screened::Empty;
-        }
-        let (result, observed) = self.execute_observed(doc, true);
-        Screened::Evaluated(result, observed)
-    }
-
-    fn execute_observed<O: Observer>(
-        &self,
-        doc: &Document,
-        prescanned: bool,
-    ) -> (SpannerResult<MappingSet>, O) {
-        let root = self.physical.root();
-        let limit = self.options.max_signatures;
-        O::observe(root, |obs| root.execute(doc, limit, prescanned, obs))
+        self.select(1).execute_observed(doc, false)
     }
 
     /// Streams the plan's mappings on one document, lazily only where
     /// laziness exists ([`OpStream`]): a static plan off its compiled
-    /// automaton with polynomial delay (Theorem 5.2); a difference root
-    /// against a probe side materialized at open, its first answer early
-    /// but with no delay bound beyond its input's; any other root evaluated
-    /// at open, under `max_signatures` as [`CompiledPlan::evaluate`] runs
-    /// it, and drained.
+    /// automaton with polynomial delay (Theorem 5.2) once its products are
+    /// built; a difference root against a probe side materialized at open,
+    /// its first answer early but with no delay bound beyond its input's;
+    /// any other root evaluated at open, under `max_signatures` as
+    /// [`CompiledPlan::evaluate`] runs it, and drained.
     pub fn stream<'a>(&'a self, doc: &'a Document) -> SpannerResult<OpStream<'a>> {
-        self.physical
+        let tier = self.select(1);
+        tier.lowering
             .root()
             .stream_bounded(doc, self.options.max_signatures)
     }
 
     /// Byte strings every document with a non-empty result must contain
-    /// (see [`PhysOp::required_literals`]); empty = no constraint. Corpus
-    /// indexes use these to prune documents without visiting them. Worked
-    /// out once per plan.
+    /// (see [`PhysOp::required_literals`]), read off the plan's screen;
+    /// empty = no constraint. Corpus indexes use these to prune documents
+    /// without visiting them. Worked out once per plan.
     pub fn required_literals(&self) -> &[Vec<u8>] {
         self.literals
-            .get_or_init(|| self.physical.root().required_literals())
+            .get_or_init(|| self.compiled.root().required_literals())
     }
 
-    /// Whether the whole plan compiled into one static automaton (no
-    /// per-document composition at all).
+    /// Whether the whole plan compiles into one static automaton (no
+    /// per-document composition at all) — once its products are built.
     pub fn is_static(&self) -> bool {
-        matches!(self.physical.root(), PhysOp::CompiledScan { .. })
+        self.is_static
     }
 
-    /// The lowered physical operator tree (shared, cheap to clone).
+    /// The lowered physical operator tree evaluation runs on now (shared,
+    /// cheap to clone).
     pub fn physical(&self) -> &PhysicalPlan {
-        &self.physical
+        self.built.get().unwrap_or(&self.compiled)
     }
 
     /// The optimized logical tree the plan was compiled from.
@@ -649,18 +837,68 @@ impl CompiledPlan {
     }
 }
 
+/// `π_keep` over a lowered operator.
+fn project_op(keep: &VarSet, input: PhysOp) -> PhysOp {
+    PhysOp::Project {
+        keep: keep.clone(),
+        input: Box::new(input),
+    }
+}
+
+fn hash_join(left: PhysOp, right: PhysOp) -> PhysOp {
+    PhysOp::HashJoin {
+        left: Box::new(left),
+        right: Box::new(right),
+    }
+}
+
+impl<'a> Tier<'a> {
+    /// The lowering the selection runs on.
+    pub fn physical(&self) -> &'a PhysicalPlan {
+        self.lowering
+    }
+
+    /// The per-document step of a multi-document pass: the plan's
+    /// document-level pre-pass first, and the executor only for a document
+    /// it could not prove empty. The pre-pass is the screen's static
+    /// prefilters ([`PhysOp::prescan_skips`]) and required literals
+    /// ([`CompiledPlan::required_literals`]): a document that lacks one has
+    /// no mapping. Where the screen is the lowering that runs, the executor
+    /// is told that the pre-pass already accepted the scans it walked, so
+    /// no prefilter is checked twice. Results and observations are those
+    /// of [`CompiledPlan::evaluate_observed`]. Without the scan fast path
+    /// every document is evaluated.
+    pub fn evaluate_screened<O: Observer>(&self, doc: &Document) -> Screened<O> {
+        let plan = self.plan;
+        if plan.options.scan_fast_path
+            && (plan.compiled.root().prescan_skips(doc)
+                || plan
+                    .required_literals()
+                    .iter()
+                    .any(|literal| !contains_factor(doc.bytes(), literal)))
+        {
+            return Screened::Empty;
+        }
+        let prescanned = std::ptr::eq(self.lowering.root(), plan.compiled.root());
+        let (result, observed) = self.execute_observed(doc, prescanned);
+        Screened::Evaluated(result, observed)
+    }
+
+    fn execute_observed<O: Observer>(
+        &self,
+        doc: &Document,
+        prescanned: bool,
+    ) -> (SpannerResult<MappingSet>, O) {
+        let root = self.lowering.root();
+        let limit = self.plan.options.max_signatures;
+        O::observe(root, |obs| root.execute(doc, limit, prescanned, obs))
+    }
+}
+
 impl fmt::Debug for CompiledPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "CompiledPlan({}, {})",
-            if self.is_static() {
-                "static".to_string()
-            } else {
-                "dynamic".to_string()
-            },
-            self.tree
-        )
+        let shape = if self.is_static { "static" } else { "dynamic" };
+        write!(f, "CompiledPlan({shape}, {})", self.tree)
     }
 }
 
@@ -670,6 +908,7 @@ mod tests {
     use crate::ratree::{figure_2_tree, shared_variable_bound};
     use crate::spanner::WholeDocument;
     use spanner_rgx::parse;
+    use std::sync::Barrier;
 
     fn assert_send_sync<T: Send + Sync>() {}
 
@@ -744,6 +983,93 @@ mod tests {
                 assert_eq!(streamed, plan.evaluate(&doc).unwrap(), "{tree} on {text:?}");
             }
         }
+    }
+
+    /// `store-adhoc`'s join template: a 17- and a 14-state operand sharing
+    /// one variable, so its product is deferred (17 · 14 · 64 < 32 768).
+    fn needle_join() -> CompiledPlan {
+        let tree = RaTree::join(RaTree::leaf(0), RaTree::leaf(1));
+        CompiledPlan::compile(&tree, &needle_inst(), RaOptions::default()).unwrap()
+    }
+
+    fn needle_inst() -> Instantiation {
+        Instantiation::new()
+            .with(0, parse(".*{x:needle}{y:[a-z ]}.*").unwrap())
+            .with(1, parse(".*{x:needle}.*").unwrap())
+    }
+
+    fn root_is_one_scan(plan: &CompiledPlan) -> bool {
+        matches!(plan.physical().root(), PhysOp::CompiledScan { .. })
+    }
+
+    #[test]
+    fn a_deferred_product_is_built_exactly_once() {
+        let plan = needle_join();
+        assert!(plan.built.get().is_none() && plan.is_static());
+        assert!(matches!(plan.physical().root(), PhysOp::HashJoin { .. }));
+        let screen = plan.required_literals().as_ptr();
+        let doc = Document::new("a needle here");
+        let answer = plan.evaluate(&doc).unwrap();
+        assert_eq!(answer.len(), 1);
+        for _ in 2..BUILD_AT_DOCS {
+            assert_eq!(plan.evaluate(&doc).unwrap(), answer);
+        }
+        assert!(
+            plan.built.get().is_none(),
+            "built below {BUILD_AT_DOCS} documents"
+        );
+        // Threads racing across the count share one build.
+        let address = |tier: Tier| tier.physical().root() as *const PhysOp as usize;
+        let start = Barrier::new(4);
+        let roots: Vec<usize> = std::thread::scope(|scope| {
+            let race = || {
+                scope.spawn(|| {
+                    start.wait();
+                    address(plan.select(1))
+                })
+            };
+            let handles: Vec<_> = (0..4).map(|_| race()).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(root_is_one_scan(&plan));
+        plan.build_products();
+        let built = address(plan.select(1));
+        assert!(roots.iter().all(|&root| root == built), "built twice");
+        assert_eq!(plan.evaluate(&doc).unwrap(), answer);
+        // The screen is the one the plan compiled to.
+        assert_eq!(plan.required_literals().as_ptr(), screen);
+    }
+
+    #[test]
+    fn a_selection_of_build_at_docs_builds_before_it_is_evaluated() {
+        let join_root = |tier: Tier| matches!(tier.physical().root(), PhysOp::HashJoin { .. });
+        let plan = needle_join();
+        assert!(join_root(plan.select(BUILD_AT_DOCS - 1)));
+        let plan = needle_join();
+        assert!(!join_root(plan.select(BUILD_AT_DOCS)));
+        assert!(root_is_one_scan(&plan));
+        // `prepare` and `explain` build whatever the count says.
+        let plan = needle_join();
+        plan.build_products();
+        assert!(root_is_one_scan(&plan));
+        // A plan prepared for reuse defers nothing.
+        let prepared = CompiledPlan::prepare(&plan.tree, &needle_inst(), RaOptions::default());
+        let prepared = prepared.unwrap();
+        assert!(root_is_one_scan(&prepared));
+    }
+
+    #[test]
+    fn a_product_that_may_not_fit_is_built_and_refused_at_compile_time() {
+        // Two 1 003-state operands: 1 003² states may pass the cap, so the
+        // product is not deferred, and its build stops at the cap.
+        let class = "[ab]".repeat(1000);
+        let tree = RaTree::join(RaTree::leaf(0), RaTree::leaf(1));
+        let inst = Instantiation::new()
+            .with(0, parse(&format!(".*{{x:{class}}}.*")).unwrap())
+            .with(1, parse(&format!(".*{{y:{class}}}.*")).unwrap());
+        let err = CompiledPlan::compile(&tree, &inst, RaOptions::default()).unwrap_err();
+        let message = err.to_string();
+        assert!(message.contains("join product states"), "{message}");
     }
 
     #[test]

@@ -20,11 +20,12 @@ use spanner_paper::{
     DifferenceInstance, DifferenceOptions, SentimentSpanner,
 };
 use spanner_rgx::{parse, Rgx};
-use spanner_vset::{compile, join, Vsa};
+use spanner_vset::{compile, join, CompiledVsa, Vsa};
 use spanner_workloads::{
     example_3_10_formula, student_info_extractor, student_records,
     student_records_with_recommendations, uk_mail_extractor,
 };
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// E1: one mapping per record at every size, and the slowest delay between
@@ -109,28 +110,42 @@ fn shared_one_pair(blocks: usize) -> (Vsa, Vsa) {
 
 /// E3: both halves of "FPT in the shared variables". The count is the
 /// product's state count: it multiplies with every shared variable, and for
-/// one shared variable it stays polynomial in the operands.
+/// one shared variable it stays polynomial in the operands. A serving plan
+/// pays for the product twice: `shared-*/compile` is its compile to the
+/// evaluation form with literal extraction (the count: its states).
 pub fn e3_join_fpt(run: &mut Run) {
     const SHARED: [usize; 6] = [0, 1, 2, 3, 4, 5];
     const BLOCKS: [usize; 4] = [2, 4, 8, 16];
     let by_k = SHARED.map(|k| format!("paper/e3-join-fpt/shared-{k}"));
+    let compiled = SHARED.map(|k| format!("paper/e3-join-fpt/shared-{k}/compile"));
     let by_size = BLOCKS.map(|b| format!("paper/e3-join-fpt/operand-blocks-{b}"));
-    let names = (by_k, by_size);
-    let Some(names) = run.rows(names) else { return };
+    let names = (by_k, (by_size, compiled));
+    let Some((by_k, (by_size, compiled))) = run.rows(names) else {
+        return;
+    };
     let mut product = |name: &String, (a1, a2): (Vsa, Vsa)| {
         let joined = || join(&a1, &a2).unwrap().state_count();
         let states = run.measure(name, joined).count;
         (a1.state_count() as f64, states as f64)
     };
-    let by_k = SHARED.map(|k| product(&names.0[k], shared_k_pair(k)).1);
+    let by_k = SHARED.map(|k| product(&by_k[k], shared_k_pair(k)).1);
     // 70, 385, 1 496, 5 271, 17 869, 59 583 states when written.
     let exponential = by_k.windows(2).all(|w| w[1] >= 3.0 * w[0]);
     assert!(exponential, "not exponential in k: {by_k:?}");
     let sized = |(b, name)| product(name, shared_one_pair(b));
-    let by_size = BLOCKS.into_iter().zip(&names.1).map(sized);
+    let by_size = BLOCKS.into_iter().zip(&by_size).map(sized);
     let slope = log_log_slope(&by_size.collect::<Vec<_>>());
     println!("    at k = 1 the product grows like (operand states)^{slope:.2}");
     assert!(slope <= 2.0, "worse than quadratic in the operands");
+    for (k, name) in SHARED.into_iter().zip(&compiled) {
+        let (a1, a2) = shared_k_pair(k);
+        let product = join(&a1, &a2).unwrap();
+        run.measure(name, || {
+            let compiled = CompiledVsa::compile(&product);
+            black_box(compiled.required_literals());
+            compiled.state_count()
+        });
+    }
 }
 
 /// E4: the Example-3.10 formula grows linearly in `n` while its

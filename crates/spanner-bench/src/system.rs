@@ -5,19 +5,21 @@
 //! daemon itself is measured end to end by `bench/`.
 
 use crate::{ms, Run, NOISE_MADS, RUNS, TOLERANCE};
+use spanner_algebra::plan::Screened;
+use spanner_algebra::ratree::{compile_static_atom, resolve_atom};
 use spanner_algebra::{
     evaluate_ra, figure_2_tree, optimize_ra, shared_variable_bound, CompiledPlan, Instantiation,
-    PhysOp, RaOptions, RaTree,
+    NoTrace, PhysOp, RaOptions, RaTree,
 };
-use spanner_core::{Document, MappingSet, VarSet};
+use spanner_core::{Document, MappingSet, SpannerResult, VarSet};
 use spanner_corpus::{split_lines, CorpusEngine, CorpusMatches, QueryView};
 use spanner_paper::compile_ra;
-use spanner_ql::PreparedQuery;
+use spanner_ql::{parse_program, PreparedQuery};
 use spanner_rgx::parse;
 use spanner_serve::protocol::{mappings_to_json, write_mappings};
 use spanner_serve::Json;
 use spanner_store::{Mutation, Store};
-use spanner_vset::PreScan;
+use spanner_vset::{join, CompiledVsa, PreScan, Vsa};
 use spanner_workloads::{
     access_log, needle_corpus, needle_line, program_library, random_text, student_records,
 };
@@ -294,6 +296,7 @@ pub fn ql(run: &mut Run) {
             });
         }
     }
+    deferred_products(run);
     for threads in [1, 2] {
         let name = format!("ql/corpus/access-log/t{threads}");
         let Some(name) = run.needs_cpus(with_a_spare(threads), name) else {
@@ -304,6 +307,111 @@ pub fn ql(run: &mut Run) {
         let scan = || log.scan_corpus(&docs, threads).unwrap();
         run.measure(&name, || scan().stats.mappings);
     }
+}
+
+/// The join template of `bench/`'s `store-adhoc` over the planted needle.
+const NEEDLE_JOIN: &str = "let a = /.*{x:needle}{y:[a-z ]}.*/; let b = /.*{x:needle}.*/; a join b;";
+
+/// Documents of the `ql/break-even/*` rows.
+const BREAK_EVEN_DOCS: [usize; 7] = [1, 16, 24, 32, 48, 64, 256];
+
+/// The automaton `CompiledPlan` builds for a tree of joins: its leaves'
+/// automata joined by the Lemma 3.2 product.
+fn joined(tree: &RaTree, leaves: &[Vsa]) -> Vsa {
+    match tree {
+        RaTree::Leaf(id) => leaves[*id].clone(),
+        RaTree::Join(l, r) => join(&joined(l, leaves), &joined(r, leaves)).unwrap(),
+        other => panic!("{other} is not a tree of joins"),
+    }
+}
+
+/// The parts of `prepare` a static join pays for, and when deferring its
+/// product pays (DESIGN §3). `ql/prepare/chain/*` splits the chain's
+/// `prepare` into the Lemma 3.2 products, their compile with literal
+/// extraction, and the rest (parse, lower, optimize, the leaves'
+/// automata). `ql/oneshot/join/*` is `store-adhoc`'s join template
+/// compiled and evaluated over 10 needle lines, as a never-seen program is,
+/// with its product deferred and built. `ql/break-even/*` compiles the
+/// template and evaluates `n` needle lines on the hash-join lowering
+/// (`deferred`) or on the product (`built`, its build included): the
+/// smallest `n` where `built` wins is
+/// [`BUILD_AT_DOCS`](spanner_algebra::BUILD_AT_DOCS)'s measure.
+fn deferred_products(run: &mut Run) {
+    let chain = ["product", "compile", "rest"].map(|p| format!("ql/prepare/chain/{p}"));
+    let oneshot = ["deferred", "built"].map(|p| format!("ql/oneshot/join/{p}"));
+    let named = |n: usize| move |how| format!("ql/break-even/{how}/docs-{n}");
+    let break_even = BREAK_EVEN_DOCS.map(|n| ["deferred", "built"].map(named(n)));
+    let Some((chain, (oneshot, break_even))) = run.rows((chain, (oneshot, break_even))) else {
+        return;
+    };
+    let lower = |src: &str| {
+        let lowered = parse_program(src).unwrap().lower().unwrap();
+        let tree = optimize_ra(&lowered.tree, &lowered.inst).unwrap();
+        let leaf = |id| compile_static_atom(id, resolve_atom(&lowered.inst, id)?);
+        let leaves = (0..lowered.inst.len()).map(leaf);
+        (
+            tree,
+            leaves.collect::<SpannerResult<Vec<Vsa>>>().unwrap(),
+            lowered.inst,
+        )
+    };
+    let (tree, leaves, _) = lower(CHAIN_QUERY);
+    let product = joined(&tree, &leaves);
+    let [by_product, by_compile, by_rest] = &chain;
+    let states = run.measure(by_product, || joined(&tree, &leaves).state_count());
+    assert_eq!(states.count, product.state_count());
+    run.measure(by_compile, || {
+        CompiledVsa::compile(&product).required_literals().len()
+    });
+    run.measure(by_rest, || lower(CHAIN_QUERY).1.len());
+
+    let needles: Vec<Document> = (0..256).map(|i| needle_line(true, i)).collect();
+    let [deferred, built] = &oneshot;
+    let answer = |build: bool| {
+        let query = PreparedQuery::compile(NEEDLE_JOIN, RaOptions::default()).unwrap();
+        if build {
+            query.plan().build_products();
+        }
+        query.scan_corpus(&needles[..10], 1).unwrap().stats.mappings
+    };
+    let deferred = run.measure(deferred, || answer(false));
+    let built = run.measure(built, || answer(true));
+    assert_eq!(deferred.count, built.count, "the two lowerings must agree");
+
+    let (tree, _, inst) = lower(NEEDLE_JOIN);
+    let evaluate = |n: usize, build: bool| {
+        let plan = CompiledPlan::compile(&tree, &inst, RaOptions::default()).unwrap();
+        if build {
+            plan.build_products();
+        }
+        // The current lowering, without counting the documents towards
+        // the build.
+        let lowering = plan.select(0);
+        let mappings = |doc| match lowering.evaluate_screened::<NoTrace>(doc) {
+            Screened::Empty => 0,
+            Screened::Evaluated(set, NoTrace) => set.unwrap().len(),
+        };
+        needles[..n].iter().map(mappings).sum()
+    };
+    let mut wins = Vec::new();
+    for (n, [deferred, built]) in BREAK_EVEN_DOCS.into_iter().zip(&break_even) {
+        let deferred = run.measure(deferred, || evaluate(n, false));
+        let built = run.measure(built, || evaluate(n, true));
+        assert_eq!(deferred.count, built.count, "the two lowerings must agree");
+        wins.push((n, built.median_ns < deferred.median_ns));
+    }
+    println!("    the built product wins at {wins:?} documents");
+    // ≈ 0.5x at one document, ≈ 2x at 256 when written.
+    assert_eq!(
+        wins.first(),
+        Some(&(1, false)),
+        "a one-shot join pays for its product"
+    );
+    assert_eq!(
+        wins.last(),
+        Some(&(256, true)),
+        "the hash join wins at 256 documents"
+    );
 }
 
 /// Deterministic padding over lowercase letters and spaces — no `@`, so a

@@ -49,7 +49,7 @@
 
 use spanner_algebra::plan::Screened;
 use spanner_algebra::{
-    CompiledPlan, ExecTrace, Instantiation, NoTrace, Observer, RaOptions, RaTree,
+    CompiledPlan, ExecTrace, Instantiation, NoTrace, Observer, RaOptions, RaTree, Tier,
 };
 use spanner_core::{Document, MappingSet, SpannerResult};
 use std::borrow::Cow;
@@ -179,7 +179,7 @@ struct Shard<O> {
 /// its prefilters are checked once, and merges its per-operator observation
 /// into the worker's.
 fn eval_chunk<O: Observer>(
-    plan: &CompiledPlan,
+    plan: Tier<'_>,
     docs: &[Document],
     ids: &[u32],
     observer: O,
@@ -374,19 +374,22 @@ impl CorpusEngine {
     /// fast-path tallies, the merged observation and the number of workers
     /// that ran — or the first error in id order. The id list is what gets
     /// sharded (not the corpus): the work is proportional to the selection.
-    /// Workers are threads scoped to this call, borrowing the plan and the
-    /// documents; every worker's observer starts from the plan's skeleton,
-    /// so observations merge whatever the split.
+    /// The selection is counted towards the plan's deferred join products
+    /// first ([`CompiledPlan::select`]), so one large enough runs on them.
+    /// Workers are threads scoped to this call, borrowing the lowering and
+    /// the documents; every worker's observer starts from the lowering's
+    /// skeleton, so observations merge whatever the split.
     fn evaluate_selection<O: Observer + Clone + Send>(
         &self,
         docs: &[Document],
         ids: &[u32],
         threads: usize,
     ) -> SpannerResult<Shard<O>> {
-        let seed = O::skeleton(self.plan.physical().root());
+        let plan = self.plan.select(ids.len());
+        let seed = O::skeleton(plan.physical().root());
         let count = workers_for(threads, ids.len());
         if count == 1 {
-            return eval_chunk(&self.plan, docs, ids, seed);
+            return eval_chunk(plan, docs, ids, seed);
         }
         // Rounding the chunk size up can leave fewer chunks than `count`;
         // the shards that come back are the workers that ran.
@@ -395,7 +398,7 @@ impl CorpusEngine {
             let handles: Vec<_> = chunks
                 .map(|chunk| {
                     let seed = seed.clone();
-                    scope.spawn(move || eval_chunk(&self.plan, docs, chunk, seed))
+                    scope.spawn(move || eval_chunk(plan, docs, chunk, seed))
                 })
                 .collect();
             handles

@@ -7,7 +7,7 @@ use spanner_core::Document;
 use spanner_rgx::parse;
 
 fn lower(tree: &RaTree, inst: &Instantiation) -> PhysicalPlan {
-    let plan = CompiledPlan::compile(tree, inst, RaOptions::default()).unwrap();
+    let plan = CompiledPlan::prepare(tree, inst, RaOptions::default()).unwrap();
     plan.physical().clone()
 }
 

@@ -73,11 +73,29 @@ impl PreparedQuery {
     /// [`PreparedQuery::prepare`] with explicit evaluation options (the
     /// differential tests prepare with the optimizer off).
     pub fn prepare_with_options(src: &str, options: RaOptions) -> Result<PreparedQuery, QlError> {
+        PreparedQuery::lower_with(src, options, CompiledPlan::prepare)
+    }
+
+    /// [`PreparedQuery::prepare_with_options`] for a program that may be
+    /// answered once: its join products are deferred
+    /// ([`CompiledPlan::compile`]) until it has been asked for enough
+    /// documents or [`CompiledPlan::build_products`] is called. The serving
+    /// layer compiles a program this way unless `prepare` or `explain` is
+    /// the first to ask for it.
+    pub fn compile(src: &str, options: RaOptions) -> Result<PreparedQuery, QlError> {
+        PreparedQuery::lower_with(src, options, CompiledPlan::compile)
+    }
+
+    fn lower_with(
+        src: &str,
+        options: RaOptions,
+        compile: fn(&RaTree, &Instantiation, RaOptions) -> SpannerResult<CompiledPlan>,
+    ) -> Result<PreparedQuery, QlError> {
         let program = parse_program(src)?;
         let lowered = program.lower()?;
         let vars = tree_vars(&lowered.tree, &lowered.inst)?;
         let bound_before = shared_variable_bound(&lowered.tree, &lowered.inst)?;
-        let engine = CorpusEngine::compile(&lowered.tree, &lowered.inst, options)?;
+        let engine = CorpusEngine::from_plan(compile(&lowered.tree, &lowered.inst, options)?);
         let bound_after = shared_variable_bound(engine.plan().tree(), &lowered.inst)?;
         Ok(PreparedQuery {
             program,

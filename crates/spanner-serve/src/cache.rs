@@ -195,22 +195,46 @@ impl QueryCache {
     }
 
     /// Returns the prepared form of `program`, compiling and caching it on
-    /// a miss. The boolean is `true` when the request found an existing
-    /// entry (possibly still compiling — it shares that compilation rather
-    /// than starting its own). Compilation failures are reported and the
-    /// failed entry is dropped — a mistyped program never poisons a slot.
+    /// a miss — for one request: its join products deferred
+    /// ([`PreparedQuery::compile`]). The boolean is `true` when the request
+    /// found an existing entry (possibly still compiling — it shares that
+    /// compilation rather than starting its own). Compilation failures are
+    /// reported and the failed entry is dropped — a mistyped program never
+    /// poisons a slot.
     pub fn get_or_prepare(
         &self,
         program: &str,
         options: RaOptions,
+    ) -> Result<(Arc<PreparedQuery>, bool), QlError> {
+        self.lookup(program, options, PreparedQuery::compile)
+    }
+
+    /// [`QueryCache::get_or_prepare`] for a program kept for reuse, as
+    /// `prepare` and `explain` ask for it: a miss compiles it with its join
+    /// products built ([`PreparedQuery::prepare_with_options`]), and a hit
+    /// builds those its entry deferred.
+    pub fn get_or_build(
+        &self,
+        program: &str,
+        options: RaOptions,
+    ) -> Result<(Arc<PreparedQuery>, bool), QlError> {
+        let found = self.lookup(program, options, PreparedQuery::prepare_with_options)?;
+        found.0.plan().build_products();
+        Ok(found)
+    }
+
+    fn lookup(
+        &self,
+        program: &str,
+        options: RaOptions,
+        compile: fn(&str, RaOptions) -> Result<PreparedQuery, QlError>,
     ) -> Result<(Arc<PreparedQuery>, bool), QlError> {
         let key = cache_key(program, options);
         let (slot, hit) = self.slots.get_or_insert_with(&key, Default::default);
         let counter = if hit { &self.hits } else { &self.misses };
         counter.fetch_add(1, Ordering::Relaxed);
         // Compile (or wait for the compiling request) outside the lock.
-        let result = slot
-            .get_or_init(|| PreparedQuery::prepare_with_options(program, options).map(Arc::new));
+        let result = slot.get_or_init(|| compile(program, options).map(Arc::new));
         match result {
             Ok(query) => Ok((Arc::clone(query), hit)),
             Err(e) => {

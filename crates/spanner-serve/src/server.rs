@@ -1090,16 +1090,21 @@ fn fail(out: &mut Vec<u8>, message: impl std::fmt::Display) -> Outcome {
 /// Looks `program` up in the cache (compiling on a miss) and has `answer`
 /// write the success response from the shared prepared query; compile
 /// errors become the standard error response with the caret rendering.
+/// `prepare` and `explain` ask for the program `kept`: with its join
+/// products built ([`QueryCache::get_or_build`]).
 fn with_query(
     handler: &Handler,
     program: &str,
+    kept: bool,
     out: &mut Vec<u8>,
     answer: impl FnOnce(Arc<spanner_ql::PreparedQuery>, bool, &mut Vec<u8>) -> Outcome,
 ) -> Outcome {
     let start = Instant::now();
-    let prepared = handler
-        .cache
-        .get_or_prepare(program, handler.options.ra_options);
+    let options = handler.options.ra_options;
+    let prepared = match kept {
+        true => handler.cache.get_or_build(program, options),
+        false => handler.cache.get_or_prepare(program, options),
+    };
     if !matches!(prepared, Ok((_, true))) {
         handler
             .metrics
@@ -1206,21 +1211,23 @@ fn mutate(
 /// the line-JSON, HTTP and in-process surfaces can never drift apart.
 fn handle_request(handler: &Handler, request: Request, out: &mut Vec<u8>) -> Outcome {
     match request {
-        Request::Prepare { program } => with_query(handler, &program, out, |query, cached, out| {
-            let vars = query.vars().iter().map(|v| Json::string(v.to_string()));
-            reply(
-                out,
-                Json::object([
-                    ("ok", Json::Bool(true)),
-                    ("cached", Json::Bool(cached)),
-                    ("vars", Json::Array(vars.collect())),
-                    ("static", Json::Bool(query.plan().is_static())),
-                    ("outline", Json::string(query.plan_outline())),
-                ]),
-            )
-        }),
+        Request::Prepare { program } => {
+            with_query(handler, &program, true, out, |query, cached, out| {
+                let vars = query.vars().iter().map(|v| Json::string(v.to_string()));
+                reply(
+                    out,
+                    Json::object([
+                        ("ok", Json::Bool(true)),
+                        ("cached", Json::Bool(cached)),
+                        ("vars", Json::Array(vars.collect())),
+                        ("static", Json::Bool(query.plan().is_static())),
+                        ("outline", Json::string(query.plan_outline())),
+                    ]),
+                )
+            })
+        }
         Request::Query { program, doc } => {
-            with_query(handler, &program, out, |query, cached, out| {
+            with_query(handler, &program, false, out, |query, cached, out| {
                 let doc = Document::new(doc);
                 match query.evaluate(&doc) {
                     Err(e) => fail(out, e),
@@ -1297,7 +1304,7 @@ fn handle_request(handler: &Handler, request: Request, out: &mut Vec<u8>) -> Out
         Request::QueryCorpus {
             program,
             text: Some(text),
-        } => with_query(handler, &program, out, |query, cached, out| {
+        } => with_query(handler, &program, false, out, |query, cached, out| {
             let docs = split_lines(&text);
             match query.scan_corpus(&docs, handler.options.corpus_threads) {
                 Err(e) => fail(out, e),
@@ -1309,7 +1316,7 @@ fn handle_request(handler: &Handler, request: Request, out: &mut Vec<u8>) -> Out
             text: None,
         } => match handler.resident() {
             None => fail(out, "no resident corpus (send `load_corpus` first)"),
-            Some(resident) => with_query(handler, &program, out, |query, cached, out| {
+            Some(resident) => with_query(handler, &program, false, out, |query, cached, out| {
                 let Some(store) = resident.read() else {
                     return fail(out, STORE_POISONED);
                 };
@@ -1384,7 +1391,7 @@ fn handle_request(handler: &Handler, request: Request, out: &mut Vec<u8>) -> Out
             program,
             analyze: false,
             ..
-        } => with_query(handler, &program, out, |query, cached, out| {
+        } => with_query(handler, &program, true, out, |query, cached, out| {
             reply(
                 out,
                 Json::object([
@@ -1407,7 +1414,7 @@ fn handle_request(handler: &Handler, request: Request, out: &mut Vec<u8>) -> Out
                     "`explain` with `\"analyze\": true` needs a `doc` field to run the query on",
                 );
             };
-            with_query(handler, &program, out, |query, cached, out| {
+            with_query(handler, &program, true, out, |query, cached, out| {
                 let document = Document::new(doc);
                 // One traced run feeds both the human rendering and the
                 // structured trace, so they can never disagree.

@@ -875,6 +875,42 @@ fn a_join_product_past_the_state_cap_is_refused_while_it_is_built() {
     handle.join().unwrap().unwrap();
 }
 
+/// `store-adhoc`'s join template, never seen, runs on its hash-join
+/// lowering; after `prepare` it runs on its Lemma 3.2 product. The two
+/// answer with the same bytes.
+#[test]
+fn a_never_seen_join_answers_as_its_prepared_product() {
+    let (addr, handle) = start(ServeOptions::default());
+    let mut client = Client::connect(addr).unwrap();
+    let line = |i: usize| match i % 4 {
+        0 => format!("line {i} has a needle here"),
+        _ => format!("line {i} is hay"),
+    };
+    let corpus: Vec<String> = (0..40).map(line).collect();
+    assert!(ok(&client.load_corpus(&corpus.join("\n")).unwrap()));
+    let program = "let a = /.*{x7:needle}{y:[a-z ]}.*/; let b = /.*{x7:needle}.*/; a join b;";
+    let request = format!(r#"{{"op":"query_corpus","program":"{program}"}}"#);
+    let results = |response: &str| {
+        let at = response.find(r#","results":"#).expect("a results member");
+        response[at..].to_string()
+    };
+    let cold = client.request_line(&request).unwrap();
+    let parsed = Json::parse(&cold).unwrap();
+    assert_eq!(parsed.get("cached"), Some(&Json::Bool(false)), "{cold}");
+    assert_eq!(parsed.get("matched").and_then(Json::as_usize), Some(10));
+    let prepared = client.prepare(program).unwrap();
+    assert_eq!(
+        prepared.get("static"),
+        Some(&Json::Bool(true)),
+        "{prepared}"
+    );
+    let warm = client.request_line(&request).unwrap();
+    assert!(warm.contains(r#""cached":true"#), "{warm}");
+    assert_eq!(results(&cold), results(&warm));
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
 #[test]
 fn concurrent_clients_share_one_cache_entry() {
     const PROGRAM: &str = "let a = /{x:a+}b*/; project x (a);";

@@ -15,7 +15,7 @@
 
 use document_spanners::prelude::*;
 use document_spanners::workloads::random_text;
-use spanner_algebra::{tree_vars, NoTrace, PhysOp};
+use spanner_algebra::{tree_vars, NoTrace, PhysOp, BUILD_AT_DOCS};
 use spanner_paper::interpret;
 use spanner_serve::{protocol::mappings_to_json, Json};
 use spanner_vset::CompiledVsa;
@@ -660,6 +660,65 @@ pub fn interpreter() -> Surface<'static> {
     }
     surface("interpreter", |case| {
         case.each_doc(|d| eval(case, &case.tree, d))
+    })
+}
+
+/// A plan whose join products are deferred ([`CompiledPlan`]), asked for
+/// documents until it builds them: below [`BUILD_AT_DOCS`] (a scan,
+/// `evaluate` and `stream` of every document, on the hash-join lowering),
+/// on the request that crosses the count, after it, and the plan compiled
+/// with its products built ([`CompiledPlan::prepare`]). With `large` the count is crossed by one
+/// scan of the corpus copied 60 times on `threads` workers, which builds
+/// the products before it evaluates; otherwise by one-thread scans of the
+/// corpus until one crosses. `None` for a plan that defers nothing.
+pub fn deferred(threads: usize, large: bool) -> Surface<'static> {
+    let name = match large {
+        true => format!("deferred products, one large selection on {threads} threads"),
+        false => "deferred products, small selections".to_string(),
+    };
+    surface(name, move |case| {
+        let (engine, docs) = (case.engine(), case.corpus());
+        let plan = engine.plan();
+        let n = docs.len();
+        let prepared = CompiledPlan::prepare(&case.tree, &case.inst, RaOptions::default());
+        let eager = CorpusEngine::from_plan(prepared.unwrap());
+        // Deferred while the plan runs on another lowering than the eager one.
+        let built = || plan.physical().describe() == eager.plan().physical().describe();
+        if built() || n == 0 || 3 * n >= BUILD_AT_DOCS {
+            return None;
+        }
+        let scan = |engine: &CorpusEngine, docs: &[Document], threads| {
+            dense(engine.scan(docs, threads).unwrap()).results
+        };
+        let copies: Vec<Document> = docs.iter().cycle().take(60 * n).cloned().collect();
+        // Each copy of a document answers as the document.
+        let folded = |all: Vec<MappingSet>| {
+            assert!(all.iter().enumerate().all(|(i, set)| *set == all[i % n]));
+            all[..n].to_vec()
+        };
+        let mut answers = vec![
+            scan(&engine, &docs, 1),
+            docs.iter().map(|d| plan.evaluate(d).unwrap()).collect(),
+            docs.iter().map(|d| streamed(plan.stream(d))).collect(),
+        ];
+        assert!(!built(), "built below {BUILD_AT_DOCS} documents");
+        if large {
+            answers.push(folded(scan(&engine, &copies, threads)));
+        } else {
+            let mut asked = 3 * n;
+            while asked < BUILD_AT_DOCS {
+                assert!(!built(), "built at {asked} documents");
+                answers.push(scan(&engine, &docs, 1));
+                asked += n;
+            }
+        }
+        assert!(built(), "not built past {BUILD_AT_DOCS} documents");
+        answers.push(scan(&engine, &docs, threads));
+        answers.push(docs.iter().map(|d| plan.evaluate(d).unwrap()).collect());
+        answers.push(scan(&eager, &docs, 1));
+        answers.push(folded(scan(&eager, &copies, threads)));
+        let end = case.script.len();
+        Some(answers.into_iter().map(|sets| (end, sets)).collect())
     })
 }
 
