@@ -390,8 +390,9 @@ fn build_left_deep(order: &[usize], operands: &mut [RaTree]) -> RaTree {
 // Compiled plans: lowering onto the physical operator executor.
 // ---------------------------------------------------------------------------
 
+use spanner_vset::join::{join_with_options, JoinOptions};
 use spanner_vset::scan::contains_factor;
-use spanner_vset::{join, CompiledVsa, Vsa};
+use spanner_vset::{CompiledVsa, Vsa};
 
 /// A compiled plan: the document-independent parts of an RA tree are
 /// compiled into shared automata and the whole tree is lowered onto the
@@ -402,18 +403,21 @@ use spanner_vset::{join, CompiledVsa, Vsa};
 /// [`CompiledPlan::compile`] does not build a static join whose Lemma 3.2
 /// product provably fits [`MAX_STATES`]: the join runs as a
 /// [`PhysOp::HashJoin`] over its operands' compiled scans until the plan
-/// has been asked for [`BUILD_AT_DOCS`] documents, or until
+/// has been asked for [`BUILD_AT_DOCS`] documents, until a document
+/// makes one of its relations pass [`DEFERRED_ROWS`] mappings, or until
 /// [`CompiledPlan::build_products`]. Then every deferred product is built,
-/// once, and evaluation moves to the lowering with each static subtree one
-/// automaton. A one-shot program over a few documents never pays for a
-/// product. [`CompiledPlan::prepare`] builds every product at compile time,
-/// for a program kept for reuse.
+/// once, from the automata the compile made, and evaluation moves to the
+/// lowering with each static subtree one automaton. A one-shot program
+/// over a few documents never pays for a product.
+/// [`CompiledPlan::prepare`] builds every product at compile time, for a
+/// program kept for reuse.
 ///
 /// The lowering a plan compiled to is its *screen* for life: the document
 /// pre-pass and the required literals a store prunes on are its, before
 /// the build and after, so a plan's tallies and candidate sets do not
-/// change when its products are built. Answers are the same from either
-/// lowering.
+/// change when its products are built. Answers are the built lowering's
+/// on either: a document the hash join cannot answer within
+/// [`DEFERRED_ROWS`] is answered by the built one.
 ///
 /// `CompiledPlan` is `Send + Sync`: one plan can be shared by any number
 /// of worker threads (the `spanner-corpus` engine does exactly that).
@@ -436,8 +440,8 @@ pub struct CompiledPlan {
 
 /// The join products a plan has yet to build (see [`CompiledPlan`]).
 struct Deferred {
-    /// The instantiation the products are built from.
-    inst: Instantiation,
+    /// What builds them.
+    recipe: Recipe,
     /// Documents the plan has been asked to evaluate so far.
     docs: usize,
 }
@@ -448,6 +452,8 @@ struct Deferred {
 pub struct Tier<'a> {
     plan: &'a CompiledPlan,
     lowering: &'a PhysicalPlan,
+    /// Whether `lowering` is the one with products deferred.
+    deferred: bool,
 }
 
 /// What [`Tier::evaluate_screened`] did with one document.
@@ -461,28 +467,78 @@ pub enum Screened<O> {
 
 /// Intermediate result of plan construction: a static automaton
 /// (document-independent so far, still growable by further static
-/// algebra), a static subtree lowered with its join products deferred, or
-/// an already-lowered physical operator.
+/// algebra), a subtree lowered with join products deferred, or an
+/// already-lowered physical operator.
 enum Built {
     Static(Vsa),
-    /// The subtree's hash-join lowering, its variables, and a bound on the
-    /// states of the automaton the build makes of it.
+    /// A subtree with a deferred join product: its lowering until the
+    /// build, what the build makes of it, and — for a static subtree — its
+    /// variables and a bound on the states of the automaton it builds to.
     Deferred {
         op: PhysOp,
-        vars: VarSet,
-        states: usize,
+        recipe: Recipe,
+        shape: Option<(VarSet, usize)>,
     },
     Dynamic(PhysOp),
 }
 
+/// How a subtree with deferred join products is built: the automata and
+/// operators the compile made for it, put together as a compile that
+/// defers nothing puts them ([`Recipe::build`]). Nothing is resolved or
+/// compiled twice.
+enum Recipe {
+    Static(Vsa),
+    Dynamic(PhysOp),
+    Project(VarSet, Box<Recipe>),
+    Union(Box<Recipe>, Box<Recipe>),
+    Join(Box<Recipe>, Box<Recipe>),
+    Difference(Box<Recipe>, Box<Recipe>),
+}
+
+impl Recipe {
+    /// The subtree with every product built: what [`CompiledPlan::prepare`]
+    /// builds from the same tree. The automata are cloned, so a failed
+    /// build can be asked for again.
+    fn build(&self, options: RaOptions) -> SpannerResult<Built> {
+        let build = |recipe: &Recipe| recipe.build(options);
+        match self {
+            Recipe::Static(vsa) => Ok(Built::Static(vsa.clone())),
+            Recipe::Dynamic(op) => Ok(Built::Dynamic(op.clone())),
+            Recipe::Project(keep, child) => Ok(project(keep, build(child)?)),
+            Recipe::Union(l, r) => union(build(l)?, build(r)?, options),
+            Recipe::Join(l, r) => join(build(l)?, build(r)?, options, false),
+            Recipe::Difference(l, r) => difference(build(l)?, build(r)?, options),
+        }
+    }
+}
+
 impl Built {
     /// Finalizes into a physical operator; a static subtree becomes a
-    /// compiled scan here, which is the only place automata are compiled —
-    /// every leaf of the operator tree is therefore compiled exactly once.
+    /// compiled scan here or in [`Built::lower`], the only places automata
+    /// are compiled — every leaf of the operator tree is therefore
+    /// compiled exactly once.
     fn into_op(self, options: RaOptions) -> SpannerResult<PhysOp> {
         match self {
             Built::Static(vsa) => compiled_scan(&vsa, options),
             Built::Deferred { op, .. } | Built::Dynamic(op) => Ok(op),
+        }
+    }
+
+    /// [`Built::into_op`], and the recipe of the subtree as an operand of
+    /// a deferred product.
+    fn lower(self, options: RaOptions) -> SpannerResult<(PhysOp, Recipe)> {
+        Ok(match self {
+            Built::Static(vsa) => (compiled_scan(&vsa, options)?, Recipe::Static(vsa)),
+            Built::Deferred { op, recipe, .. } => (op, recipe),
+            Built::Dynamic(op) => (op.clone(), Recipe::Dynamic(op)),
+        })
+    }
+
+    /// The subtree with its deferred products built now.
+    fn into_built(self, options: RaOptions) -> SpannerResult<Built> {
+        match self {
+            Built::Deferred { recipe, .. } => recipe.build(options),
+            built => Ok(built),
         }
     }
 
@@ -491,7 +547,7 @@ impl Built {
     fn static_shape(&self) -> Option<(&VarSet, usize)> {
         match self {
             Built::Static(vsa) => Some((vsa.vars(), vsa.state_count())),
-            Built::Deferred { vars, states, .. } => Some((vars, *states)),
+            Built::Deferred { shape, .. } => shape.as_ref().map(|(vars, states)| (vars, *states)),
             Built::Dynamic(_) => None,
         }
     }
@@ -507,13 +563,25 @@ const MAX_STATES: usize = 32_768;
 /// The documents after which a plan builds its deferred join products:
 /// once it has been asked for this many in all, the selection that
 /// reaches it included, the products are built before that selection is
-/// evaluated. On `store-adhoc`'s join template over matching lines,
-/// building the product, compiling it and extracting its literals costs
-/// ≈ 75 µs, and a line ≈ 3.7 µs on the hash join against ≈ 1.3 µs on the
-/// product: the two break even at 31 lines, and the product won from 32
-/// on (DESIGN §3 has the table). A constant, not an option: it follows
-/// the engine, not the query.
-pub const BUILD_AT_DOCS: usize = 32;
+/// evaluated. Placed on `store-adhoc`'s join template over matching
+/// lines, where the `ql/break-even/*` rows measure the build at 43–91 µs
+/// and a line at 2.1–4.2 µs on the hash join against 0.6–1.4 µs on the
+/// product, as the machine's speed moves. In yardsticks the build has
+/// paid for itself after 20–30 lines, 24 in the median of 17 runs.
+/// Measured on that template only; a larger product costs more to build
+/// (DESIGN §3). A constant, not an option: it follows the engine, not the
+/// query.
+pub const BUILD_AT_DOCS: usize = 24;
+
+/// The most mappings a relation may hold on the hash-join lowering of a
+/// plan with deferred products: a document on which one passes this
+/// builds the products and is answered by the built lowering, under
+/// `max_signatures`. So the hash join's operand relations, which the
+/// product never materializes, cannot change an answer, and the deferral
+/// stops where it stops paying: the hash join of `.*{x:.*}.*` and
+/// `.*{x:needle}.*` materializes a mapping in ≈ 0.6 µs, and 128 of them
+/// cost about one build of `store-adhoc`'s join product.
+const DEFERRED_ROWS: usize = 128;
 
 /// The most states the Lemma 3.2 product of operands of `left` and `right`
 /// states sharing `shared` variables can have. A product state pairs two
@@ -563,6 +631,127 @@ fn push_union_input(op: PhysOp, out: &mut Vec<PhysOp>) {
     }
 }
 
+/// `π_keep` over a lowered subtree: at the automaton level for a static
+/// one, before any product construction (the planner pushed it down for
+/// exactly that reason).
+fn project(keep: &VarSet, child: Built) -> Built {
+    match child {
+        Built::Static(vsa) => Built::Static(vsa.project(keep)),
+        Built::Deferred { op, recipe, shape } => Built::Deferred {
+            op: project_op(keep, op),
+            recipe: Recipe::Project(keep.clone(), Box::new(recipe)),
+            shape: shape.map(|(vars, states)| (vars.intersection(keep), states)),
+        },
+        Built::Dynamic(op) => Built::Dynamic(project_op(keep, op)),
+    }
+}
+
+/// The union of two lowered subtrees. Two static ones are one automaton
+/// with one more initial state; so is a static subtree with a deferred
+/// product, once it is built, and a union that may pass [`MAX_STATES`]
+/// then is built now, to be refused where it is compiled.
+fn union(left: Built, right: Built, options: RaOptions) -> SpannerResult<Built> {
+    if let (Built::Static(a), Built::Static(b)) = (&left, &right) {
+        return Ok(Built::Static(a.union(b)));
+    }
+    let shape = left.static_shape().zip(right.static_shape());
+    let shape = shape.map(|((lv, ls), (rv, rs))| (lv.union(rv), ls + rs + 1));
+    if matches!(shape, Some((_, states)) if states > MAX_STATES) {
+        return union(
+            left.into_built(options)?,
+            right.into_built(options)?,
+            options,
+        );
+    }
+    let union_all = |left, right| {
+        let mut inputs = Vec::new();
+        push_union_input(left, &mut inputs);
+        push_union_input(right, &mut inputs);
+        PhysOp::UnionAll(inputs)
+    };
+    combine(left, right, options, shape, union_all, Recipe::Union)
+}
+
+/// The join of two lowered subtrees. Two static ones keep the paper's FPT
+/// product (Lemma 3.2): the automaton compiles once, the shared-variable
+/// bound governs its size and `MAX_STATES` caps its build. With `defer`, a
+/// product that provably fits the cap is deferred instead: the join is a
+/// hash join of the operands' lowerings until the plan builds it. A
+/// deferred operand of a product that may not fit is built now.
+fn join(left: Built, right: Built, options: RaOptions, defer: bool) -> SpannerResult<Built> {
+    if let Some(shape) = defer.then(|| product_fits(&left, &right)).flatten() {
+        let (left, left_recipe) = left.lower(options)?;
+        let (right, right_recipe) = right.lower(options)?;
+        return Ok(Built::Deferred {
+            op: hash_join(left, right),
+            recipe: Recipe::Join(Box::new(left_recipe), Box::new(right_recipe)),
+            shape: Some(shape),
+        });
+    }
+    match (left, right) {
+        (Built::Static(a), Built::Static(b)) => {
+            let options = JoinOptions {
+                max_states: MAX_STATES,
+            };
+            Ok(Built::Static(join_with_options(&a, &b, options)?))
+        }
+        (left, right) if left.static_shape().is_some() && right.static_shape().is_some() => join(
+            left.into_built(options)?,
+            right.into_built(options)?,
+            options,
+            false,
+        ),
+        (left, right) => combine(left, right, options, None, hash_join, Recipe::Join),
+    }
+}
+
+/// `left \ right`, always a physical anti-join: both operands are lowered
+/// (compiling their static parts once) and the probe side is evaluated as
+/// a relation — no per-document product automaton (Theorem 4.8) is
+/// composed in a plan.
+fn difference(left: Built, right: Built, options: RaOptions) -> SpannerResult<Built> {
+    let anti_join = |input, probe| PhysOp::Difference {
+        input: Box::new(input),
+        probe: Box::new(probe),
+    };
+    combine(left, right, options, None, anti_join, Recipe::Difference)
+}
+
+/// Two lowered subtrees under one relational operator: deferred, with the
+/// recipe `recipe` makes of theirs, when either holds a deferred product.
+/// Under a dynamic operator (no `shape`), a static operand is the same
+/// compiled scan built or not, so its recipe is that scan.
+fn combine(
+    left: Built,
+    right: Built,
+    options: RaOptions,
+    shape: Option<(VarSet, usize)>,
+    op: impl FnOnce(PhysOp, PhysOp) -> PhysOp,
+    recipe: fn(Box<Recipe>, Box<Recipe>) -> Recipe,
+) -> SpannerResult<Built> {
+    let deferring = |built: &Built| matches!(built, Built::Deferred { .. });
+    if !deferring(&left) && !deferring(&right) {
+        return Ok(Built::Dynamic(op(
+            left.into_op(options)?,
+            right.into_op(options)?,
+        )));
+    }
+    let operand = |built: Built| {
+        let (op, recipe) = built.lower(options)?;
+        Ok::<_, SpannerError>(match recipe {
+            Recipe::Static(_) if shape.is_none() => (op.clone(), Recipe::Dynamic(op)),
+            recipe => (op, recipe),
+        })
+    };
+    let (left, left_recipe) = operand(left)?;
+    let (right, right_recipe) = operand(right)?;
+    Ok(Built::Deferred {
+        op: op(left, right),
+        recipe: recipe(Box::new(left_recipe), Box::new(right_recipe)),
+        shape,
+    })
+}
+
 impl CompiledPlan {
     /// Optimizes (unless `options.optimize` is off) and compiles an
     /// instantiated RA tree, lowering it onto the physical executor with
@@ -596,16 +785,16 @@ impl CompiledPlan {
         } else {
             tree.clone()
         };
-        let mut deferring = false;
-        let root = Self::build(&tree, inst, options, defer.then_some(&mut deferring))?;
+        let root = Self::build(&tree, inst, options, defer)?;
         let is_static = root.static_shape().is_some();
-        let compiled = Self::physical_plan(root.into_op(options)?, options);
-        let (built, deferred) = match deferring {
-            true => {
-                let inst = inst.clone();
-                (OnceLock::new(), Some(Deferred { inst, docs: 0 }))
-            }
-            false => (OnceLock::from(compiled.clone()), None),
+        let (root, deferred) = match root {
+            Built::Deferred { op, recipe, .. } => (op, Some(Deferred { recipe, docs: 0 })),
+            root => (root.into_op(options)?, None),
+        };
+        let compiled = Self::physical_plan(root, options);
+        let built = match deferred {
+            Some(_) => OnceLock::new(),
+            None => OnceLock::from(compiled.clone()),
         };
         Ok(CompiledPlan {
             tree,
@@ -625,130 +814,63 @@ impl CompiledPlan {
         PhysicalPlan::with_limit(root, options.max_signatures)
     }
 
-    /// Lowers `tree`. While `deferring`, a join of two static operands
-    /// whose product provably fits [`MAX_STATES`] is lowered as a hash join
-    /// of their compiled scans, and the flag is set. Otherwise every static
+    /// Lowers `tree`; with `defer`, a join product that provably fits
+    /// [`MAX_STATES`] is deferred (see [`join`]). Otherwise every static
     /// subtree becomes one automaton, and a product past the cap is refused
     /// while it is built.
     fn build(
         tree: &RaTree,
         inst: &Instantiation,
         options: RaOptions,
-        mut deferring: Option<&mut bool>,
+        defer: bool,
     ) -> SpannerResult<Built> {
-        Ok(match tree {
-            RaTree::Leaf(id) => match resolve_atom(inst, *id)? {
+        let build = |tree| Self::build(tree, inst, options, defer);
+        match tree {
+            RaTree::Leaf(id) => Ok(match resolve_atom(inst, *id)? {
                 Atom::BlackBox(s) => Built::Dynamic(PhysOp::BlackBoxScan(Arc::clone(s))),
                 atom => Built::Static(compile_static_atom(*id, atom)?),
-            },
-            RaTree::Project(keep, child) => {
-                match Self::build(child, inst, options, deferring)? {
-                    // Static projection happens at the automaton level,
-                    // before any product construction (the planner pushed
-                    // it down for exactly that reason).
-                    Built::Static(vsa) => Built::Static(vsa.project(keep)),
-                    Built::Deferred { op, vars, states } => Built::Deferred {
-                        op: project_op(keep, op),
-                        vars: vars.intersection(keep),
-                        states,
-                    },
-                    Built::Dynamic(op) => Built::Dynamic(project_op(keep, op)),
-                }
-            }
-            RaTree::Union(l, r) => {
-                let left = Self::build(l, inst, options, deferring.as_deref_mut())?;
-                let right = Self::build(r, inst, options, deferring)?;
-                match (left, right) {
-                    (Built::Static(a), Built::Static(b)) => Built::Static(a.union(&b)),
-                    (left, right) => {
-                        // The automaton union adds one initial state.
-                        let shape = left.static_shape().zip(right.static_shape());
-                        let shape = shape.map(|((lv, ls), (rv, rs))| (lv.union(rv), ls + rs + 1));
-                        let mut inputs = Vec::new();
-                        push_union_input(left.into_op(options)?, &mut inputs);
-                        push_union_input(right.into_op(options)?, &mut inputs);
-                        let op = PhysOp::UnionAll(inputs);
-                        match shape {
-                            Some((vars, states)) => Built::Deferred { op, vars, states },
-                            None => Built::Dynamic(op),
-                        }
-                    }
-                }
-            }
-            RaTree::Join(l, r) => {
-                let left = Self::build(l, inst, options, deferring.as_deref_mut())?;
-                let right = Self::build(r, inst, options, deferring.as_deref_mut())?;
-                if let Some(deferred) = deferring {
-                    if let Some((vars, states)) = product_fits(&left, &right) {
-                        *deferred = true;
-                        let op = hash_join(left.into_op(options)?, right.into_op(options)?);
-                        return Ok(Built::Deferred { op, vars, states });
-                    }
-                }
-                match (left, right) {
-                    // Static joins keep the paper's FPT product (Lemma 3.2):
-                    // the automaton compiles once, the shared-variable bound
-                    // governs its size and `MAX_STATES` caps its build.
-                    (Built::Static(a), Built::Static(b)) => {
-                        let options = join::JoinOptions {
-                            max_states: MAX_STATES,
-                        };
-                        Built::Static(join::join_with_options(&a, &b, options)?)
-                    }
-                    (left, right)
-                        if left.static_shape().is_none() || right.static_shape().is_none() =>
-                    {
-                        Built::Dynamic(hash_join(left.into_op(options)?, right.into_op(options)?))
-                    }
-                    // A deferred operand of a product that may not fit: the
-                    // subtree's products are built now, as when nothing is
-                    // deferred.
-                    _ => return Self::build(tree, inst, options, None),
-                }
-            }
-            RaTree::Difference(l, r) => {
-                // Difference is always a physical anti-join: both operands
-                // are lowered (compiling their static parts once) and the
-                // probe side is evaluated as a relation — no per-document
-                // product automaton (Theorem 4.8) is composed in a plan.
-                let left = Self::build(l, inst, options, deferring.as_deref_mut())?;
-                let right = Self::build(r, inst, options, deferring)?;
-                Built::Dynamic(PhysOp::Difference {
-                    input: Box::new(left.into_op(options)?),
-                    probe: Box::new(right.into_op(options)?),
-                })
-            }
-        })
+            }),
+            RaTree::Project(keep, child) => Ok(project(keep, build(child)?)),
+            RaTree::Union(l, r) => union(build(l)?, build(r)?, options),
+            RaTree::Join(l, r) => join(build(l)?, build(r)?, options, defer),
+            RaTree::Difference(l, r) => difference(build(l)?, build(r)?, options),
+        }
     }
 
     /// Builds the deferred join products, if any are left: what `prepare`
     /// and `explain` ask for of a program compiled for one request, so
     /// that it runs — and is described as — the lowering with every
     /// product built. Called once or many times, by one thread or several,
-    /// the products are built once.
-    pub fn build_products(&self) {
-        if self.built.get().is_none() {
-            self.build_deferred(&mut self.lock_deferred());
+    /// the products are built once. A build that fails (none does: every
+    /// deferred product is bounded under the state cap) leaves the plan on
+    /// its hash-join lowering and is reported.
+    pub fn build_products(&self) -> SpannerResult<()> {
+        self.built_lowering().map(|_| ())
+    }
+
+    /// The lowering with every product built, built now if need be.
+    fn built_lowering(&self) -> SpannerResult<&PhysicalPlan> {
+        match self.built.get() {
+            Some(built) => Ok(built),
+            None => self.build_deferred(&mut self.lock_deferred()),
         }
     }
 
-    /// Builds the products `deferred` holds the inputs of, under its lock.
-    fn build_deferred(&self, deferred: &mut Option<Deferred>) {
-        let Some(Deferred { inst, .. }) = deferred.as_ref() else {
-            return;
-        };
-        let root = Self::build(&self.tree, inst, self.options, None)
-            .and_then(|root| root.into_op(self.options))
-            .expect("a deferred product is bounded under MAX_STATES when the plan compiles");
-        // Set under the lock, before the inputs go: a caller that finds no
-        // inputs finds the built lowering.
-        let _ = self.built.set(Self::physical_plan(root, self.options));
-        *deferred = None;
+    /// Builds the products `deferred` holds the recipe of, under its lock.
+    fn build_deferred(&self, deferred: &mut Option<Deferred>) -> SpannerResult<&PhysicalPlan> {
+        if let Some(waiting) = deferred.as_ref() {
+            let root = waiting.recipe.build(self.options)?.into_op(self.options)?;
+            // Set under the lock, before the recipe goes: a caller that
+            // finds no recipe finds the built lowering.
+            let _ = self.built.set(Self::physical_plan(root, self.options));
+            *deferred = None;
+        }
+        Ok(self.built.get().expect("built before the recipe went"))
     }
 
     fn lock_deferred(&self) -> MutexGuard<'_, Option<Deferred>> {
-        // Every update leaves the inputs valid: a count that grew, or a
-        // build that set the lowering before the inputs went.
+        // Every update leaves the recipe valid: a count that changed, or a
+        // build that set the lowering before the recipe went.
         self.deferred.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -759,28 +881,31 @@ impl CompiledPlan {
     /// it is evaluated, so a large one-shot scan runs on them from its
     /// first document.
     pub fn select(&self, docs: usize) -> Tier<'_> {
-        let lowering = match self.built.get() {
-            Some(built) => built,
-            None => self.count(docs),
-        };
-        Tier {
+        let tier = |lowering, deferred| Tier {
             plan: self,
             lowering,
+            deferred,
+        };
+        if let Some(built) = self.built.get() {
+            return tier(built, false);
         }
-    }
-
-    /// [`CompiledPlan::select`] on a plan whose products were not built
-    /// when it was asked.
-    fn count(&self, docs: usize) -> &PhysicalPlan {
         let mut deferred = self.lock_deferred();
         if let Some(waiting) = deferred.as_mut() {
             waiting.docs = waiting.docs.saturating_add(docs);
             if waiting.docs < BUILD_AT_DOCS {
-                return &self.compiled;
+                return tier(&self.compiled, true);
             }
-            self.build_deferred(&mut deferred);
         }
-        self.built.get().expect("built before the inputs went")
+        match self.build_deferred(&mut deferred) {
+            Ok(built) => tier(built, false),
+            Err(_) => {
+                // Counted again before the next attempt.
+                if let Some(waiting) = deferred.as_mut() {
+                    waiting.docs = 0;
+                }
+                tier(&self.compiled, true)
+            }
+        }
     }
 
     /// Evaluates the plan on one document through the physical executor.
@@ -802,12 +927,22 @@ impl CompiledPlan {
     /// built; a difference root against a probe side materialized at open,
     /// its first answer early but with no delay bound beyond its input's;
     /// any other root evaluated at open, under `max_signatures` as
-    /// [`CompiledPlan::evaluate`] runs it, and drained.
+    /// [`CompiledPlan::evaluate`] runs it, and drained. On the hash-join
+    /// lowering, a document it cannot open a stream on is streamed off the
+    /// built one, as [`Tier::evaluate_screened`] evaluates it.
     pub fn stream<'a>(&'a self, doc: &'a Document) -> SpannerResult<OpStream<'a>> {
         let tier = self.select(1);
-        tier.lowering
-            .root()
-            .stream_bounded(doc, self.options.max_signatures)
+        let limit = self.options.max_signatures;
+        if !tier.deferred {
+            return tier.lowering.root().stream_bounded(doc, limit);
+        }
+        let deferred = tier.lowering.root();
+        deferred
+            .stream_bounded(doc, limit.min(DEFERRED_ROWS))
+            .or_else(|_| match self.built_lowering() {
+                Ok(built) => built.root().stream_bounded(doc, limit),
+                Err(_) => deferred.stream_bounded(doc, limit),
+            })
     }
 
     /// Byte strings every document with a non-empty result must contain
@@ -884,6 +1019,12 @@ impl<'a> Tier<'a> {
         Screened::Evaluated(result, observed)
     }
 
+    /// Executes the selection's lowering on `doc`. On the hash-join
+    /// lowering, every relation is held to [`DEFERRED_ROWS`] mappings; a
+    /// document that passes it, or fails there otherwise, builds the
+    /// products and is answered by the built lowering, so the hash join
+    /// never changes an answer. The observation stays the hash-join
+    /// lowering's, the shape every document of the selection reports.
     fn execute_observed<O: Observer>(
         &self,
         doc: &Document,
@@ -891,7 +1032,19 @@ impl<'a> Tier<'a> {
     ) -> (SpannerResult<MappingSet>, O) {
         let root = self.lowering.root();
         let limit = self.plan.options.max_signatures;
-        O::observe(root, |obs| root.execute(doc, limit, prescanned, obs))
+        if !self.deferred {
+            return O::observe(root, |obs| root.execute(doc, limit, prescanned, obs));
+        }
+        let rows = limit.min(DEFERRED_ROWS);
+        let (result, observed) = O::observe(root, |obs| root.execute(doc, rows, prescanned, obs));
+        if result.is_ok() {
+            return (result, observed);
+        }
+        let result = match self.plan.built_lowering() {
+            Ok(built) => built.root().execute(doc, limit, false, &mut NoTrace),
+            Err(_) => root.execute(doc, limit, prescanned, &mut NoTrace),
+        };
+        (result, observed)
     }
 }
 
@@ -1032,7 +1185,7 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         assert!(root_is_one_scan(&plan));
-        plan.build_products();
+        plan.build_products().unwrap();
         let built = address(plan.select(1));
         assert!(roots.iter().all(|&root| root == built), "built twice");
         assert_eq!(plan.evaluate(&doc).unwrap(), answer);
@@ -1050,7 +1203,7 @@ mod tests {
         assert!(root_is_one_scan(&plan));
         // `prepare` and `explain` build whatever the count says.
         let plan = needle_join();
-        plan.build_products();
+        plan.build_products().unwrap();
         assert!(root_is_one_scan(&plan));
         // A plan prepared for reuse defers nothing.
         let prepared = CompiledPlan::prepare(&plan.tree, &needle_inst(), RaOptions::default());
@@ -1070,6 +1223,60 @@ mod tests {
         let err = CompiledPlan::compile(&tree, &inst, RaOptions::default()).unwrap_err();
         let message = err.to_string();
         assert!(message.contains("join product states"), "{message}");
+    }
+
+    #[test]
+    fn a_union_that_may_not_fit_is_built_and_refused_at_compile_time() {
+        // A leaf just under the cap, united with the needle join: the
+        // union's bound passes the cap, so the product is built now, and
+        // the union automaton, past the cap, is refused where it compiles.
+        let class = "[ab]".repeat(MAX_STATES - 30);
+        let big = parse(&format!(".*{{x:needle}}{{y:{class}}}.*")).unwrap();
+        let tree = RaTree::union(
+            RaTree::leaf(2),
+            RaTree::join(RaTree::leaf(0), RaTree::leaf(1)),
+        );
+        let inst = needle_inst().with(2, big);
+        for defer in [true, false] {
+            let err = CompiledPlan::lower(&tree, &inst, RaOptions::default(), defer).unwrap_err();
+            let message = err.to_string();
+            assert!(message.contains("compiled automaton states"), "{message}");
+        }
+    }
+
+    #[test]
+    fn the_hash_join_never_changes_an_answer() {
+        // Every span of the document on the left: past a 100-mapping
+        // `max_signatures`, and past `DEFERRED_ROWS` on a longer document.
+        // The product only ever holds the joined mapping.
+        let tree = RaTree::join(RaTree::leaf(0), RaTree::leaf(1));
+        let inst = Instantiation::new()
+            .with(0, parse(".*{x:.*}.*").unwrap())
+            .with(1, parse(".*{x:needle}.*").unwrap());
+        let tight = RaOptions {
+            max_signatures: 100,
+            ..RaOptions::default()
+        };
+        let short = Document::new("hay, hay and a needle");
+        let long = Document::new(format!("{} needle", "hay ".repeat(12)));
+        for (options, doc) in [(tight, &short), (RaOptions::default(), &long)] {
+            let prepared = CompiledPlan::prepare(&tree, &inst, options).unwrap();
+            let answer = prepared.evaluate(doc).unwrap();
+            assert_eq!(answer.len(), 1);
+            let plan = CompiledPlan::compile(&tree, &inst, options).unwrap();
+            assert!(matches!(plan.physical().root(), PhysOp::HashJoin { .. }));
+            assert_eq!(plan.evaluate(doc).unwrap(), answer);
+            // The document built the products.
+            assert!(root_is_one_scan(&plan));
+            let plan = CompiledPlan::compile(&tree, &inst, options).unwrap();
+            let streamed: SpannerResult<MappingSet> = plan.stream(doc).unwrap().collect();
+            assert_eq!(streamed.unwrap(), answer);
+            let plan = CompiledPlan::compile(&tree, &inst, options).unwrap();
+            match plan.select(1).evaluate_screened::<NoTrace>(doc) {
+                Screened::Evaluated(result, NoTrace) => assert_eq!(result.unwrap(), answer),
+                Screened::Empty => panic!("screened out"),
+            }
+        }
     }
 
     #[test]

@@ -312,8 +312,8 @@ pub fn ql(run: &mut Run) {
 /// The join template of `bench/`'s `store-adhoc` over the planted needle.
 const NEEDLE_JOIN: &str = "let a = /.*{x:needle}{y:[a-z ]}.*/; let b = /.*{x:needle}.*/; a join b;";
 
-/// Documents of the `ql/break-even/*` rows.
-const BREAK_EVEN_DOCS: [usize; 7] = [1, 16, 24, 32, 48, 64, 256];
+/// Needle lines of the `ql/break-even/*/lines-256` rows.
+const BREAK_EVEN_LINES: usize = 256;
 
 /// The automaton `CompiledPlan` builds for a tree of joins: its leaves'
 /// automata joined by the Lemma 3.2 product.
@@ -331,16 +331,20 @@ fn joined(tree: &RaTree, leaves: &[Vsa]) -> Vsa {
 /// extraction, and the rest (parse, lower, optimize, the leaves'
 /// automata). `ql/oneshot/join/*` is `store-adhoc`'s join template
 /// compiled and evaluated over 10 needle lines, as a never-seen program is,
-/// with its product deferred and built. `ql/break-even/*` compiles the
-/// template and evaluates `n` needle lines on the hash-join lowering
-/// (`deferred`) or on the product (`built`, its build included): the
-/// smallest `n` where `built` wins is
-/// [`BUILD_AT_DOCS`](spanner_algebra::BUILD_AT_DOCS)'s measure.
+/// with its product deferred and built. `ql/break-even/*` times what
+/// placed [`BUILD_AT_DOCS`](spanner_algebra::BUILD_AT_DOCS) on that
+/// template: the product's build, and 256 needle lines on the hash-join
+/// lowering (`deferred`) and on the product (`built`). The build over the
+/// saving per line, in yardsticks, is the number of lines after which the
+/// product has paid for itself.
 fn deferred_products(run: &mut Run) {
     let chain = ["product", "compile", "rest"].map(|p| format!("ql/prepare/chain/{p}"));
     let oneshot = ["deferred", "built"].map(|p| format!("ql/oneshot/join/{p}"));
-    let named = |n: usize| move |how| format!("ql/break-even/{how}/docs-{n}");
-    let break_even = BREAK_EVEN_DOCS.map(|n| ["deferred", "built"].map(named(n)));
+    let lines = |how| format!("ql/break-even/{how}/lines-{BREAK_EVEN_LINES}");
+    let break_even = (
+        "ql/break-even/build".to_string(),
+        ["deferred", "built"].map(lines),
+    );
     let Some((chain, (oneshot, break_even))) = run.rows((chain, (oneshot, break_even))) else {
         return;
     };
@@ -365,12 +369,14 @@ fn deferred_products(run: &mut Run) {
     });
     run.measure(by_rest, || lower(CHAIN_QUERY).1.len());
 
-    let needles: Vec<Document> = (0..256).map(|i| needle_line(true, i)).collect();
+    let needles: Vec<Document> = (0..BREAK_EVEN_LINES as u64)
+        .map(|i| needle_line(true, i))
+        .collect();
     let [deferred, built] = &oneshot;
     let answer = |build: bool| {
         let query = PreparedQuery::compile(NEEDLE_JOIN, RaOptions::default()).unwrap();
         if build {
-            query.plan().build_products();
+            query.plan().build_products().unwrap();
         }
         query.scan_corpus(&needles[..10], 1).unwrap().stats.mappings
     };
@@ -379,11 +385,16 @@ fn deferred_products(run: &mut Run) {
     assert_eq!(deferred.count, built.count, "the two lowerings must agree");
 
     let (tree, _, inst) = lower(NEEDLE_JOIN);
-    let evaluate = |n: usize, build: bool| {
-        let plan = CompiledPlan::compile(&tree, &inst, RaOptions::default()).unwrap();
-        if build {
-            plan.build_products();
-        }
+    let compile = || CompiledPlan::compile(&tree, &inst, RaOptions::default()).unwrap();
+    let (by_build, [by_deferred, by_built]) = &break_even;
+    let build = run.measure_from(by_build, |start| {
+        let plan = compile();
+        *start = Instant::now();
+        plan.build_products().unwrap();
+        plan.physical().root().operator_count()
+    });
+    assert_eq!(build.count, 1, "the product is one scan");
+    let evaluate = |plan: &CompiledPlan| {
         // The current lowering, without counting the documents towards
         // the build.
         let lowering = plan.select(0);
@@ -391,26 +402,20 @@ fn deferred_products(run: &mut Run) {
             Screened::Empty => 0,
             Screened::Evaluated(set, NoTrace) => set.unwrap().len(),
         };
-        needles[..n].iter().map(mappings).sum()
+        needles.iter().map(mappings).sum()
     };
-    let mut wins = Vec::new();
-    for (n, [deferred, built]) in BREAK_EVEN_DOCS.into_iter().zip(&break_even) {
-        let deferred = run.measure(deferred, || evaluate(n, false));
-        let built = run.measure(built, || evaluate(n, true));
-        assert_eq!(deferred.count, built.count, "the two lowerings must agree");
-        wins.push((n, built.median_ns < deferred.median_ns));
-    }
-    println!("    the built product wins at {wins:?} documents");
-    // ≈ 0.5x at one document, ≈ 2x at 256 when written.
-    assert_eq!(
-        wins.first(),
-        Some(&(1, false)),
-        "a one-shot join pays for its product"
-    );
-    assert_eq!(
-        wins.last(),
-        Some(&(256, true)),
-        "the hash join wins at 256 documents"
+    let plan = compile();
+    let deferred = run.measure(by_deferred, || evaluate(&plan));
+    plan.build_products().unwrap();
+    let built = run.measure(by_built, || evaluate(&plan));
+    assert_eq!(deferred.count, built.count, "the two lowerings must agree");
+    let saved = (deferred.units() - built.units()) / BREAK_EVEN_LINES as f64;
+    let lines = build.units() / saved;
+    println!("    the built product pays for itself after {lines:.0} lines");
+    // 20–30 lines when written.
+    assert!(
+        saved > 0.0 && lines > 1.0 && lines < BREAK_EVEN_LINES as f64,
+        "a one-shot join pays for its product, and a scan of 256 lines does not"
     );
 }
 

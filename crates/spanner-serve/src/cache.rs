@@ -219,7 +219,9 @@ impl QueryCache {
         options: RaOptions,
     ) -> Result<(Arc<PreparedQuery>, bool), QlError> {
         let found = self.lookup(program, options, PreparedQuery::prepare_with_options)?;
-        found.0.plan().build_products();
+        if found.1 {
+            found.0.plan().build_products()?;
+        }
         Ok(found)
     }
 

@@ -911,6 +911,35 @@ fn a_never_seen_join_answers_as_its_prepared_product() {
     handle.join().unwrap().unwrap();
 }
 
+/// A never-seen join whose left operand holds every span of the document:
+/// its hash-join lowering would materialize them, past the daemon's
+/// relation limit, where the product holds only the joined mapping. The
+/// never-seen query answers as the prepared program does.
+#[test]
+fn a_never_seen_join_answers_as_its_product_past_the_relation_limit() {
+    let (addr, handle) = start(ServeOptions {
+        ra_options: spanner_algebra::RaOptions {
+            max_signatures: 1000,
+            ..spanner_algebra::RaOptions::default()
+        },
+        ..ServeOptions::default()
+    });
+    let mut client = Client::connect(addr).unwrap();
+    let program = "/.*{x:.*}.*/ join /.*{x:needle}.*/";
+    // 86 bytes: 3 741 spans on the left.
+    let doc = format!("{}needle", "hay ".repeat(20));
+    let cold = client.query(program, &doc).unwrap();
+    assert!(ok(&cold), "{cold}");
+    assert_eq!(cold.get("cached").and_then(Json::as_bool), Some(false));
+    assert_eq!(cold.get("count").and_then(Json::as_usize), Some(1));
+    assert!(ok(&client.prepare(program).unwrap()));
+    let warm = client.query(program, &doc).unwrap();
+    assert_eq!(warm.get("cached").and_then(Json::as_bool), Some(true));
+    assert_eq!(warm.get("mappings"), cold.get("mappings"));
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
 #[test]
 fn concurrent_clients_share_one_cache_entry() {
     const PROGRAM: &str = "let a = /{x:a+}b*/; project x (a);";
