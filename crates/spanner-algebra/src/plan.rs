@@ -39,7 +39,8 @@ use crate::ratree::{
 };
 use spanner_core::{Document, MappingSet, SpannerError, SpannerResult, VarSet};
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Rewrites an instantiated RA tree into an equivalent, cheaper-to-compile
 /// plan (see the module documentation for the rule set).
@@ -409,18 +410,19 @@ use spanner_vset::{CompiledVsa, Vsa};
 /// once, from the automata the compile made, and evaluation moves to the
 /// lowering with each static subtree one automaton. A one-shot program
 /// over a few documents never pays for a product.
-/// [`CompiledPlan::prepare`] builds every product at compile time, for a
+/// [`CompiledPlan::prepare`] is the compile followed by the build, for a
 /// program kept for reuse.
 ///
 /// The lowering a plan compiled to is its *screen* for life: the document
 /// pre-pass and the required literals a store prunes on are its, before
-/// the build and after, so a plan's tallies and candidate sets do not
-/// change when its products are built. Answers are the built lowering's
-/// on either: a document the hash join cannot answer within
-/// [`DEFERRED_ROWS`] is answered by the built one.
+/// the build and after, whichever request compiled it, so a plan's
+/// tallies and candidate sets do not change when its products are built.
+/// Answers are the built lowering's on either: a document the hash join
+/// cannot answer within [`DEFERRED_ROWS`] is answered by the built one.
 ///
 /// `CompiledPlan` is `Send + Sync`: one plan can be shared by any number
-/// of worker threads (the `spanner-corpus` engine does exactly that).
+/// of worker threads (the `spanner-corpus` engine does exactly that), and
+/// only the build takes a lock.
 pub struct CompiledPlan {
     tree: RaTree,
     options: RaOptions,
@@ -433,17 +435,12 @@ pub struct CompiledPlan {
     /// The lowering with every product built: a handle on `compiled` when
     /// nothing was deferred, else set by the build.
     built: OnceLock<PhysicalPlan>,
-    /// While products are deferred, what their build needs; `None` once
-    /// they are built, and when nothing was deferred.
-    deferred: Mutex<Option<Deferred>>,
-}
-
-/// The join products a plan has yet to build (see [`CompiledPlan`]).
-struct Deferred {
-    /// What builds them.
-    recipe: Recipe,
-    /// Documents the plan has been asked to evaluate so far.
-    docs: usize,
+    /// Documents the plan has been asked to evaluate while its products
+    /// are deferred.
+    docs: AtomicUsize,
+    /// What builds the deferred products; `None` once they are built, and
+    /// when nothing was deferred. Only the build takes this lock.
+    recipe: Mutex<Option<Recipe>>,
 }
 
 /// What a selection of documents is evaluated on
@@ -483,9 +480,8 @@ enum Built {
 }
 
 /// How a subtree with deferred join products is built: the automata and
-/// operators the compile made for it, put together as a compile that
-/// defers nothing puts them ([`Recipe::build`]). Nothing is resolved or
-/// compiled twice.
+/// operators the compile made for it, put together with every product
+/// built ([`Recipe::build`]). Nothing is resolved or compiled twice.
 enum Recipe {
     Static(Vsa),
     Dynamic(PhysOp),
@@ -496,9 +492,9 @@ enum Recipe {
 }
 
 impl Recipe {
-    /// The subtree with every product built: what [`CompiledPlan::prepare`]
-    /// builds from the same tree. The automata are cloned, so a failed
-    /// build can be asked for again.
+    /// The subtree with every product built, each static subtree one
+    /// automaton. The automata are cloned, so a failed build can be asked
+    /// for again.
     fn build(&self, options: RaOptions) -> SpannerResult<Built> {
         let build = |recipe: &Recipe| recipe.build(options);
         match self {
@@ -564,7 +560,7 @@ const MAX_STATES: usize = 32_768;
 /// once it has been asked for this many in all, the selection that
 /// reaches it included, the products are built before that selection is
 /// evaluated. Placed on `store-adhoc`'s join template over matching
-/// lines, where the `ql/break-even/*` rows measure the build at 43–91 µs
+/// lines, where the `ql/break-even/adhoc/*` rows measure the build at 43–91 µs
 /// and a line at 2.1–4.2 µs on the hash join against 0.6–1.4 µs on the
 /// product, as the machine's speed moves. In yardsticks the build has
 /// paid for itself after 20–30 lines, 24 in the median of 17 runs.
@@ -674,10 +670,11 @@ fn union(left: Built, right: Built, options: RaOptions) -> SpannerResult<Built> 
 
 /// The join of two lowered subtrees. Two static ones keep the paper's FPT
 /// product (Lemma 3.2): the automaton compiles once, the shared-variable
-/// bound governs its size and `MAX_STATES` caps its build. With `defer`, a
-/// product that provably fits the cap is deferred instead: the join is a
-/// hash join of the operands' lowerings until the plan builds it. A
-/// deferred operand of a product that may not fit is built now.
+/// bound governs its size and `MAX_STATES` caps its build. A product that
+/// provably fits the cap is deferred unless the build asks for it
+/// (`defer` off): the join is a hash join of the operands' lowerings until
+/// the plan builds it. A deferred operand of a product that may not fit is
+/// built now.
 fn join(left: Built, right: Built, options: RaOptions, defer: bool) -> SpannerResult<Built> {
     if let Some(shape) = defer.then(|| product_fits(&left, &right)).flatten() {
         let (left, left_recipe) = left.lower(options)?;
@@ -761,38 +758,19 @@ impl CompiledPlan {
         inst: &Instantiation,
         options: RaOptions,
     ) -> SpannerResult<CompiledPlan> {
-        Self::lower(tree, inst, options, true)
-    }
-
-    /// [`CompiledPlan::compile`] with every join product built now: the
-    /// plan of a program kept for reuse, whose screen is the products'.
-    pub fn prepare(
-        tree: &RaTree,
-        inst: &Instantiation,
-        options: RaOptions,
-    ) -> SpannerResult<CompiledPlan> {
-        Self::lower(tree, inst, options, false)
-    }
-
-    fn lower(
-        tree: &RaTree,
-        inst: &Instantiation,
-        options: RaOptions,
-        defer: bool,
-    ) -> SpannerResult<CompiledPlan> {
         let tree = if options.optimize {
             optimize_ra(tree, inst)?
         } else {
             tree.clone()
         };
-        let root = Self::build(&tree, inst, options, defer)?;
+        let root = Self::build(&tree, inst, options)?;
         let is_static = root.static_shape().is_some();
-        let (root, deferred) = match root {
-            Built::Deferred { op, recipe, .. } => (op, Some(Deferred { recipe, docs: 0 })),
+        let (root, recipe) = match root {
+            Built::Deferred { op, recipe, .. } => (op, Some(recipe)),
             root => (root.into_op(options)?, None),
         };
         let compiled = Self::physical_plan(root, options);
-        let built = match deferred {
+        let built = match recipe {
             Some(_) => OnceLock::new(),
             None => OnceLock::from(compiled.clone()),
         };
@@ -803,8 +781,21 @@ impl CompiledPlan {
             compiled,
             literals: OnceLock::new(),
             built,
-            deferred: Mutex::new(deferred),
+            docs: AtomicUsize::new(0),
+            recipe: Mutex::new(recipe),
         })
+    }
+
+    /// [`CompiledPlan::compile`], then [`CompiledPlan::build_products`]:
+    /// the plan of a program kept for reuse, with the compile's screen.
+    pub fn prepare(
+        tree: &RaTree,
+        inst: &Instantiation,
+        options: RaOptions,
+    ) -> SpannerResult<CompiledPlan> {
+        let plan = Self::compile(tree, inst, options)?;
+        plan.build_products()?;
+        Ok(plan)
     }
 
     fn physical_plan(root: PhysOp, options: RaOptions) -> PhysicalPlan {
@@ -814,17 +805,11 @@ impl CompiledPlan {
         PhysicalPlan::with_limit(root, options.max_signatures)
     }
 
-    /// Lowers `tree`; with `defer`, a join product that provably fits
-    /// [`MAX_STATES`] is deferred (see [`join`]). Otherwise every static
-    /// subtree becomes one automaton, and a product past the cap is refused
-    /// while it is built.
-    fn build(
-        tree: &RaTree,
-        inst: &Instantiation,
-        options: RaOptions,
-        defer: bool,
-    ) -> SpannerResult<Built> {
-        let build = |tree| Self::build(tree, inst, options, defer);
+    /// Lowers `tree`: a join product that provably fits [`MAX_STATES`] is
+    /// deferred (see [`join`]), any other static subtree becomes one
+    /// automaton, and a product past the cap is refused while it is built.
+    fn build(tree: &RaTree, inst: &Instantiation, options: RaOptions) -> SpannerResult<Built> {
+        let build = |tree| Self::build(tree, inst, options);
         match tree {
             RaTree::Leaf(id) => Ok(match resolve_atom(inst, *id)? {
                 Atom::BlackBox(s) => Built::Dynamic(PhysOp::BlackBoxScan(Arc::clone(s))),
@@ -832,46 +817,37 @@ impl CompiledPlan {
             }),
             RaTree::Project(keep, child) => Ok(project(keep, build(child)?)),
             RaTree::Union(l, r) => union(build(l)?, build(r)?, options),
-            RaTree::Join(l, r) => join(build(l)?, build(r)?, options, defer),
+            RaTree::Join(l, r) => join(build(l)?, build(r)?, options, true),
             RaTree::Difference(l, r) => difference(build(l)?, build(r)?, options),
         }
     }
 
     /// Builds the deferred join products, if any are left: what `prepare`
-    /// and `explain` ask for of a program compiled for one request, so
-    /// that it runs — and is described as — the lowering with every
-    /// product built. Called once or many times, by one thread or several,
-    /// the products are built once. A build that fails (none does: every
-    /// deferred product is bounded under the state cap) leaves the plan on
-    /// its hash-join lowering and is reported.
+    /// and `explain` ask for, so that the program runs — and is described
+    /// as — the lowering with every product built. Called once or many
+    /// times, by one thread or several, the products are built once. A
+    /// build that fails (none does: every deferred product is bounded under
+    /// the state cap) leaves the plan on its hash-join lowering and is
+    /// reported.
     pub fn build_products(&self) -> SpannerResult<()> {
         self.built_lowering().map(|_| ())
     }
 
-    /// The lowering with every product built, built now if need be.
+    /// The lowering with every product built, built now if need be: under
+    /// the recipe's lock, so racing callers share one build.
     fn built_lowering(&self) -> SpannerResult<&PhysicalPlan> {
-        match self.built.get() {
-            Some(built) => Ok(built),
-            None => self.build_deferred(&mut self.lock_deferred()),
+        if let Some(built) = self.built.get() {
+            return Ok(built);
         }
-    }
-
-    /// Builds the products `deferred` holds the recipe of, under its lock.
-    fn build_deferred(&self, deferred: &mut Option<Deferred>) -> SpannerResult<&PhysicalPlan> {
-        if let Some(waiting) = deferred.as_ref() {
-            let root = waiting.recipe.build(self.options)?.into_op(self.options)?;
-            // Set under the lock, before the recipe goes: a caller that
-            // finds no recipe finds the built lowering.
+        // The recipe only goes once the lowering is set, so a poisoned
+        // lock still holds a valid one.
+        let mut recipe = self.recipe.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(waiting) = recipe.as_ref() {
+            let root = waiting.build(self.options)?.into_op(self.options)?;
             let _ = self.built.set(Self::physical_plan(root, self.options));
-            *deferred = None;
+            *recipe = None;
         }
         Ok(self.built.get().expect("built before the recipe went"))
-    }
-
-    fn lock_deferred(&self) -> MutexGuard<'_, Option<Deferred>> {
-        // Every update leaves the recipe valid: a count that changed, or a
-        // build that set the lowering before the recipe went.
-        self.deferred.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// What to evaluate a selection of `docs` more documents on, counting
@@ -879,7 +855,7 @@ impl CompiledPlan {
     /// the plan has been asked for [`BUILD_AT_DOCS`] documents in all,
     /// this selection included. That selection builds the products before
     /// it is evaluated, so a large one-shot scan runs on them from its
-    /// first document.
+    /// first document. Counting takes no lock.
     pub fn select(&self, docs: usize) -> Tier<'_> {
         let tier = |lowering, deferred| Tier {
             plan: self,
@@ -889,23 +865,15 @@ impl CompiledPlan {
         if let Some(built) = self.built.get() {
             return tier(built, false);
         }
-        let mut deferred = self.lock_deferred();
-        if let Some(waiting) = deferred.as_mut() {
-            waiting.docs = waiting.docs.saturating_add(docs);
-            if waiting.docs < BUILD_AT_DOCS {
-                return tier(&self.compiled, true);
-            }
-        }
-        match self.build_deferred(&mut deferred) {
-            Ok(built) => tier(built, false),
-            Err(_) => {
+        let asked = self.docs.fetch_add(docs, Ordering::Relaxed);
+        if asked.saturating_add(docs) >= BUILD_AT_DOCS {
+            match self.built_lowering() {
+                Ok(built) => return tier(built, false),
                 // Counted again before the next attempt.
-                if let Some(waiting) = deferred.as_mut() {
-                    waiting.docs = 0;
-                }
-                tier(&self.compiled, true)
+                Err(_) => self.docs.store(0, Ordering::Relaxed),
             }
         }
+        tier(&self.compiled, true)
     }
 
     /// Evaluates the plan on one document through the physical executor.
@@ -1237,8 +1205,8 @@ mod tests {
             RaTree::join(RaTree::leaf(0), RaTree::leaf(1)),
         );
         let inst = needle_inst().with(2, big);
-        for defer in [true, false] {
-            let err = CompiledPlan::lower(&tree, &inst, RaOptions::default(), defer).unwrap_err();
+        for lower in [CompiledPlan::compile, CompiledPlan::prepare] {
+            let err = lower(&tree, &inst, RaOptions::default()).unwrap_err();
             let message = err.to_string();
             assert!(message.contains("compiled automaton states"), "{message}");
         }

@@ -21,7 +21,8 @@ use spanner_serve::Json;
 use spanner_store::{Mutation, Store};
 use spanner_vset::{join, CompiledVsa, PreScan, Vsa};
 use spanner_workloads::{
-    access_log, needle_corpus, needle_line, program_library, random_text, student_records,
+    access_log, needle_corpus, needle_line, needle_padding, program_library, random_text,
+    student_records,
 };
 use std::time::Instant;
 
@@ -312,8 +313,61 @@ pub fn ql(run: &mut Run) {
 /// The join template of `bench/`'s `store-adhoc` over the planted needle.
 const NEEDLE_JOIN: &str = "let a = /.*{x:needle}{y:[a-z ]}.*/; let b = /.*{x:needle}.*/; a join b;";
 
-/// Needle lines of the `ql/break-even/*/lines-256` rows.
+/// Matching lines of the `ql/break-even/*/lines-256` rows.
 const BREAK_EVEN_LINES: usize = 256;
+
+/// The templates of the `ql/break-even/*` rows, static joins whose products
+/// are deferred, each with its matching lines: `store-adhoc`'s join
+/// (`adhoc`), k = 0 joins of two literal captures of 20 × 40, 60 × 120 and
+/// 90 × 150 bytes, a k = 1 join over a word pair, and a k = 0 join of word
+/// runs whose 614-state product is past the literal budget. Every line
+/// keeps the hash join's relations under its 128-mapping limit.
+fn break_even_templates() -> [(&'static str, String, Vec<Document>); 6] {
+    let letters = |len: usize, seed: u64| -> String {
+        let run = needle_padding(4 * len + 16, seed).replace(' ', "");
+        run[..len].to_string()
+    };
+    let lines = |line: &dyn Fn(u64) -> String| {
+        (0..BREAK_EVEN_LINES as u64)
+            .map(|i| Document::new(line(i)))
+            .collect()
+    };
+    let literals = |a: usize, b: usize| {
+        let (x, y) = (letters(a, 1), letters(b, 2));
+        let program = format!("let a = /.*{{x:{x}}}.*/; let b = /.*{{y:{y}}}.*/; a join b;");
+        let line = |i| {
+            format!(
+                "{} {x} {} {y} {}",
+                letters(8, i),
+                letters(8, i + 1),
+                letters(8, i + 2)
+            )
+        };
+        (program, lines(&line))
+    };
+    let [(lit_20, l20), (lit_60, l60), (lit_90, l90)] =
+        [(20, 40), (60, 120), (90, 150)].map(|(a, b)| literals(a, b));
+    let word_pair = "let a = /.*{x:needle [a-z]+}.*/; let b = /.*{x:[a-z]+ [a-z]+}.*/; a join b;";
+    let word_runs = "let a = /.*{x:needle [a-z]+ [a-z]+}.*/; \
+                     let b = /.*{y:[a-z]+ [a-z]+ [a-z]+ [a-z]+ [a-z]+ [a-z]+}.*/; a join b;";
+    let needles = (0..BREAK_EVEN_LINES as u64).map(|i| needle_line(true, i));
+    [
+        ("adhoc", NEEDLE_JOIN.to_string(), needles.collect()),
+        ("lit-20x40", lit_20, l20),
+        ("lit-60x120", lit_60, l60),
+        ("lit-90x150", lit_90, l90),
+        (
+            "k1-word-pair",
+            word_pair.to_string(),
+            lines(&|i| format!("{} needle {}", letters(4, i), letters(4, i + 1))),
+        ),
+        (
+            "wide-614",
+            word_runs.to_string(),
+            lines(&|i| format!("{} needle ab cd ef gh ij", letters(6, i))),
+        ),
+    ]
+}
 
 /// The automaton `CompiledPlan` builds for a tree of joins: its leaves'
 /// automata joined by the Lemma 3.2 product.
@@ -331,20 +385,23 @@ fn joined(tree: &RaTree, leaves: &[Vsa]) -> Vsa {
 /// extraction, and the rest (parse, lower, optimize, the leaves'
 /// automata). `ql/oneshot/join/*` is `store-adhoc`'s join template
 /// compiled and evaluated over 10 needle lines, as a never-seen program is,
-/// with its product deferred and built. `ql/break-even/*` times what
-/// placed [`BUILD_AT_DOCS`](spanner_algebra::BUILD_AT_DOCS) on that
-/// template: the product's build, and 256 needle lines on the hash-join
-/// lowering (`deferred`) and on the product (`built`). The build over the
-/// saving per line, in yardsticks, is the number of lines after which the
-/// product has paid for itself.
+/// with its product deferred and built. `ql/break-even/<template>/*` times,
+/// on each of [`break_even_templates`], the product's build and 256
+/// matching lines on the hash-join lowering (`deferred`) and on the product
+/// (`built`). The build over the saving per line, in yardsticks, is the
+/// number of lines after which the product has paid for itself; on
+/// `adhoc` it placed [`BUILD_AT_DOCS`](spanner_algebra::BUILD_AT_DOCS).
 fn deferred_products(run: &mut Run) {
     let chain = ["product", "compile", "rest"].map(|p| format!("ql/prepare/chain/{p}"));
     let oneshot = ["deferred", "built"].map(|p| format!("ql/oneshot/join/{p}"));
-    let lines = |how| format!("ql/break-even/{how}/lines-{BREAK_EVEN_LINES}");
-    let break_even = (
-        "ql/break-even/build".to_string(),
-        ["deferred", "built"].map(lines),
-    );
+    let templates = break_even_templates();
+    let break_even = templates.each_ref().map(|(template, ..)| {
+        let lines = |how| format!("ql/break-even/{template}/{how}/lines-{BREAK_EVEN_LINES}");
+        (
+            format!("ql/break-even/{template}/build"),
+            ["deferred", "built"].map(lines),
+        )
+    });
     let Some((chain, (oneshot, break_even))) = run.rows((chain, (oneshot, break_even))) else {
         return;
     };
@@ -384,17 +441,7 @@ fn deferred_products(run: &mut Run) {
     let built = run.measure(built, || answer(true));
     assert_eq!(deferred.count, built.count, "the two lowerings must agree");
 
-    let (tree, _, inst) = lower(NEEDLE_JOIN);
-    let compile = || CompiledPlan::compile(&tree, &inst, RaOptions::default()).unwrap();
-    let (by_build, [by_deferred, by_built]) = &break_even;
-    let build = run.measure_from(by_build, |start| {
-        let plan = compile();
-        *start = Instant::now();
-        plan.build_products().unwrap();
-        plan.physical().root().operator_count()
-    });
-    assert_eq!(build.count, 1, "the product is one scan");
-    let evaluate = |plan: &CompiledPlan| {
+    let evaluate = |plan: &CompiledPlan, docs: &[Document]| {
         // The current lowering, without counting the documents towards
         // the build.
         let lowering = plan.select(0);
@@ -402,21 +449,47 @@ fn deferred_products(run: &mut Run) {
             Screened::Empty => 0,
             Screened::Evaluated(set, NoTrace) => set.unwrap().len(),
         };
-        needles.iter().map(mappings).sum()
+        docs.iter().map(mappings).sum::<usize>()
     };
-    let plan = compile();
-    let deferred = run.measure(by_deferred, || evaluate(&plan));
-    plan.build_products().unwrap();
-    let built = run.measure(by_built, || evaluate(&plan));
-    assert_eq!(deferred.count, built.count, "the two lowerings must agree");
-    let saved = (deferred.units() - built.units()) / BREAK_EVEN_LINES as f64;
-    let lines = build.units() / saved;
-    println!("    the built product pays for itself after {lines:.0} lines");
-    // 20–30 lines when written.
-    assert!(
-        saved > 0.0 && lines > 1.0 && lines < BREAK_EVEN_LINES as f64,
-        "a one-shot join pays for its product, and a scan of 256 lines does not"
-    );
+    for ((by_build, [by_deferred, by_built]), (template, program, docs)) in
+        break_even.iter().zip(templates)
+    {
+        let (tree, _, inst) = lower(&program);
+        let compile = || CompiledPlan::compile(&tree, &inst, RaOptions::default()).unwrap();
+        let build = run.measure_from(by_build, |start| {
+            let plan = compile();
+            *start = Instant::now();
+            plan.build_products().unwrap();
+            plan.physical().root().operator_count()
+        });
+        assert_eq!(build.count, 1, "{template}: the product is one scan");
+        let plan = compile();
+        let deferred = run.measure(by_deferred, || evaluate(&plan, &docs));
+        let root = plan.physical().root();
+        let unbuilt = matches!(root, PhysOp::HashJoin { .. });
+        assert!(unbuilt, "{template}: a line passed the relation limit");
+        plan.build_products().unwrap();
+        let built = run.measure(by_built, || evaluate(&plan, &docs));
+        assert_eq!(
+            deferred.count, built.count,
+            "{template}: the lowerings differ"
+        );
+        assert!(
+            deferred.count >= docs.len(),
+            "{template}: a line does not match"
+        );
+        let saved = (deferred.units() - built.units()) / BREAK_EVEN_LINES as f64;
+        let lines = build.units() / saved;
+        match saved > 0.0 {
+            true => println!("    {template}: the built product pays after {lines:.0} lines"),
+            false => println!("    {template}: the built product is slower a line, it never pays"),
+        }
+        // 20–30 lines when `BUILD_AT_DOCS` was placed.
+        assert!(
+            template != "adhoc" || (saved > 0.0 && lines > 1.0 && lines < BREAK_EVEN_LINES as f64),
+            "a one-shot join pays for its product, and a scan of 256 lines does not"
+        );
+    }
 }
 
 /// Deterministic padding over lowercase letters and spaces — no `@`, so a

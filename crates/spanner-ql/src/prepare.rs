@@ -71,31 +71,27 @@ impl PreparedQuery {
     }
 
     /// [`PreparedQuery::prepare`] with explicit evaluation options (the
-    /// differential tests prepare with the optimizer off).
+    /// differential tests prepare with the optimizer off):
+    /// [`PreparedQuery::compile`] with its join products built.
     pub fn prepare_with_options(src: &str, options: RaOptions) -> Result<PreparedQuery, QlError> {
-        PreparedQuery::lower_with(src, options, CompiledPlan::prepare)
+        let query = PreparedQuery::compile(src, options)?;
+        query.plan().build_products()?;
+        Ok(query)
     }
 
     /// [`PreparedQuery::prepare_with_options`] for a program that may be
     /// answered once: its join products are deferred
     /// ([`CompiledPlan::compile`]) until it has been asked for enough
     /// documents or [`CompiledPlan::build_products`] is called. The serving
-    /// layer compiles a program this way unless `prepare` or `explain` is
-    /// the first to ask for it.
+    /// layer compiles every program this way, and builds its products when
+    /// `prepare` or `explain` asks for it.
     pub fn compile(src: &str, options: RaOptions) -> Result<PreparedQuery, QlError> {
-        PreparedQuery::lower_with(src, options, CompiledPlan::compile)
-    }
-
-    fn lower_with(
-        src: &str,
-        options: RaOptions,
-        compile: fn(&RaTree, &Instantiation, RaOptions) -> SpannerResult<CompiledPlan>,
-    ) -> Result<PreparedQuery, QlError> {
         let program = parse_program(src)?;
         let lowered = program.lower()?;
         let vars = tree_vars(&lowered.tree, &lowered.inst)?;
         let bound_before = shared_variable_bound(&lowered.tree, &lowered.inst)?;
-        let engine = CorpusEngine::from_plan(compile(&lowered.tree, &lowered.inst, options)?);
+        let plan = CompiledPlan::compile(&lowered.tree, &lowered.inst, options)?;
+        let engine = CorpusEngine::from_plan(plan);
         let bound_after = shared_variable_bound(engine.plan().tree(), &lowered.inst)?;
         Ok(PreparedQuery {
             program,

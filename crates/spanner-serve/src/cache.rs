@@ -206,37 +206,12 @@ impl QueryCache {
         program: &str,
         options: RaOptions,
     ) -> Result<(Arc<PreparedQuery>, bool), QlError> {
-        self.lookup(program, options, PreparedQuery::compile)
-    }
-
-    /// [`QueryCache::get_or_prepare`] for a program kept for reuse, as
-    /// `prepare` and `explain` ask for it: a miss compiles it with its join
-    /// products built ([`PreparedQuery::prepare_with_options`]), and a hit
-    /// builds those its entry deferred.
-    pub fn get_or_build(
-        &self,
-        program: &str,
-        options: RaOptions,
-    ) -> Result<(Arc<PreparedQuery>, bool), QlError> {
-        let found = self.lookup(program, options, PreparedQuery::prepare_with_options)?;
-        if found.1 {
-            found.0.plan().build_products()?;
-        }
-        Ok(found)
-    }
-
-    fn lookup(
-        &self,
-        program: &str,
-        options: RaOptions,
-        compile: fn(&str, RaOptions) -> Result<PreparedQuery, QlError>,
-    ) -> Result<(Arc<PreparedQuery>, bool), QlError> {
         let key = cache_key(program, options);
         let (slot, hit) = self.slots.get_or_insert_with(&key, Default::default);
         let counter = if hit { &self.hits } else { &self.misses };
         counter.fetch_add(1, Ordering::Relaxed);
         // Compile (or wait for the compiling request) outside the lock.
-        let result = slot.get_or_init(|| compile(program, options).map(Arc::new));
+        let result = slot.get_or_init(|| PreparedQuery::compile(program, options).map(Arc::new));
         match result {
             Ok(query) => Ok((Arc::clone(query), hit)),
             Err(e) => {
@@ -248,6 +223,19 @@ impl QueryCache {
                 Err(e.clone())
             }
         }
+    }
+
+    /// [`QueryCache::get_or_prepare`] for a program kept for reuse, as
+    /// `prepare` and `explain` ask for it: its entry's join products
+    /// built.
+    pub fn get_or_build(
+        &self,
+        program: &str,
+        options: RaOptions,
+    ) -> Result<(Arc<PreparedQuery>, bool), QlError> {
+        let found = self.get_or_prepare(program, options)?;
+        found.0.plan().build_products()?;
+        Ok(found)
     }
 
     /// A snapshot of the counters.

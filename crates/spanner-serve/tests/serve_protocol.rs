@@ -940,6 +940,47 @@ fn a_never_seen_join_answers_as_its_product_past_the_relation_limit() {
     handle.join().unwrap().unwrap();
 }
 
+/// A join's screen does not depend on which request compiled it: one
+/// daemon first answers the join as a store query, another first
+/// prepares it, and their next store queries prune alike. Its 614-state
+/// product is past the literal budget, so a screen read off the product
+/// would require nothing and evaluate every document.
+#[test]
+fn a_join_screens_alike_whether_queried_or_prepared_first() {
+    let corpus: Vec<String> = spanner_workloads::needle_corpus(2_000, 50, 12)
+        .iter()
+        .map(|doc| doc.text().to_string())
+        .collect();
+    let program = "let a = /.*{x:needle [a-z]+ [a-z]+}.*/; \
+                   let b = /.*{y:[a-z]+ [a-z]+ [a-z]+ [a-z]+ [a-z]+ [a-z]+}.*/; a join b;";
+    let tallies = |prepare_first: bool| {
+        let (addr, handle) = start(ServeOptions::default());
+        let mut client = Client::connect(addr).unwrap();
+        assert!(ok(&client.load_corpus(&corpus.join("\n")).unwrap()));
+        let first = match prepare_first {
+            true => client.prepare(program).unwrap(),
+            false => client.query_store(program).unwrap(),
+        };
+        assert!(ok(&first), "{first}");
+        let answer = client.query_store(program).unwrap();
+        assert!(ok(&answer), "{answer}");
+        let member = |name| answer.get(name).cloned();
+        let tallies = [
+            member("candidates"),
+            member("skipped"),
+            member("selectivity"),
+        ];
+        let stats = client.stats().unwrap();
+        client.shutdown().unwrap();
+        handle.join().unwrap().unwrap();
+        (tallies, field(&stats, ["server", "docs_evaluated"]))
+    };
+    let (queried, _) = tallies(false);
+    let (prepared, evaluated) = tallies(true);
+    assert_eq!(queried, prepared);
+    assert!(evaluated < corpus.len() / 10, "{evaluated} evaluated");
+}
+
 #[test]
 fn concurrent_clients_share_one_cache_entry() {
     const PROGRAM: &str = "let a = /{x:a+}b*/; project x (a);";
