@@ -267,6 +267,7 @@ const BLOCK: usize = 1 << 16;
 /// is a binary search and a slice: 2 bytes a posting and 12 bytes a
 /// trigram. The offsets into `ids` are `usize`: a document has at most one
 /// posting a byte, so they cannot wrap.
+#[derive(Default)]
 struct Block {
     keys: Vec<u32>,
     starts: Vec<usize>,
@@ -388,10 +389,16 @@ impl Alphabet {
 
 /// Inverts every document's trigrams into a [`Base`], one [`Block`] per
 /// [`BLOCK`] documents. The one builder of a base segment: [`Store::build`]
-/// (and so [`Store::load`]) and [`Store::compact`] all call it. The caller
-/// keeps `docs.len()` within `u32` ids.
-fn index_documents(docs: &[Document]) -> Base {
-    let blocks: Vec<Block> = docs.chunks(BLOCK).map(index_block).collect();
+/// (and so [`Store::load`]) and [`Store::compact`] all call it, the
+/// compaction with the segment it replaces as `old`, whose arrays the new
+/// blocks are written into (see [`index_block`]). The caller keeps
+/// `docs.len()` within `u32` ids.
+fn index_documents(docs: &[Document], old: Base) -> Base {
+    let mut spare = old.blocks.into_iter();
+    let blocks: Vec<Block> = docs
+        .chunks(BLOCK)
+        .map(|docs| index_block(docs, spare.next().unwrap_or_default()))
+        .collect();
     let trigrams = match blocks.as_slice() {
         [] => 0,
         [block] => block.keys.len(),
@@ -416,14 +423,21 @@ fn index_documents(docs: &[Document]) -> Base {
 /// each one to its slot; the set bits read in order are the sorted keys.
 /// Then two passes: the first counts each trigram's documents, the second
 /// walks the documents backwards and writes each id just below its
-/// trigram's end, so the ends become the starts. Every returned array is
-/// allocated once at its final size. Besides them the build holds 8 bytes
+/// trigram's end, so the ends become the starts. The arrays are `old`'s,
+/// refilled ([`refill`]): a fresh build allocates each once at its final
+/// size, and a compaction reuses them, so rebuilding a base that kept its
+/// size allocates no array of the index. Besides them the build holds 8 bytes
 /// a trigram and the bitset with its ranks, which grow with the alphabet,
 /// not the corpus: 6 KB for `store-adhoc`'s 27 byte values, at most 2^24
 /// bits and 2^18 `u32` (3 MB) past 128, where zeroing and walking them
 /// costs about 1 ms a build. On `store-adhoc`'s 30 000 lines (one block)
 /// it builds in about 70–80 ms (`spanner-bench`'s `incr/build/*` rows).
-fn index_block(docs: &[Document]) -> Block {
+fn index_block(docs: &[Document], old: Block) -> Block {
+    let Block {
+        mut keys,
+        mut starts,
+        mut ids,
+    } = old;
     assert!(
         docs.len() <= BLOCK,
         "a block holds at most {BLOCK} documents"
@@ -448,7 +462,7 @@ fn index_block(docs: &[Document]) -> Block {
         let below = bits[key / 64] & ((1 << (key % 64)) - 1);
         rank[key / 64] as usize + below.count_ones() as usize
     };
-    let mut keys = Vec::with_capacity(trigrams);
+    refill(&mut keys, trigrams);
     for (w, &word) in bits.iter().enumerate() {
         let mut word = word;
         while word != 0 {
@@ -483,7 +497,7 @@ fn index_block(docs: &[Document]) -> Block {
         }
     }
     // Each trigram's end offset, which the fill below lowers to its start.
-    let mut starts = Vec::with_capacity(trigrams + 1);
+    refill(&mut starts, trigrams + 1);
     let mut total = 0;
     for slot in &mut slots {
         total += slot.count as usize;
@@ -491,7 +505,8 @@ fn index_block(docs: &[Document]) -> Block {
         slot.last = NONE;
     }
     starts.push(total);
-    let mut ids = vec![0u16; total];
+    refill(&mut ids, total);
+    ids.resize(total, 0);
     for (id, doc) in docs.iter().enumerate().rev() {
         let id = id as u32;
         for key in alphabet.windows(doc.bytes()) {
@@ -507,6 +522,23 @@ fn index_block(docs: &[Document]) -> Block {
     Block { keys, starts, ids }
 }
 
+/// Empties `array` to hold `len` elements. An array that already holds
+/// them keeps its allocation. Otherwise it is freed before the new one is
+/// made, so the two are never held at once: a fresh array is allocated at
+/// exactly `len`, and one that grows takes an eighth more, so the next
+/// compaction of a store that grew a little fits it again. Reuse keeps a
+/// compaction from leaving the old index's space a hole the new one does
+/// not fit, which made a daemon's peak memory step by the index's size
+/// with the order of its mutations.
+fn refill<T>(array: &mut Vec<T>, len: usize) {
+    array.clear();
+    if array.capacity() < len {
+        let spare = if array.capacity() == 0 { 0 } else { len / 8 };
+        *array = Vec::new();
+        array.reserve_exact(len + spare);
+    }
+}
+
 impl Store {
     /// Builds a store over `docs`, inverting every document's trigrams.
     /// Fails only when the corpus exceeds `u32` document ids.
@@ -517,7 +549,7 @@ impl Store {
                 docs.len()
             )));
         }
-        let base = index_documents(&docs);
+        let base = index_documents(&docs, Base::default());
         let hashes = docs.iter().map(|d| fnv1a64(d.bytes())).collect();
         let base_len = docs.len();
         Ok(Store {
@@ -752,12 +784,12 @@ impl Store {
     /// callers can force a fully compacted index (e.g. ahead of a
     /// read-heavy stretch: candidates then merge no delta).
     pub fn compact(&mut self) {
-        // The old segments go before the new base is built, so the peak
-        // is one base, not two; under `&mut self` no reader sees the gap.
-        self.base = Base::default();
+        // The new base is built in the old one's arrays, so the peak is
+        // one base, not two; under `&mut self` no reader sees the gap.
+        let old = std::mem::take(&mut self.base);
         self.delta.clear();
         self.delta_postings = 0;
-        self.base = index_documents(&self.docs);
+        self.base = index_documents(&self.docs, old);
         self.base_len = self.docs.len();
         self.stale = vec![false; self.base_len];
         self.stale_count = 0;
@@ -1123,7 +1155,7 @@ mod tests {
     /// at its exact size; each trigram's lists decode to the whole corpus'
     /// list; and the alphabet packs a trigram into the fewest bits.
     fn assert_indexed_as_the_reference(docs: &[Document]) {
-        let base = index_documents(docs);
+        let base = index_documents(docs, Base::default());
         assert_eq!(base.blocks.len(), docs.len().div_ceil(BLOCK));
         for (block, chunk) in base.blocks.iter().zip(docs.chunks(BLOCK)) {
             let reference = reference_index(chunk);
@@ -1550,6 +1582,33 @@ mod tests {
         assert_eq!(store.compactions(), before + 1);
         assert_eq!(store.delta_postings(), 0);
         assert_eq!(store.stale_count, 0);
+    }
+
+    #[test]
+    fn compaction_rebuilds_the_index_in_its_own_arrays() {
+        let lines = (0..300).map(|i| Document::new(format!("line {i} of the log")));
+        let mut store = Store::build(lines.collect()).unwrap();
+        let ids = |store: &Store| store.base.blocks[0].ids.as_ptr();
+        let built = ids(&store);
+        store.update(7, "line 7 of the log").unwrap();
+        store.compact();
+        assert_eq!(ids(&store), built, "a base of the same size moved");
+        // Growing past the arrays reallocates once, with room to spare.
+        store
+            .append("a longer line, with new trigrams in it")
+            .unwrap();
+        store.compact();
+        let grown = ids(&store);
+        let block = &store.base.blocks[0];
+        assert!(block.ids.capacity() > block.ids.len());
+        store.append("one more line").unwrap();
+        store.compact();
+        assert_eq!(ids(&store), grown, "a base that grew a little moved");
+        let rebuilt = Store::build(store.documents().to_vec()).unwrap();
+        for literal in [&b"line"[..], b"longer", b"more", b"log"] {
+            let literal = [literal.to_vec()];
+            assert_eq!(store.candidates(&literal), rebuilt.candidates(&literal));
+        }
     }
 
     #[test]
