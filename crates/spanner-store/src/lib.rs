@@ -527,9 +527,9 @@ fn index_block(docs: &[Document], old: Block) -> Block {
 /// made, so the two are never held at once: a fresh array is allocated at
 /// exactly `len`, and one that grows takes an eighth more, so the next
 /// compaction of a store that grew a little fits it again. Reuse keeps a
-/// compaction from leaving the old index's space a hole the new one does
-/// not fit, which made a daemon's peak memory step by the index's size
-/// with the order of its mutations.
+/// compaction from freeing the old index into a hole the new one may not
+/// fit: a process's peak memory would then step by the index's size with
+/// the order of the store's mutations.
 fn refill<T>(array: &mut Vec<T>, len: usize) {
     array.clear();
     if array.capacity() < len {
