@@ -171,8 +171,8 @@ pub enum PhysOp {
         /// The compile-once evaluation form the enumerator runs on (and
         /// what schema, size and the empty-language fast path are read off).
         compiled: Arc<CompiledVsa>,
-        /// Whether the scan fast path (the static prefilters, which build
-        /// nothing) is consulted before enumeration
+        /// Whether the scan fast path (the static prefilters and required
+        /// literals) is consulted before enumeration
         /// ([`RaOptions::scan_fast_path`](crate::RaOptions)).
         fast_path: bool,
     },
@@ -233,12 +233,13 @@ impl PhysOp {
     /// bounded: like the old pipeline's final enumeration, the caller asked
     /// for it.
     ///
-    /// `prescanned` says that [`PhysOp::prescan_skips`] already walked this
-    /// operator on `doc` and proved nothing empty, so every fast-path scan
-    /// it reached accepted. Those scans take the verdict as given instead of
-    /// checking the prefilters again, and still report it (`prescan_accept`),
-    /// so a trace does not show the difference. The flag travels the way
-    /// the pre-pass walks: a projection's input, both sides of a join and a
+    /// `prescanned` says that a screen already ran on `doc` and did not
+    /// prove it empty ([`PhysOp::prescan_skips`] over this operator or over
+    /// another lowering of the same program), so fast-path scans skip their
+    /// own prefilters and literals: sound, as the backward pass decides
+    /// every document they pass. They still report `prescan_accept`, so a
+    /// trace does not show the difference. The flag travels the way the
+    /// pre-pass walks: a projection's input, both sides of a join and a
     /// difference's input get it; a union's inputs and a difference's probe
     /// side, which the pre-pass does not prove, do not.
     pub fn execute<O: Observer>(
@@ -248,28 +249,40 @@ impl PhysOp {
         prescanned: bool,
         obs: &mut O,
     ) -> SpannerResult<MappingSet> {
+        self.run(doc, limit, usize::MAX, prescanned, obs)
+    }
+
+    /// [`PhysOp::execute`], with a compiled scan's enumeration stopped after
+    /// `rows` mappings. An input asks for one past its guard, so a relation
+    /// too large trips it without enumerating the rest.
+    fn run<O: Observer>(
+        &self,
+        doc: &Document,
+        limit: usize,
+        rows: usize,
+        prescanned: bool,
+        obs: &mut O,
+    ) -> SpannerResult<MappingSet> {
         match self {
             PhysOp::CompiledScan {
                 compiled,
                 fast_path,
             } => {
-                if compiled.accepting().is_empty() {
+                // The static prefilters and required literals: a document
+                // they rule out is answered without building enumeration
+                // machinery. Sound, so results are unchanged (see
+                // `spanner_vset::scan`); every other document is decided by
+                // the backward pass below.
+                let check = *fast_path && !prescanned;
+                if compiled.accepting().is_empty() || (check && scan_skips(compiled, doc)) {
                     obs.count("prescan_skip", 1);
                     return Ok(MappingSet::new());
                 }
-                // The static prefilters: a document they rule out is
-                // answered without building enumeration machinery. Sound, so
-                // results are unchanged (see `spanner_vset::scan`); every
-                // other document is decided by the backward pass below.
                 if *fast_path {
-                    if !prescanned && compiled.prescan(doc) == PreScan::Skip {
-                        obs.count("prescan_skip", 1);
-                        return Ok(MappingSet::new());
-                    }
                     obs.count("prescan_accept", 1);
                 }
                 let mut stream = enumerate_compiled(compiled, doc)?;
-                let mappings: SpannerResult<Vec<Mapping>> = stream.by_ref().collect();
+                let mappings: SpannerResult<Vec<Mapping>> = stream.by_ref().take(rows).collect();
                 // Table cells this document had to compute: 0 once the
                 // automaton is warm, so a non-zero count marks a cold one.
                 // And what the walk did: candidate searches, and stretch
@@ -337,6 +350,9 @@ impl PhysOp {
                 };
                 let probe = probe.input(doc, limit, false, obs)?;
                 obs.count("probe_rows", probe.len() as u64);
+                if probe.is_empty() {
+                    return Ok(input); // R \ ∅ = R, without an index
+                }
                 let mut probe = ProbeIndex::new(probe);
                 Ok(input
                     .into_iter()
@@ -358,7 +374,8 @@ impl PhysOp {
         prescanned: bool,
         parent: &mut O,
     ) -> SpannerResult<MappingSet> {
-        let (result, child) = O::observe(self, |obs| self.execute(doc, limit, prescanned, obs));
+        let rows = limit.saturating_add(1);
+        let (result, child) = O::observe(self, |obs| self.run(doc, limit, rows, prescanned, obs));
         parent.adopt(child);
         let set = result?;
         if set.len() > limit {
@@ -381,9 +398,7 @@ impl PhysOp {
                 compiled,
                 fast_path,
             } => {
-                if compiled.accepting().is_empty()
-                    || (*fast_path && compiled.prescan(doc) == PreScan::Skip)
-                {
+                if compiled.accepting().is_empty() || (*fast_path && scan_skips(compiled, doc)) {
                     StreamKind::Empty
                 } else {
                     StreamKind::Scan(Box::new(enumerate_compiled(compiled, doc)?))
@@ -464,7 +479,7 @@ impl PhysOp {
     }
 
     /// Document-level pre-pass for multi-document engines: whether the
-    /// static prefilters *prove* the operator yields no mappings on `doc`
+    /// scans' prefilters and literals *prove* it yields no mappings on `doc`
     /// (`false` = the document must be evaluated). The proof composes
     /// through the relational operators (`∅ \ R`, `∅ ⋈ R` and `π(∅)` are
     /// empty; a union is empty iff all inputs are) and only consults scans
@@ -478,7 +493,7 @@ impl PhysOp {
             PhysOp::CompiledScan {
                 compiled,
                 fast_path,
-            } => *fast_path && compiled.prescan(doc) == PreScan::Skip,
+            } => *fast_path && scan_skips(compiled, doc),
             PhysOp::BlackBoxScan(_) => false,
             PhysOp::Project { input, .. } => input.prescan_skips(doc),
             PhysOp::UnionAll(inputs) => inputs.iter().all(|op| op.prescan_skips(doc)),
@@ -527,6 +542,14 @@ impl PhysOp {
         dedup_subsumed(&mut literals);
         literals
     }
+}
+
+/// Whether a compiled scan's static prefilters or its required literals
+/// prove that `doc` has no mapping. The prefilters go first, so a scan
+/// extracts its literals only once a document passes them.
+fn scan_skips(compiled: &CompiledVsa, doc: &Document) -> bool {
+    let lacks = |literal: &Vec<u8>| !contains_factor(doc.bytes(), literal);
+    compiled.prescan(doc) == PreScan::Skip || compiled.required_literals().iter().any(lacks)
 }
 
 /// The error of a relation that trips the resource guard of
@@ -935,6 +958,78 @@ mod tests {
         let (result, trace) = execute_traced(&physical, &Document::new("aaa"));
         assert!(result.unwrap().is_empty());
         assert_eq!(trace.counter("prescan_skip"), 1, "{}", trace.render());
+    }
+
+    /// Executes `tree` on `text` with the scan fast path on and off, checks
+    /// that the answers agree, and returns the fast-path trace.
+    fn fast_path_trace(tree: &RaTree, inst: &Instantiation, text: &str) -> ExecTrace {
+        let doc = Document::new(text);
+        let off = RaOptions {
+            scan_fast_path: false,
+            ..RaOptions::default()
+        };
+        let plain = CompiledPlan::compile(tree, inst, off).unwrap();
+        let (answer, trace) = execute_traced(&lower(tree, inst), &doc);
+        assert_eq!(
+            answer.unwrap(),
+            plain.evaluate(&doc).unwrap(),
+            "on {text:?}"
+        );
+        trace
+    }
+
+    #[test]
+    fn a_union_branch_skips_a_document_without_its_literal() {
+        // "of bar aa" holds every byte of "foo", so only the literal rules
+        // the difference's input out; the other branch answers.
+        let tree = RaTree::union(
+            RaTree::difference(RaTree::leaf(0), RaTree::leaf(2)),
+            RaTree::leaf(1),
+        );
+        let inst = Instantiation::new()
+            .with(0, parse(".*foo {x:a+}.*").unwrap())
+            .with(1, parse(".*bar {x:a+}.*").unwrap())
+            .with(2, parse("{x:zz}").unwrap());
+        let trace = fast_path_trace(&tree, &inst, "of bar aa");
+        let branch = &trace.children[0];
+        assert!(branch.label.starts_with("Difference"), "{}", trace.render());
+        assert_eq!(
+            branch.children[0].counter("prescan_skip"),
+            1,
+            "{}",
+            trace.render()
+        );
+        assert_eq!(
+            trace.children[1].counter("prescan_accept"),
+            1,
+            "{}",
+            trace.render()
+        );
+        assert_eq!(trace.rows, 2, "{}", trace.render());
+    }
+
+    #[test]
+    fn a_difference_probe_skips_a_document_without_its_literal() {
+        // The status program of the log workload: "x 404 12" holds a 2, a 0
+        // and a space, but not the probe's "200 ".
+        let tree = RaTree::difference(RaTree::leaf(0), RaTree::leaf(1));
+        let inst = Instantiation::new()
+            .with(0, parse(".*{s:[0-9][0-9][0-9]} [0-9]+").unwrap())
+            .with(1, parse(".*{s:200} [0-9]+").unwrap());
+        let trace = fast_path_trace(&tree, &inst, "x 404 12");
+        let probe = &trace.children[1];
+        assert_eq!(probe.counter("prescan_skip"), 1, "{}", trace.render());
+        assert_eq!(probe.counter("walk_steps"), 0, "{}", trace.render());
+        assert_eq!(trace.rows, 1, "{}", trace.render());
+        // A line with the literal is still evaluated, and subtracted.
+        let trace = fast_path_trace(&tree, &inst, "x 200 12");
+        assert_eq!(
+            trace.children[1].counter("prescan_accept"),
+            1,
+            "{}",
+            trace.render()
+        );
+        assert_eq!(trace.rows, 0, "{}", trace.render());
     }
 
     #[test]

@@ -392,7 +392,6 @@ fn build_left_deep(order: &[usize], operands: &mut [RaTree]) -> RaTree {
 // ---------------------------------------------------------------------------
 
 use spanner_vset::join::{join_with_options, JoinOptions};
-use spanner_vset::scan::contains_factor;
 use spanner_vset::{CompiledVsa, Vsa};
 
 /// A compiled plan: the document-independent parts of an RA tree are
@@ -430,7 +429,7 @@ pub struct CompiledPlan {
     /// The lowering the plan compiled to, and its screen.
     compiled: PhysicalPlan,
     /// [`CompiledPlan::required_literals`], worked out by the first
-    /// caller: a store query, `explain` or a screened document.
+    /// caller: a store query or `explain`.
     literals: OnceLock<Vec<Vec<u8>>>,
     /// The lowering with every product built: a handle on `compiled` when
     /// nothing was deferred, else set by the build.
@@ -915,8 +914,8 @@ impl CompiledPlan {
 
     /// Byte strings every document with a non-empty result must contain
     /// (see [`PhysOp::required_literals`]), read off the plan's screen;
-    /// empty = no constraint. Corpus indexes use these to prune documents
-    /// without visiting them. Worked out once per plan.
+    /// empty = no constraint. A store prunes candidates on these; a visited
+    /// document is screened by each scan's own. Worked out once per plan.
     pub fn required_literals(&self) -> &[Vec<u8>] {
         self.literals
             .get_or_init(|| self.compiled.root().required_literals())
@@ -963,27 +962,21 @@ impl<'a> Tier<'a> {
 
     /// The per-document step of a multi-document pass: the plan's
     /// document-level pre-pass first, and the executor only for a document
-    /// it could not prove empty. The pre-pass is the screen's static
-    /// prefilters ([`PhysOp::prescan_skips`]) and required literals
-    /// ([`CompiledPlan::required_literals`]): a document that lacks one has
-    /// no mapping. Where the screen is the lowering that runs, the executor
-    /// is told that the pre-pass already accepted the scans it walked, so
-    /// no prefilter is checked twice. Results and observations are those
-    /// of [`CompiledPlan::evaluate_observed`]. Without the scan fast path
+    /// it could not prove empty. The pre-pass is the screen's
+    /// [`PhysOp::prescan_skips`]: each scan's prefilters and required
+    /// literals, composed through the operators, so a document that lacks
+    /// one of [`CompiledPlan::required_literals`] is never evaluated. The
+    /// executor is told the pre-pass ran, on either lowering, so no scan it
+    /// walked checks its prefilters again and a built product never
+    /// extracts its own literals. Results and observations are those of
+    /// [`CompiledPlan::evaluate_observed`]. Without the scan fast path
     /// every document is evaluated.
     pub fn evaluate_screened<O: Observer>(&self, doc: &Document) -> Screened<O> {
-        let plan = self.plan;
-        if plan.options.scan_fast_path
-            && (plan.compiled.root().prescan_skips(doc)
-                || plan
-                    .required_literals()
-                    .iter()
-                    .any(|literal| !contains_factor(doc.bytes(), literal)))
-        {
+        let screened = self.plan.options.scan_fast_path;
+        if screened && self.plan.compiled.root().prescan_skips(doc) {
             return Screened::Empty;
         }
-        let prescanned = std::ptr::eq(self.lowering.root(), plan.compiled.root());
-        let (result, observed) = self.execute_observed(doc, prescanned);
+        let (result, observed) = self.execute_observed(doc, screened);
         Screened::Evaluated(result, observed)
     }
 
@@ -1009,7 +1002,7 @@ impl<'a> Tier<'a> {
             return (result, observed);
         }
         let result = match self.plan.built_lowering() {
-            Ok(built) => built.root().execute(doc, limit, false, &mut NoTrace),
+            Ok(built) => built.root().execute(doc, limit, prescanned, &mut NoTrace),
             Err(_) => root.execute(doc, limit, prescanned, &mut NoTrace),
         };
         (result, observed)
@@ -1245,6 +1238,32 @@ mod tests {
                 Screened::Empty => panic!("screened out"),
             }
         }
+    }
+
+    #[test]
+    fn a_scan_feeding_an_operator_stops_one_past_the_guard() {
+        // Every span of an 88-byte line on the left, 4 005 of them: the
+        // scan stops one past the hash join's guard, which trips and hands
+        // the document to the built product.
+        let tree = RaTree::join(RaTree::leaf(0), RaTree::leaf(1));
+        let inst = Instantiation::new()
+            .with(0, parse(".*{x:.*}.*").unwrap())
+            .with(1, parse(".*{x:needle}.*").unwrap());
+        let doc = Document::new(format!("{}a needle", "hay ".repeat(20)));
+        assert_eq!(doc.bytes().len(), 88);
+        let prepared = CompiledPlan::prepare(&tree, &inst, RaOptions::default()).unwrap();
+        let answer = prepared.evaluate(&doc).unwrap();
+        assert_eq!(answer.len(), 1);
+        let plan = CompiledPlan::compile(&tree, &inst, RaOptions::default()).unwrap();
+        let (result, trace) = plan.evaluate_observed::<crate::ExecTrace>(&doc);
+        assert_eq!(result.unwrap(), answer);
+        assert_eq!(trace.counter("limit_trips"), 1, "{}", trace.render());
+        let rows: Vec<u64> = trace.children.iter().map(|scan| scan.rows).collect();
+        assert!(
+            rows.contains(&(DEFERRED_ROWS as u64 + 1)),
+            "{}",
+            trace.render()
+        );
     }
 
     #[test]

@@ -77,8 +77,8 @@ pub struct CorpusStats {
     pub threads: usize,
     /// Documents skipped by the scan fast path without touching the match
     /// automaton: a static prefilter (length / prefix-class /
-    /// required-factor check) ruled them out, or they lack one of the
-    /// plan's required literals. Always `0` when
+    /// required-factor check) or a required literal of the plan's scans
+    /// ruled them out. Always `0` when
     /// [`RaOptions::scan_fast_path`] is disabled.
     pub docs_skipped: usize,
     /// Always `0`: the boolean pre-pass tier that rejected documents after

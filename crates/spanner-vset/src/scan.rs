@@ -14,12 +14,13 @@
 //! backward pass (Theorem 2.5's linear preprocessing) decides whether it
 //! has a mapping. [`CompiledVsa::prescan`] builds nothing on first use.
 //!
-//! Beside the prefilters, the plan answers one question for corpus-level
-//! passes: which byte strings does every accepted document contain
-//! ([`CompiledVsa::required_literals`])? Only a corpus pass (an indexed
-//! store's candidates, a scan's per-document screen) and `explain` ask, so
-//! the answer is worked out on first request and a one-document evaluation
-//! never pays for it. Candidates are read off the shortest accepted document and each
+//! Beside the prefilters, the plan answers one more question: which byte
+//! strings does every accepted document contain
+//! ([`CompiledVsa::required_literals`])? An indexed store prunes its
+//! candidates on them, `explain` prints them, and the executor skips a
+//! document that lacks one after the prefilters let it through, so the
+//! answer is worked out on first request: an automaton that never sees
+//! such a document never pays for it. Candidates are read off the shortest accepted document and each
 //! is settled by an exact test over the automaton
 //! ([`CompiledVsa::literal_counterexample`]).
 //!
@@ -77,9 +78,8 @@ pub struct ScanPlan {
     /// byte of (rarest first).
     required_factors: Vec<ByteClass>,
     /// Byte strings that every accepted document must contain as a factor,
-    /// extracted on first request ([`CompiledVsa::required_literals`]):
-    /// only corpus-level passes read them, and a one-document evaluation
-    /// never asks.
+    /// extracted on first request ([`CompiledVsa::required_literals`]);
+    /// [`CompiledVsa::prescan`] never asks.
     literals: OnceLock<LiteralSet>,
 }
 

@@ -89,3 +89,39 @@ fn the_walk_crosses_stretches_on_log_lines() {
         assert!(per_line <= bound, "{name}: {per_line:.1} walk steps a line");
     }
 }
+
+#[test]
+fn the_status_probe_skips_every_line_without_its_literal() {
+    // The probe side of `… minus /.*{status:200} [0-9]+/` needs "200 ",
+    // which only an address ending in .200 puts on a line: its literal
+    // rules out every other line its prefilters let through, so it never
+    // walks there.
+    let library = program_library();
+    let status = PreparedQuery::prepare(library.last().unwrap()).unwrap();
+    let input = PreparedQuery::prepare("/.*{status:[0-9][0-9][0-9]} [0-9]+/").unwrap();
+    let lines = log_lines(200);
+    let (mut lacking, mut skipped) = (0, 0);
+    for doc in &lines {
+        let (answer, trace) = status.evaluate_traced(doc);
+        assert_eq!(
+            answer.unwrap(),
+            input.evaluate(doc).unwrap(),
+            "{:?}",
+            doc.text()
+        );
+        assert!(trace.label.starts_with("Difference"), "{}", trace.render());
+        let probe = &trace.children[1];
+        skipped += probe.counter("prescan_skip");
+        if !doc.text().contains("200 ") {
+            lacking += 1;
+            let counts = (probe.counter("prescan_skip"), probe.counter("walk_steps"));
+            assert_eq!(counts, (1, 0), "{:?}", doc.text());
+        }
+    }
+    assert_eq!(skipped, lacking);
+    assert!(
+        lacking >= 190,
+        "{lacking} of {} lines lack \"200 \"",
+        lines.len()
+    );
+}
